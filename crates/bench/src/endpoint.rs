@@ -1,4 +1,4 @@
-//! Fixed-seed *endpoint* workloads for the perf-regression gate.
+//! Fixed-seed *endpoint* workloads for the golden-digest test.
 //!
 //! Where [`crate::hotpath`] stresses the discrete-event engine, these
 //! workloads stress the MTP endpoint state machines directly: a
@@ -21,7 +21,7 @@
 //! Each run reduces to a line-oriented digest of everything observable:
 //! sender and receiver counters, per-(pathlet, TC) windows, completion
 //! counts, and an FNV-1a hash over the wire bytes of **every header the
-//! endpoints emitted, in order**. The `perfgate` binary compares digests
+//! endpoints emitted, in order**. `tests/goldens.rs` compares digests
 //! against golden files captured on the pre-overhaul endpoint code: an
 //! endpoint change that alters any packet, any window, or any counter
 //! shows up as a byte diff.

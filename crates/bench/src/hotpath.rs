@@ -1,4 +1,4 @@
-//! Fixed-seed engine workloads for the perf-regression gate.
+//! Fixed-seed engine workloads for the golden-digest test.
 //!
 //! Three workloads stress the three hot paths of the discrete-event
 //! engine:
@@ -15,7 +15,7 @@
 //! Each workload returns a [`HotpathRun`] whose `digest` is a
 //! line-oriented dump of everything observable about the run — event
 //! count, final clock, every link's counters, every retained trace
-//! event. The `perfgate` binary compares digests against committed
+//! event. `tests/goldens.rs` compares digests against committed
 //! golden files: an engine change that alters any event outcome, any
 //! ordering, or any RNG draw shows up as a byte diff.
 

@@ -1,6 +1,6 @@
 //! Experiment output: stdout tables plus JSON records under `results/`.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use serde::Serialize;
 
@@ -15,27 +15,12 @@ pub struct ExperimentRecord<T: Serialize> {
     pub data: T,
 }
 
-fn results_dir() -> PathBuf {
-    // Walk up from the crate to the workspace root's results/.
-    let mut dir = std::env::current_dir().expect("cwd");
-    loop {
-        if dir.join("results").is_dir() || dir.join("Cargo.toml").is_file() {
-            let r = dir.join("results");
-            std::fs::create_dir_all(&r).expect("create results dir");
-            return r;
-        }
-        if !dir.pop() {
-            let r = Path::new("results").to_path_buf();
-            std::fs::create_dir_all(&r).expect("create results dir");
-            return r;
-        }
-    }
-}
-
 /// Serialize `record` to `results/<id>.json` (pretty-printed) and return
 /// the path.
 pub fn write_json<T: Serialize>(record: &ExperimentRecord<T>) -> PathBuf {
-    let path = results_dir().join(format!("{}.json", record.id));
+    let dir = mtp_sim::telemetry::results_dir();
+    std::fs::create_dir_all(&dir).expect("create results dir");
+    let path = dir.join(format!("{}.json", record.id));
     let json = serde_json::to_string_pretty(record).expect("serializable record");
     std::fs::write(&path, json).expect("write results file");
     path

@@ -51,14 +51,30 @@ fn sharded_digest_matches_serial_across_matrix() {
 }
 
 /// A clean (fault-free) cross-check too: the equivalence must not depend
-/// on the admin machinery being exercised.
+/// on the admin machinery being exercised. Two inputs: the tiny fabric
+/// traced, and the bench-sized fabric (8 pods, 256 hosts) untraced at
+/// shard counts up to one per pod.
 #[test]
 fn sharded_digest_matches_serial_without_faults() {
-    let net = build(FabricCfg::tiny());
-    let serial = run_serial(&net, 7, Some(TRACE_CAP), horizon(), Vec::new());
-    let want = monolithic_digest(&serial);
-    let ss = run_sharded(&net, 3, 7, Some(TRACE_CAP), horizon(), Vec::new());
-    assert_eq!(ss.digest(), want);
+    let inputs: [(FabricCfg, u64, Option<usize>, &[usize]); 2] = [
+        (FabricCfg::tiny(), 7, Some(TRACE_CAP), &[3]),
+        (FabricCfg::bench(), 1, None, &[2, 4, 8]),
+    ];
+    for (cfg, seed, trace, shard_counts) in inputs {
+        let net = build(cfg);
+        let serial = run_serial(&net, seed, trace, horizon(), Vec::new());
+        let want = monolithic_digest(&serial);
+        for &shards in shard_counts {
+            let ss = run_sharded(&net, shards, seed, trace, horizon(), Vec::new());
+            assert_eq!(
+                ss.digest(),
+                want,
+                "digest diverged: {} hosts, {shards} shards (vs serial)",
+                cfg.num_hosts()
+            );
+            ss.audit().assert_ok();
+        }
+    }
 }
 
 /// Conservation under sharding: stepping the sharded run in small

@@ -9,7 +9,7 @@
 //! written with `"skipped": true` and the process exits 0 after a
 //! visible NOTICE — a skip must never look like a pass.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use serde::Serialize;
 
@@ -25,24 +25,10 @@ struct BenchChaosRecord {
     runs: Vec<SoakRun>,
 }
 
-fn results_dir() -> PathBuf {
-    let mut dir = std::env::current_dir().expect("cwd");
-    loop {
-        if dir.join("results").is_dir() || dir.join("Cargo.toml").is_file() {
-            let r = dir.join("results");
-            std::fs::create_dir_all(&r).expect("create results dir");
-            return r;
-        }
-        if !dir.pop() {
-            let r = Path::new("results").to_path_buf();
-            std::fs::create_dir_all(&r).expect("create results dir");
-            return r;
-        }
-    }
-}
-
 fn write_record(record: &BenchChaosRecord) -> PathBuf {
-    let path = results_dir().join("BENCH_chaos.json");
+    let dir = mtp_telemetry::results_dir();
+    std::fs::create_dir_all(&dir).expect("create results dir");
+    let path = dir.join("BENCH_chaos.json");
     let json = serde_json::to_string_pretty(record).expect("serializable record");
     std::fs::write(&path, json).expect("write results file");
     path

@@ -136,19 +136,8 @@ pub struct WireTxOutcome {
     pub completed: Vec<(u32, u64)>,
     /// Schedule entries that never completed.
     pub unfinished: usize,
-    /// Wall-clock time from connect to close.
-    pub wall: std::time::Duration,
-    /// Timeouts the core fired (diagnostics).
-    pub timeouts: u64,
     /// Retransmissions the core sent (diagnostics).
     pub retransmissions: u64,
-    /// HELLO rounds the handshake took (1 = first try answered).
-    pub handshake_rounds: u32,
-    /// FIN rounds the close took.
-    pub close_rounds: u32,
-    /// Packets emitted per repair (RTO) round, in round order — the
-    /// retransmission-round histogram `bench_wire` records.
-    pub retx_round_hist: Vec<u32>,
     /// Telemetry counters recorded by the sender session.
     pub registry: Registry,
 }
@@ -306,7 +295,6 @@ pub fn run_wire_golden(
             let res = listener.run_until_closed(deadline);
             (listener, res)
         })?;
-    let started = Instant::now();
     let tx_res = SenderSession::connect(&scfg, server)
         .and_then(|mut sess| {
             let records = run_schedule(&mut sess, workload, deadline).map_err(SessionError::Io)?;
@@ -326,12 +314,7 @@ pub fn run_wire_golden(
             .filter_map(|&(b, c)| c.map(|at| (b, at)))
             .collect(),
         unfinished: records.iter().filter(|r| r.1.is_none()).count(),
-        wall: started.elapsed(),
-        timeouts: sess.core().stats.timeouts,
         retransmissions: sess.core().stats.retransmissions,
-        handshake_rounds: sess.handshake_rounds(),
-        close_rounds: sess.close_rounds(),
-        retx_round_hist: sess.retx_rounds().to_vec(),
         registry: sess.registry().clone(),
     };
     let rx = WireRxOutcome {

@@ -94,8 +94,6 @@ pub struct SimOutcome {
     pub ledger: Ledger,
     /// Combined content digest of everything delivered.
     pub content_digest: u64,
-    /// Virtual time the run took to complete.
-    pub sim_elapsed: Duration,
 }
 
 /// Run `workload` through the simulator on a clean 10 Gbps / 2 µs
@@ -153,18 +151,9 @@ pub fn run_sim_golden(workload: &GoldenWorkload) -> SimOutcome {
         .collect();
     let content_digest = payload::content_digest(&triples);
 
-    let sim_elapsed = Duration(
-        ledger
-            .completed
-            .iter()
-            .map(|&(_, at)| at)
-            .max()
-            .unwrap_or(0),
-    );
     SimOutcome {
         ledger,
         content_digest,
-        sim_elapsed,
     }
 }
 

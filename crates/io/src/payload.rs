@@ -51,9 +51,12 @@ pub fn fill(id: MsgId, offset: u32, buf: &mut [u8]) {
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// `2^44 + 0x1b3`: not the FNV-1a-64 prime (`2^40 + 0x1b3`), so the
+/// digests below are FNV-1a-shaped, not FNV-1a-64. Their values are
+/// pinned by `benchmark/` — do not change.
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// FNV-1a over a byte slice.
+/// The FNV-1a fold (xor a byte, multiply) over a byte slice.
 #[inline]
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {

@@ -357,9 +357,6 @@ pub struct SenderSession {
     submitted: u64,
     buffered_bytes: u64,
     retx_rr: u64,
-    /// Packets emitted per repair (RTO) round — the retransmission-round
-    /// histogram `bench_wire` records.
-    retx_rounds: Vec<u32>,
     handshake_rounds: u32,
     close_rounds: u32,
     fin_acked: bool,
@@ -405,7 +402,6 @@ impl SenderSession {
             submitted: 0,
             buffered_bytes: 0,
             retx_rr: 0,
-            retx_rounds: Vec::new(),
             handshake_rounds: 0,
             close_rounds: 0,
             fin_acked: false,
@@ -692,7 +688,6 @@ impl SenderSession {
                 // Route this round of repairs onto the next pathlet: a
                 // dead port's packets must not retry the same hole.
                 self.retx_rr += 1;
-                self.retx_rounds.push(out.len() as u32);
             }
             let res = self.dispatch(&mut out);
             self.out_buf = out;
@@ -975,11 +970,6 @@ impl SenderSession {
     /// FIN rounds the close took (0 = close never ran).
     pub fn close_rounds(&self) -> u32 {
         self.close_rounds
-    }
-
-    /// Packets emitted per repair round, in round order.
-    pub fn retx_rounds(&self) -> &[u32] {
-        &self.retx_rounds
     }
 
     /// `(msg_id, completed_at)` for every completed message so far.

@@ -64,10 +64,12 @@ fn wire_reproduces_sim_golden_workload() {
     if !wire_ok("wire_reproduces_sim_golden_workload") {
         return;
     }
-    let workload = GoldenWorkload::generate(7, 40, 500, 48_000);
     let cfg = IoConfig::default();
-    let wire = run_wire_golden(&cfg, &workload, None, WALL_BUDGET).expect("clean wire run");
-    assert_interop("interop clean", &workload, &wire);
+    for (seed, msgs, min, max) in [(7, 40, 500, 48_000), (42, 60, 1_000, 64_000)] {
+        let workload = GoldenWorkload::generate(seed, msgs, min, max);
+        let wire = run_wire_golden(&cfg, &workload, None, WALL_BUDGET).expect("clean wire run");
+        assert_interop(&format!("interop clean seed {seed}"), &workload, &wire);
+    }
 }
 
 /// The same proof through a relay that drops, duplicates, and reorders
@@ -78,17 +80,19 @@ fn wire_reproduces_sim_golden_workload_through_lossy_relay() {
     if !wire_ok("wire_reproduces_sim_golden_workload_through_lossy_relay") {
         return;
     }
-    let workload = GoldenWorkload::generate(21, 30, 500, 32_000);
     let cfg = IoConfig::default();
-    let wire = run_wire_golden(&cfg, &workload, Some(RelayConfig::lossy(21)), WALL_BUDGET)
-        .expect("lossy wire run");
-    let relay = wire.relay.expect("relay stats present");
-    assert!(
-        relay.dropped + relay.duplicated + relay.reordered > 0,
-        "relay injected no faults; the lossy proof proved nothing \
-         (stats: {relay:?})"
-    );
-    assert_interop("interop lossy", &workload, &wire);
+    for (seed, msgs, min, max) in [(21, 30, 500, 32_000), (42, 60, 1_000, 64_000)] {
+        let workload = GoldenWorkload::generate(seed, msgs, min, max);
+        let lossy = Some(RelayConfig::lossy(seed));
+        let wire = run_wire_golden(&cfg, &workload, lossy, WALL_BUDGET).expect("lossy wire run");
+        let relay = wire.relay.expect("relay stats present");
+        assert!(
+            relay.dropped + relay.duplicated + relay.reordered > 0,
+            "relay injected no faults; the lossy proof proved nothing \
+             (stats: {relay:?})"
+        );
+        assert_interop(&format!("interop lossy seed {seed}"), &workload, &wire);
+    }
 }
 
 /// Multi-pathlet spraying actually uses the pathlet sockets: a run

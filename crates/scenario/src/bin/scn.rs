@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use mtp_scenario::report::{collate, scenarios_results_dir, write_report, write_scenario};
+use mtp_scenario::report::{collate, write_report, write_scenario};
 use mtp_scenario::run_scenario;
 use mtp_scenario::schema::from_str;
 
@@ -98,7 +98,8 @@ fn main() -> ExitCode {
     }
 
     let report = collate(results);
-    let dir = scenarios_results_dir();
+    let dir = mtp_sim::telemetry::results_dir().join("scenarios");
+    std::fs::create_dir_all(&dir).expect("create results/scenarios dir");
     for s in &report.scenarios {
         write_scenario(&dir, s);
     }

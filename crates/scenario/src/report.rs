@@ -52,24 +52,6 @@ pub fn collate(scenarios: Vec<ScenarioResult>) -> RunReport {
     }
 }
 
-/// Locate (and create) `results/scenarios/` at the workspace root, the
-/// same walk-up the figure binaries use for `results/`.
-pub fn scenarios_results_dir() -> PathBuf {
-    let mut dir = std::env::current_dir().expect("cwd");
-    loop {
-        if dir.join("results").is_dir() || dir.join("Cargo.toml").is_file() {
-            let r = dir.join("results").join("scenarios");
-            std::fs::create_dir_all(&r).expect("create results/scenarios dir");
-            return r;
-        }
-        if !dir.pop() {
-            let r = Path::new("results").join("scenarios");
-            std::fs::create_dir_all(&r).expect("create results/scenarios dir");
-            return r;
-        }
-    }
-}
-
 /// Write one scenario's result to `results/scenarios/<name>.json`.
 pub fn write_scenario(dir: &Path, s: &ScenarioResult) -> PathBuf {
     let path = dir.join(format!("{}.json", s.name));

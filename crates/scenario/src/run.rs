@@ -59,7 +59,7 @@ pub struct CellResult {
     pub goodput_mean_gbps: Option<f64>,
     /// Frames damaged in flight (diamond only).
     pub corrupted_frames: Option<u64>,
-    /// FNV-1a-64 digest of the run's observable state.
+    /// [`fnv64`] digest of the run's observable state.
     pub digest: String,
     /// Violated assertions, empty when the cell passed.
     pub violations: Vec<String>,
@@ -107,7 +107,10 @@ pub fn run_scenario(s: &Scenario) -> ScenarioResult {
 
 // ------------------------------------------------------------- plumbing
 
-/// FNV-1a 64-bit, rendered as 16 lowercase hex digits.
+/// An FNV-1a-shaped 64-bit fold, rendered as 16 lowercase hex digits.
+/// The multiplier is `2^32 + 0x1b3`, not the FNV-1a-64 prime
+/// (`2^40 + 0x1b3`), so this is not FNV-1a-64. Its values are pinned by
+/// `scenarios/` and `benchmark/` — do not change.
 pub fn fnv64(s: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
@@ -266,7 +269,7 @@ struct Measured {
     multi_exactly_once: Option<Vec<String>>,
 }
 
-/// The cell digest: FNV-1a-64 over [`cell_dump`]'s deterministic state.
+/// The cell digest: [`fnv64`] over [`cell_dump`]'s deterministic state.
 /// Public so the golden-replay tests can digest an inline
 /// figure-binary-style run and compare byte-for-byte.
 pub fn engine_digest(sim: &Simulator, records: &[(Time, Option<Time>)]) -> String {

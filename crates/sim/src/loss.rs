@@ -231,8 +231,10 @@ mod tests {
         assert_ne!(run(3), run(4));
     }
 
-    /// Fold a decision sequence into one u64 (FNV-style) so a whole run's
-    /// randomized behavior pins to a single constant.
+    /// Fold a decision sequence into one u64 (FNV-style, multiplier
+    /// `2^32 + 0x1b3`, not the FNV-1a-64 prime) so a whole run's
+    /// randomized behavior pins to a single constant. Its values are the
+    /// `GOLDEN_*` constants below — do not change.
     fn digest(bits: impl IntoIterator<Item = bool>) -> u64 {
         let mut d = 0xCBF2_9CE4_8422_2325u64;
         for b in bits {

@@ -169,6 +169,9 @@ impl Hist {
     }
 }
 
+/// One step of the snapshot digest: an FNV-shaped xor-then-multiply, with
+/// multiplier `2^32 + 0x1b3` (not the FNV-1a-64 prime). Its values are
+/// pinned by `scenarios/` and `benchmark/` — do not change.
 pub(crate) fn fnv_step(d: u64, v: u64) -> u64 {
     (d ^ v.wrapping_add(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0x1_0000_01B3)
 }
