@@ -15,6 +15,8 @@
 //!   loss — the receiver NACKs immediately instead of waiting for a
 //!   timeout, NDP-style. Trimmed headers are NACKed the same way.
 
+use std::collections::VecDeque;
+
 use mtp_sim::packet::{Headers, Packet};
 use mtp_sim::time::{Duration, Time};
 use mtp_wire::{
@@ -88,7 +90,6 @@ struct InMsg {
     bitmap: Bitmap,
     received: u32,
     first_seen: Time,
-    completed: Option<Time>,
     /// Highest packet number seen (for gap detection).
     max_seen: Option<u32>,
     /// Packets `< nacked_below` have already been NACKed once.
@@ -131,11 +132,11 @@ pub struct MtpReceiverStats {
 /// One MTP receiving endpoint.
 ///
 /// Reassembly state lives in a slab indexed by an open-addressed id→slot
-/// probe map (ids arrive from many senders, so — unlike the sender's slab
-/// — slots can't be computed arithmetically). The probe map stores
-/// `slot + 1` (0 = empty) and is rebuilt from the slab on the cold
-/// [`gc_completed`](Self::gc_completed) path, which keeps the per-packet
-/// lookup a single multiply-and-probe with no tombstone handling.
+/// probe map (ids arrive from many senders, so — unlike the sender's
+/// window — slots can't be computed arithmetically). The probe map stores
+/// `slot + 1` (0 = empty); collection deletes by backward shift, so there
+/// are no tombstones and the per-packet lookup stays a single
+/// multiply-and-probe.
 #[derive(Debug)]
 pub struct MtpReceiver {
     /// This host's address (used as `src_port` on ACKs).
@@ -159,8 +160,7 @@ pub struct MtpReceiver {
     /// arrive in bursts (a sender drains a window contiguously), so this
     /// answers most probes without touching the map — which, once many
     /// messages have passed through, no longer fits in cache. Validated
-    /// against the slab on every hit, so slab compaction in
-    /// [`gc_completed`](Self::gc_completed) can leave it stale safely.
+    /// against the slab on every hit.
     last_id: MsgId,
     last_slot: u32,
     /// If set, completed-message bookkeeping becomes collectable this
@@ -168,8 +168,12 @@ pub struct MtpReceiver {
     /// deadline; `None` (the default) never collects, preserving the
     /// exact behaviour sim-driven receivers have always had.
     gc_linger: Option<Duration>,
-    /// Completion time of the oldest still-resident completed message.
-    oldest_completed: Option<Time>,
+    /// `(completed_at, id)` of every resident completed message, oldest
+    /// first — completions are monotone in `now`, so arrival order is
+    /// expiry order. Kept only when a linger is set.
+    done: VecDeque<(Time, MsgId)>,
+    /// Messages in the slab that have not completed.
+    incomplete: usize,
     /// Counters.
     pub stats: MtpReceiverStats,
 }
@@ -196,7 +200,8 @@ impl MtpReceiver {
             last_id: MsgId(0),
             last_slot: u32::MAX,
             gc_linger: None,
-            oldest_completed: None,
+            done: VecDeque::new(),
+            incomplete: 0,
             stats: MtpReceiverStats::default(),
         }
     }
@@ -233,7 +238,7 @@ impl MtpReceiver {
     /// is configured or nothing has completed.
     pub fn poll_at(&self) -> Option<Time> {
         let linger = self.gc_linger?;
-        self.oldest_completed.map(|t| t + linger)
+        self.done.front().map(|&(t, _)| t + linger)
     }
 
     /// Run deferred work due at `now` — currently completed-message GC —
@@ -243,17 +248,63 @@ impl MtpReceiver {
         let Some(linger) = self.gc_linger else {
             return 0;
         };
-        match self.oldest_completed {
-            // Collect every record with `completed + linger <= now`.
-            // `gc_completed` *retains* `completed >= older_than`, so the
-            // cutoff must sit one tick past the boundary or a record
-            // completed exactly at `now - linger` survives and the
-            // `poll_at()` deadline never clears (a driver sleeping on it
-            // would spin).
-            Some(t) if t + linger <= now => {
-                self.gc_completed(Time(now.0.saturating_sub(linger.0).saturating_add(1)))
+        let mut collected = 0;
+        while let Some(&(t, id)) = self.done.front() {
+            if t + linger > now {
+                break;
             }
-            _ => 0,
+            self.done.pop_front();
+            self.remove(id);
+            collected += 1;
+        }
+        collected
+    }
+
+    /// Drop the record of `id`: O(probe run), independent of how many
+    /// records are resident.
+    fn remove(&mut self, id: MsgId) {
+        let mask = self.map.len() - 1;
+        let mut hole = self.cell_of(id).expect("resident until collected");
+        let slot = self.map[hole] as usize - 1;
+        // Backward-shift deletion: pull each later entry of the probe run
+        // into the hole unless that would move it before its home cell.
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let Some(s) = self.map[j].checked_sub(1) else {
+                break;
+            };
+            let home = probe_start(self.msgs[s as usize].id.0, self.map.len());
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.map[hole] = self.map[j];
+                hole = j;
+            }
+        }
+        self.map[hole] = 0;
+        // The slab's last record moves into the freed slot: re-point its
+        // cell. The memo may name either slot, so drop it.
+        let last = self.msgs.len() - 1;
+        if slot != last {
+            let cell = self.cell_of(self.msgs[last].id).expect("still indexed");
+            self.map[cell] = slot as u32 + 1;
+        }
+        self.msgs.swap_remove(slot);
+        self.last_slot = u32::MAX;
+    }
+
+    /// The map cell indexing `id`, if present.
+    #[inline]
+    fn cell_of(&self, id: MsgId) -> Option<usize> {
+        if self.map.is_empty() {
+            return None;
+        }
+        let mut i = probe_start(id.0, self.map.len());
+        loop {
+            let slot = self.map[i].checked_sub(1)?;
+            if self.msgs[slot as usize].id == id {
+                return Some(i);
+            }
+            i = (i + 1) & (self.map.len() - 1);
         }
     }
 
@@ -267,24 +318,10 @@ impl MtpReceiver {
                 }
             }
         }
-        if self.map.is_empty() {
-            return None;
-        }
-        let mut i = probe_start(id.0, self.map.len());
-        loop {
-            match self.map[i] {
-                0 => return None,
-                s => {
-                    let slot = (s - 1) as usize;
-                    if self.msgs[slot].id == id {
-                        self.last_id = id;
-                        self.last_slot = slot as u32;
-                        return Some(slot);
-                    }
-                }
-            }
-            i = (i + 1) & (self.map.len() - 1);
-        }
+        let slot = self.map[self.cell_of(id)?] - 1;
+        self.last_id = id;
+        self.last_slot = slot;
+        Some(slot as usize)
     }
 
     /// Rebuild the probe map from the slab (doubling it while the load
@@ -311,6 +348,7 @@ impl MtpReceiver {
         self.last_id = msg.id;
         self.last_slot = slot as u32;
         self.msgs.push(msg);
+        self.incomplete += 1;
         if (self.msgs.len() + 1) * 4 > self.map.len() * 3 {
             self.rebuild_map();
             return slot;
@@ -338,7 +376,13 @@ impl MtpReceiver {
 
     /// Messages currently in reassembly (incomplete).
     pub fn in_reassembly(&self) -> usize {
-        self.msgs.iter().filter(|m| m.completed.is_none()).count()
+        self.incomplete
+    }
+
+    /// Message records currently held: those in reassembly plus completed
+    /// ones not yet collected.
+    pub fn resident(&self) -> usize {
+        self.msgs.len()
     }
 
     /// Payload bytes held for incomplete messages. Bounded per message by
@@ -346,22 +390,6 @@ impl MtpReceiver {
     /// buffering is needed" property of §3.1.2.
     pub fn buffered_bytes(&self) -> u64 {
         self.buffered
-    }
-
-    /// Discard bookkeeping for messages that completed before `older_than`;
-    /// returns how many were collected. A straggling duplicate of a
-    /// collected message is simply re-acknowledged as if the message were
-    /// new — harmless, because the sender treats SACKs idempotently.
-    pub fn gc_completed(&mut self, older_than: Time) -> usize {
-        let before = self.msgs.len();
-        self.msgs
-            .retain(|m| m.completed.map(|c| c >= older_than).unwrap_or(true));
-        let collected = before - self.msgs.len();
-        if collected > 0 {
-            self.rebuild_map();
-        }
-        self.oldest_completed = self.msgs.iter().filter_map(|m| m.completed).min();
-        collected
     }
 
     /// Process a data packet; returns the ACK to transmit (every data
@@ -381,7 +409,6 @@ impl MtpReceiver {
                 bitmap: Bitmap::for_pkts(hdr.msg_len_pkts),
                 received: 0,
                 first_seen: now,
-                completed: None,
                 max_seen: None,
                 nacked_below: 0,
                 tc: hdr.tc,
@@ -416,6 +443,23 @@ impl MtpReceiver {
                 newly = hdr.pkt_len as u64;
                 self.stats.goodput_bytes += newly;
                 self.buffered += newly;
+                if msg.received == msg.len_pkts {
+                    self.incomplete -= 1;
+                    if self.gc_linger.is_some() {
+                        self.done.push_back((now, id));
+                    }
+                    self.stats.msgs_delivered += 1;
+                    self.buffered = self.buffered.saturating_sub(msg.len_bytes as u64);
+                    self.events.push(MsgDelivered {
+                        id,
+                        bytes: msg.len_bytes,
+                        src: msg.src,
+                        first_seen: msg.first_seen,
+                        completed: now,
+                        tc: msg.tc,
+                        pri: msg.pri,
+                    });
+                }
             }
             ack_hdr.sack.push(SackEntry {
                 msg: id,
@@ -441,25 +485,6 @@ impl MtpReceiver {
                     self.recent[self.recent_head] = fresh;
                     self.recent_head = (self.recent_head + 1) % self.recent.len();
                 }
-            }
-            if msg.received == msg.len_pkts && msg.completed.is_none() {
-                msg.completed = Some(now);
-                // Completions are monotone in `now`, so the first
-                // resident one is the minimum.
-                if self.oldest_completed.is_none() {
-                    self.oldest_completed = Some(now);
-                }
-                self.stats.msgs_delivered += 1;
-                self.buffered = self.buffered.saturating_sub(msg.len_bytes as u64);
-                self.events.push(MsgDelivered {
-                    id,
-                    bytes: msg.len_bytes,
-                    src: msg.src,
-                    first_seen: msg.first_seen,
-                    completed: now,
-                    tc: msg.tc,
-                    pri: msg.pri,
-                });
             }
         }
 

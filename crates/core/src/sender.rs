@@ -25,17 +25,22 @@
 //!
 //! ## Hot-path layout
 //!
-//! Message state is a slab: `MsgId`s are allocated as
-//! `msg_id_base + k` for monotonically increasing `k` and records are
-//! never removed, so the slot of an id is pure arithmetic — no id→slot
-//! map of any kind is needed on the ACK path. The send queue is an
-//! intrusive ready-list threaded through the slab (one FIFO per priority
-//! plus a 256-bit occupancy bitmap), making submit/poll/complete O(1)
-//! instead of a sorted-`Vec` insert/scan. Packets record the [`PathIdx`]
-//! they were charged to, so per-ACK credit and byte attribution are flat
-//! array operations against reusable scratch tables — the steady-state
-//! ACK path performs no allocation at all (headers come from the
-//! simulator's thread-local pool and are filled in place).
+//! Message state is a sliding window over the id space: `MsgId`s are
+//! allocated as `msg_id_base + k` for monotonically increasing `k`, and
+//! the contiguous completed prefix is retired as it completes, so the
+//! slot of an id is pure arithmetic (`k − retired`) — no id→slot map of
+//! any kind is needed on the ACK path — and resident state follows the
+//! messages in flight, not the sender's age. An id below the window is
+//! complete: every consumer treats it exactly as it treats an `Acked`
+//! packet, so late or duplicate feedback for it is a silent no-op. The
+//! send queue is an intrusive ready-list threaded through the window (one
+//! FIFO per priority plus a 256-bit occupancy bitmap), making
+//! submit/poll/complete O(1) instead of a sorted-`Vec` insert/scan.
+//! Packets record the [`PathIdx`] they were charged to, so per-ACK credit
+//! and byte attribution are flat array operations against reusable
+//! scratch tables — the steady-state ACK path performs no allocation at
+//! all (headers come from the simulator's thread-local pool and are
+//! filled in place).
 
 use std::collections::VecDeque;
 
@@ -150,9 +155,53 @@ struct OutMsg {
     acked: u32,
     next_unsent: u32,
     submitted: Time,
-    completed: Option<Time>,
     /// Next message slot in this priority's ready FIFO ([`NONE`] = tail).
     next_ready: u32,
+}
+
+impl OutMsg {
+    /// Every packet acknowledged. Only an in-flight packet can be newly
+    /// acknowledged, so a complete message has nothing unsent (it is off
+    /// the ready list) and nothing charged to a pathlet.
+    fn is_complete(&self) -> bool {
+        self.acked as usize == self.pkts.len()
+    }
+}
+
+/// The live message records. Slots count submissions since the sender was
+/// built (`slot = id − msg_id_base`); the window holds slots
+/// `retired .. retired + live.len()` and everything below it is complete.
+#[derive(Debug, Default)]
+struct Window {
+    live: VecDeque<OutMsg>,
+    retired: u32,
+}
+
+impl Window {
+    /// The slot the next submission gets.
+    fn next_slot(&self) -> u32 {
+        let next = self.retired as u64 + self.live.len() as u64;
+        assert!(next < NONE as u64, "sender message-id space exhausted");
+        next as u32
+    }
+
+    /// The record in `slot`, unless it has been retired.
+    fn get_mut(&mut self, slot: u32) -> Option<&mut OutMsg> {
+        self.live.get_mut(slot.checked_sub(self.retired)? as usize)
+    }
+}
+
+impl std::ops::Index<u32> for Window {
+    type Output = OutMsg;
+    fn index(&self, slot: u32) -> &OutMsg {
+        &self.live[(slot - self.retired) as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for Window {
+    fn index_mut(&mut self, slot: u32) -> &mut OutMsg {
+        &mut self.live[(slot - self.retired) as usize]
+    }
 }
 
 /// One MTP sending endpoint.
@@ -162,9 +211,13 @@ pub struct MtpSender {
     addr: u16,
     entity: EntityId,
     msg_id_base: u64,
-    /// Message slab, indexed by `id.0 - msg_id_base`. Records are never
-    /// removed, so slot resolution is arithmetic.
-    msgs: Vec<OutMsg>,
+    /// Message window, indexed by slot (`id.0 - msg_id_base`).
+    msgs: Window,
+    /// Incomplete messages in the window.
+    outstanding: usize,
+    /// Packet tables of retired messages, reused by `send_message` so
+    /// steady-state submission allocates nothing.
+    spare_pkts: Vec<Vec<OutPkt>>,
     /// Intrusive ready-list: head/tail slot of the FIFO of messages with
     /// unsent packets, one per priority, plus an occupancy bitmap. FIFO
     /// order within a priority is submission order (ids are monotone), so
@@ -198,7 +251,8 @@ impl std::fmt::Debug for MtpSender {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MtpSender")
             .field("addr", &self.addr)
-            .field("outstanding", &self.msgs.len())
+            .field("outstanding", &self.outstanding)
+            .field("resident", &self.msgs.live.len())
             .field("active", &self.active)
             .finish()
     }
@@ -215,7 +269,9 @@ impl MtpSender {
             addr,
             entity,
             msg_id_base,
-            msgs: Vec::new(),
+            msgs: Window::default(),
+            outstanding: 0,
+            spare_pkts: Vec::new(),
             ready_head: [NONE; 256],
             ready_tail: [NONE; 256],
             ready_bits: [0; 4],
@@ -233,14 +289,15 @@ impl MtpSender {
         }
     }
 
-    /// The slab slot of `id`, if it names a message of this sender.
+    /// The slot of `id`, if it names a message this sender has submitted
+    /// (possibly long retired).
     #[inline]
     fn slot_of(&self, id: MsgId) -> Option<u32> {
         let k = id.0.wrapping_sub(self.msg_id_base);
-        (k < self.msgs.len() as u64).then_some(k as u32)
+        (k < self.msgs.next_slot() as u64).then_some(k as u32)
     }
 
-    /// The message id stored in slab slot `slot`.
+    /// The message id of `slot`.
     #[inline]
     fn id_of(&self, slot: u32) -> MsgId {
         MsgId(self.msg_id_base + slot as u64)
@@ -248,14 +305,14 @@ impl MtpSender {
 
     /// Append `slot` to its priority's ready FIFO.
     fn ready_push(&mut self, slot: u32, pri: u8) {
-        self.msgs[slot as usize].next_ready = NONE;
+        self.msgs[slot].next_ready = NONE;
         let p = pri as usize;
         match self.ready_tail[p] {
             NONE => {
                 self.ready_head[p] = slot;
                 self.ready_bits[p / 64] |= 1u64 << (p % 64);
             }
-            tail => self.msgs[tail as usize].next_ready = slot,
+            tail => self.msgs[tail].next_ready = slot,
         }
         self.ready_tail[p] = slot;
     }
@@ -265,7 +322,7 @@ impl MtpSender {
         let p = pri as usize;
         let head = self.ready_head[p];
         debug_assert_ne!(head, NONE);
-        let next = self.msgs[head as usize].next_ready;
+        let next = self.msgs[head].next_ready;
         self.ready_head[p] = next;
         if next == NONE {
             self.ready_tail[p] = NONE;
@@ -297,25 +354,24 @@ impl MtpSender {
         out: &mut Vec<Packet>,
     ) -> MsgId {
         assert!(bytes > 0, "empty message");
-        let slot = self.msgs.len() as u32;
+        let slot = self.msgs.next_slot();
         let id = self.id_of(slot);
         let mtu = self.cfg.mtu_payload;
         let n_pkts = bytes.div_ceil(mtu);
-        let pkts = (0..n_pkts)
-            .map(|i| OutPkt {
-                len: if i == n_pkts - 1 {
-                    bytes - i * mtu
-                } else {
-                    mtu
-                },
-                offset: i * mtu,
-                state: PktState::Unsent,
-                charged: PathIdx(0),
-                sent_at: Time::ZERO,
-                epoch: 0,
-            })
-            .collect();
-        self.msgs.push(OutMsg {
+        let mut pkts = self.spare_pkts.pop().unwrap_or_default();
+        pkts.extend((0..n_pkts).map(|i| OutPkt {
+            len: if i == n_pkts - 1 {
+                bytes - i * mtu
+            } else {
+                mtu
+            },
+            offset: i * mtu,
+            state: PktState::Unsent,
+            charged: PathIdx(0),
+            sent_at: Time::ZERO,
+            epoch: 0,
+        }));
+        self.msgs.live.push_back(OutMsg {
             dst,
             pri,
             tc,
@@ -324,9 +380,9 @@ impl MtpSender {
             acked: 0,
             next_unsent: 0,
             submitted: now,
-            completed: None,
             next_ready: NONE,
         });
+        self.outstanding += 1;
         self.ready_push(slot, pri);
         self.poll(now, out);
         id
@@ -334,7 +390,25 @@ impl MtpSender {
 
     /// Outstanding (incomplete) message count.
     pub fn outstanding(&self) -> usize {
-        self.msgs.iter().filter(|m| m.completed.is_none()).count()
+        self.outstanding
+    }
+
+    /// Message records currently held: the outstanding messages plus any
+    /// completed ones still waiting behind an older incomplete message
+    /// (retirement is in id order).
+    pub fn resident(&self) -> usize {
+        self.msgs.live.len()
+    }
+
+    /// Retire the completed prefix of the window, keeping each packet
+    /// table for reuse.
+    fn retire_completed(&mut self) {
+        while self.msgs.live.front().is_some_and(OutMsg::is_complete) {
+            let mut msg = self.msgs.live.pop_front().expect("front checked");
+            msg.pkts.clear();
+            self.spare_pkts.push(msg.pkts);
+            self.msgs.retired += 1;
+        }
     }
 
     /// Append all pending completion events to `out`, clearing the
@@ -399,12 +473,13 @@ impl MtpSender {
 
     fn compact_inflight(&mut self) {
         while let Some(&(slot, pkt, epoch, _)) = self.inflight.front() {
-            let p = &self.msgs[slot as usize].pkts[pkt as usize];
-            if p.state != PktState::InFlight || p.epoch != epoch {
-                self.inflight.pop_front();
-            } else {
+            if self.msgs.get_mut(slot).is_some_and(|m| {
+                let p = &m.pkts[pkt as usize];
+                p.state == PktState::InFlight && p.epoch == epoch
+            }) {
                 break;
             }
+            self.inflight.pop_front();
         }
     }
 
@@ -513,14 +588,17 @@ impl MtpSender {
         debug_assert!(self.evac_scratch.is_empty());
         for qi in 0..self.inflight.len() {
             let (slot, pkt, epoch, _) = self.inflight[qi];
-            let p = &self.msgs[slot as usize].pkts[pkt as usize];
+            let Some(msg) = self.msgs.get_mut(slot) else {
+                continue;
+            };
+            let p = &msg.pkts[pkt as usize];
             if p.state == PktState::InFlight && p.epoch == epoch && p.charged == dead {
                 self.evac_scratch.push((slot, pkt));
             }
         }
         for i in 0..self.evac_scratch.len() {
             let (slot, pkt) = self.evac_scratch[i];
-            let p = &mut self.msgs[slot as usize].pkts[pkt as usize];
+            let p = &mut self.msgs[slot].pkts[pkt as usize];
             p.state = PktState::Unsent;
             self.pathlets.credit_at(dead, p.len as u64);
             self.stats.evacuated_pkts += 1;
@@ -579,40 +657,39 @@ impl MtpSender {
         debug_assert!(self.ack_touched.is_empty());
         let mut rtt_sample: Option<Duration> = None;
         for s in &hdr.sack {
-            let Some(slot) = self.slot_of(s.msg) else {
+            let Some(msg) = self.slot_of(s.msg).and_then(|slot| self.msgs.get_mut(slot)) else {
                 continue;
             };
-            let msg = &mut self.msgs[slot as usize];
             let Some(pkt) = msg.pkts.get_mut(s.pkt.0 as usize) else {
                 continue;
             };
-            if pkt.state == PktState::Acked {
+            // Only an in-flight packet can be newly acknowledged: anything
+            // else is a duplicate, or names a packet never transmitted.
+            if pkt.state != PktState::InFlight {
                 continue;
             }
-            let was_inflight = pkt.state == PktState::InFlight;
-            if pkt.epoch == 1 && was_inflight {
+            if pkt.epoch == 1 {
                 rtt_sample = Some(now.since(pkt.sent_at));
             }
             pkt.state = PktState::Acked;
-            if was_inflight {
-                let idx = pkt.charged;
-                let len = pkt.len as u64;
-                self.pathlets.credit_at(idx, len);
-                let acc = &mut self.ack_scratch[idx.0 as usize];
-                if *acc == 0 {
-                    self.ack_touched.push(idx.0);
-                }
-                *acc += len;
+            let idx = pkt.charged;
+            let len = pkt.len as u64;
+            self.pathlets.credit_at(idx, len);
+            let acc = &mut self.ack_scratch[idx.0 as usize];
+            if *acc == 0 {
+                self.ack_touched.push(idx.0);
             }
+            *acc += len;
             msg.acked += 1;
-            if msg.acked == msg.pkts.len() as u32 && msg.completed.is_none() {
-                msg.completed = Some(now);
+            if msg.is_complete() {
+                self.outstanding -= 1;
                 self.stats.msgs_completed += 1;
                 self.events.push(SenderEvent::MsgCompleted {
                     id: s.msg,
                     submitted: msg.submitted,
                     completed: now,
                 });
+                self.retire_completed();
             }
         }
         if let Some(rtt) = rtt_sample {
@@ -674,8 +751,11 @@ impl MtpSender {
             let Some(slot) = self.slot_of(n.msg) else {
                 continue;
             };
-            let msg = &mut self.msgs[slot as usize];
-            let Some(pkt) = msg.pkts.get_mut(n.pkt.0 as usize) else {
+            let Some(pkt) = self
+                .msgs
+                .get_mut(slot)
+                .and_then(|m| m.pkts.get_mut(n.pkt.0 as usize))
+            else {
                 continue;
             };
             if pkt.state != PktState::InFlight {
@@ -737,7 +817,10 @@ impl MtpSender {
         }
         debug_assert!(self.timer_scratch.is_empty());
         while let Some((slot, pkt, epoch, _)) = self.inflight.pop_front() {
-            let p = &mut self.msgs[slot as usize].pkts[pkt as usize];
+            let Some(msg) = self.msgs.get_mut(slot) else {
+                continue;
+            };
+            let p = &mut msg.pkts[pkt as usize];
             if p.state == PktState::InFlight && p.epoch == epoch {
                 p.state = PktState::Unsent;
                 let idx = p.charged;
@@ -764,7 +847,7 @@ impl MtpSender {
             debug_assert!(self.loss_scratch.is_empty());
             for i in 0..self.timer_scratch.len() {
                 let (slot, pkt) = self.timer_scratch[i];
-                let idx = self.msgs[slot as usize].pkts[pkt as usize].charged;
+                let idx = self.msgs[slot].pkts[pkt as usize].charged;
                 if !self.loss_scratch.contains(&idx.0) {
                     self.loss_scratch.push(idx.0);
                 }
@@ -808,7 +891,7 @@ impl MtpSender {
     /// Returns (all packets sent, window blocked).
     fn send_from(&mut self, slot: u32, now: Time, out: &mut Vec<Packet>) -> (bool, bool) {
         let (path, _) = self.active;
-        let msg = &self.msgs[slot as usize];
+        let msg = &self.msgs[slot];
         let tc = msg.tc;
         let n = msg.pkts.len() as u32;
         if msg.next_unsent >= n {
@@ -818,7 +901,7 @@ impl MtpSender {
         // Intern the admission pathlet once per call, not once per packet.
         let aidx = self.pathlets.intern(path, tc, now);
         loop {
-            let msg = &mut self.msgs[slot as usize];
+            let msg = &mut self.msgs[slot];
             if msg.next_unsent >= n {
                 return (true, false);
             }
@@ -874,9 +957,9 @@ impl MtpSender {
     fn retransmit(&mut self, slot: u32, pkt_idx: u32, now: Time, out: &mut Vec<Packet>) {
         let (path, _) = self.active;
         let id = self.id_of(slot);
-        let tc = self.msgs[slot as usize].tc;
+        let tc = self.msgs[slot].tc;
         let aidx = self.pathlets.intern(path, tc, now);
-        let msg = &mut self.msgs[slot as usize];
+        let msg = &mut self.msgs[slot];
         let n = msg.pkts.len() as u32;
         let p = &mut msg.pkts[pkt_idx as usize];
         if p.state == PktState::Acked {

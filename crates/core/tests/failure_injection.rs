@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
+use mtp_core::{MtpConfig, MtpReceiver, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{DropTailQueue, LinkCfg, LossyQueue, ReorderQueue, Simulator};
 use mtp_sim::{NodeId, PortId};
@@ -199,8 +199,8 @@ fn closed_loop_submission_is_sequential() {
     assert_eq!(sim.node_as::<MtpSinkNode>(sink).delivered.len(), 20);
 }
 
-/// Receiver GC reclaims completed-message state without disturbing
-/// in-flight messages.
+/// Receiver GC reclaims completed-message state through the one
+/// collection path a driver has: a linger plus `on_poll`.
 #[test]
 fn receiver_gc_reclaims_completed_state() {
     let mut sim = Simulator::new(1);
@@ -215,7 +215,10 @@ fn receiver_gc_reclaims_completed_state() {
         1 << 40,
         schedule,
     )));
-    let sink = sim.add_node(Box::new(MtpSinkNode::new(2, Duration::from_micros(100))));
+    let linger = Duration::from_micros(50);
+    let mut sink_node = MtpSinkNode::new(2, Duration::from_micros(100));
+    sink_node.receiver = MtpReceiver::new(2).with_gc_linger(linger);
+    let sink = sim.add_node(Box::new(sink_node));
     let rate = Bandwidth::from_gbps(10);
     let d = Duration::from_micros(2);
     sim.connect(
@@ -231,7 +234,14 @@ fn receiver_gc_reclaims_completed_state() {
     let now = sim.now();
     let sink = sim.node_as_mut::<MtpSinkNode>(sink);
     assert_eq!(sink.delivered.len(), 10);
-    let collected = sink.receiver.gc_completed(now);
-    assert_eq!(collected, 10, "all completed messages collected");
+    // The sink never polls, so every completed record is still resident.
+    assert_eq!(sink.receiver.resident(), 10);
+    assert_eq!(
+        sink.receiver.on_poll(now),
+        10,
+        "all completed messages collected"
+    );
+    assert_eq!(sink.receiver.resident(), 0);
     assert_eq!(sink.receiver.in_reassembly(), 0);
+    assert_eq!(sink.receiver.poll_at(), None);
 }

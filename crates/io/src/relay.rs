@@ -337,13 +337,11 @@ fn relay_loop(
     let mut stats = RelayStats::default();
     let mut dgrams = Vec::new();
     while !stop.load(Ordering::Relaxed) {
-        {
-            let mut socks: Vec<&BatchSocket> = lanes.iter().map(|l| &l.sock).collect();
-            if let Some(c) = &ctrl {
-                socks.push(&c.sock);
-            }
-            let _ = wait_readable(&socks, Duration::from_millis(1));
-        }
+        let socks = lanes.iter().map(|l| &l.sock);
+        let _ = wait_readable(
+            socks.chain(ctrl.iter().map(|c| &c.sock)),
+            Duration::from_millis(1),
+        );
         if let Some(c) = &mut ctrl {
             dgrams.clear();
             if c.sock.recv_batch(RELAY_DATAGRAM_MAX, &mut dgrams).is_ok() {
@@ -509,7 +507,7 @@ mod tests {
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while got.is_empty() {
                 assert!(std::time::Instant::now() < deadline, "relay timeout");
-                let _ = wait_readable(&[s], Duration::from_millis(10));
+                let _ = wait_readable([s], Duration::from_millis(10));
                 s.recv_batch(1500, &mut got).unwrap();
             }
             got.remove(0)
@@ -564,7 +562,7 @@ mod tests {
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while got.is_empty() {
                 assert!(std::time::Instant::now() < deadline, "relay timeout");
-                let _ = wait_readable(&[s], Duration::from_millis(10));
+                let _ = wait_readable([s], Duration::from_millis(10));
                 s.recv_batch(RELAY_DATAGRAM_MAX, &mut got).unwrap();
             }
             got.remove(0)

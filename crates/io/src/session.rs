@@ -33,7 +33,7 @@
 //! listener:  IDLE → ESTABLISHED → TIME-WAIT → CLOSED   (per session)
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::Instant;
@@ -51,9 +51,10 @@ use rand::{Rng, RngCore, SeedableRng};
 
 use crate::clock::{Clock, MonotonicClock};
 use crate::driver::IoConfig;
-use crate::frame::{append_ctrl_frame, append_frame, FrameIter, FrameKind};
+use crate::frame::{append_ctrl_frame, append_frame, FrameError, FrameIter, FrameKind};
 use crate::payload;
 use crate::socket::{wait_readable, BatchSocket};
+use crate::sys;
 
 /// Sim-time picoseconds until `t`, as a wall `std::time::Duration`.
 fn until(now: Time, t: Time) -> std::time::Duration {
@@ -327,6 +328,58 @@ fn ctrl_datagram(ctrl: &SessionCtrl, budget: usize) -> io::Result<Vec<u8>> {
     }
 }
 
+/// The datagrams one socket is about to send, built in buffers that are
+/// reused turn after turn: frames coalesce into the open datagram until
+/// the budget closes it, and [`flush`](TxQueue::flush) hands the lot to
+/// the kernel and keeps the allocations.
+#[derive(Default)]
+struct TxQueue {
+    bufs: Vec<Vec<u8>>,
+    /// Leading `bufs` holding a datagram of this round.
+    used: usize,
+}
+
+impl TxQueue {
+    fn push_frame(
+        &mut self,
+        budget: usize,
+        hdr: &MtpHeader,
+        payload: &[u8],
+    ) -> Result<(), FrameError> {
+        if self.used > 0 && append_frame(&mut self.bufs[self.used - 1], budget, hdr, payload)? {
+            return Ok(());
+        }
+        if self.used == self.bufs.len() {
+            self.bufs.push(Vec::new());
+        }
+        let fresh = &mut self.bufs[self.used];
+        fresh.clear();
+        self.used += 1;
+        // An empty datagram refuses only what `FrameTooBig` already did.
+        append_frame(fresh, budget, hdr, payload).map(drop)
+    }
+
+    /// Send everything queued to `peer`, in batches built on the stack.
+    fn flush(
+        &mut self,
+        sock: &BatchSocket,
+        peer: SocketAddrV4,
+        registry: &mut Registry,
+    ) -> io::Result<()> {
+        let used = std::mem::take(&mut self.used);
+        for chunk in self.bufs[..used].chunks(sys::BATCH) {
+            let mut batch: [(SocketAddrV4, &[u8]); sys::BATCH] = [(peer, &[]); sys::BATCH];
+            for (slot, dgram) in batch.iter_mut().zip(chunk) {
+                slot.1 = dgram;
+            }
+            let report = sock.send_batch(&batch[..chunk.len()])?;
+            registry.count(Metric::WireDatagramsTx, report.datagrams as u64);
+            registry.count(Metric::WireSendBatches, report.syscalls as u64);
+        }
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Connector / sender session
 // ---------------------------------------------------------------------------
@@ -353,7 +406,9 @@ pub struct SenderSession {
     last_heard: Time,
     last_ping: Time,
     ping_seq: u32,
-    payloads: HashMap<u64, PayloadSource>,
+    /// Payload sources of messages `next_msg_id() - payloads.len() ..`,
+    /// `None` once completed: the same in-order window as the core's.
+    payloads: VecDeque<Option<PayloadSource>>,
     submitted: u64,
     buffered_bytes: u64,
     retx_rr: u64,
@@ -365,6 +420,8 @@ pub struct SenderSession {
     ev_buf: Vec<SenderEvent>,
     scratch: Vec<u8>,
     dgrams: Vec<(Vec<u8>, SocketAddrV4)>,
+    /// Outgoing datagrams per pathlet socket.
+    tx: Vec<TxQueue>,
     registry: Registry,
 }
 
@@ -398,7 +455,7 @@ impl SenderSession {
             last_heard: Time::ZERO,
             last_ping: Time::ZERO,
             ping_seq: 0,
-            payloads: HashMap::new(),
+            payloads: VecDeque::new(),
             submitted: 0,
             buffered_bytes: 0,
             retx_rr: 0,
@@ -410,9 +467,11 @@ impl SenderSession {
             ev_buf: Vec::new(),
             scratch: Vec::new(),
             dgrams: Vec::new(),
+            tx: Vec::new(),
             registry: Registry::new(),
         };
         s.handshake()?;
+        s.tx.resize_with(s.socks.len(), TxQueue::default);
         Ok(s)
     }
 
@@ -449,7 +508,7 @@ impl SenderSession {
             let round_ends = Instant::now() + wall(rto + jitter);
             while Instant::now() < round_ends {
                 let timeout = round_ends - Instant::now();
-                wait_readable(&[&self.socks[0]], timeout)?;
+                wait_readable([&self.socks[0]], timeout)?;
                 if self.drain_handshake()? {
                     self.state = SessionState::Established;
                     self.handshake_rounds = try_n + 1;
@@ -529,11 +588,8 @@ impl SenderSession {
         let len = u32::try_from(bytes.len()).expect("message larger than u32 bytes");
         assert!(len > 0, "empty messages are not a thing MTP sends");
         self.admit(len as u64)?;
-        let id = self.submit(len)?;
         self.buffered_bytes += len as u64;
-        self.payloads.insert(id.0, PayloadSource::Owned(bytes));
-        self.flush_submission(id)?;
-        Ok(id)
+        self.submit(len, PayloadSource::Owned(bytes))
     }
 
     /// Submit a message of `len` synthesized bytes ([`payload::fill`]) —
@@ -543,10 +599,7 @@ impl SenderSession {
     pub fn try_send_synth(&mut self, len: u32) -> Result<MsgId, SessionError> {
         assert!(len > 0, "empty messages are not a thing MTP sends");
         self.admit(0)?;
-        let id = self.submit(len)?;
-        self.payloads.insert(id.0, PayloadSource::Synth);
-        self.flush_submission(id)?;
-        Ok(id)
+        self.submit(len, PayloadSource::Synth)
     }
 
     fn admit(&mut self, add_bytes: u64) -> Result<(), SessionError> {
@@ -566,29 +619,33 @@ impl SenderSession {
         Ok(())
     }
 
-    fn submit(&mut self, len: u32) -> Result<MsgId, SessionError> {
+    /// Hand an admitted message to the core and transmit what its
+    /// window lets out at once.
+    fn submit(&mut self, len: u32, src: PayloadSource) -> Result<MsgId, SessionError> {
         let now = self.clock.now();
-        let mut out = std::mem::take(&mut self.out_buf);
         let id = self.snd.send_message(
             self.cfg.server_port,
             len,
             0,
             TrafficClass::BEST_EFFORT,
             now,
-            &mut out,
+            &mut self.out_buf,
         );
-        self.out_buf = out;
+        self.payloads.push_back(Some(src));
         self.submitted += 1;
         self.registry.gauge_add(Gauge::MsgsInFlight, 1);
+        self.dispatch()?;
         Ok(id)
     }
 
-    fn flush_submission(&mut self, _id: MsgId) -> Result<(), SessionError> {
-        let mut out = std::mem::take(&mut self.out_buf);
-        let res = self.dispatch(&mut out);
-        self.out_buf = out;
-        res?;
-        Ok(())
+    /// The id of the message at the front of the payload window.
+    fn payload_front(&self) -> u64 {
+        self.next_msg_id() - self.payloads.len() as u64
+    }
+
+    /// The payload-window index of message `id`, if it is not below it.
+    fn payload_slot(&self, id: u64) -> Option<usize> {
+        id.checked_sub(self.payload_front()).map(|k| k as usize)
     }
 
     /// Pick the wire pathlet for a packet: hash the message id over the
@@ -597,30 +654,32 @@ impl SenderSession {
     /// here), rotated by the retransmission round.
     fn route(&self, hdr: &MtpHeader) -> usize {
         let n = self.socks.len();
-        let excluded = |p: usize| {
-            hdr.path_exclude
+        let key = hdr.msg_id.0 + self.retx_rr;
+        let live = |p: &usize| {
+            !hdr.path_exclude
                 .iter()
-                .any(|e| e.path == PathletId(p as u16))
+                .any(|e| e.path == PathletId(*p as u16))
         };
-        let live: Vec<usize> = (0..n).filter(|&p| !excluded(p)).collect();
-        if live.is_empty() {
+        match (0..n).filter(live).count() as u64 {
             // Everything excluded: sending somewhere beats deadlock.
-            return ((hdr.msg_id.0 + self.retx_rr) % n as u64) as usize;
+            0 => (key % n as u64) as usize,
+            k => (0..n)
+                .filter(live)
+                .nth((key % k) as usize)
+                .expect("k pathlets are live"),
         }
-        live[((hdr.msg_id.0 + self.retx_rr) % live.len() as u64) as usize]
     }
 
-    /// Seal, coalesce, and transmit a batch of core-emitted packets,
-    /// materializing payload bytes from each message's source.
-    fn dispatch(&mut self, pkts: &mut Vec<Packet>) -> Result<(), SessionError> {
-        if pkts.is_empty() {
+    /// Seal, coalesce, and transmit the core-emitted packets waiting in
+    /// `out_buf`, materializing payload bytes from each message's source.
+    fn dispatch(&mut self) -> Result<(), SessionError> {
+        if self.out_buf.is_empty() {
             return Ok(());
         }
-        let n = self.socks.len();
         let budget = self.cfg.io.datagram_budget;
-        let mut closed: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
-        let mut open: Vec<Vec<u8>> = vec![Vec::new(); n];
-        let mut frames = 0u64;
+        self.registry
+            .count(Metric::WireFramesTx, self.out_buf.len() as u64);
+        let mut pkts = std::mem::take(&mut self.out_buf);
         for pkt in pkts.drain(..) {
             let Headers::Mtp(hdr) = pkt.headers else {
                 continue;
@@ -628,8 +687,9 @@ impl SenderSession {
             let p = self.route(&hdr);
             let len = hdr.pkt_len as usize;
             let off = hdr.pkt_offset as usize;
-            let bytes: &[u8] = match self.payloads.get(&hdr.msg_id.0) {
-                Some(PayloadSource::Owned(buf)) => &buf[off..off + len],
+            let src = self.payload_slot(hdr.msg_id.0);
+            let bytes: &[u8] = match src.and_then(|k| self.payloads.get(k)) {
+                Some(Some(PayloadSource::Owned(buf))) => &buf[off..off + len],
                 _ => {
                     if self.scratch.len() < len {
                         self.scratch.resize(len, 0);
@@ -638,35 +698,14 @@ impl SenderSession {
                     &self.scratch[..len]
                 }
             };
-            let head = &mut open[p];
-            match append_frame(head, budget, &hdr, bytes) {
-                Ok(true) => {}
-                Ok(false) => {
-                    closed[p].push(std::mem::take(head));
-                    append_frame(&mut open[p], budget, &hdr, bytes).map_err(invalid)?;
-                }
-                Err(e) => return Err(invalid(e).into()),
-            }
-            frames += 1;
+            self.tx[p]
+                .push_frame(budget, &hdr, bytes)
+                .map_err(invalid)?;
             mtp_sim::pool::recycle_header(hdr);
         }
-        self.registry.count(Metric::WireFramesTx, frames);
-        for p in 0..n {
-            if !open[p].is_empty() {
-                closed[p].push(std::mem::take(&mut open[p]));
-            }
-            if closed[p].is_empty() {
-                continue;
-            }
-            let sends: Vec<(SocketAddrV4, &[u8])> = closed[p]
-                .iter()
-                .map(|d| (self.peers[p], d.as_slice()))
-                .collect();
-            let report = self.socks[p].send_batch(&sends)?;
-            self.registry
-                .count(Metric::WireDatagramsTx, report.datagrams as u64);
-            self.registry
-                .count(Metric::WireSendBatches, report.syscalls as u64);
+        self.out_buf = pkts;
+        for (p, q) in self.tx.iter_mut().enumerate() {
+            q.flush(&self.socks[p], self.peers[p], &mut self.registry)?;
         }
         Ok(())
     }
@@ -682,16 +721,13 @@ impl SenderSession {
         self.drain_sockets()?;
         let now = self.clock.now();
         if self.snd.poll_at().is_some_and(|t| t <= now) {
-            let mut out = std::mem::take(&mut self.out_buf);
-            self.snd.on_timer(now, &mut out);
-            if !out.is_empty() {
+            self.snd.on_timer(now, &mut self.out_buf);
+            if !self.out_buf.is_empty() {
                 // Route this round of repairs onto the next pathlet: a
                 // dead port's packets must not retry the same hole.
                 self.retx_rr += 1;
             }
-            let res = self.dispatch(&mut out);
-            self.out_buf = out;
-            res?;
+            self.dispatch()?;
         }
         self.keepalive()?;
         self.check_liveness()?;
@@ -759,11 +795,8 @@ impl SenderSession {
         self.last_heard = now;
         match hdr.pkt_type {
             PktType::Ack | PktType::Nack => {
-                let mut out = std::mem::take(&mut self.out_buf);
-                self.snd.on_ack(now, &hdr, &mut out);
-                let res = self.dispatch(&mut out);
-                self.out_buf = out;
-                res?;
+                self.snd.on_ack(now, &hdr, &mut self.out_buf);
+                self.dispatch()?;
             }
             PktType::Control => self.snd.on_control(now, &hdr),
             PktType::Data => {}
@@ -832,8 +865,10 @@ impl SenderSession {
         }
         self.registry.count(Metric::SessionPeerDeaths, 1);
         self.state = SessionState::Failed;
-        let mut pending: Vec<u64> = self.payloads.keys().copied().collect();
-        pending.sort_unstable();
+        let pending: Vec<u64> = (self.payload_front()..)
+            .zip(&self.payloads)
+            .filter_map(|(id, src)| src.is_some().then_some(id))
+            .collect();
         self.registry
             .gauge_add(Gauge::MsgsInFlight, -(pending.len() as i64));
         self.payloads.clear();
@@ -850,13 +885,17 @@ impl SenderSession {
         self.snd.drain_events(&mut ev);
         for e in ev.drain(..) {
             let SenderEvent::MsgCompleted { id, completed, .. } = e;
-            if let Some(src) = self.payloads.remove(&id.0) {
+            let slot = self.payload_slot(id.0);
+            if let Some(src) = slot.and_then(|k| self.payloads.get_mut(k)?.take()) {
                 if let PayloadSource::Owned(buf) = src {
                     self.buffered_bytes -= buf.len() as u64;
                 }
                 self.registry.gauge_add(Gauge::MsgsInFlight, -1);
             }
             self.completions.push((id.0, completed));
+        }
+        while let Some(None) = self.payloads.front() {
+            self.payloads.pop_front();
         }
         self.ev_buf = ev;
     }
@@ -872,22 +911,21 @@ impl SenderSession {
         // Keepalive and idle policing need turns even in total silence.
         timeout = timeout.min(wall(self.cfg.keepalive_interval));
         if !timeout.is_zero() {
-            let socks: Vec<&BatchSocket> = self.socks.iter().collect();
-            wait_readable(&socks, timeout)?;
+            wait_readable(&self.socks, timeout)?;
         }
         Ok(())
     }
 
     /// Poll until every admitted message completes or `deadline` hits.
     pub fn flush(&mut self, deadline: Instant) -> Result<(), SessionError> {
-        while self.snd.outstanding() > 0 {
+        let mut outstanding = self.snd.outstanding();
+        while outstanding > 0 {
             if Instant::now() >= deadline {
-                return Err(SessionError::WallDeadline {
-                    outstanding: self.snd.outstanding(),
-                });
+                return Err(SessionError::WallDeadline { outstanding });
             }
             self.poll()?;
-            if self.snd.outstanding() > 0 {
+            outstanding = self.snd.outstanding();
+            if outstanding > 0 {
                 self.wait(std::time::Duration::from_millis(5))?;
             }
         }
@@ -1033,6 +1071,8 @@ struct Conn {
     state: ConnState,
     recv: MtpReceiver,
     reasm: HashMap<u64, Vec<u8>>,
+    /// Buffers of delivered messages, reused for the next reassembly.
+    spare_reasm: Vec<Vec<u8>>,
     reasm_bytes: u64,
     peak_reasm_bytes: u64,
     delivered: Vec<(u64, u32)>,
@@ -1059,6 +1099,10 @@ pub struct Listener {
     died: Option<SessionError>,
     ev_buf: Vec<MsgDelivered>,
     dgrams: Vec<(Vec<u8>, SocketAddrV4)>,
+    /// ACK datagrams per data socket, and the peer they are owed to.
+    acks: Vec<(TxQueue, SocketAddrV4)>,
+    /// The one-entry feedback list stamped onto each data header.
+    stamp: Vec<PathFeedback>,
     registry: Registry,
 }
 
@@ -1071,10 +1115,17 @@ impl Listener {
     /// Bind a listener whose control socket sits at `ctrl_addr` — how a
     /// restarted peer reappears at the address its clients know.
     pub fn bind_at(cfg: &SessionConfig, ctrl_addr: SocketAddrV4) -> io::Result<Listener> {
+        let socks = bind_pathlet_sockets(cfg.io.pathlets)?;
+        let nowhere = SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0);
         Ok(Listener {
             cfg: cfg.clone(),
             ctrl: BatchSocket::bind(ctrl_addr)?,
-            socks: bind_pathlet_sockets(cfg.io.pathlets)?,
+            acks: socks
+                .iter()
+                .map(|_| (TxQueue::default(), nowhere))
+                .collect(),
+            stamp: Vec::new(),
+            socks,
             clock: MonotonicClock::new(),
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0x0011_57EA_D1AC_CE97),
             conn: None,
@@ -1117,6 +1168,12 @@ impl Listener {
             .as_ref()
             .map(|c| c.delivered.clone())
             .unwrap_or_default()
+    }
+
+    /// The active session's sans-IO receiver core (for instrumentation
+    /// and tests).
+    pub fn core(&self) -> Option<&MtpReceiver> {
+        self.conn.as_ref().map(|c| &c.recv)
     }
 
     /// Telemetry recorded by this listener.
@@ -1321,6 +1378,7 @@ impl Listener {
                         .with_sack_redundancy(self.cfg.io.sack_redundancy)
                         .with_gc_linger(self.cfg.io.gc_linger),
                     reasm: HashMap::new(),
+                    spare_reasm: Vec::new(),
                     reasm_bytes: 0,
                     peak_reasm_bytes: 0,
                     delivered: Vec::new(),
@@ -1368,8 +1426,6 @@ impl Listener {
 
     fn drain_data(&mut self) -> io::Result<()> {
         let mut dgrams = std::mem::take(&mut self.dgrams);
-        // Open ACK datagram per (socket, peer) this round.
-        let mut acks: Vec<(usize, SocketAddrV4, Vec<Vec<u8>>)> = Vec::new();
         for p in 0..self.socks.len() {
             dgrams.clear();
             let report = self.socks[p].recv_batch(self.cfg.io.datagram_budget + 64, &mut dgrams)?;
@@ -1378,30 +1434,21 @@ impl Listener {
             self.registry
                 .count(Metric::WireRecvBatches, report.syscalls as u64);
             for (bytes, src) in dgrams.drain(..) {
-                self.on_data_datagram(p, src, &bytes, &mut acks)?;
+                self.on_data_datagram(p, src, &bytes)?;
             }
+            // Coalesced ACKs go back out the socket their data arrived on.
+            self.flush_acks(p)?;
         }
         self.dgrams = dgrams;
-        // Flush coalesced ACKs back out the sockets they arrived on.
-        for (p, peer, out) in acks {
-            let sends: Vec<(SocketAddrV4, &[u8])> =
-                out.iter().map(|d| (peer, d.as_slice())).collect();
-            let report = self.socks[p].send_batch(&sends)?;
-            self.registry
-                .count(Metric::WireDatagramsTx, report.datagrams as u64);
-            self.registry
-                .count(Metric::WireSendBatches, report.syscalls as u64);
-        }
         Ok(())
     }
 
-    fn on_data_datagram(
-        &mut self,
-        p: usize,
-        src: SocketAddrV4,
-        bytes: &[u8],
-        acks: &mut Vec<(usize, SocketAddrV4, Vec<Vec<u8>>)>,
-    ) -> io::Result<()> {
+    fn flush_acks(&mut self, p: usize) -> io::Result<()> {
+        let (queue, peer) = &mut self.acks[p];
+        queue.flush(&self.socks[p], *peer, &mut self.registry)
+    }
+
+    fn on_data_datagram(&mut self, p: usize, src: SocketAddrV4, bytes: &[u8]) -> io::Result<()> {
         for frame in FrameIter::new(bytes) {
             let body = match frame {
                 Ok((FrameKind::Mtp, body)) => body,
@@ -1462,18 +1509,22 @@ impl Listener {
                 self.registry.count(Metric::SessionReasmRefused, 1);
                 continue;
             }
-            conn.last_heard = self.clock.now();
+            let now = self.clock.now();
+            conn.last_heard = now;
             // This driver is the first-hop network: stamp which pathlet
             // (socket) the packet actually used, so the sender's
             // per-pathlet controllers attribute feedback to real ports.
+            // The stamp goes in a list kept across frames (a parsed
+            // header's own starts without capacity).
+            std::mem::swap(&mut hdr.path_feedback, &mut self.stamp);
             hdr.path_feedback.clear();
             hdr.path_feedback.push(PathFeedback {
                 path: PathletId(p as u16),
                 tc: hdr.tc,
                 feedback: Feedback::EcnMark { ce: false },
             });
-            let now = self.clock.now();
             let (ack, newly) = conn.recv.on_data(now, &hdr, EcnCodepoint::Ect0);
+            std::mem::swap(&mut hdr.path_feedback, &mut self.stamp);
             if newly > 0 {
                 if msg_new {
                     conn.reasm_bytes += hdr.msg_len_bytes as u64;
@@ -1481,47 +1532,33 @@ impl Listener {
                     self.registry
                         .gauge_add(Gauge::SessionReasmBytes, hdr.msg_len_bytes as i64);
                 }
-                let buf = conn
-                    .reasm
-                    .entry(hdr.msg_id.0)
-                    .or_insert_with(|| vec![0; hdr.msg_len_bytes as usize]);
+                let buf = conn.reasm.entry(hdr.msg_id.0).or_insert_with(|| {
+                    let mut buf = conn.spare_reasm.pop().unwrap_or_default();
+                    buf.resize(hdr.msg_len_bytes as usize, 0);
+                    buf
+                });
                 buf[hdr.pkt_offset as usize..end as usize].copy_from_slice(data);
             }
-            self.queue_ack(p, src, ack, acks)?;
+            self.queue_ack(p, src, ack)?;
             self.drain_deliveries();
         }
         Ok(())
     }
 
-    fn queue_ack(
-        &mut self,
-        p: usize,
-        peer: SocketAddrV4,
-        ack: Packet,
-        acks: &mut Vec<(usize, SocketAddrV4, Vec<Vec<u8>>)>,
-    ) -> io::Result<()> {
+    fn queue_ack(&mut self, p: usize, peer: SocketAddrV4, ack: Packet) -> io::Result<()> {
         let Headers::Mtp(ack_hdr) = ack.headers else {
             return Ok(());
         };
-        let budget = self.cfg.io.datagram_budget;
-        let pos = match acks.iter().position(|(sp, sa, _)| *sp == p && *sa == peer) {
-            Some(i) => i,
-            None => {
-                acks.push((p, peer, vec![Vec::new()]));
-                acks.len() - 1
-            }
-        };
-        let slot = &mut acks[pos].2;
-        let open = slot.last_mut().expect("always one open datagram");
-        match append_frame(open, budget, &ack_hdr, &[]) {
-            Ok(true) => {}
-            Ok(false) => {
-                slot.push(Vec::new());
-                let open = slot.last_mut().expect("just pushed");
-                append_frame(open, budget, &ack_hdr, &[]).map_err(invalid)?;
-            }
-            Err(e) => return Err(invalid(e)),
+        if self.acks[p].1 != peer {
+            // ACKs owed to another source leave before this one's queue.
+            self.flush_acks(p)?;
+            self.acks[p].1 = peer;
         }
+        let budget = self.cfg.io.datagram_budget;
+        self.acks[p]
+            .0
+            .push_frame(budget, &ack_hdr, &[])
+            .map_err(invalid)?;
         self.registry.count(Metric::WireFramesTx, 1);
         mtp_sim::pool::recycle_header(ack_hdr);
         Ok(())
@@ -1534,7 +1571,7 @@ impl Listener {
         let mut ev = std::mem::take(&mut self.ev_buf);
         conn.recv.drain_events(&mut ev);
         for d in ev.drain(..) {
-            let buf = conn.reasm.remove(&d.id.0).unwrap_or_default();
+            let mut buf = conn.reasm.remove(&d.id.0).unwrap_or_default();
             debug_assert_eq!(buf.len(), d.bytes as usize);
             conn.reasm_bytes -= buf.len() as u64;
             self.registry
@@ -1542,6 +1579,8 @@ impl Listener {
             conn.digests
                 .push((d.id.0, d.bytes, payload::message_digest(&buf)));
             conn.delivered.push((d.id.0, d.bytes));
+            buf.clear();
+            conn.spare_reasm.push(buf);
         }
         self.ev_buf = ev;
     }
@@ -1559,9 +1598,7 @@ impl Listener {
             }
         }
         if !timeout.is_zero() {
-            let mut socks: Vec<&BatchSocket> = self.socks.iter().collect();
-            socks.push(&self.ctrl);
-            wait_readable(&socks, timeout)?;
+            wait_readable(self.socks.iter().chain([&self.ctrl]), timeout)?;
         }
         Ok(())
     }

@@ -190,17 +190,20 @@ impl BatchSocket {
 /// Block until any of `socks` is readable or `timeout` elapses. Returns
 /// whether something is (probably) readable; spurious wakeups are fine —
 /// every caller follows with a nonblocking drain.
-pub fn wait_readable(socks: &[&BatchSocket], timeout: Duration) -> io::Result<bool> {
+pub fn wait_readable<'a>(
+    socks: impl IntoIterator<Item = &'a BatchSocket>,
+    timeout: Duration,
+) -> io::Result<bool> {
     let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
     #[cfg(target_os = "linux")]
     {
         use std::os::fd::AsRawFd;
-        let fds: Vec<_> = socks.iter().map(|s| s.sock.as_raw_fd()).collect();
+        let fds: Vec<_> = socks.into_iter().map(|s| s.sock.as_raw_fd()).collect();
         sys::poll_readable(&fds, timeout_ms)
     }
     #[cfg(not(target_os = "linux"))]
     {
-        let _ = socks;
+        let _ = socks.into_iter();
         // No poll(2): nap for the shorter of the timeout and 1ms, then
         // let the caller's nonblocking drain discover the truth.
         std::thread::sleep(Duration::from_millis(timeout_ms.clamp(0, 1) as u64));
@@ -229,7 +232,7 @@ pub fn loopback_available() -> bool {
     let deadline = std::time::Instant::now() + Duration::from_millis(500);
     let mut got = Vec::new();
     while std::time::Instant::now() < deadline {
-        let _ = wait_readable(&[&b], Duration::from_millis(10));
+        let _ = wait_readable([&b], Duration::from_millis(10));
         match b.recv_batch(1500, &mut got) {
             Ok(_) if !got.is_empty() => return got[0].0 == probe,
             Ok(_) => {}
@@ -274,7 +277,7 @@ mod tests {
             let mut got = Vec::new();
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while got.len() < 40 && std::time::Instant::now() < deadline {
-                wait_readable(&[&b], Duration::from_millis(20)).unwrap();
+                wait_readable([&b], Duration::from_millis(20)).unwrap();
                 b.recv_batch(2048, &mut got).unwrap();
             }
             assert_eq!(got.len(), 40, "force_fallback={force_fallback}");
