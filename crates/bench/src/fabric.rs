@@ -25,8 +25,8 @@ use std::sync::Arc;
 use mtp_net::TopoGraph;
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{
-    monolithic_digest, sanitize, AdminDriver, AdminEvent, AppData, Ctx, Headers, LinkCfg, Node,
-    NodeAuditCounters, Packet, PortId, ShardedSimulator, Simulator,
+    sanitize, AdminDriver, AdminEvent, AppData, Ctx, Headers, LinkCfg, Node, NodeAuditCounters,
+    Packet, PortId, ShardedSimulator, Simulator,
 };
 use mtp_wire::{EntityId, MsgId, MtpHeader, PktNum, PktType};
 
@@ -487,12 +487,6 @@ pub fn run_sharded(
     ss.schedule_admin(admin);
     ss.run_until(horizon);
     ss
-}
-
-/// Digest of a monolithic run (same canonical form as
-/// [`ShardedSimulator::digest`]).
-pub fn serial_digest(sim: &Simulator) -> String {
-    monolithic_digest(sim)
 }
 
 #[cfg(test)]

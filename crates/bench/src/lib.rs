@@ -11,15 +11,15 @@
 //! | `fig6`   | Figure 6       | load-/request-aware load balancing |
 //! | `fig7`   | Figure 7       | per-entity isolation |
 //! | `ablations` | §4 design discussion | pathlet granularity, header overhead, blob vs message |
-//! | `fig_failover` | §2 fate-sharing argument | message completion through a link failure, MTP failover vs pinned TCP |
-//! | `fig_corruption` | beyond the paper | message integrity through seeded bit-flip storms |
 //! | `fig_fabric` | beyond the paper | ~10k-endpoint multi-pod Clos, serial vs pod-sharded, digests identical |
 //! | `leafspine` | beyond the paper | the Fig. 6 comparison on a 4×4 leaf-spine fabric |
 //! | `sweep` | beyond the paper | the Fig. 5 result across many seeds, run in parallel |
 //!
 //! Each binary prints the series/rows the paper reports and writes a JSON
 //! record under `results/`. Runs are deterministic: fixed seeds, shared
-//! topology builders ([`topo`]).
+//! topology builders ([`topo`]). The failure and corruption studies are
+//! scenario files (`scn scenarios/{failover,corruption}_diamond.toml`);
+//! [`study`] holds the measurement helpers that runner uses.
 //!
 //! [`hotpath`], [`endpoint`] and [`fabric`] are the fixed-seed workloads
 //! behind the golden-digest and sharded == serial tests in `tests/`.

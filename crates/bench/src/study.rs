@@ -1,11 +1,10 @@
-//! Shared measurement helpers for the failure/corruption studies.
+//! Measurement helpers for the `mtp-scenario` runner.
 //!
-//! `fig_failover`, `fig_corruption`, and the `mtp-scenario` runner all
-//! reduce a run to the same numbers: sorted message completion times,
+//! A scenario cell is reduced to sorted message completion times,
 //! completions inside a fault window, round-to-nearest percentiles, and
-//! the damaged-frame total across a diamond's four path links. Keeping
-//! one implementation here is what makes a scenario file's numbers
-//! byte-comparable to its figure binary's.
+//! the damaged-frame total across a diamond's four path links; the
+//! periodic-workload builders are shared with `golden_replay.rs`'s inline
+//! reference runs so both submit byte-identical schedules.
 
 use mtp_core::ScheduledMsg;
 use mtp_faults::Diamond;

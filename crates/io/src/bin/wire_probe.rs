@@ -1,7 +1,7 @@
 //! Probe whether this environment can run UDP loopback traffic.
 //!
 //! CI's `wire-interop` job runs this first: exit 0 means the wire tests
-//! and bench are expected to pass, nonzero means the environment cannot
+//! are expected to pass, nonzero means the environment cannot
 //! exchange loopback datagrams and the job must skip **visibly** (a
 //! workflow warning), never silently pass.
 

@@ -21,8 +21,8 @@
 //!   datagram (GSO/GRO-style, as s2n-quic's platform layer does with
 //!   segments), with a hard budget guard at seal time.
 //! * [`sys`] — the only unsafe module: `sendmmsg`/`recvmmsg`/`poll`
-//!   FFI on Linux, feature-detected at runtime with a portable
-//!   `send_to`/`recv_from` fallback.
+//!   FFI on Linux; every other platform takes the portable
+//!   `send_to`/`recv_from` path.
 //! * [`socket`] — nonblocking batch sockets and multi-socket readiness
 //!   waiting built on [`sys`].
 //! * [`session`] — the session lifecycle: [`SenderSession`]/[`Listener`]

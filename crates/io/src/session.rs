@@ -1153,14 +1153,6 @@ impl Listener {
         usize::from(self.conn.is_some())
     }
 
-    /// The active session's state, if any.
-    pub fn session_state(&self) -> Option<SessionState> {
-        self.conn.as_ref().map(|c| match c.state {
-            ConnState::Established => SessionState::Established,
-            ConnState::TimeWait { .. } => SessionState::TimeWait,
-        })
-    }
-
     /// `(msg_id, bytes)` delivered by the *active* session so far (the
     /// kill scenario snapshots this before dropping the listener).
     pub fn delivered_snapshot(&self) -> Vec<(u64, u32)> {

@@ -3,8 +3,7 @@
 //! [`BatchSocket`] wraps a `std::net::UdpSocket` in nonblocking mode and
 //! moves datagrams in batches: `sendmmsg`/`recvmmsg` where the platform
 //! provides them (see [`crate::sys`]), plain `send_to`/`recv_from`
-//! loops everywhere else — including when `MTP_IO_FORCE_FALLBACK` is
-//! set, which CI uses to prove both paths carry the same traffic. The
+//! loops everywhere else; the platform alone picks the path. The
 //! driver never blocks in a socket call; it blocks only in
 //! [`wait_readable`], with a timeout derived from the endpoint cores'
 //! `poll_at()` deadlines.
@@ -43,18 +42,13 @@ pub struct BatchSocket {
     use_mmsg: bool,
 }
 
-/// True when the batch syscalls should be bypassed even where present.
-fn fallback_forced() -> bool {
-    std::env::var_os("MTP_IO_FORCE_FALLBACK").is_some_and(|v| !v.is_empty() && v != "0")
-}
-
 impl BatchSocket {
     /// Bind a nonblocking socket to `addr` (use port 0 for an ephemeral
     /// port; read it back with [`BatchSocket::local_addr`]).
     pub fn bind(addr: SocketAddrV4) -> io::Result<BatchSocket> {
         let sock = UdpSocket::bind(addr)?;
         sock.set_nonblocking(true)?;
-        let use_mmsg = cfg!(target_os = "linux") && !fallback_forced();
+        let use_mmsg = cfg!(target_os = "linux");
         Ok(BatchSocket { sock, use_mmsg })
     }
 
@@ -246,7 +240,9 @@ pub fn loopback_available() -> bool {
 mod tests {
     use super::*;
 
-    /// Loopback echo through both the mmsg and the fallback paths.
+    /// Loopback echo through both the mmsg and the fallback paths: a
+    /// batch that fits one `recvmmsg` slot array, then one that needs the
+    /// array refilled twice.
     #[test]
     fn batch_roundtrip_both_paths() {
         if !loopback_available() {
@@ -265,27 +261,39 @@ mod tests {
             let b = bind(force_fallback);
             let to_b = b.local_addr().unwrap();
 
-            let payloads: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 64 + i as usize]).collect();
-            let dgrams: Vec<(SocketAddrV4, &[u8])> =
-                payloads.iter().map(|p| (to_b, p.as_slice())).collect();
-            let report = a.send_batch(&dgrams).unwrap();
-            assert_eq!(report.datagrams, 40);
-            if !force_fallback && a.batched() {
-                assert!(report.syscalls < 40, "sendmmsg should batch");
-            }
+            for count in [sys::BATCH - 1, 2 * sys::BATCH + 5] {
+                let payloads: Vec<Vec<u8>> = (0..count).map(|i| vec![i as u8; 64 + i]).collect();
+                let dgrams: Vec<(SocketAddrV4, &[u8])> =
+                    payloads.iter().map(|p| (to_b, p.as_slice())).collect();
+                let report = a.send_batch(&dgrams).unwrap();
+                assert_eq!(report.datagrams, count);
+                if a.batched() {
+                    assert!(report.syscalls < count, "sendmmsg should batch");
+                }
 
-            let mut got = Vec::new();
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while got.len() < 40 && std::time::Instant::now() < deadline {
-                wait_readable([&b], Duration::from_millis(20)).unwrap();
-                b.recv_batch(2048, &mut got).unwrap();
+                let mut got = Vec::new();
+                let mut most_per_call = 0;
+                let deadline = std::time::Instant::now() + Duration::from_secs(5);
+                while got.len() < count && std::time::Instant::now() < deadline {
+                    wait_readable([&b], Duration::from_millis(20)).unwrap();
+                    let r = b.recv_batch(2048, &mut got).unwrap();
+                    most_per_call = most_per_call.max(r.datagrams);
+                }
+                assert_eq!(got.len(), count, "force_fallback={force_fallback}");
+                // Loopback queues a datagram before its send returns, so
+                // one drain of the larger batch has to refill its slots.
+                if count > sys::BATCH {
+                    assert!(
+                        most_per_call > sys::BATCH,
+                        "force_fallback={force_fallback}: {most_per_call} of {count} in one drain"
+                    );
+                }
+                let mut seen: Vec<&[u8]> = got.iter().map(|(d, _)| d.as_slice()).collect();
+                seen.sort_unstable();
+                let mut want: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
+                want.sort_unstable();
+                assert_eq!(seen, want);
             }
-            assert_eq!(got.len(), 40, "force_fallback={force_fallback}");
-            let mut seen: Vec<&[u8]> = got.iter().map(|(d, _)| d.as_slice()).collect();
-            seen.sort_unstable();
-            let mut want: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-            want.sort_unstable();
-            assert_eq!(seen, want);
         }
     }
 }

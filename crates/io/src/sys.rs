@@ -10,8 +10,7 @@
 //! Struct layouts match `x86_64-unknown-linux-gnu` (the only tier-1
 //! target this repo builds on); other platforms compile the stub halves
 //! at the bottom, which report `Unsupported` and push callers onto the
-//! portable std path. The `MTP_IO_FORCE_FALLBACK` environment variable
-//! forces that path on Linux too, so CI exercises both.
+//! portable std path.
 
 #![allow(unsafe_code)]
 

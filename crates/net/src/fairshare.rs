@@ -21,18 +21,19 @@ use mtp_wire::{EcnCodepoint, EntityId};
 
 use crate::switch::IngressPolicy;
 
+/// Fraction of the fair share an entity may use before marking starts.
+/// Kept slightly *below* 1.0 so the aggregate admitted rate stays under
+/// link capacity and the shared queue never builds — enforcer marks are
+/// then the only congestion signal, and an under-share entity is never
+/// collaterally marked by an over-share one.
+const HEADROOM: f64 = 0.95;
+
 /// Fair-share marking enforcer (see module docs).
 pub struct FairShareEnforcer {
     /// Shared-link capacity being divided.
     capacity: Bandwidth,
     /// Accounting epoch.
     epoch: Duration,
-    /// Fraction of the fair share an entity may use before marking starts.
-    /// Kept slightly *below* 1.0 so the aggregate admitted rate stays under
-    /// link capacity and the shared queue never builds — enforcer marks are
-    /// then the only congestion signal, and an under-share entity is never
-    /// collaterally marked by an over-share one.
-    headroom: f64,
     epoch_end: Time,
     bytes: HashMap<EntityId, u64>,
     /// Entities seen in the previous epoch (defines the active set).
@@ -48,7 +49,6 @@ impl FairShareEnforcer {
         FairShareEnforcer {
             capacity,
             epoch,
-            headroom: 0.95,
             epoch_end: Time::ZERO,
             bytes: HashMap::new(),
             active_prev: 1,
@@ -56,17 +56,10 @@ impl FairShareEnforcer {
         }
     }
 
-    /// Override the headroom factor (fraction of fair share admitted
-    /// unmarked).
-    pub fn with_headroom(mut self, headroom: f64) -> FairShareEnforcer {
-        self.headroom = headroom;
-        self
-    }
-
     fn budget_per_entity(&self) -> f64 {
         let epoch_bytes = self.capacity.bytes_in(self.epoch) as f64;
         let active = self.bytes.len().max(self.active_prev).max(1);
-        epoch_bytes * self.headroom / active as f64
+        epoch_bytes * HEADROOM / active as f64
     }
 
     fn roll_epoch(&mut self, now: Time) {

@@ -238,12 +238,6 @@ impl SwitchNode {
         self.advertise = Some(cfg);
         self
     }
-
-    /// The pathlet stamped on `port`, if any (used by load balancers to
-    /// honor path-exclude lists).
-    pub fn stamped_pathlet(&self, port: PortId) -> Option<PathletId> {
-        self.stamps.get(&port).map(|s| s.pathlet)
-    }
 }
 
 impl Node for SwitchNode {

@@ -1,13 +1,17 @@
-//! Golden replay: the three ported corpus scenarios are byte-identical
-//! to the figure binaries they were ported from.
+//! Golden replay: three corpus scenarios are byte-identical to a
+//! hand-written build-and-run of the same experiment.
 //!
-//! Each test replicates the figure binary's exact build-and-run sequence
-//! inline (same builders, same constants, same fault schedule, same
-//! seed) and compares against the scenario engine's cell run: same
-//! exactly-once ledger, same clean conservation audit, same engine
-//! digest. It also pins the digest recorded in the checked-in scenario
-//! file, so editing `scenarios/*.toml` out from under the figures fails
-//! here, not in CI archaeology.
+//! Each test spells the experiment out inline against the library
+//! builders (same constants, same fault schedule, same seed) — the
+//! independent reference, which goes through none of the scenario
+//! engine's parsing, schema or cell construction — and compares it with
+//! the engine's cell run: same exactly-once ledger, same clean
+//! conservation audit, same engine digest. It also pins the digest
+//! recorded in the checked-in scenario file, so editing
+//! `scenarios/*.toml` out from under the reference fails here, not in CI
+//! archaeology. The failure and corruption studies exist only as
+//! scenarios; `fig5` is still a binary too, and its sequence here is
+//! that binary's.
 
 use std::path::Path;
 
@@ -42,9 +46,9 @@ fn pinned_digest(s: &Scenario, proto: &str, seed: u64) -> String {
         .unwrap_or_else(|| panic!("scenario `{}` pins no digest for {key}", s.name))
 }
 
-// ----------------------------------------------------- fig_failover
+// ------------------------------------------------- failover_diamond
 
-/// fig_failover's constants, verbatim.
+/// The failure study's constants.
 const FO_SEED: u64 = 11;
 const FO_N_MSGS: u64 = 40;
 const FO_MSG_BYTES: u64 = 30_000;
@@ -66,10 +70,10 @@ fn failover_outage(d: &Diamond) -> FaultSchedule {
 }
 
 #[test]
-fn failover_scenario_is_byte_identical_to_figure_binary() {
+fn failover_scenario_is_byte_identical_to_inline_reference() {
     let s = load_scenario("failover_diamond.toml");
 
-    // Figure-binary path, inline: MTP contender.
+    // Reference path, inline: MTP contender.
     let mut d = diamond_mtp(
         FO_SEED,
         MtpConfig::default().with_failover(),
@@ -78,7 +82,7 @@ fn failover_scenario_is_byte_identical_to_figure_binary() {
     );
     let mut drv = FaultDriver::new(failover_outage(&d));
     drv.run_until(&mut d.sim, us(FO_HORIZON));
-    assert!(d.sim.audit().ok(), "figure run fails conservation");
+    assert!(d.sim.audit().ok(), "reference run fails conservation");
     let fig_ledger = Ledger::capture(&d.sim, d.sender, d.sink);
     let records: Vec<(Time, Option<Time>)> = d
         .sim
@@ -109,7 +113,7 @@ fn failover_scenario_is_byte_identical_to_figure_binary() {
         "scenario file pins a stale digest"
     );
 
-    // TCP contenders share the figure's schedule byte-for-byte too.
+    // TCP contenders share the reference schedule byte-for-byte too.
     for (proto, cfg) in [
         (Protocol::TcpNewReno, TcpConfig::default()),
         (Protocol::TcpDctcp, TcpConfig::dctcp()),
@@ -137,9 +141,9 @@ fn failover_scenario_is_byte_identical_to_figure_binary() {
     }
 }
 
-// --------------------------------------------------- fig_corruption
+// ----------------------------------------------- corruption_diamond
 
-/// fig_corruption's constants, verbatim.
+/// The corruption study's constants.
 const CO_SEED: u64 = 23;
 const CO_RATE_ON: u64 = 100;
 const CO_RATE_OFF: u64 = 3_000;
@@ -159,7 +163,7 @@ fn corruption_storm(d: &Diamond) -> FaultSchedule {
 }
 
 #[test]
-fn corruption_scenario_is_byte_identical_to_figure_binary() {
+fn corruption_scenario_is_byte_identical_to_inline_reference() {
     let s = load_scenario("corruption_diamond.toml");
 
     let mut d = diamond_mtp(
@@ -170,7 +174,7 @@ fn corruption_scenario_is_byte_identical_to_figure_binary() {
     );
     let mut drv = FaultDriver::new(corruption_storm(&d));
     drv.run_until(&mut d.sim, us(CO_HORIZON));
-    assert!(d.sim.audit().ok(), "figure run fails conservation");
+    assert!(d.sim.audit().ok(), "reference run fails conservation");
     let fig_ledger = Ledger::capture(&d.sim, d.sender, d.sink);
     let records: Vec<(Time, Option<Time>)> = d
         .sim

@@ -346,8 +346,6 @@ pub struct SimInner {
     /// Black-box ring of recent trace events, dumped on panic (see
     /// [`Simulator::enable_flight_recorder`]).
     pub(crate) flight: Option<mtp_telemetry::FlightRecorder>,
-    /// Reusable buffer for [`Node::on_packet_batch`] deliveries.
-    batch_scratch: Vec<Packet>,
 }
 
 /// Recycle a destroyed packet, counting it toward
@@ -454,20 +452,6 @@ impl SimInner {
         false
     }
 
-    /// Is `dir`'s ring front another arrival at exactly `time`, with no
-    /// other pending event due before it? Such frames are handed to
-    /// [`Node::on_packet_batch`] together.
-    fn simultaneous_arrival(&mut self, dir: DirLinkId, time: Time) -> bool {
-        let Some(&(nt, ns, _)) = self.links[dir.0].prop.front() else {
-            return false;
-        };
-        nt == time
-            && match self.events.peek() {
-                Some(head) => (nt, ns) < (head.time, head.seq),
-                None => true,
-            }
-    }
-
     /// Schedule a transmission-complete event. The link id rides in the
     /// heap key itself (see [`TXDONE_TAG`]), so the slab is untouched.
     fn push_tx_done(&mut self, time: Time, dir: DirLinkId) {
@@ -505,7 +489,7 @@ impl SimInner {
     /// Cancel a timer in O(1): if the slot still holds the arming that `id`
     /// refers to (generation match), detach its key from the timing wheel
     /// and reclaim the slot immediately. When the key has already migrated
-    /// to the ready/overflow heap the wheel refuses the detach; the payload
+    /// to the ready heap the wheel refuses the detach; the payload
     /// is blanked instead and the slot is reclaimed when the stale key
     /// pops — the old tombstone contract, now needed only for the handful
     /// of near-deadline cancels instead of every cancel.
@@ -649,6 +633,9 @@ impl SimInner {
         // (empty FIFO, no marking, no scheduler state, no randomness),
         // start serializing directly and skip the queue round-trip. The
         // emitted trace events and stats are identical to the slow path.
+        // Pays ≈ 3 % of `scn_corpus` and ≈ 5 % of `sim_fabric`
+        // `ops_per_s` (PR 16 ablation, 10/10 pairs each; EXPERIMENTS.md
+        // "Ablation table").
         if link.in_flight.is_none() && link.queue.transparent_when_idle() {
             link.stats.max_qlen_pkts = link.stats.max_qlen_pkts.max(1);
             let done = now + link.rate.serialize_time(pkt.wire_len);
@@ -869,7 +856,6 @@ impl Simulator {
                 corrupted_destroyed: 0,
                 telemetry: mtp_telemetry::Registry::new(),
                 flight: None,
-                batch_scratch: Vec::new(),
             },
             nodes: Vec::new(),
             node_up: Vec::new(),
@@ -1328,11 +1314,6 @@ impl Simulator {
         self.inner.flight = Some(mtp_telemetry::FlightRecorder::new(name, cap));
     }
 
-    /// The armed flight recorder, if any.
-    pub fn flight_recorder(&self) -> Option<&mtp_telemetry::FlightRecorder> {
-        self.inner.flight.as_ref()
-    }
-
     /// Arm a timer on `node` from harness code (e.g. to start a workload at
     /// a chosen time).
     pub fn schedule(&mut self, at: Time, node: NodeId, token: u64) -> TimerId {
@@ -1533,35 +1514,7 @@ impl Simulator {
                     .telemetry
                     .count(mtp_telemetry::Metric::BytesDelivered, pkt.wire_len as u64);
                 inner.trace(pkt.id, node, port, crate::tracefile::TraceKind::Delivered);
-                if inner.simultaneous_arrival(dir, time) {
-                    // Frames that arrive at the same instant (only
-                    // possible for zero-serialization frames) go through
-                    // the batch hook in one call. Safe against
-                    // interleaving: every event another packet could race
-                    // with carries a later sequence number.
-                    let mut batch = std::mem::take(&mut inner.batch_scratch);
-                    batch.push(pkt);
-                    while ctx.inner.simultaneous_arrival(dir, time) {
-                        let inner = &mut *ctx.inner;
-                        let (_, _, pkt) = inner.links[dir.0].prop.pop_front().expect("front");
-                        inner.processed += 1;
-                        dp += 1;
-                        db += pkt.wire_len as u64;
-                        inner
-                            .telemetry
-                            .count(mtp_telemetry::Metric::PktsDelivered, 1);
-                        inner
-                            .telemetry
-                            .count(mtp_telemetry::Metric::BytesDelivered, pkt.wire_len as u64);
-                        inner.trace(pkt.id, node, port, crate::tracefile::TraceKind::Delivered);
-                        batch.push(pkt);
-                    }
-                    n.on_packet_batch(ctx, port, &mut batch);
-                    batch.clear();
-                    ctx.inner.batch_scratch = batch;
-                } else {
-                    n.on_packet(ctx, port, pkt);
-                }
+                n.on_packet(ctx, port, pkt);
                 if !ctx.inner.continue_burst(dir, until) {
                     break;
                 }
@@ -1716,6 +1669,72 @@ mod tests {
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[1].since(arr[0]), Duration::from_nanos(120));
         assert_eq!(arr[2].since(arr[1]), Duration::from_nanos(120));
+    }
+
+    #[test]
+    fn same_instant_arrivals_are_delivered_one_by_one_in_order() {
+        /// Logs each arrival, and a zero-delay timer armed by the first.
+        #[derive(Default)]
+        struct Logger(Vec<String>);
+        impl Node for Logger {
+            fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) {
+                if self.0.is_empty() {
+                    ctx.set_timer(Duration::ZERO, 0);
+                }
+                self.0.push(format!("pkt {} @{}", pkt.id.0, ctx.now().0));
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+                self.0.push(format!("timer @{}", ctx.now().0));
+            }
+        }
+        let mut sim = Simulator::new(1);
+        // Zero-length frames serialize in zero time, so all four share one
+        // arrival instant on the propagation ring.
+        let a = sim.add_node(Box::new(Pitcher {
+            target_port: PortId(0),
+            n: 4,
+            size: 0,
+        }));
+        let b = sim.add_node(Box::new(Logger::default()));
+        sim.connect_symmetric(
+            a,
+            PortId(0),
+            b,
+            PortId(0),
+            Bandwidth::from_gbps(100),
+            Duration::from_micros(1),
+            64,
+        );
+        sim.enable_trace(64);
+        sim.run();
+        // Each frame gets its own `on_packet`, in transmission order; the
+        // timer the first one armed for the same instant runs after the
+        // whole burst, exactly where one delivery event per packet puts it.
+        let at = Duration::from_micros(1).0;
+        let delivered: Vec<(Time, u64)> = sim
+            .trace_events()
+            .iter()
+            .filter(|e| e.kind == crate::tracefile::TraceKind::Delivered)
+            .map(|e| (e.time, e.pkt.0))
+            .collect();
+        let first = delivered[0].1;
+        let ids = first..first + 4;
+        assert_eq!(
+            delivered,
+            ids.clone().map(|id| (Time(at), id)).collect::<Vec<_>>()
+        );
+        let want: Vec<String> = ids
+            .map(|id| format!("pkt {id} @{at}"))
+            .chain([format!("timer @{at}")])
+            .collect();
+        assert_eq!(sim.node_as::<Logger>(b).0, want);
+        assert_eq!(sim.delivered_pkts(), 4);
+        assert_eq!(sim.delivered_bytes(), 0);
+        if mtp_telemetry::ENABLED {
+            let t = sim.telemetry();
+            assert_eq!(t.get(mtp_telemetry::Metric::PktsDelivered), 4);
+            assert_eq!(t.get(mtp_telemetry::Metric::BytesDelivered), 0);
+        }
     }
 
     #[test]

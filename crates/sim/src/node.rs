@@ -51,19 +51,6 @@ pub trait Node: Any {
     /// A packet arrived on `port`.
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet);
 
-    /// A burst of packets arrived on `port` at the same instant (the
-    /// engine coalesces simultaneous arrivals on one link — possible only
-    /// for zero-serialization frames — into a single call). The default
-    /// delivers them one by one through [`on_packet`](Node::on_packet);
-    /// a device may override it to amortize per-burst work. Contract:
-    /// drain `pkts` completely, in order. Delivery traces and counters
-    /// for the whole burst are recorded before this is called.
-    fn on_packet_batch(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkts: &mut Vec<Packet>) {
-        for pkt in pkts.drain(..) {
-            self.on_packet(ctx, port, pkt);
-        }
-    }
-
     /// A timer armed with `token` fired.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let _ = (ctx, token);
@@ -141,11 +128,6 @@ impl Ctx<'_> {
     /// The current simulation time.
     pub fn now(&self) -> crate::time::Time {
         self.inner.now
-    }
-
-    /// The id of the node processing this event.
-    pub fn node_id(&self) -> NodeId {
-        self.node
     }
 
     /// Transmit `pkt` out of `port`. The packet is serialized immediately if

@@ -97,14 +97,6 @@ impl Headers {
             _ => None,
         }
     }
-
-    /// Borrow the encapsulated MTP header of a bridged packet.
-    pub fn as_bridged(&self) -> Option<(&TcpHeader, &MtpHeader)> {
-        match self {
-            Headers::Bridged { tcp, mtp } => Some((tcp, mtp)),
-            _ => None,
-        }
-    }
 }
 
 /// Compact stand-in for application payload content, used only by offloads

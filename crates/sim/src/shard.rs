@@ -638,11 +638,6 @@ impl ShardedSimulator {
         }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.workers.len()
-    }
-
     /// The barrier clock: every shard has processed all events up to and
     /// including this time.
     pub fn now(&self) -> Time {

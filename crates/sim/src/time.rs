@@ -24,14 +24,6 @@ impl Duration {
     /// Zero-length duration.
     pub const ZERO: Duration = Duration(0);
 
-    /// One picosecond.
-    pub const PICO: Duration = Duration(1);
-
-    /// Construct from picoseconds.
-    pub const fn from_ps(ps: u64) -> Duration {
-        Duration(ps)
-    }
-
     /// Construct from nanoseconds.
     pub const fn from_nanos(ns: u64) -> Duration {
         Duration(ns * 1_000)
@@ -67,11 +59,6 @@ impl Duration {
         self.0 as f64 / 1e6
     }
 
-    /// The duration in fractional nanoseconds.
-    pub fn as_nanos_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: Duration) -> Duration {
         Duration(self.0.saturating_sub(rhs.0))
@@ -80,11 +67,6 @@ impl Duration {
     /// Multiply by an integer factor.
     pub const fn mul(self, k: u64) -> Duration {
         Duration(self.0 * k)
-    }
-
-    /// Scale by a float factor (rounds; used by RTO backoff and EWMAs).
-    pub fn mul_f64(self, k: f64) -> Duration {
-        Duration((self.0 as f64 * k).round() as u64)
     }
 }
 
@@ -169,11 +151,6 @@ impl Bandwidth {
     /// Construct from bits per second.
     pub const fn from_bps(bps: u64) -> Bandwidth {
         Bandwidth(bps)
-    }
-
-    /// Construct from megabits per second.
-    pub const fn from_mbps(mbps: u64) -> Bandwidth {
-        Bandwidth(mbps * 1_000_000)
     }
 
     /// Construct from gigabits per second.

@@ -31,11 +31,6 @@ impl BinSeries {
         }
     }
 
-    /// The configured bin width.
-    pub fn bin_width(&self) -> Duration {
-        self.bin
-    }
-
     /// Add `value` at time `t`.
     pub fn add(&mut self, t: Time, value: f64) {
         let idx = (t.0 / self.bin.0) as usize;

@@ -9,11 +9,17 @@
 //! the deadline hashes to; a pop drains the current slot into a tiny
 //! per-slot heap and bitmap-skips empty slots.
 //!
+//! Ablated in PR 16 against a plain `BinaryHeap` (ten alternating
+//! benchmark pairs, EXPERIMENTS.md "Ablation table"): the wheel pays
+//! ≈ 26 % of `scn_corpus` and ≈ 11 % of `sim_fabric` `ops_per_s`, and
+//! won every pair.
+//!
 //! ## Shape
 //!
 //! [`LEVELS`] levels of 256 slots each, absolutely indexed: level `k`'s
-//! slot width is `2^(10 + 8k)` ps (level 0 ≈ 1 ns), so the wheel spans
-//! `2^50` ps ≈ 18 minutes before the small overflow heap takes over.
+//! slot width is `2^(10 + 8k)` ps (level 0 ≈ 1 ns). `Time` is a `u64` of
+//! picoseconds, so a tick has at most 54 bits and seven levels cover every
+//! representable deadline — nothing ever waits outside the wheel.
 //! An event lands on the level where its tick first differs from the
 //! wheel's current tick — equivalently, the byte index of the highest set
 //! bit of `(time >> 10) ^ (cur >> 10)` — which keeps every level-`k` slot
@@ -34,12 +40,12 @@
 //! `O(1)` — no tombstone is left to cascade and pop later, and under RTO
 //! churn (every delivered packet arms a timer that is almost always
 //! cancelled) the wheel holds only live deadlines instead of a tombstone
-//! population proportional to the churn rate × timeout. The two heaps the
-//! wheel still delegates to (`ready` and `overflow`) keep the old
-//! generation-stamped tombstone contract: `cancel` refuses (returns
-//! `false`) when the key has already migrated there, and the engine falls
-//! back to blanking the payload slab entry exactly as the binary heap
-//! required for every cancel.
+//! population proportional to the churn rate × timeout. The one heap the
+//! wheel still delegates to (`ready`) keeps the old generation-stamped
+//! tombstone contract: `cancel` refuses (returns `false`) when the key has
+//! already migrated there, and the engine falls back to blanking the
+//! payload slab entry exactly as the binary heap required for every
+//! cancel.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -73,9 +79,9 @@ const SLOT_SHIFT: u32 = 10;
 const LEVEL_BITS: u32 = 8;
 /// Slots per level.
 const SLOTS: usize = 1 << LEVEL_BITS;
-/// Wheel levels; beyond level `LEVELS - 1` (≈ 18 simulated minutes out)
-/// deadlines wait in the overflow heap.
-const LEVELS: usize = 5;
+/// Wheel levels: a tick is `64 - SLOT_SHIFT = 54` bits, so the highest
+/// differing tick bit always falls on one of `ceil(54 / 8) = 7` levels.
+const LEVELS: usize = 7;
 
 /// The tick (level-0 slot number) containing a timestamp.
 #[inline]
@@ -99,13 +105,13 @@ struct Entry {
 const NIL: u32 = u32::MAX;
 
 /// `prev` value marking an entry that is in no slot list: free, or its key
-/// has migrated to the ready/overflow heap. Distinguishes "unlinked" from
+/// has migrated to the ready heap. Distinguishes "unlinked" from
 /// "linked at the head" (`prev == NIL`) so a stale cancel handle can never
 /// unsplice a freelist node.
 const UNLINKED: u32 = u32::MAX - 1;
 
-/// The engine's pending-event queue: hierarchical timing wheel plus an
-/// overflow heap for deadlines beyond the wheel horizon.
+/// The engine's pending-event queue: a hierarchical timing wheel feeding
+/// the ready heap of the slot being served.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
     /// Wheel clock: start of the slot currently being drained. Only ever
@@ -126,9 +132,7 @@ pub(crate) struct EventQueue {
     /// Occupancy bitmap per level (bit `i` set ⇔ slot `i` nonempty),
     /// so advancing skips empty slots with `trailing_zeros`.
     occupied: [[u64; SLOTS / 64]; LEVELS],
-    /// Deadlines beyond the wheel horizon.
-    overflow: BinaryHeap<Reverse<EventKey>>,
-    /// Total pending events (ready + wheel + overflow).
+    /// Total pending events (ready + wheel).
     count: usize,
     /// Timestamp of the last popped event; pops must be monotone.
     #[cfg(debug_assertions)]
@@ -148,7 +152,6 @@ impl EventQueue {
             entries: Vec::with_capacity(SEED_CAP),
             free: Vec::with_capacity(SEED_CAP),
             occupied: [[0; SLOTS / 64]; LEVELS],
-            overflow: BinaryHeap::new(),
             count: 0,
             #[cfg(debug_assertions)]
             last_pop: 0,
@@ -170,7 +173,7 @@ impl EventQueue {
     ///
     /// Returns a detach handle for [`EventQueue::cancel`]: the index of
     /// the wheel entry now holding the key, or [`NIL`] when the key went
-    /// straight to the ready or overflow heap (not detachable). The handle
+    /// straight to the ready heap (not detachable). The handle
     /// stays valid across cascades — relocation reuses the entry index —
     /// and is revalidated against `key.slot` on use, so callers may hold
     /// it without tracking the key's migration to the ready heap.
@@ -179,8 +182,8 @@ impl EventQueue {
         self.place(key)
     }
 
-    /// Route a key to the ready heap, a wheel slot, or the overflow heap,
-    /// relative to the current wheel clock.
+    /// Route a key to the ready heap or a wheel slot, relative to the
+    /// current wheel clock.
     ///
     /// `key.time` may lie *before* the wheel clock: `cur` tracks the next
     /// occupied wheel slot, which `peek` can push well past the engine's
@@ -199,10 +202,6 @@ impl EventQueue {
         }
         // Byte index of the highest differing tick bit picks the level.
         let level = ((63 - (t ^ c).leading_zeros()) / LEVEL_BITS) as usize;
-        if level >= LEVELS {
-            self.overflow.push(Reverse(key));
-            return NIL;
-        }
         let idx = match self.free.pop() {
             Some(idx) => {
                 self.entries[idx as usize].key = key;
@@ -252,8 +251,8 @@ impl EventQueue {
     /// scheduling (the slab slot is owned by exactly one pending event, so
     /// a recycled entry can never carry the same `key.slot`). Returns
     /// `false` — leaving tombstone semantics to the caller — when the key
-    /// has already migrated to the ready or overflow heap, where a detach
-    /// would cost `O(n)`.
+    /// has already migrated to the ready heap, where a detach would cost
+    /// `O(n)`.
     ///
     /// The entry's current `(level, slot)` is recomputed from its deadline
     /// and the wheel clock — the same arithmetic [`place`] used. That is
@@ -275,7 +274,6 @@ impl EventQueue {
         let c = tick(self.cur);
         debug_assert!(t > c, "linked entry at or before the current slot");
         let level = ((63 - (t ^ c).leading_zeros()) / LEVEL_BITS) as usize;
-        debug_assert!(level < LEVELS, "linked entry beyond the wheel horizon");
         let wslot = (t >> (LEVEL_BITS * level as u32)) as usize & (SLOTS - 1);
         if e.prev == NIL {
             debug_assert_eq!(self.heads[level * SLOTS + wslot], idx);
@@ -298,7 +296,7 @@ impl EventQueue {
     /// Re-place a cascading entry relative to the advanced clock, keeping
     /// its index when it lands in a lower wheel slot (so outstanding
     /// cancel handles survive the cascade) and retiring it when its key
-    /// moves on to the ready or overflow heap.
+    /// moves on to the ready heap.
     fn relocate(&mut self, idx: u32) {
         let key = self.entries[idx as usize].key;
         let t = tick(key.time.0);
@@ -309,11 +307,6 @@ impl EventQueue {
             return;
         }
         let level = ((63 - (t ^ c).leading_zeros()) / LEVEL_BITS) as usize;
-        if level >= LEVELS {
-            self.overflow.push(Reverse(key));
-            self.free_entry(idx);
-            return;
-        }
         self.link(
             idx,
             level,
@@ -375,23 +368,8 @@ impl EventQueue {
                 }
                 continue 'refill;
             }
-            // Wheel exhausted: re-anchor at the overflow minimum and pull
-            // every overflow deadline the wheel can now reach back in.
-            let Some(Reverse(min)) = self.overflow.pop() else {
-                return;
-            };
-            self.cur = min.time.0;
-            self.ready.push(Reverse(min));
-            let horizon = SLOT_SHIFT + LEVEL_BITS * LEVELS as u32;
-            while let Some(&Reverse(k)) = self.overflow.peek() {
-                if k.time.0 >> horizon != self.cur >> horizon {
-                    break;
-                }
-                let Some(Reverse(k)) = self.overflow.pop() else {
-                    unreachable!("peeked above")
-                };
-                self.place(k);
-            }
+            // Every level is empty: nothing is pending.
+            return;
         }
     }
 
@@ -511,20 +489,31 @@ mod tests {
     }
 
     #[test]
-    fn far_future_deadlines_ride_the_overflow_heap() {
+    fn far_future_deadlines_park_on_the_wheel() {
         let mut q = EventQueue::new();
-        // Beyond the 2^50 ps wheel horizon (≈ 18 min), plus near events.
-        q.push(key(1 << 55, 1));
-        q.push(key((1 << 55) + 7, 2));
-        q.push(key(3, 3));
-        assert_eq!(q.pop(), Some(key(3, 3)));
-        assert_eq!(q.pop(), Some(key(1 << 55, 1)));
-        // After re-anchoring at the overflow minimum, pushes near the new
-        // clock interleave correctly with remaining overflow entries.
-        q.push(key((1 << 55) + 2, 4));
-        assert_eq!(q.pop(), Some(key((1 << 55) + 2, 4)));
-        assert_eq!(q.pop(), Some(key((1 << 55) + 7, 2)));
+        // The last representable picoseconds: tick bit 53, wheel level 6.
+        let last = key(u64::MAX, 1);
+        let near_last = key(u64::MAX - 7, 2);
+        let doomed = key(u64::MAX - 3, 3);
+        assert_ne!(q.push(last), NIL, "must park, not fall off a horizon");
+        assert_ne!(q.push(near_last), NIL);
+        let idx = q.push(doomed);
+        assert_ne!(idx, NIL);
+        q.push(key(3, 4));
+        assert!(
+            q.cancel(idx, doomed.slot),
+            "parked far key detaches in O(1)"
+        );
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some(key(3, 4)));
+        assert_eq!(q.pop(), Some(near_last));
+        // With the clock now in the far future, a push just ahead of it
+        // still interleaves correctly with the remaining far entry.
+        q.push(key(u64::MAX - 2, 5));
+        assert_eq!(q.pop(), Some(key(u64::MAX - 2, 5)));
+        assert_eq!(q.pop(), Some(last));
         assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -543,15 +532,15 @@ mod tests {
                 let r = rng.gen_range(0..100u32);
                 if model.heap.is_empty() || r < 55 {
                     // Mix of near (same-slot), mid (cross-level), and far
-                    // (overflow) deadlines.
+                    // (top-level) deadlines.
                     let dt = match rng.gen_range(0..10u32) {
                         0 => 0,
                         1..=4 => rng.gen_range(0..1_000),
                         5..=7 => rng.gen_range(0..2_000_000),
                         8 => rng.gen_range(0..40_000_000_000),
-                        _ => rng.gen_range(0..(1u64 << 52)),
+                        _ => rng.gen_range(0..(1u64 << 62)),
                     };
-                    let k = key(now + dt, seq);
+                    let k = key(now.saturating_add(dt), seq);
                     seq += 1;
                     let idx = q.push(k);
                     live.push((idx, k));
@@ -566,7 +555,7 @@ mod tests {
                     }
                 } else if !live.is_empty() {
                     // Cancel a random scheduled key; on detach the model
-                    // tombstones it, on refusal (ready/overflow resident)
+                    // tombstones it, on refusal (ready resident)
                     // both sides keep it and pop it normally.
                     let at = rng.gen_range(0..live.len());
                     let (idx, k) = live.swap_remove(at);
@@ -597,9 +586,9 @@ mod tests {
         use rand::Rng;
         prop_oneof![
             // Deadline deltas spanning every placement class: current
-            // slot, each wheel level, and the overflow heap.
+            // slot and each of the seven wheel levels, up to 2^63 ps.
             proptest::strategy::fn_strategy(|rng: &mut proptest::strategy::TestRng| {
-                let bits = rng.gen_range(0..54u32);
+                let bits = rng.gen_range(0..64u32);
                 Op::Push(rng.gen_range(0..=(1u64 << bits)))
             }),
             (1u8..8).prop_map(Op::Pop),
@@ -621,7 +610,7 @@ mod tests {
             for op in ops {
                 match op {
                     Op::Push(dt) => {
-                        let k = key(now + dt, seq);
+                        let k = key(now.saturating_add(dt), seq);
                         seq += 1;
                         let idx = q.push(k);
                         live.push((idx, k));

@@ -191,14 +191,6 @@ impl TcpSenderNode {
         self.conns.values().map(|c| c.stats.timeouts).sum()
     }
 
-    /// Borrow the persistent connection (mode `Persistent`, once started).
-    pub fn persistent_conn(&self) -> Option<&SenderConn> {
-        match self.mode {
-            TcpWorkloadMode::Persistent => self.conns.get(&self.conn_id_base),
-            TcpWorkloadMode::ConnPerMessage => None,
-        }
-    }
-
     fn flush(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<Packet>) {
         let now = ctx.now();
         for mut pkt in out.drain(..) {

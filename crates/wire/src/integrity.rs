@@ -168,7 +168,7 @@ fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
 }
 
 /// Streaming CRC-16/CCITT-FALSE: polynomial 0x1021, init 0xFFFF, no
-/// reflection, no final XOR. The streaming form lets the zero-copy view
+/// reflection, no final XOR. The streaming form lets `parse_sealed`
 /// verify a header whose CRC bytes must be treated as zero without
 /// copying the buffer.
 #[derive(Debug, Clone, Copy)]
@@ -205,169 +205,18 @@ pub fn crc16_ccitt(bytes: &[u8]) -> u16 {
 }
 
 /// CRC-32 (IEEE 802.3): reflected polynomial 0xEDB88320, init and final
-/// XOR 0xFFFFFFFF.
-///
-/// Long inputs take a carry-less-multiply (PCLMULQDQ) folding path when
-/// the CPU supports it; the scalar slice-by-8 fallback is bit-identical.
-/// Set `MTP_WIRE_FORCE_SCALAR=1` to pin the scalar path (the CI matrix
-/// uses this to prove digests match across implementations).
+/// XOR 0xFFFFFFFF. Every caller checksums a fixed 18- or 32-byte record,
+/// so the slice-by-8 table walk is the whole implementation.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    let mut rest = bytes;
-    #[cfg(target_arch = "x86_64")]
-    if rest.len() >= 64 {
-        let head = rest.len() & !15;
-        if let Some(folded) = clmul::try_fold(crc, &rest[..head]) {
-            crc = folded;
-            rest = &rest[head..];
-        }
-    }
-    !crc32_update(crc, rest)
-}
-
-/// CRC-32 restricted to the scalar slice-by-8 path. Exposed so tests and
-/// fuzz harnesses can pin implementations against each other without
-/// touching the process environment.
-#[doc(hidden)]
-pub fn crc32_scalar(bytes: &[u8]) -> u32 {
     !crc32_update(0xFFFF_FFFF, bytes)
-}
-
-/// CRC-32 by PCLMULQDQ folding, after Gopal et al., "Fast CRC Computation
-/// for Generic Polynomials Using PCLMULQDQ" (the same constants and
-/// schedule as zlib's `crc32_simd`): fold four 128-bit lanes per 64-byte
-/// block, collapse to one lane, then Barrett-reduce to 32 bits. This is
-/// the one module in the crate allowed to use `unsafe` — the intrinsics'
-/// preconditions are exactly the CPU features the caller detects.
-#[cfg(target_arch = "x86_64")]
-mod clmul {
-    #![allow(unsafe_code)]
-    use core::arch::x86_64::*;
-
-    /// x^(4·128+32) and x^(4·128-32) mod P — the 64-byte-block fold pair.
-    const K1: i64 = 0x01_54_44_2b_d4;
-    const K2: i64 = 0x01_c6_e4_15_96;
-    /// x^(128+32) and x^(128-32) mod P — the lane-collapse fold pair.
-    const K3: i64 = 0x01_75_19_97_d0;
-    const K4: i64 = 0x00_cc_aa_00_9e;
-    /// x^64 mod P — the 128→64 bit reduction constant.
-    const K5: i64 = 0x01_63_cd_61_24;
-    /// P' (the polynomial) and µ (its Barrett reciprocal).
-    const POLY: i64 = 0x01_db_71_06_41;
-    const MU: i64 = 0x01_f7_01_16_41;
-
-    /// Runtime gate for the hardware path: the CPU must advertise
-    /// PCLMULQDQ and SSE4.1, and `MTP_WIRE_FORCE_SCALAR` must not be set
-    /// to a truthy value. Checked once and cached.
-    fn enabled() -> bool {
-        use std::sync::OnceLock;
-        static ENABLED: OnceLock<bool> = OnceLock::new();
-        *ENABLED.get_or_init(|| {
-            let forced_scalar = std::env::var_os("MTP_WIRE_FORCE_SCALAR")
-                .is_some_and(|v| !v.is_empty() && v != "0");
-            !forced_scalar
-                && std::arch::is_x86_feature_detected!("pclmulqdq")
-                && std::arch::is_x86_feature_detected!("sse4.1")
-        })
-    }
-
-    /// Fold `buf` (length ≥ 64 and a multiple of 16) into the raw
-    /// (inverted) CRC-32 state, or `None` when the hardware path is
-    /// unavailable or disabled — the caller then stays on slice-by-8.
-    pub fn try_fold(crc: u32, buf: &[u8]) -> Option<u32> {
-        if !enabled() {
-            return None;
-        }
-        // SAFETY: `enabled` verified pclmulqdq + sse4.1 on this CPU.
-        Some(unsafe { crc32_fold(crc, buf) })
-    }
-
-    #[inline]
-    fn load(b: &[u8]) -> __m128i {
-        debug_assert!(b.len() >= 16);
-        // SAFETY: the slice holds at least 16 bytes; loadu has no
-        // alignment requirement.
-        unsafe { _mm_loadu_si128(b.as_ptr().cast()) }
-    }
-
-    #[target_feature(enable = "pclmulqdq", enable = "sse4.1")]
-    fn crc32_fold(crc: u32, buf: &[u8]) -> u32 {
-        debug_assert!(buf.len() >= 64 && buf.len().is_multiple_of(16));
-
-        let mut x1 = load(buf);
-        let mut x2 = load(&buf[16..]);
-        let mut x3 = load(&buf[32..]);
-        let mut x4 = load(&buf[48..]);
-        x1 = _mm_xor_si128(x1, _mm_cvtsi32_si128(crc as i32));
-
-        // Fold 64 bytes per iteration across four independent lanes.
-        let k = _mm_set_epi64x(K2, K1);
-        let mut off = 64;
-        while buf.len() - off >= 64 {
-            let y1 = _mm_clmulepi64_si128(x1, k, 0x00);
-            let y2 = _mm_clmulepi64_si128(x2, k, 0x00);
-            let y3 = _mm_clmulepi64_si128(x3, k, 0x00);
-            let y4 = _mm_clmulepi64_si128(x4, k, 0x00);
-            x1 = _mm_clmulepi64_si128(x1, k, 0x11);
-            x2 = _mm_clmulepi64_si128(x2, k, 0x11);
-            x3 = _mm_clmulepi64_si128(x3, k, 0x11);
-            x4 = _mm_clmulepi64_si128(x4, k, 0x11);
-            x1 = _mm_xor_si128(_mm_xor_si128(x1, y1), load(&buf[off..]));
-            x2 = _mm_xor_si128(_mm_xor_si128(x2, y2), load(&buf[off + 16..]));
-            x3 = _mm_xor_si128(_mm_xor_si128(x3, y3), load(&buf[off + 32..]));
-            x4 = _mm_xor_si128(_mm_xor_si128(x4, y4), load(&buf[off + 48..]));
-            off += 64;
-        }
-
-        // Collapse the four lanes into one.
-        let k = _mm_set_epi64x(K4, K3);
-        let y = _mm_clmulepi64_si128(x1, k, 0x00);
-        x1 = _mm_clmulepi64_si128(x1, k, 0x11);
-        x1 = _mm_xor_si128(_mm_xor_si128(x1, x2), y);
-        let y = _mm_clmulepi64_si128(x1, k, 0x00);
-        x1 = _mm_clmulepi64_si128(x1, k, 0x11);
-        x1 = _mm_xor_si128(_mm_xor_si128(x1, x3), y);
-        let y = _mm_clmulepi64_si128(x1, k, 0x00);
-        x1 = _mm_clmulepi64_si128(x1, k, 0x11);
-        x1 = _mm_xor_si128(_mm_xor_si128(x1, x4), y);
-
-        // Fold any remaining 16-byte blocks into the single lane.
-        while buf.len() - off >= 16 {
-            let y = _mm_clmulepi64_si128(x1, k, 0x00);
-            x1 = _mm_clmulepi64_si128(x1, k, 0x11);
-            x1 = _mm_xor_si128(_mm_xor_si128(x1, y), load(&buf[off..]));
-            off += 16;
-        }
-
-        // Reduce 128 bits to 64.
-        let mask = _mm_setr_epi32(!0, 0, !0, 0);
-        let y = _mm_clmulepi64_si128(x1, k, 0x10);
-        x1 = _mm_srli_si128(x1, 8);
-        x1 = _mm_xor_si128(x1, y);
-
-        let k = _mm_set_epi64x(0, K5);
-        let y = _mm_srli_si128(x1, 4);
-        x1 = _mm_and_si128(x1, mask);
-        x1 = _mm_clmulepi64_si128(x1, k, 0x00);
-        x1 = _mm_xor_si128(x1, y);
-
-        // Barrett reduction to 32 bits.
-        let k = _mm_set_epi64x(MU, POLY);
-        let mut y = _mm_and_si128(x1, mask);
-        y = _mm_clmulepi64_si128(y, k, 0x10);
-        y = _mm_and_si128(y, mask);
-        y = _mm_clmulepi64_si128(y, k, 0x00);
-        x1 = _mm_xor_si128(x1, y);
-        _mm_extract_epi32(x1, 1) as u32
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Bit-at-a-time CRC-16/CCITT-FALSE — the reference the table and
-    /// SIMD implementations must match exactly.
+    /// Bit-at-a-time CRC-16/CCITT-FALSE — the reference the table
+    /// implementation must match exactly.
     fn crc16_bitwise(bytes: &[u8]) -> u16 {
         let mut crc: u16 = 0xFFFF;
         for &b in bytes {
@@ -428,16 +277,12 @@ mod tests {
     }
 
     #[test]
-    fn crc32_all_impls_match_bitwise_all_lengths() {
+    fn crc32_table_matches_bitwise_all_lengths() {
         let mut buf = vec![0u8; 2048];
         fill(&mut buf, 0xC0DE_CAFE);
         for len in 0..=2048 {
             let m = &buf[..len];
-            let want = crc32_bitwise(m);
-            assert_eq!(crc32_scalar(m), want, "scalar len {len}");
-            // `crc32` takes the hardware path when the CPU offers it and
-            // the scalar path otherwise — either way it must agree.
-            assert_eq!(crc32(m), want, "dispatch len {len}");
+            assert_eq!(crc32(m), crc32_bitwise(m), "len {len}");
         }
     }
 

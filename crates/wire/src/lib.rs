@@ -21,13 +21,10 @@
 //!   pairs rather than byte ranges, which is what makes in-network data
 //!   mutation compatible with reliability (paper §2.2, §3.1.2).
 //!
-//! Two representations are provided, in the style of `smoltcp`:
-//!
-//! * [`view::MtpView`] — a zero-copy typed view over a byte slice, with
-//!   accessor methods that read fields in place; and
-//! * [`header::MtpHeader`] — an owned high-level representation with
-//!   [`parse`](header::MtpHeader::parse) / [`emit`](header::MtpHeader::emit)
-//!   that round-trip through the byte format.
+//! [`header::MtpHeader`] is the one representation and the one decoder: an
+//! owned structure with [`parse`](header::MtpHeader::parse) /
+//! [`emit`](header::MtpHeader::emit) that round-trip through the byte
+//! format.
 //!
 //! The simulator crates carry the owned representation inside simulated
 //! packets; round-trip tests (including property-based tests) guarantee the
@@ -85,10 +82,7 @@
 //! [`MtpHeader::parse_sealed`] produce and require the sealed form
 //! exactly, with no silent fallback between the two.
 
-// `deny`, not `forbid`: the one sanctioned exception is the PCLMULQDQ
-// CRC-32 folding kernel in `integrity::clmul`, which opts back in with a
-// scoped `allow` — every other module stays unsafe-free.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bridge;
@@ -100,7 +94,6 @@ pub mod integrity;
 pub mod session;
 pub mod tcp;
 pub mod types;
-pub mod view;
 
 pub use bridge::{decapsulate, encapsulate};
 pub use error::WireError;
@@ -112,7 +105,6 @@ pub use session::{
 };
 pub use tcp::{TcpFlags, TcpHeader, TCP_INTEGRITY_SEALED, TCP_SEALED_LEN};
 pub use types::{EcnCodepoint, EntityId, MsgId, PathletId, PktNum, PktType, TrafficClass};
-pub use view::MtpView;
 
 /// Size in bytes of the fixed (non-variable) portion of the MTP header.
 pub const FIXED_HEADER_LEN: usize = 44;

@@ -125,7 +125,6 @@ fn crc_primitives_allocate_nothing() {
     for (i, b) in msg.iter_mut().enumerate() {
         *b = (i as u8).wrapping_mul(31);
     }
-    // Warm: first calls may initialize the hardware-dispatch cache.
     let c32 = mtp_wire::integrity::crc32(&msg);
     let c16 = mtp_wire::integrity::crc16_ccitt(&msg);
 

@@ -5,8 +5,7 @@
 //! with a bounded number of bit-flips or a truncation applied. The
 //! invariants:
 //!
-//! 1. **Total decoding**: no input ever panics any parser, any `MtpView`
-//!    accessor, or any section iterator (run to exhaustion).
+//! 1. **Total decoding**: no input ever panics any parser.
 //! 2. **Guaranteed detection**: up to 3 bit-flips confined to the
 //!    structure-preserving part of a sealed header always fail the CRC
 //!    (CRC-16/CCITT has Hamming distance 4 out to 32 751 bits). Flips in
@@ -26,7 +25,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 
 use mtp_wire::{
-    CtrlKind, Feedback, MtpHeader, MtpView, PathExclude, PathFeedback, PathletId, PktNum, PktType,
+    CtrlKind, Feedback, MtpHeader, PathExclude, PathFeedback, PathletId, PktNum, PktType,
     SackEntry, SessionCtrl, TcpFlags, TcpHeader, TrafficClass, FIXED_HEADER_LEN, PAYLOAD_CSUM_LEN,
     TCP_SEALED_LEN,
 };
@@ -185,33 +184,6 @@ prop_compose! {
     }
 }
 
-/// Exercise every accessor and exhaust every iterator of an accepted view:
-/// acceptance must imply total accessors.
-fn exhaust_view(view: &MtpView<'_>) {
-    let _ = view.header_len();
-    let _ = view.is_sealed();
-    let _ = view.sealed_len();
-    let _ = view.payload_csum_ok();
-    let _ = view.src_port();
-    let _ = view.dst_port();
-    let _ = view.pkt_type();
-    let _ = view.msg_pri();
-    let _ = view.tc();
-    let _ = view.flags();
-    let _ = view.msg_id();
-    let _ = view.entity();
-    let _ = view.msg_len_pkts();
-    let _ = view.msg_len_bytes();
-    let _ = view.pkt_num();
-    let _ = view.pkt_len();
-    let _ = view.pkt_offset();
-    for _ in view.path_exclude() {}
-    for _ in view.path_feedback() {}
-    for _ in view.ack_path_feedback() {}
-    for _ in view.sack() {}
-    for _ in view.nack() {}
-}
-
 /// Flip `bits` (distinct positions) in place.
 fn flip_bits(buf: &mut [u8], bits: &BTreeSet<usize>) {
     for &bit in bits {
@@ -235,9 +207,6 @@ proptest! {
         let _ = TcpHeader::parse(&bytes);
         let _ = TcpHeader::parse_sealed(&bytes);
         let _ = mtp_wire::decapsulate(&bytes);
-        if let Ok(view) = MtpView::new(&bytes) {
-            exhaust_view(&view);
-        }
     }
 
     /// Invariant 1, feedback TLVs: any (type, value) pair decodes totally.
@@ -250,7 +219,7 @@ proptest! {
     }
 
     /// Invariant 1, mutated-valid: flips and cuts anywhere in a sealed
-    /// frame never panic the sealed parser or the view.
+    /// frame never panic the sealed parser.
     #[test]
     fn mutated_sealed_never_panics(
         hdr in arb_header(),
@@ -262,12 +231,8 @@ proptest! {
         let bits = mutated.len() * 8;
         flip_bits(&mut mutated, &pick_bits(&raw, 0, bits));
         let _ = MtpHeader::parse_sealed(&mutated);
-        if let Ok(view) = MtpView::new(&mutated) {
-            exhaust_view(&view);
-        }
         let cut = (sealed.len() as f64 * cut_frac) as usize;
         let _ = MtpHeader::parse_sealed(&sealed[..cut]);
-        let _ = MtpView::new(&sealed[..cut]);
     }
 
     /// Invariant 2: up to 3 flips in the structure-preserving fixed-header
@@ -286,7 +251,6 @@ proptest! {
         let bits: BTreeSet<usize> = in_fields.union(&in_integrity).copied().collect();
         flip_bits(&mut sealed, &bits);
         prop_assert!(MtpHeader::parse_sealed(&sealed).is_err());
-        prop_assert!(MtpView::new(&sealed).is_err());
     }
 
     /// Invariant 2, frame-length arm: any flips in the *whole header
@@ -323,9 +287,6 @@ proptest! {
         prop_assert_eq!(back, hdr);
         prop_assert_eq!(consumed, sealed.len());
         prop_assert!(!payload_ok);
-        let view = MtpView::new(&sealed).unwrap();
-        prop_assert!(view.is_sealed());
-        prop_assert_eq!(view.payload_csum_ok(), Some(false));
     }
 
     /// Invariant 4: a sealed MTP frame cut anywhere is rejected.
@@ -335,7 +296,6 @@ proptest! {
         let cut = ((sealed.len() as f64) * cut_frac) as usize;
         if cut < sealed.len() {
             prop_assert!(MtpHeader::parse_sealed(&sealed[..cut]).is_err());
-            prop_assert!(MtpView::new(&sealed[..cut]).is_err());
         }
     }
 
@@ -359,13 +319,11 @@ proptest! {
         prop_assert_eq!(used, TCP_SEALED_LEN);
     }
 
-    /// Checksum implementations are interchangeable: over arbitrary
-    /// fuzz-corpus buffers, the dispatching `crc32` (hardware folding
-    /// when available), the scalar slice-by-8 path, and a bit-at-a-time
-    /// reference all agree — as do the streaming and one-shot CRC-16
+    /// Over arbitrary fuzz-corpus buffers `crc32` agrees with a
+    /// bit-at-a-time reference, as do the streaming and one-shot CRC-16
     /// forms at any split point.
     #[test]
-    fn crc_implementations_agree_on_fuzz_corpus(
+    fn crc_matches_reference_on_fuzz_corpus(
         bytes in prop::collection::vec(any::<u8>(), 0..2500),
         cut_frac in 0.0f64..1.0,
     ) {
@@ -379,7 +337,6 @@ proptest! {
         }
         let reference = !reference;
         prop_assert_eq!(mtp_wire::integrity::crc32(&bytes), reference);
-        prop_assert_eq!(mtp_wire::integrity::crc32_scalar(&bytes), reference);
 
         let one_shot = mtp_wire::integrity::crc16_ccitt(&bytes);
         let cut = (bytes.len() as f64 * cut_frac) as usize;

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use mtp_wire::{
-    Feedback, MtpHeader, MtpView, PathExclude, PathFeedback, PathletId, PktNum, PktType, SackEntry,
+    Feedback, MtpHeader, PathExclude, PathFeedback, PathletId, PktNum, PktType, SackEntry,
     TrafficClass,
 };
 
@@ -109,26 +109,8 @@ proptest! {
     }
 
     #[test]
-    fn view_agrees_with_owned(hdr in arb_header()) {
-        let bytes = hdr.to_bytes().unwrap();
-        let view = MtpView::new(&bytes).unwrap();
-        prop_assert_eq!(view.header_len(), bytes.len());
-        prop_assert_eq!(view.msg_id(), hdr.msg_id);
-        prop_assert_eq!(view.pkt_num(), hdr.pkt_num);
-        prop_assert_eq!(view.msg_len_bytes(), hdr.msg_len_bytes);
-        prop_assert_eq!(view.entity(), hdr.entity);
-        let fbs: Vec<_> = view.path_feedback().collect::<Result<_, _>>().unwrap();
-        prop_assert_eq!(fbs, hdr.path_feedback);
-        let sacks: Vec<_> = view.sack().collect();
-        prop_assert_eq!(sacks, hdr.sack);
-        let nacks: Vec<_> = view.nack().collect();
-        prop_assert_eq!(nacks, hdr.nack);
-    }
-
-    #[test]
     fn parser_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = MtpHeader::parse(&bytes);
-        let _ = MtpView::new(&bytes);
         let _ = mtp_wire::TcpHeader::parse(&bytes);
     }
 
