@@ -20,16 +20,22 @@
 //! * [`frame`] — datagram coalescing: many sealed MTP frames per UDP
 //!   datagram (GSO/GRO-style, as s2n-quic's platform layer does with
 //!   segments), with a hard budget guard at seal time.
-//! * [`sys`] — the only unsafe module: `sendmmsg`/`recvmmsg`/`poll`
+//! * [`sys`] — the only unsafe module: `sendmmsg`/`recvmmsg`/`poll` and
+//!   the socket-buffer options (`SO_RCVBUF`/`SO_SNDBUF`/`SO_MEMINFO`) as
 //!   FFI on Linux; every other platform takes the portable
 //!   `send_to`/`recv_from` path.
-//! * [`socket`] — nonblocking batch sockets and multi-socket readiness
-//!   waiting built on [`sys`].
+//! * [`socket`] — nonblocking batch sockets (a drain lends its
+//!   datagrams out of reused slots) and multi-socket readiness waiting
+//!   built on [`sys`].
 //! * [`session`] — the session lifecycle: [`SenderSession`]/[`Listener`]
 //!   with a versioned HELLO/HELLO-ACK handshake (which carries the
 //!   per-pathlet port map), keepalive liveness with typed peer-death
 //!   errors, FIN/FIN-ACK graceful close with TIME-WAIT linger, and
-//!   bounded admission (inflight/buffered/reassembly caps).
+//!   bounded admission (inflight/buffered/reassembly caps). A turn
+//!   drains every socket, feeds the core, and flushes once per pathlet;
+//!   the listener stamps congestion (CE) on frames that arrive behind a
+//!   deep receive queue, which is what the sender's pathlet windows
+//!   converge on.
 //! * [`driver`] — the golden workload harness: replays a sim workload
 //!   through the session transport and assembles the exactly-once
 //!   ledger. One socket per pathlet; pathlet ids map to distinct

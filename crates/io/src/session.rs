@@ -22,6 +22,14 @@
 //!   unbounded queue) and a receive-side reassembly-byte cap (excess
 //!   first-copy data goes unACKed, so the sender repairs it later, when
 //!   there is room).
+//! * **Turns and pathlet feedback** — a turn (`poll` / `poll_once`)
+//!   drains every socket, feeds the core, and flushes once per pathlet,
+//!   so what a turn's ACKs release fills whole datagrams and `sendmmsg`
+//!   batches; only `try_send` transmits outside a turn. Data sockets ask
+//!   for their buffers on purpose, and the listener — each pathlet's last
+//!   hop — stamps congestion-experienced on frames that arrive behind
+//!   more than a set share of the granted receive queue, which the
+//!   sender's per-pathlet windows converge on in place of loss.
 //!
 //! State machines (see DESIGN.md "Session lifecycle" for the timer
 //! table):
@@ -53,7 +61,7 @@ use crate::clock::{Clock, MonotonicClock};
 use crate::driver::IoConfig;
 use crate::frame::{append_ctrl_frame, append_frame, FrameError, FrameIter, FrameKind};
 use crate::payload;
-use crate::socket::{wait_readable, BatchSocket};
+use crate::socket::{wait_readable, BatchSocket, SendReport};
 use crate::sys;
 
 /// Sim-time picoseconds until `t`, as a wall `std::time::Duration`.
@@ -306,14 +314,87 @@ pub enum PayloadSource {
     Owned(Vec<u8>),
 }
 
+/// What every data socket asks the kernel for: a receive queue on the
+/// listener's, where data lands, and a send queue on the sender's, where
+/// it leaves; nothing is inherited from the host's `rmem_default`. 4 MiB
+/// is the largest ask a host tuned to the common `net.core.rmem_max` of
+/// 4 MiB grants in full (the kernel clamps a larger one silently, and
+/// doubles what it grants). The host this was sized on granted 8 MiB:
+/// 504 datagrams of 9000 B at the 16 640 B the kernel charges each, by
+/// `SO_MEMINFO`, where the inherited 208 KiB held twelve — less than half
+/// of one 256 KiB message.
+const SOCKET_BUFFER_ASK: usize = 4 << 20;
+
+/// The marking threshold K as a share of the granted receive queue: a
+/// datagram that arrives behind `granted / CE_THRESHOLD_DIV` bytes of
+/// datagrams, or more, is stamped congestion-experienced. 1/64 of the
+/// 8 MiB granted here is 128 KiB. The listener's own queue is not what
+/// binds it — a datagram is charged 1.85× its length, so K is 3 % of
+/// what the queue holds and the deepest queue a converging sender leaves
+/// (2.2 K, the turn after the first mark) 6 %. Two things downstream of
+/// that queue are: its ACKs land in the sender's receive queue, which
+/// keeps the host's default (208 KiB: twelve full ACK datagrams, the
+/// ACKs of about 1 MB of data), and a thread that serves both ends
+/// spends its listener turn on every byte queued (parse, copy, digest;
+/// about 2 ns/B) while the sender's 3 ms `min_rto` runs. Swept from
+/// 64 KiB to 1 MiB on a session with 8 MiB outstanding (EXPERIMENTS.md):
+/// nothing dropped or retransmitted at any K up to 512 KiB, ACK drops
+/// and a timeout storm from 1 MiB, `wire_bulk` within 5 % across the
+/// range; 1/64 leaves both limits a factor of four.
+const CE_THRESHOLD_DIV: usize = 64;
+
+/// DCTCP's instantaneous-K rule over one drain of a socket's receive
+/// queue. A drain reads the queue until it is empty, so the bytes read
+/// before a datagram are the queue it arrived behind; it is marked when
+/// they reach the threshold — `mtp_sim::EcnQueue::enqueue`'s rule, in
+/// bytes for packets.
+#[derive(Debug)]
+struct DrainDepth {
+    ahead: usize,
+    threshold: usize,
+}
+
+impl DrainDepth {
+    /// Account a datagram of `len` bytes; whether it is marked.
+    fn arrive(&mut self, len: usize) -> bool {
+        let ce = self.ahead >= self.threshold;
+        self.ahead += len;
+        ce
+    }
+}
+
 fn bind_pathlet_sockets(n: usize) -> io::Result<Vec<BatchSocket>> {
-    (0..n.max(1))
+    (0..n)
         .map(|_| BatchSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0)))
         .collect()
 }
 
+/// Bring `registry`'s kernel-drop count up to what `socks` report now:
+/// datagrams dropped for want of receive-queue room since they were
+/// bound. Nothing where the platform cannot say.
+fn count_kernel_drops(registry: &mut Registry, socks: &[BatchSocket]) {
+    let total: u64 = socks
+        .iter()
+        .filter_map(|sock| sock.meminfo().ok())
+        .map(|info| info.drops as u64)
+        .sum();
+    let counted = registry.get(Metric::WireKernelDrops);
+    registry.count(Metric::WireKernelDrops, total.saturating_sub(counted));
+}
+
 fn invalid<E: std::error::Error + Send + Sync + 'static>(e: E) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, e)
+}
+
+fn count_sent(registry: &mut Registry, report: SendReport) {
+    registry.count(Metric::WireDatagramsTx, report.datagrams as u64);
+    registry.count(Metric::WireSendBatches, report.syscalls as u64);
+    registry.count(Metric::WireSendWouldBlock, report.would_block as u64);
+}
+
+fn count_received(registry: &mut Registry, report: SendReport) {
+    registry.count(Metric::WireDatagramsRx, report.datagrams as u64);
+    registry.count(Metric::WireRecvBatches, report.syscalls as u64);
 }
 
 /// One sealed control frame as its own datagram. Control never shares a
@@ -330,11 +411,13 @@ fn ctrl_datagram(ctrl: &SessionCtrl, budget: usize) -> io::Result<Vec<u8>> {
 
 /// The datagrams one socket is about to send, built in buffers that are
 /// reused turn after turn: frames coalesce into the open datagram until
-/// the budget closes it, and [`flush`](TxQueue::flush) hands the lot to
-/// the kernel and keeps the allocations.
+/// the budget (or a change of destination) closes it, and
+/// [`flush`](TxQueue::flush) hands the lot to the kernel and keeps the
+/// allocations.
 #[derive(Default)]
 struct TxQueue {
-    bufs: Vec<Vec<u8>>,
+    /// `(destination, datagram)`.
+    bufs: Vec<(SocketAddrV4, Vec<u8>)>,
     /// Leading `bufs` holding a datagram of this round.
     used: usize,
 }
@@ -342,39 +425,37 @@ struct TxQueue {
 impl TxQueue {
     fn push_frame(
         &mut self,
+        peer: SocketAddrV4,
         budget: usize,
         hdr: &MtpHeader,
         payload: &[u8],
     ) -> Result<(), FrameError> {
-        if self.used > 0 && append_frame(&mut self.bufs[self.used - 1], budget, hdr, payload)? {
-            return Ok(());
+        if let Some((to, open)) = self.bufs[..self.used].last_mut() {
+            if *to == peer && append_frame(open, budget, hdr, payload)? {
+                return Ok(());
+            }
         }
         if self.used == self.bufs.len() {
-            self.bufs.push(Vec::new());
+            self.bufs.push((peer, Vec::new()));
         }
-        let fresh = &mut self.bufs[self.used];
+        let (to, fresh) = &mut self.bufs[self.used];
+        *to = peer;
         fresh.clear();
         self.used += 1;
         // An empty datagram refuses only what `FrameTooBig` already did.
         append_frame(fresh, budget, hdr, payload).map(drop)
     }
 
-    /// Send everything queued to `peer`, in batches built on the stack.
-    fn flush(
-        &mut self,
-        sock: &BatchSocket,
-        peer: SocketAddrV4,
-        registry: &mut Registry,
-    ) -> io::Result<()> {
+    /// Send everything queued, in batches built on the stack.
+    fn flush(&mut self, sock: &BatchSocket, registry: &mut Registry) -> io::Result<()> {
         let used = std::mem::take(&mut self.used);
+        let nowhere = SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0);
         for chunk in self.bufs[..used].chunks(sys::BATCH) {
-            let mut batch: [(SocketAddrV4, &[u8]); sys::BATCH] = [(peer, &[]); sys::BATCH];
-            for (slot, dgram) in batch.iter_mut().zip(chunk) {
-                slot.1 = dgram;
+            let mut batch: [(SocketAddrV4, &[u8]); sys::BATCH] = [(nowhere, &[]); sys::BATCH];
+            for (slot, (to, dgram)) in batch.iter_mut().zip(chunk) {
+                *slot = (*to, dgram);
             }
-            let report = sock.send_batch(&batch[..chunk.len()])?;
-            registry.count(Metric::WireDatagramsTx, report.datagrams as u64);
-            registry.count(Metric::WireSendBatches, report.syscalls as u64);
+            count_sent(registry, sock.send_batch(&batch[..chunk.len()])?);
         }
         Ok(())
     }
@@ -416,10 +497,13 @@ pub struct SenderSession {
     close_rounds: u32,
     fin_acked: bool,
     completions: Vec<(u64, Time)>,
+    /// Packets the core has released since the last flush: a whole
+    /// turn's worth by the end of [`poll`](SenderSession::poll).
     out_buf: Vec<Packet>,
     ev_buf: Vec<SenderEvent>,
     scratch: Vec<u8>,
-    dgrams: Vec<(Vec<u8>, SocketAddrV4)>,
+    /// The header every received frame is parsed into.
+    rx_hdr: MtpHeader,
     /// Outgoing datagrams per pathlet socket.
     tx: Vec<TxQueue>,
     registry: Registry,
@@ -438,7 +522,9 @@ impl SenderSession {
         let sid = rng.next_u64() | 1;
         let mut s = SenderSession {
             cfg: cfg.clone(),
-            socks: bind_pathlet_sockets(cfg.io.pathlets)?,
+            // The HELLO leaves by the first pathlet's socket; the others
+            // are bound while its answer is on the way.
+            socks: bind_pathlet_sockets(1)?,
             peers: Vec::new(),
             ctrl_peer: server,
             snd: MtpSender::new(
@@ -466,7 +552,7 @@ impl SenderSession {
             out_buf: Vec::new(),
             ev_buf: Vec::new(),
             scratch: Vec::new(),
-            dgrams: Vec::new(),
+            rx_hdr: MtpHeader::default(),
             tx: Vec::new(),
             registry: Registry::new(),
         };
@@ -482,10 +568,7 @@ impl SenderSession {
         ctrl.seq = seq;
         let dgram = ctrl_datagram(&ctrl, self.cfg.io.datagram_budget)?;
         let report = self.socks[0].send_batch(&[(self.ctrl_peer, dgram.as_slice())])?;
-        self.registry
-            .count(Metric::WireDatagramsTx, report.datagrams as u64);
-        self.registry
-            .count(Metric::WireSendBatches, report.syscalls as u64);
+        count_sent(&mut self.registry, report);
         self.registry.count(Metric::WireFramesTx, 1);
         Ok(())
     }
@@ -500,6 +583,15 @@ impl SenderSession {
             self.registry.count(Metric::SessionHelloTx, 1);
             if try_n > 0 {
                 self.registry.count(Metric::SessionHandshakeRetries, 1);
+            }
+            if try_n == 0 {
+                // The answer takes a round trip through the peer: time
+                // to bind the other pathlets and size every send queue.
+                let more = self.cfg.io.pathlets.saturating_sub(1);
+                self.socks.extend(bind_pathlet_sockets(more)?);
+                for sock in &self.socks {
+                    sock.set_send_buffer(SOCKET_BUFFER_ASK)?;
+                }
             }
             // Full jitter on top of the deterministic floor: retries
             // de-synchronize instead of re-colliding with whatever loss
@@ -530,15 +622,11 @@ impl SenderSession {
     /// Drain the control socket during CONNECTING; true once a matching
     /// HELLO-ACK establishes the session.
     fn drain_handshake(&mut self) -> Result<bool, SessionError> {
-        let mut dgrams = std::mem::take(&mut self.dgrams);
-        dgrams.clear();
+        let mut dgrams = Vec::new();
         let report = self.socks[0].recv_batch(self.cfg.io.datagram_budget + 64, &mut dgrams)?;
-        self.registry
-            .count(Metric::WireDatagramsRx, report.datagrams as u64);
-        self.registry
-            .count(Metric::WireRecvBatches, report.syscalls as u64);
+        count_received(&mut self.registry, report);
         let mut established = false;
-        for (bytes, src) in dgrams.drain(..) {
+        for (bytes, src) in dgrams {
             for frame in FrameIter::new(&bytes) {
                 let Ok((FrameKind::Ctrl, body)) = frame else {
                     continue;
@@ -577,7 +665,6 @@ impl SenderSession {
                 established = true;
             }
         }
-        self.dgrams = dgrams;
         Ok(established)
     }
 
@@ -620,7 +707,7 @@ impl SenderSession {
     }
 
     /// Hand an admitted message to the core and transmit what its
-    /// window lets out at once.
+    /// window lets out at once: a submission never waits for a turn.
     fn submit(&mut self, len: u32, src: PayloadSource) -> Result<MsgId, SessionError> {
         let now = self.clock.now();
         let id = self.snd.send_message(
@@ -699,20 +786,22 @@ impl SenderSession {
                 }
             };
             self.tx[p]
-                .push_frame(budget, &hdr, bytes)
+                .push_frame(self.peers[p], budget, &hdr, bytes)
                 .map_err(invalid)?;
             mtp_sim::pool::recycle_header(hdr);
         }
         self.out_buf = pkts;
-        for (p, q) in self.tx.iter_mut().enumerate() {
-            q.flush(&self.socks[p], self.peers[p], &mut self.registry)?;
+        for (q, sock) in self.tx.iter_mut().zip(&self.socks) {
+            q.flush(sock, &mut self.registry)?;
         }
         Ok(())
     }
 
-    /// One non-blocking event-loop turn: drain ACKs and control replies,
-    /// fire the core's timer, probe and police liveness, reap
-    /// completions. Call [`wait`](Self::wait) between turns.
+    /// One non-blocking event-loop turn: drain every socket, feed the
+    /// core its ACKs and control replies, fire its timer, then flush —
+    /// once per pathlet — everything the turn released; probe and police
+    /// liveness, reap completions. Call [`wait`](Self::wait) between
+    /// turns.
     pub fn poll(&mut self) -> Result<(), SessionError> {
         match self.state {
             SessionState::Established | SessionState::Closing => {}
@@ -721,14 +810,17 @@ impl SenderSession {
         self.drain_sockets()?;
         let now = self.clock.now();
         if self.snd.poll_at().is_some_and(|t| t <= now) {
+            let released = self.out_buf.len();
             self.snd.on_timer(now, &mut self.out_buf);
-            if !self.out_buf.is_empty() {
+            if self.out_buf.len() > released {
                 // Route this round of repairs onto the next pathlet: a
                 // dead port's packets must not retry the same hole.
                 self.retx_rr += 1;
             }
-            self.dispatch()?;
         }
+        // What the turn's ACKs, NACKs and timer released leaves together,
+        // filling datagrams to the budget and `sendmmsg` batches to 32.
+        self.dispatch()?;
         self.keepalive()?;
         self.check_liveness()?;
         self.drain_completions();
@@ -736,72 +828,44 @@ impl SenderSession {
     }
 
     fn drain_sockets(&mut self) -> Result<(), SessionError> {
-        let mut dgrams = std::mem::take(&mut self.dgrams);
-        let mut first_err: Option<SessionError> = None;
-        'socks: for p in 0..self.socks.len() {
-            dgrams.clear();
-            let report =
-                match self.socks[p].recv_batch(self.cfg.io.datagram_budget + 64, &mut dgrams) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        first_err = Some(e.into());
-                        break 'socks;
-                    }
-                };
-            self.registry
-                .count(Metric::WireDatagramsRx, report.datagrams as u64);
-            self.registry
-                .count(Metric::WireRecvBatches, report.syscalls as u64);
-            for (bytes, _src) in dgrams.drain(..) {
-                if first_err.is_some() {
-                    continue;
-                }
-                for frame in FrameIter::new(&bytes) {
+        // The sockets are lent to the drain, whose callbacks borrow the
+        // rest of the session; none of them touches `self.socks`.
+        let socks = std::mem::take(&mut self.socks);
+        let max = self.cfg.io.datagram_budget + 64;
+        let drained = socks.iter().try_for_each(|sock| {
+            let report = sock.recv_each(max, |bytes, _src| {
+                for frame in FrameIter::new(bytes) {
                     match frame {
-                        Ok((FrameKind::Mtp, body)) => {
-                            if let Err(e) = self.on_mtp_frame(body) {
-                                first_err = Some(e);
-                                break;
-                            }
-                        }
+                        Ok((FrameKind::Mtp, body)) => self.on_mtp_frame(body),
                         Ok((FrameKind::Ctrl, body)) => self.on_ctrl_frame(body),
-                        Err(_) => {
-                            self.registry.count(Metric::WireParseErrors, 1);
-                        }
+                        Err(_) => self.registry.count(Metric::WireParseErrors, 1),
                     }
                 }
-            }
-            if first_err.is_some() {
-                break 'socks;
-            }
-        }
-        self.dgrams = dgrams;
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+                Ok::<(), io::Error>(())
+            })?;
+            count_received(&mut self.registry, report);
+            Ok::<(), io::Error>(())
+        });
+        self.socks = socks;
+        Ok(drained?)
     }
 
-    fn on_mtp_frame(&mut self, body: &[u8]) -> Result<(), SessionError> {
-        let (hdr, _, _) = match MtpHeader::parse_sealed(body) {
-            Ok(v) => v,
-            Err(_) => {
-                self.registry.count(Metric::WireParseErrors, 1);
-                return Ok(());
-            }
-        };
+    fn on_mtp_frame(&mut self, body: &[u8]) {
+        if self.rx_hdr.parse_sealed_from(body).is_err() {
+            self.registry.count(Metric::WireParseErrors, 1);
+            return;
+        }
         self.registry.count(Metric::WireFramesRx, 1);
         let now = self.clock.now();
         self.last_heard = now;
-        match hdr.pkt_type {
-            PktType::Ack | PktType::Nack => {
-                self.snd.on_ack(now, &hdr, &mut self.out_buf);
-                self.dispatch()?;
-            }
-            PktType::Control => self.snd.on_control(now, &hdr),
+        match self.rx_hdr.pkt_type {
+            // What the ACK releases waits in `out_buf` for the turn's
+            // flush; sending it now would cost a datagram and a system
+            // call per ACK.
+            PktType::Ack | PktType::Nack => self.snd.on_ack(now, &self.rx_hdr, &mut self.out_buf),
+            PktType::Control => self.snd.on_control(now, &self.rx_hdr),
             PktType::Data => {}
         }
-        Ok(())
     }
 
     fn on_ctrl_frame(&mut self, body: &[u8]) {
@@ -944,6 +1008,14 @@ impl SenderSession {
             _ => return Err(SessionError::Closed),
         }
         self.flush(deadline)?;
+        let closed = self.fin_exchange(deadline);
+        // ACK datagrams this end's receive queues overflowed, read once
+        // the session is over.
+        count_kernel_drops(&mut self.registry, &self.socks);
+        closed
+    }
+
+    fn fin_exchange(&mut self, deadline: Instant) -> Result<(), SessionError> {
         self.state = SessionState::Closing;
         let mut rto = self.cfg.handshake_rto;
         for try_n in 0..self.cfg.handshake_tries {
@@ -1098,11 +1170,12 @@ pub struct Listener {
     finished: Vec<SessionReport>,
     died: Option<SessionError>,
     ev_buf: Vec<MsgDelivered>,
-    dgrams: Vec<(Vec<u8>, SocketAddrV4)>,
-    /// ACK datagrams per data socket, and the peer they are owed to.
-    acks: Vec<(TxQueue, SocketAddrV4)>,
-    /// The one-entry feedback list stamped onto each data header.
-    stamp: Vec<PathFeedback>,
+    /// The header every received data frame is parsed into.
+    rx_hdr: MtpHeader,
+    /// ACK datagrams per data socket.
+    acks: Vec<TxQueue>,
+    /// Datagram bytes of queue beyond which an arrival is marked CE.
+    ce_threshold: usize,
     registry: Registry,
 }
 
@@ -1115,16 +1188,25 @@ impl Listener {
     /// Bind a listener whose control socket sits at `ctrl_addr` — how a
     /// restarted peer reappears at the address its clients know.
     pub fn bind_at(cfg: &SessionConfig, ctrl_addr: SocketAddrV4) -> io::Result<Listener> {
-        let socks = bind_pathlet_sockets(cfg.io.pathlets)?;
-        let nowhere = SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0);
+        let socks = bind_pathlet_sockets(cfg.io.pathlets.max(1))?;
+        for sock in &socks {
+            sock.set_recv_buffer(SOCKET_BUFFER_ASK)?;
+        }
+        // Every data socket made the same request under the same sysctl,
+        // so one read-back stands for all. Where the platform cannot say
+        // what a queue holds there is nothing to take a share of, and
+        // nothing is marked.
+        let granted = socks[0].meminfo().map_or(0, |info| info.rcvbuf as usize);
+        let mut registry = Registry::new();
+        registry.gauge_add(Gauge::WireRcvbufBytes, granted as i64);
         Ok(Listener {
             cfg: cfg.clone(),
             ctrl: BatchSocket::bind(ctrl_addr)?,
-            acks: socks
-                .iter()
-                .map(|_| (TxQueue::default(), nowhere))
-                .collect(),
-            stamp: Vec::new(),
+            acks: socks.iter().map(|_| TxQueue::default()).collect(),
+            ce_threshold: match granted {
+                0 => usize::MAX,
+                granted => granted / CE_THRESHOLD_DIV,
+            },
             socks,
             clock: MonotonicClock::new(),
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0x0011_57EA_D1AC_CE97),
@@ -1132,8 +1214,8 @@ impl Listener {
             finished: Vec::new(),
             died: None,
             ev_buf: Vec::new(),
-            dgrams: Vec::new(),
-            registry: Registry::new(),
+            rx_hdr: MtpHeader::default(),
+            registry,
         })
     }
 
@@ -1173,6 +1255,14 @@ impl Listener {
         &self.registry
     }
 
+    /// The marking threshold K: a data frame that arrives behind this
+    /// many datagram bytes of receive queue, or more, is acknowledged as
+    /// congestion-experienced. A fixed share of what the kernel granted
+    /// the data sockets; `usize::MAX` where the platform cannot say.
+    pub fn ce_threshold(&self) -> usize {
+        self.ce_threshold
+    }
+
     /// Reports of sessions that ran to completion (FIN + linger).
     pub fn take_finished(&mut self) -> Vec<SessionReport> {
         std::mem::take(&mut self.finished)
@@ -1181,10 +1271,7 @@ impl Listener {
     fn send_ctrl_to(&mut self, to: SocketAddrV4, ctrl: &SessionCtrl) -> io::Result<()> {
         let dgram = ctrl_datagram(ctrl, self.cfg.io.datagram_budget)?;
         let report = self.ctrl.send_batch(&[(to, dgram.as_slice())])?;
-        self.registry
-            .count(Metric::WireDatagramsTx, report.datagrams as u64);
-        self.registry
-            .count(Metric::WireSendBatches, report.syscalls as u64);
+        count_sent(&mut self.registry, report);
         self.registry.count(Metric::WireFramesTx, 1);
         Ok(())
     }
@@ -1224,19 +1311,19 @@ impl Listener {
         Ok(())
     }
 
-    fn drop_conn(&mut self) {
-        if let Some(conn) = self.conn.take() {
-            self.registry.gauge_add(Gauge::SessionsActive, -1);
-            self.registry
-                .gauge_add(Gauge::SessionReasmBytes, -(conn.reasm_bytes as i64));
-        }
+    /// End the session: release its state and account what the kernel
+    /// dropped at the data sockets while it ran.
+    fn drop_conn(&mut self) -> Option<Conn> {
+        let conn = self.conn.take()?;
+        self.registry.gauge_add(Gauge::SessionsActive, -1);
+        self.registry
+            .gauge_add(Gauge::SessionReasmBytes, -(conn.reasm_bytes as i64));
+        count_kernel_drops(&mut self.registry, &self.socks);
+        Some(conn)
     }
 
     fn finalize_conn(&mut self) {
-        if let Some(conn) = self.conn.take() {
-            self.registry.gauge_add(Gauge::SessionsActive, -1);
-            self.registry
-                .gauge_add(Gauge::SessionReasmBytes, -(conn.reasm_bytes as i64));
+        if let Some(conn) = self.drop_conn() {
             let mut delivered = conn.delivered;
             delivered.sort_unstable();
             self.finished.push(SessionReport {
@@ -1251,16 +1338,14 @@ impl Listener {
     }
 
     fn drain_ctrl(&mut self) -> io::Result<()> {
-        let mut dgrams = std::mem::take(&mut self.dgrams);
-        dgrams.clear();
+        // Control is a handful of datagrams per session and its replies
+        // leave by the socket it came in on: take copies, not loans.
+        let mut dgrams = Vec::new();
         let report = self
             .ctrl
             .recv_batch(self.cfg.io.datagram_budget + 64, &mut dgrams)?;
-        self.registry
-            .count(Metric::WireDatagramsRx, report.datagrams as u64);
-        self.registry
-            .count(Metric::WireRecvBatches, report.syscalls as u64);
-        for (bytes, src) in dgrams.drain(..) {
+        count_received(&mut self.registry, report);
+        for (bytes, src) in dgrams {
             for frame in FrameIter::new(&bytes) {
                 match frame {
                     Ok((FrameKind::Ctrl, body)) => self.on_ctrl_frame(src, body)?,
@@ -1273,7 +1358,6 @@ impl Listener {
                 }
             }
         }
-        self.dgrams = dgrams;
         Ok(())
     }
 
@@ -1417,30 +1501,43 @@ impl Listener {
     }
 
     fn drain_data(&mut self) -> io::Result<()> {
-        let mut dgrams = std::mem::take(&mut self.dgrams);
-        for p in 0..self.socks.len() {
-            dgrams.clear();
-            let report = self.socks[p].recv_batch(self.cfg.io.datagram_budget + 64, &mut dgrams)?;
-            self.registry
-                .count(Metric::WireDatagramsRx, report.datagrams as u64);
-            self.registry
-                .count(Metric::WireRecvBatches, report.syscalls as u64);
-            for (bytes, src) in dgrams.drain(..) {
-                self.on_data_datagram(p, src, &bytes)?;
-            }
+        // The sockets are lent to the drain, whose callbacks borrow the
+        // rest of the listener; none of them touches `self.socks`.
+        let socks = std::mem::take(&mut self.socks);
+        let mut deepest = 0;
+        let drained = socks.iter().enumerate().try_for_each(|(p, sock)| {
+            let mut depth = DrainDepth {
+                ahead: 0,
+                threshold: self.ce_threshold,
+            };
+            let report = sock.recv_each(self.cfg.io.datagram_budget + 64, |bytes, src| {
+                let ce = depth.arrive(bytes.len());
+                self.on_data_datagram(p, src, bytes, ce)
+            })?;
+            count_received(&mut self.registry, report);
+            deepest = deepest.max(depth.ahead);
             // Coalesced ACKs go back out the socket their data arrived on.
-            self.flush_acks(p)?;
-        }
-        self.dgrams = dgrams;
-        Ok(())
+            self.acks[p].flush(sock, &mut self.registry)
+        });
+        self.socks = socks;
+        let was = self.registry.gauge(Gauge::WireDrainBytes);
+        self.registry
+            .gauge_add(Gauge::WireDrainBytes, deepest as i64 - was);
+        drained
     }
 
-    fn flush_acks(&mut self, p: usize) -> io::Result<()> {
-        let (queue, peer) = &mut self.acks[p];
-        queue.flush(&self.socks[p], *peer, &mut self.registry)
-    }
-
-    fn on_data_datagram(&mut self, p: usize, src: SocketAddrV4, bytes: &[u8]) -> io::Result<()> {
+    /// One datagram off data socket `p`; `ce` says it arrived behind a
+    /// queue at or beyond the marking threshold.
+    fn on_data_datagram(
+        &mut self,
+        p: usize,
+        src: SocketAddrV4,
+        bytes: &[u8],
+        ce: bool,
+    ) -> io::Result<()> {
+        // Every frame is parsed into the one header, whose lists keep
+        // their capacity (an early return forfeits only that).
+        let mut hdr = std::mem::take(&mut self.rx_hdr);
         for frame in FrameIter::new(bytes) {
             let body = match frame {
                 Ok((FrameKind::Mtp, body)) => body,
@@ -1454,7 +1551,7 @@ impl Listener {
                     break;
                 }
             };
-            let (mut hdr, used, payload_ok) = match MtpHeader::parse_sealed(body) {
+            let (used, payload_ok) = match hdr.parse_sealed_from(body) {
                 Ok(v) => v,
                 Err(_) => {
                     self.registry.count(Metric::WireParseErrors, 1);
@@ -1503,20 +1600,19 @@ impl Listener {
             }
             let now = self.clock.now();
             conn.last_heard = now;
-            // This driver is the first-hop network: stamp which pathlet
-            // (socket) the packet actually used, so the sender's
-            // per-pathlet controllers attribute feedback to real ports.
-            // The stamp goes in a list kept across frames (a parsed
-            // header's own starts without capacity).
-            std::mem::swap(&mut hdr.path_feedback, &mut self.stamp);
+            // This driver is the pathlet's last hop: it stamps which
+            // pathlet (socket) the packet actually used, so the sender's
+            // per-pathlet controllers attribute feedback to real ports,
+            // and whether the packet found that socket's queue congested.
+            // The receiver core echoes the stamp in its ACK.
             hdr.path_feedback.clear();
             hdr.path_feedback.push(PathFeedback {
                 path: PathletId(p as u16),
                 tc: hdr.tc,
-                feedback: Feedback::EcnMark { ce: false },
+                feedback: Feedback::EcnMark { ce },
             });
+            self.registry.count(Metric::WireCeMarked, ce as u64);
             let (ack, newly) = conn.recv.on_data(now, &hdr, EcnCodepoint::Ect0);
-            std::mem::swap(&mut hdr.path_feedback, &mut self.stamp);
             if newly > 0 {
                 if msg_new {
                     conn.reasm_bytes += hdr.msg_len_bytes as u64;
@@ -1534,6 +1630,7 @@ impl Listener {
             self.queue_ack(p, src, ack)?;
             self.drain_deliveries();
         }
+        self.rx_hdr = hdr;
         Ok(())
     }
 
@@ -1541,15 +1638,8 @@ impl Listener {
         let Headers::Mtp(ack_hdr) = ack.headers else {
             return Ok(());
         };
-        if self.acks[p].1 != peer {
-            // ACKs owed to another source leave before this one's queue.
-            self.flush_acks(p)?;
-            self.acks[p].1 = peer;
-        }
-        let budget = self.cfg.io.datagram_budget;
         self.acks[p]
-            .0
-            .push_frame(budget, &ack_hdr, &[])
+            .push_frame(peer, self.cfg.io.datagram_budget, &ack_hdr, &[])
             .map_err(invalid)?;
         self.registry.count(Metric::WireFramesTx, 1);
         mtp_sim::pool::recycle_header(ack_hdr);
@@ -1615,5 +1705,40 @@ impl Listener {
             }
             self.wait(std::time::Duration::from_millis(5))?;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Which datagrams of a hand-built drain the rule marks.
+    fn marks(threshold: usize, drain: &[usize]) -> Vec<bool> {
+        let mut depth = DrainDepth {
+            ahead: 0,
+            threshold,
+        };
+        drain.iter().map(|&len| depth.arrive(len)).collect()
+    }
+
+    /// The rule is `EcnQueue`'s: marked when the queue *ahead* has
+    /// reached K, so the datagram that crosses K is still clean and the
+    /// one that finds exactly K ahead is not.
+    #[test]
+    fn a_datagram_is_marked_when_the_queue_ahead_reaches_the_threshold() {
+        // Below: 2 999 bytes ahead of the last one.
+        assert_eq!(marks(3_000, &[1_000, 1_999, 500]), [false; 3]);
+        // At: exactly 3 000 ahead.
+        assert_eq!(marks(3_000, &[1_000, 2_000, 500]), [false, false, true]);
+        // Above, and everything behind it.
+        assert_eq!(
+            marks(3_000, &[9_000, 100, 100]),
+            [false, true, true],
+            "the head of a drain found an empty queue, whatever its size"
+        );
+        // An empty drain marks nothing and has no depth.
+        assert_eq!(marks(3_000, &[]), [false; 0]);
+        // A platform that cannot size its queue marks nothing.
+        assert_eq!(marks(usize::MAX, &[1 << 30, 1 << 30, 1]), [false; 3]);
     }
 }

@@ -1,10 +1,10 @@
 //! Nonblocking batch UDP sockets.
 //!
-//! [`BatchSocket`] wraps a `std::net::UdpSocket` in nonblocking mode and
-//! moves datagrams in batches: `sendmmsg`/`recvmmsg` where the platform
-//! provides them (see [`crate::sys`]), plain `send_to`/`recv_from`
-//! loops everywhere else; the platform alone picks the path. The
-//! driver never blocks in a socket call; it blocks only in
+//! [`BatchSocket`] wraps a `std::net::UdpSocket` and moves datagrams in
+//! batches without ever blocking: `sendmmsg`/`recvmmsg` with
+//! `MSG_DONTWAIT` where the platform provides them (see [`crate::sys`]),
+//! plain `send_to`/`recv_from` loops on a nonblocking socket everywhere
+//! else; the platform alone picks the path. The driver blocks only in
 //! [`wait_readable`], with a timeout derived from the endpoint cores'
 //! `poll_at()` deadlines.
 
@@ -13,26 +13,30 @@ use std::io;
 use std::net::{Ipv4Addr, SocketAddrV4, UdpSocket};
 use std::time::Duration;
 
-use crate::sys::{self, RecvSlot};
+use crate::sys::{self, MemInfo, RecvSlot};
 
 thread_local! {
     /// Reusable receive scratch, per thread: the `recvmmsg` slot array
     /// and the fallback datagram buffer. Sized to the largest `max_size`
     /// a thread has asked for and reused forever after — allocating
-    /// `BATCH × max_size` fresh per [`BatchSocket::recv_batch`] call
+    /// `BATCH × max_size` fresh per [`BatchSocket::recv_each`] call
     /// would dominate the process's transient heap (32 × 64 KiB = 2 MiB
-    /// per poll round).
+    /// per poll round). A drain takes the scratch out for its duration,
+    /// so a callback that itself receives gets a fresh one.
     static RECV_SLOTS: RefCell<Vec<RecvSlot>> = const { RefCell::new(Vec::new()) };
     static RECV_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-/// What one [`BatchSocket::send_batch`] call did, for telemetry.
+/// What one [`BatchSocket::send_batch`] or drain did, for telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SendReport {
-    /// Datagrams handed to the kernel.
+    /// Datagrams handed to (or taken from) the kernel.
     pub datagrams: usize,
     /// Syscalls it took.
     pub syscalls: usize,
+    /// Sends the kernel refused for want of send-queue room, each
+    /// retried after a yield.
+    pub would_block: usize,
 }
 
 /// A nonblocking UDP socket that sends and receives in batches.
@@ -43,13 +47,68 @@ pub struct BatchSocket {
 }
 
 impl BatchSocket {
-    /// Bind a nonblocking socket to `addr` (use port 0 for an ephemeral
-    /// port; read it back with [`BatchSocket::local_addr`]).
+    /// Bind a socket to `addr` (use port 0 for an ephemeral port; read
+    /// it back with [`BatchSocket::local_addr`]). Its queues are the
+    /// host's default size until [`set_recv_buffer`](Self::set_recv_buffer)
+    /// or [`set_send_buffer`](Self::set_send_buffer) says otherwise.
     pub fn bind(addr: SocketAddrV4) -> io::Result<BatchSocket> {
         let sock = UdpSocket::bind(addr)?;
-        sock.set_nonblocking(true)?;
         let use_mmsg = cfg!(target_os = "linux");
+        if !use_mmsg {
+            sock.set_nonblocking(true)?;
+        }
         Ok(BatchSocket { sock, use_mmsg })
+    }
+
+    #[cfg(target_os = "linux")]
+    fn fd(&self) -> std::os::fd::RawFd {
+        use std::os::fd::AsRawFd;
+        self.sock.as_raw_fd()
+    }
+
+    /// Ask the kernel for a receive queue of `bytes`. It grants what the
+    /// host allows ([`meminfo`](Self::meminfo) says how much); where the
+    /// platform has no such call the socket keeps the host's default.
+    pub fn set_recv_buffer(&self, bytes: usize) -> io::Result<()> {
+        #[cfg(target_os = "linux")]
+        {
+            sys::set_recv_buffer(self.fd(), bytes)
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = bytes;
+            Ok(())
+        }
+    }
+
+    /// Ask the kernel for a send queue of `bytes`; as
+    /// [`set_recv_buffer`](Self::set_recv_buffer).
+    pub fn set_send_buffer(&self, bytes: usize) -> io::Result<()> {
+        #[cfg(target_os = "linux")]
+        {
+            sys::set_send_buffer(self.fd(), bytes)
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            let _ = bytes;
+            Ok(())
+        }
+    }
+
+    /// The queue sizes the kernel granted and the datagrams it has
+    /// dropped at this socket so far; `Unsupported` off Linux.
+    pub fn meminfo(&self) -> io::Result<MemInfo> {
+        #[cfg(target_os = "linux")]
+        {
+            sys::meminfo(self.fd())
+        }
+        #[cfg(not(target_os = "linux"))]
+        {
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "SO_MEMINFO is Linux-only",
+            ))
+        }
     }
 
     /// The bound local address.
@@ -70,43 +129,37 @@ impl BatchSocket {
     }
 
     /// Transmit every datagram, batching where possible. `WouldBlock`
-    /// mid-batch retries after a brief yield: loopback socket buffers
-    /// drain in microseconds and the driver has nothing better to do
-    /// than deliver what the cores already emitted.
+    /// mid-batch retries after a brief yield (and is counted): loopback
+    /// socket buffers drain in microseconds and the driver has nothing
+    /// better to do than deliver what the cores already emitted.
     pub fn send_batch(&self, dgrams: &[(SocketAddrV4, &[u8])]) -> io::Result<SendReport> {
         let mut report = SendReport::default();
         let mut rest = dgrams;
         while !rest.is_empty() {
             let sent = if self.use_mmsg {
-                match self.send_once_mmsg(rest) {
-                    Ok(n) => n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
+                self.send_once_mmsg(rest)
             } else {
-                match self.sock.send_to(rest[0].1, rest[0].0) {
-                    Ok(_) => 1,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        std::thread::yield_now();
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
+                self.sock.send_to(rest[0].1, rest[0].0).map(|_| 1)
             };
-            report.datagrams += sent;
-            report.syscalls += 1;
-            rest = &rest[sent..];
+            match sent {
+                Ok(n) => {
+                    report.datagrams += n;
+                    report.syscalls += 1;
+                    rest = &rest[n..];
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    report.would_block += 1;
+                    std::thread::yield_now();
+                }
+                Err(e) => return Err(e),
+            }
         }
         Ok(report)
     }
 
     #[cfg(target_os = "linux")]
     fn send_once_mmsg(&self, dgrams: &[(SocketAddrV4, &[u8])]) -> io::Result<usize> {
-        use std::os::fd::AsRawFd;
-        sys::send_batch(self.sock.as_raw_fd(), dgrams)
+        sys::send_batch(self.fd(), dgrams)
     }
 
     #[cfg(not(target_os = "linux"))]
@@ -114,65 +167,87 @@ impl BatchSocket {
         unreachable!("use_mmsg is never set off Linux")
     }
 
-    /// Drain everything currently readable into `out`, receiving up to
-    /// `max_size`-byte datagrams. Returns `(datagrams, syscalls)` —
-    /// zero datagrams simply means nothing was pending.
+    /// Drain everything currently readable, lending each datagram to
+    /// `each` in arrival order out of buffers that are reused from call
+    /// to call (datagrams longer than `max_size` are truncated to it).
+    /// The queue is read until it is empty, so the bytes lent before a
+    /// datagram in one call are the depth of queue it arrived behind.
+    /// An error from `each` ends the drain and is returned; what was
+    /// still queued stays queued. Zero datagrams simply means nothing
+    /// was pending.
+    pub fn recv_each<E: From<io::Error>>(
+        &self,
+        max_size: usize,
+        mut each: impl FnMut(&[u8], SocketAddrV4) -> Result<(), E>,
+    ) -> Result<SendReport, E> {
+        let mut report = SendReport::default();
+        if self.use_mmsg {
+            let mut slots = RECV_SLOTS.take();
+            if slots.len() < sys::BATCH || slots[0].buf.len() < max_size {
+                slots = (0..sys::BATCH)
+                    .map(|_| RecvSlot::with_capacity(max_size))
+                    .collect();
+            }
+            let drained = loop {
+                match self.recv_once_mmsg(&mut slots) {
+                    Ok(n) => {
+                        report.datagrams += n;
+                        report.syscalls += 1;
+                        if let Some(e) = slots[..n]
+                            .iter()
+                            .find_map(|slot| each(slot.bytes(), slot.addr).err())
+                        {
+                            break Err(e);
+                        }
+                        if n < sys::BATCH {
+                            break Ok(report);
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(report),
+                    Err(e) => break Err(e.into()),
+                }
+            };
+            RECV_SLOTS.set(slots);
+            return drained;
+        }
+        let mut buf = RECV_BUF.take();
+        if buf.len() < max_size {
+            buf.resize(max_size, 0);
+        }
+        let drained = loop {
+            match self.sock.recv_from(&mut buf) {
+                Ok((len, std::net::SocketAddr::V4(src))) => {
+                    report.datagrams += 1;
+                    report.syscalls += 1;
+                    if let Err(e) = each(&buf[..len], src) {
+                        break Err(e);
+                    }
+                }
+                Ok((_, std::net::SocketAddr::V6(_))) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(report),
+                Err(e) => break Err(e.into()),
+            }
+        };
+        RECV_BUF.set(buf);
+        drained
+    }
+
+    /// [`recv_each`](Self::recv_each) for callers that keep the
+    /// datagrams: each is copied into `out` with its source.
     pub fn recv_batch(
         &self,
         max_size: usize,
         out: &mut Vec<(Vec<u8>, SocketAddrV4)>,
     ) -> io::Result<SendReport> {
-        let mut report = SendReport::default();
-        if self.use_mmsg {
-            return RECV_SLOTS.with(|cell| {
-                let mut slots = cell.borrow_mut();
-                if slots.len() < sys::BATCH || slots[0].buf.len() < max_size {
-                    *slots = (0..sys::BATCH)
-                        .map(|_| RecvSlot::with_capacity(max_size))
-                        .collect();
-                }
-                loop {
-                    match self.recv_once_mmsg(&mut slots) {
-                        Ok(n) => {
-                            report.datagrams += n;
-                            report.syscalls += 1;
-                            for slot in slots.iter().take(n) {
-                                out.push((slot.bytes().to_vec(), slot.addr));
-                            }
-                            if n < sys::BATCH {
-                                return Ok(report);
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(report),
-                        Err(e) => return Err(e),
-                    }
-                }
-            });
-        }
-        RECV_BUF.with(|cell| {
-            let mut buf = cell.borrow_mut();
-            if buf.len() < max_size {
-                buf.resize(max_size, 0);
-            }
-            loop {
-                match self.sock.recv_from(&mut buf) {
-                    Ok((len, std::net::SocketAddr::V4(src))) => {
-                        report.datagrams += 1;
-                        report.syscalls += 1;
-                        out.push((buf[..len].to_vec(), src));
-                    }
-                    Ok((_, std::net::SocketAddr::V6(_))) => {}
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(report),
-                    Err(e) => return Err(e),
-                }
-            }
+        self.recv_each(max_size, |bytes, src| {
+            out.push((bytes.to_vec(), src));
+            Ok(())
         })
     }
 
     #[cfg(target_os = "linux")]
     fn recv_once_mmsg(&self, slots: &mut [RecvSlot]) -> io::Result<usize> {
-        use std::os::fd::AsRawFd;
-        sys::recv_batch(self.sock.as_raw_fd(), slots)
+        sys::recv_batch(self.fd(), slots)
     }
 
     #[cfg(not(target_os = "linux"))]
@@ -191,8 +266,7 @@ pub fn wait_readable<'a>(
     let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
     #[cfg(target_os = "linux")]
     {
-        use std::os::fd::AsRawFd;
-        let fds: Vec<_> = socks.into_iter().map(|s| s.sock.as_raw_fd()).collect();
+        let fds: Vec<_> = socks.into_iter().map(BatchSocket::fd).collect();
         sys::poll_readable(&fds, timeout_ms)
     }
     #[cfg(not(target_os = "linux"))]
@@ -254,6 +328,7 @@ mod tests {
                 let mut s = BatchSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0)).unwrap();
                 if force {
                     s.use_mmsg = false;
+                    s.sock.set_nonblocking(true).unwrap();
                 }
                 s
             };

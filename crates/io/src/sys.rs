@@ -1,4 +1,5 @@
-//! Raw syscall bindings: `sendmmsg`, `recvmmsg`, and `poll`.
+//! Raw syscall bindings: `sendmmsg`, `recvmmsg`, `poll`, and the socket
+//! buffer options.
 //!
 //! The workspace vendors no `libc` crate, so the handful of kernel
 //! interfaces the wire driver needs beyond `std::net::UdpSocket` are
@@ -34,6 +35,19 @@ pub struct RecvSlot {
     pub addr: SocketAddrV4,
 }
 
+/// What `getsockopt(SO_MEMINFO)` says about a socket's buffers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemInfo {
+    /// Receive-queue limit the kernel granted, in bytes of what it
+    /// charges a datagram (its buffer's true size, not its length).
+    pub rcvbuf: u32,
+    /// Send-queue limit the kernel granted, same unit.
+    pub sndbuf: u32,
+    /// Datagrams the socket has dropped since it was created, for want
+    /// of receive-queue room.
+    pub drops: u32,
+}
+
 impl RecvSlot {
     /// A slot able to receive datagrams up to `capacity` bytes.
     pub fn with_capacity(capacity: usize) -> RecvSlot {
@@ -52,13 +66,25 @@ impl RecvSlot {
 
 #[cfg(target_os = "linux")]
 mod linux {
-    use super::{RecvSlot, BATCH};
+    use super::{MemInfo, RecvSlot, BATCH};
     use std::io;
     use std::net::SocketAddrV4;
     use std::os::fd::RawFd;
 
     const AF_INET: u16 = 2;
     const POLLIN: i16 = 0x001;
+    /// Per-call nonblocking: the sockets themselves stay in blocking
+    /// mode, which saves one `ioctl(FIONBIO)` per socket at bind.
+    const MSG_DONTWAIT: i32 = 0x40;
+    const SOL_SOCKET: i32 = 1;
+    const SO_SNDBUF: i32 = 7;
+    const SO_RCVBUF: i32 = 8;
+    const SO_MEMINFO: i32 = 55;
+    /// Indices into `SO_MEMINFO`'s `u32` array (`SK_MEMINFO_*`).
+    const SK_MEMINFO_RCVBUF: usize = 1;
+    const SK_MEMINFO_SNDBUF: usize = 3;
+    const SK_MEMINFO_DROPS: usize = 8;
+    const SK_MEMINFO_VARS: usize = 9;
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -136,6 +162,8 @@ mod linux {
             timeout: *mut u8, // struct timespec*; always null here
         ) -> i32;
         fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
+        fn setsockopt(sockfd: i32, level: i32, name: i32, val: *const u8, len: u32) -> i32;
+        fn getsockopt(sockfd: i32, level: i32, name: i32, val: *mut u8, len: *mut u32) -> i32;
     }
 
     /// Transmit up to [`BATCH`] datagrams in one syscall. Returns how
@@ -175,7 +203,7 @@ mod linux {
         // SAFETY: every pointer in `hdrs` targets a live stack array or
         // a caller slice that outlives the call; vlen == n bounds the
         // kernel's reads to initialized entries.
-        let rc = unsafe { sendmmsg(fd, hdrs.as_mut_ptr(), n as u32, 0) };
+        let rc = unsafe { sendmmsg(fd, hdrs.as_mut_ptr(), n as u32, MSG_DONTWAIT) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -184,8 +212,8 @@ mod linux {
 
     /// Receive up to `slots.len().min(BATCH)` datagrams in one syscall.
     /// Returns how many slots were filled; 0 means nothing ready is NOT
-    /// possible (the kernel reports `EAGAIN` instead on a nonblocking
-    /// socket, surfaced as `WouldBlock`).
+    /// possible (the kernel reports `EAGAIN` instead, surfaced as
+    /// `WouldBlock`).
     pub fn recv_batch(fd: RawFd, slots: &mut [RecvSlot]) -> io::Result<usize> {
         let n = slots.len().min(BATCH);
         let mut addrs = [SockaddrIn::zeroed(); BATCH];
@@ -217,7 +245,15 @@ mod linux {
         }
         // SAFETY: as in `send_batch`; buffers are distinct `Vec`s so the
         // kernel's writes cannot alias.
-        let rc = unsafe { recvmmsg(fd, hdrs.as_mut_ptr(), n as u32, 0, std::ptr::null_mut()) };
+        let rc = unsafe {
+            recvmmsg(
+                fd,
+                hdrs.as_mut_ptr(),
+                n as u32,
+                MSG_DONTWAIT,
+                std::ptr::null_mut(),
+            )
+        };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -253,10 +289,66 @@ mod linux {
         }
         Ok(rc > 0)
     }
+
+    fn set_buffer(fd: RawFd, name: i32, bytes: usize) -> io::Result<()> {
+        let val = i32::try_from(bytes).unwrap_or(i32::MAX);
+        // SAFETY: `val` is a live `int`, which is what both options take.
+        let rc = unsafe {
+            setsockopt(
+                fd,
+                SOL_SOCKET,
+                name,
+                (&val as *const i32).cast(),
+                std::mem::size_of::<i32>() as u32,
+            )
+        };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Ask for a receive queue of `bytes` (`SO_RCVBUF`). The kernel caps
+    /// the request at `net.core.rmem_max` and doubles it; read what it
+    /// granted with [`meminfo`].
+    pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+        set_buffer(fd, SO_RCVBUF, bytes)
+    }
+
+    /// Ask for a send queue of `bytes` (`SO_SNDBUF`; capped at
+    /// `net.core.wmem_max`, doubled).
+    pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
+        set_buffer(fd, SO_SNDBUF, bytes)
+    }
+
+    /// The socket's granted buffer sizes and its drop count, in one call.
+    pub fn meminfo(fd: RawFd) -> io::Result<MemInfo> {
+        let mut vars = [0u32; SK_MEMINFO_VARS];
+        let mut len = std::mem::size_of_val(&vars) as u32;
+        // SAFETY: `vars` is a live array of `len` bytes; the kernel
+        // writes at most `len` and reports how much it wrote.
+        let rc = unsafe {
+            getsockopt(
+                fd,
+                SOL_SOCKET,
+                SO_MEMINFO,
+                vars.as_mut_ptr().cast(),
+                &mut len,
+            )
+        };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(MemInfo {
+            rcvbuf: vars[SK_MEMINFO_RCVBUF],
+            sndbuf: vars[SK_MEMINFO_SNDBUF],
+            drops: vars[SK_MEMINFO_DROPS],
+        })
+    }
 }
 
 #[cfg(target_os = "linux")]
-pub use linux::{poll_readable, recv_batch, send_batch};
+pub use linux::{meminfo, poll_readable, recv_batch, send_batch, set_recv_buffer, set_send_buffer};
 
 #[cfg(not(target_os = "linux"))]
 mod portable {

@@ -1,0 +1,63 @@
+//! What the single-thread loopback tests share: a helper thread for the
+//! two blocking calls, and the exactly-once check of a finished session.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use mtp_io::{payload, Listener, SessionReport};
+use mtp_wire::MsgId;
+
+/// Serve `listener` on a helper thread while `call` blocks on this one
+/// (`connect` and `close` need their peer answered).
+pub fn served<T>(listener: &mut Listener, call: impl FnOnce() -> T) -> T {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let helper = s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                listener.poll_once().expect("listener turn");
+                std::thread::yield_now();
+            }
+        });
+        let value = call();
+        stop.store(true, Ordering::Relaxed);
+        helper.join().expect("listener helper");
+        value
+    })
+}
+
+/// `report` delivered messages `base .. base + messages`, each of
+/// `msg_len` bytes of [`payload::fill`] content, exactly once.
+pub fn assert_exactly_once(
+    ctx: &str,
+    base: u64,
+    messages: usize,
+    msg_len: usize,
+    report: &SessionReport,
+) {
+    let want: Vec<(u64, u32)> = (0..messages as u64)
+        .map(|k| (base + k, msg_len as u32))
+        .collect();
+    assert_eq!(report.delivered, want, "{ctx}: delivered ledger");
+    assert_eq!(
+        report.goodput,
+        (messages * msg_len) as u64,
+        "{ctx}: goodput"
+    );
+    let mut scratch = Vec::new();
+    let expected: Vec<(u64, u32, u64)> = want
+        .iter()
+        .map(|&(id, len)| {
+            (
+                id,
+                len,
+                payload::synth_message_digest(MsgId(id), len, &mut scratch),
+            )
+        })
+        .collect();
+    let mut got = report.digests.clone();
+    got.sort_unstable();
+    assert_eq!(
+        payload::content_digest(&got),
+        payload::content_digest(&expected),
+        "{ctx}: content digest of what was delivered"
+    );
+}

@@ -21,13 +21,13 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+mod common;
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use mtp_io::{
-    loopback_available, payload, Listener, SenderSession, SessionConfig, SessionError,
-    SessionReport,
-};
+use common::{assert_exactly_once, served};
+use mtp_io::{loopback_available, payload, Listener, SenderSession, SessionConfig, SessionError};
 use mtp_sim::time::Duration as SimDuration;
 use mtp_wire::MsgId;
 
@@ -71,24 +71,6 @@ const WARMUP_SAMPLES: usize = 4;
 /// The never-pruned sender slab alone added as much again.
 const HEAP_PER_KMSG: usize = 128 * 1024;
 const WALL: Duration = Duration::from_secs(120);
-
-/// Serve `listener` on a helper thread while `call` blocks on this one
-/// (`connect` and `close` need their peer answered).
-fn served<T>(listener: &mut Listener, call: impl FnOnce() -> T) -> T {
-    let stop = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let helper = s.spawn(|| {
-            while !stop.load(Ordering::Relaxed) {
-                listener.poll_once().expect("listener turn");
-                std::thread::yield_now();
-            }
-        });
-        let value = call();
-        stop.store(true, Ordering::Relaxed);
-        helper.join().expect("listener helper");
-        value
-    })
-}
 
 fn message(id: u64) -> Vec<u8> {
     let mut buf = vec![0u8; MSG_LEN];
@@ -181,7 +163,7 @@ fn session_state_and_heap_stay_flat_over_20k_messages() {
         .pop()
         .expect("one finished session");
 
-    assert_exactly_once(base, &report);
+    assert_exactly_once("session_age", base, MESSAGES, MSG_LEN, &report);
     // A message stuck behind a lost datagram keeps its successors'
     // records resident until it is repaired; loopback loses nothing
     // unless the kernel's buffers overflow, which the counters show.
@@ -211,31 +193,5 @@ fn session_state_and_heap_stay_flat_over_20k_messages() {
     assert!(
         per_kmsg <= HEAP_PER_KMSG,
         "live heap grew {per_kmsg} B per {SAMPLE_EVERY} messages (bound {HEAP_PER_KMSG} B)"
-    );
-}
-
-fn assert_exactly_once(base: u64, report: &SessionReport) {
-    let want: Vec<(u64, u32)> = (0..MESSAGES as u64)
-        .map(|k| (base + k, MSG_LEN as u32))
-        .collect();
-    assert_eq!(report.delivered, want, "delivered ledger");
-    assert_eq!(report.goodput, (MESSAGES * MSG_LEN) as u64);
-    let mut scratch = Vec::new();
-    let expected: Vec<(u64, u32, u64)> = want
-        .iter()
-        .map(|&(id, len)| {
-            (
-                id,
-                len,
-                payload::synth_message_digest(MsgId(id), len, &mut scratch),
-            )
-        })
-        .collect();
-    let mut got = report.digests.clone();
-    got.sort_unstable();
-    assert_eq!(
-        payload::content_digest(&got),
-        payload::content_digest(&expected),
-        "content digest of what was delivered"
     );
 }

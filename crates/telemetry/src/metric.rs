@@ -94,6 +94,9 @@ define_ids!(
     (WireRecvBatches, "wire_recv_batches", "Receive syscalls that returned at least one datagram."),
     (WireParseErrors, "wire_parse_errors", "Frames rejected by the sealed-header parse on receive."),
     (WirePayloadCsumFail, "wire_payload_csum_fail", "Frames whose header verified but whose payload checksum did not."),
+    (WireSendWouldBlock, "wire_send_would_block", "Sends the kernel refused for want of send-queue room, each retried after a yield."),
+    (WireKernelDrops, "wire_kernel_drops", "Datagrams the kernel dropped at this end's data sockets for want of receive-queue room (SO_MEMINFO, read when a session ends)."),
+    (WireCeMarked, "wire_ce_marked", "Data frames a listener stamped congestion-experienced: they arrived behind more queued bytes than its marking threshold."),
     // ---- wire sessions ---------------------------------------------------
     //
     // The session lifecycle layer in `mtp-io`: handshake, liveness,
@@ -121,6 +124,8 @@ define_ids!(
     (MsgsInFlight, "msgs_in_flight", "Messages admitted at senders and not yet completed."),
     (SessionsActive, "sessions_active", "Wire sessions currently established (or lingering in TIME-WAIT)."),
     (SessionReasmBytes, "session_reasm_bytes", "Reassembly bytes currently held by a wire listener, governed by its admission cap."),
+    (WireRcvbufBytes, "wire_rcvbuf_bytes", "Receive queue the kernel granted each of a listener's data sockets, in bytes as the kernel charges them."),
+    (WireDrainBytes, "wire_drain_bytes", "Deepest data-socket receive queue a listener's latest turn drained, in datagram bytes."),
 );
 
 define_ids!(

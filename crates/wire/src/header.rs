@@ -336,6 +336,18 @@ impl MtpHeader {
     /// corrupted flags byte cannot disguise a damaged header as a
     /// checksum-free legacy one.
     pub fn parse_sealed(buf: &[u8]) -> Result<(MtpHeader, usize, bool), WireError> {
+        let mut hdr = MtpHeader::default();
+        let (used, payload_ok) = hdr.parse_sealed_from(buf)?;
+        Ok((hdr, used, payload_ok))
+    }
+
+    /// [`parse_sealed`](Self::parse_sealed) into a header the caller
+    /// owns: every field is overwritten and the list sections keep their
+    /// capacity, so a receive loop that parses frame after frame into one
+    /// header allocates nothing once the lists have grown. Returns the
+    /// bytes consumed and whether the payload checksum matched; on error
+    /// the header's contents are unspecified.
+    pub fn parse_sealed_from(&mut self, buf: &[u8]) -> Result<(usize, bool), WireError> {
         if buf.len() < FIXED_HEADER_LEN {
             return Err(WireError::Truncated {
                 needed: FIXED_HEADER_LEN,
@@ -353,7 +365,7 @@ impl MtpHeader {
         // region matches. The CRC is recomputed by streaming the buffer
         // around bytes 42–43 (zero at sealing time), so no scratch copy
         // of the header is ever made.
-        let (hdr, used) = MtpHeader::parse_inner(buf, true)?;
+        let used = self.parse_inner(buf, true)?;
         let stored_crc = u16::from_be_bytes([buf[42], buf[43]]);
         let mut crc = crate::integrity::Crc16::new();
         crc.update(&buf[..42]);
@@ -371,21 +383,23 @@ impl MtpHeader {
         }
         let stored_csum =
             u32::from_be_bytes([buf[used], buf[used + 1], buf[used + 2], buf[used + 3]]);
-        let payload_ok = stored_csum == hdr.payload_csum();
-        Ok((hdr, need, payload_ok))
+        Ok((need, stored_csum == self.payload_csum()))
     }
 
     /// Parse a header from the front of `buf`. Returns the header and the
     /// number of bytes it occupied.
     pub fn parse(buf: &[u8]) -> Result<(MtpHeader, usize), WireError> {
-        Self::parse_inner(buf, false)
+        let mut hdr = MtpHeader::default();
+        let used = hdr.parse_inner(buf, false)?;
+        Ok((hdr, used))
     }
 
     /// The shared structural walk behind [`parse`](Self::parse) and
-    /// [`parse_sealed`](Self::parse_sealed). When `sealed` is set, bytes
-    /// 41–43 are the caller's responsibility (integrity flags + CRC);
-    /// otherwise they must be zero, as the legacy form requires.
-    fn parse_inner(buf: &[u8], sealed: bool) -> Result<(MtpHeader, usize), WireError> {
+    /// [`parse_sealed_from`](Self::parse_sealed_from), filling `self`.
+    /// When `sealed` is set, bytes 41–43 are the caller's responsibility
+    /// (integrity flags + CRC); otherwise they must be zero, as the
+    /// legacy form requires.
+    fn parse_inner(&mut self, buf: &[u8], sealed: bool) -> Result<usize, WireError> {
         if buf.len() < FIXED_HEADER_LEN {
             return Err(WireError::Truncated {
                 needed: FIXED_HEADER_LEN,
@@ -396,24 +410,27 @@ impl MtpHeader {
         if !sealed && (buf[41] != 0 || buf[42] != 0 || buf[43] != 0) {
             return Err(WireError::BadReserved);
         }
-        let mut hdr = MtpHeader {
-            src_port: u16::from_be_bytes([buf[0], buf[1]]),
-            dst_port: u16::from_be_bytes([buf[2], buf[3]]),
-            pkt_type,
-            msg_pri: buf[5],
-            tc: TrafficClass(buf[6]),
-            flags: buf[7],
-            msg_id: MsgId(u64::from_be_bytes([
-                buf[8], buf[9], buf[10], buf[11], buf[12], buf[13], buf[14], buf[15],
-            ])),
-            entity: EntityId(u16::from_be_bytes([buf[16], buf[17]])),
-            msg_len_pkts: u32::from_be_bytes([buf[18], buf[19], buf[20], buf[21]]),
-            msg_len_bytes: u32::from_be_bytes([buf[22], buf[23], buf[24], buf[25]]),
-            pkt_num: PktNum(u32::from_be_bytes([buf[26], buf[27], buf[28], buf[29]])),
-            pkt_len: u16::from_be_bytes([buf[30], buf[31]]),
-            pkt_offset: u32::from_be_bytes([buf[32], buf[33], buf[34], buf[35]]),
-            ..MtpHeader::default()
-        };
+        let hdr = self;
+        hdr.src_port = u16::from_be_bytes([buf[0], buf[1]]);
+        hdr.dst_port = u16::from_be_bytes([buf[2], buf[3]]);
+        hdr.pkt_type = pkt_type;
+        hdr.msg_pri = buf[5];
+        hdr.tc = TrafficClass(buf[6]);
+        hdr.flags = buf[7];
+        hdr.msg_id = MsgId(u64::from_be_bytes([
+            buf[8], buf[9], buf[10], buf[11], buf[12], buf[13], buf[14], buf[15],
+        ]));
+        hdr.entity = EntityId(u16::from_be_bytes([buf[16], buf[17]]));
+        hdr.msg_len_pkts = u32::from_be_bytes([buf[18], buf[19], buf[20], buf[21]]);
+        hdr.msg_len_bytes = u32::from_be_bytes([buf[22], buf[23], buf[24], buf[25]]);
+        hdr.pkt_num = PktNum(u32::from_be_bytes([buf[26], buf[27], buf[28], buf[29]]));
+        hdr.pkt_len = u16::from_be_bytes([buf[30], buf[31]]);
+        hdr.pkt_offset = u32::from_be_bytes([buf[32], buf[33], buf[34], buf[35]]);
+        hdr.path_exclude.clear();
+        hdr.path_feedback.clear();
+        hdr.ack_path_feedback.clear();
+        hdr.sack.clear();
+        hdr.nack.clear();
         let n_excl = buf[36] as usize;
         let n_fb = buf[37] as usize;
         let n_ack_fb = buf[38] as usize;
@@ -490,7 +507,7 @@ impl MtpHeader {
                 at += SACK_ENTRY_LEN;
             }
         }
-        Ok((hdr, at))
+        Ok(at)
     }
 }
 
@@ -649,6 +666,25 @@ mod tests {
         assert_eq!(used, sealed.len());
         assert!(payload_ok);
         assert_eq!(back, hdr);
+    }
+
+    /// A reused header carries nothing over from the frame before it:
+    /// full lists then none, and a failed parse in between.
+    #[test]
+    fn parse_sealed_from_overwrites_a_reused_header() {
+        let full = sample();
+        let plain = MtpHeader {
+            msg_id: MsgId(9),
+            pkt_len: 100,
+            ..MtpHeader::default()
+        };
+        let mut hdr = MtpHeader::default();
+        for want in [&full, &plain, &full] {
+            let sealed = want.to_sealed_bytes().unwrap();
+            assert_eq!(hdr.parse_sealed_from(&sealed), Ok((sealed.len(), true)));
+            assert_eq!(&hdr, want);
+            assert!(hdr.parse_sealed_from(&sealed[..sealed.len() - 5]).is_err());
+        }
     }
 
     #[test]
