@@ -275,13 +275,12 @@ pub fn run_wire_golden(
     let scfg = golden_session_config(cfg);
     let mut listener = Listener::bind(&scfg)?;
     let ctrl_dst = listener.hello_addr()?;
-    let data_dsts = listener.pathlet_addrs()?;
     let relay = match relay {
         Some(rcfg) => Some(crate::relay::LossyRelay::start_session(
             rcfg,
             ChaosConfig::default(),
             ctrl_dst,
-            &data_dsts,
+            listener.pathlet_addrs(),
         )?),
         None => None,
     };

@@ -25,14 +25,16 @@
 //!   FFI on Linux; every other platform takes the portable
 //!   `send_to`/`recv_from` path.
 //! * [`socket`] — nonblocking batch sockets (a drain lends its
-//!   datagrams out of reused slots) and multi-socket readiness waiting
-//!   built on [`sys`].
+//!   datagrams out of reused slots) and multi-socket readiness built on
+//!   [`sys`]: a turn's one question and the blocking wait.
 //! * [`session`] — the session lifecycle: [`SenderSession`]/[`Listener`]
 //!   with a versioned HELLO/HELLO-ACK handshake (which carries the
 //!   per-pathlet port map), keepalive liveness with typed peer-death
 //!   errors, FIN/FIN-ACK graceful close with TIME-WAIT linger, and
 //!   bounded admission (inflight/buffered/reassembly caps). A turn
-//!   drains every socket, feeds the core, and flushes once per pathlet;
+//!   asks once which sockets have anything queued, drains those, feeds
+//!   the core, and flushes once per pathlet — a burst of submissions
+//!   shares that flush, only the first of a turn leaves at once;
 //!   the listener stamps congestion (CE) on frames that arrive behind a
 //!   deep receive queue, which is what the sender's pathlet windows
 //!   converge on.

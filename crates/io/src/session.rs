@@ -23,9 +23,11 @@
 //!   first-copy data goes unACKed, so the sender repairs it later, when
 //!   there is room).
 //! * **Turns and pathlet feedback** — a turn (`poll` / `poll_once`)
-//!   drains every socket, feeds the core, and flushes once per pathlet,
-//!   so what a turn's ACKs release fills whole datagrams and `sendmmsg`
-//!   batches; only `try_send` transmits outside a turn. Data sockets ask
+//!   asks once which sockets have anything queued, drains those, feeds
+//!   the core, and flushes once per pathlet, so what a turn's ACKs
+//!   release fills whole datagrams and `sendmmsg` batches. The first
+//!   `try_send` after a turn transmits at once; any further one before
+//!   the next turn leaves with that turn's flush. Data sockets ask
 //!   for their buffers on purpose, and the listener — each pathlet's last
 //!   hop — stamps congestion-experienced on frames that arrive behind
 //!   more than a set share of the granted receive queue, which the
@@ -61,7 +63,7 @@ use crate::clock::{Clock, MonotonicClock};
 use crate::driver::IoConfig;
 use crate::frame::{append_ctrl_frame, append_frame, FrameError, FrameIter, FrameKind};
 use crate::payload;
-use crate::socket::{wait_readable, BatchSocket, SendReport};
+use crate::socket::{readable_now, wait_readable, BatchSocket, Ready, SendReport};
 use crate::sys;
 
 /// Sim-time picoseconds until `t`, as a wall `std::time::Duration`.
@@ -364,6 +366,17 @@ impl DrainDepth {
 }
 
 fn bind_pathlet_sockets(n: usize) -> io::Result<Vec<BatchSocket>> {
+    // An endpoint's sockets — these and a listener's control socket —
+    // are asked about in one `poll(2)`.
+    if n >= sys::POLL_MAX {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "{n} pathlets: one poll covers an endpoint's sockets, at most {}",
+                sys::POLL_MAX
+            ),
+        ));
+    }
     (0..n)
         .map(|_| BatchSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0)))
         .collect()
@@ -395,6 +408,7 @@ fn count_sent(registry: &mut Registry, report: SendReport) {
 fn count_received(registry: &mut Registry, report: SendReport) {
     registry.count(Metric::WireDatagramsRx, report.datagrams as u64);
     registry.count(Metric::WireRecvBatches, report.syscalls as u64);
+    registry.count(Metric::WireRecvEmpty, report.would_block as u64);
 }
 
 /// One sealed control frame as its own datagram. Control never shares a
@@ -500,6 +514,14 @@ pub struct SenderSession {
     /// Packets the core has released since the last flush: a whole
     /// turn's worth by the end of [`poll`](SenderSession::poll).
     out_buf: Vec<Packet>,
+    /// Lengths of the messages admitted and not yet handed to the core:
+    /// the next flush does that, so the core's clock for a message (its
+    /// RTT samples, its RTO deadline) starts when its packets really
+    /// leave. Their payload sources are already in `payloads`.
+    parked: Vec<u32>,
+    /// A submission has flushed since the last turn; the next ones stay
+    /// parked until the turn's flush.
+    submitted_this_turn: bool,
     ev_buf: Vec<SenderEvent>,
     scratch: Vec<u8>,
     /// The header every received frame is parsed into.
@@ -550,6 +572,8 @@ impl SenderSession {
             fin_acked: false,
             completions: Vec::new(),
             out_buf: Vec::new(),
+            parked: Vec::new(),
+            submitted_this_turn: false,
             ev_buf: Vec::new(),
             scratch: Vec::new(),
             rx_hdr: MtpHeader::default(),
@@ -601,6 +625,7 @@ impl SenderSession {
             while Instant::now() < round_ends {
                 let timeout = round_ends - Instant::now();
                 wait_readable([&self.socks[0]], timeout)?;
+                self.registry.count(Metric::WireReadyPolls, 1);
                 if self.drain_handshake()? {
                     self.state = SessionState::Established;
                     self.handshake_rounds = try_n + 1;
@@ -693,7 +718,7 @@ impl SenderSession {
         if self.state != SessionState::Established {
             return Err(SessionError::Closed);
         }
-        let inflight = self.snd.outstanding();
+        let inflight = self.outstanding();
         if inflight >= self.cfg.caps.max_inflight_msgs
             || self.buffered_bytes + add_bytes > self.cfg.caps.max_buffered_bytes
         {
@@ -706,22 +731,24 @@ impl SenderSession {
         Ok(())
     }
 
-    /// Hand an admitted message to the core and transmit what its
-    /// window lets out at once: a submission never waits for a turn.
+    /// Take an admitted message. The first submission since the last
+    /// turn goes to the core and transmits what its window lets out at
+    /// once — an unloaded request never waits for a turn; any further one
+    /// shares the flush of the next [`poll`](Self::poll) (or
+    /// [`wait`](Self::wait)), coalesced per pathlet like everything a
+    /// turn's ACKs release.
     fn submit(&mut self, len: u32, src: PayloadSource) -> Result<MsgId, SessionError> {
-        let now = self.clock.now();
-        let id = self.snd.send_message(
-            self.cfg.server_port,
-            len,
-            0,
-            TrafficClass::BEST_EFFORT,
-            now,
-            &mut self.out_buf,
-        );
+        // The core numbers messages in the order it is handed them, which
+        // is this order.
+        let id = MsgId(self.next_msg_id());
         self.payloads.push_back(Some(src));
         self.submitted += 1;
         self.registry.gauge_add(Gauge::MsgsInFlight, 1);
-        self.dispatch()?;
+        self.parked.push(len);
+        if !self.submitted_this_turn {
+            self.submitted_this_turn = true;
+            self.dispatch()?;
+        }
         Ok(id)
     }
 
@@ -757,9 +784,25 @@ impl SenderSession {
         }
     }
 
-    /// Seal, coalesce, and transmit the core-emitted packets waiting in
+    /// Hand the core the messages parked since the last flush, then
+    /// seal, coalesce, and transmit the core-emitted packets waiting in
     /// `out_buf`, materializing payload bytes from each message's source.
     fn dispatch(&mut self) -> Result<(), SessionError> {
+        if !self.parked.is_empty() {
+            let now = self.clock.now();
+            let first = self.next_msg_id() - self.parked.len() as u64;
+            for (id, len) in (first..).zip(self.parked.drain(..)) {
+                let got = self.snd.send_message(
+                    self.cfg.server_port,
+                    len,
+                    0,
+                    TrafficClass::BEST_EFFORT,
+                    now,
+                    &mut self.out_buf,
+                );
+                debug_assert_eq!(got.0, id, "the core numbers messages sequentially");
+            }
+        }
         if self.out_buf.is_empty() {
             return Ok(());
         }
@@ -797,11 +840,12 @@ impl SenderSession {
         Ok(())
     }
 
-    /// One non-blocking event-loop turn: drain every socket, feed the
-    /// core its ACKs and control replies, fire its timer, then flush —
-    /// once per pathlet — everything the turn released; probe and police
-    /// liveness, reap completions. Call [`wait`](Self::wait) between
-    /// turns.
+    /// One non-blocking event-loop turn: drain every socket that has
+    /// anything queued, feed the core its ACKs and control replies, fire
+    /// its timer, then flush — once per pathlet — everything the turn
+    /// released and every submission parked since the last one; probe
+    /// and police liveness, reap completions. Call [`wait`](Self::wait)
+    /// between turns.
     pub fn poll(&mut self) -> Result<(), SessionError> {
         match self.state {
             SessionState::Established | SessionState::Closing => {}
@@ -818,9 +862,11 @@ impl SenderSession {
                 self.retx_rr += 1;
             }
         }
-        // What the turn's ACKs, NACKs and timer released leaves together,
-        // filling datagrams to the budget and `sendmmsg` batches to 32.
+        // What the turn's ACKs, NACKs and timer released leaves together
+        // with the submissions parked since the last turn, filling
+        // datagrams to the budget and `sendmmsg` batches to 32.
         self.dispatch()?;
+        self.submitted_this_turn = false;
         self.keepalive()?;
         self.check_liveness()?;
         self.drain_completions();
@@ -830,9 +876,11 @@ impl SenderSession {
     fn drain_sockets(&mut self) -> Result<(), SessionError> {
         // The sockets are lent to the drain, whose callbacks borrow the
         // rest of the session; none of them touches `self.socks`.
-        let socks = std::mem::take(&mut self.socks);
         let max = self.cfg.io.datagram_budget + 64;
-        let drained = socks.iter().try_for_each(|sock| {
+        let ready = readable_now(&self.socks, max)?;
+        self.registry.count(Metric::WireReadyPolls, 1);
+        let socks = std::mem::take(&mut self.socks);
+        let drained = ready.named(&socks).try_for_each(|(_, sock)| {
             let report = sock.recv_each(max, |bytes, _src| {
                 for frame in FrameIter::new(bytes) {
                     match frame {
@@ -965,8 +1013,10 @@ impl SenderSession {
     }
 
     /// Block until a socket is readable, the core's next deadline, or
-    /// `max_wait` — whichever is soonest.
+    /// `max_wait` — whichever is soonest. Submissions parked since the
+    /// last turn are transmitted first: nothing waits across a sleep.
     pub fn wait(&mut self, max_wait: std::time::Duration) -> Result<(), SessionError> {
+        self.dispatch()?;
         let now = self.clock.now();
         let mut timeout = max_wait;
         if let Some(t) = self.snd.poll_at() {
@@ -976,19 +1026,20 @@ impl SenderSession {
         timeout = timeout.min(wall(self.cfg.keepalive_interval));
         if !timeout.is_zero() {
             wait_readable(&self.socks, timeout)?;
+            self.registry.count(Metric::WireReadyPolls, 1);
         }
         Ok(())
     }
 
     /// Poll until every admitted message completes or `deadline` hits.
     pub fn flush(&mut self, deadline: Instant) -> Result<(), SessionError> {
-        let mut outstanding = self.snd.outstanding();
+        let mut outstanding = self.outstanding();
         while outstanding > 0 {
             if Instant::now() >= deadline {
                 return Err(SessionError::WallDeadline { outstanding });
             }
             self.poll()?;
-            outstanding = self.snd.outstanding();
+            outstanding = self.outstanding();
             if outstanding > 0 {
                 self.wait(std::time::Duration::from_millis(5))?;
             }
@@ -1041,7 +1092,7 @@ impl SenderSession {
         self.state = SessionState::Failed;
         Err(SessionError::CloseTimeout {
             tries: self.close_rounds,
-            outstanding: self.snd.outstanding(),
+            outstanding: self.outstanding(),
         })
     }
 
@@ -1089,7 +1140,7 @@ impl SenderSession {
 
     /// Messages admitted and not yet completed.
     pub fn outstanding(&self) -> usize {
-        self.snd.outstanding()
+        self.snd.outstanding() + self.parked.len()
     }
 
     /// Payload bytes currently buffered for retransmission.
@@ -1164,6 +1215,8 @@ pub struct Listener {
     cfg: SessionConfig,
     ctrl: BatchSocket,
     socks: Vec<BatchSocket>,
+    /// Where `socks` are bound, read once: every HELLO-ACK carries them.
+    data_addrs: Vec<SocketAddrV4>,
     clock: MonotonicClock,
     rng: SmallRng,
     conn: Option<Conn>,
@@ -1197,6 +1250,10 @@ impl Listener {
         // what a queue holds there is nothing to take a share of, and
         // nothing is marked.
         let granted = socks[0].meminfo().map_or(0, |info| info.rcvbuf as usize);
+        let data_addrs = socks
+            .iter()
+            .map(BatchSocket::local_addr)
+            .collect::<io::Result<_>>()?;
         let mut registry = Registry::new();
         registry.gauge_add(Gauge::WireRcvbufBytes, granted as i64);
         Ok(Listener {
@@ -1208,6 +1265,7 @@ impl Listener {
                 granted => granted / CE_THRESHOLD_DIV,
             },
             socks,
+            data_addrs,
             clock: MonotonicClock::new(),
             rng: SmallRng::seed_from_u64(cfg.seed ^ 0x0011_57EA_D1AC_CE97),
             conn: None,
@@ -1225,8 +1283,8 @@ impl Listener {
     }
 
     /// The per-pathlet data addresses (what HELLO-ACKs advertise).
-    pub fn pathlet_addrs(&self) -> io::Result<Vec<SocketAddrV4>> {
-        self.socks.iter().map(|s| s.local_addr()).collect()
+    pub fn pathlet_addrs(&self) -> &[SocketAddrV4] {
+        &self.data_addrs
     }
 
     /// Sessions currently held (established or lingering): the leak
@@ -1276,13 +1334,23 @@ impl Listener {
         Ok(())
     }
 
-    /// One non-blocking service turn: control socket, data sockets,
-    /// receiver GC, liveness, linger expiry. Call
-    /// [`wait`](Listener::wait) between turns, or use
-    /// [`run_until_closed`](Listener::run_until_closed).
+    /// Every socket, in the order a readiness question names them: the
+    /// data sockets by pathlet, then control.
+    fn all_socks(&self) -> impl Iterator<Item = &BatchSocket> {
+        self.socks.iter().chain([&self.ctrl])
+    }
+
+    /// One non-blocking service turn: ask once which sockets have
+    /// anything queued, then control socket, data sockets, receiver GC,
+    /// liveness, linger expiry. Call [`wait`](Listener::wait) between
+    /// turns, or use [`run_until_closed`](Listener::run_until_closed).
     pub fn poll_once(&mut self) -> io::Result<()> {
-        self.drain_ctrl()?;
-        self.drain_data()?;
+        let ready = readable_now(self.all_socks(), self.cfg.io.datagram_budget + 64)?;
+        self.registry.count(Metric::WireReadyPolls, 1);
+        if ready.has(self.socks.len()) {
+            self.drain_ctrl()?;
+        }
+        self.drain_data(ready)?;
         let now = self.clock.now();
         if let Some(conn) = &mut self.conn {
             if conn.recv.poll_at().is_some_and(|t| t <= now) {
@@ -1411,17 +1479,13 @@ impl Listener {
         Ok(())
     }
 
-    fn hello_ack(&self, client_sid: u64, server_sid: u64, seq: u32) -> io::Result<SessionCtrl> {
+    fn hello_ack(&self, client_sid: u64, server_sid: u64, seq: u32) -> SessionCtrl {
         let mut ack = SessionCtrl::new(CtrlKind::HelloAck, client_sid, server_sid);
         ack.src_port = self.cfg.server_port;
         ack.dst_port = self.cfg.client_port;
         ack.seq = seq;
-        ack.ports = self
-            .pathlet_addrs()?
-            .iter()
-            .map(SocketAddrV4::port)
-            .collect();
-        Ok(ack)
+        ack.ports = self.data_addrs.iter().map(SocketAddrV4::port).collect();
+        ack
     }
 
     fn on_hello(&mut self, src: SocketAddrV4, hello: &SessionCtrl) -> io::Result<()> {
@@ -1433,7 +1497,7 @@ impl Listener {
                 c.ctrl_peer = src;
                 let server_sid = c.server_sid;
                 self.registry.count(Metric::SessionHelloRx, 1);
-                let ack = self.hello_ack(hello.session_id, server_sid, hello.seq)?;
+                let ack = self.hello_ack(hello.session_id, server_sid, hello.seq);
                 self.send_ctrl_to(src, &ack)?;
             }
             // A different connector while a session is live: refuse
@@ -1463,7 +1527,7 @@ impl Listener {
                 });
                 self.registry.gauge_add(Gauge::SessionsActive, 1);
                 self.died = None;
-                let ack = self.hello_ack(hello.session_id, server_sid, hello.seq)?;
+                let ack = self.hello_ack(hello.session_id, server_sid, hello.seq);
                 self.send_ctrl_to(src, &ack)?;
             }
         }
@@ -1500,12 +1564,13 @@ impl Listener {
         Ok(())
     }
 
-    fn drain_data(&mut self) -> io::Result<()> {
+    /// Drain the data sockets `ready` names, each to empty.
+    fn drain_data(&mut self, ready: Ready) -> io::Result<()> {
         // The sockets are lent to the drain, whose callbacks borrow the
         // rest of the listener; none of them touches `self.socks`.
         let socks = std::mem::take(&mut self.socks);
         let mut deepest = 0;
-        let drained = socks.iter().enumerate().try_for_each(|(p, sock)| {
+        let drained = ready.named(&socks).try_for_each(|(p, sock)| {
             let mut depth = DrainDepth {
                 ahead: 0,
                 threshold: self.ce_threshold,
@@ -1680,7 +1745,8 @@ impl Listener {
             }
         }
         if !timeout.is_zero() {
-            wait_readable(self.socks.iter().chain([&self.ctrl]), timeout)?;
+            wait_readable(self.all_socks(), timeout)?;
+            self.registry.count(Metric::WireReadyPolls, 1);
         }
         Ok(())
     }

@@ -285,8 +285,7 @@ fn run_relay_scenario(
 
     let listener = Listener::bind(&scfg)?;
     let ctrl_dst = listener.hello_addr()?;
-    let data_dsts = listener.pathlet_addrs()?;
-    let relay = LossyRelay::start_session(relay_cfg, chaos, ctrl_dst, &data_dsts)?;
+    let relay = LossyRelay::start_session(relay_cfg, chaos, ctrl_dst, listener.pathlet_addrs())?;
     let server = relay.ctrl_addr().expect("session relay has a ctrl lane");
 
     // The listener serves until a full lifecycle completes (FIN +

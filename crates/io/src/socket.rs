@@ -4,9 +4,10 @@
 //! batches without ever blocking: `sendmmsg`/`recvmmsg` with
 //! `MSG_DONTWAIT` where the platform provides them (see [`crate::sys`]),
 //! plain `send_to`/`recv_from` loops on a nonblocking socket everywhere
-//! else; the platform alone picks the path. The driver blocks only in
-//! [`wait_readable`], with a timeout derived from the endpoint cores'
-//! `poll_at()` deadlines.
+//! else; the platform alone picks the path. A turn asks
+//! [`readable_now`] once which sockets have anything queued and drains
+//! those alone; the driver blocks only in [`wait_readable`], with a
+//! timeout derived from the endpoint cores' `poll_at()` deadlines.
 
 use std::cell::RefCell;
 use std::io;
@@ -18,13 +19,41 @@ use crate::sys::{self, MemInfo, RecvSlot};
 thread_local! {
     /// Reusable receive scratch, per thread: the `recvmmsg` slot array
     /// and the fallback datagram buffer. Sized to the largest `max_size`
-    /// a thread has asked for and reused forever after — allocating
-    /// `BATCH × max_size` fresh per [`BatchSocket::recv_each`] call
-    /// would dominate the process's transient heap (32 × 64 KiB = 2 MiB
-    /// per poll round). A drain takes the scratch out for its duration,
-    /// so a callback that itself receives gets a fresh one.
+    /// a thread has asked for and to the deepest receive it has seen, and
+    /// reused forever after — allocating `BATCH × max_size` fresh per
+    /// [`BatchSocket::recv_each`] call would dominate the process's
+    /// transient heap (32 × 64 KiB = 2 MiB per poll round), and a
+    /// worst-case 32 slots would be 290 KB resident on a thread that only
+    /// ever answers one HELLO. A drain takes the scratch out for its
+    /// duration, so a callback that itself receives gets a fresh one.
     static RECV_SLOTS: RefCell<Vec<RecvSlot>> = const { RefCell::new(Vec::new()) };
     static RECV_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Bring the `recvmmsg` scratch to at least one slot, every slot able to
+/// hold `max_size`.
+fn size_slots(slots: &mut Vec<RecvSlot>, max_size: usize) {
+    if slots.is_empty() || slots[0].buf.len() < max_size {
+        *slots = (0..slots.len().max(1))
+            .map(|_| RecvSlot::with_capacity(max_size))
+            .collect();
+    }
+}
+
+/// Double the `recvmmsg` scratch, up to [`sys::BATCH`] slots: a receive
+/// came back with every slot full, so the queue may hold more and the
+/// next drain may be as deep.
+fn grow_slots(slots: &mut Vec<RecvSlot>) {
+    let size = slots[0].buf.len();
+    let more = slots.len().min(sys::BATCH - slots.len());
+    slots.extend((0..more).map(|_| RecvSlot::with_capacity(size)));
+}
+
+/// Bring the fallback scratch to `max_size` bytes.
+fn size_buf(buf: &mut Vec<u8>, max_size: usize) {
+    if buf.len() < max_size {
+        buf.resize(max_size, 0);
+    }
 }
 
 /// What one [`BatchSocket::send_batch`] or drain did, for telemetry.
@@ -32,10 +61,11 @@ thread_local! {
 pub struct SendReport {
     /// Datagrams handed to (or taken from) the kernel.
     pub datagrams: usize,
-    /// Syscalls it took.
+    /// Syscalls that moved at least one.
     pub syscalls: usize,
-    /// Sends the kernel refused for want of send-queue room, each
-    /// retried after a yield.
+    /// Syscalls that moved nothing: sends the kernel refused for want of
+    /// send-queue room (each retried after a yield), receives that found
+    /// the queue empty.
     pub would_block: usize,
 }
 
@@ -183,11 +213,7 @@ impl BatchSocket {
         let mut report = SendReport::default();
         if self.use_mmsg {
             let mut slots = RECV_SLOTS.take();
-            if slots.len() < sys::BATCH || slots[0].buf.len() < max_size {
-                slots = (0..sys::BATCH)
-                    .map(|_| RecvSlot::with_capacity(max_size))
-                    .collect();
-            }
+            size_slots(&mut slots, max_size);
             let drained = loop {
                 match self.recv_once_mmsg(&mut slots) {
                     Ok(n) => {
@@ -199,11 +225,15 @@ impl BatchSocket {
                         {
                             break Err(e);
                         }
-                        if n < sys::BATCH {
+                        if n < slots.len() {
                             break Ok(report);
                         }
+                        grow_slots(&mut slots);
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(report),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        report.would_block += 1;
+                        break Ok(report);
+                    }
                     Err(e) => break Err(e.into()),
                 }
             };
@@ -211,9 +241,7 @@ impl BatchSocket {
             return drained;
         }
         let mut buf = RECV_BUF.take();
-        if buf.len() < max_size {
-            buf.resize(max_size, 0);
-        }
+        size_buf(&mut buf, max_size);
         let drained = loop {
             match self.sock.recv_from(&mut buf) {
                 Ok((len, std::net::SocketAddr::V4(src))) => {
@@ -224,7 +252,10 @@ impl BatchSocket {
                     }
                 }
                 Ok((_, std::net::SocketAddr::V6(_))) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Ok(report),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    report.would_block += 1;
+                    break Ok(report);
+                }
                 Err(e) => break Err(e.into()),
             }
         };
@@ -256,6 +287,32 @@ impl BatchSocket {
     }
 }
 
+/// Which of `socks` are readable, waiting up to `timeout` for the first
+/// to become so: bit `i` is the `i`-th socket. One `poll(2)` over a
+/// descriptor array on the stack, so at most [`sys::POLL_MAX`] sockets.
+#[cfg(target_os = "linux")]
+fn ask_readable<'a>(
+    socks: impl IntoIterator<Item = &'a BatchSocket>,
+    timeout: Duration,
+) -> io::Result<u64> {
+    let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
+    sys::poll_readable(socks.into_iter().map(BatchSocket::fd), timeout_ms)
+}
+
+/// No `poll(2)`: nap for the shorter of the timeout and 1ms (a turn's
+/// question, with none, does not nap at all), answer "all of them,
+/// maybe", and let the caller's nonblocking drain discover the truth.
+#[cfg(not(target_os = "linux"))]
+fn ask_readable<'a>(
+    _socks: impl IntoIterator<Item = &'a BatchSocket>,
+    timeout: Duration,
+) -> io::Result<u64> {
+    if !timeout.is_zero() {
+        std::thread::sleep(timeout.min(Duration::from_millis(1)));
+    }
+    Ok(u64::MAX)
+}
+
 /// Block until any of `socks` is readable or `timeout` elapses. Returns
 /// whether something is (probably) readable; spurious wakeups are fine —
 /// every caller follows with a nonblocking drain.
@@ -263,20 +320,49 @@ pub fn wait_readable<'a>(
     socks: impl IntoIterator<Item = &'a BatchSocket>,
     timeout: Duration,
 ) -> io::Result<bool> {
-    let timeout_ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-    #[cfg(target_os = "linux")]
-    {
-        let fds: Vec<_> = socks.into_iter().map(BatchSocket::fd).collect();
-        sys::poll_readable(&fds, timeout_ms)
+    Ok(ask_readable(socks, timeout)? != 0)
+}
+
+/// The answer to a readiness question: which of the sockets asked about
+/// are readable, by their position in the question.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ready(u64);
+
+impl Ready {
+    /// Whether the `i`-th socket asked about is (probably) readable.
+    pub fn has(self, i: usize) -> bool {
+        self.0 >> i & 1 != 0
     }
-    #[cfg(not(target_os = "linux"))]
-    {
-        let _ = socks.into_iter();
-        // No poll(2): nap for the shorter of the timeout and 1ms, then
-        // let the caller's nonblocking drain discover the truth.
-        std::thread::sleep(Duration::from_millis(timeout_ms.clamp(0, 1) as u64));
-        Ok(true)
+
+    /// Those of `socks` — the leading sockets of the question — that are
+    /// named, each with its position.
+    pub fn named(self, socks: &[BatchSocket]) -> impl Iterator<Item = (usize, &BatchSocket)> {
+        socks.iter().enumerate().filter(move |(i, _)| self.has(*i))
     }
+}
+
+/// A turn's one readiness question: which of `socks` have something
+/// queued right now. The turn then runs [`BatchSocket::recv_each`] on
+/// those alone, so a system call is made for an empty queue only when a
+/// drain filled its last batch exactly. A socket named is a "maybe" (it
+/// is all the portable path ever answers); one not named had an empty
+/// queue when asked.
+///
+/// The thread's receive scratch is brought to `max_size` *before* the
+/// question, not by the first drain that finds data: a fresh thread's
+/// first turn then pays for it whether or not anything has arrived yet —
+/// ahead of a handshake, not inside it.
+pub fn readable_now<'a>(
+    socks: impl IntoIterator<Item = &'a BatchSocket>,
+    max_size: usize,
+) -> io::Result<Ready> {
+    let mut socks = socks.into_iter().peekable();
+    match socks.peek() {
+        Some(sock) if sock.use_mmsg => RECV_SLOTS.with_borrow_mut(|s| size_slots(s, max_size)),
+        Some(_) => RECV_BUF.with_borrow_mut(|b| size_buf(b, max_size)),
+        None => {}
+    }
+    ask_readable(socks, Duration::ZERO).map(Ready)
 }
 
 /// Whether this environment can bind and exchange loopback UDP at all.
@@ -316,7 +402,8 @@ mod tests {
 
     /// Loopback echo through both the mmsg and the fallback paths: a
     /// batch that fits one `recvmmsg` slot array, then one that needs the
-    /// array refilled twice.
+    /// array refilled twice; then a readiness question, whose named
+    /// sockets yield what a plain loop over all of them does.
     #[test]
     fn batch_roundtrip_both_paths() {
         if !loopback_available() {
@@ -369,6 +456,97 @@ mod tests {
                 want.sort_unstable();
                 assert_eq!(seen, want);
             }
+
+            // Three receivers, the middle one idle. Loopback queues a
+            // datagram before its send returns, so nothing has to wait.
+            let rx: Vec<BatchSocket> = (0..3).map(|_| bind(force_fallback)).collect();
+            let send_round = || {
+                for i in 0..2 * sys::BATCH + 5 {
+                    let to = rx[i % 2 * 2].local_addr().unwrap();
+                    a.send_batch(&[(to, &[i as u8; 40][..])]).unwrap();
+                }
+            };
+            let drain = |socks: &mut dyn Iterator<Item = (usize, &BatchSocket)>| {
+                let mut got = Vec::new();
+                for (i, sock) in socks {
+                    sock.recv_each(2048, |bytes, _src| {
+                        got.push((i, bytes.to_vec()));
+                        Ok::<(), io::Error>(())
+                    })
+                    .unwrap();
+                }
+                got
+            };
+            send_round();
+            let plain = drain(&mut rx.iter().enumerate());
+            assert_eq!(plain.len(), 2 * sys::BATCH + 5);
+            send_round();
+            let ready = readable_now(&rx, 2048).unwrap();
+            if cfg!(target_os = "linux") {
+                assert_eq!(
+                    [ready.has(0), ready.has(1), ready.has(2)],
+                    [true, false, true]
+                );
+            }
+            let named = drain(&mut ready.named(&rx));
+            assert_eq!(named, plain, "force_fallback={force_fallback}");
+            if cfg!(target_os = "linux") {
+                assert_eq!(readable_now(&rx, 2048).unwrap(), Ready(0), "all drained");
+            }
         }
+    }
+
+    /// The `recvmmsg` scratch is as deep as the deepest receive its
+    /// thread has seen — doubled each time every slot comes back full —
+    /// not a worst case held by every thread that ever polls.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn receive_scratch_follows_the_deepest_receive() {
+        if !loopback_available() {
+            eprintln!("NOTICE: UDP loopback unavailable; skipping receive_scratch_follows");
+            return;
+        }
+        // A thread of its own: this one's scratch has already been used.
+        let drains = std::thread::spawn(|| {
+            let any = SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0);
+            let (a, b) = (
+                BatchSocket::bind(any).unwrap(),
+                BatchSocket::bind(any).unwrap(),
+            );
+            let to_b = b.local_addr().unwrap();
+            [1, 1, 5, 40, 2 * sys::BATCH].map(|count| {
+                for _ in 0..count {
+                    a.send_batch(&[(to_b, &[0u8; 32][..])]).unwrap();
+                }
+                let report = b
+                    .recv_each(2048, |_bytes, _src| Ok::<(), io::Error>(()))
+                    .unwrap();
+                assert_eq!(report.datagrams, count);
+                let slots = RECV_SLOTS.with_borrow(Vec::len);
+                (slots, report.syscalls, report.would_block)
+            })
+        })
+        .join()
+        .unwrap();
+        // (slots afterwards, receives that carried data, that found nothing)
+        assert_eq!(
+            drains,
+            [
+                (2, 1, 1),  // the one slot came back full: look again, double
+                (2, 1, 0),  // one of two: the queue is empty, no second look
+                (4, 2, 0),  // 2 + 3
+                (32, 4, 0), // 4 + 8 + 16 + 12
+                (32, 2, 1), // 32 + 32, and a full batch always looks again
+            ]
+        );
+    }
+
+    /// One question covers at most a mask's worth of sockets; more is a
+    /// typed error, not a socket silently never asked about.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_question_of_too_many_sockets_is_refused() {
+        let err = sys::poll_readable(vec![0; sys::POLL_MAX + 1], 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

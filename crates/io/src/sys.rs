@@ -23,6 +23,10 @@ use std::net::SocketAddrV4;
 /// fixed arrays; the kernel caps `vlen` at `UIO_MAXIOV` (1024) anyway.
 pub const BATCH: usize = 32;
 
+/// Most descriptors one `poll_readable` asks about: its descriptor
+/// array lives on the stack and its answer is a bit per descriptor.
+pub const POLL_MAX: usize = 64;
+
 /// One receive slot: a caller-owned buffer plus the length and source
 /// address the kernel filled in.
 #[derive(Debug)]
@@ -66,7 +70,7 @@ impl RecvSlot {
 
 #[cfg(target_os = "linux")]
 mod linux {
-    use super::{MemInfo, RecvSlot, BATCH};
+    use super::{MemInfo, RecvSlot, BATCH, POLL_MAX};
     use std::io;
     use std::net::SocketAddrV4;
     use std::os::fd::RawFd;
@@ -146,6 +150,7 @@ mod linux {
     }
 
     #[repr(C)]
+    #[derive(Clone, Copy)]
     struct PollFd {
         fd: i32,
         events: i16,
@@ -211,9 +216,8 @@ mod linux {
     }
 
     /// Receive up to `slots.len().min(BATCH)` datagrams in one syscall.
-    /// Returns how many slots were filled; 0 means nothing ready is NOT
-    /// possible (the kernel reports `EAGAIN` instead, surfaced as
-    /// `WouldBlock`).
+    /// Returns how many slots were filled, never 0: when nothing is
+    /// queued the kernel reports `EAGAIN`, surfaced as `WouldBlock`.
     pub fn recv_batch(fd: RawFd, slots: &mut [RecvSlot]) -> io::Result<usize> {
         let n = slots.len().min(BATCH);
         let mut addrs = [SockaddrIn::zeroed(); BATCH];
@@ -265,29 +269,48 @@ mod linux {
         Ok(got)
     }
 
-    /// Block until any fd is readable or `timeout_ms` elapses. Returns
-    /// whether at least one fd is readable.
-    pub fn poll_readable(fds: &[RawFd], timeout_ms: i32) -> io::Result<bool> {
-        let mut pfds: Vec<PollFd> = fds
-            .iter()
-            .map(|&fd| PollFd {
+    /// Ask which of `fds` are readable, waiting up to `timeout_ms` for
+    /// the first to become so (0 only asks). Bit `i` of the answer is the
+    /// `i`-th descriptor; more than [`POLL_MAX`] of them is `InvalidInput`.
+    /// An error or hang-up pending on a descriptor counts as readable:
+    /// the receive that follows is what reports it.
+    pub fn poll_readable(fds: impl IntoIterator<Item = RawFd>, timeout_ms: i32) -> io::Result<u64> {
+        let mut pfds = [PollFd {
+            fd: -1,
+            events: 0,
+            revents: 0,
+        }; POLL_MAX];
+        let mut n = 0;
+        for fd in fds {
+            let Some(slot) = pfds.get_mut(n) else {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("more than {POLL_MAX} sockets in one poll"),
+                ));
+            };
+            *slot = PollFd {
                 fd,
                 events: POLLIN,
                 revents: 0,
-            })
-            .collect();
-        // SAFETY: `pfds` is a live, initialized slice for the duration
-        // of the call.
-        let rc = unsafe { poll(pfds.as_mut_ptr(), pfds.len() as u64, timeout_ms) };
+            };
+            n += 1;
+        }
+        // SAFETY: `pfds` is a live, initialized array for the duration of
+        // the call, and `n` is at most its length.
+        let rc = unsafe { poll(pfds.as_mut_ptr(), n as u64, timeout_ms) };
         if rc < 0 {
             let err = io::Error::last_os_error();
             // A signal is not a failure; report "nothing readable yet".
             if err.kind() == io::ErrorKind::Interrupted {
-                return Ok(false);
+                return Ok(0);
             }
             return Err(err);
         }
-        Ok(rc > 0)
+        Ok(pfds[..n]
+            .iter()
+            .enumerate()
+            .filter(|(_, pfd)| pfd.revents != 0)
+            .fold(0, |ready, (i, _)| ready | 1 << i))
     }
 
     fn set_buffer(fd: RawFd, name: i32, bytes: usize) -> io::Result<()> {
@@ -372,12 +395,7 @@ mod portable {
     pub fn recv_batch(_fd: RawFd, _slots: &mut [RecvSlot]) -> io::Result<usize> {
         Err(unsupported())
     }
-
-    /// Always `Unsupported`; callers fall back to sleeping briefly.
-    pub fn poll_readable(_fds: &[RawFd], _timeout_ms: i32) -> io::Result<bool> {
-        Err(unsupported())
-    }
 }
 
 #[cfg(not(target_os = "linux"))]
-pub use portable::{poll_readable, recv_batch, send_batch};
+pub use portable::{recv_batch, send_batch};

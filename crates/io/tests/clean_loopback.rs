@@ -28,11 +28,8 @@ mod common;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use common::{assert_exactly_once, served};
-use mtp_io::{
-    loopback_available, payload, Listener, SenderSession, SessionConfig, SessionError,
-    DEFAULT_DATAGRAM_BUDGET,
-};
+use common::{assert_exactly_once, close, connect};
+use mtp_io::{loopback_available, payload, SessionConfig, SessionError, DEFAULT_DATAGRAM_BUDGET};
 use mtp_telemetry::{Gauge, Metric};
 use mtp_wire::MsgId;
 
@@ -72,10 +69,7 @@ fn run(shape: &Shape) -> Option<Queues> {
     let ctx = shape.name;
     let deadline = Instant::now() + WALL;
     let scfg = SessionConfig::default();
-    let mut listener = Listener::bind(&scfg).expect("bind listener");
-    let server = listener.hello_addr().expect("ctrl addr");
-    let mut sess =
-        served(&mut listener, || SenderSession::connect(&scfg, server)).expect("connect");
+    let (mut listener, mut sess) = connect(&scfg);
 
     let base = sess.next_msg_id();
     let (mut submitted, mut completed) = (0usize, 0usize);
@@ -119,18 +113,7 @@ fn run(shape: &Shape) -> Option<Queues> {
     let duplicates = listener.core().expect("session is live").stats.duplicates;
     assert_eq!(duplicates, 0, "{ctx}: duplicate data packets");
 
-    served(&mut listener, || sess.close(deadline)).expect("close");
-    while listener.active_sessions() > 0 {
-        assert!(
-            Instant::now() < deadline,
-            "{ctx}: listener never left TIME-WAIT"
-        );
-        listener.poll_once().expect("listener turn");
-    }
-    let report = listener
-        .take_finished()
-        .pop()
-        .expect("one finished session");
+    let report = close(ctx, &mut listener, &mut sess, deadline);
     assert_exactly_once(ctx, base, shape.messages, shape.msg_len, &report);
     // Both ends read their sockets' drop counts when the session ended.
     for (end, registry) in [

@@ -1,14 +1,16 @@
 //! What the single-thread loopback tests share: a helper thread for the
-//! two blocking calls, and the exactly-once check of a finished session.
+//! two blocking calls, connect and close over it, and the exactly-once
+//! check of a finished session.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Instant;
 
-use mtp_io::{payload, Listener, SessionReport};
+use mtp_io::{payload, Listener, SenderSession, SessionConfig, SessionReport};
 use mtp_wire::MsgId;
 
 /// Serve `listener` on a helper thread while `call` blocks on this one
 /// (`connect` and `close` need their peer answered).
-pub fn served<T>(listener: &mut Listener, call: impl FnOnce() -> T) -> T {
+fn served<T>(listener: &mut Listener, call: impl FnOnce() -> T) -> T {
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         let helper = s.spawn(|| {
@@ -22,6 +24,36 @@ pub fn served<T>(listener: &mut Listener, call: impl FnOnce() -> T) -> T {
         helper.join().expect("listener helper");
         value
     })
+}
+
+/// A listener on loopback and a session established with it.
+pub fn connect(scfg: &SessionConfig) -> (Listener, SenderSession) {
+    let mut listener = Listener::bind(scfg).expect("bind listener");
+    let server = listener.hello_addr().expect("ctrl addr");
+    let sess = served(&mut listener, || SenderSession::connect(scfg, server)).expect("connect");
+    (listener, sess)
+}
+
+/// Close `sess`, serve `listener` through its TIME-WAIT, and return the
+/// finished session's report.
+pub fn close(
+    ctx: &str,
+    listener: &mut Listener,
+    sess: &mut SenderSession,
+    deadline: Instant,
+) -> SessionReport {
+    served(listener, || sess.close(deadline)).expect("close");
+    while listener.active_sessions() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "{ctx}: listener never left TIME-WAIT"
+        );
+        listener.poll_once().expect("listener turn");
+    }
+    listener
+        .take_finished()
+        .pop()
+        .expect("one finished session")
 }
 
 /// `report` delivered messages `base .. base + messages`, each of

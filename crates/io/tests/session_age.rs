@@ -26,8 +26,8 @@ mod common;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use common::{assert_exactly_once, served};
-use mtp_io::{loopback_available, payload, Listener, SenderSession, SessionConfig, SessionError};
+use common::{assert_exactly_once, close, connect};
+use mtp_io::{loopback_available, payload, SessionConfig, SessionError};
 use mtp_sim::time::Duration as SimDuration;
 use mtp_wire::MsgId;
 
@@ -94,10 +94,7 @@ fn session_state_and_heap_stay_flat_over_20k_messages() {
     let linger = Duration::from_millis(5);
     scfg.io.gc_linger = SimDuration::from_micros(linger.as_micros() as u64);
 
-    let mut listener = Listener::bind(&scfg).expect("bind listener");
-    let server = listener.hello_addr().expect("ctrl addr");
-    let mut sess =
-        served(&mut listener, || SenderSession::connect(&scfg, server)).expect("connect");
+    let (mut listener, mut sess) = connect(&scfg);
 
     let base = sess.next_msg_id();
     let (mut submitted, mut consumed) = (0usize, 0usize);
@@ -153,15 +150,7 @@ fn session_state_and_heap_stay_flat_over_20k_messages() {
         0,
         "a drained sender holds no records"
     );
-    served(&mut listener, || sess.close(deadline)).expect("close");
-    while listener.active_sessions() > 0 {
-        assert!(Instant::now() < deadline, "listener never left TIME-WAIT");
-        listener.poll_once().expect("listener turn");
-    }
-    let report = listener
-        .take_finished()
-        .pop()
-        .expect("one finished session");
+    let report = close("session_age", &mut listener, &mut sess, deadline);
 
     assert_exactly_once("session_age", base, MESSAGES, MSG_LEN, &report);
     // A message stuck behind a lost datagram keeps its successors'

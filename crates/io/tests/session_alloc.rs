@@ -29,8 +29,8 @@ mod common;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use common::{assert_exactly_once, served};
-use mtp_io::{loopback_available, payload, Listener, SenderSession, SessionConfig};
+use common::{assert_exactly_once, close, connect};
+use mtp_io::{loopback_available, payload, SessionConfig};
 use mtp_wire::MsgId;
 
 struct CountingAlloc;
@@ -64,10 +64,7 @@ const WALL: Duration = Duration::from_secs(120);
 fn allocs_per_message(msg_len: usize, outstanding: usize, warm: usize, counted: usize) -> f64 {
     let deadline = Instant::now() + WALL;
     let scfg = SessionConfig::default();
-    let mut listener = Listener::bind(&scfg).expect("bind listener");
-    let server = listener.hello_addr().expect("ctrl addr");
-    let mut sess =
-        served(&mut listener, || SenderSession::connect(&scfg, server)).expect("connect");
+    let (mut listener, mut sess) = connect(&scfg);
 
     let total = warm + counted;
     let base = sess.next_msg_id();
@@ -113,15 +110,7 @@ fn allocs_per_message(msg_len: usize, outstanding: usize, warm: usize, counted: 
         0,
         "a repair would allocate; the count is of the clean path"
     );
-    served(&mut listener, || sess.close(deadline)).expect("close");
-    while listener.active_sessions() > 0 {
-        assert!(Instant::now() < deadline, "listener never left TIME-WAIT");
-        listener.poll_once().expect("listener turn");
-    }
-    let report = listener
-        .take_finished()
-        .pop()
-        .expect("one finished session");
+    let report = close("session_alloc", &mut listener, &mut sess, deadline);
     assert_exactly_once("session_alloc", base, total, msg_len, &report);
     per_message
 }

@@ -97,6 +97,8 @@ define_ids!(
     (WireSendWouldBlock, "wire_send_would_block", "Sends the kernel refused for want of send-queue room, each retried after a yield."),
     (WireKernelDrops, "wire_kernel_drops", "Datagrams the kernel dropped at this end's data sockets for want of receive-queue room (SO_MEMINFO, read when a session ends)."),
     (WireCeMarked, "wire_ce_marked", "Data frames a listener stamped congestion-experienced: they arrived behind more queued bytes than its marking threshold."),
+    (WireRecvEmpty, "wire_recv_empty", "Receive syscalls that returned nothing: the queue was empty."),
+    (WireReadyPolls, "wire_ready_polls", "Readiness questions asked of the kernel (poll): one per turn, one per blocking wait."),
     // ---- wire sessions ---------------------------------------------------
     //
     // The session lifecycle layer in `mtp-io`: handshake, liveness,
