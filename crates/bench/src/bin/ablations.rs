@@ -12,7 +12,7 @@
 //!    repair) vs as per-packet blob messages (reordering is harmless by
 //!    construction).
 
-use mtp_bench::topo::{two_path_mtp, PathSpec, SERVER_ADDR};
+use mtp_bench::topo::{mtp_pair, parallel_paths, ParallelSpec, PathSpec, SERVER_ADDR};
 use mtp_bench::{write_json, ExperimentRecord};
 use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_net::{FanoutForwarder, Stamp, StampKind, StaticRoutes, Strategy, SwitchNode};
@@ -190,14 +190,21 @@ fn blob_vs_message() -> BlobOut {
         } else {
             vec![ScheduledMsg::new(Time::ZERO, total)]
         };
-        let mut tp = two_path_mtp(
+        let mut tp = parallel_paths(
             17,
-            Strategy::Spray { next: 0 },
-            a,
-            b,
-            schedule,
-            MtpConfig::default(),
-            Duration::from_micros(100),
+            mtp_pair(
+                MtpConfig::default(),
+                schedule,
+                Duration::from_micros(100),
+                1,
+            ),
+            ParallelSpec {
+                a,
+                b,
+                host: PathSpec::host_default(),
+                forward: Strategy::Spray { next: 0 },
+                reverse: Strategy::Fixed,
+            },
         );
         tp.sim.run_until(Time::ZERO + Duration::from_millis(100));
         mtp_sim::assert_conservation(&tp.sim);

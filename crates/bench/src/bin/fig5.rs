@@ -10,12 +10,12 @@
 //! Paper result: MTP converges faster and achieves ~33% higher average
 //! goodput than DCTCP.
 
-use mtp_bench::topo::{two_path_mtp, two_path_tcp, PathSpec};
+use mtp_bench::topo::{mtp_pair, parallel_paths, tcp_pair, ParallelSpec, PathSpec};
 use mtp_bench::{write_json, ExperimentRecord};
 use mtp_core::{MtpConfig, MtpSinkNode, ScheduledMsg};
 use mtp_net::Strategy;
 use mtp_sim::time::{Bandwidth, Duration, Time};
-use mtp_tcp::{TcpConfig, TcpSinkNode, TcpWorkloadMode};
+use mtp_tcp::{TcpConfig, TcpSinkNode};
 use serde::Serialize;
 
 const PERIOD: Duration = Duration(384_000_000); // 384 us
@@ -72,17 +72,19 @@ fn main() {
     let slow = PathSpec::new(Bandwidth::from_gbps(10), Duration::from_micros(1));
     let horizon = Time::ZERO + Duration::from_millis(HORIZON_MS);
     let flow_bytes = 200_000_000; // long-lasting flow
+    let network = || ParallelSpec {
+        a: fast,
+        b: slow,
+        host: PathSpec::host_default(),
+        forward: Strategy::Alternate { period: PERIOD },
+        reverse: Strategy::Fixed,
+    };
 
     // DCTCP through the alternating switch.
-    let mut dctcp = two_path_tcp(
+    let mut dctcp = parallel_paths(
         5,
-        Strategy::Alternate { period: PERIOD },
-        fast,
-        slow,
-        vec![(Time::ZERO, flow_bytes)],
-        TcpConfig::dctcp(),
-        TcpWorkloadMode::Persistent,
-        SAMPLE,
+        tcp_pair(TcpConfig::dctcp(), vec![(Time::ZERO, flow_bytes)], SAMPLE),
+        network(),
     );
     dctcp.sim.run_until(horizon);
     mtp_sim::assert_conservation(&dctcp.sim);
@@ -92,14 +94,15 @@ fn main() {
     };
 
     // MTP through the same network (pathlets stamped per path).
-    let mut mtp = two_path_mtp(
+    let mut mtp = parallel_paths(
         5,
-        Strategy::Alternate { period: PERIOD },
-        fast,
-        slow,
-        vec![ScheduledMsg::new(Time::ZERO, flow_bytes as u32)],
-        MtpConfig::default(),
-        SAMPLE,
+        mtp_pair(
+            MtpConfig::default(),
+            vec![ScheduledMsg::new(Time::ZERO, flow_bytes as u32)],
+            SAMPLE,
+            1,
+        ),
+        network(),
     );
     mtp.sim.run_until(horizon);
     mtp_sim::assert_conservation(&mtp.sim);

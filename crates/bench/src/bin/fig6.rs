@@ -17,7 +17,7 @@
 //! The paper reports 99th-percentile flow completion times; MTP-LB
 //! achieves near-perfect balance without reordering.
 
-use mtp_bench::topo::{two_path_mtp_host, PathSpec};
+use mtp_bench::topo::{mtp_pair, parallel_paths, ParallelSpec, PathSpec};
 use mtp_bench::{write_json, ExperimentRecord};
 use mtp_core::{MtpConfig, MtpSenderNode, ScheduledMsg};
 use mtp_net::Strategy;
@@ -81,15 +81,21 @@ fn run(strategy: Strategy) -> RunOut {
     let b = PathSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(2));
     // 200 Gbps host links: the sender can load both paths at once.
     let host = PathSpec::new(Bandwidth::from_gbps(200), Duration::from_micros(1));
-    let mut tp = two_path_mtp_host(
+    let mut tp = parallel_paths(
         SEED,
-        strategy,
-        a,
-        b,
-        schedule(),
-        MtpConfig::default(),
-        Duration::from_micros(100),
-        host,
+        mtp_pair(
+            MtpConfig::default(),
+            schedule(),
+            Duration::from_micros(100),
+            1,
+        ),
+        ParallelSpec {
+            a,
+            b,
+            host,
+            forward: strategy,
+            reverse: Strategy::Fixed,
+        },
     );
     // Run past the horizon so stragglers finish.
     tp.sim
@@ -113,8 +119,8 @@ fn run(strategy: Strategy) -> RunOut {
         p99_slowdown: mtp_workload::percentile(&slowdowns, 99.0),
         completed: fct.samples.len(),
         retx: sender.sender.stats.retransmissions,
-        path_a_gb: tp.sim.link_stats(tp.path_a).tx_bytes as f64 / 1e9,
-        path_b_gb: tp.sim.link_stats(tp.path_b).tx_bytes as f64 / 1e9,
+        path_a_gb: tp.sim.link_stats(tp.a_fwd).tx_bytes as f64 / 1e9,
+        path_b_gb: tp.sim.link_stats(tp.b_fwd).tx_bytes as f64 / 1e9,
     }
 }
 

@@ -3,13 +3,13 @@
 //! lookahead runtime reproduces the serial engine byte-for-byte at a
 //! scale where single-core simulation is the bottleneck.
 //!
-//! Prints the run summary and writes `results/fig_fabric.json`.
+//! Prints the run summary and writes `results/fig_fabric.json`. Counts
+//! and digests only: how fast the sharded engine runs is the benchmark's
+//! `sim.shard.*` rows, not this record.
 //!
 //! Usage: `fig_fabric [--shards N]` (default 4).
 
-use std::time::Instant;
-
-use mtp_bench::fabric::{build, fault_schedule, run_serial, FabricCfg};
+use mtp_bench::fabric::{build, fault_schedule, run_serial, run_sharded, FabricCfg};
 use mtp_bench::{write_json, ExperimentRecord};
 use mtp_sim::monolithic_digest;
 use mtp_sim::time::{Duration, Time};
@@ -23,16 +23,12 @@ struct FabricData {
     shards: usize,
     lookahead_us: f64,
     serial_events: u64,
-    serial_wall_ms: f64,
     sharded_events: u64,
-    sharded_wall_ms: f64,
-    scaling_x: f64,
     digest_identical: bool,
     audit_clean: bool,
     pkts_delivered: u64,
     pkts_malformed: u64,
     pkts_boundary_crossings: u64,
-    host_cores: usize,
 }
 
 fn counter(snap: &mtp_sim::Snapshot, m: Metric) -> u64 {
@@ -71,38 +67,21 @@ fn main() {
         shards
     );
     let net = build(cfg);
-    let admin = fault_schedule(&net, seed);
+    let faults = fault_schedule(&net, seed);
 
-    let t0 = Instant::now();
-    let serial = run_serial(&net, seed, None, horizon, admin.clone());
-    let serial_wall = t0.elapsed().as_secs_f64();
+    let serial = run_serial(&net, seed, None, horizon, faults.clone());
     mtp_sim::assert_conservation(&serial);
     let serial_events = serial.events_processed();
     let want = monolithic_digest(&serial);
-    println!(
-        "serial:  {:>9} events  {:>9.1} ms",
-        serial_events,
-        serial_wall * 1e3
-    );
+    println!("serial:  {serial_events:>9} events");
 
-    let plan = net.graph.plan(shards, seed, None);
-    let lookahead_us = plan.lookahead.0 as f64 / 1e6;
-    let t0 = Instant::now();
-    let mut ss = mtp_sim::ShardedSimulator::new(plan);
-    ss.schedule_admin(admin);
-    ss.run_until(horizon);
-    let sharded_wall = t0.elapsed().as_secs_f64();
+    let ss = run_sharded(&net, shards, seed, None, horizon, faults);
+    let lookahead_us = ss.lookahead().0 as f64 / 1e6;
     let sharded_events = ss.events_processed();
     let digest_identical = ss.digest() == want;
     let audit = ss.audit();
     let snap = ss.merged_snapshot();
-    println!(
-        "sharded: {:>9} events  {:>9.1} ms  ({:.2}x, lookahead {:.2} us)",
-        sharded_events,
-        sharded_wall * 1e3,
-        serial_wall / sharded_wall,
-        lookahead_us
-    );
+    println!("sharded: {sharded_events:>9} events  (lookahead {lookahead_us:.2} us)");
     println!(
         "digest {}  audit {}  delivered {} pkts  malformed {}  boundary crossings {}",
         if digest_identical {
@@ -122,16 +101,12 @@ fn main() {
         shards,
         lookahead_us,
         serial_events,
-        serial_wall_ms: serial_wall * 1e3,
         sharded_events,
-        sharded_wall_ms: sharded_wall * 1e3,
-        scaling_x: serial_wall / sharded_wall,
         digest_identical,
         audit_clean: audit.ok(),
         pkts_delivered: counter(&snap, Metric::PktsDelivered),
         pkts_malformed: counter(&snap, Metric::PktsMalformed),
         pkts_boundary_crossings: counter(&snap, Metric::PktsBoundaryIn),
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
     };
     let path = write_json(&ExperimentRecord {
         id: "fig_fabric",

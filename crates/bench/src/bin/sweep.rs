@@ -7,12 +7,12 @@
 //! establishing that the reproduced effect is not a phase artifact.
 
 use mtp_bench::parallel::{mean_std, run_seeds};
-use mtp_bench::topo::{two_path_mtp, two_path_tcp, PathSpec};
+use mtp_bench::topo::{mtp_pair, parallel_paths, tcp_pair, ParallelSpec, PathSpec};
 use mtp_bench::{write_json, ExperimentRecord};
 use mtp_core::{MtpConfig, MtpSinkNode, ScheduledMsg};
 use mtp_net::Strategy;
 use mtp_sim::time::{Bandwidth, Duration, Time};
-use mtp_tcp::{TcpConfig, TcpSinkNode, TcpWorkloadMode};
+use mtp_tcp::{TcpConfig, TcpSinkNode};
 use serde::Serialize;
 
 const PERIOD: Duration = Duration(384_000_000);
@@ -34,16 +34,18 @@ fn one_seed(seed: u64) -> (f64, f64) {
     // inside the alternation period, so every run meets the flips at a
     // different point in slow start and in its sawtooth.
     let start = Time::ZERO + Duration::from_micros((seed * 37) % 384);
+    let network = || ParallelSpec {
+        a: fast,
+        b: slow,
+        host: PathSpec::host_default(),
+        forward: Strategy::Alternate { period: PERIOD },
+        reverse: Strategy::Fixed,
+    };
 
-    let mut dctcp = two_path_tcp(
+    let mut dctcp = parallel_paths(
         seed,
-        Strategy::Alternate { period: PERIOD },
-        fast,
-        slow,
-        vec![(start, 200_000_000)],
-        TcpConfig::dctcp(),
-        TcpWorkloadMode::Persistent,
-        SAMPLE,
+        tcp_pair(TcpConfig::dctcp(), vec![(start, 200_000_000)], SAMPLE),
+        network(),
     );
     dctcp.sim.run_until(horizon);
     mtp_sim::assert_conservation(&dctcp.sim);
@@ -55,17 +57,18 @@ fn one_seed(seed: u64) -> (f64, f64) {
             .rates_gbps(),
     );
 
-    let mut mtp = two_path_mtp(
+    let mut mtp = parallel_paths(
         seed,
-        Strategy::Alternate { period: PERIOD },
-        fast,
-        slow,
-        vec![ScheduledMsg {
-            at: start,
-            ..ScheduledMsg::new(Time::ZERO, 200_000_000)
-        }],
-        MtpConfig::default(),
-        SAMPLE,
+        mtp_pair(
+            MtpConfig::default(),
+            vec![ScheduledMsg {
+                at: start,
+                ..ScheduledMsg::new(Time::ZERO, 200_000_000)
+            }],
+            SAMPLE,
+            1,
+        ),
+        network(),
     );
     mtp.sim.run_until(horizon);
     mtp_sim::assert_conservation(&mtp.sim);

@@ -22,11 +22,12 @@
 
 use std::sync::Arc;
 
+use mtp_faults::{FaultDriver, FaultSchedule};
 use mtp_net::TopoGraph;
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{
-    sanitize, AdminDriver, AdminEvent, AppData, Ctx, Headers, LinkCfg, Node, NodeAuditCounters,
-    Packet, PortId, ShardedSimulator, Simulator,
+    sanitize, AppData, Ctx, Headers, LinkCfg, Node, NodeAuditCounters, Packet, PortId,
+    ShardedSimulator, Simulator,
 };
 use mtp_wire::{EntityId, MsgId, MtpHeader, PktNum, PktType};
 
@@ -383,9 +384,9 @@ pub fn build(cfg: FabricCfg) -> FabricNet {
 
 /// A deterministic fault + corruption schedule over the fabric, in global
 /// ids, sized to bite while traffic is in flight. The same schedule is
-/// replayed by [`AdminDriver`] on the monolithic run and by
+/// replayed by [`FaultDriver`] on the monolithic run and by
 /// [`ShardedSimulator::schedule_admin`] on the sharded one.
-pub fn fault_schedule(net: &FabricNet, seed: u64) -> Vec<AdminEvent> {
+pub fn fault_schedule(net: &FabricNet, seed: u64) -> FaultSchedule {
     use mtp_sim::{DirLinkId, LinkFailMode, NodeId};
     let at = |us: u64| Time::ZERO + Duration::from_micros(us);
     let pick = |pairs: &[usize], k: u64| -> DirLinkId {
@@ -393,86 +394,39 @@ pub fn fault_schedule(net: &FabricNet, seed: u64) -> Vec<AdminEvent> {
             pairs[(seed.wrapping_mul(2654435761).wrapping_add(k) % pairs.len() as u64) as usize];
         DirLinkId(2 * pair + ((seed ^ k) % 2) as usize)
     };
-    let victim_host = net.hosts[(seed as usize * 31 + 7) % net.hosts.len()];
-    vec![
-        // Damage structured headers on an access link and an uplink.
-        AdminEvent {
-            at: at(20),
-            op: mtp_sim::AdminOp::BitflipBurst {
-                link: pick(&net.host_pairs, 1),
-                // Enough flips that some land in the ~50-byte sealed
-                // header (most of the frame is payload): the malformed
-                // path at the receiving host is exercised, not just
-                // payload_dirty.
-                pkts: 6,
-                flips: 64,
-                seed: seed ^ 0xb17,
-            },
-        },
-        AdminEvent {
-            at: at(35),
-            op: mtp_sim::AdminOp::TruncateBurst {
-                link: pick(&net.up_pairs, 2),
-                pkts: 4,
-                seed: seed ^ 0x7c4,
-            },
-        },
+    let victim_host = NodeId(net.hosts[(seed as usize * 31 + 7) % net.hosts.len()]);
+    let mut s = FaultSchedule::new();
+    // Damage structured headers on an access link and an uplink. Enough
+    // flips that some land in the ~50-byte sealed header (most of the
+    // frame is payload): the malformed path at the receiving host is
+    // exercised, not just payload_dirty.
+    s.bitflip_burst(at(20), pick(&net.host_pairs, 1), 6, 64, seed ^ 0xb17)
+        .truncate_burst(at(35), pick(&net.up_pairs, 2), 4, seed ^ 0x7c4)
         // Background random corruption on an inter-pod link.
-        AdminEvent {
-            at: at(10),
-            op: mtp_sim::AdminOp::SetCorruptRate {
-                link: pick(&net.cross_pairs, 3),
-                ppm: 200_000,
-                flips: 2,
-                seed: seed ^ 0x5eed,
-            },
-        },
+        .corrupt_rate(at(10), pick(&net.cross_pairs, 3), 200_000, 2, seed ^ 0x5eed)
         // A link failure and recovery on another inter-pod link.
-        AdminEvent {
-            at: at(40),
-            op: mtp_sim::AdminOp::FailLink {
-                link: pick(&net.cross_pairs, 4),
-                mode: LinkFailMode::Blackhole,
-            },
-        },
-        AdminEvent {
-            at: at(120),
-            op: mtp_sim::AdminOp::RestoreLink {
-                link: pick(&net.cross_pairs, 4),
-            },
-        },
+        .link_down(at(40), pick(&net.cross_pairs, 4), LinkFailMode::Blackhole)
+        .link_up(at(120), pick(&net.cross_pairs, 4))
         // A host crashes mid-run and comes back.
-        AdminEvent {
-            at: at(60),
-            op: mtp_sim::AdminOp::CrashNode {
-                node: NodeId(victim_host),
-            },
-        },
-        AdminEvent {
-            at: at(150),
-            op: mtp_sim::AdminOp::RestartNode {
-                node: NodeId(victim_host),
-            },
-        },
-    ]
+        .crash_restart(victim_host, at(60), at(150));
+    s
 }
 
 /// Run the fabric monolithically (single engine) to `horizon`, replaying
-/// `admin` at exact times, and return the finished simulator.
+/// `faults` at exact times, and return the finished simulator.
 pub fn run_serial(
     net: &FabricNet,
     seed: u64,
     trace_cap: Option<usize>,
     horizon: Time,
-    admin: Vec<AdminEvent>,
+    faults: FaultSchedule,
 ) -> Simulator {
     let mut sim = net.graph.build_monolithic(seed, trace_cap);
-    let mut driver = AdminDriver::new(admin);
-    driver.run_until(&mut sim, horizon);
+    FaultDriver::new(faults).run_until(&mut sim, horizon);
     sim
 }
 
-/// Run the fabric sharded `shards` ways to `horizon` with the same admin
+/// Run the fabric sharded `shards` ways to `horizon` with the same fault
 /// schedule, and return the sharded runtime (for digest/audit/snapshot).
 pub fn run_sharded(
     net: &FabricNet,
@@ -480,11 +434,11 @@ pub fn run_sharded(
     seed: u64,
     trace_cap: Option<usize>,
     horizon: Time,
-    admin: Vec<AdminEvent>,
+    faults: FaultSchedule,
 ) -> ShardedSimulator {
     let plan = net.graph.plan(shards, seed, trace_cap);
     let mut ss = ShardedSimulator::new(plan);
-    ss.schedule_admin(admin);
+    ss.schedule_admin(faults.into_sorted());
     ss.run_until(horizon);
     ss
 }
@@ -501,7 +455,7 @@ mod tests {
             1,
             None,
             Time::ZERO + Duration::from_millis(2),
-            Vec::new(),
+            FaultSchedule::new(),
         );
         mtp_sim::assert_conservation(&sim);
         let mut rx = 0u64;

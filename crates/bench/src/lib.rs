@@ -17,12 +17,16 @@
 //!
 //! Each binary prints the series/rows the paper reports and writes a JSON
 //! record under `results/`. Runs are deterministic: fixed seeds, shared
-//! topology builders ([`topo`]). The failure and corruption studies are
+//! topology builders ([`topo`]: `dumbbell`, `leaf_spine`, and the
+//! two-parallel-path network, [`topo::parallel_paths`], which is also the
+//! failure study's diamond). The failure and corruption studies are
 //! scenario files (`scn scenarios/{failover,corruption}_diamond.toml`);
 //! [`study`] holds the measurement helpers that runner uses.
 //!
 //! [`hotpath`], [`endpoint`] and [`fabric`] are the fixed-seed workloads
-//! behind the golden-digest and sharded == serial tests in `tests/`.
+//! behind the golden-digest and sharded == serial tests in `tests/`;
+//! [`fabric::fault_schedule`] is an ordinary `mtp_faults::FaultSchedule`,
+//! replayed by the `FaultDriver` serially and by `schedule_admin` sharded.
 //! Timing lives in the repository's one benchmark, `benchmark/`.
 
 #![forbid(unsafe_code)]

@@ -2,12 +2,12 @@
 //!
 //! A scenario cell is reduced to sorted message completion times,
 //! completions inside a fault window, round-to-nearest percentiles, and
-//! the damaged-frame total across a diamond's four path links; the
+//! the damaged-frame total across the four path links; the
 //! periodic-workload builders are shared with `golden_replay.rs`'s inline
 //! reference runs so both submit byte-identical schedules.
 
 use mtp_core::ScheduledMsg;
-use mtp_faults::Diamond;
+use mtp_faults::ParallelPaths;
 use mtp_sim::time::{Duration, Time};
 
 /// `n` microseconds after the epoch.
@@ -38,8 +38,8 @@ pub fn tcp_periodic(count: u64, bytes: u64, every_us: u64) -> Vec<(Time, u64)> {
     (0..count).map(|i| (us(every_us * i), bytes)).collect()
 }
 
-/// Frames damaged in flight, summed over a diamond's four path links.
-pub fn corrupted_frames(d: &Diamond) -> u64 {
+/// Frames damaged in flight, summed over the network's four path links.
+pub fn corrupted_frames(d: &ParallelPaths) -> u64 {
     [d.a_fwd, d.a_rev, d.b_fwd, d.b_rev]
         .iter()
         .map(|&l| d.sim.link_stats(l).corrupted_pkts)

@@ -4,180 +4,24 @@
 //!
 //! * **two-path**: sender — sw1 ═(path A / path B)═ sw2 — receiver, with a
 //!   pluggable fan-out strategy at sw1 (alternation for Fig. 5, ECMP /
-//!   spray / MTP-LB for Fig. 6);
+//!   spray / MTP-LB for Fig. 6) — the same network as the failure study's
+//!   diamond, so its one builder lives in `mtp-faults` and is re-exported
+//!   here ([`parallel_paths`]);
 //! * **dumbbell**: N senders — sw1 —(shared link)— sw2 — receiver(s)
 //!   (Figs. 3 and 7).
 
-use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_net::{FanoutForwarder, Stamp, StampKind, StaticRoutes, Strategy, SwitchNode};
-use mtp_sim::time::{Bandwidth, Duration};
 use mtp_sim::{LinkCfg, NodeId, PortId, Simulator};
-use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
-use mtp_wire::{EntityId, PathletId};
+use mtp_wire::PathletId;
 
-/// Client host address used by the two-path builders.
-pub const CLIENT_ADDR: u16 = 1;
-/// Server host address used by the two-path builders.
-pub const SERVER_ADDR: u16 = 2;
+pub use mtp_faults::topo::{
+    mtp_pair, parallel_paths, tcp_pair, ParallelPaths, ParallelSpec, CLIENT_ADDR, SERVER_ADDR,
+};
 
-/// One parallel path's parameters — the same spec the fault-study
-/// topologies use ([`mtp_faults::LinkSpec`]): rate + delay over the
-/// paper's standard 128-packet ECN(20) queue.
+/// One link's parameters — the same spec the fault-study topologies use
+/// ([`mtp_faults::LinkSpec`]): rate + delay over the paper's standard
+/// 128-packet ECN(20) queue.
 pub type PathSpec = mtp_faults::LinkSpec;
-
-/// Handle to a built two-path topology.
-pub struct TwoPath {
-    /// The simulator.
-    pub sim: Simulator,
-    /// The sending host.
-    pub sender: NodeId,
-    /// The receiving host.
-    pub sink: NodeId,
-    /// First-hop switch (holds the strategy/stamps).
-    pub sw1: NodeId,
-    /// Directed links of path A and path B (sw1 → sw2).
-    pub path_a: mtp_sim::DirLinkId,
-    /// Path B forward direction.
-    pub path_b: mtp_sim::DirLinkId,
-}
-
-/// Build the two-path topology with an MTP sender/sink. Path A is stamped
-/// as pathlet 1, path B as pathlet 2.
-pub fn two_path_mtp(
-    seed: u64,
-    strategy: Strategy,
-    a: PathSpec,
-    b: PathSpec,
-    schedule: Vec<ScheduledMsg>,
-    cfg: MtpConfig,
-    goodput_bin: Duration,
-) -> TwoPath {
-    two_path_mtp_host(
-        seed,
-        strategy,
-        a,
-        b,
-        schedule,
-        cfg,
-        goodput_bin,
-        default_host_spec(),
-    )
-}
-
-/// Default host-to-switch link: 100 Gbps, 1 us.
-pub fn default_host_spec() -> PathSpec {
-    PathSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(1))
-}
-
-/// [`two_path_mtp`] with an explicit host-link spec (Fig. 6 uses a
-/// 200 Gbps host NIC so both 100 Gbps paths can be loaded at once).
-#[allow(clippy::too_many_arguments)] // topology knobs are clearer positionally
-pub fn two_path_mtp_host(
-    seed: u64,
-    strategy: Strategy,
-    a: PathSpec,
-    b: PathSpec,
-    schedule: Vec<ScheduledMsg>,
-    cfg: MtpConfig,
-    goodput_bin: Duration,
-    host: PathSpec,
-) -> TwoPath {
-    let mut sim = Simulator::new(seed);
-    let sender = sim.add_node(Box::new(MtpSenderNode::new(
-        cfg,
-        CLIENT_ADDR,
-        SERVER_ADDR,
-        EntityId(0),
-        1 << 40,
-        schedule,
-    )));
-    let sink = sim.add_node(Box::new(MtpSinkNode::new(SERVER_ADDR, goodput_bin)));
-    build_two_path_network(&mut sim, sender, sink, strategy, a, b, true, host)
-        .into_two_path(sim, sender, sink)
-}
-
-/// Build the two-path topology with a TCP (or DCTCP) sender/sink.
-#[allow(clippy::too_many_arguments)] // topology knobs are clearer positionally
-pub fn two_path_tcp(
-    seed: u64,
-    strategy: Strategy,
-    a: PathSpec,
-    b: PathSpec,
-    schedule: Vec<(mtp_sim::Time, u64)>,
-    cfg: TcpConfig,
-    mode: TcpWorkloadMode,
-    goodput_bin: Duration,
-) -> TwoPath {
-    let mut sim = Simulator::new(seed);
-    let sender = sim.add_node(Box::new(TcpSenderNode::with_addrs(
-        cfg.clone(),
-        mode,
-        100,
-        schedule,
-        CLIENT_ADDR,
-        SERVER_ADDR,
-    )));
-    let sink = sim.add_node(Box::new(TcpSinkNode::new(cfg, goodput_bin)));
-    build_two_path_network(
-        &mut sim,
-        sender,
-        sink,
-        strategy,
-        a,
-        b,
-        false,
-        default_host_spec(),
-    )
-    .into_two_path(sim, sender, sink)
-}
-
-struct NetHandles {
-    sw1: NodeId,
-    path_a: mtp_sim::DirLinkId,
-    path_b: mtp_sim::DirLinkId,
-}
-
-impl NetHandles {
-    fn into_two_path(self, sim: Simulator, sender: NodeId, sink: NodeId) -> TwoPath {
-        TwoPath {
-            sim,
-            sender,
-            sink,
-            sw1: self.sw1,
-            path_a: self.path_a,
-            path_b: self.path_b,
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn build_two_path_network(
-    sim: &mut Simulator,
-    sender: NodeId,
-    sink: NodeId,
-    strategy: Strategy,
-    a: PathSpec,
-    b: PathSpec,
-    stamp: bool,
-    host: PathSpec,
-) -> NetHandles {
-    let p = mtp_faults::build_parallel_paths(
-        sim,
-        sender,
-        sink,
-        strategy,
-        Strategy::Fixed,
-        a,
-        b,
-        host,
-        stamp,
-    );
-    NetHandles {
-        sw1: p.sw1,
-        path_a: p.a_fwd,
-        path_b: p.b_fwd,
-    }
-}
 
 /// Handle to a built dumbbell.
 pub struct Dumbbell {

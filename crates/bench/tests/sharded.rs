@@ -9,6 +9,7 @@
 //! the runtime.
 
 use mtp_bench::fabric::{build, fault_schedule, run_serial, run_sharded, FabricCfg};
+use mtp_faults::FaultSchedule;
 use mtp_sim::monolithic_digest;
 use mtp_sim::time::{Duration, Time};
 
@@ -62,10 +63,10 @@ fn sharded_digest_matches_serial_without_faults() {
     ];
     for (cfg, seed, trace, shard_counts) in inputs {
         let net = build(cfg);
-        let serial = run_serial(&net, seed, trace, horizon(), Vec::new());
+        let serial = run_serial(&net, seed, trace, horizon(), FaultSchedule::new());
         let want = monolithic_digest(&serial);
         for &shards in shard_counts {
-            let ss = run_sharded(&net, shards, seed, trace, horizon(), Vec::new());
+            let ss = run_sharded(&net, shards, seed, trace, horizon(), FaultSchedule::new());
             assert_eq!(
                 ss.digest(),
                 want,
@@ -86,7 +87,7 @@ fn conservation_holds_mid_epoch_with_boundary_packets_staged() {
     let net = build(FabricCfg::tiny());
     let plan = net.graph.plan(3, 5, None);
     let mut ss = mtp_sim::ShardedSimulator::new(plan);
-    ss.schedule_admin(fault_schedule(&net, 5));
+    ss.schedule_admin(fault_schedule(&net, 5).into_sorted());
     let mut saw_staged = false;
     let mut audits_with_staged = 0u32;
     // Steps shorter than a burst's fabric transit (~15 us) so plenty of

@@ -16,7 +16,7 @@ pub fn mtp() -> TransportCapabilities {
             "every packet carries msg id/len/offset; MtpHeader::parse reads per-message fields at fixed offsets 8-35 (mtp-wire::header)",
         ),
         inter_message_independence: Assessment::yes(
-            "messages are independent; no connection state; per-message load balancing is safe (host.rs, blob.rs)",
+            "messages are independent; no connection state; per-message load balancing is safe (host.rs)",
         ),
         multi_resource_cc: Assessment::yes(
             "per-(pathlet, TC) controllers with TLV-typed feedback; DCTCP-like, RCP-like, Swift-like coexist (pathlet_cc.rs)",

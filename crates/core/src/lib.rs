@@ -18,9 +18,9 @@
 //!   windows, RCP-like explicit rates, and Swift-like delay targets
 //!   coexist. Senders advertise congested pathlets back to the network via
 //!   the header's path-exclude list.
-//! * **Blob mode** (§3.1.2). Bulk data is carried as independent
-//!   single-packet messages with a reassembly layer beneath the application
-//!   ([`blob`]).
+//! * **Blob mode** (§3.1.2) is a schedule, not a module: bulk data
+//!   submitted as independent single-packet messages (`ablations`'
+//!   blob-vs-message arm in `mtp-bench` runs one).
 //!
 //! The sans-IO cores ([`sender::MtpSender`], [`receiver::MtpReceiver`]) are
 //! wrapped by simulator nodes in [`host`]; in-network devices that stamp
@@ -51,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blob;
 pub mod capabilities;
 pub mod config;
 pub mod host;
@@ -60,7 +59,6 @@ pub mod pathlets;
 pub mod receiver;
 pub mod sender;
 
-pub use blob::{send_blob, BlobComplete, BlobHandle, BlobReassembler};
 pub use config::{FailoverConfig, MtpConfig};
 pub use host::{EndpointMirror, MtpMsgRecord, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 pub use pathlet_cc::{CcKind, DctcpLikeCc, FixedWindowCc, PathletCc, RcpLikeCc, SwiftLikeCc};

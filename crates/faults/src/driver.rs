@@ -11,18 +11,9 @@
 //! runs produce byte-identical traces, queues, and statistics.
 
 use mtp_sim::time::Time;
-use mtp_sim::{LinkFailMode, Simulator};
+use mtp_sim::{FaultEvent, Simulator};
 
-use crate::schedule::{FaultEvent, FaultKind, FaultSchedule};
-
-/// One fault the driver has already injected (an audit log entry).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AppliedFault {
-    /// When it was injected.
-    pub at: Time,
-    /// Human-readable description of what was done.
-    pub desc: String,
-}
+use crate::schedule::FaultSchedule;
 
 /// Replays a [`FaultSchedule`] against a [`Simulator`].
 #[derive(Debug)]
@@ -30,8 +21,6 @@ pub struct FaultDriver {
     pending: Vec<FaultEvent>,
     /// Cursor into `pending` (already-applied prefix).
     next: usize,
-    /// Audit log of injected faults, in application order.
-    pub applied: Vec<AppliedFault>,
 }
 
 impl FaultDriver {
@@ -40,7 +29,6 @@ impl FaultDriver {
         FaultDriver {
             pending: schedule.into_sorted(),
             next: 0,
-            applied: Vec::new(),
         }
     }
 
@@ -57,76 +45,9 @@ impl FaultDriver {
             let ev = self.pending[self.next];
             self.next += 1;
             sim.run_until(ev.at);
-            let desc = apply(sim, &ev.kind);
-            self.applied.push(AppliedFault { at: ev.at, desc });
+            ev.kind.apply(sim);
         }
         sim.run_until(until)
-    }
-}
-
-/// Inject one fault into the simulator and describe it.
-fn apply(sim: &mut Simulator, kind: &FaultKind) -> String {
-    match *kind {
-        FaultKind::LinkDown { link, mode } => {
-            sim.fail_link(link, mode);
-            let m = match mode {
-                LinkFailMode::Blackhole => "blackhole",
-                LinkFailMode::Drain => "drain",
-            };
-            format!("link {} down ({m})", link.0)
-        }
-        FaultKind::LinkUp { link } => {
-            sim.restore_link(link);
-            format!("link {} up", link.0)
-        }
-        FaultKind::LinkRate { link, rate } => {
-            sim.set_link_rate(link, rate);
-            format!("link {} rate -> {} bps", link.0, rate.bps())
-        }
-        FaultKind::LinkDelay { link, delay } => {
-            sim.set_link_delay(link, delay);
-            format!("link {} delay -> {} ps", link.0, delay.0)
-        }
-        FaultKind::CorruptBurst { link, pkts } => {
-            sim.corrupt_burst(link, pkts);
-            format!("link {} corrupting next {pkts} pkts", link.0)
-        }
-        FaultKind::BitflipBurst {
-            link,
-            pkts,
-            flips,
-            seed,
-        } => {
-            sim.bitflip_burst(link, pkts, flips, seed);
-            format!(
-                "link {} bit-flipping next {pkts} pkts ({flips} flips, seed {seed})",
-                link.0
-            )
-        }
-        FaultKind::TruncateBurst { link, pkts, seed } => {
-            sim.truncate_burst(link, pkts, seed);
-            format!("link {} truncating next {pkts} pkts (seed {seed})", link.0)
-        }
-        FaultKind::CorruptRate {
-            link,
-            ppm,
-            flips,
-            seed,
-        } => {
-            sim.set_corrupt_rate(link, ppm, flips, seed);
-            format!(
-                "link {} corrupt rate -> {ppm} ppm ({flips} flips, seed {seed})",
-                link.0
-            )
-        }
-        FaultKind::NodeCrash { node } => {
-            sim.crash_node(node);
-            format!("node {} crash", node.0)
-        }
-        FaultKind::NodeRestart { node } => {
-            sim.restart_node(node);
-            format!("node {} restart", node.0)
-        }
     }
 }
 
@@ -135,7 +56,7 @@ mod tests {
     use super::*;
     use mtp_sim::packet::{Headers, Packet};
     use mtp_sim::time::{Bandwidth, Duration};
-    use mtp_sim::{Ctx, DirLinkId, Node, PortId};
+    use mtp_sim::{Ctx, DirLinkId, LinkFailMode, Node, PortId};
 
     /// Sends `n` packets at fixed intervals; counts what comes back.
     struct Metronome {
@@ -201,7 +122,6 @@ mod tests {
         drv.run_until(&mut sim, Time::ZERO + Duration::from_millis(1));
         assert_eq!(sim.node_as::<Metronome>(m).got, 7);
         assert_eq!(drv.remaining(), 0);
-        assert_eq!(drv.applied.len(), 4);
     }
 
     #[test]
@@ -223,7 +143,6 @@ mod tests {
                 sim.node_as::<Metronome>(m).got,
                 sim.events_processed(),
                 sim.link_stats(fwd).faulted_pkts,
-                drv.applied,
             )
         };
         assert_eq!(run(), run());

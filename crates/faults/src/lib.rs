@@ -5,15 +5,15 @@
 //! pathlet should cost one failover, not a stalled flow. This crate is
 //! the test rig for that claim:
 //!
-//! * [`schedule`] — scripted fault events (link down/up in blackhole or
-//!   drain mode, rate/delay degradation, corruption bursts, node
-//!   crash/restart) as plain sorted data;
+//! * [`schedule`] — the builder for fault scripts: [`mtp_sim::FaultEvent`]s
+//!   (link down/up in blackhole or drain mode, rate/delay degradation,
+//!   corruption bursts, node crash/restart) as plain sorted data;
 //! * [`driver`] — replays a schedule against a running [`mtp_sim`]
 //!   simulation at exact virtual times, so `(seed, schedule)` determines
 //!   the entire packet-level execution — reruns are byte-identical;
-//! * [`topo`] — the diamond failure-study topology (two parallel paths)
-//!   for MTP and TCP senders, with every link and switch addressable by
-//!   fault scripts;
+//! * [`topo`] — the two-parallel-path network (the failure study's
+//!   diamond, the figures' two-path) around a caller-supplied endpoint
+//!   pair, with every link and switch addressable by fault scripts;
 //! * [`ledger`] — the exactly-once delivery ledger every failure
 //!   experiment must balance.
 //!
@@ -30,10 +30,10 @@ pub mod ledger;
 pub mod schedule;
 pub mod topo;
 
-pub use driver::{AppliedFault, FaultDriver};
+pub use driver::FaultDriver;
 pub use ledger::Ledger;
-pub use schedule::{FaultEvent, FaultKind, FaultSchedule};
+pub use mtp_sim::{FaultEvent, FaultKind};
+pub use schedule::FaultSchedule;
 pub use topo::{
-    build_parallel_paths, diamond_mtp, diamond_tcp, Diamond, LinkSpec, ParallelPaths, PATHLET_A,
-    PATHLET_B,
+    mtp_pair, parallel_paths, tcp_pair, LinkSpec, ParallelPaths, ParallelSpec, PATHLET_A, PATHLET_B,
 };

@@ -1,115 +1,17 @@
 //! Scripted fault schedules.
 //!
 //! A [`FaultSchedule`] is a plain sorted list of [`FaultEvent`]s — *what*
-//! breaks and *when*. It is data, not behaviour: applying a schedule to a
-//! running simulation is the [`driver`](crate::driver)'s job. Keeping the
+//! breaks and *when*, in `mtp-sim`'s one fault vocabulary. It is data, not
+//! behaviour: applying a schedule to a running simulation is the
+//! [`driver`](crate::driver)'s job (or, for a sharded run,
+//! [`mtp_sim::ShardedSimulator::schedule_admin`]'s). Keeping the
 //! two separate makes a failure experiment reproducible by construction:
 //! the schedule is built once from constants, and the driver applies each
 //! event at an exact virtual time, so the same `(seed, schedule)` pair
 //! always yields the same packet-level execution.
 
 use mtp_sim::time::{Bandwidth, Duration, Time};
-use mtp_sim::{DirLinkId, LinkFailMode, NodeId};
-
-/// One scripted fault (or repair).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Take a link direction down. [`LinkFailMode::Blackhole`] destroys the
-    /// queue and the in-flight packet; [`LinkFailMode::Drain`] finishes
-    /// what was already accepted but refuses new offers.
-    LinkDown {
-        /// The affected link direction.
-        link: DirLinkId,
-        /// Whether queued packets die or drain.
-        mode: LinkFailMode,
-    },
-    /// Bring a link direction back up.
-    LinkUp {
-        /// The affected link direction.
-        link: DirLinkId,
-    },
-    /// Change a link direction's rate (applies to future transmissions).
-    LinkRate {
-        /// The affected link direction.
-        link: DirLinkId,
-        /// The new rate.
-        rate: Bandwidth,
-    },
-    /// Change a link direction's propagation delay.
-    LinkDelay {
-        /// The affected link direction.
-        link: DirLinkId,
-        /// The new one-way delay.
-        delay: Duration,
-    },
-    /// Destroy the next `pkts` packets offered to a link direction
-    /// (a corruption burst: the link stays up).
-    CorruptBurst {
-        /// The affected link direction.
-        link: DirLinkId,
-        /// How many future offers to destroy.
-        pkts: u32,
-    },
-    /// Flip `flips` random bits in each of the next `pkts` corruptible
-    /// packets on a link direction and **deliver the damaged frames**
-    /// (unlike [`CorruptBurst`](Self::CorruptBurst), which destroys).
-    /// Receivers must detect and reject them via wire integrity checks.
-    BitflipBurst {
-        /// The affected link direction.
-        link: DirLinkId,
-        /// How many future corruptible offers to damage.
-        pkts: u32,
-        /// Bits flipped per packet (keep `<= 3` for guaranteed
-        /// header-CRC detection, i.e. exact corruption accounting).
-        flips: u8,
-        /// Seed for the per-link damage RNG (replays byte-identically).
-        seed: u64,
-    },
-    /// Truncate each of the next `pkts` corruptible packets on a link
-    /// direction at a random cut and deliver the shortened frame.
-    TruncateBurst {
-        /// The affected link direction.
-        link: DirLinkId,
-        /// How many future corruptible offers to truncate.
-        pkts: u32,
-        /// Seed for the per-link cut-point RNG.
-        seed: u64,
-    },
-    /// Arm a steady-state bit-flip rate on a link direction: each
-    /// corruptible packet is damaged independently with probability
-    /// `ppm` per million. `ppm = 0` disarms.
-    CorruptRate {
-        /// The affected link direction.
-        link: DirLinkId,
-        /// Corruption probability in packets per million.
-        ppm: u32,
-        /// Bits flipped per selected packet.
-        flips: u8,
-        /// Seed for the per-link selection/damage RNG.
-        seed: u64,
-    },
-    /// Crash a node: volatile state reset via its fault hook, pending
-    /// deliveries destroyed, timers swallowed, egress flushed.
-    NodeCrash {
-        /// The crashed node.
-        node: NodeId,
-    },
-    /// Restart a crashed node (its fault hook re-arms timers).
-    NodeRestart {
-        /// The restarted node.
-        node: NodeId,
-    },
-}
-
-/// A fault at a point in virtual time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
-    /// When the fault applies. The driver processes every simulation
-    /// event at or before `at` first, then injects the fault.
-    pub at: Time,
-    /// What happens.
-    pub kind: FaultKind,
-}
+use mtp_sim::{DirLinkId, FaultEvent, FaultKind, LinkFailMode, NodeId};
 
 /// An ordered script of faults. Events are kept sorted by time; ties
 /// apply in insertion order (the sort is stable), so a schedule built

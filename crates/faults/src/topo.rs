@@ -1,23 +1,37 @@
-//! Failure-study topologies.
+//! The two-parallel-path network.
 //!
-//! The canonical shape is a **diamond**: one sender, one sink, and two
-//! parallel switch-to-switch paths. It is the smallest topology in which
+//! One sender, one sink, and two parallel switch-to-switch paths:
+//! sender — sw1 ═(A/B)═ sw2 — sink. It is the smallest topology in which
 //! "route around the failure" is even possible, which makes it the right
-//! microscope for the MTP-vs-TCP failure comparison: MTP's pathlet
-//! machinery can steer messages onto the survivor, while a TCP flow is
-//! pinned to whatever path its five-tuple hashes to.
+//! microscope for the MTP-vs-TCP comparison: MTP's pathlet machinery can
+//! steer messages onto the better or surviving path, while a TCP flow is
+//! pinned to whatever path its five-tuple hashes to. The failure study
+//! (the *diamond*) and the paper's Figs. 5–6 (the *two-path*) are this one
+//! graph under two conventions, both spelled as a [`ParallelSpec`]:
 //!
-//! Both builders return every directed-link handle so fault schedules
-//! can cut, degrade, or corrupt any segment, plus both switch ids for
-//! crash/restart scripts. The reverse (ACK) fan-out at the far switch
-//! uses per-packet spray so acknowledgements are not themselves pinned
-//! to the failed path — otherwise every experiment would measure the
-//! ACK path, not the protocol.
+//! * **diamond** — equal paths; `forward` is the message-aware balancer
+//!   for MTP ([`Strategy::mtp_lb`] over [`PATHLET_A`]/[`PATHLET_B`]) or
+//!   [`Strategy::Fixed`] for TCP (the deterministic stand-in for ECMP: a
+//!   flow hashes onto path A and stays there, which is exactly the
+//!   failure-response handicap the study measures); `reverse` is per-packet
+//!   spray, so a single-path cut never silences the ACK channel — otherwise
+//!   every experiment would measure the ACK path, not the protocol. A
+//!   sprayed reverse cut still kills every other ACK for the whole outage,
+//!   so the MTP sink is built with SACK redundancy 8 ([`mtp_pair`]): the
+//!   survivors cover for the casualties instead of stranding packets until
+//!   an RTO.
+//! * **two-path** — unequal paths, a named `forward` strategy (alternation
+//!   for Fig. 5, ECMP / spray / MTP-LB for Fig. 6), `reverse` fixed on
+//!   path A.
+//!
+//! [`parallel_paths`] returns every directed-link handle so fault
+//! schedules can cut, degrade, or corrupt any segment, plus both switch
+//! ids for crash/restart scripts.
 
 use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_net::{FanoutForwarder, Stamp, StampKind, StaticRoutes, Strategy, SwitchNode};
 use mtp_sim::time::{Bandwidth, Duration, Time};
-use mtp_sim::{DirLinkId, LinkCfg, NodeId, PortId, Simulator};
+use mtp_sim::{DirLinkId, LinkCfg, Node, NodeId, PortId, Simulator};
 use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
 use mtp_wire::{EntityId, PathletId};
 
@@ -70,9 +84,30 @@ impl LinkSpec {
     }
 }
 
-/// Handles to a built two-parallel-path core (sender — sw1 ═ sw2 — sink).
+/// The knobs of a two-parallel-path network.
+pub struct ParallelSpec {
+    /// Path A, both directions.
+    pub a: LinkSpec,
+    /// Path B, both directions.
+    pub b: LinkSpec,
+    /// Both host–switch links.
+    pub host: LinkSpec,
+    /// How sw1 fans client traffic over the two paths.
+    pub forward: Strategy,
+    /// How sw2 fans server traffic (ACKs) back.
+    pub reverse: Strategy,
+}
+
+/// Handle to a built two-parallel-path network, with every
+/// fault-injectable element named.
 pub struct ParallelPaths {
-    /// Near switch (fans data over the two paths).
+    /// The simulator.
+    pub sim: Simulator,
+    /// The sending host.
+    pub sender: NodeId,
+    /// The receiving host.
+    pub sink: NodeId,
+    /// Near switch (fans data over the two paths, stamps pathlets).
     pub sw1: NodeId,
     /// Far switch (fans ACKs back).
     pub sw2: NodeId,
@@ -86,44 +121,48 @@ pub struct ParallelPaths {
     pub b_rev: DirLinkId,
 }
 
-/// Wire the canonical two-parallel-path core between an existing `sender`
-/// and `sink`: sw1 fans client traffic over both paths with `forward`,
-/// sw2 fans server traffic back with `reverse`. With `stamp`, sw1 marks
-/// path A as [`PATHLET_A`] and path B as [`PATHLET_B`]. This is the one
-/// builder behind both the failure-study diamond and the bench two-path
-/// topology; node and link creation order is part of its contract, since
-/// golden digests depend on it.
-#[allow(clippy::too_many_arguments)] // topology knobs are clearer positionally
-pub fn build_parallel_paths(
-    sim: &mut Simulator,
-    sender: NodeId,
-    sink: NodeId,
-    forward: Strategy,
-    reverse: Strategy,
-    a: LinkSpec,
-    b: LinkSpec,
-    host: LinkSpec,
-    stamp: bool,
+/// Build sender — sw1 ═(A/B)═ sw2 — sink around the caller's endpoint
+/// pair, which must speak from [`CLIENT_ADDR`] to [`SERVER_ADDR`] on port
+/// 0 ([`mtp_pair`] and [`tcp_pair`] do). sw1 stamps path A as
+/// [`PATHLET_A`] and path B as [`PATHLET_B`] into passing MTP data
+/// packets; other traffic passes unstamped.
+///
+/// Node and link creation order is part of the contract, since every
+/// pinned digest hashes it: sender, sink, sw1, sw2; then host–sw1, path A,
+/// path B, sw2–host.
+pub fn parallel_paths(
+    seed: u64,
+    (sender, sink): (Box<dyn Node>, Box<dyn Node>),
+    spec: ParallelSpec,
 ) -> ParallelPaths {
-    let mut sw1 = SwitchNode::new(
-        "sw1",
-        Box::new(FanoutForwarder::new(
-            StaticRoutes::new().add(CLIENT_ADDR, PortId(0)),
-            vec![PortId(1), PortId(2)],
-            forward,
-        )),
-    );
-    if stamp {
-        sw1 = sw1
-            .with_stamp(PortId(1), Stamp::new(PATHLET_A, StampKind::Presence))
-            .with_stamp(PortId(2), Stamp::new(PATHLET_B, StampKind::Presence));
-    }
-    let sw1 = sim.add_node(Box::new(sw1));
+    let ParallelSpec {
+        a,
+        b,
+        host,
+        forward,
+        reverse,
+    } = spec;
+    let mut sim = Simulator::new(seed);
+    let sender = sim.add_node(sender);
+    let sink = sim.add_node(sink);
+    let fan = vec![PortId(1), PortId(2)];
+    let sw1 = sim.add_node(Box::new(
+        SwitchNode::new(
+            "sw1",
+            Box::new(FanoutForwarder::new(
+                StaticRoutes::new().add(CLIENT_ADDR, PortId(0)),
+                fan.clone(),
+                forward,
+            )),
+        )
+        .with_stamp(PortId(1), Stamp::new(PATHLET_A, StampKind::Presence))
+        .with_stamp(PortId(2), Stamp::new(PATHLET_B, StampKind::Presence)),
+    ));
     let sw2 = sim.add_node(Box::new(SwitchNode::new(
         "sw2",
         Box::new(FanoutForwarder::new(
             StaticRoutes::new().add(SERVER_ADDR, PortId(0)),
-            vec![PortId(1), PortId(2)],
+            fan,
             reverse,
         )),
     )));
@@ -146,6 +185,9 @@ pub fn build_parallel_paths(
         host.link_cfg(),
     );
     ParallelPaths {
+        sim,
+        sender,
+        sink,
         sw1,
         sw2,
         a_fwd,
@@ -155,140 +197,45 @@ pub fn build_parallel_paths(
     }
 }
 
-/// Handle to a built diamond, with every fault-injectable element named.
-pub struct Diamond {
-    /// The simulator.
-    pub sim: Simulator,
-    /// The sending host.
-    pub sender: NodeId,
-    /// The receiving host.
-    pub sink: NodeId,
-    /// Near switch (fans data over the two paths).
-    pub sw1: NodeId,
-    /// Far switch (sprays ACKs back over the two paths).
-    pub sw2: NodeId,
-    /// Path A, sw1 -> sw2.
-    pub a_fwd: DirLinkId,
-    /// Path A, sw2 -> sw1.
-    pub a_rev: DirLinkId,
-    /// Path B, sw1 -> sw2.
-    pub b_fwd: DirLinkId,
-    /// Path B, sw2 -> sw1.
-    pub b_rev: DirLinkId,
-}
-
-fn build_diamond(
-    sim: &mut Simulator,
-    sender: NodeId,
-    sink: NodeId,
-    forward: Strategy,
-    path: LinkSpec,
-    host: LinkSpec,
-    stamp: bool,
-) -> (NodeId, NodeId, [DirLinkId; 4]) {
-    // ACKs return over whichever path is alive: per-packet spray, so a
-    // single-path cut never silences the reverse channel entirely.
-    let p = build_parallel_paths(
-        sim,
-        sender,
-        sink,
-        forward,
-        Strategy::Spray { next: 0 },
-        path,
-        path,
-        host,
-        stamp,
-    );
-    (p.sw1, p.sw2, [p.a_fwd, p.a_rev, p.b_fwd, p.b_rev])
-}
-
-/// Build the diamond with an MTP sender/sink. `sw1` runs the message-aware
-/// load balancer (which honors the sender's pathlet exclusions) and stamps
-/// path A as pathlet 1, path B as pathlet 2.
-pub fn diamond_mtp(
-    seed: u64,
+/// An MTP sender/sink pair for [`parallel_paths`]: the sender submits
+/// `schedule`, the sink bins goodput every `goodput_bin` and repeats each
+/// SACK block in `sack_redundancy` ACKs (1 is the receiver's default; the
+/// diamond's sprayed reverse path wants 8).
+pub fn mtp_pair(
     cfg: MtpConfig,
     schedule: Vec<ScheduledMsg>,
-    path: LinkSpec,
-) -> Diamond {
-    let mut sim = Simulator::new(seed);
-    let sender = sim.add_node(Box::new(MtpSenderNode::new(
-        cfg,
-        CLIENT_ADDR,
-        SERVER_ADDR,
-        EntityId(0),
-        1 << 40,
-        schedule,
-    )));
-    // ACKs return via per-packet spray, so a reverse-path cut kills every
-    // other ACK for the whole outage; SACK redundancy lets the survivors
-    // cover for the casualties instead of stranding packets until an RTO.
-    let sink = sim.add_node(Box::new(
-        MtpSinkNode::new(SERVER_ADDR, Duration::from_micros(100)).with_sack_redundancy(8),
-    ));
-    let strategy = Strategy::mtp_lb(2, vec![Some(PATHLET_A), Some(PATHLET_B)]);
-    let (sw1, sw2, links) = build_diamond(
-        &mut sim,
-        sender,
-        sink,
-        strategy,
-        path,
-        LinkSpec::host_default(),
-        true,
-    );
-    Diamond {
-        sim,
-        sender,
-        sink,
-        sw1,
-        sw2,
-        a_fwd: links[0],
-        a_rev: links[1],
-        b_fwd: links[2],
-        b_rev: links[3],
-    }
+    goodput_bin: Duration,
+    sack_redundancy: usize,
+) -> (Box<dyn Node>, Box<dyn Node>) {
+    (
+        Box::new(MtpSenderNode::new(
+            cfg,
+            CLIENT_ADDR,
+            SERVER_ADDR,
+            EntityId(0),
+            1 << 40,
+            schedule,
+        )),
+        Box::new(MtpSinkNode::new(SERVER_ADDR, goodput_bin).with_sack_redundancy(sack_redundancy)),
+    )
 }
 
-/// Build the diamond with a TCP sender/sink. The forward fan is fixed on
-/// path A — the deterministic stand-in for ECMP's behaviour, where a flow
-/// hashes onto one path and stays there. That pinning is exactly the
-/// failure-response handicap the study measures: TCP cannot re-steer
-/// mid-flow, so cutting path A stalls it.
-pub fn diamond_tcp(
-    seed: u64,
+/// A TCP (or DCTCP) sender/sink pair for [`parallel_paths`]: one
+/// persistent connection carrying `schedule`'s `(start, bytes)` transfers.
+pub fn tcp_pair(
     cfg: TcpConfig,
-    mode: TcpWorkloadMode,
     schedule: Vec<(Time, u64)>,
-    path: LinkSpec,
-) -> Diamond {
-    let mut sim = Simulator::new(seed);
-    let sender = sim.add_node(Box::new(TcpSenderNode::with_addrs(
-        cfg.clone(),
-        mode,
-        100,
-        schedule,
-        CLIENT_ADDR,
-        SERVER_ADDR,
-    )));
-    let sink = sim.add_node(Box::new(TcpSinkNode::new(cfg, Duration::from_micros(100))));
-    let (sw1, sw2, links) = build_diamond(
-        &mut sim,
-        sender,
-        sink,
-        Strategy::Fixed,
-        path,
-        LinkSpec::host_default(),
-        false,
-    );
-    Diamond {
-        sim,
-        sender,
-        sink,
-        sw1,
-        sw2,
-        a_fwd: links[0],
-        a_rev: links[1],
-        b_fwd: links[2],
-        b_rev: links[3],
-    }
+    goodput_bin: Duration,
+) -> (Box<dyn Node>, Box<dyn Node>) {
+    (
+        Box::new(TcpSenderNode::with_addrs(
+            cfg.clone(),
+            TcpWorkloadMode::Persistent,
+            100,
+            schedule,
+            CLIENT_ADDR,
+            SERVER_ADDR,
+        )),
+        Box::new(TcpSinkNode::new(cfg, goodput_bin)),
+    )
 }

@@ -4,8 +4,11 @@
 //! telemetry snapshot is a pure function of the seed: running the same
 //! cell twice produces byte-identical counters, gauges, and histograms.
 
-use mtp_core::{MtpConfig, ScheduledMsg};
-use mtp_faults::{diamond_mtp, FaultDriver, FaultSchedule, LinkSpec};
+mod common;
+
+use common::mtp_diamond;
+use mtp_core::ScheduledMsg;
+use mtp_faults::{FaultDriver, FaultSchedule};
 use mtp_sim::time::{Duration, Time};
 use mtp_sim::LinkFailMode;
 use proptest::prelude::*;
@@ -27,12 +30,7 @@ proptest! {
             let schedule: Vec<ScheduledMsg> = (0..n_msgs)
                 .map(|i| ScheduledMsg::new(us(120 * i), msg_kb * 1_000 + 13 * i as u32))
                 .collect();
-            let mut d = diamond_mtp(
-                seed,
-                MtpConfig::default().with_failover(),
-                schedule,
-                LinkSpec::path_default(),
-            );
+            let mut d = mtp_diamond(seed, schedule);
             let links = [d.a_fwd, d.a_rev, d.b_fwd, d.b_rev];
             let mut sched = FaultSchedule::new();
             for (i, &(kind, at, pick)) in faults.iter().enumerate() {

@@ -7,8 +7,11 @@
 //! Timings: early (mid-slow-start) and mid-transfer. Seeds: three per
 //! cell, also varying the message mix.
 
-use mtp_core::{MtpConfig, MtpSenderNode, ScheduledMsg};
-use mtp_faults::{diamond_mtp, Diamond, FaultDriver, FaultSchedule, Ledger, LinkSpec};
+mod common;
+
+use common::mtp_diamond;
+use mtp_core::{MtpSenderNode, ScheduledMsg};
+use mtp_faults::{FaultDriver, FaultSchedule, Ledger, ParallelPaths};
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::LinkFailMode;
 
@@ -38,18 +41,9 @@ fn workload(seed: u64) -> Vec<ScheduledMsg> {
     sched
 }
 
-fn mtp_diamond(seed: u64) -> Diamond {
-    diamond_mtp(
-        seed,
-        MtpConfig::default().with_failover(),
-        workload(seed),
-        LinkSpec::path_default(),
-    )
-}
-
 /// Run `schedule` against a fresh diamond and balance the ledger.
-fn run_cell(seed: u64, ctx: &str, build: impl Fn(&Diamond) -> FaultSchedule) -> Ledger {
-    let mut d = mtp_diamond(seed);
+fn run_cell(seed: u64, ctx: &str, build: impl Fn(&ParallelPaths) -> FaultSchedule) -> Ledger {
+    let mut d = mtp_diamond(seed, workload(seed));
     let sched = build(&d);
     let mut drv = FaultDriver::new(sched);
     drv.run_until(&mut d.sim, us(100_000));
@@ -62,7 +56,7 @@ fn run_cell(seed: u64, ctx: &str, build: impl Fn(&Diamond) -> FaultSchedule) -> 
 
 /// Same cell twice: the ledger (ids, byte counts, completion timestamps)
 /// must replay exactly.
-fn run_cell_replayed(seed: u64, ctx: &str, build: impl Fn(&Diamond) -> FaultSchedule) {
+fn run_cell_replayed(seed: u64, ctx: &str, build: impl Fn(&ParallelPaths) -> FaultSchedule) {
     let a = run_cell(seed, ctx, &build);
     let b = run_cell(seed, ctx, &build);
     assert_eq!(a, b, "[{ctx}] replay diverged");
@@ -182,9 +176,9 @@ struct CorruptionAudit {
 fn run_corruption_cell(
     seed: u64,
     ctx: &str,
-    build: impl Fn(&Diamond) -> FaultSchedule,
+    build: impl Fn(&ParallelPaths) -> FaultSchedule,
 ) -> CorruptionAudit {
-    let mut d = mtp_diamond(seed);
+    let mut d = mtp_diamond(seed, workload(seed));
     let sched = build(&d);
     let mut drv = FaultDriver::new(sched);
     drv.run_until(&mut d.sim, us(100_000));
@@ -216,7 +210,11 @@ fn run_corruption_cell(
     }
 }
 
-fn run_corruption_cell_replayed(seed: u64, ctx: &str, build: impl Fn(&Diamond) -> FaultSchedule) {
+fn run_corruption_cell_replayed(
+    seed: u64,
+    ctx: &str,
+    build: impl Fn(&ParallelPaths) -> FaultSchedule,
+) {
     let a = run_corruption_cell(seed, ctx, &build);
     let b = run_corruption_cell(seed, ctx, &build);
     assert_eq!(a, b, "[{ctx}] replay diverged");
@@ -312,7 +310,7 @@ fn permanent_single_path_loss_still_completes() {
 fn failover_machinery_actually_engaged() {
     // Sanity for the whole matrix: a mid-transfer blackhole must drive
     // the sender's quarantine path, not just its generic RTO path.
-    let mut d = mtp_diamond(1);
+    let mut d = mtp_diamond(1, workload(1));
     let mut s = FaultSchedule::new();
     s.cut_both(
         d.a_fwd,

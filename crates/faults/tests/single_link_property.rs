@@ -3,8 +3,11 @@
 //! the workload, never repaired — an MTP sender with failover enabled and
 //! at least two pathlets alive completes every message exactly once.
 
-use mtp_core::{MtpConfig, MtpSenderNode, ScheduledMsg};
-use mtp_faults::{diamond_mtp, FaultDriver, FaultSchedule, Ledger, LinkSpec};
+mod common;
+
+use common::mtp_diamond;
+use mtp_core::{MtpSenderNode, ScheduledMsg};
+use mtp_faults::{FaultDriver, FaultSchedule, Ledger};
 use mtp_sim::time::{Duration, Time};
 use mtp_sim::LinkFailMode;
 use proptest::prelude::*;
@@ -26,12 +29,7 @@ proptest! {
         let schedule: Vec<ScheduledMsg> = (0..6)
             .map(|i| ScheduledMsg::new(us(150 * i), bulk_kb * 1_000 + 777 * i as u32))
             .collect();
-        let mut d = diamond_mtp(
-            seed,
-            MtpConfig::default().with_failover(),
-            schedule,
-            LinkSpec::path_default(),
-        );
+        let mut d = mtp_diamond(seed, schedule);
         let link = [d.a_fwd, d.a_rev, d.b_fwd, d.b_rev][which];
         let mode = if blackhole {
             LinkFailMode::Blackhole

@@ -3,11 +3,15 @@
 //! outage when that path is cut, while an MTP sender over the same
 //! topology and fault schedule keeps completing messages on the survivor.
 
-use mtp_core::{MtpConfig, MtpSenderNode, ScheduledMsg};
-use mtp_faults::{diamond_mtp, diamond_tcp, FaultDriver, FaultSchedule, LinkSpec};
+mod common;
+
+use common::{diamond_spec, mtp_diamond};
+use mtp_core::{MtpSenderNode, ScheduledMsg};
+use mtp_faults::{parallel_paths, tcp_pair, FaultDriver, FaultSchedule};
+use mtp_net::Strategy;
 use mtp_sim::time::{Duration, Time};
 use mtp_sim::LinkFailMode;
-use mtp_tcp::{TcpConfig, TcpSenderNode, TcpWorkloadMode};
+use mtp_tcp::{TcpConfig, TcpSenderNode};
 
 fn us(n: u64) -> Time {
     Time::ZERO + Duration::from_micros(n)
@@ -24,12 +28,12 @@ const OUTAGE_END_US: u64 = 5_300;
 #[test]
 fn tcp_pinned_flow_stalls_for_the_whole_outage() {
     let schedule: Vec<(Time, u64)> = (0..N_MSGS).map(|i| (us(100 * i), MSG_BYTES)).collect();
-    let mut d = diamond_tcp(
+    // The forward fan is fixed on path A: the deterministic stand-in for
+    // ECMP, where a flow hashes onto one path and stays there.
+    let mut d = parallel_paths(
         7,
-        TcpConfig::default(),
-        TcpWorkloadMode::Persistent,
-        schedule,
-        LinkSpec::path_default(),
+        tcp_pair(TcpConfig::default(), schedule, Duration::from_micros(100)),
+        diamond_spec(Strategy::Fixed),
     );
     let mut sched = FaultSchedule::new();
     sched.cut_both(
@@ -76,12 +80,7 @@ fn mtp_failover_completes_messages_inside_the_same_outage() {
     let schedule: Vec<ScheduledMsg> = (0..N_MSGS)
         .map(|i| ScheduledMsg::new(us(100 * i), MSG_BYTES as u32))
         .collect();
-    let mut d = diamond_mtp(
-        7,
-        MtpConfig::default().with_failover(),
-        schedule,
-        LinkSpec::path_default(),
-    );
+    let mut d = mtp_diamond(7, schedule);
     let mut sched = FaultSchedule::new();
     sched.cut_both(
         d.a_fwd,

@@ -110,7 +110,7 @@ impl Default for SessionCaps {
 /// Configuration for one side of a wire session.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
-    /// Socket/core configuration shared with the plain drivers.
+    /// Socket/core configuration, the same on both endpoints.
     pub io: IoConfig,
     /// MTP app port of the connecting (sending) side.
     pub client_port: u16,

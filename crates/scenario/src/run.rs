@@ -2,7 +2,7 @@
 //! protocol × seed cell.
 //!
 //! A cell is executed against the exact builders the figure binaries use
-//! ([`mtp_faults::diamond_mtp`], [`mtp_bench::topo::two_path_mtp`], …),
+//! ([`mtp_faults::parallel_paths`], [`mtp_bench::topo::dumbbell`], …),
 //! so a scenario file that names the same parameters reproduces the same
 //! packet-level run — the golden-replay tests pin this byte-for-byte.
 //! Every assertion is checked non-panicking: violations come back as
@@ -10,15 +10,16 @@
 //! cannot take down a corpus run.
 
 use mtp_bench::study::{completion_stats, corrupted_frames, percentile, us};
-use mtp_bench::topo::{
-    dumbbell, dumbbell_dst, dumbbell_src, leaf_spine, ls_addr, two_path_mtp, two_path_tcp,
-};
+use mtp_bench::topo::{dumbbell, dumbbell_dst, dumbbell_src, leaf_spine, ls_addr};
 use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
-use mtp_faults::{diamond_mtp, diamond_tcp, Diamond, FaultDriver, FaultSchedule, Ledger, LinkSpec};
+use mtp_faults::{
+    mtp_pair, parallel_paths, tcp_pair, FaultDriver, FaultSchedule, Ledger, LinkSpec, ParallelSpec,
+    PATHLET_A, PATHLET_B,
+};
 use mtp_net::{Strategy, SwitchNode};
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{DirLinkId, LinkFailMode, NodeId, Simulator};
-use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
+use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode};
 use mtp_wire::PathletId;
 use mtp_workload::{poisson_schedule, SizeDist};
 use rand::rngs::SmallRng;
@@ -356,8 +357,69 @@ fn single_flow_schedule_tcp(w: &Workload) -> Vec<(Time, u64)> {
 
 // ---------------------------------------------------------------- drive
 
-fn diamond_names(d: &Diamond) -> Names {
-    Names {
+/// A diamond or two-path cell: both are [`parallel_paths`] under a
+/// different [`ParallelSpec`], and an MTP and a TCP cell differ in which
+/// node types are built and read (and in the diamond's forward fan-out:
+/// message-aware for MTP, pinned to path A for TCP).
+fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
+    let (spec, goodput_bin, sack_redundancy) = match &s.topology {
+        // Equal paths, ACKs sprayed back, and the sink's SACK redundancy
+        // that covers for the ACKs a reverse cut kills.
+        Topology::Diamond { path } => (
+            ParallelSpec {
+                a: to_spec(*path),
+                b: to_spec(*path),
+                host: LinkSpec::host_default(),
+                forward: match p {
+                    Protocol::Mtp => Strategy::mtp_lb(2, vec![Some(PATHLET_A), Some(PATHLET_B)]),
+                    _ => Strategy::Fixed,
+                },
+                reverse: Strategy::Spray { next: 0 },
+            },
+            Duration::from_micros(100),
+            8,
+        ),
+        Topology::TwoPath {
+            a,
+            b,
+            strategy,
+            goodput_bin_us,
+        } => (
+            ParallelSpec {
+                a: to_spec(*a),
+                b: to_spec(*b),
+                host: LinkSpec::host_default(),
+                forward: match strategy {
+                    TwoPathStrategy::Alternate { period_us } => Strategy::Alternate {
+                        period: Duration::from_micros(*period_us),
+                    },
+                    TwoPathStrategy::Ecmp => Strategy::Ecmp,
+                    TwoPathStrategy::Spray => Strategy::Spray { next: 0 },
+                },
+                reverse: Strategy::Fixed,
+            },
+            Duration::from_micros(*goodput_bin_us),
+            1,
+        ),
+        _ => unreachable!("caller dispatched on topology"),
+    };
+    let ends = match p {
+        Protocol::Mtp => mtp_pair(
+            mtp_cfg(s),
+            single_flow_schedule_mtp(&s.workload),
+            goodput_bin,
+            sack_redundancy,
+        ),
+        tcp => tcp_pair(
+            tcp_cfg(tcp),
+            single_flow_schedule_tcp(&s.workload),
+            goodput_bin,
+        ),
+    };
+    let mut d = parallel_paths(seed, ends, spec);
+    // The schema refuses names a topology kind does not publish, so
+    // resolving against the full set serves both kinds.
+    let names = Names {
         pairs: vec![("a", (d.a_fwd, d.a_rev)), ("b", (d.b_fwd, d.b_rev))],
         links: vec![
             ("a_fwd", d.a_fwd),
@@ -366,207 +428,63 @@ fn diamond_names(d: &Diamond) -> Names {
             ("b_rev", d.b_rev),
         ],
         nodes: Vec::new(),
-    }
-}
-
-fn run_diamond(s: &Scenario, p: Protocol, seed: u64) -> Measured {
-    let path = match &s.topology {
-        Topology::Diamond { path } => to_spec(*path),
-        _ => unreachable!("caller dispatched on topology"),
     };
-    let horizon = us(s.horizon_us);
+    FaultDriver::new(build_schedule(&s.faults, &names, seed))
+        .run_until(&mut d.sim, us(s.horizon_us));
+
+    let (records, timeouts, retransmissions, goodput_series, malformed, ledger, multi_exactly_once);
     match p {
         Protocol::Mtp => {
-            let mut d = diamond_mtp(
-                seed,
-                mtp_cfg(s),
-                single_flow_schedule_mtp(&s.workload),
-                path,
-            );
-            let names = diamond_names(&d);
-            let mut drv = FaultDriver::new(build_schedule(&s.faults, &names, seed));
-            drv.run_until(&mut d.sim, horizon);
-            let corruption = s.asserts.corruption_accounting.then(|| CorruptionLedger {
-                corrupted: corrupted_frames(&d),
-                caught: d.sim.node_as::<MtpSenderNode>(d.sender).malformed
-                    + d.sim.node_as::<MtpSinkNode>(d.sink).malformed
-                    + d.sim.node_as::<SwitchNode>(d.sw1).stats.malformed
-                    + d.sim.node_as::<SwitchNode>(d.sw2).stats.malformed
-                    + d.sim.corrupted_destroyed(),
-            });
-            let ledger = Ledger::capture(&d.sim, d.sender, d.sink);
             let snd = d.sim.node_as::<MtpSenderNode>(d.sender);
-            let records: Vec<_> = snd
+            let sink = d.sim.node_as::<MtpSinkNode>(d.sink);
+            records = snd
                 .msgs
                 .iter()
                 .map(|m| (m.submitted, m.completed))
                 .collect();
-            let (timeouts, retransmissions) =
-                (snd.sender.stats.timeouts, snd.sender.stats.retransmissions);
-            let goodput_series = d.sim.node_as::<MtpSinkNode>(d.sink).goodput.rates_gbps();
-            Measured {
-                sim: d.sim,
-                records,
-                timeouts,
-                retransmissions,
-                goodput_series: Some(goodput_series),
-                corruption,
-                ledger: Some(ledger),
-                multi_exactly_once: None,
-            }
+            timeouts = snd.sender.stats.timeouts;
+            retransmissions = snd.sender.stats.retransmissions;
+            goodput_series = sink.goodput.rates_gbps();
+            malformed = snd.malformed + sink.malformed;
+            ledger = Some(Ledger::capture(&d.sim, d.sender, d.sink));
+            multi_exactly_once = None;
         }
-        tcp => {
-            let mut d = diamond_tcp(
-                seed,
-                tcp_cfg(tcp),
-                TcpWorkloadMode::Persistent,
-                single_flow_schedule_tcp(&s.workload),
-                path,
-            );
-            let names = diamond_names(&d);
-            let mut drv = FaultDriver::new(build_schedule(&s.faults, &names, seed));
-            drv.run_until(&mut d.sim, horizon);
-            let corruption = s.asserts.corruption_accounting.then(|| CorruptionLedger {
-                corrupted: corrupted_frames(&d),
-                caught: d.sim.node_as::<TcpSenderNode>(d.sender).malformed
-                    + d.sim.node_as::<TcpSinkNode>(d.sink).malformed
-                    + d.sim.node_as::<SwitchNode>(d.sw1).stats.malformed
-                    + d.sim.node_as::<SwitchNode>(d.sw2).stats.malformed
-                    + d.sim.corrupted_destroyed(),
-            });
+        _ => {
             let snd = d.sim.node_as::<TcpSenderNode>(d.sender);
-            let records: Vec<_> = snd
+            let sink = d.sim.node_as::<TcpSinkNode>(d.sink);
+            records = snd
                 .msgs
                 .iter()
                 .map(|m| (m.submitted, m.completed))
                 .collect();
-            let (timeouts, retransmissions) = (snd.timeouts(), snd.retransmissions());
-            let all_done = snd.all_done();
-            let goodput_series = d.sim.node_as::<TcpSinkNode>(d.sink).goodput.rates_gbps();
-            Measured {
-                sim: d.sim,
-                records,
-                timeouts,
-                retransmissions,
-                goodput_series: Some(goodput_series),
-                corruption,
-                ledger: None,
-                multi_exactly_once: Some(if all_done {
-                    Vec::new()
-                } else {
-                    vec!["tcp sender did not complete every transfer".to_string()]
-                }),
-            }
+            timeouts = snd.timeouts();
+            retransmissions = snd.retransmissions();
+            goodput_series = sink.goodput.rates_gbps();
+            malformed = snd.malformed + sink.malformed;
+            ledger = None;
+            multi_exactly_once = Some(if snd.all_done() {
+                Vec::new()
+            } else {
+                vec!["tcp sender did not complete every transfer".to_string()]
+            });
         }
     }
-}
-
-fn run_two_path(s: &Scenario, p: Protocol, seed: u64) -> Measured {
-    let (a, b, strategy, bin) = match &s.topology {
-        Topology::TwoPath {
-            a,
-            b,
-            strategy,
-            goodput_bin_us,
-        } => {
-            let strat = match strategy {
-                TwoPathStrategy::Alternate { period_us } => Strategy::Alternate {
-                    period: Duration::from_micros(*period_us),
-                },
-                TwoPathStrategy::Ecmp => Strategy::Ecmp,
-                TwoPathStrategy::Spray => Strategy::Spray { next: 0 },
-            };
-            (
-                to_spec(*a),
-                to_spec(*b),
-                strat,
-                Duration::from_micros(*goodput_bin_us),
-            )
-        }
-        _ => unreachable!("caller dispatched on topology"),
-    };
-    let horizon = us(s.horizon_us);
-    match p {
-        Protocol::Mtp => {
-            let mut t = two_path_mtp(
-                seed,
-                strategy,
-                a,
-                b,
-                single_flow_schedule_mtp(&s.workload),
-                mtp_cfg(s),
-                bin,
-            );
-            let names = Names {
-                pairs: Vec::new(),
-                links: vec![("a_fwd", t.path_a), ("b_fwd", t.path_b)],
-                nodes: Vec::new(),
-            };
-            let mut drv = FaultDriver::new(build_schedule(&s.faults, &names, seed));
-            drv.run_until(&mut t.sim, horizon);
-            let ledger = Ledger::capture(&t.sim, t.sender, t.sink);
-            let snd = t.sim.node_as::<MtpSenderNode>(t.sender);
-            let records: Vec<_> = snd
-                .msgs
-                .iter()
-                .map(|m| (m.submitted, m.completed))
-                .collect();
-            let (timeouts, retransmissions) =
-                (snd.sender.stats.timeouts, snd.sender.stats.retransmissions);
-            let goodput_series = t.sim.node_as::<MtpSinkNode>(t.sink).goodput.rates_gbps();
-            Measured {
-                sim: t.sim,
-                records,
-                timeouts,
-                retransmissions,
-                goodput_series: Some(goodput_series),
-                corruption: None,
-                ledger: Some(ledger),
-                multi_exactly_once: None,
-            }
-        }
-        tcp => {
-            let mut t = two_path_tcp(
-                seed,
-                strategy,
-                a,
-                b,
-                single_flow_schedule_tcp(&s.workload),
-                tcp_cfg(tcp),
-                TcpWorkloadMode::Persistent,
-                bin,
-            );
-            let names = Names {
-                pairs: Vec::new(),
-                links: vec![("a_fwd", t.path_a), ("b_fwd", t.path_b)],
-                nodes: Vec::new(),
-            };
-            let mut drv = FaultDriver::new(build_schedule(&s.faults, &names, seed));
-            drv.run_until(&mut t.sim, horizon);
-            let snd = t.sim.node_as::<TcpSenderNode>(t.sender);
-            let records: Vec<_> = snd
-                .msgs
-                .iter()
-                .map(|m| (m.submitted, m.completed))
-                .collect();
-            let (timeouts, retransmissions) = (snd.timeouts(), snd.retransmissions());
-            let all_done = snd.all_done();
-            let goodput_series = t.sim.node_as::<TcpSinkNode>(t.sink).goodput.rates_gbps();
-            Measured {
-                sim: t.sim,
-                records,
-                timeouts,
-                retransmissions,
-                goodput_series: Some(goodput_series),
-                corruption: None,
-                ledger: None,
-                multi_exactly_once: Some(if all_done {
-                    Vec::new()
-                } else {
-                    vec!["tcp sender did not complete every transfer".to_string()]
-                }),
-            }
-        }
+    let corruption = s.asserts.corruption_accounting.then(|| CorruptionLedger {
+        corrupted: corrupted_frames(&d),
+        caught: malformed
+            + d.sim.node_as::<SwitchNode>(d.sw1).stats.malformed
+            + d.sim.node_as::<SwitchNode>(d.sw2).stats.malformed
+            + d.sim.corrupted_destroyed(),
+    });
+    Measured {
+        sim: d.sim,
+        records,
+        timeouts,
+        retransmissions,
+        goodput_series: Some(goodput_series),
+        corruption,
+        ledger,
+        multi_exactly_once,
     }
 }
 
@@ -915,8 +833,7 @@ fn check_cell_asserts(c: &CellAsserts, r: &CellResult, m: &Measured, out: &mut V
 /// failure — violations come back inside the result.
 pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
     let m = match &s.topology {
-        Topology::Diamond { .. } => run_diamond(s, p, seed),
-        Topology::TwoPath { .. } => run_two_path(s, p, seed),
+        Topology::Diamond { .. } | Topology::TwoPath { .. } => run_parallel_paths(s, p, seed),
         Topology::Dumbbell { .. } => run_dumbbell(s, seed),
         Topology::LeafSpine { .. } => run_leaf_spine(s, seed),
     };
@@ -1052,6 +969,70 @@ completed = 4
         let b = execute_cell(&s, Protocol::Mtp, 3);
         assert_eq!(a.result, b.result, "replay must be byte-identical");
         assert_eq!(a.ledger, b.ledger);
+    }
+
+    /// The one cell function on both node types, without the corpus: the
+    /// same small two-path scenario as `mtp` and as `tcp-dctcp`.
+    #[test]
+    fn one_cell_path_measures_mtp_and_tcp_alike() {
+        let s = from_str(
+            r#"
+[scenario]
+name = "two-path-smoke"
+seeds = [3]
+horizon_us = 20000
+protocols = ["mtp", "tcp-dctcp"]
+
+[topology]
+kind = "two-path"
+strategy = "spray"
+goodput_bin_us = 100
+[topology.a]
+rate_gbps = 10
+delay_us = 5
+[topology.b]
+rate_gbps = 10
+delay_us = 5
+
+[workload]
+kind = "periodic"
+count = 4
+bytes = 20000
+interval_us = 50
+
+[[fault]]
+kind = "link_down"
+link = "b_fwd"
+at_us = 60
+mode = "drain"
+
+[[fault]]
+kind = "link_up"
+link = "b_fwd"
+at_us = 160
+
+[assert]
+conservation = true
+[assert.cells.mtp]
+exactly_once = true
+completed = 4
+[assert.cells.tcp-dctcp]
+exactly_once = true
+completed = 4
+"#,
+        )
+        .expect("valid scenario");
+        for p in [Protocol::Mtp, Protocol::TcpDctcp] {
+            let r = execute_cell(&s, p, 3).result;
+            assert!(r.violations.is_empty(), "{p:?}: {:?}", r.violations);
+            assert_eq!((r.completed, r.unfinished), (4, 0), "{p:?} records");
+            assert!(
+                r.goodput_mean_gbps.is_some_and(|g| g > 0.0),
+                "{p:?} reports no goodput series"
+            );
+            assert!(r.p50_us.is_some(), "{p:?} reports no completion times");
+            assert!(r.retransmissions > 0, "{p:?}: the b_fwd outage never bit");
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Golden replay: three corpus scenarios are byte-identical to a
 //! hand-written build-and-run of the same experiment.
 //!
-//! Each test spells the experiment out inline against the library
-//! builders (same constants, same fault schedule, same seed) — the
-//! independent reference, which goes through none of the scenario
-//! engine's parsing, schema or cell construction — and compares it with
-//! the engine's cell run: same exactly-once ledger, same clean
-//! conservation audit, same engine digest. It also pins the digest
+//! Each test spells the experiment out inline — its own endpoint nodes
+//! around the one network builder, same constants, same fault schedule,
+//! same seed — as the independent reference, which goes through none of
+//! the scenario engine's parsing, schema or cell construction, and
+//! compares it with the engine's cell run: same exactly-once ledger, same
+//! clean conservation audit, same engine digest. It also pins the digest
 //! recorded in the checked-in scenario file, so editing
 //! `scenarios/*.toml` out from under the reference fails here, not in CI
 //! archaeology. The failure and corruption studies exist only as
@@ -15,17 +15,89 @@
 
 use std::path::Path;
 
-use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode};
-use mtp_faults::{diamond_mtp, diamond_tcp, Diamond, FaultDriver, FaultSchedule, Ledger, LinkSpec};
+use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
+use mtp_faults::topo::{CLIENT_ADDR, SERVER_ADDR};
+use mtp_faults::{
+    parallel_paths, FaultDriver, FaultSchedule, Ledger, LinkSpec, ParallelPaths, ParallelSpec,
+    PATHLET_A, PATHLET_B,
+};
 use mtp_scenario::run::{engine_digest, execute_cell};
 use mtp_scenario::schema::{from_str, Protocol, Scenario};
-use mtp_sim::time::{Duration, Time};
-use mtp_sim::LinkFailMode;
+use mtp_sim::time::{Bandwidth, Duration, Time};
+use mtp_sim::{LinkFailMode, Node};
 use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
+use mtp_wire::EntityId;
 
 use mtp_bench::study::{mtp_periodic, tcp_periodic, us};
-use mtp_bench::topo::{two_path_mtp, two_path_tcp, PathSpec};
 use mtp_net::Strategy;
+
+/// An MTP sender/sink pair, spelled out: client 1 to server 2, entity 0,
+/// message ids from 2^40, each SACK block repeated in `sack_redundancy`
+/// ACKs.
+fn mtp_ends(
+    cfg: MtpConfig,
+    schedule: Vec<ScheduledMsg>,
+    goodput_bin: Duration,
+    sack_redundancy: usize,
+) -> (Box<dyn Node>, Box<dyn Node>) {
+    (
+        Box::new(MtpSenderNode::new(
+            cfg,
+            CLIENT_ADDR,
+            SERVER_ADDR,
+            EntityId(0),
+            1 << 40,
+            schedule,
+        )),
+        Box::new(MtpSinkNode::new(SERVER_ADDR, goodput_bin).with_sack_redundancy(sack_redundancy)),
+    )
+}
+
+/// A TCP sender/sink pair, spelled out: one persistent connection from
+/// port 100.
+fn tcp_ends(
+    cfg: TcpConfig,
+    schedule: Vec<(Time, u64)>,
+    goodput_bin: Duration,
+) -> (Box<dyn Node>, Box<dyn Node>) {
+    (
+        Box::new(TcpSenderNode::with_addrs(
+            cfg.clone(),
+            TcpWorkloadMode::Persistent,
+            100,
+            schedule,
+            CLIENT_ADDR,
+            SERVER_ADDR,
+        )),
+        Box::new(TcpSinkNode::new(cfg, goodput_bin)),
+    )
+}
+
+/// The studies' diamond: two default paths, ACKs sprayed back.
+fn diamond(forward: Strategy) -> ParallelSpec {
+    ParallelSpec {
+        a: LinkSpec::path_default(),
+        b: LinkSpec::path_default(),
+        host: LinkSpec::host_default(),
+        forward,
+        reverse: Strategy::Spray { next: 0 },
+    }
+}
+
+/// The diamond with a failover-enabled MTP pair behind the message-aware
+/// balancer; the sink repeats SACK blocks 8 times.
+fn mtp_diamond(seed: u64, schedule: Vec<ScheduledMsg>) -> ParallelPaths {
+    parallel_paths(
+        seed,
+        mtp_ends(
+            MtpConfig::default().with_failover(),
+            schedule,
+            Duration::from_micros(100),
+            8,
+        ),
+        diamond(Strategy::mtp_lb(2, vec![Some(PATHLET_A), Some(PATHLET_B)])),
+    )
+}
 
 fn load_scenario(name: &str) -> Scenario {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -57,7 +129,7 @@ const FO_OUT_START: u64 = 500;
 const FO_OUT_END: u64 = 2_500;
 const FO_HORIZON: u64 = 60_000;
 
-fn failover_outage(d: &Diamond) -> FaultSchedule {
+fn failover_outage(d: &ParallelPaths) -> FaultSchedule {
     let mut sched = FaultSchedule::new();
     sched.cut_both(
         d.a_fwd,
@@ -74,12 +146,7 @@ fn failover_scenario_is_byte_identical_to_inline_reference() {
     let s = load_scenario("failover_diamond.toml");
 
     // Reference path, inline: MTP contender.
-    let mut d = diamond_mtp(
-        FO_SEED,
-        MtpConfig::default().with_failover(),
-        mtp_periodic(FO_N_MSGS, FO_MSG_BYTES, FO_EVERY_US),
-        LinkSpec::path_default(),
-    );
+    let mut d = mtp_diamond(FO_SEED, mtp_periodic(FO_N_MSGS, FO_MSG_BYTES, FO_EVERY_US));
     let mut drv = FaultDriver::new(failover_outage(&d));
     drv.run_until(&mut d.sim, us(FO_HORIZON));
     assert!(d.sim.audit().ok(), "reference run fails conservation");
@@ -118,12 +185,14 @@ fn failover_scenario_is_byte_identical_to_inline_reference() {
         (Protocol::TcpNewReno, TcpConfig::default()),
         (Protocol::TcpDctcp, TcpConfig::dctcp()),
     ] {
-        let mut d = diamond_tcp(
+        let mut d = parallel_paths(
             FO_SEED,
-            cfg,
-            TcpWorkloadMode::Persistent,
-            tcp_periodic(FO_N_MSGS, FO_MSG_BYTES, FO_EVERY_US),
-            LinkSpec::path_default(),
+            tcp_ends(
+                cfg,
+                tcp_periodic(FO_N_MSGS, FO_MSG_BYTES, FO_EVERY_US),
+                Duration::from_micros(100),
+            ),
+            diamond(Strategy::Fixed),
         );
         let mut drv = FaultDriver::new(failover_outage(&d));
         drv.run_until(&mut d.sim, us(FO_HORIZON));
@@ -151,7 +220,7 @@ const CO_PPM: u32 = 40_000;
 const CO_FLIPS: u8 = 2;
 const CO_HORIZON: u64 = 60_000;
 
-fn corruption_storm(d: &Diamond) -> FaultSchedule {
+fn corruption_storm(d: &ParallelPaths) -> FaultSchedule {
     let mut sched = FaultSchedule::new();
     sched.corrupt_rate(us(CO_RATE_ON), d.a_fwd, CO_PPM, CO_FLIPS, CO_SEED ^ 0xA);
     sched.corrupt_rate(us(CO_RATE_ON), d.b_fwd, CO_PPM, CO_FLIPS, CO_SEED ^ 0xB);
@@ -166,12 +235,7 @@ fn corruption_storm(d: &Diamond) -> FaultSchedule {
 fn corruption_scenario_is_byte_identical_to_inline_reference() {
     let s = load_scenario("corruption_diamond.toml");
 
-    let mut d = diamond_mtp(
-        CO_SEED,
-        MtpConfig::default().with_failover(),
-        mtp_periodic(40, 30_000, 50),
-        LinkSpec::path_default(),
-    );
+    let mut d = mtp_diamond(CO_SEED, mtp_periodic(40, 30_000, 50));
     let mut drv = FaultDriver::new(corruption_storm(&d));
     drv.run_until(&mut d.sim, us(CO_HORIZON));
     assert!(d.sim.audit().ok(), "reference run fails conservation");
@@ -206,24 +270,24 @@ fn fig5_scenario_is_byte_identical_to_figure_binary() {
     let period = Duration::from_micros(384);
     let sample = Duration::from_micros(32);
     let horizon = us(8_000);
-    let fast = PathSpec::new(
-        mtp_sim::time::Bandwidth::from_gbps(100),
-        Duration::from_micros(1),
-    );
-    let slow = PathSpec::new(
-        mtp_sim::time::Bandwidth::from_gbps(10),
-        Duration::from_micros(1),
-    );
+    let network = || ParallelSpec {
+        a: LinkSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(1)),
+        b: LinkSpec::new(Bandwidth::from_gbps(10), Duration::from_micros(1)),
+        host: LinkSpec::host_default(),
+        forward: Strategy::Alternate { period },
+        reverse: Strategy::Fixed,
+    };
     let flow: u64 = 200_000_000;
 
-    let mut m = two_path_mtp(
+    let mut m = parallel_paths(
         5,
-        Strategy::Alternate { period },
-        fast,
-        slow,
-        vec![mtp_core::ScheduledMsg::new(Time::ZERO, flow as u32)],
-        MtpConfig::default(),
-        sample,
+        mtp_ends(
+            MtpConfig::default(),
+            vec![ScheduledMsg::new(Time::ZERO, flow as u32)],
+            sample,
+            1,
+        ),
+        network(),
     );
     m.sim.run_until(horizon);
     let records: Vec<(Time, Option<Time>)> = m
@@ -236,15 +300,10 @@ fn fig5_scenario_is_byte_identical_to_figure_binary() {
     let mtp_digest = engine_digest(&m.sim, &records);
     let mtp_series = m.sim.node_as::<MtpSinkNode>(m.sink).goodput.rates_gbps();
 
-    let mut t = two_path_tcp(
+    let mut t = parallel_paths(
         5,
-        Strategy::Alternate { period },
-        fast,
-        slow,
-        vec![(Time::ZERO, flow)],
-        TcpConfig::dctcp(),
-        TcpWorkloadMode::Persistent,
-        sample,
+        tcp_ends(TcpConfig::dctcp(), vec![(Time::ZERO, flow)], sample),
+        network(),
     );
     t.sim.run_until(horizon);
     let records: Vec<(Time, Option<Time>)> = t

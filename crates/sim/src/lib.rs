@@ -58,6 +58,7 @@
 pub mod audit;
 pub mod corrupt;
 pub mod engine;
+pub mod fault;
 pub mod loss;
 pub mod node;
 pub mod packet;
@@ -73,17 +74,18 @@ mod wheel;
 pub use audit::{assert_conservation, AuditReport};
 pub use corrupt::sanitize;
 pub use engine::{pkt_id, BoundaryKind, DirLinkId, LinkCfg, LinkFailMode, LinkStats, Simulator};
+pub use fault::{FaultEvent, FaultKind};
 pub use loss::{stream_seed, LossyQueue, ReorderQueue};
 pub use node::{Ctx, Node, NodeAuditCounters, NodeFault, NodeId, PortId, TimerId};
 pub use packet::{AppData, Headers, Packet, PacketId, WireProto};
 pub use queue::{
-    Classifier, DropTailQueue, DrrQueue, EcnQueue, EnqueueVerdict, PriorityQueue, Qdisc, SfqQueue,
+    Classifier, DropTailQueue, DrrQueue, EcnQueue, EnqueueVerdict, PriorityQueue, Qdisc,
     TrimmingQueue,
 };
 pub use rtt::RttEstimator;
 pub use shard::{
-    digest_parts, monolithic_digest, render_digest, AdminDriver, AdminEvent, AdminOp,
-    BoundaryRoute, DigestParts, ShardBuildPlan, ShardPlan, ShardedSimulator,
+    digest_parts, monolithic_digest, render_digest, BoundaryRoute, DigestParts, ShardBuildPlan,
+    ShardPlan, ShardedSimulator,
 };
 pub use time::{Bandwidth, Duration, Time};
 pub use trace::{BinSeries, ScalarStats};

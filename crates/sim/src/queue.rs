@@ -597,153 +597,3 @@ mod tests {
         ));
     }
 }
-
-/// Stochastic fair queueing: flows are hashed into a fixed set of buckets,
-/// each a FIFO, served round-robin by packets.
-///
-/// The cheap middle ground between one shared FIFO and true per-flow
-/// queues (the paper cites core-stateless fair queueing as the lineage):
-/// collisions are possible, state is O(buckets), and an aggressive flow
-/// only ever damages the buckets it hashes into.
-pub struct SfqQueue {
-    buckets: Vec<VecDeque<Packet>>,
-    cap_pkts_per_bucket: usize,
-    hash: Classifier,
-    next: usize,
-    bytes: usize,
-    pkts: usize,
-}
-
-impl SfqQueue {
-    /// An SFQ with `n_buckets`, each holding `cap_pkts_per_bucket`
-    /// packets; `hash` maps a packet to its bucket (callers typically hash
-    /// the source address or entity).
-    pub fn new(n_buckets: usize, cap_pkts_per_bucket: usize, hash: Classifier) -> SfqQueue {
-        assert!(n_buckets > 0);
-        SfqQueue {
-            buckets: (0..n_buckets).map(|_| VecDeque::new()).collect(),
-            cap_pkts_per_bucket,
-            hash,
-            next: 0,
-            bytes: 0,
-            pkts: 0,
-        }
-    }
-}
-
-impl Qdisc for SfqQueue {
-    fn enqueue(&mut self, pkt: Packet, _now: Time) -> EnqueueVerdict {
-        let b = (self.hash)(&pkt) % self.buckets.len();
-        if self.buckets[b].len() >= self.cap_pkts_per_bucket {
-            return EnqueueVerdict::Dropped(pkt);
-        }
-        self.bytes += pkt.wire_len as usize;
-        self.pkts += 1;
-        self.buckets[b].push_back(pkt);
-        EnqueueVerdict::Queued { marked: false }
-    }
-
-    fn dequeue(&mut self, _now: Time) -> Option<Packet> {
-        if self.pkts == 0 {
-            return None;
-        }
-        let n = self.buckets.len();
-        for k in 0..n {
-            let b = (self.next + k) % n;
-            if let Some(pkt) = self.buckets[b].pop_front() {
-                self.next = (b + 1) % n;
-                self.bytes -= pkt.wire_len as usize;
-                self.pkts -= 1;
-                return Some(pkt);
-            }
-        }
-        None
-    }
-
-    fn len_pkts(&self) -> usize {
-        self.pkts
-    }
-
-    fn len_bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-#[cfg(test)]
-mod sfq_tests {
-    use super::*;
-    use crate::packet::{AppData, Headers};
-
-    fn pkt(tag: u64) -> Packet {
-        Packet::new(Headers::Raw, 100).with_app(AppData::Opaque(tag))
-    }
-
-    fn tag_of(p: &Packet) -> u64 {
-        match p.app {
-            Some(AppData::Opaque(t)) => t,
-            _ => unreachable!(),
-        }
-    }
-
-    fn by_tag() -> Classifier {
-        Box::new(|p: &Packet| match p.app {
-            Some(AppData::Opaque(t)) => t as usize,
-            _ => 0,
-        })
-    }
-
-    #[test]
-    fn interleaves_flows_packet_by_packet() {
-        let mut q = SfqQueue::new(4, 16, by_tag());
-        for _ in 0..3 {
-            q.enqueue(pkt(0), Time::ZERO);
-            q.enqueue(pkt(1), Time::ZERO);
-            q.enqueue(pkt(2), Time::ZERO);
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| q.dequeue(Time::ZERO))
-            .map(|p| tag_of(&p))
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn greedy_flow_cannot_evict_others() {
-        let mut q = SfqQueue::new(4, 4, by_tag());
-        // Flow 0 floods; flow 1 sends two packets.
-        let mut flood_drops = 0;
-        for _ in 0..20 {
-            if matches!(q.enqueue(pkt(0), Time::ZERO), EnqueueVerdict::Dropped(_)) {
-                flood_drops += 1;
-            }
-        }
-        assert!(matches!(
-            q.enqueue(pkt(1), Time::ZERO),
-            EnqueueVerdict::Queued { .. }
-        ));
-        assert!(matches!(
-            q.enqueue(pkt(1), Time::ZERO),
-            EnqueueVerdict::Queued { .. }
-        ));
-        assert_eq!(flood_drops, 16, "flood confined to its own bucket");
-        // The polite flow's packets are served within the first few slots.
-        let first_three: Vec<u64> = (0..3)
-            .filter_map(|_| q.dequeue(Time::ZERO))
-            .map(|p| tag_of(&p))
-            .collect();
-        assert!(
-            first_three.contains(&1),
-            "flow 1 served promptly: {first_three:?}"
-        );
-    }
-
-    #[test]
-    fn byte_accounting_drains_to_zero() {
-        let mut q = SfqQueue::new(2, 8, by_tag());
-        for i in 0..10 {
-            q.enqueue(pkt(i), Time::ZERO);
-        }
-        while q.dequeue(Time::ZERO).is_some() {}
-        assert_eq!(q.len_pkts(), 0);
-        assert_eq!(q.len_bytes(), 0);
-    }
-}

@@ -70,10 +70,11 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 
 use crate::audit::AuditReport;
-use crate::engine::{DirLinkId, LinkFailMode, LinkStats, Simulator};
+use crate::engine::{DirLinkId, LinkStats, Simulator};
+use crate::fault::{FaultEvent, FaultKind};
 use crate::node::NodeId;
 use crate::packet::Packet;
-use crate::time::{Bandwidth, Duration, Time};
+use crate::time::{Duration, Time};
 use crate::tracefile::flight_code;
 
 // ---------------------------------------------------------------------------
@@ -130,183 +131,46 @@ pub struct ShardPlan {
 }
 
 // ---------------------------------------------------------------------------
-// Admin (fault) operations
+// Fault routing
 // ---------------------------------------------------------------------------
 
-/// A fault-injection operation expressed with *global* ids, routable to
-/// whichever shard owns the target.
+/// The shard owning `kind`'s target, plus a copy of `kind` with that
+/// shard's local ids.
 ///
-/// Mirrors the [`Simulator`] fault API except `set_link_delay`, which is
-/// deliberately absent: shrinking a boundary delay below the lookahead
-/// would invalidate the epoch-safety argument.
-#[derive(Debug, Clone)]
-pub enum AdminOp {
-    /// [`Simulator::fail_link`].
-    FailLink {
-        /// Target directed link.
-        link: DirLinkId,
-        /// Blackhole or drain.
-        mode: LinkFailMode,
-    },
-    /// [`Simulator::restore_link`].
-    RestoreLink {
-        /// Target directed link.
-        link: DirLinkId,
-    },
-    /// [`Simulator::set_link_rate`].
-    SetLinkRate {
-        /// Target directed link.
-        link: DirLinkId,
-        /// New serialization rate.
-        rate: Bandwidth,
-    },
-    /// [`Simulator::corrupt_burst`].
-    CorruptBurst {
-        /// Target directed link.
-        link: DirLinkId,
-        /// Packets to destroy.
-        pkts: u32,
-    },
-    /// [`Simulator::bitflip_burst`].
-    BitflipBurst {
-        /// Target directed link.
-        link: DirLinkId,
-        /// Packets to damage.
-        pkts: u32,
-        /// Bits flipped per packet.
-        flips: u8,
-        /// Seed for the damage pattern.
-        seed: u64,
-    },
-    /// [`Simulator::truncate_burst`].
-    TruncateBurst {
-        /// Target directed link.
-        link: DirLinkId,
-        /// Packets to truncate.
-        pkts: u32,
-        /// Seed for the cut points.
-        seed: u64,
-    },
-    /// [`Simulator::set_corrupt_rate`].
-    SetCorruptRate {
-        /// Target directed link.
-        link: DirLinkId,
-        /// Corruption probability in packets per million.
-        ppm: u32,
-        /// Bits flipped per selected packet.
-        flips: u8,
-        /// Seed for selection and damage.
-        seed: u64,
-    },
-    /// [`Simulator::crash_node`].
-    CrashNode {
-        /// Target node.
-        node: NodeId,
-    },
-    /// [`Simulator::restart_node`].
-    RestartNode {
-        /// Target node.
-        node: NodeId,
-    },
-}
-
-impl AdminOp {
-    /// Apply to a simulator, interpreting the ids as *local* to it.
-    pub fn apply(&self, sim: &mut Simulator) {
-        match *self {
-            AdminOp::FailLink { link, mode } => sim.fail_link(link, mode),
-            AdminOp::RestoreLink { link } => sim.restore_link(link),
-            AdminOp::SetLinkRate { link, rate } => sim.set_link_rate(link, rate),
-            AdminOp::CorruptBurst { link, pkts } => sim.corrupt_burst(link, pkts),
-            AdminOp::BitflipBurst {
-                link,
-                pkts,
-                flips,
-                seed,
-            } => sim.bitflip_burst(link, pkts, flips, seed),
-            AdminOp::TruncateBurst { link, pkts, seed } => sim.truncate_burst(link, pkts, seed),
-            AdminOp::SetCorruptRate {
-                link,
-                ppm,
-                flips,
-                seed,
-            } => sim.set_corrupt_rate(link, ppm, flips, seed),
-            AdminOp::CrashNode { node } => sim.crash_node(node),
-            AdminOp::RestartNode { node } => sim.restart_node(node),
+/// # Panics
+/// Panics on [`FaultKind::LinkDelay`]: the epoch-safety argument rests on
+/// no boundary link being faster than the lookahead, so the sharded
+/// runtime does not change link delays at all.
+fn route(
+    mut kind: FaultKind,
+    lookahead: Duration,
+    dir_owner: &[(usize, DirLinkId)],
+    node_owner: &[(usize, NodeId)],
+) -> (usize, FaultKind) {
+    let shard = match &mut kind {
+        FaultKind::LinkDelay { link, delay } => panic!(
+            "link-delay fault on link {} ({} ps): the sharded runtime cannot change link \
+             delays, its lookahead ({} ps) is the minimum boundary delay",
+            link.0, delay.0, lookahead.0
+        ),
+        FaultKind::LinkDown { link, .. }
+        | FaultKind::LinkUp { link }
+        | FaultKind::LinkRate { link, .. }
+        | FaultKind::CorruptBurst { link, .. }
+        | FaultKind::BitflipBurst { link, .. }
+        | FaultKind::TruncateBurst { link, .. }
+        | FaultKind::CorruptRate { link, .. } => {
+            let (shard, local) = dir_owner[link.0];
+            *link = local;
+            shard
         }
-    }
-
-    /// The shard owning this op's target, plus a copy with local ids.
-    fn route(
-        &self,
-        dir_owner: &[(usize, DirLinkId)],
-        node_owner: &[(usize, NodeId)],
-    ) -> (usize, AdminOp) {
-        let mut op = self.clone();
-        let shard = match &mut op {
-            AdminOp::FailLink { link, .. }
-            | AdminOp::RestoreLink { link }
-            | AdminOp::SetLinkRate { link, .. }
-            | AdminOp::CorruptBurst { link, .. }
-            | AdminOp::BitflipBurst { link, .. }
-            | AdminOp::TruncateBurst { link, .. }
-            | AdminOp::SetCorruptRate { link, .. } => {
-                let (shard, local) = dir_owner[link.0];
-                *link = local;
-                shard
-            }
-            AdminOp::CrashNode { node } | AdminOp::RestartNode { node } => {
-                let (shard, local) = node_owner[node.0];
-                *node = local;
-                shard
-            }
-        };
-        (shard, op)
-    }
-}
-
-/// A timed [`AdminOp`], with ids in the coordinate system of whoever holds
-/// the event (global for [`ShardedSimulator::schedule_admin`] and
-/// [`AdminDriver`]; local once routed to a shard).
-#[derive(Debug, Clone)]
-pub struct AdminEvent {
-    /// When to apply (events at equal times apply in scheduling order,
-    /// after simulation events at that instant — the fault-driver
-    /// convention).
-    pub at: Time,
-    /// What to apply.
-    pub op: AdminOp,
-}
-
-/// Applies a sorted [`AdminEvent`] schedule to a *monolithic* simulator
-/// with exactly the interleaving the sharded runtime uses: run to each
-/// event's time, apply, continue. This is the serial half of every
-/// "sharded == serial" comparison with faults enabled.
-pub struct AdminDriver {
-    events: Vec<AdminEvent>,
-    next: usize,
-}
-
-impl AdminDriver {
-    /// A driver over `events` (sorted stably by time; scheduling order
-    /// breaks ties).
-    pub fn new(mut events: Vec<AdminEvent>) -> AdminDriver {
-        events.sort_by_key(|e| e.at);
-        AdminDriver { events, next: 0 }
-    }
-
-    /// Advance `sim` to `until`, applying every due event at its exact
-    /// time (after coincident simulation events). Returns whether
-    /// simulation events remain.
-    pub fn run_until(&mut self, sim: &mut Simulator, until: Time) -> bool {
-        while self.next < self.events.len() && self.events[self.next].at <= until {
-            let at = self.events[self.next].at;
-            sim.run_until(at);
-            self.events[self.next].op.apply(sim);
-            self.next += 1;
+        FaultKind::NodeCrash { node } | FaultKind::NodeRestart { node } => {
+            let (shard, local) = node_owner[node.0];
+            *node = local;
+            shard
         }
-        sim.run_until(until)
-    }
+    };
+    (shard, kind)
 }
 
 // ---------------------------------------------------------------------------
@@ -444,7 +308,7 @@ enum Cmd {
     Advance {
         until: Time,
         inject: Vec<(DirLinkId, Time, Packet)>,
-        admin: Vec<AdminEvent>,
+        admin: Vec<FaultEvent>,
     },
     Digest,
     Audit,
@@ -516,7 +380,7 @@ fn worker_main(
                 // run to the event's time, apply, continue.
                 for ev in admin {
                     sim.run_until(ev.at);
-                    ev.op.apply(&mut sim);
+                    ev.kind.apply(&mut sim);
                 }
                 let more = sim.run_until(until);
                 Rep::Advanced {
@@ -573,7 +437,7 @@ pub struct ShardedSimulator {
     node_owner: Vec<(usize, NodeId)>,
     /// Pending admin events per shard (local ids), sorted by (time,
     /// scheduling order), with a consumed-prefix cursor.
-    admin: Vec<Vec<AdminEvent>>,
+    admin: Vec<Vec<FaultEvent>>,
     admin_cursor: Vec<usize>,
     /// Last-reported events_processed per shard (exact at barriers).
     events: Vec<u64>,
@@ -666,12 +530,14 @@ impl ShardedSimulator {
     /// the run passes the event times.
     ///
     /// # Panics
-    /// Panics if any event is already in the past.
-    pub fn schedule_admin(&mut self, events: Vec<AdminEvent>) {
+    /// Panics if any event is already in the past, or is a
+    /// [`FaultKind::LinkDelay`] (a delay below the lookahead would break
+    /// epoch safety, so the runtime changes none).
+    pub fn schedule_admin(&mut self, events: Vec<FaultEvent>) {
         for ev in events {
             assert!(ev.at >= self.now, "admin event scheduled into the past");
-            let (shard, op) = ev.op.route(&self.dir_owner, &self.node_owner);
-            self.admin[shard].push(AdminEvent { at: ev.at, op });
+            let (shard, kind) = route(ev.kind, self.lookahead, &self.dir_owner, &self.node_owner);
+            self.admin[shard].push(FaultEvent { at: ev.at, kind });
         }
         for (q, &cursor) in self.admin.iter_mut().zip(&self.admin_cursor) {
             q[cursor..].sort_by_key(|e| e.at);
@@ -908,5 +774,33 @@ impl Drop for ShardedSimulator {
                 let _ = h.join();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "lookahead (1000000 ps)")]
+    fn link_delay_fault_is_refused_naming_the_lookahead() {
+        let mut ss = ShardedSimulator::new(ShardPlan {
+            lookahead: Duration::from_micros(1),
+            shards: vec![ShardBuildPlan {
+                build: Box::new(|| Simulator::new(1)),
+                node_globals: Vec::new(),
+                dir_globals: Vec::new(),
+            }],
+            routes: Vec::new(),
+            dir_owner: vec![(0, DirLinkId(0))],
+            node_owner: Vec::new(),
+        });
+        ss.schedule_admin(vec![FaultEvent {
+            at: Time::ZERO,
+            kind: FaultKind::LinkDelay {
+                link: DirLinkId(0),
+                delay: Duration::from_micros(5),
+            },
+        }]);
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --example multipath_lb`
 
-use mtp_bench::topo::{two_path_mtp, PathSpec};
+use mtp_bench::topo::{mtp_pair, parallel_paths, ParallelSpec, PathSpec};
 use mtp_core::{MtpConfig, MtpSenderNode, ScheduledMsg};
 use mtp_net::Strategy;
 use mtp_sim::time::{Bandwidth, Duration, Time};
@@ -36,14 +36,21 @@ fn workload() -> Vec<ScheduledMsg> {
 fn run(name: &str, strategy: Strategy) {
     let a = PathSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(1));
     let b = PathSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(2));
-    let mut tp = two_path_mtp(
+    let mut tp = parallel_paths(
         9,
-        strategy,
-        a,
-        b,
-        workload(),
-        MtpConfig::default(),
-        Duration::from_micros(50),
+        mtp_pair(
+            MtpConfig::default(),
+            workload(),
+            Duration::from_micros(50),
+            1,
+        ),
+        ParallelSpec {
+            a,
+            b,
+            host: PathSpec::host_default(),
+            forward: strategy,
+            reverse: Strategy::Fixed,
+        },
     );
     tp.sim.run_until(Time::ZERO + Duration::from_millis(20));
     let snd = tp.sim.node_as::<MtpSenderNode>(tp.sender);
