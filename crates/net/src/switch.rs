@@ -12,8 +12,6 @@
 //!    forwarding — used by the fair-share enforcer (paper Fig. 7) to apply
 //!    per-entity policy on a single shared queue.
 
-use std::collections::HashMap;
-
 use mtp_sim::packet::Packet;
 use mtp_sim::time::Time;
 use mtp_sim::{Ctx, Node, NodeFault, PortId};
@@ -200,7 +198,8 @@ pub struct AdvertiseCfg {
 /// optional ingress policy.
 pub struct SwitchNode {
     forwarder: Box<dyn Forwarder>,
-    stamps: HashMap<PortId, Stamp>,
+    /// Indexed by egress `PortId.0`; `None` for an unstamped port.
+    stamps: Vec<Option<Stamp>>,
     policy: Option<Box<dyn IngressPolicy>>,
     advertise: Option<AdvertiseCfg>,
     /// Counters.
@@ -213,7 +212,7 @@ impl SwitchNode {
     pub fn new(name: impl Into<String>, forwarder: Box<dyn Forwarder>) -> SwitchNode {
         SwitchNode {
             forwarder,
-            stamps: HashMap::new(),
+            stamps: Vec::new(),
             policy: None,
             advertise: None,
             stats: SwitchStats::default(),
@@ -223,7 +222,10 @@ impl SwitchNode {
 
     /// Attach a pathlet stamp to an egress port.
     pub fn with_stamp(mut self, port: PortId, stamp: Stamp) -> SwitchNode {
-        self.stamps.insert(port, stamp);
+        if self.stamps.len() <= port.0 {
+            self.stamps.resize_with(port.0 + 1, || None);
+        }
+        self.stamps[port.0] = Some(stamp);
         self
     }
 
@@ -256,11 +258,10 @@ impl Node for SwitchNode {
             // One feedback entry per stamped egress, reporting its
             // current state.
             let mut entries = Vec::new();
-            let ports: Vec<PortId> = self.stamps.keys().copied().collect();
-            for port in ports {
+            for (port, stamp) in self.stamps.iter_mut().enumerate() {
+                let Some(stamp) = stamp else { continue };
                 let probe = Packet::new(mtp_sim::Headers::Raw, 0);
-                let stamp = self.stamps.get_mut(&port).expect("key just listed");
-                let fb = stamp.feedback(ctx, port, &probe, now);
+                let fb = stamp.feedback(ctx, PortId(port), &probe, now);
                 entries.push(PathFeedback {
                     path: stamp.pathlet,
                     tc: stamp.tc.unwrap_or(TrafficClass::BEST_EFFORT),
@@ -320,7 +321,7 @@ impl Node for SwitchNode {
             }
         };
         // Stamp pathlet feedback into MTP data packets leaving this port.
-        if let Some(stamp) = self.stamps.get_mut(&out_port) {
+        if let Some(Some(stamp)) = self.stamps.get_mut(out_port.0) {
             let is_data = pkt
                 .headers
                 .as_mtp()

@@ -269,7 +269,7 @@ pub(crate) enum EventKind {
         /// Detach handle from [`EventQueue::push`]: the wheel entry
         /// holding this timer's key, so a cancel can unsplice it in O(1)
         /// instead of leaving a tombstone (`u32::MAX` when the key went
-        /// straight to a heap and only tombstoning is possible).
+        /// straight into the run and only tombstoning is possible).
         wheel: u32,
     },
     Vacant,
@@ -488,8 +488,8 @@ impl SimInner {
 
     /// Cancel a timer in O(1): if the slot still holds the arming that `id`
     /// refers to (generation match), detach its key from the timing wheel
-    /// and reclaim the slot immediately. When the key has already migrated
-    /// to the ready heap the wheel refuses the detach; the payload
+    /// and reclaim the slot immediately. When the key has already joined
+    /// the run being served the wheel refuses the detach; the payload
     /// is blanked instead and the slot is reclaimed when the stale key
     /// pops — the old tombstone contract, now needed only for the handful
     /// of near-deadline cancels instead of every cancel.

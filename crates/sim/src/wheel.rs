@@ -1,18 +1,22 @@
 //! Hierarchical timing wheel: the engine's event queue.
 //!
 //! A discrete-event engine under RTO churn schedules and drains tens of
-//! thousands of timers whose deadlines cluster a few RTTs out. The former
-//! `BinaryHeap<Reverse<EventKey>>` paid `O(log n)` sift work per push and
-//! pop with `n` inflated by cancelled-but-unpopped timer entries; the
-//! Varghese–Lauer hierarchical wheel below makes both operations `O(1)`
-//! amortized: a push is two shifts, an XOR, and a `Vec` push into the slot
-//! the deadline hashes to; a pop drains the current slot into a tiny
-//! per-slot heap and bitmap-skips empty slots.
+//! thousands of timers whose deadlines cluster a few RTTs out. The binary
+//! heap this replaced paid `O(log n)` sift work per push and pop; the
+//! Varghese–Lauer hierarchical wheel below makes both `O(1)` amortized: a
+//! push is two shifts, an XOR, and a splice into the slot the deadline
+//! hashes to; when a level-0 slot comes due its keys are drained into one
+//! sorted *run* and popped from the run's tail, and empty slots are
+//! bitmap-skipped.
 //!
-//! Ablated in PR 16 against a plain `BinaryHeap` (ten alternating
-//! benchmark pairs, EXPERIMENTS.md "Ablation table"): the wheel pays
-//! ≈ 26 % of `scn_corpus` and ≈ 11 % of `sim_fabric` `ops_per_s`, and
-//! won every pair.
+//! Two ablations, each ten alternating benchmark pairs (EXPERIMENTS.md,
+//! "Ablation table" and "Sorted runs"). PR 16, wheel against a plain
+//! binary heap: the wheel pays ≈ 26 % of `scn_corpus` and ≈ 11 % of
+//! `sim_fabric` `ops_per_s` and won every pair — measured while the wheel
+//! still served each due slot through a small binary heap of its own.
+//! PR 22, the sorted run against that per-slot heap: the run pays ≈ 18 %
+//! of `scn_corpus` and ≈ 12 % of `sim_fabric` and won every pair. The two
+//! were measured against different baselines and do not add.
 //!
 //! ## Shape
 //!
@@ -27,28 +31,43 @@
 //! slot re-places its events relative to the advanced clock (a *cascade*),
 //! so each event moves at most [`LEVELS`] times in its life.
 //!
-//! ## Ordering and cancellation
+//! ## Ordering: the run
 //!
 //! The engine's determinism contract — pops strictly ordered by
 //! `(time, seq)` — survives because slot residency is only ever a
-//! *coarsening*: events sharing the current slot are totally ordered by a
-//! small binary heap (`ready`), and everything outside the current slot is
-//! provably later.
+//! *coarsening*: everything outside the current slot is provably later,
+//! and the keys that share the current slot are sorted once, when the slot
+//! is drained, into `ready` (descending, so a pop is `Vec::pop`). Nothing
+//! between "slot is due" and "key is popped" sifts. A slot list is LIFO
+//! and every cascade reverses it, so a batch usually reaches the sort
+//! already monotone and the sort is one pass. A push at or before the
+//! slot being served is binary-searched into the run; the scenario corpus
+//! makes ≤ 49 of those per 700 k events.
 //!
-//! Cancellation is where the wheel beats the heap outright: slot lists are
-//! doubly linked, so [`EventQueue::cancel`] *detaches* a parked event in
-//! `O(1)` — no tombstone is left to cascade and pop later, and under RTO
-//! churn (every delivered packet arms a timer that is almost always
-//! cancelled) the wheel holds only live deadlines instead of a tombstone
-//! population proportional to the churn rate × timeout. The one heap the
-//! wheel still delegates to (`ready`) keeps the old generation-stamped
-//! tombstone contract: `cancel` refuses (returns `false`) when the key has
-//! already migrated there, and the engine falls back to blanking the
-//! payload slab entry exactly as the binary heap required for every
-//! cancel.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! A run is not small. Measured on the four cells that are 96 % of
+//! `scn_corpus` (throwaway counters, PR 22):
+//!
+//! | cell | events | timers fired | pops finding 1 key in the run | ≥ 63 keys | pushes to level 0 / 1 / 2 / 3 | pushes straight into the run |
+//! |---|---|---|---|---|---|---|
+//! | `fig5_alternation` mtp, seed 5 | 1 187 562 | 748 956 | 434 150 | 585 284 | 276 765 / 160 968 / 784 481 / 0 | 1 |
+//! | `fig5_alternation` tcp-dctcp, seed 5 | 974 879 | 603 137 | 309 998 | 250 930 | 229 454 / 141 420 / 634 553 / 0 | 1 |
+//! | `tenants_elephant_mice` mtp, seed 31 | 713 175 | 145 546 | 572 552 | 26 879 | 139 780 / 419 470 / 150 179 / 2 003 | 32 |
+//! | `tenants_elephant_mice` mtp, seed 47 | 734 656 | 146 349 | 594 541 | 22 317 | 144 825 / 434 892 / 150 806 / 2 338 | 49 |
+//!
+//! Half of `fig5`'s pops come from a run of more than 63 keys that all
+//! carry the same picosecond: neither endpoint's `sync_timer` cancels the
+//! timer it supersedes, so live timers pile up at shared deadlines and
+//! reach a level-0 slot thousands at a time (DESIGN.md, "Stale timers").
+//!
+//! ## Cancellation
+//!
+//! Slot lists are doubly linked, so [`EventQueue::cancel`] *detaches* a
+//! parked event in `O(1)` and leaves no tombstone to cascade and pop
+//! later. Its only callers today are `mtp-bench`'s synthetic `hotpath`
+//! workloads and tests; no endpoint cancels. A key that has already joined
+//! the run is not detachable: `cancel` refuses (returns `false`) and the
+//! engine blanks the payload slab entry instead, the generation-stamped
+//! tombstone contract the binary heap required for every cancel.
 
 use crate::time::Time;
 
@@ -105,24 +124,25 @@ struct Entry {
 const NIL: u32 = u32::MAX;
 
 /// `prev` value marking an entry that is in no slot list: free, or its key
-/// has migrated to the ready heap. Distinguishes "unlinked" from
+/// has joined the run. Distinguishes "unlinked" from
 /// "linked at the head" (`prev == NIL`) so a stale cancel handle can never
 /// unsplice a freelist node.
 const UNLINKED: u32 = u32::MAX - 1;
 
 /// The engine's pending-event queue: a hierarchical timing wheel feeding
-/// the ready heap of the slot being served.
+/// the sorted run of the slot being served.
 #[derive(Debug)]
 pub(crate) struct EventQueue {
     /// Wheel clock: start of the slot currently being drained. Only ever
     /// moves forward, and never past the earliest pending event.
     cur: u64,
-    /// Events in the *current* level-0 slot, totally ordered. All pops
-    /// come through here.
-    ready: BinaryHeap<Reverse<EventKey>>,
+    /// The run being served: every key at or before the current level-0
+    /// slot, sorted *descending* by `(time, seq)` so the earliest is the
+    /// tail. All pops come through here.
+    ready: Vec<EventKey>,
     /// `heads[k * SLOTS + i]`: head of the entry list for slot `i` of
     /// level `k` (`NIL` if empty). Order within a slot is irrelevant —
-    /// the ready heap restores total order when the slot is served.
+    /// the drain's sort restores total order when the slot is served.
     heads: Vec<u32>,
     /// Backing store for every parked entry; `free` recycles vacated
     /// indices, so steady-state churn allocates nothing once the slab has
@@ -143,11 +163,11 @@ impl EventQueue {
     pub(crate) fn new() -> EventQueue {
         // Seed capacity for ~1k concurrent events so moderate workloads
         // never reallocate after construction; larger ones converge by
-        // doubling during their warm-up, exactly like the old heap did.
+        // doubling during their warm-up.
         const SEED_CAP: usize = 1024;
         EventQueue {
             cur: 0,
-            ready: BinaryHeap::with_capacity(SEED_CAP),
+            ready: Vec::with_capacity(SEED_CAP),
             heads: vec![NIL; LEVELS * SLOTS],
             entries: Vec::with_capacity(SEED_CAP),
             free: Vec::with_capacity(SEED_CAP),
@@ -173,31 +193,31 @@ impl EventQueue {
     ///
     /// Returns a detach handle for [`EventQueue::cancel`]: the index of
     /// the wheel entry now holding the key, or [`NIL`] when the key went
-    /// straight to the ready heap (not detachable). The handle
+    /// straight into the run (not detachable). The handle
     /// stays valid across cascades — relocation reuses the entry index —
     /// and is revalidated against `key.slot` on use, so callers may hold
-    /// it without tracking the key's migration to the ready heap.
+    /// it without tracking the key's migration into the run.
     pub(crate) fn push(&mut self, key: EventKey) -> u32 {
         self.count += 1;
         self.place(key)
     }
 
-    /// Route a key to the ready heap or a wheel slot, relative to the
-    /// current wheel clock.
+    /// Route a key to the run or a wheel slot, relative to the current
+    /// wheel clock.
     ///
     /// `key.time` may lie *before* the wheel clock: `cur` tracks the next
     /// occupied wheel slot, which `peek` can push well past the engine's
     /// `now` when the queue momentarily holds only far-future events (the
     /// engine keeps delivering from link propagation rings in between).
-    /// Anything at or before the current slot goes to the ready heap,
-    /// which restores exact `(time, seq)` order — every wheel slot is
-    /// strictly later than the current slot, so the minimum is always in
-    /// `ready`.
+    /// Anything at or before the current slot is inserted into the run at
+    /// its `(time, seq)` place — every wheel slot is strictly later than
+    /// the current slot, so the minimum is always in `ready`.
     fn place(&mut self, key: EventKey) -> u32 {
         let t = tick(key.time.0);
         let c = tick(self.cur);
         if t <= c {
-            self.ready.push(Reverse(key));
+            let at = self.ready.partition_point(|k| *k > key);
+            self.ready.insert(at, key);
             return NIL;
         }
         // Byte index of the highest differing tick bit picks the level.
@@ -251,8 +271,7 @@ impl EventQueue {
     /// scheduling (the slab slot is owned by exactly one pending event, so
     /// a recycled entry can never carry the same `key.slot`). Returns
     /// `false` — leaving tombstone semantics to the caller — when the key
-    /// has already migrated to the ready heap, where a detach would cost
-    /// `O(n)`.
+    /// has already joined the run, where a detach would cost `O(n)`.
     ///
     /// The entry's current `(level, slot)` is recomputed from its deadline
     /// and the wheel clock — the same arithmetic [`place`] used. That is
@@ -296,13 +315,14 @@ impl EventQueue {
     /// Re-place a cascading entry relative to the advanced clock, keeping
     /// its index when it lands in a lower wheel slot (so outstanding
     /// cancel handles survive the cascade) and retiring it when its key
-    /// moves on to the ready heap.
+    /// joins the run (unsorted: [`advance`](Self::advance) sorts after
+    /// the whole slot has cascaded).
     fn relocate(&mut self, idx: u32) {
         let key = self.entries[idx as usize].key;
         let t = tick(key.time.0);
         let c = tick(self.cur);
         if t <= c {
-            self.ready.push(Reverse(key));
+            self.ready.push(key);
             self.free_entry(idx);
             return;
         }
@@ -351,7 +371,7 @@ impl EventQueue {
                     // ...and serve its events.
                     while idx != NIL {
                         let Entry { key, next, .. } = self.entries[idx as usize];
-                        self.ready.push(Reverse(key));
+                        self.ready.push(key);
                         self.free_entry(idx);
                         idx = next;
                     }
@@ -366,6 +386,12 @@ impl EventQueue {
                         idx = next;
                     }
                 }
+                // `ready` was empty, so what the drain appended is the
+                // whole run: order it once. Keys are unique by `seq`, so
+                // an unstable sort is exact.
+                if self.ready.len() > 1 {
+                    self.ready.sort_unstable_by(|a, b| b.cmp(a));
+                }
                 continue 'refill;
             }
             // Every level is empty: nothing is pending.
@@ -378,7 +404,7 @@ impl EventQueue {
         if self.ready.is_empty() {
             self.advance();
         }
-        self.ready.peek().map(|&Reverse(k)| k)
+        self.ready.last().copied()
     }
 
     /// Remove and return the earliest pending event.
@@ -386,7 +412,7 @@ impl EventQueue {
         if self.ready.is_empty() {
             self.advance();
         }
-        let Reverse(key) = self.ready.pop()?;
+        let key = self.ready.pop()?;
         #[cfg(debug_assertions)]
         {
             debug_assert!(key.time.0 >= self.last_pop, "pop went backwards");
@@ -401,6 +427,8 @@ impl EventQueue {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn key(time: u64, seq: u64) -> EventKey {
         EventKey {
@@ -455,7 +483,7 @@ mod tests {
         // Second cancel through the now-freed handle: refused.
         assert!(!q.cancel(idx, far.slot));
 
-        // A key that lands in the ready heap is not detachable.
+        // A key that lands in the run is not detachable.
         let near = key(0, 2);
         assert_eq!(q.push(near), NIL);
         assert_eq!(q.pop(), Some(near));
@@ -572,12 +600,78 @@ mod tests {
         }
     }
 
-    /// One step of the property-test interleaving: push a deadline `dt`
-    /// past the last popped time, pop (and check) `n` events, or cancel
-    /// one of the currently scheduled keys.
+    /// The batch the scenario corpus actually produces (EXPERIMENTS.md
+    /// "Sorted runs"): 10 000 timers at one picosecond `t`, parked three
+    /// levels up, interleaved with keys one tick either side of `t` and a
+    /// few later in `t`'s own slot. Returns the queue, its model, `t` and
+    /// the next unused seq.
+    fn same_instant_batch() -> (EventQueue, Model, u64, u64) {
+        let mut q = EventQueue::new();
+        let mut model = Model::default();
+        // Tick bytes 01.02.03.04: the deadline parks on level 3 and
+        // cascades through levels 2 and 1 before level 0 serves it.
+        let t = (0x0102_0304 << SLOT_SHIFT) + 7;
+        let one_tick = 1 << SLOT_SHIFT;
+        let mut seq = 0;
+        for i in 0..10_000 {
+            let mut times = vec![t];
+            if i % 7 == 0 {
+                times.extend([t - one_tick, t + one_tick]);
+            }
+            if i % 11 == 0 {
+                times.push(t + 500);
+            }
+            for time in times {
+                let k = key(time, seq);
+                seq += 1;
+                assert_ne!(q.push(k), NIL, "three levels up must park");
+                model.heap.push(Reverse(k));
+            }
+        }
+        (q, model, t, seq)
+    }
+
+    #[test]
+    fn ten_thousand_same_instant_keys_pop_in_seq_order() {
+        let (mut q, mut model, _, seq) = same_instant_batch();
+        assert_eq!(q.len() as u64, seq);
+        while let Some(expect) = model.pop() {
+            assert_eq!(q.pop(), Some(expect));
+        }
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pushes_into_a_run_being_served_land_where_the_heap_puts_them() {
+        let (mut q, mut model, t, mut seq) = same_instant_batch();
+        // Serve the slot before `t`'s, then half of the keys at `t`.
+        let earlier = model.heap.iter().filter(|k| k.0.time.0 < t).count();
+        for _ in 0..earlier + 5_000 {
+            assert_eq!(q.pop(), model.pop());
+        }
+        assert_eq!(q.peek().map(|k| k.time.0), Some(t));
+        // The instant being served (behind the 5 000 keys still at `t`), an
+        // instant before the run's `t + 500` keys, and one behind them all.
+        for time in [t, t + 200, t + 500] {
+            let k = key(time, seq);
+            seq += 1;
+            assert_eq!(q.push(k), NIL, "the current slot is the run");
+            model.heap.push(Reverse(k));
+        }
+        while let Some(expect) = model.pop() {
+            assert_eq!(q.pop(), Some(expect));
+        }
+        assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
+    }
+
+    /// One step of the property-test interleaving: push `n` keys at one
+    /// deadline `dt` past the last popped time, pop (and check) `n`
+    /// events, or cancel one of the currently scheduled keys.
     #[derive(Debug, Clone)]
     enum Op {
-        Push(u64),
+        PushBurst(u16, u64),
         Pop(u8),
         Cancel(u8),
     }
@@ -587,9 +681,17 @@ mod tests {
         prop_oneof![
             // Deadline deltas spanning every placement class: current
             // slot and each of the seven wheel levels, up to 2^63 ps.
+            // One push in eight is a burst of up to 300 keys at a shared
+            // deadline, so runs grow past 64 keys as they do under real
+            // timer traffic; the rest push a single key.
             proptest::strategy::fn_strategy(|rng: &mut proptest::strategy::TestRng| {
                 let bits = rng.gen_range(0..64u32);
-                Op::Push(rng.gen_range(0..=(1u64 << bits)))
+                let dt = rng.gen_range(0..=(1u64 << bits));
+                let n = match rng.gen_range(0..8u32) {
+                    0 => rng.gen_range(1..=300),
+                    _ => 1,
+                };
+                Op::PushBurst(n, dt)
             }),
             (1u8..8).prop_map(Op::Pop),
             any::<u8>().prop_map(Op::Cancel),
@@ -609,12 +711,14 @@ mod tests {
             let mut seq = 0u64;
             for op in ops {
                 match op {
-                    Op::Push(dt) => {
-                        let k = key(now.saturating_add(dt), seq);
-                        seq += 1;
-                        let idx = q.push(k);
-                        live.push((idx, k));
-                        model.heap.push(Reverse(k));
+                    Op::PushBurst(n, dt) => {
+                        for _ in 0..n {
+                            let k = key(now.saturating_add(dt), seq);
+                            seq += 1;
+                            let idx = q.push(k);
+                            live.push((idx, k));
+                            model.heap.push(Reverse(k));
+                        }
                     }
                     Op::Pop(n) => {
                         for _ in 0..n {

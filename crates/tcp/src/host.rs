@@ -58,6 +58,58 @@ impl MsgRecord {
     }
 }
 
+/// Everything the sender keeps about one connection, so a callback pays
+/// one lookup for all of it.
+struct ConnRecord {
+    conn: SenderConn,
+    /// The message a per-message connection carries (persistent mode
+    /// tracks `bounds` instead).
+    msg: usize,
+    /// Deadline currently armed, to suppress stale timers.
+    armed: Option<Time>,
+    /// (timeouts, retransmissions) already mirrored into the registry.
+    mirrored: (u64, u64),
+}
+
+impl ConnRecord {
+    /// Arm an RTO timer if the connection's deadline moved. The timer it
+    /// supersedes is left to fire (DESIGN.md, "Stale timers").
+    fn sync_timer(&mut self, ctx: &mut Ctx<'_>) {
+        let deadline = self.conn.next_deadline();
+        if let Some(dl) = deadline {
+            if self.armed != deadline {
+                ctx.set_timer_at(dl, rto_token(self.conn.conn_id()));
+            }
+        }
+        self.armed = deadline;
+    }
+
+    /// Mirror any timeout/retransmission movement into the registry. Must
+    /// run before a completed connection is dropped, so every delta is
+    /// pushed while the connection still exists.
+    fn sync_stats(&mut self, ctx: &mut Ctx<'_>) {
+        let stats = &self.conn.stats;
+        let d = stats.timeouts - self.mirrored.0;
+        if d > 0 {
+            self.mirrored.0 = stats.timeouts;
+            ctx.count(Metric::Timeouts, d);
+        }
+        let d = stats.retransmissions - self.mirrored.1;
+        if d > 0 {
+            self.mirrored.1 = stats.retransmissions;
+            ctx.count(Metric::Retransmissions, d);
+        }
+    }
+}
+
+fn flush(ctx: &mut Ctx<'_>, out: &mut Vec<Packet>) {
+    let now = ctx.now();
+    for mut pkt in out.drain(..) {
+        pkt.sent_at = now;
+        ctx.send(PortId(0), pkt);
+    }
+}
+
 /// A host that sends a scheduled message workload over TCP.
 pub struct TcpSenderNode {
     cfg: TcpConfig,
@@ -70,16 +122,13 @@ pub struct TcpSenderNode {
     schedule: Vec<(Time, u64)>,
     /// Per-message completion records (same indexing as `schedule`).
     pub msgs: Vec<MsgRecord>,
-    conns: HashMap<u32, SenderConn>,
-    /// Which message each per-message connection carries.
-    conn_msg: HashMap<u32, usize>,
+    /// Connection `conn_id_base + k` at index `k`; `None` once a
+    /// per-message connection has completed.
+    conns: Vec<Option<ConnRecord>>,
     /// Persistent mode: message boundaries as (end_seq, msg index).
     bounds: VecDeque<(u64, usize)>,
     written: u64,
     conn_id_base: u32,
-    next_conn: u32,
-    /// Deadline currently armed per connection, to suppress stale timers.
-    armed: HashMap<u32, Time>,
     /// Closed loop: submit message i+1 the moment message i completes
     /// (instead of at its scheduled time).
     closed_loop: bool,
@@ -91,9 +140,6 @@ pub struct TcpSenderNode {
     /// completion (live connections are summed separately at audit time).
     retired_timeouts: u64,
     retired_retransmissions: u64,
-    /// Per-connection (timeouts, retransmissions) already mirrored into
-    /// the registry.
-    conn_mirror: HashMap<u32, (u64, u64)>,
     name: String,
     /// Reusable packet/completion buffers; taken and restored around each
     /// callback so steady state never allocates.
@@ -140,19 +186,15 @@ impl TcpSenderNode {
             dst_addr,
             schedule,
             msgs,
-            conns: HashMap::new(),
-            conn_msg: HashMap::new(),
+            conns: Vec::new(),
             bounds: VecDeque::new(),
             written: 0,
             conn_id_base,
-            next_conn: 0,
-            armed: HashMap::new(),
             closed_loop: false,
             malformed: 0,
             msgs_submitted: 0,
             retired_timeouts: 0,
             retired_retransmissions: 0,
-            conn_mirror: HashMap::new(),
             name: format!("tcp-sender-{conn_id_base}"),
             out_buf: Vec::new(),
             done_buf: Vec::new(),
@@ -175,12 +217,12 @@ impl TcpSenderNode {
 
     /// Total bytes acknowledged across all connections.
     pub fn total_acked(&self) -> u64 {
-        self.conns.values().map(|c| c.bytes_acked()).sum()
+        self.live().map(|c| c.bytes_acked()).sum()
     }
 
     /// Sum of retransmissions across live connections.
     pub fn retransmissions(&self) -> u64 {
-        self.conns.values().map(|c| c.stats.retransmissions).sum()
+        self.live().map(|c| c.stats.retransmissions).sum()
     }
 
     /// Sum of retransmission timeouts across live connections. Under a
@@ -188,50 +230,11 @@ impl TcpSenderNode {
     /// accumulate for the whole outage because the sender has no way to
     /// move the flow to a surviving path.
     pub fn timeouts(&self) -> u64 {
-        self.conns.values().map(|c| c.stats.timeouts).sum()
+        self.live().map(|c| c.stats.timeouts).sum()
     }
 
-    fn flush(&mut self, ctx: &mut Ctx<'_>, out: &mut Vec<Packet>) {
-        let now = ctx.now();
-        for mut pkt in out.drain(..) {
-            pkt.sent_at = now;
-            ctx.send(PortId(0), pkt);
-        }
-    }
-
-    fn sync_timer(&mut self, ctx: &mut Ctx<'_>, conn_id: u32) {
-        let deadline = self.conns.get(&conn_id).and_then(|c| c.next_deadline());
-        match deadline {
-            Some(dl) => {
-                if self.armed.get(&conn_id) != Some(&dl) {
-                    ctx.set_timer_at(dl, rto_token(conn_id));
-                    self.armed.insert(conn_id, dl);
-                }
-            }
-            None => {
-                self.armed.remove(&conn_id);
-            }
-        }
-    }
-
-    /// Mirror any timeout/retransmission movement on `conn_id` into the
-    /// registry. Must run before a completed connection is dropped, so
-    /// every delta is pushed while the connection still exists.
-    fn sync_conn(&mut self, ctx: &mut Ctx<'_>, conn_id: u32) {
-        let Some(conn) = self.conns.get(&conn_id) else {
-            return;
-        };
-        let m = self.conn_mirror.entry(conn_id).or_default();
-        let d = conn.stats.timeouts - m.0;
-        if d > 0 {
-            m.0 = conn.stats.timeouts;
-            ctx.count(Metric::Timeouts, d);
-        }
-        let d = conn.stats.retransmissions - m.1;
-        if d > 0 {
-            m.1 = conn.stats.retransmissions;
-            ctx.count(Metric::Retransmissions, d);
-        }
+    fn live(&self) -> impl Iterator<Item = &SenderConn> {
+        self.conns.iter().flatten().map(|rec| &rec.conn)
     }
 
     /// Mirror completions recorded in `done_buf` (message count, FCT and
@@ -251,46 +254,55 @@ impl TcpSenderNode {
         }
     }
 
-    /// Record the indices of messages that completed into `done_buf`.
-    fn check_completions(&mut self, now: Time, conn_id: u32) {
+    /// Run `event` on connection `conn_id` if it still exists, then send
+    /// what it produced, mirror its counters, record the messages it
+    /// completed and re-sync its RTO timer.
+    fn drive(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        conn_id: u32,
+        event: impl FnOnce(&mut ConnRecord, Time, &mut Vec<Packet>),
+    ) {
+        let k = conn_id.wrapping_sub(self.conn_id_base) as usize;
+        let Some(Some(rec)) = self.conns.get_mut(k) else {
+            return;
+        };
+        let now = ctx.now();
+        let mut out = std::mem::take(&mut self.out_buf);
+        event(rec, now, &mut out);
+        flush(ctx, &mut out);
+        self.out_buf = out;
+        rec.sync_stats(ctx);
         debug_assert!(self.done_buf.is_empty());
         match self.mode {
             TcpWorkloadMode::Persistent => {
-                let Some(conn) = self.conns.get(&conn_id) else {
-                    return;
-                };
-                let acked = conn.bytes_acked();
+                let acked = rec.conn.bytes_acked();
                 while let Some(&(end, idx)) = self.bounds.front() {
-                    if acked >= end {
-                        self.msgs[idx].completed = Some(now);
-                        self.bounds.pop_front();
-                        self.done_buf.push(idx);
-                    } else {
+                    if acked < end {
                         break;
                     }
+                    self.msgs[idx].completed = Some(now);
+                    self.bounds.pop_front();
+                    self.done_buf.push(idx);
                 }
             }
             TcpWorkloadMode::ConnPerMessage => {
-                let done = match self.conns.get(&conn_id) {
-                    Some(conn) => conn.all_acked(),
-                    None => false,
-                };
-                if done {
-                    if let Some(idx) = self.conn_msg.remove(&conn_id) {
-                        self.msgs[idx].completed = Some(now);
-                        self.done_buf.push(idx);
-                    }
-                    if let Some(conn) = self.conns.remove(&conn_id) {
-                        // Totals must outlive the connection for the
-                        // conservation audit's node ledger.
-                        self.retired_timeouts += conn.stats.timeouts;
-                        self.retired_retransmissions += conn.stats.retransmissions;
-                    }
-                    self.conn_mirror.remove(&conn_id);
-                    self.armed.remove(&conn_id);
+                if rec.conn.all_acked() {
+                    self.msgs[rec.msg].completed = Some(now);
+                    self.done_buf.push(rec.msg);
+                    // Totals must outlive the connection for the
+                    // conservation audit's node ledger.
+                    self.retired_timeouts += rec.conn.stats.timeouts;
+                    self.retired_retransmissions += rec.conn.stats.retransmissions;
+                    self.conns[k] = None;
                 }
             }
         }
+        self.note_completions(ctx);
+        if let Some(rec) = &mut self.conns[k] {
+            rec.sync_timer(ctx);
+        }
+        self.after_completions(ctx);
     }
 
     fn after_completions(&mut self, ctx: &mut Ctx<'_>) {
@@ -316,38 +328,33 @@ impl TcpSenderNode {
         self.msgs_submitted += 1;
         ctx.count(Metric::MsgsSubmitted, 1);
         ctx.gauge_add(Gauge::MsgsInFlight, 1);
+        if self.mode == TcpWorkloadMode::ConnPerMessage || self.conns.is_empty() {
+            let conn_id = self.conn_id_base + self.conns.len() as u32;
+            let conn = SenderConn::new(self.cfg.clone(), conn_id, self.src_addr, self.dst_addr);
+            self.conns.push(Some(ConnRecord {
+                conn,
+                msg: idx,
+                armed: None,
+                mirrored: (0, 0),
+            }));
+        }
+        let rec = self
+            .conns
+            .last_mut()
+            .and_then(Option::as_mut)
+            .expect("the persistent connection, or the one just opened");
         let mut out = std::mem::take(&mut self.out_buf);
-        let conn_id = match self.mode {
-            TcpWorkloadMode::Persistent => {
-                let conn_id = self.conn_id_base;
-                let (sa, da) = (self.src_addr, self.dst_addr);
-                let conn = self
-                    .conns
-                    .entry(conn_id)
-                    .or_insert_with(|| SenderConn::new(self.cfg.clone(), conn_id, sa, da));
-                if conn.state() == SenderState::Idle {
-                    conn.open(now, &mut out);
-                }
-                conn.app_write(size, now, &mut out);
-                self.written += size;
-                self.bounds.push_back((self.written, idx));
-                conn_id
-            }
-            TcpWorkloadMode::ConnPerMessage => {
-                let conn_id = self.conn_id_base + self.next_conn;
-                self.next_conn += 1;
-                let mut conn =
-                    SenderConn::new(self.cfg.clone(), conn_id, self.src_addr, self.dst_addr);
-                conn.open(now, &mut out);
-                conn.app_write(size, now, &mut out);
-                self.conn_msg.insert(conn_id, idx);
-                self.conns.insert(conn_id, conn);
-                conn_id
-            }
-        };
-        self.flush(ctx, &mut out);
+        if rec.conn.state() == SenderState::Idle {
+            rec.conn.open(now, &mut out);
+        }
+        rec.conn.app_write(size, now, &mut out);
+        if self.mode == TcpWorkloadMode::Persistent {
+            self.written += size;
+            self.bounds.push_back((self.written, idx));
+        }
+        flush(ctx, &mut out);
         self.out_buf = out;
-        self.sync_timer(ctx, conn_id);
+        rec.sync_timer(ctx);
     }
 }
 
@@ -376,18 +383,9 @@ impl Node for TcpSenderNode {
         let Headers::Tcp(hdr) = pkt.headers else {
             return;
         };
-        let now = ctx.now();
-        let mut out = std::mem::take(&mut self.out_buf);
-        if let Some(conn) = self.conns.get_mut(&hdr.conn_id) {
-            conn.on_segment(now, &hdr, &mut out);
-        }
-        self.flush(ctx, &mut out);
-        self.out_buf = out;
-        self.sync_conn(ctx, hdr.conn_id);
-        self.check_completions(now, hdr.conn_id);
-        self.note_completions(ctx);
-        self.sync_timer(ctx, hdr.conn_id);
-        self.after_completions(ctx);
+        self.drive(ctx, hdr.conn_id, |rec, now, out| {
+            rec.conn.on_segment(now, &hdr, out)
+        });
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -395,22 +393,10 @@ impl Node for TcpSenderNode {
         let arg = token & ((1 << TOKEN_KIND_SHIFT) - 1);
         match kind {
             KIND_MSG => self.submit(ctx, arg as usize),
-            KIND_RTO => {
-                let conn_id = arg as u32;
-                self.armed.remove(&conn_id);
-                let now = ctx.now();
-                let mut out = std::mem::take(&mut self.out_buf);
-                if let Some(conn) = self.conns.get_mut(&conn_id) {
-                    conn.on_timer(now, &mut out);
-                }
-                self.flush(ctx, &mut out);
-                self.out_buf = out;
-                self.sync_conn(ctx, conn_id);
-                self.check_completions(now, conn_id);
-                self.note_completions(ctx);
-                self.sync_timer(ctx, conn_id);
-                self.after_completions(ctx);
-            }
+            KIND_RTO => self.drive(ctx, arg as u32, |rec, now, out| {
+                rec.armed = None;
+                rec.conn.on_timer(now, out);
+            }),
             _ => {}
         }
     }
@@ -419,14 +405,8 @@ impl Node for TcpSenderNode {
         out.malformed += self.malformed;
         out.msgs_submitted += self.msgs_submitted;
         out.msgs_completed += self.msgs.iter().filter(|m| m.completed.is_some()).count() as u64;
-        out.timeouts +=
-            self.conns.values().map(|c| c.stats.timeouts).sum::<u64>() + self.retired_timeouts;
-        out.retransmissions += self
-            .conns
-            .values()
-            .map(|c| c.stats.retransmissions)
-            .sum::<u64>()
-            + self.retired_retransmissions;
+        out.timeouts += self.timeouts() + self.retired_timeouts;
+        out.retransmissions += self.retransmissions() + self.retired_retransmissions;
     }
 
     fn name(&self) -> &str {
