@@ -4,37 +4,22 @@ use mtp_sim::time::Duration;
 
 use crate::pathlet_cc::CcKind;
 
-/// Dead-pathlet detection and failover (paper §3–4: endpoints route
-/// *around* failed network elements mid-flight). Disabled by default so
-/// clean-topology experiments keep their exact packet schedules; failure
-/// studies opt in with [`MtpConfig::with_failover`].
-#[derive(Debug, Clone)]
-pub struct FailoverConfig {
-    /// Master switch for the quarantine/re-probe state machine.
-    pub enabled: bool,
-    /// Consecutive loss attributions that declare a pathlet dead.
-    pub dead_after_losses: u32,
-    /// A pathlet carrying in-flight bytes that produces no feedback for
-    /// this many RTOs is declared dead (feedback silence).
-    pub silence_rtos: u32,
-    /// First quarantine duration; doubles on each successive declaration
-    /// (exponential-backoff re-probe).
-    pub probe_backoff: Duration,
-    /// Quarantine duration cap.
-    pub max_backoff: Duration,
-}
-
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            enabled: false,
-            dead_after_losses: 2,
-            silence_rtos: 3,
-            probe_backoff: Duration::from_micros(500),
-            max_backoff: Duration::from_micros(8_000),
-        }
-    }
-}
+/// How long a congested pathlet stays on the advertised exclude list.
+/// A pathlet is excluded when its window is driven to the floor by loss —
+/// the end-host-to-network half of pathlet congestion control (paper
+/// §3.1.3: "end-hosts provide feedback to the network about the pathlets
+/// that should not be used").
+pub const EXCLUDE_COOLDOWN: Duration = Duration::from_micros(500);
+/// Consecutive loss attributions that declare a pathlet dead.
+pub const DEAD_AFTER_LOSSES: u32 = 2;
+/// A pathlet carrying in-flight bytes that produces no feedback for
+/// this many RTOs is declared dead (feedback silence).
+pub const SILENCE_RTOS: u32 = 3;
+/// First quarantine duration; doubles on each successive declaration
+/// (exponential-backoff re-probe).
+pub const PROBE_BACKOFF: Duration = Duration::from_micros(500);
+/// Quarantine duration cap.
+pub const MAX_BACKOFF: Duration = Duration::from_micros(8_000);
 
 /// Configuration for MTP senders and receivers.
 #[derive(Debug, Clone)]
@@ -45,15 +30,12 @@ pub struct MtpConfig {
     pub cc: CcKind,
     /// Lower bound on the retransmission timeout.
     pub min_rto: Duration,
-    /// How long a congested pathlet stays on the advertised exclude list.
-    pub exclude_cooldown: Duration,
-    /// Exclude a pathlet when its window is driven to the floor by loss —
-    /// the end-host-to-network half of pathlet congestion control
-    /// (paper §3.1.3: "end-hosts provide feedback to the network about the
-    /// pathlets that should not be used").
-    pub exclude_on_floor: bool,
-    /// Dead-pathlet quarantine and failover.
-    pub failover: FailoverConfig,
+    /// Dead-pathlet detection, quarantine and failover (paper §3–4:
+    /// endpoints route *around* failed network elements mid-flight). Off
+    /// by default so clean-topology experiments keep their exact packet
+    /// schedules; failure studies opt in with
+    /// [`MtpConfig::with_failover`].
+    pub failover: bool,
 }
 
 impl Default for MtpConfig {
@@ -64,9 +46,7 @@ impl Default for MtpConfig {
                 init_window: 10 * 1500,
             },
             min_rto: Duration::from_micros(200),
-            exclude_cooldown: Duration::from_micros(500),
-            exclude_on_floor: true,
-            failover: FailoverConfig::default(),
+            failover: false,
         }
     }
 }
@@ -93,9 +73,9 @@ impl MtpConfig {
         }
     }
 
-    /// Enable dead-pathlet detection and failover with default thresholds.
+    /// Enable dead-pathlet detection and failover.
     pub fn with_failover(mut self) -> MtpConfig {
-        self.failover.enabled = true;
+        self.failover = true;
         self
     }
 }

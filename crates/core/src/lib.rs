@@ -59,7 +59,7 @@ pub mod pathlets;
 pub mod receiver;
 pub mod sender;
 
-pub use config::{FailoverConfig, MtpConfig};
+pub use config::MtpConfig;
 pub use host::{EndpointMirror, MtpMsgRecord, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 pub use pathlet_cc::{CcKind, DctcpLikeCc, FixedWindowCc, PathletCc, RcpLikeCc, SwiftLikeCc};
 pub use pathlets::{PathletEntry, PathletTable};

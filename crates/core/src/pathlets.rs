@@ -41,7 +41,7 @@ pub struct PathletEntry {
     /// If set, the pathlet is quarantined (presumed dead) until then.
     pub quarantined_until: Option<Time>,
     /// Re-probe backoff level: quarantine duration is
-    /// `probe_backoff << level`, capped by config.
+    /// `PROBE_BACKOFF << level`, capped by `MAX_BACKOFF`.
     pub backoff_level: u32,
 }
 

@@ -156,13 +156,6 @@ pub struct MtpReceiver {
     recent: Vec<SackEntry>,
     /// Next write position in `recent`.
     recent_head: usize,
-    /// Memo of the last successful id→slot lookup. Packets of one message
-    /// arrive in bursts (a sender drains a window contiguously), so this
-    /// answers most probes without touching the map — which, once many
-    /// messages have passed through, no longer fits in cache. Validated
-    /// against the slab on every hit.
-    last_id: MsgId,
-    last_slot: u32,
     /// If set, completed-message bookkeeping becomes collectable this
     /// long after completion and [`poll_at`](Self::poll_at) surfaces the
     /// deadline; `None` (the default) never collects, preserving the
@@ -197,8 +190,6 @@ impl MtpReceiver {
             sack_redundancy: 1,
             recent: Vec::new(),
             recent_head: 0,
-            last_id: MsgId(0),
-            last_slot: u32::MAX,
             gc_linger: None,
             done: VecDeque::new(),
             incomplete: 0,
@@ -282,14 +273,13 @@ impl MtpReceiver {
         }
         self.map[hole] = 0;
         // The slab's last record moves into the freed slot: re-point its
-        // cell. The memo may name either slot, so drop it.
+        // cell.
         let last = self.msgs.len() - 1;
         if slot != last {
             let cell = self.cell_of(self.msgs[last].id).expect("still indexed");
             self.map[cell] = slot as u32 + 1;
         }
         self.msgs.swap_remove(slot);
-        self.last_slot = u32::MAX;
     }
 
     /// The map cell indexing `id`, if present.
@@ -310,18 +300,8 @@ impl MtpReceiver {
 
     /// The slab slot holding `id`, if present.
     #[inline]
-    fn lookup(&mut self, id: MsgId) -> Option<usize> {
-        if self.last_id == id {
-            if let Some(m) = self.msgs.get(self.last_slot as usize) {
-                if m.id == id {
-                    return Some(self.last_slot as usize);
-                }
-            }
-        }
-        let slot = self.map[self.cell_of(id)?] - 1;
-        self.last_id = id;
-        self.last_slot = slot;
-        Some(slot as usize)
+    fn lookup(&self, id: MsgId) -> Option<usize> {
+        Some(self.map[self.cell_of(id)?] as usize - 1)
     }
 
     /// Rebuild the probe map from the slab (doubling it while the load
@@ -345,8 +325,6 @@ impl MtpReceiver {
     /// Insert a new message at the next slab slot and index it.
     fn insert(&mut self, msg: InMsg) -> usize {
         let slot = self.msgs.len();
-        self.last_id = msg.id;
-        self.last_slot = slot as u32;
         self.msgs.push(msg);
         self.incomplete += 1;
         if (self.msgs.len() + 1) * 4 > self.map.len() * 3 {
@@ -366,12 +344,6 @@ impl MtpReceiver {
     /// calls so steady-state event delivery never allocates.
     pub fn drain_events(&mut self, out: &mut Vec<MsgDelivered>) {
         out.append(&mut self.events);
-    }
-
-    /// Drain delivery events into a fresh `Vec`.
-    #[deprecated(note = "use drain_events, which reuses a caller-owned buffer")]
-    pub fn take_events(&mut self) -> Vec<MsgDelivered> {
-        std::mem::take(&mut self.events)
     }
 
     /// Messages currently in reassembly (incomplete).

@@ -50,7 +50,9 @@ use mtp_sim::time::{Duration, Time};
 use mtp_wire::types::flags;
 use mtp_wire::{EntityId, Feedback, MsgId, MtpHeader, PathletId, PktNum, PktType, TrafficClass};
 
-use crate::config::MtpConfig;
+use crate::config::{
+    MtpConfig, DEAD_AFTER_LOSSES, EXCLUDE_COOLDOWN, MAX_BACKOFF, PROBE_BACKOFF, SILENCE_RTOS,
+};
 use crate::pathlet_cc::PathIdx;
 use crate::pathlets::PathletTable;
 
@@ -418,12 +420,6 @@ impl MtpSender {
         out.append(&mut self.events);
     }
 
-    /// Drain completion events into a fresh `Vec`.
-    #[deprecated(note = "use drain_events, which reuses a caller-owned buffer")]
-    pub fn take_events(&mut self) -> Vec<SenderEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// The pathlet currently charged for new transmissions.
     pub fn active_pathlet(&self) -> (PathletId, TrafficClass) {
         self.active
@@ -460,7 +456,7 @@ impl MtpSender {
     /// does not change.
     pub fn poll_at(&mut self) -> Option<Time> {
         let rto = self.next_deadline();
-        let quarantine = if self.cfg.failover.enabled {
+        let quarantine = if self.cfg.failover {
             self.pathlets.next_quarantine_release()
         } else {
             None
@@ -527,12 +523,12 @@ impl MtpSender {
     // advertised excluded; its in-flight packets are evacuated onto the
     // best surviving pathlet. A pathlet is never quarantined when it is
     // the only live one — a sender with one path must keep trying it.
-    // Everything below is gated on `cfg.failover.enabled` (off by
+    // Everything below is gated on `cfg.failover` (off by
     // default), so clean-topology runs keep their exact packet schedules.
 
     /// Release expired quarantines (each opens a re-probe window).
     fn maybe_reprobe(&mut self, now: Time) {
-        if !self.cfg.failover.enabled {
+        if !self.cfg.failover {
             return;
         }
         let released = self.pathlets.release_expired_quarantines(now);
@@ -540,14 +536,14 @@ impl MtpSender {
     }
 
     /// Attribute one loss event to `idx`; quarantine it once the streak
-    /// reaches the configured threshold.
+    /// reaches [`DEAD_AFTER_LOSSES`].
     fn note_loss(&mut self, idx: PathIdx, now: Time, out: &mut Vec<Packet>) {
-        if !self.cfg.failover.enabled {
+        if !self.cfg.failover {
             return;
         }
         let e = self.pathlets.at_mut(idx);
         e.consec_losses += 1;
-        if e.consec_losses >= self.cfg.failover.dead_after_losses {
+        if e.consec_losses >= DEAD_AFTER_LOSSES {
             self.quarantine_pathlet(idx, now, out);
         }
     }
@@ -562,14 +558,13 @@ impl MtpSender {
         let Some(alt) = self.pathlets.best_alternative(idx, now) else {
             return;
         };
-        let fo = &self.cfg.failover;
         let level = self.pathlets.at(idx).backoff_level;
         let span = Duration(
-            fo.probe_backoff
+            PROBE_BACKOFF
                 .0
                 .checked_shl(level)
                 .unwrap_or(u64::MAX)
-                .min(fo.max_backoff.0),
+                .min(MAX_BACKOFF.0),
         );
         self.pathlets.quarantine_at(idx, now + span);
         self.pathlets.at_mut(idx).backoff_level = level.saturating_add(1);
@@ -608,23 +603,18 @@ impl MtpSender {
     }
 
     /// Feedback-silence detector: a pathlet with bytes in flight that has
-    /// produced no feedback for `silence_rtos` RTOs is presumed dead even
+    /// produced no feedback for [`SILENCE_RTOS`] RTOs is presumed dead even
     /// if no NACK ever attributed a loss to it (a blackholed path produces
     /// no NACKs at all).
     fn check_silence(&mut self, now: Time, out: &mut Vec<Packet>) {
-        if !self.cfg.failover.enabled {
+        if !self.cfg.failover {
             return;
         }
         if self.outstanding() == 0 {
             // Silence without demand is idleness, not failure.
             return;
         }
-        let threshold = Duration(
-            self.rtt
-                .rto()
-                .0
-                .saturating_mul(self.cfg.failover.silence_rtos as u64),
-        );
+        let threshold = Duration(self.rtt.rto().0.saturating_mul(SILENCE_RTOS as u64));
         // Deliberately NOT gated on per-pathlet charged in-flight: the
         // sender charges packets to its *guess* of the path, and the first
         // go-back-N round re-charges everything to the current active
@@ -716,7 +706,7 @@ impl MtpSender {
             if let Feedback::PathChange { new_path } = fb.feedback {
                 self.active = (new_path, fb.tc);
             }
-            if acked > 0 && self.cfg.failover.enabled {
+            if acked > 0 && self.cfg.failover {
                 self.pathlets.mark_alive(idx);
             }
         }
@@ -733,7 +723,7 @@ impl MtpSender {
             // evidence even without an echoed feedback entry.
             e.last_seen = now;
             e.cc.on_ack(acked, None, rtt_sample, now);
-            if self.cfg.failover.enabled {
+            if self.cfg.failover {
                 self.pathlets.mark_alive(PathIdx(idx));
             }
         }
@@ -774,9 +764,8 @@ impl MtpSender {
             let idx = PathIdx(self.loss_scratch[i]);
             let e = self.pathlets.at_mut(idx);
             e.cc.on_loss(now);
-            if self.cfg.exclude_on_floor && e.cc.window() <= crate::pathlet_cc::WINDOW_FLOOR {
-                let until = now + self.cfg.exclude_cooldown;
-                self.pathlets.exclude_at(idx, until);
+            if e.cc.window() <= crate::pathlet_cc::WINDOW_FLOOR {
+                self.pathlets.exclude_at(idx, now + EXCLUDE_COOLDOWN);
             }
             self.note_loss(idx, now, out);
         }
@@ -834,7 +823,7 @@ impl MtpSender {
         }
         self.stats.timeouts += 1;
         self.rtt.on_timeout();
-        if self.cfg.failover.enabled {
+        if self.cfg.failover {
             // Attribute the timeout to every pathlet that had expired
             // bytes in flight — both the congestion signal and the dead-
             // path streak — so a repeatedly timing-out pathlet collapses
@@ -1301,7 +1290,7 @@ mod tests {
         assert_eq!(s.active_pathlet().0, PathletId(7));
         assert!(!on7.is_empty(), "opened window admits packets on 7");
         // Two successive loss events attributed to pathlet 7 reach the
-        // dead_after_losses threshold.
+        // DEAD_AFTER_LOSSES threshold.
         let nack_hdr = MtpHeader {
             pkt_type: PktType::Ack,
             nack: on7
@@ -1370,7 +1359,7 @@ mod tests {
         let mut o = Vec::new();
         s.on_ack(Time::ZERO + Duration::from_micros(10), &ack, &mut o);
         assert_eq!(s.active_pathlet().0, PathletId(7));
-        // Well past silence_rtos * RTO with bytes still charged to the
+        // Well past SILENCE_RTOS * RTO with bytes still charged to the
         // default pathlet and no sign of life from it.
         let mut out2 = Vec::new();
         s.on_timer(Time::ZERO + Duration::from_micros(10_000), &mut out2);

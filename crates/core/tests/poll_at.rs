@@ -133,7 +133,7 @@ fn poll_at_reproduces_sim_rto_firing_schedule() {
 #[test]
 fn poll_at_covers_quarantine_release_with_empty_inflight() {
     let cfg = MtpConfig::default().with_failover();
-    let backoff = cfg.failover.probe_backoff;
+    let backoff = mtp_core::config::PROBE_BACKOFF;
     let mut s = MtpSender::new(cfg, 1, EntityId(0), 1000);
     let mut out = Vec::new();
     s.send_message(

@@ -19,7 +19,7 @@
 //!
 //! The endpoint half of the story — loss attribution, feedback-silence
 //! detection, quarantine with exponential-backoff re-probe, and in-flight
-//! evacuation — lives in `mtp-core` ([`mtp_core::FailoverConfig`]) and is
+//! evacuation — lives in `mtp-core` ([`mtp_core::MtpConfig::with_failover`]) and is
 //! exercised end to end by this crate's fault-matrix tests.
 
 #![forbid(unsafe_code)]

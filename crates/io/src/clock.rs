@@ -3,20 +3,14 @@
 //! The endpoint cores take [`Time`] — picoseconds from an arbitrary
 //! epoch — on every call and never read a clock themselves. In the
 //! simulator the engine supplies virtual time; on the wire a driver
-//! supplies real time through this trait. Because the cores only ever
-//! *difference* times (RTT samples, RTO deadlines, quarantine spans),
-//! the epoch is free: [`MonotonicClock`] simply anchors `Time::ZERO` at
+//! supplies real time from a [`MonotonicClock`]. Because the cores only
+//! ever *difference* times (RTT samples, RTO deadlines, quarantine
+//! spans), the epoch is free: the clock simply anchors `Time::ZERO` at
 //! construction.
 
 use std::time::Instant;
 
 use mtp_sim::time::Time;
-
-/// A source of monotonic picosecond timestamps for driving the cores.
-pub trait Clock {
-    /// The current instant.
-    fn now(&self) -> Time;
-}
 
 /// Real time: `std::time::Instant` elapsed-since-construction, scaled
 /// to the simulator's picosecond unit.
@@ -32,16 +26,9 @@ impl MonotonicClock {
             start: Instant::now(),
         }
     }
-}
 
-impl Default for MonotonicClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for MonotonicClock {
-    fn now(&self) -> Time {
+    /// The current instant.
+    pub fn now(&self) -> Time {
         // u64 picoseconds wrap after ~213 days of process uptime; a
         // saturating conversion keeps pathological cases monotone.
         let nanos = self.start.elapsed().as_nanos();
@@ -49,41 +36,9 @@ impl Clock for MonotonicClock {
     }
 }
 
-/// A hand-advanced clock for unit tests.
-#[derive(Debug, Clone)]
-pub struct ManualClock {
-    now: std::cell::Cell<u64>,
-}
-
-impl ManualClock {
-    /// A clock reading `Time::ZERO`.
-    pub fn new() -> ManualClock {
-        ManualClock {
-            now: std::cell::Cell::new(0),
-        }
-    }
-
-    /// Advance by `ps` picoseconds.
-    pub fn advance(&self, ps: u64) {
-        self.now.set(self.now.get() + ps);
-    }
-
-    /// Jump to an absolute instant (must not move backwards).
-    pub fn set(&self, t: Time) {
-        debug_assert!(t.0 >= self.now.get(), "manual clock moved backwards");
-        self.now.set(t.0);
-    }
-}
-
-impl Default for ManualClock {
+impl Default for MonotonicClock {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clock for ManualClock {
-    fn now(&self) -> Time {
-        Time(self.now.get())
     }
 }
 
@@ -97,15 +52,5 @@ mod tests {
         let a = c.now();
         let b = c.now();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn manual_clock_advances() {
-        let c = ManualClock::new();
-        assert_eq!(c.now(), Time(0));
-        c.advance(5);
-        assert_eq!(c.now(), Time(5));
-        c.set(Time(9));
-        assert_eq!(c.now(), Time(9));
     }
 }

@@ -13,7 +13,7 @@
 //! ## Layout
 //!
 //! * [`clock`] — monotonic wall clock mapped onto the simulator's
-//!   picosecond [`mtp_sim::time::Time`], plus a manual clock for tests.
+//!   picosecond [`mtp_sim::time::Time`].
 //! * [`payload`] — deterministic position-independent payload synthesis
 //!   and FNV digests, so both worlds can agree on message *content*
 //!   without shipping golden byte blobs around.
@@ -66,7 +66,7 @@ pub mod soak;
 pub mod socket;
 pub mod sys;
 
-pub use clock::{Clock, ManualClock, MonotonicClock};
+pub use clock::MonotonicClock;
 pub use driver::{
     golden_session_config, run_wire_golden, IoConfig, WireOutcome, WireRxOutcome, WireTxOutcome,
 };

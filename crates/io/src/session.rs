@@ -59,7 +59,7 @@ use mtp_wire::{
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::clock::{Clock, MonotonicClock};
+use crate::clock::MonotonicClock;
 use crate::driver::IoConfig;
 use crate::frame::{append_ctrl_frame, append_frame, FrameError, FrameIter, FrameKind};
 use crate::payload;

@@ -179,11 +179,6 @@ fn heavy_session_is_held_back_by_marks_not_by_loss() {
     let Some(queues) = run(&shape) else {
         return;
     };
-    // The marks are read from the registry, which `telemetry-off` empties.
-    if !mtp_telemetry::ENABLED {
-        eprintln!("NOTICE: telemetry compiled out; marks not asserted");
-        return;
-    }
     // The threshold is a share of what this host granted; a platform
     // that cannot say how much leaves no marks to assert.
     let threshold = queues.threshold;

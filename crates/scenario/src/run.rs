@@ -9,7 +9,7 @@
 //! strings naming the assertion, never as a crash, so one broken cell
 //! cannot take down a corpus run.
 
-use mtp_bench::study::{completion_stats, corrupted_frames, percentile, us};
+use mtp_bench::study::{completion_stats, corrupted_frames, us};
 use mtp_bench::topo::{dumbbell, dumbbell_dst, dumbbell_src, leaf_spine, ls_addr};
 use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_faults::{
@@ -912,12 +912,6 @@ fn check_asserts(
             out.push(format!("assert digests: expected {want}, got {}", r.digest));
         }
     }
-}
-
-/// Nearest-rank percentile re-export for report consumers (the same
-/// formula the figure binaries use).
-pub fn pct(sorted: &[f64], p: f64) -> f64 {
-    percentile(sorted, p)
 }
 
 #[cfg(test)]

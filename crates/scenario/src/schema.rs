@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use crate::toml::{escape_basic, format_float, format_key, parse, Table, TomlError, Value};
+use crate::toml::{format_key, parse, Table, TomlError, Value};
 
 /// A schema-level rejection: which field, and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -303,15 +303,6 @@ pub enum FailMode {
     Drain,
 }
 
-impl FailMode {
-    fn key(&self) -> &'static str {
-        match self {
-            FailMode::Blackhole => "blackhole",
-            FailMode::Drain => "drain",
-        }
-    }
-}
-
 /// One scripted fault, with links/nodes referenced by topology name.
 /// Burst/rate seeds are expressed as `seed_xor`: the injected seed is
 /// `cell_seed ^ seed_xor`, so every seed in the matrix draws distinct
@@ -404,21 +395,6 @@ pub enum FaultSpec {
     },
 }
 
-impl FaultSpec {
-    fn kind_key(&self) -> &'static str {
-        match self {
-            FaultSpec::CutBoth { .. } => "cut_both",
-            FaultSpec::LinkDown { .. } => "link_down",
-            FaultSpec::LinkUp { .. } => "link_up",
-            FaultSpec::Degrade { .. } => "degrade",
-            FaultSpec::CorruptRate { .. } => "corrupt_rate",
-            FaultSpec::BitflipBurst { .. } => "bitflip_burst",
-            FaultSpec::TruncateBurst { .. } => "truncate_burst",
-            FaultSpec::CrashRestart { .. } => "crash_restart",
-        }
-    }
-}
-
 /// Per-protocol assertion bounds. Every field is optional; unset bounds
 /// are not checked.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -443,12 +419,6 @@ pub struct CellAsserts {
     /// Lower bound on mean sink goodput (after `assert.warmup_bins`
     /// bins), Gbps.
     pub goodput_mean_min_gbps: Option<f64>,
-}
-
-impl CellAsserts {
-    fn is_default(&self) -> bool {
-        *self == CellAsserts::default()
-    }
 }
 
 /// The scenario's typed pass/fail contract.
@@ -1236,8 +1206,10 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
         if !s.protocols.contains(&p) {
             return Err(err(f, "protocol is not in scenario.protocols"));
         }
-        let Ok(seed) = seed.parse::<u64>() else {
-            return Err(err(f, format!("`{seed}` is not a seed")));
+        // Canonical spelling only: the runner looks a pin up by
+        // `protocol/{seed}`, so `mtp/011` or `mtp/+11` would match no cell.
+        let Some(seed) = seed.parse::<u64>().ok().filter(|n| n.to_string() == seed) else {
+            return Err(err(f, format!("`{seed}` is not a seed in plain decimal")));
         };
         if !s.seeds.contains(&seed) {
             return Err(err(f, format!("seed {seed} is not in scenario.seeds")));
@@ -1250,258 +1222,6 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
 pub fn from_str(input: &str) -> Result<Scenario, LoadError> {
     let root = parse(input).map_err(LoadError::Parse)?;
     from_table(root).map_err(LoadError::Schema)
-}
-
-// ---------------------------------------------------------------- emit
-
-fn emit_link(out: &mut String, header: &str, l: &LinkParams) {
-    out.push_str(&format!(
-        "[{header}]\nrate_gbps = {}\ndelay_us = {}\n",
-        l.rate_gbps, l.delay_us
-    ));
-}
-
-/// Render a scenario back to canonical TOML. `from_str(to_toml(s))`
-/// yields a scenario equal to `s` — the roundtrip property the proptest
-/// suite pins.
-pub fn to_toml(s: &Scenario) -> String {
-    let mut o = String::new();
-    o.push_str("[scenario]\n");
-    o.push_str(&format!("name = {}\n", escape_basic(&s.name)));
-    if !s.description.is_empty() {
-        o.push_str(&format!("description = {}\n", escape_basic(&s.description)));
-    }
-    let seeds: Vec<String> = s.seeds.iter().map(|x| x.to_string()).collect();
-    o.push_str(&format!("seeds = [{}]\n", seeds.join(", ")));
-    o.push_str(&format!("horizon_us = {}\n", s.horizon_us));
-    let protos: Vec<String> = s.protocols.iter().map(|p| escape_basic(p.key())).collect();
-    o.push_str(&format!("protocols = [{}]\n", protos.join(", ")));
-
-    if s.mtp != MtpOpts::default() {
-        o.push_str("\n[mtp]\n");
-        o.push_str(&format!("failover = {}\n", s.mtp.failover));
-    }
-
-    o.push_str("\n[topology]\n");
-    o.push_str(&format!("kind = {}\n", escape_basic(s.topology.kind())));
-    match &s.topology {
-        Topology::Diamond { path } => emit_link(&mut o, "topology.path", path),
-        Topology::TwoPath {
-            a,
-            b,
-            strategy,
-            goodput_bin_us,
-        } => {
-            o.push_str(&format!("goodput_bin_us = {goodput_bin_us}\n"));
-            match strategy {
-                TwoPathStrategy::Alternate { period_us } => {
-                    o.push_str("strategy = \"alternate\"\n");
-                    o.push_str(&format!("alternate_period_us = {period_us}\n"));
-                }
-                TwoPathStrategy::Ecmp => o.push_str("strategy = \"ecmp\"\n"),
-                TwoPathStrategy::Spray => o.push_str("strategy = \"spray\"\n"),
-            }
-            emit_link(&mut o, "topology.a", a);
-            emit_link(&mut o, "topology.b", b);
-        }
-        Topology::Dumbbell { edge, shared } => {
-            emit_link(&mut o, "topology.edge", edge);
-            emit_link(&mut o, "topology.shared", shared);
-        }
-        Topology::LeafSpine {
-            leaves,
-            spines,
-            hosts_per_leaf,
-            host_link,
-            spine_link,
-        } => {
-            o.push_str(&format!("leaves = {leaves}\n"));
-            o.push_str(&format!("spines = {spines}\n"));
-            o.push_str(&format!("hosts_per_leaf = {hosts_per_leaf}\n"));
-            emit_link(&mut o, "topology.host_link", host_link);
-            emit_link(&mut o, "topology.spine_link", spine_link);
-        }
-    }
-
-    o.push_str("\n[workload]\n");
-    o.push_str(&format!("kind = {}\n", escape_basic(s.workload.kind())));
-    match &s.workload {
-        Workload::Periodic {
-            count,
-            bytes,
-            interval_us,
-        } => {
-            o.push_str(&format!("count = {count}\n"));
-            o.push_str(&format!("bytes = {bytes}\n"));
-            o.push_str(&format!("interval_us = {interval_us}\n"));
-        }
-        Workload::Single { bytes } => o.push_str(&format!("bytes = {bytes}\n")),
-        Workload::Tenants {
-            elephants,
-            elephant_bytes,
-            mice,
-            mice_load,
-            mice_min_bytes,
-            mice_max_bytes,
-        } => {
-            o.push_str(&format!("elephants = {elephants}\n"));
-            o.push_str(&format!("elephant_bytes = {elephant_bytes}\n"));
-            o.push_str(&format!("mice = {mice}\n"));
-            o.push_str(&format!("mice_load = {}\n", format_float(*mice_load)));
-            o.push_str(&format!("mice_min_bytes = {mice_min_bytes}\n"));
-            o.push_str(&format!("mice_max_bytes = {mice_max_bytes}\n"));
-        }
-        Workload::Fanin {
-            rounds,
-            bytes,
-            stagger_us,
-            round_gap_us,
-        } => {
-            o.push_str(&format!("rounds = {rounds}\n"));
-            o.push_str(&format!("bytes = {bytes}\n"));
-            o.push_str(&format!("stagger_us = {stagger_us}\n"));
-            o.push_str(&format!("round_gap_us = {round_gap_us}\n"));
-        }
-    }
-
-    for f in &s.faults {
-        o.push_str("\n[[fault]]\n");
-        o.push_str(&format!("kind = {}\n", escape_basic(f.kind_key())));
-        match f {
-            FaultSpec::CutBoth {
-                link,
-                from_us,
-                to_us,
-                mode,
-            } => {
-                o.push_str(&format!("link = {}\n", escape_basic(link)));
-                o.push_str(&format!("from_us = {from_us}\n"));
-                o.push_str(&format!("to_us = {to_us}\n"));
-                o.push_str(&format!("mode = {}\n", escape_basic(mode.key())));
-            }
-            FaultSpec::LinkDown { link, at_us, mode } => {
-                o.push_str(&format!("link = {}\n", escape_basic(link)));
-                o.push_str(&format!("at_us = {at_us}\n"));
-                o.push_str(&format!("mode = {}\n", escape_basic(mode.key())));
-            }
-            FaultSpec::LinkUp { link, at_us } => {
-                o.push_str(&format!("link = {}\n", escape_basic(link)));
-                o.push_str(&format!("at_us = {at_us}\n"));
-            }
-            FaultSpec::Degrade {
-                link,
-                at_us,
-                rate_gbps,
-                delay_us,
-            } => {
-                o.push_str(&format!("link = {}\n", escape_basic(link)));
-                o.push_str(&format!("at_us = {at_us}\n"));
-                o.push_str(&format!("rate_gbps = {rate_gbps}\n"));
-                o.push_str(&format!("delay_us = {delay_us}\n"));
-            }
-            FaultSpec::CorruptRate {
-                link,
-                at_us,
-                ppm,
-                flips,
-                seed_xor,
-            } => {
-                o.push_str(&format!("link = {}\n", escape_basic(link)));
-                o.push_str(&format!("at_us = {at_us}\n"));
-                o.push_str(&format!("ppm = {ppm}\n"));
-                o.push_str(&format!("flips = {flips}\n"));
-                o.push_str(&format!("seed_xor = {seed_xor}\n"));
-            }
-            FaultSpec::BitflipBurst {
-                link,
-                at_us,
-                pkts,
-                flips,
-                seed_xor,
-            } => {
-                o.push_str(&format!("link = {}\n", escape_basic(link)));
-                o.push_str(&format!("at_us = {at_us}\n"));
-                o.push_str(&format!("pkts = {pkts}\n"));
-                o.push_str(&format!("flips = {flips}\n"));
-                o.push_str(&format!("seed_xor = {seed_xor}\n"));
-            }
-            FaultSpec::TruncateBurst {
-                link,
-                at_us,
-                pkts,
-                seed_xor,
-            } => {
-                o.push_str(&format!("link = {}\n", escape_basic(link)));
-                o.push_str(&format!("at_us = {at_us}\n"));
-                o.push_str(&format!("pkts = {pkts}\n"));
-                o.push_str(&format!("seed_xor = {seed_xor}\n"));
-            }
-            FaultSpec::CrashRestart {
-                node,
-                from_us,
-                to_us,
-            } => {
-                o.push_str(&format!("node = {}\n", escape_basic(node)));
-                o.push_str(&format!("from_us = {from_us}\n"));
-                o.push_str(&format!("to_us = {to_us}\n"));
-            }
-        }
-    }
-
-    o.push_str("\n[assert]\n");
-    o.push_str(&format!("conservation = {}\n", s.asserts.conservation));
-    if s.asserts.corruption_accounting {
-        o.push_str("corruption_accounting = true\n");
-    }
-    if let Some((a, b)) = s.asserts.window_us {
-        o.push_str(&format!("window_us = [{a}, {b}]\n"));
-    }
-    if s.asserts.warmup_bins != 0 {
-        o.push_str(&format!("warmup_bins = {}\n", s.asserts.warmup_bins));
-    }
-    for (p, c) in &s.asserts.cells {
-        if c.is_default() {
-            // An empty cell table would decode back to the same default,
-            // but emit a marker key-free table anyway for clarity.
-            o.push_str(&format!("\n[assert.cells.{}]\n", p.key()));
-            continue;
-        }
-        o.push_str(&format!("\n[assert.cells.{}]\n", p.key()));
-        if c.exactly_once {
-            o.push_str("exactly_once = true\n");
-        }
-        if let Some(v) = c.completed {
-            o.push_str(&format!("completed = {v}\n"));
-        }
-        if let Some(v) = c.completed_min {
-            o.push_str(&format!("completed_min = {v}\n"));
-        }
-        if let Some(v) = c.during_window_min {
-            o.push_str(&format!("during_window_min = {v}\n"));
-        }
-        if let Some(v) = c.during_window_max {
-            o.push_str(&format!("during_window_max = {v}\n"));
-        }
-        if let Some(v) = c.p50_max_us {
-            o.push_str(&format!("p50_max_us = {}\n", format_float(v)));
-        }
-        if let Some(v) = c.p99_max_us {
-            o.push_str(&format!("p99_max_us = {}\n", format_float(v)));
-        }
-        if let Some(v) = c.timeouts_max {
-            o.push_str(&format!("timeouts_max = {v}\n"));
-        }
-        if let Some(v) = c.goodput_mean_min_gbps {
-            o.push_str(&format!("goodput_mean_min_gbps = {}\n", format_float(v)));
-        }
-    }
-    if !s.asserts.digests.is_empty() {
-        o.push_str("\n[assert.digests]\n");
-        for (k, v) in &s.asserts.digests {
-            o.push_str(&format!("{} = {}\n", format_key(k), escape_basic(v)));
-        }
-    }
-    o
 }
 
 #[cfg(test)]
@@ -1569,6 +1289,26 @@ interval_us = 10
     }
 
     #[test]
+    fn digest_pin_seed_must_be_spelled_as_the_runner_looks_it_up() {
+        let pin = |key: &str| {
+            from_str(&format!(
+                "{}\n[assert.digests]\n\"{key}\" = \"0000000000000000\"\n",
+                minimal()
+            ))
+        };
+        pin("mtp/1").expect("canonical key");
+        for key in ["mtp/01", "mtp/+1"] {
+            match pin(key).expect_err("non-canonical seed") {
+                LoadError::Schema(e) => {
+                    assert_eq!(e.field, format!("assert.digests.\"{key}\""));
+                    assert!(e.msg.contains("not a seed"), "{}", e.msg);
+                }
+                other => panic!("wrong error: {other}"),
+            }
+        }
+    }
+
+    #[test]
     fn tcp_on_leaf_spine_is_rejected() {
         let doc = r#"
 [scenario]
@@ -1601,13 +1341,5 @@ round_gap_us = 10
             LoadError::Schema(e) => assert_eq!(e.field, "scenario.protocols"),
             other => panic!("wrong error: {other}"),
         }
-    }
-
-    #[test]
-    fn roundtrips_through_emitter() {
-        let s = from_str(&minimal()).expect("decode");
-        let emitted = to_toml(&s);
-        let back = from_str(&emitted).expect("re-decode");
-        assert_eq!(s, back, "emitted:\n{emitted}");
     }
 }

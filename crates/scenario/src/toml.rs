@@ -777,10 +777,10 @@ fn insert_dotted(t: &mut Table, keys: &[String], value: Value, at: Mark) -> Resu
     Ok(())
 }
 
-// ------------------------------------------------------------- emission
+// ------------------------------------------------------------ rendering
 
-/// Render a key for TOML output: bare when possible, basic-quoted
-/// otherwise.
+/// Render a key the way TOML spells it — bare when possible, basic-quoted
+/// otherwise — which is how a schema error names a field.
 pub fn format_key(key: &str) -> String {
     if !key.is_empty() && key.chars().all(is_bare_key_char) {
         key.to_string()
@@ -810,23 +810,6 @@ pub fn escape_basic(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Render a float so it parses back exactly and is unambiguously a
-/// float (always contains `.` or an exponent).
-pub fn format_float(v: f64) -> String {
-    if v.is_infinite() {
-        return if v > 0.0 { "inf" } else { "-inf" }.to_string();
-    }
-    if v.is_nan() {
-        return "nan".to_string();
-    }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
-    }
 }
 
 #[cfg(test)]
@@ -937,7 +920,5 @@ kind = "link_up"
         assert_eq!(format_key("abc-1_2"), "abc-1_2");
         assert_eq!(format_key("mtp/11"), "\"mtp/11\"");
         assert_eq!(escape_basic("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(format_float(2.0), "2.0");
-        assert_eq!(format_float(0.5), "0.5");
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the scenario schema.
 //!
 //! 1. **Lossless roundtrip**: any valid scenario serialized by
-//!    [`schema::to_toml`] decodes back to an equal `Scenario`.
+//!    [`emit::to_toml`] decodes back to an equal `Scenario`.
 //! 2. **Typed rejection**: unknown keys, out-of-range values, and
 //!    zero-latency links are rejected with a [`SchemaError`] naming the
 //!    offending field — never a panic.
@@ -12,9 +12,12 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+mod emit;
+
+use emit::to_toml;
 use mtp_scenario::schema::{
-    self, from_str, to_toml, Asserts, CellAsserts, FailMode, FaultSpec, LinkParams, LoadError,
-    MtpOpts, Protocol, Scenario, Topology, TwoPathStrategy, Workload,
+    self, from_str, Asserts, CellAsserts, FailMode, FaultSpec, LinkParams, LoadError, MtpOpts,
+    Protocol, Scenario, Topology, TwoPathStrategy, Workload,
 };
 
 // ------------------------------------------------- arbitrary scenarios
@@ -350,8 +353,10 @@ fn schema_err(input: &str) -> schema::SchemaError {
 }
 
 #[test]
-fn base_is_valid() {
-    from_str(BASE).expect("base document decodes");
+fn base_is_valid_and_roundtrips() {
+    let s = from_str(BASE).expect("base document decodes");
+    let emitted = to_toml(&s);
+    assert_eq!(from_str(&emitted).expect("re-decode"), s, "{emitted}");
 }
 
 #[test]
@@ -447,6 +452,16 @@ fn digest_keys_and_values_are_validated() {
         "{BASE}\n[assert.digests]\n\"mtp/99\" = \"0123456789abcdef\"\n"
     ));
     assert!(e.msg.contains("99"), "msg: {}", e.msg);
+
+    // A spelling `u64::from_str` takes but `check_asserts` would never
+    // look up: the pin must be refused, not silently left unchecked.
+    for key in ["mtp/01", "mtp/+1", "mtp/001"] {
+        let e = schema_err(&format!(
+            "{BASE}\n[assert.digests]\n\"{key}\" = \"0123456789abcdef\"\n"
+        ));
+        assert!(e.field.starts_with("assert.digests"), "field: {}", e.field);
+        assert!(e.msg.contains("not a seed"), "{key}: {}", e.msg);
+    }
 
     let e = schema_err(&format!(
         "{BASE}\n[assert.digests]\n\"tcp-dctcp/1\" = \"0123456789abcdef\"\n"

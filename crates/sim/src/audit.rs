@@ -17,9 +17,6 @@
 //!   against the registry mirrors recorded through [`Ctx`]
 //!   (`trace_malformed`, `trace_no_route`, `Ctx::count`).
 //!
-//! The registry cross-checks are skipped under `telemetry-off` (the
-//! registry reads zero); the engine-level laws always run.
-//!
 //! [`Node::audit_counters`]: crate::node::Node::audit_counters
 //! [`Ctx`]: crate::node::Ctx
 
@@ -46,9 +43,7 @@ impl AuditReport {
         self.violations.is_empty()
     }
 
-    /// Panic with the full violation list unless every law held. When a
-    /// flight recorder is armed, the panic unwinds through the simulator's
-    /// `Drop`, which dumps the ring to `results/flightrec-<name>.json`.
+    /// Panic with the full violation list unless every law held.
     #[track_caller]
     pub fn assert_ok(&self) {
         assert!(self.ok(), "conservation audit failed:\n{self}");
@@ -82,8 +77,7 @@ impl std::fmt::Display for AuditReport {
 /// violation list if any conservation law failed. Every integration suite
 /// and figure binary calls this once per simulation, after its last
 /// `run_until`, so a counter that drifts anywhere in the workspace fails
-/// loudly. (If a flight recorder is armed the panic dumps it on the way
-/// out.)
+/// loudly.
 #[track_caller]
 pub fn assert_conservation(sim: &Simulator) {
     sim.audit().assert_ok();
@@ -240,115 +234,113 @@ impl Simulator {
             ));
         }
 
-        // ---- L5/L6: registry cross-checks (skipped with telemetry-off) ---
-        if mtp_telemetry::ENABLED {
-            let reg = &self.inner.telemetry;
-            let mirror = |violations: &mut Vec<String>, m: Metric, engine: u64| {
-                if reg.get(m) != engine {
-                    violations.push(format!(
-                        "registry mirror {}: registry {} != engine {engine}",
-                        m.name(),
-                        reg.get(m)
-                    ));
-                }
-            };
-            let mirrors: &[(Metric, u64)] = &[
-                (Metric::PktsOffered, sums.offered_pkts),
-                (Metric::BytesOffered, sums.offered_bytes),
-                (Metric::PktsTx, sums.tx_pkts),
-                (Metric::BytesTx, sums.tx_bytes),
-                (Metric::PktsDropped, sums.dropped_pkts),
-                (Metric::BytesDropped, sums.dropped_bytes),
-                (Metric::PktsMarked, sums.marked_pkts),
-                (Metric::PktsTrimmed, sums.trimmed_pkts),
-                (Metric::BytesTrimLoss, sums.trim_loss_bytes),
-                (Metric::BytesCorruptLoss, sums.corrupt_loss_bytes),
-                (Metric::PktsFaulted, sums.faulted_pkts),
-                (Metric::BytesFaulted, sums.faulted_bytes),
-                (Metric::PktsCorrupted, sums.corrupted_pkts),
-                (Metric::PktsDelivered, self.delivered_pkts),
-                (Metric::BytesDelivered, self.delivered_bytes),
-                (Metric::FaultedDeliveries, self.faulted_deliveries),
-                (Metric::BytesFaultedDeliveries, self.faulted_delivery_bytes),
-                (Metric::CorruptedDestroyed, self.inner.corrupted_destroyed),
-                (Metric::PktsBoundaryOut, self.inner.boundary_out_pkts),
-                (Metric::BytesBoundaryOut, self.inner.boundary_out_bytes),
-                (Metric::PktsBoundaryIn, self.inner.boundary_in_pkts),
-                (Metric::BytesBoundaryIn, self.inner.boundary_in_bytes),
-            ];
-            for &(m, engine) in mirrors {
-                laws += 1;
-                mirror(&mut violations, m, engine);
-            }
-
-            laws += 1;
-            let links_down = self.inner.links.iter().filter(|l| !l.up).count() as i64;
-            if reg.gauge(Gauge::LinksDown) != links_down {
+        // ---- L5/L6: registry cross-checks ---------------------------------
+        let reg = &self.inner.telemetry;
+        let mirror = |violations: &mut Vec<String>, m: Metric, engine: u64| {
+            if reg.get(m) != engine {
                 violations.push(format!(
-                    "gauge links_down: registry {} != engine {links_down}",
-                    reg.gauge(Gauge::LinksDown)
+                    "registry mirror {}: registry {} != engine {engine}",
+                    m.name(),
+                    reg.get(m)
                 ));
             }
+        };
+        let mirrors: &[(Metric, u64)] = &[
+            (Metric::PktsOffered, sums.offered_pkts),
+            (Metric::BytesOffered, sums.offered_bytes),
+            (Metric::PktsTx, sums.tx_pkts),
+            (Metric::BytesTx, sums.tx_bytes),
+            (Metric::PktsDropped, sums.dropped_pkts),
+            (Metric::BytesDropped, sums.dropped_bytes),
+            (Metric::PktsMarked, sums.marked_pkts),
+            (Metric::PktsTrimmed, sums.trimmed_pkts),
+            (Metric::BytesTrimLoss, sums.trim_loss_bytes),
+            (Metric::BytesCorruptLoss, sums.corrupt_loss_bytes),
+            (Metric::PktsFaulted, sums.faulted_pkts),
+            (Metric::BytesFaulted, sums.faulted_bytes),
+            (Metric::PktsCorrupted, sums.corrupted_pkts),
+            (Metric::PktsDelivered, self.delivered_pkts),
+            (Metric::BytesDelivered, self.delivered_bytes),
+            (Metric::FaultedDeliveries, self.faulted_deliveries),
+            (Metric::BytesFaultedDeliveries, self.faulted_delivery_bytes),
+            (Metric::CorruptedDestroyed, self.inner.corrupted_destroyed),
+            (Metric::PktsBoundaryOut, self.inner.boundary_out_pkts),
+            (Metric::BytesBoundaryOut, self.inner.boundary_out_bytes),
+            (Metric::PktsBoundaryIn, self.inner.boundary_in_pkts),
+            (Metric::BytesBoundaryIn, self.inner.boundary_in_bytes),
+        ];
+        for &(m, engine) in mirrors {
             laws += 1;
-            let nodes_down = self.node_up.iter().filter(|up| !**up).count() as i64;
-            if reg.gauge(Gauge::NodesDown) != nodes_down {
-                violations.push(format!(
-                    "gauge nodes_down: registry {} != engine {nodes_down}",
-                    reg.gauge(Gauge::NodesDown)
-                ));
-            }
+            mirror(&mut violations, m, engine);
+        }
 
-            // Node-local counters vs the registry mirrors recorded through
-            // Ctx. This is the message ledger too: submitted/completed/
-            // delivered/goodput reconcile endpoint accounting end to end.
-            let mut node_sums = NodeAuditCounters::default();
-            for node in self.nodes.iter().flatten() {
-                node.audit_counters(&mut node_sums);
-            }
-            let node_mirrors: &[(Metric, u64, &str)] = &[
-                (Metric::PktsMalformed, node_sums.malformed, "malformed"),
-                (Metric::PktsNoRoute, node_sums.no_route, "no_route"),
-                (
-                    Metric::PktsPolicyDropped,
-                    node_sums.policy_dropped,
-                    "policy_dropped",
-                ),
-                (
-                    Metric::MsgsSubmitted,
-                    node_sums.msgs_submitted,
-                    "msgs_submitted",
-                ),
-                (
-                    Metric::MsgsCompleted,
-                    node_sums.msgs_completed,
-                    "msgs_completed",
-                ),
-                (
-                    Metric::MsgsDelivered,
-                    node_sums.msgs_delivered,
-                    "msgs_delivered",
-                ),
-                (
-                    Metric::GoodputBytes,
-                    node_sums.goodput_bytes,
-                    "goodput_bytes",
-                ),
-                (Metric::Timeouts, node_sums.timeouts, "timeouts"),
-                (
-                    Metric::Retransmissions,
-                    node_sums.retransmissions,
-                    "retransmissions",
-                ),
-            ];
-            for &(m, node_total, label) in node_mirrors {
-                laws += 1;
-                if reg.get(m) != node_total {
-                    violations.push(format!(
-                        "node ledger {label}: registry {} {} != node-local sum {node_total}",
-                        m.name(),
-                        reg.get(m)
-                    ));
-                }
+        laws += 1;
+        let links_down = self.inner.links.iter().filter(|l| !l.up).count() as i64;
+        if reg.gauge(Gauge::LinksDown) != links_down {
+            violations.push(format!(
+                "gauge links_down: registry {} != engine {links_down}",
+                reg.gauge(Gauge::LinksDown)
+            ));
+        }
+        laws += 1;
+        let nodes_down = self.node_up.iter().filter(|up| !**up).count() as i64;
+        if reg.gauge(Gauge::NodesDown) != nodes_down {
+            violations.push(format!(
+                "gauge nodes_down: registry {} != engine {nodes_down}",
+                reg.gauge(Gauge::NodesDown)
+            ));
+        }
+
+        // Node-local counters vs the registry mirrors recorded through
+        // Ctx. This is the message ledger too: submitted/completed/
+        // delivered/goodput reconcile endpoint accounting end to end.
+        let mut node_sums = NodeAuditCounters::default();
+        for node in self.nodes.iter().flatten() {
+            node.audit_counters(&mut node_sums);
+        }
+        let node_mirrors: &[(Metric, u64, &str)] = &[
+            (Metric::PktsMalformed, node_sums.malformed, "malformed"),
+            (Metric::PktsNoRoute, node_sums.no_route, "no_route"),
+            (
+                Metric::PktsPolicyDropped,
+                node_sums.policy_dropped,
+                "policy_dropped",
+            ),
+            (
+                Metric::MsgsSubmitted,
+                node_sums.msgs_submitted,
+                "msgs_submitted",
+            ),
+            (
+                Metric::MsgsCompleted,
+                node_sums.msgs_completed,
+                "msgs_completed",
+            ),
+            (
+                Metric::MsgsDelivered,
+                node_sums.msgs_delivered,
+                "msgs_delivered",
+            ),
+            (
+                Metric::GoodputBytes,
+                node_sums.goodput_bytes,
+                "goodput_bytes",
+            ),
+            (Metric::Timeouts, node_sums.timeouts, "timeouts"),
+            (
+                Metric::Retransmissions,
+                node_sums.retransmissions,
+                "retransmissions",
+            ),
+        ];
+        for &(m, node_total, label) in node_mirrors {
+            laws += 1;
+            if reg.get(m) != node_total {
+                violations.push(format!(
+                    "node ledger {label}: registry {} {} != node-local sum {node_total}",
+                    m.name(),
+                    reg.get(m)
+                ));
             }
         }
 

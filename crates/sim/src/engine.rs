@@ -343,9 +343,6 @@ pub struct SimInner {
     /// mirrored into it, and nodes record through [`Ctx`]. One registry per
     /// simulator, so parallel tests never share counters.
     pub(crate) telemetry: mtp_telemetry::Registry,
-    /// Black-box ring of recent trace events, dumped on panic (see
-    /// [`Simulator::enable_flight_recorder`]).
-    pub(crate) flight: Option<mtp_telemetry::FlightRecorder>,
 }
 
 /// Recycle a destroyed packet, counting it toward
@@ -361,19 +358,9 @@ fn destroy(pkt: Packet, corrupted_destroyed: &mut u64, telemetry: &mut mtp_telem
 
 impl SimInner {
     pub(crate) fn trace(&mut self, pkt: PacketId, node: NodeId, port: PortId, kind: TraceKind) {
-        let now = self.now;
-        if let Some(rec) = &mut self.flight {
-            rec.push(mtp_telemetry::FlightEvent {
-                t_ps: now.0,
-                code: crate::tracefile::flight_code(kind),
-                node: node.0 as u32,
-                port: port.0 as u32,
-                pkt: pkt.0,
-            });
-        }
         if let Some(ring) = &mut self.trace {
             ring.push(TraceEvent {
-                time: now,
+                time: self.now,
                 pkt,
                 node,
                 port,
@@ -821,8 +808,8 @@ pub struct Simulator {
     pub(crate) faulted_deliveries: u64,
     /// Wire bytes destroyed because their destination node was down.
     pub(crate) faulted_delivery_bytes: u64,
-    /// Packets delivered to live nodes. Kept outside the registry so the
-    /// conservation audit works even with `telemetry-off`.
+    /// Packets delivered to live nodes. The audit's L5 checks the
+    /// registry's mirror against it.
     pub(crate) delivered_pkts: u64,
     /// Wire bytes delivered to live nodes.
     pub(crate) delivered_bytes: u64,
@@ -855,7 +842,6 @@ impl Simulator {
                 trace: None,
                 corrupted_destroyed: 0,
                 telemetry: mtp_telemetry::Registry::new(),
-                flight: None,
             },
             nodes: Vec::new(),
             node_up: Vec::new(),
@@ -1305,15 +1291,6 @@ impl Simulator {
         self.inner.telemetry.snapshot()
     }
 
-    /// Arm the flight recorder: a bounded ring of the last `cap` trace
-    /// events, named `name`. If the simulator is dropped while the thread
-    /// is panicking (a failing test assertion), the ring is dumped to
-    /// `results/flightrec-<name>.json` for post-mortem inspection.
-    /// Recording never allocates after this call.
-    pub fn enable_flight_recorder(&mut self, name: &str, cap: usize) {
-        self.inner.flight = Some(mtp_telemetry::FlightRecorder::new(name, cap));
-    }
-
     /// Arm a timer on `node` from harness code (e.g. to start a workload at
     /// a chosen time).
     pub fn schedule(&mut self, at: Time, node: NodeId, token: u64) -> TimerId {
@@ -1568,22 +1545,6 @@ impl Simulator {
     }
 }
 
-impl Drop for Simulator {
-    /// Black-box behavior: if the simulator dies during a panic (a failing
-    /// assertion anywhere in a test) and a flight recorder is armed, dump
-    /// the retained event window to `results/flightrec-<name>.json`.
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            if let Some(rec) = &self.inner.flight {
-                let _ = rec.dump_to(
-                    &mtp_telemetry::results_dir(),
-                    &crate::tracefile::flight_code_name,
-                );
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1730,11 +1691,9 @@ mod tests {
         assert_eq!(sim.node_as::<Logger>(b).0, want);
         assert_eq!(sim.delivered_pkts(), 4);
         assert_eq!(sim.delivered_bytes(), 0);
-        if mtp_telemetry::ENABLED {
-            let t = sim.telemetry();
-            assert_eq!(t.get(mtp_telemetry::Metric::PktsDelivered), 4);
-            assert_eq!(t.get(mtp_telemetry::Metric::BytesDelivered), 0);
-        }
+        let t = sim.telemetry();
+        assert_eq!(t.get(mtp_telemetry::Metric::PktsDelivered), 4);
+        assert_eq!(t.get(mtp_telemetry::Metric::BytesDelivered), 0);
     }
 
     #[test]

@@ -88,13 +88,10 @@ pub use shard::{
     ShardPlan, ShardedSimulator,
 };
 pub use time::{Bandwidth, Duration, Time};
-pub use trace::{BinSeries, ScalarStats};
-pub use tracefile::{flight_code_name, TraceEvent, TraceKind, TraceRing};
+pub use trace::BinSeries;
+pub use tracefile::{TraceEvent, TraceKind, TraceRing};
 
 /// The per-simulation metrics layer (re-exported from `mtp-telemetry`).
-/// Recording is zero-allocation; building with the `telemetry-off` feature
-/// compiles it all out.
+/// Recording is zero-allocation and always on.
 pub use mtp_telemetry as telemetry;
-pub use mtp_telemetry::{
-    results_dir, FlightEvent, FlightRecorder, Gauge, HistId, Metric, Registry, Snapshot,
-};
+pub use mtp_telemetry::{results_dir, Gauge, HistId, Metric, Registry, Snapshot};

@@ -183,8 +183,7 @@ impl Ctx<'_> {
     }
 
     /// Add `n` to registry counter `m`. Recording is a plain array add —
-    /// no allocation, safe in the hottest device paths; a no-op when the
-    /// crate is built with `telemetry-off`.
+    /// no allocation, safe in the hottest device paths.
     pub fn count(&mut self, m: mtp_telemetry::Metric, n: u64) {
         self.inner.telemetry.count(m, n);
     }

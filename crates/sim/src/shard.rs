@@ -75,7 +75,7 @@ use crate::fault::{FaultEvent, FaultKind};
 use crate::node::NodeId;
 use crate::packet::Packet;
 use crate::time::{Duration, Time};
-use crate::tracefile::flight_code;
+use crate::tracefile::kind_code;
 
 // ---------------------------------------------------------------------------
 // Plans
@@ -230,7 +230,7 @@ pub fn digest_parts(sim: &Simulator, node_globals: &[usize], dir_globals: &[usiz
                 node_globals[e.node.0],
                 e.port.0,
                 e.pkt.0,
-                flight_code(e.kind),
+                kind_code(e.kind),
             )
         })
         .collect();

@@ -1,4 +1,4 @@
-//! Measurement helpers: binned time series and simple accumulators.
+//! Measurement helpers: binned time series.
 //!
 //! The paper's figures are time series (goodput every 32 µs in Fig. 5,
 //! proxy buffer occupancy over time in Fig. 2) and distributions (99th-
@@ -80,37 +80,6 @@ impl BinSeries {
     }
 }
 
-/// Online mean/max accumulator for scalar samples (queue depths, delays).
-#[derive(Debug, Clone, Copy, Default, Serialize)]
-pub struct ScalarStats {
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of samples.
-    pub sum: f64,
-    /// Largest sample seen.
-    pub max: f64,
-}
-
-impl ScalarStats {
-    /// Record one sample.
-    pub fn record(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        if v > self.max {
-            self.max = v;
-        }
-    }
-
-    /// Mean of recorded samples (0 if none).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,16 +117,5 @@ mod tests {
         s.add(Time(1_000_000), 0.0); // 0 Gbps
         assert!((s.mean_rate_gbps(0, 2) - 50.0).abs() < 1e-9);
         assert_eq!(s.mean_rate_gbps(5, 2), 0.0);
-    }
-
-    #[test]
-    fn scalar_stats() {
-        let mut st = ScalarStats::default();
-        assert_eq!(st.mean(), 0.0);
-        st.record(1.0);
-        st.record(3.0);
-        assert_eq!(st.mean(), 2.0);
-        assert_eq!(st.max, 3.0);
-        assert_eq!(st.count, 2);
     }
 }

@@ -44,10 +44,11 @@ pub enum TraceKind {
     Malformed,
 }
 
-/// Compact encoding of a [`TraceKind`] for the flight recorder
-/// (`mtp_telemetry::FlightEvent::code`). `Queued` folds its `marked` flag
-/// into a second code so the dump stays lossless.
-pub(crate) fn flight_code(kind: TraceKind) -> u16 {
+/// Compact encoding of a [`TraceKind`] for the serial == sharded run
+/// digest (`shard::digest_parts`); the values are part of that pin.
+/// `Queued` folds its `marked` flag into a second code so the encoding
+/// stays lossless.
+pub(crate) fn kind_code(kind: TraceKind) -> u16 {
     match kind {
         TraceKind::Offered => 0,
         TraceKind::Queued { marked: false } => 1,
@@ -59,24 +60,6 @@ pub(crate) fn flight_code(kind: TraceKind) -> u16 {
         TraceKind::NoRoute => 7,
         TraceKind::Corrupted => 8,
         TraceKind::Malformed => 9,
-    }
-}
-
-/// Human-readable name for a flight-recorder event code (the inverse of
-/// [`flight_code`], used when dumping `flightrec-*.json`).
-pub fn flight_code_name(code: u16) -> &'static str {
-    match code {
-        0 => "offered",
-        1 => "queued",
-        2 => "queued_marked",
-        3 => "dropped",
-        4 => "trimmed",
-        5 => "tx_start",
-        6 => "delivered",
-        7 => "no_route",
-        8 => "corrupted",
-        9 => "malformed",
-        _ => "unknown",
     }
 }
 

@@ -1,6 +1,6 @@
 //! Conservation-audit coverage at the engine level: the laws hold across
 //! clean runs, overload, trimming, faults, and corruption; a deliberately
-//! tampered counter is caught; the flight recorder dumps on panic.
+//! tampered counter is caught.
 
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{
@@ -140,16 +140,11 @@ fn faults_and_corruption_conserve() {
     sim.restart_node(b);
     sim.run();
     sim.audit().assert_ok();
-    if mtp_sim::telemetry::ENABLED {
-        assert!(sim.telemetry().get(Metric::FaultsApplied) >= 6);
-    }
+    assert!(sim.telemetry().get(Metric::FaultsApplied) >= 6);
 }
 
 #[test]
 fn tampered_counter_is_caught() {
-    if !mtp_sim::telemetry::ENABLED {
-        return; // mirrors read zero with telemetry-off; nothing to tamper
-    }
     let mut sim = pair(20, 1500, 64);
     sim.run();
     sim.audit().assert_ok();
@@ -173,29 +168,6 @@ fn snapshot_replays_identically_at_same_seed() {
     };
     let (a, b) = (run(), run());
     assert_eq!(a.digest(), b.digest(), "diff:\n{}", a.diff(&b));
-}
-
-#[test]
-fn flight_recorder_dumps_on_panic() {
-    let dir = std::env::temp_dir().join("mtp-sim-flightrec-test");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::env::set_var("MTP_RESULTS_DIR", dir.to_str().unwrap());
-    let result = std::panic::catch_unwind(|| {
-        let mut sim = pair(5, 1500, 64);
-        sim.enable_flight_recorder("panic-dump-test", 256);
-        sim.run();
-        panic!("boom: trigger the black box");
-    });
-    std::env::remove_var("MTP_RESULTS_DIR");
-    assert!(result.is_err());
-    let path = dir.join("flightrec-panic-dump-test.json");
-    assert!(path.exists(), "dump written to {}", path.display());
-    let body = std::fs::read_to_string(&path).unwrap();
-    assert!(body.contains("\"name\": \"panic-dump-test\""));
-    if mtp_sim::telemetry::ENABLED {
-        assert!(body.contains("\"kind\": \"delivered\""));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -229,10 +201,8 @@ fn audit_message_ledger_reconciles_ctx_mirrors() {
     );
     sim.run();
     sim.audit().assert_ok();
-    if mtp_sim::telemetry::ENABLED {
-        assert_eq!(sim.telemetry().get(Metric::PktsMalformed), 6);
-        // Desync the mirror: the ledger law must notice.
-        sim.telemetry_mut().count(Metric::PktsMalformed, 1);
-        assert!(!sim.audit().ok());
-    }
+    assert_eq!(sim.telemetry().get(Metric::PktsMalformed), 6);
+    // Desync the mirror: the ledger law must notice.
+    sim.telemetry_mut().count(Metric::PktsMalformed, 1);
+    assert!(!sim.audit().ok());
 }

@@ -15,7 +15,7 @@ use mtp_sim::time::{Duration, Time};
 use mtp_wire::{EcnCodepoint, TcpFlags, TcpHeader};
 
 use crate::cc::{CcVariant, TcpCc};
-use crate::{TcpConfig, TCP_WIRE_OVERHEAD};
+use crate::{TcpConfig, INIT_CWND_PKTS, MIN_RTO, MSS, TCP_WIRE_OVERHEAD};
 use mtp_sim::rtt::RttEstimator;
 
 /// Connection lifecycle state (sender side).
@@ -77,8 +77,8 @@ pub struct SenderConn {
 impl SenderConn {
     /// Create a sender for connection `conn_id`.
     pub fn new(cfg: TcpConfig, conn_id: u32, src_port: u16, dst_port: u16) -> SenderConn {
-        let cc = TcpCc::new(cfg.variant, cfg.mss, cfg.init_cwnd_pkts);
-        let rtt = RttEstimator::new(cfg.min_rto);
+        let cc = TcpCc::new(cfg.variant, MSS, INIT_CWND_PKTS);
+        let rtt = RttEstimator::new(MIN_RTO);
         SenderConn {
             cfg,
             conn_id,
@@ -312,7 +312,7 @@ impl SenderConn {
         let window = self.cc.cwnd().min(self.peer_rwnd);
         while self.flight() < window && self.snd_nxt < self.app_limit {
             let remaining = self.app_limit - self.snd_nxt;
-            let len = (self.cfg.mss as u64).min(remaining) as u32;
+            let len = (MSS as u64).min(remaining) as u32;
             let seq = self.snd_nxt;
             self.snd_nxt += len as u64;
             if self.timed.is_none() {
@@ -330,7 +330,7 @@ impl SenderConn {
         if remaining == 0 {
             return;
         }
-        let len = (self.cfg.mss as u64).min(remaining) as u32;
+        let len = (MSS as u64).min(remaining) as u32;
         let seq = self.snd_una;
         self.stats.retransmissions += 1;
         // Karn: a retransmitted range must not produce an RTT sample.

@@ -46,20 +46,18 @@ use mtp_sim::time::Duration;
 /// (20 B IP + 20 B TCP; options are not modelled).
 pub const TCP_WIRE_OVERHEAD: u32 = 40;
 
-/// Default maximum segment payload size.
-pub const DEFAULT_MSS: u32 = 1460;
+/// Maximum segment payload size in bytes.
+pub const MSS: u32 = 1460;
+/// Initial congestion window in segments.
+pub const INIT_CWND_PKTS: u32 = 10;
+/// Lower bound on the retransmission timeout. Datacenter-tuned.
+pub const MIN_RTO: Duration = Duration::from_micros(200);
 
 /// Configuration shared by senders and receivers.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Maximum segment payload size in bytes.
-    pub mss: u32,
-    /// Initial congestion window in segments.
-    pub init_cwnd_pkts: u32,
     /// Congestion-control variant.
     pub variant: cc::CcVariant,
-    /// Lower bound on the retransmission timeout. Datacenter-tuned.
-    pub min_rto: Duration,
     /// Whether connection setup costs a SYN/SYN-ACK round trip. The
     /// one-message-per-flow experiment (paper Fig. 3) needs this on.
     pub handshake: bool,
@@ -72,10 +70,7 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            mss: DEFAULT_MSS,
-            init_cwnd_pkts: 10,
             variant: cc::CcVariant::NewReno,
-            min_rto: Duration::from_micros(200),
             handshake: true,
             recv_buffer: None,
         }

@@ -1,4 +1,4 @@
-//! # mtp-telemetry — a zero-cost metrics & flight-recorder substrate
+//! # mtp-telemetry — an allocation-free metrics substrate
 //!
 //! Every figure in the paper is a time series or a distribution harvested
 //! from the simulator, so the counters feeding them must be trustworthy.
@@ -8,16 +8,13 @@
 //!   **histograms**, addressed by static ids ([`Metric`], [`Gauge`],
 //!   [`HistId`]) so recording is a bounds-check-free array add — zero
 //!   allocation, branch-cheap, and safe to leave in the hottest paths;
-//! * a bounded [`FlightRecorder`] ring of recent trace events that can be
-//!   dumped to `results/flightrec-<name>.json` when a test panics, so a
-//!   failing seeded run leaves an artifact to debug from;
 //! * [`Snapshot`]s with a stable [`digest`](Snapshot::digest) so two runs
 //!   at the same seed can be proven to account identically.
 //!
-//! The `telemetry-off` compile feature turns every recording call into a
-//! no-op while keeping all types and signatures, proving the instrumented
-//! call sites cost nothing when disabled. [`ENABLED`] tells auditors
-//! whether registry-backed cross-checks are meaningful.
+//! There is one build: recording is always on, and what it costs is a
+//! number the benchmark records per commit (`telemetry.registry.count_ns`,
+//! `telemetry.hist.record_ns`). [`results_dir`] is where every binary that
+//! writes a result file puts it.
 //!
 //! The conservation *laws* that consume these counters live next to the
 //! engine (`mtp_sim::audit`); this crate is deliberately free of any
@@ -26,17 +23,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod flight;
 pub mod hist;
 pub mod metric;
 pub mod registry;
+mod results;
 
-pub use flight::{results_dir, FlightEvent, FlightRecorder};
 pub use hist::{Hist, HistSummary};
 pub use metric::{Gauge, HistId, Metric};
 pub use registry::{Registry, Snapshot};
-
-/// True when the crate was built with recording enabled (the default).
-/// With the `telemetry-off` feature, every recording call is a no-op and
-/// registry-backed cross-checks must be skipped.
-pub const ENABLED: bool = cfg!(not(feature = "telemetry-off"));
+pub use results::results_dir;

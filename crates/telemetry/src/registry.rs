@@ -9,16 +9,10 @@ use crate::metric::{Gauge, HistId, Metric};
 /// hashing, no locking, no allocation. One registry belongs to one
 /// simulator instance (the engine owns it and hands it to nodes through
 /// their `Ctx`), so parallel simulations never share counters.
-///
-/// With the `telemetry-off` feature the registry is a zero-sized shell:
-/// every recording call is a no-op, every read returns zero.
 #[derive(Debug, Clone)]
 pub struct Registry {
-    #[cfg(not(feature = "telemetry-off"))]
     counters: [u64; Metric::COUNT],
-    #[cfg(not(feature = "telemetry-off"))]
     gauges: [i64; Gauge::COUNT],
-    #[cfg(not(feature = "telemetry-off"))]
     hists: Vec<Hist>,
 }
 
@@ -33,11 +27,8 @@ impl Registry {
     /// allocated here, once; recording never allocates.
     pub fn new() -> Registry {
         Registry {
-            #[cfg(not(feature = "telemetry-off"))]
             counters: [0; Metric::COUNT],
-            #[cfg(not(feature = "telemetry-off"))]
             gauges: [0; Gauge::COUNT],
-            #[cfg(not(feature = "telemetry-off"))]
             hists: (0..HistId::COUNT).map(|_| Hist::new()).collect(),
         }
     }
@@ -45,75 +36,36 @@ impl Registry {
     /// Add `n` to counter `m`.
     #[inline(always)]
     pub fn count(&mut self, m: Metric, n: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.counters[m as usize] += n;
-        }
-        #[cfg(feature = "telemetry-off")]
-        let _ = (m, n);
+        self.counters[m as usize] += n;
     }
 
-    /// Current value of counter `m` (0 when telemetry is off).
+    /// Current value of counter `m`.
     #[inline]
     pub fn get(&self, m: Metric) -> u64 {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.counters[m as usize]
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            let _ = m;
-            0
-        }
+        self.counters[m as usize]
     }
 
     /// Move gauge `g` by `d` (positive or negative).
     #[inline(always)]
     pub fn gauge_add(&mut self, g: Gauge, d: i64) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.gauges[g as usize] += d;
-        }
-        #[cfg(feature = "telemetry-off")]
-        let _ = (g, d);
+        self.gauges[g as usize] += d;
     }
 
-    /// Current level of gauge `g` (0 when telemetry is off).
+    /// Current level of gauge `g`.
     #[inline]
     pub fn gauge(&self, g: Gauge) -> i64 {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.gauges[g as usize]
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            let _ = g;
-            0
-        }
+        self.gauges[g as usize]
     }
 
     /// Record sample `v` into histogram `h`.
     #[inline(always)]
     pub fn record(&mut self, h: HistId, v: u64) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.hists[h as usize].record(v);
-        }
-        #[cfg(feature = "telemetry-off")]
-        let _ = (h, v);
+        self.hists[h as usize].record(v);
     }
 
-    /// Summary of histogram `h` (empty when telemetry is off).
+    /// Summary of histogram `h`.
     pub fn hist(&self, h: HistId) -> HistSummary {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            self.hists[h as usize].summary()
-        }
-        #[cfg(feature = "telemetry-off")]
-        {
-            let _ = h;
-            HistSummary::default()
-        }
+        self.hists[h as usize].summary()
     }
 
     /// Merge every counter, gauge, and histogram from `other` into this
@@ -123,43 +75,30 @@ impl Registry {
     /// [`Hist::merge_from`]), so the merged registry is indistinguishable
     /// from one that recorded both instruction streams itself. This is how
     /// per-shard registries combine into the global view at a sharded
-    /// run's epoch barriers. A no-op with `telemetry-off`.
+    /// run's epoch barriers.
     pub fn merge_from(&mut self, other: &Registry) {
-        #[cfg(not(feature = "telemetry-off"))]
-        {
-            for (c, &o) in self.counters.iter_mut().zip(&other.counters) {
-                *c += o;
-            }
-            for (g, &o) in self.gauges.iter_mut().zip(&other.gauges) {
-                *g += o;
-            }
-            for (h, o) in self.hists.iter_mut().zip(&other.hists) {
-                h.merge_from(o);
-            }
+        for (c, &o) in self.counters.iter_mut().zip(&other.counters) {
+            *c += o;
         }
-        #[cfg(feature = "telemetry-off")]
-        let _ = other;
+        for (g, &o) in self.gauges.iter_mut().zip(&other.gauges) {
+            *g += o;
+        }
+        for (h, o) in self.hists.iter_mut().zip(&other.hists) {
+            h.merge_from(o);
+        }
     }
 
     /// A point-in-time copy of every metric, for reports, digests, and
     /// audit diffs.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {
-            counters: Metric::ALL.iter().map(|&m| self.get(m)).collect(),
-            gauges: Gauge::ALL.iter().map(|&g| self.gauge(g)).collect(),
-            hists: HistId::ALL.iter().map(|&h| self.hist(h)).collect(),
-            hist_digest: {
-                #[cfg(not(feature = "telemetry-off"))]
-                {
-                    self.hists
-                        .iter()
-                        .fold(0xCBF2_9CE4_8422_2325, |d, h| h.fold_digest(d))
-                }
-                #[cfg(feature = "telemetry-off")]
-                {
-                    0
-                }
-            },
+            counters: self.counters.to_vec(),
+            gauges: self.gauges.to_vec(),
+            hists: self.hists.iter().map(Hist::summary).collect(),
+            hist_digest: self
+                .hists
+                .iter()
+                .fold(0xCBF2_9CE4_8422_2325, |d, h| h.fold_digest(d)),
         }
     }
 }
@@ -285,15 +224,9 @@ mod tests {
         r.gauge_add(Gauge::LinksDown, 2);
         r.gauge_add(Gauge::LinksDown, -1);
         r.record(HistId::MsgFctUs, 120);
-        if crate::ENABLED {
-            assert_eq!(r.get(Metric::PktsOffered), 5);
-            assert_eq!(r.gauge(Gauge::LinksDown), 1);
-            assert_eq!(r.hist(HistId::MsgFctUs).count, 1);
-        } else {
-            assert_eq!(r.get(Metric::PktsOffered), 0);
-            assert_eq!(r.gauge(Gauge::LinksDown), 0);
-            assert_eq!(r.hist(HistId::MsgFctUs).count, 0);
-        }
+        assert_eq!(r.get(Metric::PktsOffered), 5);
+        assert_eq!(r.gauge(Gauge::LinksDown), 1);
+        assert_eq!(r.hist(HistId::MsgFctUs).count, 1);
     }
 
     #[test]
@@ -307,10 +240,8 @@ mod tests {
         assert_eq!(a.snapshot().digest(), b.snapshot().digest());
         assert_eq!(a.snapshot().diff(&b.snapshot()), "");
         b.count(Metric::PktsTx, 1);
-        if crate::ENABLED {
-            assert_ne!(a.snapshot().digest(), b.snapshot().digest());
-            assert!(a.snapshot().diff(&b.snapshot()).contains("pkts_tx"));
-        }
+        assert_ne!(a.snapshot().digest(), b.snapshot().digest());
+        assert!(a.snapshot().diff(&b.snapshot()).contains("pkts_tx"));
     }
 
     #[test]
