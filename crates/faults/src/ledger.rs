@@ -9,23 +9,25 @@
 use mtp_core::{MtpSenderNode, MtpSinkNode};
 use mtp_sim::{NodeId, Simulator};
 
-/// End-to-end outcome of one MTP session, in deterministic order.
+/// End-to-end outcome of the MTP sessions into one sink, in
+/// deterministic order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Ledger {
     /// `(msg_id, bytes)` per sink delivery event, sorted by id.
     pub delivered: Vec<(u64, u32)>,
-    /// `(bytes, completed_ps)` per sender schedule entry that finished.
+    /// `(bytes, completed_ps)` per sender schedule entry that finished,
+    /// sender by sender.
     pub completed: Vec<(u32, u64)>,
-    /// Scheduled messages that never completed at the sender.
+    /// Scheduled messages that never completed at their sender.
     pub unfinished: usize,
     /// Sink-side first-copy payload bytes.
     pub goodput: u64,
 }
 
 impl Ledger {
-    /// Snapshot sender `snd` and sink `sink` from `sim`.
-    pub fn capture(sim: &Simulator, snd: NodeId, sink: NodeId) -> Ledger {
-        let sender = sim.node_as::<MtpSenderNode>(snd);
+    /// Snapshot `senders` and the one `sink` they all send to from `sim`
+    /// (a fan-in's senders draw message ids from disjoint ranges).
+    pub fn capture(sim: &Simulator, senders: &[NodeId], sink: NodeId) -> Ledger {
         let receiver = sim.node_as::<MtpSinkNode>(sink);
         let mut delivered: Vec<(u64, u32)> = receiver
             .delivered
@@ -33,12 +35,14 @@ impl Ledger {
             .map(|d| (d.id.0, d.bytes))
             .collect();
         delivered.sort_unstable();
-        let completed: Vec<(u32, u64)> = sender
-            .msgs
+        let msgs = senders
             .iter()
+            .flat_map(|&snd| &sim.node_as::<MtpSenderNode>(snd).msgs);
+        let completed: Vec<(u32, u64)> = msgs
+            .clone()
             .filter_map(|m| m.completed.map(|c| (m.bytes, c.0)))
             .collect();
-        let unfinished = sender.msgs.len() - completed.len();
+        let unfinished = msgs.count() - completed.len();
         Ledger {
             delivered,
             completed,

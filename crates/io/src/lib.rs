@@ -28,26 +28,26 @@
 //!   datagrams out of reused slots) and multi-socket readiness built on
 //!   [`sys`]: a turn's one question and the blocking wait.
 //! * [`session`] — the session lifecycle: [`SenderSession`]/[`Listener`]
-//!   with a versioned HELLO/HELLO-ACK handshake (which carries the
-//!   per-pathlet port map), keepalive liveness with typed peer-death
-//!   errors, FIN/FIN-ACK graceful close with TIME-WAIT linger, and
-//!   bounded admission (inflight/buffered/reassembly caps). A turn
-//!   asks once which sockets have anything queued, drains those, feeds
-//!   the core, and flushes once per pathlet — a burst of submissions
-//!   shares that flush, only the first of a turn leaves at once;
-//!   the listener stamps congestion (CE) on frames that arrive behind a
-//!   deep receive queue, which is what the sender's pathlet windows
-//!   converge on.
-//! * [`driver`] — the golden workload harness: replays a sim workload
-//!   through the session transport and assembles the exactly-once
-//!   ledger. One socket per pathlet; pathlet ids map to distinct
-//!   loopback ports.
+//!   (and their [`IoConfig`]) with a versioned HELLO/HELLO-ACK handshake
+//!   (which carries the per-pathlet port map), keepalive liveness with
+//!   typed peer-death errors, FIN/FIN-ACK graceful close with TIME-WAIT
+//!   linger, and bounded admission (inflight/buffered/reassembly caps).
+//!   A turn asks once which sockets have anything queued, drains those,
+//!   feeds the core, and flushes once per pathlet — a burst of
+//!   submissions shares that flush, only the first of a turn leaves at
+//!   once; control frames ride the same drain through one acceptance
+//!   check, and HELLO and FIN share one retry loop. The listener stamps
+//!   congestion (CE) on frames that arrive behind a deep receive queue,
+//!   which is what the sender's pathlet windows converge on. One socket
+//!   per pathlet; pathlet ids map to distinct loopback ports.
 //! * [`relay`] — an in-process lossy UDP relay (seeded drop, duplicate,
 //!   reorder, blackhole, lane flap, control-plane faults) with a
 //!   NAT-style HELLO-ACK port rewrite, for exercising loss on real
 //!   sockets.
-//! * [`golden`] — the shared golden workload and its simulator run,
-//!   the reference every wire run is compared against.
+//! * [`golden`] — the shared golden workload and its two runs: the
+//!   simulator reference, and [`run_wire_golden`], which replays it
+//!   through the session transport and assembles the same exactly-once
+//!   ledger.
 //! * [`soak`] — the seeded chaos-soak scenarios: handshake loss, FIN
 //!   loss, blackhole flap, peer kill/restart — each must end in
 //!   exactly-once delivery or a typed session error.
@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod clock;
-pub mod driver;
 pub mod frame;
 pub mod golden;
 pub mod payload;
@@ -67,18 +66,18 @@ pub mod socket;
 pub mod sys;
 
 pub use clock::MonotonicClock;
-pub use driver::{
-    golden_session_config, run_wire_golden, IoConfig, WireOutcome, WireRxOutcome, WireTxOutcome,
-};
 pub use frame::{
     append_ctrl_frame, append_frame, FrameError, FrameIter, FrameKind, DEFAULT_DATAGRAM_BUDGET,
     FRAME_OVERHEAD,
 };
-pub use golden::{run_sim_golden, GoldenWorkload, SimOutcome, GOLDEN_MSG_ID_BASE};
+pub use golden::{
+    golden_session_config, run_sim_golden, run_wire_golden, GoldenWorkload, SimOutcome,
+    WireOutcome, GOLDEN_MSG_ID_BASE,
+};
 pub use relay::{ChaosConfig, LossyRelay, RelayConfig, RelayStats};
 pub use session::{
-    Listener, PayloadSource, SenderSession, SessionCaps, SessionConfig, SessionError,
-    SessionReport, SessionState,
+    IoConfig, Listener, SenderSession, SessionCaps, SessionConfig, SessionError, SessionReport,
+    SessionState,
 };
 pub use soak::{run_soak_suite, ChaosScenario, SoakOutcome, SoakRun};
 pub use socket::{loopback_available, BatchSocket};

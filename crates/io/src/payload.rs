@@ -97,6 +97,17 @@ pub fn content_digest(msgs: &[(u64, u32, u64)]) -> u64 {
     h
 }
 
+/// What [`content_digest`] returns for `(id, len)` messages each
+/// delivered exactly once with [`fill`] content.
+pub fn synth_content_digest(msgs: impl IntoIterator<Item = (u64, u32)>) -> u64 {
+    let mut scratch = Vec::new();
+    let triples: Vec<(u64, u32, u64)> = msgs
+        .into_iter()
+        .map(|(id, len)| (id, len, synth_message_digest(MsgId(id), len, &mut scratch)))
+        .collect();
+    content_digest(&triples)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

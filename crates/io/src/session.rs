@@ -32,6 +32,13 @@
 //!   hop — stamps congestion-experienced on frames that arrive behind
 //!   more than a set share of the granted receive queue, which the
 //!   sender's per-pathlet windows converge on in place of loss.
+//! * **One control path per endpoint** — control frames ride the same
+//!   turn and the same lending drain as data (the listener's control
+//!   socket is the last one its readiness question names); every one
+//!   received passes one acceptance check (seal, exact length, version,
+//!   usable ports), every one sent is built by one helper, and HELLO and
+//!   FIN share one retry loop: send, serve turns until answered, back
+//!   off.
 //!
 //! State machines (see DESIGN.md "Session lifecycle" for the timer
 //! table):
@@ -48,7 +55,7 @@ use std::io;
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::Instant;
 
-use mtp_core::{MsgDelivered, MtpReceiver, MtpSender, PathHealth, SenderEvent};
+use mtp_core::{MsgDelivered, MtpConfig, MtpReceiver, MtpSender, PathHealth, SenderEvent};
 use mtp_sim::time::{Duration as SimDuration, Time};
 use mtp_sim::{Headers, Packet};
 use mtp_telemetry::{Gauge, Metric, Registry};
@@ -60,8 +67,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::clock::MonotonicClock;
-use crate::driver::IoConfig;
-use crate::frame::{append_ctrl_frame, append_frame, FrameError, FrameIter, FrameKind};
+use crate::frame::{
+    append_ctrl_frame, append_frame, FrameError, FrameIter, FrameKind, DEFAULT_DATAGRAM_BUDGET,
+    FRAME_OVERHEAD,
+};
 use crate::payload;
 use crate::socket::{readable_now, wait_readable, BatchSocket, Ready, SendReport};
 use crate::sys;
@@ -79,6 +88,43 @@ fn wall(d: SimDuration) -> std::time::Duration {
 // ---------------------------------------------------------------------------
 // Configuration
 // ---------------------------------------------------------------------------
+
+/// Socket and core configuration, the same on both endpoints.
+#[derive(Debug, Clone)]
+pub struct IoConfig {
+    /// Sockets (= pathlets = loopback port pairs) per endpoint.
+    pub pathlets: usize,
+    /// Per-datagram coalescing budget in bytes.
+    pub datagram_budget: usize,
+    /// Endpoint-core configuration.
+    pub mtp: MtpConfig,
+    /// Receiver SACK redundancy (`MtpReceiver::with_sack_redundancy`).
+    pub sack_redundancy: usize,
+    /// Receiver completed-record linger before GC.
+    pub gc_linger: SimDuration,
+}
+
+impl Default for IoConfig {
+    fn default() -> IoConfig {
+        // The sim's min_rto default (200µs) is tuned to modeled 2µs
+        // links. On a real kernel a preempted thread easily stalls past
+        // that, and a spurious RTO storm follows; 3ms rides out
+        // scheduler noise while still repairing genuine loss quickly.
+        // Correctness is content-based, so timing tuning cannot affect
+        // the digests.
+        let mtp = MtpConfig {
+            min_rto: SimDuration::from_micros(3_000),
+            ..MtpConfig::default()
+        };
+        IoConfig {
+            pathlets: 4,
+            datagram_budget: DEFAULT_DATAGRAM_BUDGET,
+            mtp,
+            sack_redundancy: 8,
+            gc_linger: SimDuration::from_micros(100_000),
+        }
+    }
+}
 
 /// Bounded-resource admission caps. Every queue a session owns is
 /// bounded by one of these; hitting a cap is backpressure (send side)
@@ -308,7 +354,7 @@ impl core::fmt::Display for SessionState {
 
 /// Where a submitted message's bytes come from.
 #[derive(Debug, Clone)]
-pub enum PayloadSource {
+enum PayloadSource {
     /// Deterministic synthesized content ([`payload::fill`]) — the test
     /// generator; no bytes are stored.
     Synth,
@@ -411,16 +457,70 @@ fn count_received(registry: &mut Registry, report: SendReport) {
     registry.count(Metric::WireRecvEmpty, report.would_block as u64);
 }
 
-/// One sealed control frame as its own datagram. Control never shares a
-/// datagram with data: the relay (a stand-in middlebox) classifies and
-/// rewrites control datagrams by the kind byte at a fixed offset.
-fn ctrl_datagram(ctrl: &SessionCtrl, budget: usize) -> io::Result<Vec<u8>> {
-    let mut dgram = Vec::with_capacity(ctrl.wire_len() + 3);
-    match append_ctrl_frame(&mut dgram, budget, ctrl) {
-        Ok(true) => Ok(dgram),
-        Ok(false) => unreachable!("fresh datagram refused a fitting frame"),
-        Err(e) => Err(invalid(e)),
+impl SessionConfig {
+    /// Every control frame either end sends: `kind` for the session the
+    /// connector numbered `client_sid` and the listener `server_sid` (both
+    /// ride every frame), between the two app ports in the direction
+    /// `kind` travels — HELLO, PING and FIN to the listener, their answers
+    /// back.
+    fn ctrl_frame(
+        &self,
+        kind: CtrlKind,
+        (client_sid, server_sid): (u64, u64),
+        seq: u32,
+    ) -> SessionCtrl {
+        let mut ctrl = SessionCtrl::new(kind, client_sid, server_sid);
+        let to_listener = matches!(kind, CtrlKind::Hello | CtrlKind::Ping | CtrlKind::Fin);
+        (ctrl.src_port, ctrl.dst_port) = if to_listener {
+            (self.client_port, self.server_port)
+        } else {
+            (self.server_port, self.client_port)
+        };
+        ctrl.seq = seq;
+        ctrl
     }
+
+    /// Send `ctrl` from `sock` to `to` as a datagram of its own. Control
+    /// never shares a datagram with data: the relay (a stand-in
+    /// middlebox) classifies and rewrites control datagrams by the kind
+    /// byte at a fixed offset.
+    fn send_ctrl(
+        &self,
+        sock: &BatchSocket,
+        to: SocketAddrV4,
+        ctrl: &SessionCtrl,
+        registry: &mut Registry,
+    ) -> io::Result<()> {
+        let mut dgram = Vec::with_capacity(FRAME_OVERHEAD + ctrl.wire_len());
+        let fits = append_ctrl_frame(&mut dgram, self.io.datagram_budget, ctrl).map_err(invalid)?;
+        assert!(fits, "fresh datagram refused a fitting frame");
+        count_sent(registry, sock.send_batch(&[(to, &dgram)])?);
+        registry.count(Metric::WireFramesTx, 1);
+        Ok(())
+    }
+}
+
+/// What either end accepts as a control frame: it parses with its seal
+/// intact and fills its frame exactly, it is of this wire version, and a
+/// HELLO-ACK advertises at least one port and no port 0 (nothing can be
+/// sent there). A frame that fails is counted — a parse error, or a
+/// rejected frame — and goes no further.
+fn accept_ctrl(registry: &mut Registry, body: &[u8]) -> Option<SessionCtrl> {
+    let ctrl = match SessionCtrl::parse_sealed(body) {
+        Ok((ctrl, used)) if used == body.len() => ctrl,
+        _ => {
+            registry.count(Metric::WireParseErrors, 1);
+            return None;
+        }
+    };
+    registry.count(Metric::WireFramesRx, 1);
+    let unreachable_ports =
+        ctrl.kind == CtrlKind::HelloAck && (ctrl.ports.is_empty() || ctrl.ports.contains(&0));
+    if ctrl.version != SESSION_WIRE_VERSION || unreachable_ports {
+        registry.count(Metric::SessionCtrlRejected, 1);
+        return None;
+    }
+    Some(ctrl)
 }
 
 /// The datagrams one socket is about to send, built in buffers that are
@@ -509,7 +609,6 @@ pub struct SenderSession {
     retx_rr: u64,
     handshake_rounds: u32,
     close_rounds: u32,
-    fin_acked: bool,
     completions: Vec<(u64, Time)>,
     /// Packets the core has released since the last flush: a whole
     /// turn's worth by the end of [`poll`](SenderSession::poll).
@@ -569,7 +668,6 @@ impl SenderSession {
             retx_rr: 0,
             handshake_rounds: 0,
             close_rounds: 0,
-            fin_acked: false,
             completions: Vec::new(),
             out_buf: Vec::new(),
             parked: Vec::new(),
@@ -580,41 +678,64 @@ impl SenderSession {
             tx: Vec::new(),
             registry: Registry::new(),
         };
-        s.handshake()?;
-        s.tx.resize_with(s.socks.len(), TxQueue::default);
+        s.state = SessionState::Connecting;
+        let started = Instant::now();
+        if !s.exchange(CtrlKind::Hello, None)? {
+            return Err(SessionError::HandshakeTimeout {
+                tries: s.handshake_rounds,
+                elapsed: started.elapsed(),
+            });
+        }
+        // Keep only as many pathlets as both sides can serve.
+        let n = s.peers.len().min(s.socks.len());
+        s.peers.truncate(n);
+        s.socks.truncate(n);
+        s.tx.resize_with(n, TxQueue::default);
         Ok(s)
     }
 
-    fn send_ctrl(&mut self, kind: CtrlKind, seq: u32) -> Result<(), SessionError> {
-        let mut ctrl = SessionCtrl::new(kind, self.sid, self.peer_sid);
-        ctrl.src_port = self.cfg.client_port;
-        ctrl.dst_port = self.cfg.server_port;
-        ctrl.seq = seq;
-        let dgram = ctrl_datagram(&ctrl, self.cfg.io.datagram_budget)?;
-        let report = self.socks[0].send_batch(&[(self.ctrl_peer, dgram.as_slice())])?;
-        count_sent(&mut self.registry, report);
-        self.registry.count(Metric::WireFramesTx, 1);
-        Ok(())
+    /// Send the listener a control frame of `kind`, from the socket the
+    /// HELLO left by.
+    fn send_ctrl(&mut self, kind: CtrlKind, seq: u32) -> io::Result<()> {
+        let frame = self.cfg.ctrl_frame(kind, (self.sid, self.peer_sid), seq);
+        let sock = &self.socks[0];
+        self.cfg
+            .send_ctrl(sock, self.ctrl_peer, &frame, &mut self.registry)
     }
 
-    /// The HELLO exchange: send, back off, retry; capped and jittered.
-    fn handshake(&mut self) -> Result<(), SessionError> {
-        self.state = SessionState::Connecting;
-        let started = Instant::now();
+    /// The HELLO and the FIN exchange, one loop: send `kind`, then serve
+    /// turns until its answer moves the session out of the state it
+    /// waits in, or until rto + jitter passes; back off doubling up to
+    /// `handshake_rto_max`, for at most `handshake_tries` rounds (fewer
+    /// once `deadline` passes). Whether it was answered; the session has
+    /// `Failed` if not.
+    fn exchange(
+        &mut self,
+        kind: CtrlKind,
+        deadline: Option<Instant>,
+    ) -> Result<bool, SessionError> {
+        let waiting = self.state;
         let mut rto = self.cfg.handshake_rto;
-        for try_n in 0..self.cfg.handshake_tries {
-            self.send_ctrl(CtrlKind::Hello, try_n)?;
-            self.registry.count(Metric::SessionHelloTx, 1);
-            if try_n > 0 {
-                self.registry.count(Metric::SessionHandshakeRetries, 1);
-            }
-            if try_n == 0 {
-                // The answer takes a round trip through the peer: time
-                // to bind the other pathlets and size every send queue.
-                let more = self.cfg.io.pathlets.saturating_sub(1);
-                self.socks.extend(bind_pathlet_sockets(more)?);
-                for sock in &self.socks {
-                    sock.set_send_buffer(SOCKET_BUFFER_ASK)?;
+        for round in 1..=self.cfg.handshake_tries {
+            self.send_ctrl(kind, round - 1)?;
+            if kind != CtrlKind::Hello {
+                self.close_rounds = round;
+                self.registry.count(Metric::SessionFinTx, 1);
+            } else {
+                self.handshake_rounds = round;
+                self.registry.count(Metric::SessionHelloTx, 1);
+                if round > 1 {
+                    self.registry.count(Metric::SessionHandshakeRetries, 1);
+                } else {
+                    // The HELLO left by the first pathlet's socket and
+                    // its answer takes a round trip through the peer:
+                    // time to bind the other pathlets and size every
+                    // send queue.
+                    let more = self.cfg.io.pathlets.saturating_sub(1);
+                    self.socks.extend(bind_pathlet_sockets(more)?);
+                    for sock in &self.socks {
+                        sock.set_send_buffer(SOCKET_BUFFER_ASK)?;
+                    }
                 }
             }
             // Full jitter on top of the deterministic floor: retries
@@ -623,74 +744,20 @@ impl SenderSession {
             let jitter = SimDuration(self.rng.gen_range(0..=rto.0 / 4));
             let round_ends = Instant::now() + wall(rto + jitter);
             while Instant::now() < round_ends {
-                let timeout = round_ends - Instant::now();
-                wait_readable([&self.socks[0]], timeout)?;
-                self.registry.count(Metric::WireReadyPolls, 1);
-                if self.drain_handshake()? {
-                    self.state = SessionState::Established;
-                    self.handshake_rounds = try_n + 1;
-                    let now = self.clock.now();
-                    self.last_heard = now;
-                    self.last_ping = now;
-                    return Ok(());
+                self.poll()?;
+                if self.state != waiting {
+                    return Ok(true);
                 }
+                let remaining = round_ends.saturating_duration_since(Instant::now());
+                self.wait(remaining.min(std::time::Duration::from_millis(5)))?;
             }
             rto = SimDuration((rto.0 * 2).min(self.cfg.handshake_rto_max.0));
-        }
-        self.state = SessionState::Failed;
-        Err(SessionError::HandshakeTimeout {
-            tries: self.cfg.handshake_tries,
-            elapsed: started.elapsed(),
-        })
-    }
-
-    /// Drain the control socket during CONNECTING; true once a matching
-    /// HELLO-ACK establishes the session.
-    fn drain_handshake(&mut self) -> Result<bool, SessionError> {
-        let mut dgrams = Vec::new();
-        let report = self.socks[0].recv_batch(self.cfg.io.datagram_budget + 64, &mut dgrams)?;
-        count_received(&mut self.registry, report);
-        let mut established = false;
-        for (bytes, src) in dgrams {
-            for frame in FrameIter::new(&bytes) {
-                let Ok((FrameKind::Ctrl, body)) = frame else {
-                    continue;
-                };
-                let Ok((ctrl, used)) = SessionCtrl::parse_sealed(body) else {
-                    self.registry.count(Metric::WireParseErrors, 1);
-                    continue;
-                };
-                if used != body.len() {
-                    self.registry.count(Metric::WireParseErrors, 1);
-                    continue;
-                }
-                self.registry.count(Metric::WireFramesRx, 1);
-                if ctrl.version != SESSION_WIRE_VERSION
-                    || ctrl.kind != CtrlKind::HelloAck
-                    || ctrl.session_id != self.sid
-                    || ctrl.ports.is_empty()
-                {
-                    self.registry.count(Metric::SessionCtrlRejected, 1);
-                    continue;
-                }
-                // The HELLO-ACK's source is where control replies worked
-                // from; its port list is where data goes. Keep only as
-                // many pathlets as both sides can serve.
-                self.peer_sid = ctrl.peer_session_id;
-                self.ctrl_peer = src;
-                let ip = *src.ip();
-                self.peers = ctrl
-                    .ports
-                    .iter()
-                    .map(|&p| SocketAddrV4::new(ip, p))
-                    .collect();
-                let effective = self.peers.len().min(self.socks.len());
-                self.peers.truncate(effective);
-                self.socks.truncate(effective);
-                established = true;
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                break;
             }
         }
-        Ok(established)
+        self.state = SessionState::Failed;
+        Ok(false)
     }
 
     /// Submit a message whose bytes the caller owns. The buffer is held
@@ -848,6 +915,9 @@ impl SenderSession {
     /// between turns.
     pub fn poll(&mut self) -> Result<(), SessionError> {
         match self.state {
+            // A handshake turn only reads: nothing is sent before the
+            // answer, and there is no peer yet to police.
+            SessionState::Connecting => return self.drain_sockets(),
             SessionState::Established | SessionState::Closing => {}
             _ => return Err(SessionError::Closed),
         }
@@ -881,11 +951,11 @@ impl SenderSession {
         self.registry.count(Metric::WireReadyPolls, 1);
         let socks = std::mem::take(&mut self.socks);
         let drained = ready.named(&socks).try_for_each(|(_, sock)| {
-            let report = sock.recv_each(max, |bytes, _src| {
+            let report = sock.recv_each(max, |bytes, src| {
                 for frame in FrameIter::new(bytes) {
                     match frame {
                         Ok((FrameKind::Mtp, body)) => self.on_mtp_frame(body),
-                        Ok((FrameKind::Ctrl, body)) => self.on_ctrl_frame(body),
+                        Ok((FrameKind::Ctrl, body)) => self.on_ctrl_frame(src, body),
                         Err(_) => self.registry.count(Metric::WireParseErrors, 1),
                     }
                 }
@@ -899,6 +969,10 @@ impl SenderSession {
     }
 
     fn on_mtp_frame(&mut self, body: &[u8]) {
+        // Nothing the core could use arrives before the handshake ends.
+        if self.state == SessionState::Connecting {
+            return;
+        }
         if self.rx_hdr.parse_sealed_from(body).is_err() {
             self.registry.count(Metric::WireParseErrors, 1);
             return;
@@ -916,38 +990,44 @@ impl SenderSession {
         }
     }
 
-    fn on_ctrl_frame(&mut self, body: &[u8]) {
-        let Ok((ctrl, used)) = SessionCtrl::parse_sealed(body) else {
-            self.registry.count(Metric::WireParseErrors, 1);
+    fn on_ctrl_frame(&mut self, src: SocketAddrV4, body: &[u8]) {
+        let Some(ctrl) = accept_ctrl(&mut self.registry, body) else {
             return;
         };
-        if used != body.len() {
-            self.registry.count(Metric::WireParseErrors, 1);
-            return;
-        }
-        self.registry.count(Metric::WireFramesRx, 1);
-        if ctrl.version != SESSION_WIRE_VERSION || ctrl.session_id != self.sid {
+        if ctrl.session_id != self.sid {
             self.registry.count(Metric::SessionCtrlRejected, 1);
             return;
         }
+        let now = self.clock.now();
         match ctrl.kind {
-            CtrlKind::Pong => {
-                self.registry.count(Metric::SessionKeepaliveRx, 1);
-                self.last_heard = self.clock.now();
+            CtrlKind::HelloAck if self.state == SessionState::Connecting => {
+                // The HELLO-ACK's source is where control replies worked
+                // from; its port list is where data goes.
+                self.peer_sid = ctrl.peer_session_id;
+                self.ctrl_peer = src;
+                let ip = *src.ip();
+                self.peers = ctrl
+                    .ports
+                    .iter()
+                    .map(|&p| SocketAddrV4::new(ip, p))
+                    .collect();
+                self.last_ping = now;
+                self.state = SessionState::Established;
             }
-            CtrlKind::FinAck => {
-                self.fin_acked = true;
-                self.last_heard = self.clock.now();
+            CtrlKind::FinAck if self.state == SessionState::Closing => {
+                self.state = SessionState::Closed;
             }
-            // A duplicate HELLO-ACK after establishment: stale but
-            // harmless, and proof the peer is alive.
-            CtrlKind::HelloAck => {
-                self.last_heard = self.clock.now();
-            }
-            _ => {
+            CtrlKind::Pong => self.registry.count(Metric::SessionKeepaliveRx, 1),
+            // A duplicate HELLO-ACK or FIN-ACK: stale but harmless, and
+            // proof the peer is alive.
+            CtrlKind::HelloAck | CtrlKind::FinAck => {}
+            // HELLO, PING and FIN are this end's to send.
+            CtrlKind::Hello | CtrlKind::Ping | CtrlKind::Fin => {
                 self.registry.count(Metric::SessionCtrlRejected, 1);
+                return;
             }
         }
+        self.last_heard = now;
     }
 
     /// Probe feedback silence: one PING per keepalive interval of quiet.
@@ -958,8 +1038,7 @@ impl SenderSession {
             && now.since(self.last_ping) >= self.cfg.keepalive_interval
         {
             self.ping_seq += 1;
-            let seq = self.ping_seq;
-            self.send_ctrl(CtrlKind::Ping, seq)?;
+            self.send_ctrl(CtrlKind::Ping, self.ping_seq)?;
             self.registry.count(Metric::SessionKeepaliveTx, 1);
             self.last_ping = now;
         }
@@ -1048,7 +1127,7 @@ impl SenderSession {
     }
 
     /// Graceful close: flush outstanding messages, then run the FIN
-    /// exchange (same backoff discipline as the handshake). On success
+    /// exchange (the handshake's retry loop). On success
     /// every message was acknowledged *and* the peer confirmed the
     /// goodbye; a lost final FIN-ACK is covered by the listener's
     /// TIME-WAIT re-acks.
@@ -1059,41 +1138,18 @@ impl SenderSession {
             _ => return Err(SessionError::Closed),
         }
         self.flush(deadline)?;
-        let closed = self.fin_exchange(deadline);
+        self.state = SessionState::Closing;
+        let answered = self.exchange(CtrlKind::Fin, Some(deadline));
         // ACK datagrams this end's receive queues overflowed, read once
         // the session is over.
         count_kernel_drops(&mut self.registry, &self.socks);
-        closed
-    }
-
-    fn fin_exchange(&mut self, deadline: Instant) -> Result<(), SessionError> {
-        self.state = SessionState::Closing;
-        let mut rto = self.cfg.handshake_rto;
-        for try_n in 0..self.cfg.handshake_tries {
-            self.close_rounds = try_n + 1;
-            self.send_ctrl(CtrlKind::Fin, try_n)?;
-            self.registry.count(Metric::SessionFinTx, 1);
-            let jitter = SimDuration(self.rng.gen_range(0..=rto.0 / 4));
-            let round_ends = Instant::now() + wall(rto + jitter);
-            while Instant::now() < round_ends {
-                self.poll()?;
-                if self.fin_acked {
-                    self.state = SessionState::Closed;
-                    return Ok(());
-                }
-                let remaining = round_ends.saturating_duration_since(Instant::now());
-                self.wait(remaining.min(std::time::Duration::from_millis(5)))?;
-            }
-            rto = SimDuration((rto.0 * 2).min(self.cfg.handshake_rto_max.0));
-            if Instant::now() >= deadline {
-                break;
-            }
+        if !answered? {
+            return Err(SessionError::CloseTimeout {
+                tries: self.close_rounds,
+                outstanding: self.outstanding(),
+            });
         }
-        self.state = SessionState::Failed;
-        Err(SessionError::CloseTimeout {
-            tries: self.close_rounds,
-            outstanding: self.outstanding(),
-        })
+        Ok(())
     }
 
     /// The session's lifecycle state.
@@ -1190,7 +1246,6 @@ enum ConnState {
 struct Conn {
     client_sid: u64,
     server_sid: u64,
-    ctrl_peer: SocketAddrV4,
     state: ConnState,
     recv: MtpReceiver,
     reasm: HashMap<u64, Vec<u8>>,
@@ -1213,9 +1268,11 @@ struct Conn {
 /// the next HELLO, as the kill/restart chaos scenario exercises.
 pub struct Listener {
     cfg: SessionConfig,
-    ctrl: BatchSocket,
+    /// The data sockets by pathlet, then the control socket: the order a
+    /// turn's readiness question names them in.
     socks: Vec<BatchSocket>,
-    /// Where `socks` are bound, read once: every HELLO-ACK carries them.
+    /// Where the data sockets are bound, read once: every HELLO-ACK
+    /// carries them.
     data_addrs: Vec<SocketAddrV4>,
     clock: MonotonicClock,
     rng: SmallRng,
@@ -1241,7 +1298,7 @@ impl Listener {
     /// Bind a listener whose control socket sits at `ctrl_addr` — how a
     /// restarted peer reappears at the address its clients know.
     pub fn bind_at(cfg: &SessionConfig, ctrl_addr: SocketAddrV4) -> io::Result<Listener> {
-        let socks = bind_pathlet_sockets(cfg.io.pathlets.max(1))?;
+        let mut socks = bind_pathlet_sockets(cfg.io.pathlets.max(1))?;
         for sock in &socks {
             sock.set_recv_buffer(SOCKET_BUFFER_ASK)?;
         }
@@ -1250,16 +1307,16 @@ impl Listener {
         // what a queue holds there is nothing to take a share of, and
         // nothing is marked.
         let granted = socks[0].meminfo().map_or(0, |info| info.rcvbuf as usize);
-        let data_addrs = socks
+        let data_addrs: Vec<SocketAddrV4> = socks
             .iter()
             .map(BatchSocket::local_addr)
             .collect::<io::Result<_>>()?;
+        socks.push(BatchSocket::bind(ctrl_addr)?);
         let mut registry = Registry::new();
         registry.gauge_add(Gauge::WireRcvbufBytes, granted as i64);
         Ok(Listener {
             cfg: cfg.clone(),
-            ctrl: BatchSocket::bind(ctrl_addr)?,
-            acks: socks.iter().map(|_| TxQueue::default()).collect(),
+            acks: data_addrs.iter().map(|_| TxQueue::default()).collect(),
             ce_threshold: match granted {
                 0 => usize::MAX,
                 granted => granted / CE_THRESHOLD_DIV,
@@ -1279,7 +1336,7 @@ impl Listener {
 
     /// The control (rendezvous) address connectors HELLO.
     pub fn hello_addr(&self) -> io::Result<SocketAddrV4> {
-        self.ctrl.local_addr()
+        self.socks[self.data_addrs.len()].local_addr()
     }
 
     /// The per-pathlet data addresses (what HELLO-ACKs advertise).
@@ -1326,31 +1383,14 @@ impl Listener {
         std::mem::take(&mut self.finished)
     }
 
-    fn send_ctrl_to(&mut self, to: SocketAddrV4, ctrl: &SessionCtrl) -> io::Result<()> {
-        let dgram = ctrl_datagram(ctrl, self.cfg.io.datagram_budget)?;
-        let report = self.ctrl.send_batch(&[(to, dgram.as_slice())])?;
-        count_sent(&mut self.registry, report);
-        self.registry.count(Metric::WireFramesTx, 1);
-        Ok(())
-    }
-
-    /// Every socket, in the order a readiness question names them: the
-    /// data sockets by pathlet, then control.
-    fn all_socks(&self) -> impl Iterator<Item = &BatchSocket> {
-        self.socks.iter().chain([&self.ctrl])
-    }
-
     /// One non-blocking service turn: ask once which sockets have
-    /// anything queued, then control socket, data sockets, receiver GC,
-    /// liveness, linger expiry. Call [`wait`](Listener::wait) between
-    /// turns, or use [`run_until_closed`](Listener::run_until_closed).
+    /// anything queued, drain those (data sockets, then control), then
+    /// receiver GC, liveness, linger expiry. Call [`wait`](Listener::wait)
+    /// between turns, or use [`run_until_closed`](Listener::run_until_closed).
     pub fn poll_once(&mut self) -> io::Result<()> {
-        let ready = readable_now(self.all_socks(), self.cfg.io.datagram_budget + 64)?;
+        let ready = readable_now(&self.socks, self.cfg.io.datagram_budget + 64)?;
         self.registry.count(Metric::WireReadyPolls, 1);
-        if ready.has(self.socks.len()) {
-            self.drain_ctrl()?;
-        }
-        self.drain_data(ready)?;
+        self.drain(ready)?;
         let now = self.clock.now();
         if let Some(conn) = &mut self.conn {
             if conn.recv.poll_at().is_some_and(|t| t <= now) {
@@ -1386,7 +1426,8 @@ impl Listener {
         self.registry.gauge_add(Gauge::SessionsActive, -1);
         self.registry
             .gauge_add(Gauge::SessionReasmBytes, -(conn.reasm_bytes as i64));
-        count_kernel_drops(&mut self.registry, &self.socks);
+        let data = &self.socks[..self.data_addrs.len()];
+        count_kernel_drops(&mut self.registry, data);
         Some(conn)
     }
 
@@ -1405,177 +1446,126 @@ impl Listener {
         }
     }
 
-    fn drain_ctrl(&mut self) -> io::Result<()> {
-        // Control is a handful of datagrams per session and its replies
-        // leave by the socket it came in on: take copies, not loans.
-        let mut dgrams = Vec::new();
-        let report = self
-            .ctrl
-            .recv_batch(self.cfg.io.datagram_budget + 64, &mut dgrams)?;
-        count_received(&mut self.registry, report);
-        for (bytes, src) in dgrams {
-            for frame in FrameIter::new(&bytes) {
-                match frame {
-                    Ok((FrameKind::Ctrl, body)) => self.on_ctrl_frame(src, body)?,
-                    Ok((FrameKind::Mtp, _)) => {
-                        self.registry.count(Metric::SessionOrphanFrames, 1);
-                    }
-                    Err(_) => {
-                        self.registry.count(Metric::WireParseErrors, 1);
-                    }
-                }
+    /// One datagram off the control socket `sock`, which answers leave by.
+    fn on_ctrl_datagram(
+        &mut self,
+        sock: &BatchSocket,
+        src: SocketAddrV4,
+        bytes: &[u8],
+    ) -> io::Result<()> {
+        for frame in FrameIter::new(bytes) {
+            match frame {
+                Ok((FrameKind::Ctrl, body)) => self.on_ctrl_frame(sock, src, body)?,
+                // Data belongs on a data socket.
+                Ok((FrameKind::Mtp, _)) => self.registry.count(Metric::SessionOrphanFrames, 1),
+                Err(_) => self.registry.count(Metric::WireParseErrors, 1),
             }
         }
         Ok(())
     }
 
-    fn on_ctrl_frame(&mut self, src: SocketAddrV4, body: &[u8]) -> io::Result<()> {
-        let Ok((ctrl, used)) = SessionCtrl::parse_sealed(body) else {
-            self.registry.count(Metric::WireParseErrors, 1);
+    fn on_ctrl_frame(
+        &mut self,
+        sock: &BatchSocket,
+        src: SocketAddrV4,
+        body: &[u8],
+    ) -> io::Result<()> {
+        // A version this listener does not speak is refused here too: the
+        // connector keeps retrying and times out with a typed handshake
+        // error — the defined cross-version outcome.
+        let Some(ctrl) = accept_ctrl(&mut self.registry, body) else {
             return Ok(());
         };
-        if used != body.len() {
-            self.registry.count(Metric::WireParseErrors, 1);
-            return Ok(());
-        }
-        self.registry.count(Metric::WireFramesRx, 1);
-        if ctrl.version != SESSION_WIRE_VERSION {
-            // A version this listener does not speak: ignore it. The
-            // connector keeps retrying and times out with a typed
-            // handshake error — the defined cross-version outcome.
-            self.registry.count(Metric::SessionCtrlRejected, 1);
-            return Ok(());
-        }
-        match ctrl.kind {
-            CtrlKind::Hello => self.on_hello(src, &ctrl)?,
-            CtrlKind::Ping => {
-                let (matches, server_sid) = match &mut self.conn {
-                    Some(c) if c.client_sid == ctrl.session_id => {
-                        c.last_heard = self.clock.now();
-                        c.ctrl_peer = src;
-                        (true, c.server_sid)
-                    }
-                    _ => (false, 0),
-                };
-                if matches {
-                    self.registry.count(Metric::SessionKeepaliveRx, 1);
-                    let mut pong = SessionCtrl::new(CtrlKind::Pong, ctrl.session_id, server_sid);
-                    pong.src_port = self.cfg.server_port;
-                    pong.dst_port = self.cfg.client_port;
-                    pong.seq = ctrl.seq;
-                    self.send_ctrl_to(src, &pong)?;
-                    self.registry.count(Metric::SessionKeepaliveTx, 1);
-                } else {
-                    self.registry.count(Metric::SessionCtrlRejected, 1);
-                }
-            }
-            CtrlKind::Fin => self.on_fin(src, &ctrl)?,
-            // HELLO-ACK / FIN-ACK / PONG arriving at a listener are
-            // misdirected (or reflected) frames.
-            _ => {
-                self.registry.count(Metric::SessionCtrlRejected, 1);
-            }
-        }
-        Ok(())
-    }
-
-    fn hello_ack(&self, client_sid: u64, server_sid: u64, seq: u32) -> SessionCtrl {
-        let mut ack = SessionCtrl::new(CtrlKind::HelloAck, client_sid, server_sid);
-        ack.src_port = self.cfg.server_port;
-        ack.dst_port = self.cfg.client_port;
-        ack.seq = seq;
-        ack.ports = self.data_addrs.iter().map(SocketAddrV4::port).collect();
-        ack
-    }
-
-    fn on_hello(&mut self, src: SocketAddrV4, hello: &SessionCtrl) -> io::Result<()> {
-        match &mut self.conn {
-            // Duplicate HELLO of the live session (first HELLO-ACK lost,
-            // or a backoff retry crossing it): idempotent re-ack.
-            Some(c) if c.client_sid == hello.session_id => {
-                c.last_heard = self.clock.now();
-                c.ctrl_peer = src;
-                let server_sid = c.server_sid;
-                self.registry.count(Metric::SessionHelloRx, 1);
-                let ack = self.hello_ack(hello.session_id, server_sid, hello.seq);
-                self.send_ctrl_to(src, &ack)?;
-            }
-            // A different connector while a session is live: refuse
-            // silently (bounded state — no queue of half-open peers).
-            Some(_) => {
-                self.registry.count(Metric::SessionCtrlRejected, 1);
-            }
-            None => {
-                self.registry.count(Metric::SessionHelloRx, 1);
-                let now = self.clock.now();
-                let server_sid = self.rng.next_u64() | 1;
-                self.conn = Some(Conn {
-                    client_sid: hello.session_id,
-                    server_sid,
-                    ctrl_peer: src,
-                    state: ConnState::Established,
-                    recv: MtpReceiver::new(self.cfg.server_port)
-                        .with_sack_redundancy(self.cfg.io.sack_redundancy)
-                        .with_gc_linger(self.cfg.io.gc_linger),
-                    reasm: HashMap::new(),
-                    spare_reasm: Vec::new(),
-                    reasm_bytes: 0,
-                    peak_reasm_bytes: 0,
-                    delivered: Vec::new(),
-                    digests: Vec::new(),
-                    last_heard: now,
-                });
-                self.registry.gauge_add(Gauge::SessionsActive, 1);
-                self.died = None;
-                let ack = self.hello_ack(hello.session_id, server_sid, hello.seq);
-                self.send_ctrl_to(src, &ack)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn on_fin(&mut self, src: SocketAddrV4, fin: &SessionCtrl) -> io::Result<()> {
         let now = self.clock.now();
-        let (acked, server_sid) = match &mut self.conn {
-            Some(c) if c.client_sid == fin.session_id => {
+        let server_sid = match (ctrl.kind, &mut self.conn) {
+            // HELLO, PING or FIN of the session held: a duplicate HELLO
+            // (first HELLO-ACK lost, or a backoff retry crossing it) is
+            // re-acked, idempotently; a FIN starts TIME-WAIT, a duplicate
+            // one is re-acked from it.
+            (CtrlKind::Hello | CtrlKind::Ping | CtrlKind::Fin, Some(c))
+                if c.client_sid == ctrl.session_id =>
+            {
                 c.last_heard = now;
-                c.ctrl_peer = src;
-                if matches!(c.state, ConnState::Established) {
+                if ctrl.kind == CtrlKind::Fin && c.state == ConnState::Established {
                     c.state = ConnState::TimeWait {
                         until: now + self.cfg.linger,
                     };
                 }
-                (true, c.server_sid)
+                c.server_sid
             }
-            _ => (false, 0),
+            (CtrlKind::Hello, None) => self.open(ctrl.session_id, now),
+            // A HELLO from a different connector while a session is held
+            // (bounded state: no queue of half-open peers); a PING or FIN
+            // of a session not held (a FIN after the linger expired: the
+            // closer's retries are bounded); a HELLO-ACK, FIN-ACK or PONG,
+            // misdirected or reflected.
+            _ => {
+                self.registry.count(Metric::SessionCtrlRejected, 1);
+                return Ok(());
+            }
         };
-        if acked {
-            self.registry.count(Metric::SessionFinRx, 1);
-            let mut ack = SessionCtrl::new(CtrlKind::FinAck, fin.session_id, server_sid);
-            ack.src_port = self.cfg.server_port;
-            ack.dst_port = self.cfg.client_port;
-            ack.seq = fin.seq;
-            self.send_ctrl_to(src, &ack)?;
-        } else {
-            // A FIN for a session already finalized (linger expired):
-            // nothing to ack with; the closer's retries are bounded.
-            self.registry.count(Metric::SessionCtrlRejected, 1);
+        let (answer, heard) = match ctrl.kind {
+            CtrlKind::Hello => (CtrlKind::HelloAck, Metric::SessionHelloRx),
+            CtrlKind::Ping => (CtrlKind::Pong, Metric::SessionKeepaliveRx),
+            _ => (CtrlKind::FinAck, Metric::SessionFinRx),
+        };
+        self.registry.count(heard, 1);
+        let mut reply = self
+            .cfg
+            .ctrl_frame(answer, (ctrl.session_id, server_sid), ctrl.seq);
+        if answer == CtrlKind::HelloAck {
+            reply.ports = self.data_addrs.iter().map(SocketAddrV4::port).collect();
+        }
+        self.cfg.send_ctrl(sock, src, &reply, &mut self.registry)?;
+        if answer == CtrlKind::Pong {
+            self.registry.count(Metric::SessionKeepaliveTx, 1);
         }
         Ok(())
     }
 
-    /// Drain the data sockets `ready` names, each to empty.
-    fn drain_data(&mut self, ready: Ready) -> io::Result<()> {
+    /// Hold a new session for connector session `client_sid`; its id.
+    fn open(&mut self, client_sid: u64, now: Time) -> u64 {
+        let server_sid = self.rng.next_u64() | 1;
+        self.conn = Some(Conn {
+            client_sid,
+            server_sid,
+            state: ConnState::Established,
+            recv: MtpReceiver::new(self.cfg.server_port)
+                .with_sack_redundancy(self.cfg.io.sack_redundancy)
+                .with_gc_linger(self.cfg.io.gc_linger),
+            reasm: HashMap::new(),
+            spare_reasm: Vec::new(),
+            reasm_bytes: 0,
+            peak_reasm_bytes: 0,
+            delivered: Vec::new(),
+            digests: Vec::new(),
+            last_heard: now,
+        });
+        self.registry.gauge_add(Gauge::SessionsActive, 1);
+        self.died = None;
+        server_sid
+    }
+
+    /// Drain the sockets `ready` names, each to empty: the data sockets,
+    /// whose ACKs leave together once each is drained, then control.
+    fn drain(&mut self, ready: Ready) -> io::Result<()> {
         // The sockets are lent to the drain, whose callbacks borrow the
         // rest of the listener; none of them touches `self.socks`.
         let socks = std::mem::take(&mut self.socks);
+        let max = self.cfg.io.datagram_budget + 64;
         let mut deepest = 0;
         let drained = ready.named(&socks).try_for_each(|(p, sock)| {
+            if p == self.data_addrs.len() {
+                let report =
+                    sock.recv_each(max, |bytes, src| self.on_ctrl_datagram(sock, src, bytes))?;
+                count_received(&mut self.registry, report);
+                return Ok(());
+            }
             let mut depth = DrainDepth {
                 ahead: 0,
                 threshold: self.ce_threshold,
             };
-            let report = sock.recv_each(self.cfg.io.datagram_budget + 64, |bytes, src| {
+            let report = sock.recv_each(max, |bytes, src| {
                 let ce = depth.arrive(bytes.len());
                 self.on_data_datagram(p, src, bytes, ce)
             })?;
@@ -1745,7 +1735,7 @@ impl Listener {
             }
         }
         if !timeout.is_zero() {
-            wait_readable(self.all_socks(), timeout)?;
+            wait_readable(&self.socks, timeout)?;
             self.registry.count(Metric::WireReadyPolls, 1);
         }
         Ok(())

@@ -35,10 +35,12 @@ use mtp_sim::time::Duration as SimDuration;
 use mtp_wire::MsgId;
 use serde::Serialize;
 
-use crate::driver::{golden_session_config, IoConfig};
+use crate::golden::golden_session_config;
 use crate::payload;
 use crate::relay::{ChaosConfig, LossyRelay, RelayConfig, RelayStats};
-use crate::session::{Listener, SenderSession, SessionConfig, SessionError, SessionReport};
+use crate::session::{
+    IoConfig, Listener, SenderSession, SessionConfig, SessionError, SessionReport,
+};
 
 /// A chaos scenario the soak can run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

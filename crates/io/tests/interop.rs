@@ -37,7 +37,7 @@ fn assert_interop(ctx: &str, workload: &GoldenWorkload, wire: &WireOutcome) {
     let sim = run_sim_golden(workload);
 
     wire.ledger.assert_exactly_once(ctx);
-    assert_eq!(wire.tx.unfinished, 0, "{ctx}: unfinished messages");
+    assert_eq!(wire.ledger.unfinished, 0, "{ctx}: unfinished messages");
     assert_eq!(
         wire.ledger.delivered, sim.ledger.delivered,
         "{ctx}: delivered (id, bytes) sets diverge between worlds"

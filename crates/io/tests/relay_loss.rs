@@ -35,7 +35,7 @@ fn lossy_relay_exactly_once_across_seeds() {
             .unwrap_or_else(|e| panic!("lossy wire run (seed {seed}): {e}"));
         let ctx = format!("relay loss seed {seed}");
         wire.ledger.assert_exactly_once(&ctx);
-        assert_eq!(wire.tx.unfinished, 0, "{ctx}: unfinished messages");
+        assert_eq!(wire.ledger.unfinished, 0, "{ctx}: unfinished messages");
         assert_eq!(
             wire.content_digest,
             workload.expected_digest(),
@@ -79,11 +79,11 @@ fn blackholed_pathlet_drains_through_survivors() {
         "blackhole never engaged; the test exercised nothing (stats: {relay:?})"
     );
     assert!(
-        wire.tx.retransmissions > 0,
+        wire.retransmissions > 0,
         "a dead pathlet must force retransmissions"
     );
     wire.ledger.assert_exactly_once("blackholed pathlet");
-    assert_eq!(wire.tx.unfinished, 0, "stranded messages never drained");
+    assert_eq!(wire.ledger.unfinished, 0, "stranded messages never drained");
     assert_eq!(
         wire.content_digest,
         workload.expected_digest(),

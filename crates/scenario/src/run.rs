@@ -67,13 +67,13 @@ pub struct CellResult {
 }
 
 /// One executed cell: the reportable result plus the raw exactly-once
-/// ledger (single-sender MTP cells only), which the golden-replay tests
+/// ledger (MTP cells with one sink only), which the golden-replay tests
 /// compare against the figure binaries'.
 pub struct CellRun {
     /// The reportable result.
     pub result: CellResult,
-    /// The captured ledger, when the topology has exactly one MTP
-    /// sender/sink pair.
+    /// The captured ledger, when every MTP sender of the topology sends
+    /// to one sink.
     pub ledger: Option<Ledger>,
 }
 
@@ -265,12 +265,13 @@ struct Measured {
     goodput_series: Option<Vec<f64>>,
     corruption: Option<CorruptionLedger>,
     ledger: Option<Ledger>,
-    /// Exactly-once violations for multi-pair topologies (where a single
-    /// [`Ledger`] does not apply).
+    /// Exactly-once violations for topologies of several sinks (where a
+    /// single [`Ledger`] does not apply).
     multi_exactly_once: Option<Vec<String>>,
 }
 
-/// The cell digest: [`fnv64`] over [`cell_dump`]'s deterministic state.
+/// The cell digest: [`fnv64`] over the cell's deterministic state dump
+/// (event count, clock, per-link counters, every message's times).
 /// Public so the golden-replay tests can digest an inline
 /// figure-binary-style run and compare byte-for-byte.
 pub fn engine_digest(sim: &Simulator, records: &[(Time, Option<Time>)]) -> String {
@@ -446,7 +447,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
             retransmissions = snd.sender.stats.retransmissions;
             goodput_series = sink.goodput.rates_gbps();
             malformed = snd.malformed + sink.malformed;
-            ledger = Some(Ledger::capture(&d.sim, d.sender, d.sink));
+            ledger = Some(Ledger::capture(&d.sim, &[d.sender], d.sink));
             multi_exactly_once = None;
         }
         _ => {
@@ -575,7 +576,7 @@ fn run_dumbbell(s: &Scenario, seed: u64) -> Measured {
         timeouts += node.sender.stats.timeouts;
         retransmissions += node.sender.stats.retransmissions;
         multi.extend(
-            Ledger::capture(&sim, snd, sink)
+            Ledger::capture(&sim, &[snd], sink)
                 .check_exactly_once()
                 .into_iter()
                 .map(|v| format!("pair {i}: {v}")),
@@ -677,59 +678,18 @@ fn run_leaf_spine(s: &Scenario, seed: u64) -> Measured {
     let mut drv = FaultDriver::new(build_schedule(&s.faults, &names, seed));
     drv.run_until(&mut sim, us(s.horizon_us));
 
-    let sink_node = ls.hosts[0];
+    let (sink, senders) = ls.hosts.split_first().expect("the aggregator is host 0");
     let mut records = Vec::new();
     let (mut timeouts, mut retransmissions) = (0u64, 0u64);
-    let mut sent_bytes = 0u64;
-    for &h in ls.hosts.iter().skip(1) {
+    for &h in senders {
         let node = sim.node_as::<MtpSenderNode>(h);
         records.extend(node.msgs.iter().map(|m| (m.submitted, m.completed)));
         timeouts += node.sender.stats.timeouts;
         retransmissions += node.sender.stats.retransmissions;
-        sent_bytes += node
-            .msgs
-            .iter()
-            .filter(|m| m.completed.is_some())
-            .map(|m| m.bytes as u64)
-            .sum::<u64>();
     }
-    // Aggregated exactly-once across the fan-in: all senders' completions
-    // vs the single sink's deliveries.
-    let mut multi = Vec::new();
-    {
-        let sink = sim.node_as::<MtpSinkNode>(sink_node);
-        let mut ids: Vec<u64> = sink.delivered.iter().map(|d| d.id.0).collect();
-        ids.sort_unstable();
-        for w in ids.windows(2) {
-            if w[0] == w[1] {
-                multi.push(format!("duplicate delivery of {}", w[0]));
-            }
-        }
-        let completed = records.iter().filter(|(_, c)| c.is_some()).count();
-        if sink.delivered.len() != completed {
-            multi.push(format!(
-                "{} deliveries != {} completions",
-                sink.delivered.len(),
-                completed
-            ));
-        }
-        let unfinished = records.len() - completed;
-        if unfinished != 0 {
-            multi.push(format!("{unfinished} unfinished messages"));
-        }
-        let got: u64 = sink.delivered.iter().map(|d| d.bytes as u64).sum();
-        if got != sent_bytes {
-            multi.push(format!(
-                "byte totals disagree: sent {sent_bytes}, delivered {got}"
-            ));
-        }
-        if sink.total_goodput() != got {
-            multi.push(format!(
-                "goodput counts duplicates: goodput {}, delivered {got}",
-                sink.total_goodput()
-            ));
-        }
-    }
+    // One exactly-once ledger across the fan-in: all senders'
+    // completions against the single sink's deliveries.
+    let ledger = Ledger::capture(&sim, senders, *sink);
     Measured {
         sim,
         records,
@@ -737,8 +697,8 @@ fn run_leaf_spine(s: &Scenario, seed: u64) -> Measured {
         retransmissions,
         goodput_series: None,
         corruption: None,
-        ledger: None,
-        multi_exactly_once: Some(multi),
+        ledger: Some(ledger),
+        multi_exactly_once: None,
     }
 }
 

@@ -150,7 +150,7 @@ fn failover_scenario_is_byte_identical_to_inline_reference() {
     let mut drv = FaultDriver::new(failover_outage(&d));
     drv.run_until(&mut d.sim, us(FO_HORIZON));
     assert!(d.sim.audit().ok(), "reference run fails conservation");
-    let fig_ledger = Ledger::capture(&d.sim, d.sender, d.sink);
+    let fig_ledger = Ledger::capture(&d.sim, &[d.sender], d.sink);
     let records: Vec<(Time, Option<Time>)> = d
         .sim
         .node_as::<MtpSenderNode>(d.sender)
@@ -239,7 +239,7 @@ fn corruption_scenario_is_byte_identical_to_inline_reference() {
     let mut drv = FaultDriver::new(corruption_storm(&d));
     drv.run_until(&mut d.sim, us(CO_HORIZON));
     assert!(d.sim.audit().ok(), "reference run fails conservation");
-    let fig_ledger = Ledger::capture(&d.sim, d.sender, d.sink);
+    let fig_ledger = Ledger::capture(&d.sim, &[d.sender], d.sink);
     let records: Vec<(Time, Option<Time>)> = d
         .sim
         .node_as::<MtpSenderNode>(d.sender)

@@ -140,7 +140,7 @@ impl Hist {
     ///
     /// The result is exactly what recording the union of both sample sets
     /// into one histogram would have produced — counts, sum, min, max, and
-    /// therefore quantiles and [`Hist::fold_digest`] all agree — so
+    /// therefore quantiles and the registry digest all agree — so
     /// per-shard histograms can be combined into a global one without any
     /// loss of fidelity.
     pub fn merge_from(&mut self, other: &Hist) {
