@@ -15,8 +15,6 @@
 //!   loss — the receiver NACKs immediately instead of waiting for a
 //!   timeout, NDP-style. Trimmed headers are NACKed the same way.
 
-use std::collections::VecDeque;
-
 use mtp_sim::packet::{Headers, Packet};
 use mtp_sim::time::{Duration, Time};
 use mtp_wire::{
@@ -46,9 +44,10 @@ pub struct MsgDelivered {
 
 /// Per-message received-packet bitmap. Messages up to 128 packets — in
 /// practice almost all of them — keep their bits inline in the `InMsg`
-/// itself; only larger messages pay for a heap spill. This keeps the
-/// per-packet test/set on the cache line the reassembly hot path has
-/// already loaded and makes message setup allocation-free.
+/// itself; only larger messages spill to the heap, into a buffer a
+/// completed one left behind. This keeps the per-packet test/set on the
+/// cache line the reassembly hot path has already loaded and makes
+/// message setup allocation-free once warm.
 #[derive(Debug)]
 enum Bitmap {
     Inline([u64; 2]),
@@ -56,11 +55,15 @@ enum Bitmap {
 }
 
 impl Bitmap {
-    fn for_pkts(len_pkts: u32) -> Bitmap {
+    /// A cleared bitmap, spilling into a buffer from `spare`.
+    fn for_pkts(len_pkts: u32, spare: &mut Vec<Vec<u64>>) -> Bitmap {
         if len_pkts <= 128 {
             Bitmap::Inline([0; 2])
         } else {
-            Bitmap::Spilled(vec![0u64; (len_pkts as usize).div_ceil(64)])
+            let mut words = spare.pop().unwrap_or_default();
+            words.clear();
+            words.resize((len_pkts as usize).div_ceil(64), 0);
+            Bitmap::Spilled(words)
         }
     }
 
@@ -103,12 +106,8 @@ impl InMsg {
         self.bitmap.words()[(i / 64) as usize] & (1 << (i % 64)) != 0
     }
 
-    fn set(&mut self, i: u32) -> bool {
-        let w = &mut self.bitmap.words_mut()[(i / 64) as usize];
-        let b = 1u64 << (i % 64);
-        let was = *w & b != 0;
-        *w |= b;
-        was
+    fn set(&mut self, i: u32) {
+        self.bitmap.words_mut()[(i / 64) as usize] |= 1 << (i % 64);
     }
 }
 
@@ -129,21 +128,61 @@ pub struct MtpReceiverStats {
     pub goodput_bytes: u64,
 }
 
+/// The ids of every completed message, as sorted, disjoint, non-adjacent
+/// inclusive runs `lo..=hi`. A sender allocates ids `msg_id_base + k`, so
+/// one sender's completions form one run, split only where a message is
+/// still in reassembly (or was given up); many senders give one run each.
+#[derive(Debug, Default)]
+struct CompletedIds {
+    runs: Vec<(u64, u64)>,
+}
+
+impl CompletedIds {
+    #[inline]
+    fn contains(&self, id: u64) -> bool {
+        let i = self.runs.partition_point(|&(lo, _)| lo <= id);
+        i > 0 && id <= self.runs[i - 1].1
+    }
+
+    /// Add `id`, which is not held yet, merging the runs it touches.
+    /// Neither `+ 1` overflows: a run ending below `id` ends below
+    /// `u64::MAX`, and so does `id` when a run starts above it.
+    fn insert(&mut self, id: u64) {
+        let i = self.runs.partition_point(|&(lo, _)| lo <= id);
+        let joins_prev = i > 0 && self.runs[i - 1].1 + 1 == id;
+        let joins_next = self.runs.get(i).is_some_and(|&(lo, _)| lo == id + 1);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.runs[i - 1].1 = self.runs[i].1;
+                self.runs.remove(i);
+            }
+            (true, false) => self.runs[i - 1].1 = id,
+            (false, true) => self.runs[i].0 = id,
+            (false, false) => self.runs.insert(i, (id, id)),
+        }
+    }
+}
+
 /// One MTP receiving endpoint.
 ///
 /// Reassembly state lives in a slab indexed by an open-addressed id→slot
 /// probe map (ids arrive from many senders, so — unlike the sender's
 /// window — slots can't be computed arithmetically). The probe map stores
-/// `slot + 1` (0 = empty); collection deletes by backward shift, so there
-/// are no tombstones and the per-packet lookup stays a single
-/// multiply-and-probe.
+/// `slot + 1` (0 = empty); a record is deleted by backward shift as its
+/// message completes, so there are no tombstones and the per-packet
+/// lookup stays a single multiply-and-probe. Only the id stays behind, in
+/// `CompletedIds`, to tell a copy arriving however late.
 #[derive(Debug)]
 pub struct MtpReceiver {
     /// This host's address (used as `src_port` on ACKs).
     addr: u16,
+    /// Records of the messages in reassembly.
     msgs: Vec<InMsg>,
     /// Open-addressed map from message id to `slot + 1` in `msgs`.
     map: Vec<u32>,
+    completed: CompletedIds,
+    /// Heap bitmaps of completed messages, reused by later large ones.
+    spare_bitmaps: Vec<Vec<u64>>,
     events: Vec<MsgDelivered>,
     /// Payload bytes of incomplete messages currently held.
     buffered: u64,
@@ -156,17 +195,6 @@ pub struct MtpReceiver {
     recent: Vec<SackEntry>,
     /// Next write position in `recent`.
     recent_head: usize,
-    /// If set, completed-message bookkeeping becomes collectable this
-    /// long after completion and [`poll_at`](Self::poll_at) surfaces the
-    /// deadline; `None` (the default) never collects, preserving the
-    /// exact behaviour sim-driven receivers have always had.
-    gc_linger: Option<Duration>,
-    /// `(completed_at, id)` of every resident completed message, oldest
-    /// first — completions are monotone in `now`, so arrival order is
-    /// expiry order. Kept only when a linger is set.
-    done: VecDeque<(Time, MsgId)>,
-    /// Messages in the slab that have not completed.
-    incomplete: usize,
     /// Counters.
     pub stats: MtpReceiverStats,
 }
@@ -185,14 +213,13 @@ impl MtpReceiver {
             addr,
             msgs: Vec::new(),
             map: Vec::new(),
+            completed: CompletedIds::default(),
+            spare_bitmaps: Vec::new(),
             events: Vec::new(),
             buffered: 0,
             sack_redundancy: 1,
             recent: Vec::new(),
             recent_head: 0,
-            gc_linger: None,
-            done: VecDeque::new(),
-            incomplete: 0,
             stats: MtpReceiverStats::default(),
         }
     }
@@ -208,54 +235,26 @@ impl MtpReceiver {
         self
     }
 
-    /// Collect completed-message bookkeeping `linger` after completion.
-    /// The linger covers straggling duplicates: while a completed record
-    /// is resident, a late copy is recognized as a duplicate; after
-    /// collection it is re-acknowledged as if new (harmless — SACKs are
-    /// idempotent at the sender — but it would inflate the duplicate
-    /// stats a long-running wire receiver uses for monitoring).
-    /// [`poll_at`](Self::poll_at) exposes the next collection deadline
-    /// and [`on_poll`](Self::on_poll) performs it.
-    pub fn with_gc_linger(mut self, linger: Duration) -> MtpReceiver {
-        self.gc_linger = Some(linger);
+    /// No-op: records go when their message completes. Kept for `benchmark/`.
+    pub fn with_gc_linger(self, _linger: Duration) -> MtpReceiver {
         self
     }
 
-    /// The next instant this receiver wants to be driven without packet
-    /// arrival. The receiver has no protocol timers — ACKs and NACKs are
-    /// emitted inline from [`on_data`](Self::on_data) — so the only
-    /// deadline is the optional completed-message GC: the oldest resident
-    /// completion time plus the configured linger. `None` when no linger
-    /// is configured or nothing has completed.
+    /// `None`: nothing waits to be collected. Kept for `benchmark/`.
     pub fn poll_at(&self) -> Option<Time> {
-        let linger = self.gc_linger?;
-        self.done.front().map(|&(t, _)| t + linger)
+        None
     }
 
-    /// Run deferred work due at `now` — currently completed-message GC —
-    /// and return how many records were collected. Call when the clock
-    /// reaches [`poll_at`](Self::poll_at); early calls are no-ops.
-    pub fn on_poll(&mut self, now: Time) -> usize {
-        let Some(linger) = self.gc_linger else {
-            return 0;
-        };
-        let mut collected = 0;
-        while let Some(&(t, id)) = self.done.front() {
-            if t + linger > now {
-                break;
-            }
-            self.done.pop_front();
-            self.remove(id);
-            collected += 1;
-        }
-        collected
+    /// No-op returning 0 records collected. Kept for `benchmark/`.
+    pub fn on_poll(&mut self, _now: Time) -> usize {
+        0
     }
 
-    /// Drop the record of `id`: O(probe run), independent of how many
-    /// records are resident.
-    fn remove(&mut self, id: MsgId) {
+    /// Take the record of `id` out of the slab and the probe map:
+    /// O(probe run), independent of how many records are resident.
+    fn remove(&mut self, id: MsgId) -> InMsg {
         let mask = self.map.len() - 1;
-        let mut hole = self.cell_of(id).expect("resident until collected");
+        let mut hole = self.cell_of(id).expect("resident until complete");
         let slot = self.map[hole] as usize - 1;
         // Backward-shift deletion: pull each later entry of the probe run
         // into the hole unless that would move it before its home cell.
@@ -279,7 +278,7 @@ impl MtpReceiver {
             let cell = self.cell_of(self.msgs[last].id).expect("still indexed");
             self.map[cell] = slot as u32 + 1;
         }
-        self.msgs.swap_remove(slot);
+        self.msgs.swap_remove(slot)
     }
 
     /// The map cell indexing `id`, if present.
@@ -296,12 +295,6 @@ impl MtpReceiver {
             }
             i = (i + 1) & (self.map.len() - 1);
         }
-    }
-
-    /// The slab slot holding `id`, if present.
-    #[inline]
-    fn lookup(&self, id: MsgId) -> Option<usize> {
-        Some(self.map[self.cell_of(id)?] as usize - 1)
     }
 
     /// Rebuild the probe map from the slab (doubling it while the load
@@ -326,7 +319,6 @@ impl MtpReceiver {
     fn insert(&mut self, msg: InMsg) -> usize {
         let slot = self.msgs.len();
         self.msgs.push(msg);
-        self.incomplete += 1;
         if (self.msgs.len() + 1) * 4 > self.map.len() * 3 {
             self.rebuild_map();
             return slot;
@@ -348,13 +340,14 @@ impl MtpReceiver {
 
     /// Messages currently in reassembly (incomplete).
     pub fn in_reassembly(&self) -> usize {
-        self.incomplete
+        self.msgs.len()
     }
 
-    /// Message records currently held: those in reassembly plus completed
-    /// ones not yet collected.
+    /// Records of messages in reassembly plus runs of completed ids:
+    /// bounded by what is in flight and how many senders there are, not
+    /// by how many messages completed or how fast.
     pub fn resident(&self) -> usize {
-        self.msgs.len()
+        self.msgs.len() + self.completed.runs.len()
     }
 
     /// Payload bytes held for incomplete messages. Bounded per message by
@@ -372,66 +365,72 @@ impl MtpReceiver {
         self.stats.pkts_seen += 1;
         let trimmed = hdr.is_trimmed();
         let id = hdr.msg_id;
-        let slot = self.lookup(id).unwrap_or_else(|| {
-            self.insert(InMsg {
-                id,
-                src: hdr.src_port,
-                len_bytes: hdr.msg_len_bytes,
-                len_pkts: hdr.msg_len_pkts,
-                bitmap: Bitmap::for_pkts(hdr.msg_len_pkts),
-                received: 0,
-                first_seen: now,
-                max_seen: None,
-                nacked_below: 0,
-                tc: hdr.tc,
-                pri: hdr.msg_pri,
-            })
-        });
-        let msg = &mut self.msgs[slot];
+        // A completed message keeps no record (`None`): its id alone says
+        // this is a late copy, acknowledged as its record would have been.
+        let slot = match self.cell_of(id).map(|c| self.map[c] as usize - 1) {
+            None if self.completed.contains(id.0) => None,
+            None => {
+                let bitmap = Bitmap::for_pkts(hdr.msg_len_pkts, &mut self.spare_bitmaps);
+                Some(self.insert(InMsg {
+                    id,
+                    src: hdr.src_port,
+                    len_bytes: hdr.msg_len_bytes,
+                    len_pkts: hdr.msg_len_pkts,
+                    bitmap,
+                    received: 0,
+                    first_seen: now,
+                    max_seen: None,
+                    nacked_below: 0,
+                    tc: hdr.tc,
+                    pri: hdr.msg_pri,
+                }))
+            }
+            slot => slot,
+        };
 
-        let pkt_num = hdr.pkt_num.0.min(msg.len_pkts.saturating_sub(1));
+        let len_pkts = slot.map_or(hdr.msg_len_pkts, |s| self.msgs[s].len_pkts);
+        let pkt_num = hdr.pkt_num.0.min(len_pkts.saturating_sub(1));
         // The pooled header's retained Vec capacities are the reusable
         // buffers: SACK/NACK/feedback entries are written straight into
         // the ACK being built, so steady state performs no allocation.
         let mut ack_hdr = mtp_sim::pool::take_header();
         let mut newly = 0u64;
+        let mut complete = false;
 
         if trimmed {
             // NDP-style: the payload was cut; NACK so the sender repairs
             // without waiting for an RTO.
             self.stats.trimmed += 1;
-            if !msg.test(pkt_num) {
+            if slot.is_some_and(|s| !self.msgs[s].test(pkt_num)) {
                 ack_hdr.nack.push(SackEntry {
                     msg: id,
                     pkt: PktNum(pkt_num),
                 });
             }
         } else {
-            let dup = msg.set(pkt_num);
-            if dup {
-                self.stats.duplicates += 1;
-            } else {
-                msg.received += 1;
-                newly = hdr.pkt_len as u64;
-                self.stats.goodput_bytes += newly;
-                self.buffered += newly;
-                if msg.received == msg.len_pkts {
-                    self.incomplete -= 1;
-                    if self.gc_linger.is_some() {
-                        self.done.push_back((now, id));
+            match slot.map(|s| &mut self.msgs[s]) {
+                Some(msg) if !msg.test(pkt_num) => {
+                    msg.set(pkt_num);
+                    msg.received += 1;
+                    newly = hdr.pkt_len as u64;
+                    self.stats.goodput_bytes += newly;
+                    self.buffered += newly;
+                    complete = msg.received == msg.len_pkts;
+                    if complete {
+                        self.stats.msgs_delivered += 1;
+                        self.buffered = self.buffered.saturating_sub(msg.len_bytes as u64);
+                        self.events.push(MsgDelivered {
+                            id,
+                            bytes: msg.len_bytes,
+                            src: msg.src,
+                            first_seen: msg.first_seen,
+                            completed: now,
+                            tc: msg.tc,
+                            pri: msg.pri,
+                        });
                     }
-                    self.stats.msgs_delivered += 1;
-                    self.buffered = self.buffered.saturating_sub(msg.len_bytes as u64);
-                    self.events.push(MsgDelivered {
-                        id,
-                        bytes: msg.len_bytes,
-                        src: msg.src,
-                        first_seen: msg.first_seen,
-                        completed: now,
-                        tc: msg.tc,
-                        pri: msg.pri,
-                    });
                 }
+                _ => self.stats.duplicates += 1,
             }
             ack_hdr.sack.push(SackEntry {
                 msg: id,
@@ -462,8 +461,10 @@ impl MtpReceiver {
 
         // Gap detection: within a message the network preserves order, so
         // skipping pkt numbers proves loss. NACK each hole once.
-        // Retransmissions arrive out of order by design; skip the check.
-        if !hdr.is_retx() {
+        // Retransmissions arrive out of order by design, and a complete
+        // message has no hole left; skip the check for both.
+        let gaps = slot.filter(|_| !complete && !hdr.is_retx());
+        if let Some(msg) = gaps.map(|s| &mut self.msgs[s]) {
             let expected = msg.max_seen.map(|m| m + 1).unwrap_or(0);
             if pkt_num > expected {
                 let from = expected.max(msg.nacked_below);
@@ -478,6 +479,12 @@ impl MtpReceiver {
                 msg.nacked_below = msg.nacked_below.max(pkt_num);
             }
             msg.max_seen = Some(msg.max_seen.map_or(pkt_num, |m| m.max(pkt_num)));
+        }
+        if complete {
+            if let Bitmap::Spilled(words) = self.remove(id).bitmap {
+                self.spare_bitmaps.push(words);
+            }
+            self.completed.insert(id.0);
         }
         self.stats.nacks_sent += ack_hdr.nack.len() as u64;
 
@@ -616,6 +623,44 @@ mod tests {
         assert_eq!(newly, 0);
         assert_eq!(r.stats.duplicates, 1);
         assert!(events(&mut r).is_empty());
+    }
+
+    #[test]
+    fn completed_ids_collapse_into_runs() {
+        let mut c = CompletedIds::default();
+        for id in [5, 7, 3, 6, 4, u64::MAX, 0] {
+            c.insert(id);
+        }
+        assert_eq!(c.runs, [(0, 0), (3, 7), (u64::MAX, u64::MAX)]);
+        assert!([0, 3, 5, 7, u64::MAX].iter().all(|&id| c.contains(id)));
+        assert!(![1, 2, 8, u64::MAX - 1].iter().any(|&id| c.contains(id)));
+    }
+
+    #[test]
+    fn a_completed_message_leaves_only_its_id() {
+        let mut r = MtpReceiver::new(2);
+        for pkt in 0..3 {
+            r.on_data(Time::ZERO, &data(5, pkt, 3, 1000), EcnCodepoint::Ect0);
+        }
+        assert_eq!((r.in_reassembly(), r.resident()), (0, 1));
+        // A straggler is SACKed as its record would have: `pkt_num`
+        // clamped into the message.
+        let (ack, _) = r.on_data(Time::ZERO, &data(5, 7, 3, 1000), EcnCodepoint::Ect0);
+        let want = SackEntry {
+            msg: MsgId(5),
+            pkt: PktNum(2),
+        };
+        assert_eq!(ack_of(&ack).sack, [want]);
+        assert_eq!(r.stats.duplicates, 1);
+        // A trimmed straggler is neither SACKed nor NACKed: nothing is
+        // missing.
+        let mut h = data(5, 1, 3, 1000);
+        h.flags |= flags::TRIMMED;
+        let (ack, newly) = r.on_data(Time::ZERO, &h, EcnCodepoint::Ect0);
+        assert_eq!(newly, 0);
+        assert!(ack_of(&ack).sack.is_empty() && ack_of(&ack).nack.is_empty());
+        assert_eq!((r.stats.trimmed, r.stats.nacks_sent), (1, 0));
+        assert_eq!((r.in_reassembly(), r.resident()), (0, 1));
     }
 
     #[test]

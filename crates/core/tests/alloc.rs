@@ -14,11 +14,12 @@
 //! The two streaming tests keep first contact with a *new* message outside
 //! their measured windows (they predate the recycling below and still pin
 //! the per-packet path on its own). The churn tests measure whole message
-//! lifetimes — submission, reassembly, completion, retirement at the
-//! sender, lingering and collection at the receiver — tens of thousands
-//! of times over: a retired message's packet table is reused by the next
-//! submission, inline bitmaps need no heap, and the receiver's slab, probe
-//! map and expiry FIFO stop growing once the linger set has its size.
+//! lifetimes — submission, reassembly, completion, retirement at both
+//! ends — thousands of times over: a retired message's packet table is
+//! reused by the next submission, inline bitmaps need no heap, a heap
+//! bitmap (a message of more than 128 packets) is reused by the next
+//! such message, and the receiver's slab and probe map stop growing once
+//! they hold what is in reassembly.
 //!
 //! This lives in an integration test (not the crate's unit tests) so the
 //! counting allocator governs the whole test binary, and so the `unsafe`
@@ -89,10 +90,6 @@ struct Loopback {
 
 impl Loopback {
     fn new() -> Loopback {
-        Loopback::with_receiver(MtpReceiver::new(2))
-    }
-
-    fn with_receiver(receiver: MtpReceiver) -> Loopback {
         // A fixed window keeps the in-flight high-water mark constant, so
         // buffer capacities reached during warm-up are final.
         let cfg = MtpConfig {
@@ -101,7 +98,7 @@ impl Loopback {
         };
         Loopback {
             sender: MtpSender::new(cfg, 1, EntityId(0), 1 << 20),
-            receiver,
+            receiver: MtpReceiver::new(2),
             out: Vec::new(),
             wire: Vec::new(),
             sev: Vec::new(),
@@ -174,8 +171,7 @@ impl Loopback {
     }
 
     /// Move `msgs` messages of `bytes` each at no more than
-    /// [`CHURN_OUTSTANDING`] outstanding, collecting at the receiver as a
-    /// wire driver would; returns the allocations it took.
+    /// [`CHURN_OUTSTANDING`] outstanding; returns the allocations it took.
     fn churn(&mut self, msgs: u64, bytes: u32) -> u64 {
         let before = allocs();
         let done = self.sender.stats.msgs_completed + msgs;
@@ -186,7 +182,6 @@ impl Loopback {
                 submitted += 1;
             }
             self.deliver_pending(None);
-            self.receiver.on_poll(self.now);
         }
         allocs() - before
     }
@@ -195,46 +190,51 @@ impl Loopback {
 const CHURN_OUTSTANDING: usize = 16;
 
 /// Whole message lifetimes at a bounded number outstanding: after a
-/// warm-up that fills the receiver's linger set, 10 000 further messages
-/// allocate nothing on either core, and neither core's resident records
-/// grow with the count.
-fn message_churn_allocates_nothing(bytes: u32) {
-    // 200 µs of virtual time is a few hundred exchanges: the linger set
-    // turns over dozens of times inside the measured run.
-    let linger = Duration::from_micros(200);
-    let mut lb = Loopback::with_receiver(MtpReceiver::new(2).with_gc_linger(linger));
+/// warm-up of half as many messages, `measured` further messages allocate
+/// nothing on either core, and neither core's resident state grows with
+/// the count.
+fn message_churn_allocates_nothing(bytes: u32, measured: u64) {
+    let mut lb = Loopback::new();
     // Several runs, not one: each start from quiescence reaches pooled
     // headers a run in full swing never touches, and a header serves as
     // an ACK (SACK and feedback lists) once before it stops allocating.
     for _ in 0..5 {
-        lb.churn(1_000, bytes);
+        lb.churn(measured / 10, bytes);
     }
-    let (warm_sender, warm_receiver) = (lb.sender.resident(), lb.receiver.resident());
+    let warm_sender = lb.sender.resident();
 
-    let measured = lb.churn(10_000, bytes);
+    let allocs = lb.churn(measured, bytes);
 
-    assert_eq!(lb.sender.stats.msgs_completed, 15_000);
-    assert_eq!(lb.receiver.stats.msgs_delivered, 15_000);
+    let total = measured + 5 * (measured / 10);
+    assert_eq!(lb.sender.stats.msgs_completed, total);
+    assert_eq!(lb.receiver.stats.msgs_delivered, total);
     assert_eq!(
-        measured, 0,
-        "10 000 messages of {bytes} B allocated {measured} times after warm-up"
+        allocs, 0,
+        "{measured} messages of {bytes} B allocated {allocs} times after warm-up"
     );
     assert!(lb.sender.resident() <= CHURN_OUTSTANDING.max(warm_sender));
-    assert!(
-        lb.receiver.resident() <= 2 * warm_receiver.max(CHURN_OUTSTANDING),
-        "receiver holds {} records after 15 000 messages ({warm_receiver} when warm)",
-        lb.receiver.resident()
+    assert_eq!(
+        (lb.receiver.in_reassembly(), lb.receiver.resident()),
+        (0, 1),
+        "a drained receiver holds one run of completed ids"
     );
 }
 
 #[test]
 fn one_packet_message_churn_allocates_nothing() {
-    message_churn_allocates_nothing(1_000);
+    message_churn_allocates_nothing(1_000, 10_000);
 }
 
 #[test]
 fn eight_packet_message_churn_allocates_nothing() {
-    message_churn_allocates_nothing(8 * 1460);
+    message_churn_allocates_nothing(8 * 1460, 10_000);
+}
+
+/// Past 128 packets a message's bitmap lives on the heap; the receiver
+/// reuses the completed ones.
+#[test]
+fn large_message_churn_allocates_nothing() {
+    message_churn_allocates_nothing(130 * 1460, 200);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use mtp_core::{MtpConfig, MtpReceiver, MtpSenderNode, MtpSinkNode, ScheduledMsg};
+use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{DropTailQueue, LinkCfg, LossyQueue, ReorderQueue, Simulator};
 use mtp_sim::{NodeId, PortId};
@@ -199,10 +199,10 @@ fn closed_loop_submission_is_sequential() {
     assert_eq!(sim.node_as::<MtpSinkNode>(sink).delivered.len(), 20);
 }
 
-/// Receiver GC reclaims completed-message state through the one
-/// collection path a driver has: a linger plus `on_poll`.
+/// A receiver keeps no record of a completed message: ten messages from
+/// one sender leave one run of completed ids and nothing to collect.
 #[test]
-fn receiver_gc_reclaims_completed_state() {
+fn receiver_keeps_no_record_of_completed_messages() {
     let mut sim = Simulator::new(1);
     let schedule: Vec<ScheduledMsg> = (0..10)
         .map(|i| ScheduledMsg::new(Time::ZERO + Duration::from_micros(i), 20_000))
@@ -215,10 +215,7 @@ fn receiver_gc_reclaims_completed_state() {
         1 << 40,
         schedule,
     )));
-    let linger = Duration::from_micros(50);
-    let mut sink_node = MtpSinkNode::new(2, Duration::from_micros(100));
-    sink_node.receiver = MtpReceiver::new(2).with_gc_linger(linger);
-    let sink = sim.add_node(Box::new(sink_node));
+    let sink = sim.add_node(Box::new(MtpSinkNode::new(2, Duration::from_micros(100))));
     let rate = Bandwidth::from_gbps(10);
     let d = Duration::from_micros(2);
     sim.connect(
@@ -234,14 +231,9 @@ fn receiver_gc_reclaims_completed_state() {
     let now = sim.now();
     let sink = sim.node_as_mut::<MtpSinkNode>(sink);
     assert_eq!(sink.delivered.len(), 10);
-    // The sink never polls, so every completed record is still resident.
-    assert_eq!(sink.receiver.resident(), 10);
-    assert_eq!(
-        sink.receiver.on_poll(now),
-        10,
-        "all completed messages collected"
-    );
-    assert_eq!(sink.receiver.resident(), 0);
     assert_eq!(sink.receiver.in_reassembly(), 0);
+    assert_eq!(sink.receiver.resident(), 1, "one run of completed ids");
     assert_eq!(sink.receiver.poll_at(), None);
+    assert_eq!(sink.receiver.on_poll(now), 0, "nothing to collect");
+    assert_eq!(sink.receiver.buffered_bytes(), 0);
 }

@@ -215,15 +215,15 @@ fn poll_at_covers_quarantine_release_with_empty_inflight() {
     assert_eq!(s.poll_at(), None);
 }
 
-/// The receiver's only timer is completed-record GC: `poll_at()` is the
-/// oldest completion plus the linger, and `on_poll` collects it.
+/// The receiver has no deadline: a completed message's record is gone at
+/// once, so there is nothing for `on_poll` to collect, however late, and
+/// a copy arriving then is still a duplicate.
 #[test]
-fn receiver_poll_at_drives_completed_gc() {
+fn receiver_has_no_deadline() {
     use mtp_core::MtpReceiver;
     use mtp_wire::{EcnCodepoint, MsgId, PktNum};
 
-    let linger = Duration::from_micros(500);
-    let mut r = MtpReceiver::new(2).with_gc_linger(linger);
+    let mut r = MtpReceiver::new(2);
     assert_eq!(r.poll_at(), None, "no completions yet");
 
     let hdr = MtpHeader {
@@ -240,10 +240,18 @@ fn receiver_poll_at_drives_completed_gc() {
     let (ack, newly) = r.on_data(t0, &hdr, EcnCodepoint::Ect0);
     mtp_sim::pool::recycle_packet(ack);
     assert_eq!(newly, 100);
+    assert_eq!(r.in_reassembly(), 0, "no record once complete");
+    assert_eq!(r.poll_at(), None, "nothing to collect");
 
-    assert_eq!(r.poll_at(), Some(t0 + linger));
-    assert_eq!(r.on_poll(t0 + Duration::from_micros(100)), 0, "too early");
-    assert_eq!(r.poll_at(), Some(t0 + linger), "deadline unchanged");
-    assert_eq!(r.on_poll(t0 + linger), 1, "linger elapsed: one record GCed");
-    assert_eq!(r.poll_at(), None, "nothing left to collect");
+    let late = t0 + Duration::from_millis(1_000);
+    assert_eq!(r.on_poll(late), 0);
+    let (ack, newly) = r.on_data(late, &hdr, EcnCodepoint::Ect0);
+    mtp_sim::pool::recycle_packet(ack);
+    assert_eq!(
+        (newly, r.stats.duplicates),
+        (0, 1),
+        "a late copy is a duplicate"
+    );
+    assert_eq!(r.stats.msgs_delivered, 1);
+    assert_eq!(r.poll_at(), None);
 }

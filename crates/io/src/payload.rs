@@ -85,11 +85,14 @@ pub fn synth_message_digest(id: MsgId, len: u32, scratch: &mut Vec<u8>) -> u64 {
 /// triples, sorted by id, into one FNV accumulator. Both worlds sort, so
 /// delivery *order* (which legitimately differs between sim and kernel
 /// scheduling) does not affect the result — content and multiplicity do.
+/// A sorted set, as in a [`SessionReport`](crate::SessionReport), is not copied.
 pub fn content_digest(msgs: &[(u64, u32, u64)]) -> u64 {
-    let mut sorted: Vec<(u64, u32, u64)> = msgs.to_vec();
-    sorted.sort_unstable();
+    let mut sorted = std::borrow::Cow::Borrowed(msgs);
+    if !msgs.is_sorted() {
+        sorted.to_mut().sort_unstable();
+    }
     let mut h = FNV_OFFSET;
-    for (id, len, digest) in sorted {
+    for &(id, len, digest) in sorted.iter() {
         h = fnv1a(h, &id.to_le_bytes());
         h = fnv1a(h, &len.to_le_bytes());
         h = fnv1a(h, &digest.to_le_bytes());

@@ -100,8 +100,6 @@ pub struct IoConfig {
     pub mtp: MtpConfig,
     /// Receiver SACK redundancy (`MtpReceiver::with_sack_redundancy`).
     pub sack_redundancy: usize,
-    /// Receiver completed-record linger before GC.
-    pub gc_linger: SimDuration,
 }
 
 impl Default for IoConfig {
@@ -121,7 +119,6 @@ impl Default for IoConfig {
             datagram_budget: DEFAULT_DATAGRAM_BUDGET,
             mtp,
             sack_redundancy: 8,
-            gc_linger: SimDuration::from_micros(100_000),
         }
     }
 }
@@ -1229,7 +1226,7 @@ pub struct SessionReport {
     /// `(msg_id, bytes)` per delivery event, sorted by id.
     pub delivered: Vec<(u64, u32)>,
     /// `(msg_id, bytes, digest)` per delivery, digest computed from the
-    /// actually reassembled bytes.
+    /// actually reassembled bytes; sorted.
     pub digests: Vec<(u64, u32, u64)>,
     /// First-copy payload bytes delivered.
     pub goodput: u64,
@@ -1385,7 +1382,7 @@ impl Listener {
 
     /// One non-blocking service turn: ask once which sockets have
     /// anything queued, drain those (data sockets, then control), then
-    /// receiver GC, liveness, linger expiry. Call [`wait`](Listener::wait)
+    /// liveness and linger expiry. Call [`wait`](Listener::wait)
     /// between turns, or use [`run_until_closed`](Listener::run_until_closed).
     pub fn poll_once(&mut self) -> io::Result<()> {
         let ready = readable_now(&self.socks, self.cfg.io.datagram_budget + 64)?;
@@ -1393,9 +1390,6 @@ impl Listener {
         self.drain(ready)?;
         let now = self.clock.now();
         if let Some(conn) = &mut self.conn {
-            if conn.recv.poll_at().is_some_and(|t| t <= now) {
-                conn.recv.on_poll(now);
-            }
             match conn.state {
                 ConnState::Established => {
                     if now.since(conn.last_heard) > self.cfg.idle_timeout {
@@ -1433,13 +1427,14 @@ impl Listener {
 
     fn finalize_conn(&mut self) {
         if let Some(conn) = self.drop_conn() {
-            let mut delivered = conn.delivered;
+            let (mut delivered, mut digests) = (conn.delivered, conn.digests);
             delivered.sort_unstable();
+            digests.sort_unstable();
             self.finished.push(SessionReport {
                 client_sid: conn.client_sid,
                 server_sid: conn.server_sid,
                 delivered,
-                digests: conn.digests,
+                digests,
                 goodput: conn.recv.stats.goodput_bytes,
                 peak_reasm_bytes: conn.peak_reasm_bytes,
             });
@@ -1531,8 +1526,7 @@ impl Listener {
             server_sid,
             state: ConnState::Established,
             recv: MtpReceiver::new(self.cfg.server_port)
-                .with_sack_redundancy(self.cfg.io.sack_redundancy)
-                .with_gc_linger(self.cfg.io.gc_linger),
+                .with_sack_redundancy(self.cfg.io.sack_redundancy),
             reasm: HashMap::new(),
             spare_reasm: Vec::new(),
             reasm_bytes: 0,
@@ -1725,14 +1719,8 @@ impl Listener {
     /// Block until any socket is readable or `max_wait` passes.
     pub fn wait(&mut self, max_wait: std::time::Duration) -> io::Result<()> {
         let mut timeout = max_wait;
-        if let Some(conn) = &mut self.conn {
-            let now = self.clock.now();
-            if let Some(t) = conn.recv.poll_at() {
-                timeout = timeout.min(until(now, t));
-            }
-            if let ConnState::TimeWait { until: u } = conn.state {
-                timeout = timeout.min(until(now, u));
-            }
+        if let Some(ConnState::TimeWait { until: u }) = self.conn.as_ref().map(|c| c.state) {
+            timeout = timeout.min(until(self.clock.now(), u));
         }
         if !timeout.is_zero() {
             wait_readable(&self.socks, timeout)?;

@@ -3,12 +3,15 @@
 //!
 //! 20 000 one-frame messages move through one loopback session at 16
 //! outstanding, one thread alternating the two ends as the benchmark's
-//! `wire_rpc` does. Checked by counts, never by speed:
+//! `wire_rpc` does; then 4 000 more through a second session whose loop
+//! sleeps every 16 messages, a small fraction of the first one's rate.
+//! Checked by counts, never by speed:
 //!
 //! * the sender core holds no more message records than the admission
 //!   cap allows outstanding — at message 20 000 as at message 1;
-//! * the receiver core holds no more records than were delivered within
-//!   the last `gc_linger` (plus those in reassembly);
+//! * the receiver core holds one record per message in reassembly and
+//!   one run per stretch of completed ids, which the messages outstanding
+//!   bound — the same bound at both rates;
 //! * the process's live heap grows, per thousand messages, by no more
 //!   than the cumulative ledgers the API obliges both ends to keep;
 //! * every message is delivered exactly once with the submitted bytes.
@@ -20,7 +23,6 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::VecDeque;
 mod common;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -28,7 +30,6 @@ use std::time::{Duration, Instant};
 
 use common::{assert_exactly_once, close, connect};
 use mtp_io::{loopback_available, payload, SessionConfig, SessionError};
-use mtp_sim::time::Duration as SimDuration;
 use mtp_wire::MsgId;
 
 struct CountingAlloc;
@@ -59,10 +60,21 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const MESSAGES: usize = 20_000;
 const MSG_LEN: usize = 512;
 const OUTSTANDING: usize = 16;
-/// Messages between samples of the resident counts and the live heap.
+/// The throttled session: fewer messages, and a pause every
+/// `OUTSTANDING` of them.
+const THROTTLED_MESSAGES: usize = 4_000;
+const PAUSE: Duration = Duration::from_millis(1);
+/// Receiver state units at most, at any rate. Each of the `OUTSTANDING`
+/// messages not yet complete at the sender is, at the receiver, complete,
+/// in reassembly (a record), or not yet arrived; each of the last two
+/// splits the completed ids into one more run. So records plus runs stay
+/// within `OUTSTANDING` plus `OUTSTANDING + 1`, below the admission cap's
+/// 64 outstanding.
+const RECEIVER_RESIDENT: usize = 2 * OUTSTANDING + 1;
+/// Messages between samples of the live heap.
 const SAMPLE_EVERY: usize = 1_000;
-/// Samples skipped before the heap baseline: buffers, pools and the
-/// receiver's linger set reach their steady size first.
+/// Samples skipped before the heap baseline: buffers and pools reach
+/// their steady size first.
 const WARMUP_SAMPLES: usize = 4;
 /// Both ends keep cumulative ledgers by contract — `completions()` at
 /// 16 B a message, `SessionReport::{delivered, digests}` at 16 + 24 —
@@ -78,6 +90,91 @@ fn message(id: u64) -> Vec<u8> {
     buf
 }
 
+/// What one session held at its peak, and the live heap every
+/// `SAMPLE_EVERY` messages.
+struct Peaks {
+    sender: usize,
+    receiver: usize,
+    retransmissions: u64,
+    heap: Vec<usize>,
+}
+
+/// Move `messages` through a fresh session, sleeping `pause` after
+/// every `OUTSTANDING` submissions if one is given.
+fn run_session(ctx: &str, messages: usize, pause: Option<Duration>) -> Peaks {
+    let deadline = Instant::now() + WALL;
+    let scfg = SessionConfig::default();
+    let (mut listener, mut sess) = connect(&scfg);
+
+    let base = sess.next_msg_id();
+    let (mut submitted, mut consumed) = (0usize, 0usize);
+    let mut peaks = Peaks {
+        sender: 0,
+        receiver: 0,
+        retransmissions: 0,
+        heap: Vec::with_capacity(messages / SAMPLE_EVERY + 1),
+    };
+
+    while consumed < messages {
+        assert!(
+            Instant::now() < deadline,
+            "{ctx}: {consumed} of {messages} done at the wall limit"
+        );
+        while submitted < messages && submitted - consumed < OUTSTANDING {
+            match sess.try_send(message(base + submitted as u64)) {
+                Ok(id) => assert_eq!(id.0, base + submitted as u64, "ids are sequential"),
+                Err(SessionError::Backpressure { .. }) => break,
+                Err(e) => panic!("{ctx}: try_send: {e}"),
+            }
+            submitted += 1;
+            if let Some(pause) = pause.filter(|_| submitted % OUTSTANDING == 0) {
+                std::thread::sleep(pause);
+            }
+        }
+        peaks.sender = peaks.sender.max(sess.core().resident());
+        listener.poll_once().expect("listener turn");
+        let resident = listener.core().map_or(0, |r| r.resident());
+        peaks.receiver = peaks.receiver.max(resident);
+        sess.poll().expect("session turn");
+        let before = consumed;
+        consumed = sess.completions().len();
+        if consumed / SAMPLE_EVERY > before / SAMPLE_EVERY {
+            peaks.heap.push(LIVE.load(Ordering::Relaxed));
+        }
+    }
+
+    peaks.retransmissions = sess.core().stats.retransmissions;
+    assert_eq!(
+        sess.core().resident(),
+        0,
+        "{ctx}: a drained sender holds no records"
+    );
+    let report = close(ctx, &mut listener, &mut sess, deadline);
+    assert_exactly_once(ctx, base, messages, MSG_LEN, &report);
+    // A message stuck behind a lost datagram keeps its successors'
+    // records resident until it is repaired; loopback loses nothing
+    // unless the kernel's buffers overflow, which the counters show.
+    if peaks.retransmissions == 0 {
+        assert!(
+            peaks.sender <= scfg.caps.max_inflight_msgs,
+            "{ctx}: sender held {} records with {OUTSTANDING} outstanding (cap {})",
+            peaks.sender,
+            scfg.caps.max_inflight_msgs
+        );
+    } else {
+        eprintln!(
+            "NOTICE: {ctx}: {} retransmissions on loopback; sender bound not asserted",
+            peaks.retransmissions
+        );
+    }
+    assert!(
+        peaks.receiver <= RECEIVER_RESIDENT,
+        "{ctx}: receiver held {} records and runs (bound {RECEIVER_RESIDENT})",
+        peaks.receiver
+    );
+    peaks
+}
+
 #[test]
 fn session_state_and_heap_stay_flat_over_20k_messages() {
     if !loopback_available() {
@@ -87,97 +184,16 @@ fn session_state_and_heap_stay_flat_over_20k_messages() {
         );
         return;
     }
-    let deadline = Instant::now() + WALL;
-    let mut scfg = SessionConfig::default();
-    // A linger the run outlasts many times over, so the receiver's
-    // collected set reaches a steady size well inside the session.
-    let linger = Duration::from_millis(5);
-    scfg.io.gc_linger = SimDuration::from_micros(linger.as_micros() as u64);
+    let fast = run_session("full speed", MESSAGES, None);
+    let slow = run_session("throttled", THROTTLED_MESSAGES, Some(PAUSE));
 
-    let (mut listener, mut sess) = connect(&scfg);
-
-    let base = sess.next_msg_id();
-    let (mut submitted, mut consumed) = (0usize, 0usize);
-    // (when, completions seen by then): the count-based clock that turns
-    // `gc_linger` into "messages delivered within the last linger".
-    let mut turns: VecDeque<(Instant, usize)> = VecDeque::with_capacity(1 << 16);
-    let mut heap: Vec<usize> = Vec::with_capacity(MESSAGES / SAMPLE_EVERY + 1);
-    let (mut peak_sender, mut peak_receiver_excess) = (0usize, 0isize);
-
-    while consumed < MESSAGES {
-        assert!(
-            Instant::now() < deadline,
-            "{consumed} of {MESSAGES} done at the wall limit"
-        );
-        while submitted < MESSAGES && submitted - consumed < OUTSTANDING {
-            match sess.try_send(message(base + submitted as u64)) {
-                Ok(id) => assert_eq!(id.0, base + submitted as u64, "ids are sequential"),
-                Err(SessionError::Backpressure { .. }) => break,
-                Err(e) => panic!("try_send: {e}"),
-            }
-            submitted += 1;
-        }
-        peak_sender = peak_sender.max(sess.core().resident());
-        let turn_began = Instant::now();
-        listener.poll_once().expect("listener turn");
-        sess.poll().expect("session turn");
-        let before = consumed;
-        consumed = sess.completions().len();
-
-        // Records the receiver may still hold: everything delivered
-        // since one linger before its turn began, plus what is in
-        // reassembly. Deliveries lead completions by at most what is
-        // outstanding.
-        while turns.len() > 1 && turn_began.duration_since(turns[1].0) > linger {
-            turns.pop_front();
-        }
-        let since = turns.front().map_or(0, |&(_, n)| n);
-        let admitted = consumed - since + 2 * OUTSTANDING;
-        let resident = listener.core().map_or(0, |r| r.resident());
-        peak_receiver_excess = peak_receiver_excess.max(resident as isize - admitted as isize);
-        if turns.len() < turns.capacity() {
-            turns.push_back((Instant::now(), consumed));
-        }
-
-        if consumed / SAMPLE_EVERY > before / SAMPLE_EVERY {
-            heap.push(LIVE.load(Ordering::Relaxed));
-        }
-    }
-
-    let retransmissions = sess.core().stats.retransmissions;
-    assert_eq!(
-        sess.core().resident(),
-        0,
-        "a drained sender holds no records"
-    );
-    let report = close("session_age", &mut listener, &mut sess, deadline);
-
-    assert_exactly_once("session_age", base, MESSAGES, MSG_LEN, &report);
-    // A message stuck behind a lost datagram keeps its successors'
-    // records resident until it is repaired; loopback loses nothing
-    // unless the kernel's buffers overflow, which the counters show.
-    if retransmissions == 0 {
-        assert!(
-            peak_sender <= scfg.caps.max_inflight_msgs,
-            "sender held {peak_sender} records with {OUTSTANDING} outstanding \
-             (cap {})",
-            scfg.caps.max_inflight_msgs
-        );
-    } else {
-        eprintln!(
-            "NOTICE: {retransmissions} retransmissions on loopback; sender bound not asserted"
-        );
-    }
-    assert!(
-        peak_receiver_excess <= 0,
-        "receiver held {peak_receiver_excess} records more than gc_linger admits"
-    );
-    let steady = &heap[WARMUP_SAMPLES..];
+    let steady = &fast.heap[WARMUP_SAMPLES..];
     let grown = steady[steady.len() - 1].saturating_sub(steady[0]);
     let per_kmsg = grown / (steady.len() - 1);
     eprintln!(
-        "sender peak {peak_sender} records, receiver within its linger, \
-         live heap +{per_kmsg} B per {SAMPLE_EVERY} messages"
+        "sender peak {} / {} records, receiver peak {} / {} records and runs \
+         (full speed / throttled), live heap +{per_kmsg} B per {SAMPLE_EVERY} messages",
+        fast.sender, slow.sender, fast.receiver, slow.receiver
     );
     assert!(
         per_kmsg <= HEAP_PER_KMSG,
