@@ -13,7 +13,8 @@
 //! ## Layout
 //!
 //! * [`clock`] — monotonic wall clock mapped onto the simulator's
-//!   picosecond [`mtp_sim::time::Time`].
+//!   picosecond [`mtp_sim::time::Time`]; the only place a session reads
+//!   the time.
 //! * [`payload`] — deterministic position-independent payload synthesis
 //!   and FNV digests, so both worlds can agree on message *content*
 //!   without shipping golden byte blobs around.
@@ -29,17 +30,20 @@
 //!   [`sys`]: a turn's one question and the blocking wait.
 //! * [`session`] — the session lifecycle: [`SenderSession`]/[`Listener`]
 //!   (and their [`IoConfig`]) with a versioned HELLO/HELLO-ACK handshake
-//!   (which carries the per-pathlet port map), keepalive liveness with
-//!   typed peer-death errors, FIN/FIN-ACK graceful close with TIME-WAIT
-//!   linger, and bounded admission (inflight/buffered/reassembly caps).
-//!   A turn asks once which sockets have anything queued, drains those,
-//!   feeds the core, and flushes once per pathlet — a burst of
-//!   submissions shares that flush, only the first of a turn leaves at
-//!   once; control frames ride the same drain through one acceptance
-//!   check, and HELLO and FIN share one retry loop. The listener stamps
-//!   congestion (CE) on frames that arrive behind a deep receive queue,
-//!   which is what the sender's pathlet windows converge on. One socket
-//!   per pathlet; pathlet ids map to distinct loopback ports.
+//!   (which carries the per-pathlet port map; a second connector is
+//!   answered with BUSY), keepalive liveness with typed peer-death
+//!   errors, FIN/FIN-ACK graceful close with TIME-WAIT linger, and bounded
+//!   admission (inflight/buffered/reassembly caps). A turn asks once which
+//!   sockets have anything queued, drains those, feeds the core, and
+//!   flushes once per pathlet — a burst of submissions shares that flush,
+//!   only the first of a turn leaves at once; control frames ride the same
+//!   drain through one acceptance check, and every control timer of
+//!   either end (HELLO/FIN retries, PINGs, idle death, TIME-WAIT) is one
+//!   private sans-IO machine, `control.rs`, on the session's clock. The
+//!   listener stamps congestion (CE) on frames that arrive behind a deep
+//!   receive queue, which is what the sender's pathlet windows converge
+//!   on. One socket per pathlet; pathlet ids map to distinct loopback
+//!   ports.
 //! * [`relay`] — an in-process lossy UDP relay (seeded drop, duplicate,
 //!   reorder, blackhole, lane flap, control-plane faults) with a
 //!   NAT-style HELLO-ACK port rewrite, for exercising loss on real
@@ -56,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod clock;
+mod control;
 pub mod frame;
 pub mod golden;
 pub mod payload;
@@ -77,7 +82,7 @@ pub use golden::{
 pub use relay::{ChaosConfig, LossyRelay, RelayConfig, RelayStats};
 pub use session::{
     IoConfig, Listener, SenderSession, SessionCaps, SessionConfig, SessionError, SessionReport,
-    SessionState,
+    SessionState, HANDSHAKE_TRIES,
 };
 pub use soak::{run_soak_suite, ChaosScenario, SoakOutcome, SoakRun};
 pub use socket::{loopback_available, BatchSocket};

@@ -9,7 +9,9 @@
 //!   ([`mtp_wire::SessionCtrl`]) that assigns session ids and carries
 //!   the responder's per-pathlet UDP port map. HELLOs are retried with
 //!   capped exponential backoff plus seeded jitter; duplicate HELLOs are
-//!   idempotent (the listener re-acks the same session).
+//!   idempotent (the listener re-acks the same session), and another
+//!   connector's is answered with a BUSY that fails its `connect` at once
+//!   ([`SessionError::Busy`]).
 //! * **Liveness** — the connector probes feedback silence with PINGs;
 //!   silence past the idle timeout declares the peer dead and fails
 //!   every pending message with a typed [`SessionError::PeerDead`]
@@ -36,19 +38,15 @@
 //!   turn and the same lending drain as data (the listener's control
 //!   socket is the last one its readiness question names); every one
 //!   received passes one acceptance check (seal, exact length, version,
-//!   usable ports), every one sent is built by one helper, and HELLO and
-//!   FIN share one retry loop: send, serve turns until answered, back
-//!   off.
-//!
-//! State machines (see DESIGN.md "Session lifecycle" for the timer
-//! table):
-//!
-//! ```text
-//! connector: IDLE → CONNECTING → ESTABLISHED → CLOSING → CLOSED
-//!                       │              │           │
-//!                       └──────────────┴───────────┴──→ FAILED
-//! listener:  IDLE → ESTABLISHED → TIME-WAIT → CLOSED   (per session)
-//! ```
+//!   usable ports), and every one sent is sealed and counted by one
+//!   helper.
+//! * **One control machine per endpoint** — the HELLO and FIN retries,
+//!   PINGs, idle death and TIME-WAIT are the timers of one sans-IO
+//!   machine (`control.rs`, which draws its state diagram; DESIGN.md
+//!   "Session lifecycle" has the timer table) fed the session's clock. A
+//!   turn serves what is due; `wait` sleeps no later than the next timer
+//!   of the core or the machine; and `connect`, `flush`, `close` and
+//!   `run_until_closed` are one blocking loop of turns and waits.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -63,10 +61,9 @@ use mtp_wire::{
     CtrlKind, EcnCodepoint, EntityId, Feedback, MsgId, MtpHeader, PathFeedback, PathletId, PktType,
     SessionCtrl, TrafficClass, SESSION_WIRE_VERSION,
 };
-use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
 
-use crate::clock::MonotonicClock;
+use crate::clock::{until, MonotonicClock};
+use crate::control::{Control, Fired, Heard};
 use crate::frame::{
     append_ctrl_frame, append_frame, FrameError, FrameIter, FrameKind, DEFAULT_DATAGRAM_BUDGET,
     FRAME_OVERHEAD,
@@ -74,16 +71,6 @@ use crate::frame::{
 use crate::payload;
 use crate::socket::{readable_now, wait_readable, BatchSocket, Ready, SendReport};
 use crate::sys;
-
-/// Sim-time picoseconds until `t`, as a wall `std::time::Duration`.
-fn until(now: Time, t: Time) -> std::time::Duration {
-    std::time::Duration::from_nanos(t.0.saturating_sub(now.0) / 1_000)
-}
-
-/// A sim duration as a wall duration.
-fn wall(d: SimDuration) -> std::time::Duration {
-    std::time::Duration::from_nanos(d.0 / 1_000)
-}
 
 // ---------------------------------------------------------------------------
 // Configuration
@@ -165,8 +152,6 @@ pub struct SessionConfig {
     pub handshake_rto: SimDuration,
     /// Backoff cap for HELLO/FIN retransmissions.
     pub handshake_rto_max: SimDuration,
-    /// HELLO/FIN attempts before giving up with a typed error.
-    pub handshake_tries: u32,
     /// Feedback silence before a liveness PING is sent (and between
     /// successive PINGs).
     pub keepalive_interval: SimDuration,
@@ -192,7 +177,6 @@ impl Default for SessionConfig {
             msg_id_base: 1 << 32,
             handshake_rto: SimDuration::from_micros(10_000),
             handshake_rto_max: SimDuration::from_micros(160_000),
-            handshake_tries: 8,
             keepalive_interval: SimDuration::from_micros(50_000),
             idle_timeout: SimDuration::from_micros(600_000),
             linger: SimDuration::from_micros(150_000),
@@ -201,6 +185,9 @@ impl Default for SessionConfig {
         }
     }
 }
+
+/// HELLO/FIN attempts before giving up with a typed error.
+pub const HANDSHAKE_TRIES: u32 = 8;
 
 // ---------------------------------------------------------------------------
 // Errors and state
@@ -246,6 +233,8 @@ pub enum SessionError {
     },
     /// The session is not in a state that allows the operation.
     Closed,
+    /// The listener holds another session and said so (BUSY).
+    Busy,
     /// The caller-supplied wall deadline expired.
     WallDeadline {
         /// Messages still outstanding when the deadline hit.
@@ -284,6 +273,7 @@ impl core::fmt::Display for SessionError {
                 "backpressure: {inflight} messages inflight, {buffered_bytes} bytes buffered"
             ),
             SessionError::Closed => write!(f, "session is closed"),
+            SessionError::Busy => write!(f, "the listener is busy with another session"),
             SessionError::WallDeadline { outstanding } => {
                 write!(f, "wall deadline expired with {outstanding} outstanding")
             }
@@ -309,6 +299,7 @@ impl SessionError {
             SessionError::CloseTimeout { .. } => "close_timeout",
             SessionError::Backpressure { .. } => "backpressure",
             SessionError::Closed => "closed",
+            SessionError::Busy => "busy",
             SessionError::WallDeadline { .. } => "wall_deadline",
             SessionError::Io(_) => "io",
         }
@@ -318,8 +309,6 @@ impl SessionError {
 /// Where a session is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
-    /// Constructed, no handshake yet.
-    Idle,
     /// HELLO sent, awaiting HELLO-ACK.
     Connecting,
     /// Handshake complete; data flows.
@@ -328,7 +317,7 @@ pub enum SessionState {
     Closing,
     /// (Listener only) closed, lingering to re-ack duplicate FINs.
     TimeWait,
-    /// Cleanly closed.
+    /// Cleanly closed (a listener: no session held).
     Closed,
     /// Dead by typed error; resources released.
     Failed,
@@ -337,7 +326,6 @@ pub enum SessionState {
 impl core::fmt::Display for SessionState {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         let s = match self {
-            SessionState::Idle => "IDLE",
             SessionState::Connecting => "CONNECTING",
             SessionState::Established => "ESTABLISHED",
             SessionState::Closing => "CLOSING",
@@ -455,32 +443,10 @@ fn count_received(registry: &mut Registry, report: SendReport) {
 }
 
 impl SessionConfig {
-    /// Every control frame either end sends: `kind` for the session the
-    /// connector numbered `client_sid` and the listener `server_sid` (both
-    /// ride every frame), between the two app ports in the direction
-    /// `kind` travels — HELLO, PING and FIN to the listener, their answers
-    /// back.
-    fn ctrl_frame(
-        &self,
-        kind: CtrlKind,
-        (client_sid, server_sid): (u64, u64),
-        seq: u32,
-    ) -> SessionCtrl {
-        let mut ctrl = SessionCtrl::new(kind, client_sid, server_sid);
-        let to_listener = matches!(kind, CtrlKind::Hello | CtrlKind::Ping | CtrlKind::Fin);
-        (ctrl.src_port, ctrl.dst_port) = if to_listener {
-            (self.client_port, self.server_port)
-        } else {
-            (self.server_port, self.client_port)
-        };
-        ctrl.seq = seq;
-        ctrl
-    }
-
-    /// Send `ctrl` from `sock` to `to` as a datagram of its own. Control
-    /// never shares a datagram with data: the relay (a stand-in
-    /// middlebox) classifies and rewrites control datagrams by the kind
-    /// byte at a fixed offset.
+    /// Send `ctrl` from `sock` to `to` as a datagram of its own, and count
+    /// it. Control never shares a datagram with data: the relay (a
+    /// stand-in middlebox) classifies and rewrites control datagrams by
+    /// the kind byte at a fixed offset.
     fn send_ctrl(
         &self,
         sock: &BatchSocket,
@@ -493,6 +459,15 @@ impl SessionConfig {
         assert!(fits, "fresh datagram refused a fitting frame");
         count_sent(registry, sock.send_batch(&[(to, &dgram)])?);
         registry.count(Metric::WireFramesTx, 1);
+        let retry = ctrl.kind == CtrlKind::Hello && ctrl.seq > 0;
+        registry.count(Metric::SessionHandshakeRetries, u64::from(retry));
+        let sent = match ctrl.kind {
+            CtrlKind::Hello => Metric::SessionHelloTx,
+            CtrlKind::Ping | CtrlKind::Pong => Metric::SessionKeepaliveTx,
+            CtrlKind::Fin => Metric::SessionFinTx,
+            _ => return Ok(()),
+        };
+        registry.count(sent, 1);
         Ok(())
     }
 }
@@ -591,21 +566,13 @@ pub struct SenderSession {
     ctrl_peer: SocketAddrV4,
     snd: MtpSender,
     clock: MonotonicClock,
-    rng: SmallRng,
-    state: SessionState,
-    sid: u64,
-    peer_sid: u64,
-    last_heard: Time,
-    last_ping: Time,
-    ping_seq: u32,
+    ctrl: Control,
     /// Payload sources of messages `next_msg_id() - payloads.len() ..`,
     /// `None` once completed: the same in-order window as the core's.
     payloads: VecDeque<Option<PayloadSource>>,
     submitted: u64,
     buffered_bytes: u64,
     retx_rr: u64,
-    handshake_rounds: u32,
-    close_rounds: u32,
     completions: Vec<(u64, Time)>,
     /// Packets the core has released since the last flush: a whole
     /// turn's worth by the end of [`poll`](SenderSession::poll).
@@ -636,8 +603,7 @@ impl SenderSession {
         cfg: &SessionConfig,
         server: SocketAddrV4,
     ) -> Result<SenderSession, SessionError> {
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5E55_1011_C0FF_EE00);
-        let sid = rng.next_u64() | 1;
+        let clock = MonotonicClock::new();
         let mut s = SenderSession {
             cfg: cfg.clone(),
             // The HELLO leaves by the first pathlet's socket; the others
@@ -651,20 +617,12 @@ impl SenderSession {
                 EntityId(0),
                 cfg.msg_id_base,
             ),
-            clock: MonotonicClock::new(),
-            rng,
-            state: SessionState::Idle,
-            sid,
-            peer_sid: 0,
-            last_heard: Time::ZERO,
-            last_ping: Time::ZERO,
-            ping_seq: 0,
+            clock,
+            ctrl: Control::connector(cfg, clock.now()),
             payloads: VecDeque::new(),
             submitted: 0,
             buffered_bytes: 0,
             retx_rr: 0,
-            handshake_rounds: 0,
-            close_rounds: 0,
             completions: Vec::new(),
             out_buf: Vec::new(),
             parked: Vec::new(),
@@ -675,14 +633,18 @@ impl SenderSession {
             tx: Vec::new(),
             registry: Registry::new(),
         };
-        s.state = SessionState::Connecting;
-        let started = Instant::now();
-        if !s.exchange(CtrlKind::Hello, None)? {
-            return Err(SessionError::HandshakeTimeout {
-                tries: s.handshake_rounds,
-                elapsed: started.elapsed(),
-            });
+        s.serve_ctrl(s.clock.now())?;
+        // The HELLO left by the first pathlet's socket and its answer
+        // takes a round trip through the peer: time to bind the other
+        // pathlets and size every send queue.
+        let more = cfg.io.pathlets.saturating_sub(1);
+        s.socks.extend(bind_pathlet_sockets(more)?);
+        for sock in &s.socks {
+            sock.set_send_buffer(SOCKET_BUFFER_ASK)?;
         }
+        let established =
+            |s: &mut SenderSession, _| (s.state() == SessionState::Established).then_some(Ok(()));
+        block(s.clock, &mut s, None, established)?;
         // Keep only as many pathlets as both sides can serve.
         let n = s.peers.len().min(s.socks.len());
         s.peers.truncate(n);
@@ -691,70 +653,20 @@ impl SenderSession {
         Ok(s)
     }
 
-    /// Send the listener a control frame of `kind`, from the socket the
-    /// HELLO left by.
-    fn send_ctrl(&mut self, kind: CtrlKind, seq: u32) -> io::Result<()> {
-        let frame = self.cfg.ctrl_frame(kind, (self.sid, self.peer_sid), seq);
-        let sock = &self.socks[0];
-        self.cfg
-            .send_ctrl(sock, self.ctrl_peer, &frame, &mut self.registry)
-    }
-
-    /// The HELLO and the FIN exchange, one loop: send `kind`, then serve
-    /// turns until its answer moves the session out of the state it
-    /// waits in, or until rto + jitter passes; back off doubling up to
-    /// `handshake_rto_max`, for at most `handshake_tries` rounds (fewer
-    /// once `deadline` passes). Whether it was answered; the session has
-    /// `Failed` if not.
-    fn exchange(
-        &mut self,
-        kind: CtrlKind,
-        deadline: Option<Instant>,
-    ) -> Result<bool, SessionError> {
-        let waiting = self.state;
-        let mut rto = self.cfg.handshake_rto;
-        for round in 1..=self.cfg.handshake_tries {
-            self.send_ctrl(kind, round - 1)?;
-            if kind != CtrlKind::Hello {
-                self.close_rounds = round;
-                self.registry.count(Metric::SessionFinTx, 1);
-            } else {
-                self.handshake_rounds = round;
-                self.registry.count(Metric::SessionHelloTx, 1);
-                if round > 1 {
-                    self.registry.count(Metric::SessionHandshakeRetries, 1);
-                } else {
-                    // The HELLO left by the first pathlet's socket and
-                    // its answer takes a round trip through the peer:
-                    // time to bind the other pathlets and size every
-                    // send queue.
-                    let more = self.cfg.io.pathlets.saturating_sub(1);
-                    self.socks.extend(bind_pathlet_sockets(more)?);
-                    for sock in &self.socks {
-                        sock.set_send_buffer(SOCKET_BUFFER_ASK)?;
-                    }
-                }
-            }
-            // Full jitter on top of the deterministic floor: retries
-            // de-synchronize instead of re-colliding with whatever loss
-            // pattern ate the previous round.
-            let jitter = SimDuration(self.rng.gen_range(0..=rto.0 / 4));
-            let round_ends = Instant::now() + wall(rto + jitter);
-            while Instant::now() < round_ends {
-                self.poll()?;
-                if self.state != waiting {
-                    return Ok(true);
-                }
-                let remaining = round_ends.saturating_duration_since(Instant::now());
-                self.wait(remaining.min(std::time::Duration::from_millis(5)))?;
-            }
-            rto = SimDuration((rto.0 * 2).min(self.cfg.handshake_rto_max.0));
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                break;
-            }
+    /// Send what the control machine has due by `now`, or end the
+    /// session with its typed failure. Control frames leave by the socket
+    /// the HELLO left by.
+    fn serve_ctrl(&mut self, now: Time) -> Result<(), SessionError> {
+        while let Some(fired) = self.ctrl.on_timeout(now) {
+            let frame = match fired {
+                Fired::Send(frame) => frame,
+                Fired::Failed(e) => return Err(self.fail(e, now)),
+                Fired::Finished => unreachable!("a connector holds no TIME-WAIT"),
+            };
+            self.cfg
+                .send_ctrl(&self.socks[0], self.ctrl_peer, &frame, &mut self.registry)?;
         }
-        self.state = SessionState::Failed;
-        Ok(false)
+        Ok(())
     }
 
     /// Submit a message whose bytes the caller owns. The buffer is held
@@ -779,7 +691,7 @@ impl SenderSession {
     }
 
     fn admit(&mut self, add_bytes: u64) -> Result<(), SessionError> {
-        if self.state != SessionState::Established {
+        if self.state() != SessionState::Established {
             return Err(SessionError::Closed);
         }
         let inflight = self.outstanding();
@@ -911,10 +823,13 @@ impl SenderSession {
     /// and police liveness, reap completions. Call [`wait`](Self::wait)
     /// between turns.
     pub fn poll(&mut self) -> Result<(), SessionError> {
-        match self.state {
-            // A handshake turn only reads: nothing is sent before the
-            // answer, and there is no peer yet to police.
-            SessionState::Connecting => return self.drain_sockets(),
+        match self.state() {
+            // A handshake turn reads and retries: nothing else is sent
+            // before the answer, and there is no peer yet to police.
+            SessionState::Connecting => {
+                self.drain_sockets()?;
+                return self.serve_ctrl(self.clock.now());
+            }
             SessionState::Established | SessionState::Closing => {}
             _ => return Err(SessionError::Closed),
         }
@@ -934,8 +849,7 @@ impl SenderSession {
         // datagrams to the budget and `sendmmsg` batches to 32.
         self.dispatch()?;
         self.submitted_this_turn = false;
-        self.keepalive()?;
-        self.check_liveness()?;
+        self.serve_ctrl(now)?;
         self.drain_completions();
         Ok(())
     }
@@ -967,7 +881,7 @@ impl SenderSession {
 
     fn on_mtp_frame(&mut self, body: &[u8]) {
         // Nothing the core could use arrives before the handshake ends.
-        if self.state == SessionState::Connecting {
+        if self.state() == SessionState::Connecting {
             return;
         }
         if self.rx_hdr.parse_sealed_from(body).is_err() {
@@ -976,7 +890,7 @@ impl SenderSession {
         }
         self.registry.count(Metric::WireFramesRx, 1);
         let now = self.clock.now();
-        self.last_heard = now;
+        self.ctrl.heard(now);
         match self.rx_hdr.pkt_type {
             // What the ACK releases waits in `out_buf` for the turn's
             // flush; sending it now would cost a datagram and a system
@@ -991,16 +905,13 @@ impl SenderSession {
         let Some(ctrl) = accept_ctrl(&mut self.registry, body) else {
             return;
         };
-        if ctrl.session_id != self.sid {
-            self.registry.count(Metric::SessionCtrlRejected, 1);
-            return;
-        }
-        let now = self.clock.now();
-        match ctrl.kind {
-            CtrlKind::HelloAck if self.state == SessionState::Connecting => {
-                // The HELLO-ACK's source is where control replies worked
-                // from; its port list is where data goes.
-                self.peer_sid = ctrl.peer_session_id;
+        match self.ctrl.on_frame(self.clock.now(), &ctrl) {
+            Heard::Refused | Heard::Answer(_) => {
+                self.registry.count(Metric::SessionCtrlRejected, 1)
+            }
+            // The HELLO-ACK's source is where control replies worked
+            // from; its port list is where data goes.
+            Heard::Established => {
                 self.ctrl_peer = src;
                 let ip = *src.ip();
                 self.peers = ctrl
@@ -1008,64 +919,36 @@ impl SenderSession {
                     .iter()
                     .map(|&p| SocketAddrV4::new(ip, p))
                     .collect();
-                self.last_ping = now;
-                self.state = SessionState::Established;
             }
-            CtrlKind::FinAck if self.state == SessionState::Closing => {
-                self.state = SessionState::Closed;
+            Heard::Taken if ctrl.kind == CtrlKind::Pong => {
+                self.registry.count(Metric::SessionKeepaliveRx, 1)
             }
-            CtrlKind::Pong => self.registry.count(Metric::SessionKeepaliveRx, 1),
-            // A duplicate HELLO-ACK or FIN-ACK: stale but harmless, and
-            // proof the peer is alive.
-            CtrlKind::HelloAck | CtrlKind::FinAck => {}
-            // HELLO, PING and FIN are this end's to send.
-            CtrlKind::Hello | CtrlKind::Ping | CtrlKind::Fin => {
-                self.registry.count(Metric::SessionCtrlRejected, 1);
-                return;
-            }
+            Heard::Taken => {}
         }
-        self.last_heard = now;
     }
 
-    /// Probe feedback silence: one PING per keepalive interval of quiet.
-    fn keepalive(&mut self) -> Result<(), SessionError> {
-        let now = self.clock.now();
-        let quiet = now.since(self.last_heard);
-        if quiet >= self.cfg.keepalive_interval
-            && now.since(self.last_ping) >= self.cfg.keepalive_interval
-        {
-            self.ping_seq += 1;
-            self.send_ctrl(CtrlKind::Ping, self.ping_seq)?;
-            self.registry.count(Metric::SessionKeepaliveTx, 1);
-            self.last_ping = now;
-        }
-        Ok(())
-    }
-
-    /// Declare the peer dead once silence outlasts the idle timeout:
-    /// fail every pending message, release their buffers, and surface
-    /// the core's path-health so the error says *what* died.
-    fn check_liveness(&mut self) -> Result<(), SessionError> {
-        let now = self.clock.now();
-        let silence = now.since(self.last_heard);
-        if silence <= self.cfg.idle_timeout {
-            return Ok(());
-        }
-        self.registry.count(Metric::SessionPeerDeaths, 1);
-        self.state = SessionState::Failed;
-        let pending: Vec<u64> = (self.payload_front()..)
-            .zip(&self.payloads)
-            .filter_map(|(id, src)| src.is_some().then_some(id))
-            .collect();
-        self.registry
-            .gauge_add(Gauge::MsgsInFlight, -(pending.len() as i64));
-        self.payloads.clear();
-        self.buffered_bytes = 0;
-        Err(SessionError::PeerDead {
-            silence: wall(silence),
+    /// The typed end of the session at `now`. Peer death fails every
+    /// pending message, releases their buffers, and surfaces the core's
+    /// path health, so the error says *what* died.
+    fn fail(&mut self, mut e: SessionError, now: Time) -> SessionError {
+        if let SessionError::PeerDead {
             pending,
-            path_health: self.snd.path_health(now),
-        })
+            path_health,
+            ..
+        } = &mut e
+        {
+            self.registry.count(Metric::SessionPeerDeaths, 1);
+            *pending = (self.payload_front()..)
+                .zip(&self.payloads)
+                .filter_map(|(id, src)| src.is_some().then_some(id))
+                .collect();
+            self.registry
+                .gauge_add(Gauge::MsgsInFlight, -(pending.len() as i64));
+            self.payloads.clear();
+            self.buffered_bytes = 0;
+            *path_health = self.snd.path_health(now);
+        }
+        e
     }
 
     fn drain_completions(&mut self) {
@@ -1088,70 +971,55 @@ impl SenderSession {
         self.ev_buf = ev;
     }
 
-    /// Block until a socket is readable, the core's next deadline, or
-    /// `max_wait` — whichever is soonest. Submissions parked since the
-    /// last turn are transmitted first: nothing waits across a sleep.
+    /// Block until a socket is readable, the core's or the control
+    /// machine's next deadline, or `max_wait` — whichever is soonest.
+    /// Submissions parked since the last turn are transmitted first:
+    /// nothing waits across a sleep.
     pub fn wait(&mut self, max_wait: std::time::Duration) -> Result<(), SessionError> {
         self.dispatch()?;
-        let now = self.clock.now();
-        let mut timeout = max_wait;
-        if let Some(t) = self.snd.poll_at() {
-            timeout = timeout.min(until(now, t));
-        }
-        // Keepalive and idle policing need turns even in total silence.
-        timeout = timeout.min(wall(self.cfg.keepalive_interval));
-        if !timeout.is_zero() {
-            wait_readable(&self.socks, timeout)?;
-            self.registry.count(Metric::WireReadyPolls, 1);
-        }
-        Ok(())
+        let timers = [self.snd.poll_at(), self.ctrl.poll_at()];
+        let (socks, now) = (&self.socks, self.clock.now());
+        Ok(sleep(socks, &mut self.registry, now, &timers, max_wait)?)
     }
 
     /// Poll until every admitted message completes or `deadline` hits.
     pub fn flush(&mut self, deadline: Instant) -> Result<(), SessionError> {
-        let mut outstanding = self.outstanding();
-        while outstanding > 0 {
-            if Instant::now() >= deadline {
-                return Err(SessionError::WallDeadline { outstanding });
+        block(self.clock, self, Some(deadline), |s, late| {
+            match s.outstanding() {
+                0 => Some(Ok(())),
+                outstanding => late.then_some(Err(SessionError::WallDeadline { outstanding })),
             }
-            self.poll()?;
-            outstanding = self.outstanding();
-            if outstanding > 0 {
-                self.wait(std::time::Duration::from_millis(5))?;
-            }
-        }
-        Ok(())
+        })
     }
 
     /// Graceful close: flush outstanding messages, then run the FIN
-    /// exchange (the handshake's retry loop). On success
-    /// every message was acknowledged *and* the peer confirmed the
-    /// goodbye; a lost final FIN-ACK is covered by the listener's
-    /// TIME-WAIT re-acks.
+    /// exchange (the handshake's retries, no round begun past
+    /// `deadline`). On success every message was acknowledged *and* the
+    /// peer confirmed the goodbye; a lost final FIN-ACK is covered by the
+    /// listener's TIME-WAIT re-acks.
     pub fn close(&mut self, deadline: Instant) -> Result<(), SessionError> {
-        match self.state {
+        match self.state() {
             SessionState::Closed => return Ok(()),
             SessionState::Established => {}
             _ => return Err(SessionError::Closed),
         }
         self.flush(deadline)?;
-        self.state = SessionState::Closing;
-        let answered = self.exchange(CtrlKind::Fin, Some(deadline));
+        let now = self.clock.now();
+        self.ctrl.close(now, self.clock.at(deadline));
+        let closed = self.serve_ctrl(now).and_then(|()| {
+            block(self.clock, self, None, |s, _| {
+                (s.state() == SessionState::Closed).then_some(Ok(()))
+            })
+        });
         // ACK datagrams this end's receive queues overflowed, read once
         // the session is over.
         count_kernel_drops(&mut self.registry, &self.socks);
-        if !answered? {
-            return Err(SessionError::CloseTimeout {
-                tries: self.close_rounds,
-                outstanding: self.outstanding(),
-            });
-        }
-        Ok(())
+        closed
     }
 
     /// The session's lifecycle state.
     pub fn state(&self) -> SessionState {
-        self.state
+        self.ctrl.state()
     }
 
     /// The session's clock reading (sim picoseconds since construction).
@@ -1168,22 +1036,22 @@ impl SenderSession {
 
     /// This side's session id.
     pub fn session_id(&self) -> u64 {
-        self.sid
+        self.ctrl.ids().0
     }
 
     /// The listener-assigned peer session id (0 before establishment).
     pub fn peer_session_id(&self) -> u64 {
-        self.peer_sid
+        self.ctrl.ids().1
     }
 
     /// HELLO rounds the handshake took (1 = first try answered).
     pub fn handshake_rounds(&self) -> u32 {
-        self.handshake_rounds
+        self.ctrl.rounds().0
     }
 
     /// FIN rounds the close took (0 = close never ran).
     pub fn close_rounds(&self) -> u32 {
-        self.close_rounds
+        self.ctrl.rounds().1
     }
 
     /// `(msg_id, completed_at)` for every completed message so far.
@@ -1234,16 +1102,8 @@ pub struct SessionReport {
     pub peak_reasm_bytes: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConnState {
-    Established,
-    TimeWait { until: Time },
-}
-
+/// What the listener holds for the session its control machine holds.
 struct Conn {
-    client_sid: u64,
-    server_sid: u64,
-    state: ConnState,
     recv: MtpReceiver,
     reasm: HashMap<u64, Vec<u8>>,
     /// Buffers of delivered messages, reused for the next reassembly.
@@ -1252,7 +1112,6 @@ struct Conn {
     peak_reasm_bytes: u64,
     delivered: Vec<(u64, u32)>,
     digests: Vec<(u64, u32, u64)>,
-    last_heard: Time,
 }
 
 /// The listening, receiving end: owns a control socket (the published
@@ -1272,7 +1131,7 @@ pub struct Listener {
     /// carries them.
     data_addrs: Vec<SocketAddrV4>,
     clock: MonotonicClock,
-    rng: SmallRng,
+    ctrl: Control,
     conn: Option<Conn>,
     finished: Vec<SessionReport>,
     died: Option<SessionError>,
@@ -1321,7 +1180,7 @@ impl Listener {
             socks,
             data_addrs,
             clock: MonotonicClock::new(),
-            rng: SmallRng::seed_from_u64(cfg.seed ^ 0x0011_57EA_D1AC_CE97),
+            ctrl: Control::listener(cfg),
             conn: None,
             finished: Vec::new(),
             died: None,
@@ -1388,26 +1247,15 @@ impl Listener {
         let ready = readable_now(&self.socks, self.cfg.io.datagram_budget + 64)?;
         self.registry.count(Metric::WireReadyPolls, 1);
         self.drain(ready)?;
-        let now = self.clock.now();
-        if let Some(conn) = &mut self.conn {
-            match conn.state {
-                ConnState::Established => {
-                    if now.since(conn.last_heard) > self.cfg.idle_timeout {
-                        let silence = wall(now.since(conn.last_heard));
-                        self.registry.count(Metric::SessionPeerDeaths, 1);
-                        self.drop_conn();
-                        self.died = Some(SessionError::PeerDead {
-                            silence,
-                            pending: Vec::new(),
-                            path_health: PathHealth::default(),
-                        });
-                    }
+        while let Some(fired) = self.ctrl.on_timeout(self.clock.now()) {
+            match fired {
+                Fired::Finished => self.finalize_conn(),
+                Fired::Failed(e) => {
+                    self.registry.count(Metric::SessionPeerDeaths, 1);
+                    self.drop_conn();
+                    self.died = Some(e);
                 }
-                ConnState::TimeWait { until } => {
-                    if now >= until {
-                        self.finalize_conn();
-                    }
-                }
+                Fired::Send(..) => unreachable!("a listener only answers"),
             }
         }
         Ok(())
@@ -1430,9 +1278,10 @@ impl Listener {
             let (mut delivered, mut digests) = (conn.delivered, conn.digests);
             delivered.sort_unstable();
             digests.sort_unstable();
+            let (client_sid, server_sid) = self.ctrl.ids();
             self.finished.push(SessionReport {
-                client_sid: conn.client_sid,
-                server_sid: conn.server_sid,
+                client_sid,
+                server_sid,
                 delivered,
                 digests,
                 goodput: conn.recv.stats.goodput_bytes,
@@ -1471,60 +1320,32 @@ impl Listener {
         let Some(ctrl) = accept_ctrl(&mut self.registry, body) else {
             return Ok(());
         };
-        let now = self.clock.now();
-        let server_sid = match (ctrl.kind, &mut self.conn) {
-            // HELLO, PING or FIN of the session held: a duplicate HELLO
-            // (first HELLO-ACK lost, or a backoff retry crossing it) is
-            // re-acked, idempotently; a FIN starts TIME-WAIT, a duplicate
-            // one is re-acked from it.
-            (CtrlKind::Hello | CtrlKind::Ping | CtrlKind::Fin, Some(c))
-                if c.client_sid == ctrl.session_id =>
-            {
-                c.last_heard = now;
-                if ctrl.kind == CtrlKind::Fin && c.state == ConnState::Established {
-                    c.state = ConnState::TimeWait {
-                        until: now + self.cfg.linger,
-                    };
-                }
-                c.server_sid
-            }
-            (CtrlKind::Hello, None) => self.open(ctrl.session_id, now),
-            // A HELLO from a different connector while a session is held
-            // (bounded state: no queue of half-open peers); a PING or FIN
-            // of a session not held (a FIN after the linger expired: the
-            // closer's retries are bounded); a HELLO-ACK, FIN-ACK or PONG,
-            // misdirected or reflected.
-            _ => {
-                self.registry.count(Metric::SessionCtrlRejected, 1);
-                return Ok(());
-            }
+        let Heard::Answer(mut reply) = self.ctrl.on_frame(self.clock.now(), &ctrl) else {
+            self.registry.count(Metric::SessionCtrlRejected, 1);
+            return Ok(());
         };
-        let (answer, heard) = match ctrl.kind {
-            CtrlKind::Hello => (CtrlKind::HelloAck, Metric::SessionHelloRx),
-            CtrlKind::Ping => (CtrlKind::Pong, Metric::SessionKeepaliveRx),
-            _ => (CtrlKind::FinAck, Metric::SessionFinRx),
+        let heard = match reply.kind {
+            CtrlKind::HelloAck => {
+                // A HELLO-ACK while no session is held answers the HELLO
+                // that opened one.
+                if self.conn.is_none() {
+                    self.open();
+                }
+                reply.ports = self.data_addrs.iter().map(SocketAddrV4::port).collect();
+                Metric::SessionHelloRx
+            }
+            CtrlKind::Pong => Metric::SessionKeepaliveRx,
+            CtrlKind::FinAck => Metric::SessionFinRx,
+            // BUSY: a refusal, if an answered one.
+            _ => Metric::SessionCtrlRejected,
         };
         self.registry.count(heard, 1);
-        let mut reply = self
-            .cfg
-            .ctrl_frame(answer, (ctrl.session_id, server_sid), ctrl.seq);
-        if answer == CtrlKind::HelloAck {
-            reply.ports = self.data_addrs.iter().map(SocketAddrV4::port).collect();
-        }
-        self.cfg.send_ctrl(sock, src, &reply, &mut self.registry)?;
-        if answer == CtrlKind::Pong {
-            self.registry.count(Metric::SessionKeepaliveTx, 1);
-        }
-        Ok(())
+        self.cfg.send_ctrl(sock, src, &reply, &mut self.registry)
     }
 
-    /// Hold a new session for connector session `client_sid`; its id.
-    fn open(&mut self, client_sid: u64, now: Time) -> u64 {
-        let server_sid = self.rng.next_u64() | 1;
+    /// Hold the session the control machine just opened.
+    fn open(&mut self) {
         self.conn = Some(Conn {
-            client_sid,
-            server_sid,
-            state: ConnState::Established,
             recv: MtpReceiver::new(self.cfg.server_port)
                 .with_sack_redundancy(self.cfg.io.sack_redundancy),
             reasm: HashMap::new(),
@@ -1533,11 +1354,9 @@ impl Listener {
             peak_reasm_bytes: 0,
             delivered: Vec::new(),
             digests: Vec::new(),
-            last_heard: now,
         });
         self.registry.gauge_add(Gauge::SessionsActive, 1);
         self.died = None;
-        server_sid
     }
 
     /// Drain the sockets `ready` names, each to empty: the data sockets,
@@ -1611,16 +1430,13 @@ impl Listener {
             if hdr.pkt_type != PktType::Data {
                 continue;
             }
-            let Some(conn) = &mut self.conn else {
-                // No session owns this data (it died, or never was):
-                // count and drop — no ACK keeps the sender honest.
+            let established = self.ctrl.state() == SessionState::Established;
+            let Some(conn) = self.conn.as_mut().filter(|_| established) else {
+                // No session takes this data (it closed, died, or never
+                // was): count and drop — no ACK keeps the sender honest.
                 self.registry.count(Metric::SessionOrphanFrames, 1);
                 continue;
             };
-            if !matches!(conn.state, ConnState::Established) {
-                self.registry.count(Metric::SessionOrphanFrames, 1);
-                continue;
-            }
             let data = &body[used..];
             let end = hdr.pkt_offset as u64 + hdr.pkt_len as u64;
             if data.len() != hdr.pkt_len as usize || end > hdr.msg_len_bytes as u64 {
@@ -1648,7 +1464,7 @@ impl Listener {
                 continue;
             }
             let now = self.clock.now();
-            conn.last_heard = now;
+            self.ctrl.heard(now);
             // This driver is the pathlet's last hop: it stamps which
             // pathlet (socket) the packet actually used, so the sender's
             // per-pathlet controllers attribute feedback to real ports,
@@ -1716,17 +1532,17 @@ impl Listener {
         self.ev_buf = ev;
     }
 
-    /// Block until any socket is readable or `max_wait` passes.
+    /// Block until any socket is readable, the control machine's next
+    /// deadline (idle death, the end of TIME-WAIT), or `max_wait`.
     pub fn wait(&mut self, max_wait: std::time::Duration) -> io::Result<()> {
-        let mut timeout = max_wait;
-        if let Some(ConnState::TimeWait { until: u }) = self.conn.as_ref().map(|c| c.state) {
-            timeout = timeout.min(until(self.clock.now(), u));
-        }
-        if !timeout.is_zero() {
-            wait_readable(&self.socks, timeout)?;
-            self.registry.count(Metric::WireReadyPolls, 1);
-        }
-        Ok(())
+        let (socks, now) = (&self.socks, self.clock.now());
+        sleep(
+            socks,
+            &mut self.registry,
+            now,
+            &[self.ctrl.poll_at()],
+            max_wait,
+        )
     }
 
     /// Serve until one full session lifecycle completes (HELLO through
@@ -1734,21 +1550,78 @@ impl Listener {
     /// deadline is a typed error. The serve-until-sender-says-done side
     /// channel is gone — the protocol itself says when serving is over.
     pub fn run_until_closed(&mut self, deadline: Instant) -> Result<SessionReport, SessionError> {
-        loop {
-            self.poll_once()?;
-            if let Some(report) = self.finished.pop() {
-                return Ok(report);
-            }
-            if let Some(err) = self.died.take() {
-                return Err(err);
-            }
-            if Instant::now() >= deadline {
-                return Err(SessionError::WallDeadline {
-                    outstanding: self.conn.as_ref().map_or(0, |c| c.reasm.len()),
-                });
-            }
-            self.wait(std::time::Duration::from_millis(5))?;
+        block(self.clock, self, Some(deadline), |l, late| {
+            let outstanding = l.conn.as_ref().map_or(0, |c| c.reasm.len());
+            let over = l.finished.pop().map(Ok).or_else(|| l.died.take().map(Err));
+            over.or_else(|| late.then_some(Err(SessionError::WallDeadline { outstanding })))
+        })
+    }
+}
+
+/// Block until one of `socks` is readable or the soonest of `max_wait`
+/// and `timers`.
+fn sleep(
+    socks: &[BatchSocket],
+    registry: &mut Registry,
+    now: Time,
+    timers: &[Option<Time>],
+    max_wait: std::time::Duration,
+) -> io::Result<()> {
+    let timeout = (timers.iter().flatten()).fold(max_wait, |t, &at| t.min(until(now, at)));
+    if !timeout.is_zero() {
+        wait_readable(socks, timeout)?;
+        registry.count(Metric::WireReadyPolls, 1);
+    }
+    Ok(())
+}
+
+/// Either end, as the one blocking loop drives it.
+trait Turns {
+    /// A non-blocking turn; with `Some(max_wait)`, a wait until a socket
+    /// is readable, a timer is due, or `max_wait` has passed.
+    fn step(&mut self, wait: Option<std::time::Duration>) -> Result<(), SessionError>;
+}
+
+impl Turns for SenderSession {
+    fn step(&mut self, wait: Option<std::time::Duration>) -> Result<(), SessionError> {
+        match wait {
+            Some(max_wait) => self.wait(max_wait),
+            None => self.poll(),
         }
+    }
+}
+
+impl Turns for Listener {
+    fn step(&mut self, wait: Option<std::time::Duration>) -> Result<(), SessionError> {
+        Ok(match wait {
+            Some(max_wait) => self.wait(max_wait),
+            None => self.poll_once(),
+        }?)
+    }
+}
+
+/// The one blocking loop — `connect`, `flush`, `close` and
+/// `run_until_closed`: until `done` has an outcome (told whether
+/// `deadline` has passed), serve a turn, then wait until a socket is
+/// readable, the end's next timer, or `deadline`.
+fn block<E: Turns, T>(
+    clock: MonotonicClock,
+    end: &mut E,
+    deadline: Option<Instant>,
+    mut done: impl FnMut(&mut E, bool) -> Option<Result<T, SessionError>>,
+) -> Result<T, SessionError> {
+    let deadline = deadline.map(|d| clock.at(d));
+    loop {
+        let late = deadline.is_some_and(|d| clock.now() >= d);
+        if let Some(outcome) = done(end, late) {
+            return outcome;
+        }
+        end.step(None)?;
+        if let Some(outcome) = done(end, false) {
+            return outcome;
+        }
+        let left = deadline.map_or(std::time::Duration::MAX, |d| until(clock.now(), d));
+        end.step(Some(left))?;
     }
 }
 

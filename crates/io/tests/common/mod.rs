@@ -9,7 +9,7 @@ use mtp_io::{payload, Listener, SenderSession, SessionConfig, SessionReport};
 
 /// Serve `listener` on a helper thread while `call` blocks on this one
 /// (`connect` and `close` need their peer answered).
-fn served<T>(listener: &mut Listener, call: impl FnOnce() -> T) -> T {
+pub fn served<T>(listener: &mut Listener, call: impl FnOnce() -> T) -> T {
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
         let helper = s.spawn(|| {

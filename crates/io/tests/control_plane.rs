@@ -12,6 +12,8 @@
 //! the frame. Skips VISIBLY (a NOTICE on stderr) when UDP loopback is
 //! unavailable.
 
+mod common;
+
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::{Duration, Instant};
 
@@ -19,6 +21,7 @@ use mtp_io::socket::wait_readable;
 use mtp_io::{
     append_ctrl_frame, loopback_available, BatchSocket, FrameIter, FrameKind, Listener,
     SenderSession, SessionConfig, SessionError, SessionState, DEFAULT_DATAGRAM_BUDGET,
+    HANDSHAKE_TRIES,
 };
 use mtp_sim::time::Duration as SimDuration;
 use mtp_telemetry::{Metric, Registry};
@@ -130,7 +133,6 @@ fn slow_rounds() -> SessionConfig {
     SessionConfig {
         handshake_rto: SimDuration::from_micros(20_000),
         handshake_rto_max: SimDuration::from_micros(20_000),
-        handshake_tries: 4,
         ..SessionConfig::default()
     }
 }
@@ -215,7 +217,7 @@ fn a_hello_ack_advertising_port_zero_ends_in_a_handshake_timeout() {
     let (hellos, connected) = std::thread::scope(|s| {
         let answering = s.spawn(|| {
             let mut hellos = 0;
-            while hellos < cfg.handshake_tries {
+            while hellos < HANDSHAKE_TRIES {
                 let (hello, from) = peer.hello();
                 let mut ack = peer.ack(&hello);
                 ack.ports = vec![0];
@@ -227,9 +229,9 @@ fn a_hello_ack_advertising_port_zero_ends_in_a_handshake_timeout() {
         let connected = SenderSession::connect(&cfg, peer.addr());
         (answering.join().expect("peer"), connected)
     });
-    assert_eq!(hellos, cfg.handshake_tries);
+    assert_eq!(hellos, HANDSHAKE_TRIES);
     match connected {
-        Err(SessionError::HandshakeTimeout { tries, .. }) => assert_eq!(tries, cfg.handshake_tries),
+        Err(SessionError::HandshakeTimeout { tries, .. }) => assert_eq!(tries, HANDSHAKE_TRIES),
         Err(e) => panic!("expected a handshake timeout, got {e}"),
         Ok(_) => panic!("established on a HELLO-ACK advertising port 0"),
     }
@@ -288,7 +290,9 @@ fn an_established_connector_takes_a_duplicate_hello_ack_as_proof_of_life() {
 }
 
 /// What a listener refuses, each on a listener that keeps serving: the
-/// last HELLO, a good one, still opens a session.
+/// last HELLO, a good one, still opens a session. Then another
+/// connector's HELLO is refused too, answered with a BUSY while the
+/// session is established and with silence once it is in TIME-WAIT.
 #[test]
 fn the_listener_refuses_what_it_cannot_accept() {
     if !loopback("the_listener_refuses_what_it_cannot_accept") {
@@ -299,11 +303,12 @@ fn the_listener_refuses_what_it_cannot_accept() {
     let ctrl = listener.hello_addr().expect("ctrl addr");
     let data = listener.pathlet_addrs()[0];
     let peer = Peer::bind();
-    let frame = |kind| {
-        let mut c = SessionCtrl::new(kind, 0xC11E_0001, 0);
+    let frame_of = |kind, client_sid| {
+        let mut c = SessionCtrl::new(kind, client_sid, 0);
         (c.src_port, c.dst_port) = (cfg.client_port, cfg.server_port);
         c
     };
+    let frame = |kind| frame_of(kind, 0xC11E_0001);
     let mut other_version = frame(CtrlKind::Hello);
     other_version.version = 2;
     for (case, to, dgram, counted) in [
@@ -359,6 +364,52 @@ fn the_listener_refuses_what_it_cannot_accept() {
     assert_eq!(answers[0].0.kind, CtrlKind::HelloAck);
     let ports: Vec<u16> = listener.pathlet_addrs().iter().map(|a| a.port()).collect();
     assert_eq!(answers[0].0.ports, ports);
+    let server_sid = answers[0].0.peer_session_id;
+
+    let another = frame_of(CtrlKind::Hello, 0xC11E_0005);
+    let mut fin = frame(CtrlKind::Fin);
+    fin.peer_session_id = server_sid;
+    for (case, dgram, answer) in [
+        (
+            "another connector",
+            datagram(&another),
+            Some(CtrlKind::Busy),
+        ),
+        (
+            "the held session's FIN",
+            datagram(&fin),
+            Some(CtrlKind::FinAck),
+        ),
+        ("another connector in TIME-WAIT", datagram(&another), None),
+    ] {
+        let before = refused(listener.registry());
+        peer.send(ctrl, &dgram);
+        listener_reads_one(&mut listener);
+        let after = refused(listener.registry());
+        let refusal = u64::from(answer != Some(CtrlKind::FinAck));
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (0, refusal),
+            "{case}"
+        );
+        assert_eq!(
+            listener.active_sessions(),
+            1,
+            "{case}: opened or dropped one"
+        );
+        let answers = peer.recv(Duration::ZERO);
+        assert_eq!(answers.iter().map(|a| a.0.kind).next(), answer, "{case}");
+        assert!(answers.len() <= 1, "{case}: answered twice");
+        if let [(busy, _)] = &answers[..] {
+            let sids = (busy.session_id, busy.peer_session_id);
+            let want = if answer == Some(CtrlKind::Busy) {
+                (0xC11E_0005, 0)
+            } else {
+                (0xC11E_0001, server_sid)
+            };
+            assert_eq!(sids, want, "{case}: the answer names");
+        }
+    }
 }
 
 /// A duplicate HELLO and a duplicate FIN are answered again from the
@@ -419,4 +470,83 @@ fn a_fin_for_a_finalized_session_is_refused() {
     assert_eq!(listener.active_sessions(), 0);
     assert!(listener.take_finished().is_empty(), "finalized twice");
     assert_eq!(listener.registry().get(Metric::SessionPeerDeaths), 0);
+}
+
+/// A second connector to a listener holding an established session hears
+/// BUSY on its first HELLO and fails typed within that round — not after
+/// its whole backoff (about 0.8 s of silence at the default timers) —
+/// and the first session still completes, exactly once.
+#[test]
+fn a_second_connector_hears_busy_within_one_round() {
+    if !loopback("a_second_connector_hears_busy_within_one_round") {
+        return;
+    }
+    const MESSAGES: usize = 16;
+    let cfg = SessionConfig::default();
+    let (mut listener, mut first) = common::connect(&cfg);
+    let server = listener.hello_addr().expect("ctrl addr");
+    // One round long enough that a retry inside it would be a bug.
+    let round = SimDuration::from_micros(200_000);
+    let second = SessionConfig {
+        handshake_rto: round,
+        handshake_rto_max: round,
+        seed: 1,
+        ..cfg.clone()
+    };
+    let began = Instant::now();
+    let refused = common::served(&mut listener, || SenderSession::connect(&second, server));
+    let took = began.elapsed();
+    match refused {
+        Err(e @ SessionError::Busy) => assert_eq!(e.kind(), "busy"),
+        Err(e) => panic!("expected BUSY, got {e}"),
+        Ok(_) => panic!("a second session opened"),
+    }
+    assert!(took < Duration::from_millis(200), "BUSY took {took:?}");
+    let refused = listener.registry().get(Metric::SessionCtrlRejected);
+    assert_eq!(refused, 1, "one HELLO, one BUSY");
+    assert_eq!(listener.active_sessions(), 1);
+
+    let base = first.next_msg_id();
+    for _ in 0..MESSAGES {
+        first.try_send_synth(512).expect("submit");
+    }
+    let deadline = Instant::now() + WALL;
+    while first.completions().len() < MESSAGES {
+        assert!(Instant::now() < deadline, "the first session stalled");
+        listener.poll_once().expect("listener turn");
+        first.poll().expect("session turn");
+    }
+    let report = common::close("busy", &mut listener, &mut first, deadline);
+    common::assert_exactly_once("busy", base, MESSAGES, 512, &report);
+    assert!(listener.take_finished().is_empty(), "finished twice");
+}
+
+/// `Listener::wait` sleeps no later than the held session's idle death: a
+/// connector dropped without a FIN leaves a listener blocked in
+/// `wait(5 s)` for at most the idle timeout, and the next turn reaps the
+/// session as a peer death.
+#[test]
+fn a_listener_wait_wakes_for_a_silent_peer_s_death() {
+    if !loopback("a_listener_wait_wakes_for_a_silent_peer_s_death") {
+        return;
+    }
+    let idle = Duration::from_millis(300);
+    let cfg = SessionConfig {
+        idle_timeout: SimDuration::from_micros(idle.as_micros() as u64),
+        ..SessionConfig::default()
+    };
+    let (mut listener, sess) = common::connect(&cfg);
+    drop(sess);
+    listener.poll_once().expect("listener turn");
+    let began = Instant::now();
+    listener.wait(Duration::from_secs(5)).expect("wait");
+    let waited = began.elapsed();
+    assert!(
+        waited <= idle + Duration::from_millis(100),
+        "waited {waited:?}"
+    );
+    listener.poll_once().expect("listener turn");
+    assert_eq!(listener.active_sessions(), 0, "the dead session is held");
+    assert_eq!(listener.registry().get(Metric::SessionPeerDeaths), 1);
+    assert!(listener.take_finished().is_empty(), "a death is no finish");
 }

@@ -57,6 +57,7 @@ fn arb_ctrl_kind() -> impl Strategy<Value = CtrlKind> {
         Just(CtrlKind::FinAck),
         Just(CtrlKind::Ping),
         Just(CtrlKind::Pong),
+        Just(CtrlKind::Busy),
     ]
 }
 

@@ -1,18 +1,18 @@
 //! Session-control wire format: HELLO, FIN, and keepalive frames.
 //!
 //! The real-wire backend (`mtp-io`) bootstraps a connection with a
-//! versioned HELLO/HELLO-ACK exchange, keeps it alive with PING/PONG
-//! probes, and tears it down with FIN/FIN-ACK. Those control frames ride
-//! the same datagrams as data frames, so they get the same treatment the
-//! sealed MTP header gets: a fixed layout, network byte order, and a
-//! CRC-16/CCITT trailer that convicts any in-flight corruption instead
-//! of letting a damaged port map poison a session. The format is small
-//! and self-delimiting:
+//! versioned HELLO/HELLO-ACK exchange (or a BUSY refusal), keeps it alive
+//! with PING/PONG probes, and tears it down with FIN/FIN-ACK. Those
+//! control frames ride the same datagrams as data frames, so they get the
+//! same treatment the sealed MTP header gets: a fixed layout, network
+//! byte order, and a CRC-16/CCITT trailer that convicts any in-flight
+//! corruption instead of letting a damaged port map poison a session.
+//! The format is small and self-delimiting:
 //!
 //! ```text
 //! offset  size  field
 //!      0     1  version          (nonzero; current = SESSION_WIRE_VERSION)
-//!      1     1  kind             (Hello / HelloAck / Fin / FinAck / Ping / Pong)
+//!      1     1  kind             (Hello / HelloAck / Fin / FinAck / Ping / Pong / Busy)
 //!      2     2  src_port         (MTP app port of the frame's sender)
 //!      4     2  dst_port         (MTP app port of the frame's receiver)
 //!      6     8  session_id       (initiator-chosen id; echoed everywhere)
@@ -65,6 +65,8 @@ pub enum CtrlKind {
     Ping = 4,
     /// Liveness probe reply.
     Pong = 5,
+    /// Responder → initiator: refused, another session is held.
+    Busy = 6,
 }
 
 impl CtrlKind {
@@ -77,6 +79,7 @@ impl CtrlKind {
             3 => Ok(CtrlKind::FinAck),
             4 => Ok(CtrlKind::Ping),
             5 => Ok(CtrlKind::Pong),
+            6 => Ok(CtrlKind::Busy),
             other => Err(WireError::BadCtrlKind(other)),
         }
     }
@@ -248,6 +251,7 @@ mod tests {
             CtrlKind::FinAck,
             CtrlKind::Ping,
             CtrlKind::Pong,
+            CtrlKind::Busy,
         ] {
             let mut c = sample();
             c.kind = kind;
