@@ -1,14 +1,14 @@
 //! # mtp-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation:
+//! One binary per table/figure of the paper's evaluation that is not yet
+//! a scenario file (Figs. 5 and 6 are: `scn
+//! scenarios/{fig5_alternation,fig6_ecmp,fig6_spray,fig6_mtp_lb}.toml`):
 //!
 //! | binary   | paper artefact | what it regenerates |
 //! |----------|----------------|---------------------|
 //! | `table1` | Table 1        | transport capability matrix |
 //! | `fig2`   | Figure 2       | proxy buffering vs HOL blocking |
 //! | `fig3`   | Figure 3       | one-message-per-flow congestion noise |
-//! | `fig5`   | Figure 5       | multipath CC under path alternation |
-//! | `fig6`   | Figure 6       | load-/request-aware load balancing |
 //! | `fig7`   | Figure 7       | per-entity isolation |
 //! | `ablations` | §4 design discussion | pathlet granularity, header overhead, blob vs message |
 //! | `fig_fabric` | beyond the paper | ~10k-endpoint multi-pod Clos, serial vs pod-sharded, digests identical |
@@ -20,7 +20,7 @@
 //! topology builders ([`topo`]: `dumbbell`, `leaf_spine`, and the
 //! two-parallel-path network, [`topo::parallel_paths`], which is also the
 //! failure study's diamond). The failure and corruption studies are
-//! scenario files (`scn scenarios/{failover,corruption}_diamond.toml`);
+//! scenario files too (`scn scenarios/{failover,corruption}_diamond.toml`);
 //! [`study`] holds the measurement helpers that runner uses.
 //!
 //! [`hotpath`], [`endpoint`] and [`fabric`] are the fixed-seed workloads

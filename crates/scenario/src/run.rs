@@ -9,7 +9,7 @@
 //! strings naming the assertion, never as a crash, so one broken cell
 //! cannot take down a corpus run.
 
-use mtp_bench::study::{completion_stats, corrupted_frames, us};
+use mtp_bench::study::{completion_stats, corrupted_frames, tcp_periodic, us};
 use mtp_bench::topo::{dumbbell, dumbbell_dst, dumbbell_src, leaf_spine, ls_addr};
 use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_faults::{
@@ -47,9 +47,10 @@ pub struct CellResult {
     /// Completions strictly inside `assert.window_us` (absent without a
     /// window).
     pub during_window: Option<u64>,
-    /// Nearest-rank p50 message completion time, microseconds.
+    /// Nearest-rank p50 message completion time, microseconds (of the
+    /// messages below `assert.fct_below_bytes`, when set).
     pub p50_us: Option<f64>,
-    /// Nearest-rank p99 message completion time, microseconds.
+    /// Nearest-rank p99 message completion time, likewise.
     pub p99_us: Option<f64>,
     /// Sender retransmission timeouts.
     pub timeouts: u64,
@@ -58,6 +59,14 @@ pub struct CellResult {
     /// Mean sink goodput after `assert.warmup_bins` bins, Gbps
     /// (single-sink topologies only).
     pub goodput_mean_gbps: Option<f64>,
+    /// Sink goodput per sampling bin, Gbps (single-sink topologies only).
+    pub goodput_series_gbps: Option<Vec<f64>>,
+    /// Mean time from each return to path A until goodput reaches 80 %
+    /// of path A's rate, microseconds (`alternate` two-path only).
+    pub recovery_us: Option<f64>,
+    /// Bytes sent on the forward links of paths A and B (diamond and
+    /// two-path).
+    pub path_tx_bytes: Option<[u64; 2]>,
     /// Frames damaged in flight (diamond only).
     pub corrupted_frames: Option<u64>,
     /// [`fnv64`] digest of the run's observable state.
@@ -258,11 +267,13 @@ struct CorruptionLedger {
 /// Everything measured from one finished cell, before assertion checking.
 struct Measured {
     sim: Simulator,
-    /// `(submitted, completed)` per scheduled message, sender order.
-    records: Vec<(Time, Option<Time>)>,
+    /// `(submitted, completed, bytes)` per scheduled message, sender
+    /// order.
+    records: Vec<(Time, Option<Time>, u64)>,
     timeouts: u64,
     retransmissions: u64,
     goodput_series: Option<Vec<f64>>,
+    path_tx_bytes: Option<[u64; 2]>,
     corruption: Option<CorruptionLedger>,
     ledger: Option<Ledger>,
     /// Exactly-once violations for topologies of several sinks (where a
@@ -275,13 +286,13 @@ struct Measured {
 /// Public so the golden-replay tests can digest an inline
 /// figure-binary-style run and compare byte-for-byte.
 pub fn engine_digest(sim: &Simulator, records: &[(Time, Option<Time>)]) -> String {
-    fnv64(&cell_dump(sim, records))
+    fnv64(&cell_dump(sim, records.iter().copied()))
 }
 
 /// The deterministic dump digested per cell: the engine-observable state
 /// (event count, clock, per-link counters — the same lines the perf-gate
 /// digests) plus every message's submit/complete picoseconds.
-fn cell_dump(sim: &Simulator, records: &[(Time, Option<Time>)]) -> String {
+fn cell_dump(sim: &Simulator, records: impl Iterator<Item = (Time, Option<Time>)>) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
     writeln!(
@@ -306,7 +317,7 @@ fn cell_dump(sim: &Simulator, records: &[(Time, Option<Time>)]) -> String {
         )
         .expect("write to String");
     }
-    for (k, (submitted, done)) in records.iter().enumerate() {
+    for (k, (submitted, done)) in records.enumerate() {
         match done {
             Some(t) => writeln!(out, "msg {k}: submitted={} completed={}", submitted.0, t.0),
             None => writeln!(out, "msg {k}: submitted={} completed=-", submitted.0),
@@ -332,27 +343,40 @@ fn tcp_cfg(p: Protocol) -> TcpConfig {
     }
 }
 
-fn single_flow_schedule_mtp(w: &Workload) -> Vec<ScheduledMsg> {
+/// The single sender's `(submit, bytes)` schedule; a Poisson process
+/// offers its load against the host link.
+fn single_flow_schedule(w: &Workload, seed: u64, host: &LinkSpec) -> Vec<(Time, u64)> {
     match w {
         Workload::Periodic {
             count,
             bytes,
             interval_us,
-        } => mtp_bench::study::mtp_periodic(*count, *bytes, *interval_us),
-        Workload::Single { bytes } => vec![ScheduledMsg::new(Time::ZERO, *bytes as u32)],
-        _ => unreachable!("schema restricts single-sender topologies to periodic/single"),
+        } => tcp_periodic(*count, *bytes, *interval_us),
+        Workload::Single { bytes } => vec![(Time::ZERO, *bytes)],
+        Workload::Poisson {
+            load,
+            min_bytes,
+            max_bytes,
+            until_us,
+        } => poisson_schedule(
+            &mut SmallRng::seed_from_u64(seed),
+            &pareto(*min_bytes, *max_bytes),
+            host.rate,
+            *load,
+            Time::ZERO,
+            Duration::from_micros(*until_us),
+            None,
+        ),
+        _ => unreachable!("schema restricts single-sender topologies to periodic/single/poisson"),
     }
 }
 
-fn single_flow_schedule_tcp(w: &Workload) -> Vec<(Time, u64)> {
-    match w {
-        Workload::Periodic {
-            count,
-            bytes,
-            interval_us,
-        } => mtp_bench::study::tcp_periodic(*count, *bytes, *interval_us),
-        Workload::Single { bytes } => vec![(Time::ZERO, *bytes)],
-        _ => unreachable!("schema restricts single-sender topologies to periodic/single"),
+/// The heavy-tailed message sizes every Poisson source draws from.
+fn pareto(min: u64, max: u64) -> SizeDist {
+    SizeDist::BoundedPareto {
+        alpha: 1.1,
+        min,
+        max,
     }
 }
 
@@ -363,6 +387,7 @@ fn single_flow_schedule_tcp(w: &Workload) -> Vec<(Time, u64)> {
 /// node types are built and read (and in the diamond's forward fan-out:
 /// message-aware for MTP, pinned to path A for TCP).
 fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
+    let mtp_lb = || Strategy::mtp_lb(2, vec![Some(PATHLET_A), Some(PATHLET_B)]);
     let (spec, goodput_bin, sack_redundancy) = match &s.topology {
         // Equal paths, ACKs sprayed back, and the sink's SACK redundancy
         // that covers for the ACKs a reverse cut kills.
@@ -372,7 +397,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
                 b: to_spec(*path),
                 host: LinkSpec::host_default(),
                 forward: match p {
-                    Protocol::Mtp => Strategy::mtp_lb(2, vec![Some(PATHLET_A), Some(PATHLET_B)]),
+                    Protocol::Mtp => mtp_lb(),
                     _ => Strategy::Fixed,
                 },
                 reverse: Strategy::Spray { next: 0 },
@@ -383,19 +408,21 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
         Topology::TwoPath {
             a,
             b,
+            host,
             strategy,
             goodput_bin_us,
         } => (
             ParallelSpec {
                 a: to_spec(*a),
                 b: to_spec(*b),
-                host: LinkSpec::host_default(),
+                host: host.map_or_else(LinkSpec::host_default, to_spec),
                 forward: match strategy {
                     TwoPathStrategy::Alternate { period_us } => Strategy::Alternate {
                         period: Duration::from_micros(*period_us),
                     },
                     TwoPathStrategy::Ecmp => Strategy::Ecmp,
                     TwoPathStrategy::Spray => Strategy::Spray { next: 0 },
+                    TwoPathStrategy::MtpLb => mtp_lb(),
                 },
                 reverse: Strategy::Fixed,
             },
@@ -404,18 +431,25 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
         ),
         _ => unreachable!("caller dispatched on topology"),
     };
+    let schedule = single_flow_schedule(&s.workload, seed, &spec.host);
     let ends = match p {
-        Protocol::Mtp => mtp_pair(
-            mtp_cfg(s),
-            single_flow_schedule_mtp(&s.workload),
-            goodput_bin,
-            sack_redundancy,
-        ),
-        tcp => tcp_pair(
-            tcp_cfg(tcp),
-            single_flow_schedule_tcp(&s.workload),
-            goodput_bin,
-        ),
+        // A Poisson message's priority is its size class: shorter is more
+        // urgent, the request-aware half of Fig. 6's balancer.
+        Protocol::Mtp => {
+            let poisson = matches!(s.workload, Workload::Poisson { .. });
+            let schedule = schedule
+                .into_iter()
+                .map(|(t, b)| {
+                    let mut m = ScheduledMsg::new(t, b as u32);
+                    if poisson {
+                        m.pri = (64 - b.leading_zeros()) as u8;
+                    }
+                    m
+                })
+                .collect();
+            mtp_pair(mtp_cfg(s), schedule, goodput_bin, sack_redundancy)
+        }
+        tcp => tcp_pair(tcp_cfg(tcp), schedule, goodput_bin),
     };
     let mut d = parallel_paths(seed, ends, spec);
     // The schema refuses names a topology kind does not publish, so
@@ -441,7 +475,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
             records = snd
                 .msgs
                 .iter()
-                .map(|m| (m.submitted, m.completed))
+                .map(|m| (m.submitted, m.completed, m.bytes as u64))
                 .collect();
             timeouts = snd.sender.stats.timeouts;
             retransmissions = snd.sender.stats.retransmissions;
@@ -456,7 +490,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
             records = snd
                 .msgs
                 .iter()
-                .map(|m| (m.submitted, m.completed))
+                .map(|m| (m.submitted, m.completed, m.size))
                 .collect();
             timeouts = snd.timeouts();
             retransmissions = snd.retransmissions();
@@ -477,12 +511,14 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
             + d.sim.node_as::<SwitchNode>(d.sw2).stats.malformed
             + d.sim.corrupted_destroyed(),
     });
+    let path_tx_bytes = [d.a_fwd, d.b_fwd].map(|l| d.sim.link_stats(l).tx_bytes);
     Measured {
         sim: d.sim,
         records,
         timeouts,
         retransmissions,
         goodput_series: Some(goodput_series),
+        path_tx_bytes: Some(path_tx_bytes),
         corruption,
         ledger,
         multi_exactly_once,
@@ -507,11 +543,7 @@ fn run_dumbbell(s: &Scenario, seed: u64) -> Measured {
     };
     let n = (elephants + mice) as usize;
     let cfg = mtp_cfg(s);
-    let sizes = SizeDist::BoundedPareto {
-        alpha: 1.1,
-        min: *mice_min_bytes,
-        max: *mice_max_bytes,
-    };
+    let sizes = pareto(*mice_min_bytes, *mice_max_bytes);
     let horizon = Duration::from_micros(s.horizon_us);
     let make_schedule = |i: usize| -> Vec<ScheduledMsg> {
         if (i as u64) < *elephants {
@@ -572,7 +604,11 @@ fn run_dumbbell(s: &Scenario, seed: u64) -> Measured {
     let mut multi = Vec::new();
     for (i, (&snd, &sink)) in d.senders.iter().zip(d.sinks.iter()).enumerate() {
         let node = sim.node_as::<MtpSenderNode>(snd);
-        records.extend(node.msgs.iter().map(|m| (m.submitted, m.completed)));
+        records.extend(
+            node.msgs
+                .iter()
+                .map(|m| (m.submitted, m.completed, m.bytes as u64)),
+        );
         timeouts += node.sender.stats.timeouts;
         retransmissions += node.sender.stats.retransmissions;
         multi.extend(
@@ -588,6 +624,7 @@ fn run_dumbbell(s: &Scenario, seed: u64) -> Measured {
         timeouts,
         retransmissions,
         goodput_series: None,
+        path_tx_bytes: None,
         corruption: None,
         ledger: None,
         multi_exactly_once: Some(multi),
@@ -683,7 +720,11 @@ fn run_leaf_spine(s: &Scenario, seed: u64) -> Measured {
     let (mut timeouts, mut retransmissions) = (0u64, 0u64);
     for &h in senders {
         let node = sim.node_as::<MtpSenderNode>(h);
-        records.extend(node.msgs.iter().map(|m| (m.submitted, m.completed)));
+        records.extend(
+            node.msgs
+                .iter()
+                .map(|m| (m.submitted, m.completed, m.bytes as u64)),
+        );
         timeouts += node.sender.stats.timeouts;
         retransmissions += node.sender.stats.retransmissions;
     }
@@ -696,6 +737,7 @@ fn run_leaf_spine(s: &Scenario, seed: u64) -> Measured {
         timeouts,
         retransmissions,
         goodput_series: None,
+        path_tx_bytes: None,
         corruption: None,
         ledger: Some(ledger),
         multi_exactly_once: None,
@@ -789,16 +831,42 @@ fn check_cell_asserts(c: &CellAsserts, r: &CellResult, m: &Measured, out: &mut V
     }
 }
 
+/// Fig. 5's convergence rule. The series splits into phases of
+/// `bins_per_phase` bins, path A first; for every return to path A, the
+/// time until goodput first reaches `threshold_gbps` (a whole phase when
+/// it never does), averaged.
+fn mean_recovery_us(
+    series: &[f64],
+    bins_per_phase: usize,
+    bin_us: f64,
+    threshold_gbps: f64,
+) -> f64 {
+    let (sum, n) = series
+        .chunks_exact(bins_per_phase)
+        .step_by(2)
+        .skip(1)
+        .map(|phase| {
+            let bins = phase.iter().position(|&r| r >= threshold_gbps);
+            bins.unwrap_or(bins_per_phase) as f64 * bin_us
+        })
+        .fold((0.0, 0usize), |(sum, n), t| (sum + t, n + 1));
+    sum / n.max(1) as f64
+}
+
 /// Build, run, measure, and check one cell. Never panics on assertion
 /// failure — violations come back inside the result.
 pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
-    let m = match &s.topology {
+    let mut m = match &s.topology {
         Topology::Diamond { .. } | Topology::TwoPath { .. } => run_parallel_paths(s, p, seed),
         Topology::Dumbbell { .. } => run_dumbbell(s, seed),
         Topology::LeafSpine { .. } => run_leaf_spine(s, seed),
     };
 
-    let stats = completion_stats(m.records.iter().copied(), s.asserts.window_us);
+    let stats = completion_stats(
+        m.records.iter().copied(),
+        s.asserts.window_us,
+        s.asserts.fct_below_bytes,
+    );
     let warm = s.asserts.warmup_bins as usize;
     let goodput_mean = m.goodput_series.as_ref().map(|series| {
         let tail = &series[warm.min(series.len())..];
@@ -808,7 +876,27 @@ pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
             tail.iter().sum::<f64>() / tail.len() as f64
         }
     });
-    let digest = engine_digest(&m.sim, &m.records);
+    let recovery_us = match (&s.topology, &m.goodput_series) {
+        (
+            Topology::TwoPath {
+                a,
+                strategy: TwoPathStrategy::Alternate { period_us },
+                goodput_bin_us,
+                ..
+            },
+            Some(series),
+        ) if period_us >= goodput_bin_us => Some(mean_recovery_us(
+            series,
+            (period_us / goodput_bin_us) as usize,
+            *goodput_bin_us as f64,
+            0.8 * a.rate_gbps as f64,
+        )),
+        _ => None,
+    };
+    let digest = fnv64(&cell_dump(
+        &m.sim,
+        m.records.iter().map(|&(s, c, _)| (s, c)),
+    ));
 
     let mut r = CellResult {
         scenario: s.name.clone(),
@@ -817,11 +905,14 @@ pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
         completed: stats.completed as u64,
         unfinished: (m.records.len() - stats.completed) as u64,
         during_window: s.asserts.window_us.map(|_| stats.during_window as u64),
-        p50_us: (stats.completed > 0).then_some(stats.p50_us),
-        p99_us: (stats.completed > 0).then_some(stats.p99_us),
+        p50_us: stats.p50_us,
+        p99_us: stats.p99_us,
         timeouts: m.timeouts,
         retransmissions: m.retransmissions,
         goodput_mean_gbps: goodput_mean,
+        goodput_series_gbps: m.goodput_series.take(),
+        recovery_us,
+        path_tx_bytes: m.path_tx_bytes,
         corrupted_frames: m.corruption.as_ref().map(|c| c.corrupted),
         digest,
         violations: Vec::new(),

@@ -131,6 +131,8 @@ pub enum TwoPathStrategy {
     Ecmp,
     /// Per-packet spray.
     Spray,
+    /// The message-aware MTP balancer (Fig. 6); MTP only.
+    MtpLb,
 }
 
 /// The network shape a scenario runs on.
@@ -144,12 +146,16 @@ pub enum Topology {
         path: LinkParams,
     },
     /// One sender, one sink, two (possibly asymmetric) paths with a
-    /// scripted fan-out strategy. Supports all protocols.
+    /// scripted fan-out strategy. Supports all protocols except behind
+    /// `mtp-lb`.
     TwoPath {
         /// Path A.
         a: LinkParams,
         /// Path B.
         b: LinkParams,
+        /// Both host links; `None` is `LinkSpec::host_default()`
+        /// (100 Gbps, 1 µs).
+        host: Option<LinkParams>,
         /// The first-hop fan-out strategy.
         strategy: TwoPathStrategy,
         /// Sink goodput sampling bin in microseconds.
@@ -192,7 +198,10 @@ impl Topology {
     /// True when `p` has a driver on this topology.
     pub fn supports(&self, p: Protocol) -> bool {
         match self {
-            Topology::Diamond { .. } | Topology::TwoPath { .. } => true,
+            Topology::Diamond { .. } => true,
+            Topology::TwoPath { strategy, .. } => {
+                p == Protocol::Mtp || *strategy != TwoPathStrategy::MtpLb
+            }
             Topology::Dumbbell { .. } | Topology::LeafSpine { .. } => p == Protocol::Mtp,
         }
     }
@@ -248,6 +257,20 @@ pub enum Workload {
         /// Message size in bytes.
         bytes: u64,
     },
+    /// An open-loop Poisson arrival process at `load` of the host link
+    /// until `until_us`, seeded by the cell seed, with bounded-Pareto
+    /// (α = 1.1) sizes; an MTP message's priority is its size class
+    /// (two-path).
+    Poisson {
+        /// Offered load as a fraction of the host link (0, 1].
+        load: f64,
+        /// Smallest message in bytes.
+        min_bytes: u64,
+        /// Largest message in bytes.
+        max_bytes: u64,
+        /// Last arrival time, microseconds (<= `horizon_us`).
+        until_us: u64,
+    },
     /// Elephant and mice tenant classes on a dumbbell: `elephants`
     /// senders each submit one `elephant_bytes` message at t = 0;
     /// `mice` senders each run an open-loop Poisson arrival process at
@@ -288,6 +311,7 @@ impl Workload {
         match self {
             Workload::Periodic { .. } => "periodic",
             Workload::Single { .. } => "single",
+            Workload::Poisson { .. } => "poisson",
             Workload::Tenants { .. } => "tenants",
             Workload::Fanin { .. } => "fanin",
         }
@@ -434,6 +458,9 @@ pub struct Asserts {
     pub window_us: Option<(u64, u64)>,
     /// Goodput bins skipped before the mean (slow-start warmup).
     pub warmup_bins: u64,
+    /// When set, `p50_us`/`p99_us` (and their bounds) cover only
+    /// messages smaller than this many bytes.
+    pub fct_below_bytes: Option<u64>,
     /// Per-protocol bounds, in file order.
     pub cells: Vec<(Protocol, CellAsserts)>,
     /// Pinned cell digests: `("proto/seed", fnv64-hex)`, in file order.
@@ -447,6 +474,7 @@ impl Default for Asserts {
             corruption_accounting: false,
             window_us: None,
             warmup_bins: 0,
+            fct_below_bytes: None,
             cells: Vec::new(),
             digests: Vec::new(),
         }
@@ -624,6 +652,34 @@ fn take_opt_f64_min(
     }
 }
 
+/// An offered load: a fraction in (0, 1].
+fn take_load(t: &mut Table, key: &str, prefix: &str) -> Result<f64, SchemaError> {
+    let f = field(prefix, key);
+    let v = as_f64(take(t, key, prefix)?, &f)?;
+    if v <= 0.0 || v > 1.0 {
+        return Err(err(f, format!("out of range: must be in (0, 1], got {v}")));
+    }
+    Ok(v)
+}
+
+/// A `[min, max]` message-size range in bytes.
+fn take_sizes(
+    t: &mut Table,
+    min_key: &str,
+    max_key: &str,
+    prefix: &str,
+) -> Result<(u64, u64), SchemaError> {
+    let min = take_u64_in(t, min_key, prefix, 1, MAX_MSG_BYTES)?;
+    let max = take_u64_in(t, max_key, prefix, 1, MAX_MSG_BYTES)?;
+    if min > max {
+        return Err(err(
+            field(prefix, min_key),
+            format!("must be <= {max_key} ({max})"),
+        ));
+    }
+    Ok((min, max))
+}
+
 fn take_bool_or(
     t: &mut Table,
     key: &str,
@@ -680,6 +736,10 @@ fn decode_topology(mut t: Table) -> Result<Topology, SchemaError> {
         "two-path" => {
             let a = take_link(&mut t, "a", P)?;
             let b = take_link(&mut t, "b", P)?;
+            let host = match t.remove("host") {
+                None => None,
+                Some(v) => Some(decode_link(as_table(v, "topology.host")?, "topology.host")?),
+            };
             let goodput_bin_us =
                 take_opt_u64_in(&mut t, "goodput_bin_us", P, 1, 1_000_000)?.unwrap_or(100);
             let strategy = match take_str(&mut t, "strategy", P)?.as_str() {
@@ -688,16 +748,20 @@ fn decode_topology(mut t: Table) -> Result<Topology, SchemaError> {
                 },
                 "ecmp" => TwoPathStrategy::Ecmp,
                 "spray" => TwoPathStrategy::Spray,
+                "mtp-lb" => TwoPathStrategy::MtpLb,
                 other => {
                     return Err(err(
                         field(P, "strategy"),
-                        format!("unknown strategy `{other}` (expected alternate, ecmp, or spray)"),
+                        format!(
+                            "unknown strategy `{other}` (expected alternate, ecmp, spray, or mtp-lb)"
+                        ),
                     ));
                 }
             };
             Topology::TwoPath {
                 a,
                 b,
+                host,
                 strategy,
                 goodput_bin_us,
             }
@@ -726,7 +790,7 @@ fn decode_topology(mut t: Table) -> Result<Topology, SchemaError> {
     Ok(topo)
 }
 
-fn decode_workload(mut t: Table) -> Result<Workload, SchemaError> {
+fn decode_workload(mut t: Table, horizon_us: u64) -> Result<Workload, SchemaError> {
     const P: &str = "workload";
     let kind = take_str(&mut t, "kind", P)?;
     let w = match kind.as_str() {
@@ -738,41 +802,34 @@ fn decode_workload(mut t: Table) -> Result<Workload, SchemaError> {
         "single" => Workload::Single {
             bytes: take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?,
         },
+        "poisson" => {
+            let load = take_load(&mut t, "load", P)?;
+            let (min_bytes, max_bytes) = take_sizes(&mut t, "min_bytes", "max_bytes", P)?;
+            Workload::Poisson {
+                load,
+                min_bytes,
+                max_bytes,
+                until_us: take_u64_in(&mut t, "until_us", P, 1, horizon_us)?,
+            }
+        }
         "tenants" => {
-            let w = Workload::Tenants {
-                elephants: take_u64_in(&mut t, "elephants", P, 0, 16)?,
-                elephant_bytes: take_u64_in(&mut t, "elephant_bytes", P, 1, MAX_MSG_BYTES)?,
-                mice: take_u64_in(&mut t, "mice", P, 0, 16)?,
-                mice_load: {
-                    let f = field(P, "mice_load");
-                    let v = as_f64(take(&mut t, "mice_load", P)?, &f)?;
-                    if v <= 0.0 || v > 1.0 {
-                        return Err(err(f, format!("out of range: must be in (0, 1], got {v}")));
-                    }
-                    v
-                },
-                mice_min_bytes: take_u64_in(&mut t, "mice_min_bytes", P, 1, MAX_MSG_BYTES)?,
-                mice_max_bytes: take_u64_in(&mut t, "mice_max_bytes", P, 1, MAX_MSG_BYTES)?,
-            };
-            if let Workload::Tenants {
+            let elephants = take_u64_in(&mut t, "elephants", P, 0, 16)?;
+            let elephant_bytes = take_u64_in(&mut t, "elephant_bytes", P, 1, MAX_MSG_BYTES)?;
+            let mice = take_u64_in(&mut t, "mice", P, 0, 16)?;
+            if elephants + mice == 0 {
+                return Err(err(field(P, "elephants"), "need at least one tenant"));
+            }
+            let mice_load = take_load(&mut t, "mice_load", P)?;
+            let (mice_min_bytes, mice_max_bytes) =
+                take_sizes(&mut t, "mice_min_bytes", "mice_max_bytes", P)?;
+            Workload::Tenants {
                 elephants,
+                elephant_bytes,
                 mice,
+                mice_load,
                 mice_min_bytes,
                 mice_max_bytes,
-                ..
-            } = &w
-            {
-                if elephants + mice == 0 {
-                    return Err(err(field(P, "elephants"), "need at least one tenant"));
-                }
-                if mice_min_bytes > mice_max_bytes {
-                    return Err(err(
-                        field(P, "mice_min_bytes"),
-                        format!("must be <= mice_max_bytes ({mice_max_bytes})"),
-                    ));
-                }
             }
-            w
         }
         "fanin" => Workload::Fanin {
             rounds: take_u64_in(&mut t, "rounds", P, 1, 1_000)?,
@@ -784,7 +841,7 @@ fn decode_workload(mut t: Table) -> Result<Workload, SchemaError> {
             return Err(err(
                 field(P, "kind"),
                 format!(
-                    "unknown workload `{other}` (expected periodic, single, tenants, or fanin)"
+                    "unknown workload `{other}` (expected periodic, single, poisson, tenants, or fanin)"
                 ),
             ));
         }
@@ -934,6 +991,7 @@ fn decode_asserts(mut t: Table) -> Result<Asserts, SchemaError> {
         }
     };
     let warmup_bins = take_opt_u64_in(&mut t, "warmup_bins", P, 0, 1_000_000)?.unwrap_or(0);
+    let fct_below_bytes = take_opt_u64_in(&mut t, "fct_below_bytes", P, 1, MAX_MSG_BYTES)?;
     let mut cells = Vec::new();
     if let Some(v) = t.remove("cells") {
         let ct = as_table(v, &field(P, "cells"))?;
@@ -964,6 +1022,7 @@ fn decode_asserts(mut t: Table) -> Result<Asserts, SchemaError> {
         corruption_accounting,
         window_us,
         warmup_bins,
+        fct_below_bytes,
         cells,
         digests,
     })
@@ -1054,7 +1113,7 @@ pub fn from_table(mut root: Table) -> Result<Scenario, SchemaError> {
     };
 
     let topology = decode_topology(take_table(&mut root, "topology", "")?)?;
-    let workload = decode_workload(take_table(&mut root, "workload", "")?)?;
+    let workload = decode_workload(take_table(&mut root, "workload", "")?, horizon_us)?;
 
     let mut faults = Vec::new();
     if let Some(v) = root.remove("fault") {
@@ -1100,12 +1159,18 @@ pub fn from_table(mut root: Table) -> Result<Scenario, SchemaError> {
 fn validate(s: &Scenario) -> Result<(), SchemaError> {
     for p in &s.protocols {
         if !s.topology.supports(*p) {
+            let (f, on) = match s.topology {
+                Topology::TwoPath { .. } => ("topology.strategy", "strategy `mtp-lb`".to_string()),
+                _ => (
+                    "scenario.protocols",
+                    format!("topology `{}`", s.topology.kind()),
+                ),
+            };
             return Err(err(
-                "scenario.protocols",
+                f,
                 format!(
-                    "protocol `{}` has no driver on topology `{}` (only mtp runs there)",
-                    p.key(),
-                    s.topology.kind()
+                    "protocol `{}` has no driver on {on} (only mtp runs there)",
+                    p.key()
                 ),
             ));
         }
@@ -1115,7 +1180,8 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
         (
             Topology::Diamond { .. } | Topology::TwoPath { .. },
             Workload::Periodic { .. } | Workload::Single { .. },
-        ) | (Topology::Dumbbell { .. }, Workload::Tenants { .. })
+        ) | (Topology::TwoPath { .. }, Workload::Poisson { .. })
+            | (Topology::Dumbbell { .. }, Workload::Tenants { .. })
             | (Topology::LeafSpine { .. }, Workload::Fanin { .. })
     );
     if !workload_ok {

@@ -72,6 +72,7 @@ pub fn to_toml(s: &Scenario) -> String {
         Topology::TwoPath {
             a,
             b,
+            host,
             strategy,
             goodput_bin_us,
         } => {
@@ -83,9 +84,13 @@ pub fn to_toml(s: &Scenario) -> String {
                 }
                 TwoPathStrategy::Ecmp => o.push_str("strategy = \"ecmp\"\n"),
                 TwoPathStrategy::Spray => o.push_str("strategy = \"spray\"\n"),
+                TwoPathStrategy::MtpLb => o.push_str("strategy = \"mtp-lb\"\n"),
             }
             emit_link(&mut o, "topology.a", a);
             emit_link(&mut o, "topology.b", b);
+            if let Some(host) = host {
+                emit_link(&mut o, "topology.host", host);
+            }
         }
         Topology::Dumbbell { edge, shared } => {
             emit_link(&mut o, "topology.edge", edge);
@@ -119,6 +124,17 @@ pub fn to_toml(s: &Scenario) -> String {
             o.push_str(&format!("interval_us = {interval_us}\n"));
         }
         Workload::Single { bytes } => o.push_str(&format!("bytes = {bytes}\n")),
+        Workload::Poisson {
+            load,
+            min_bytes,
+            max_bytes,
+            until_us,
+        } => {
+            o.push_str(&format!("load = {}\n", format_float(*load)));
+            o.push_str(&format!("min_bytes = {min_bytes}\n"));
+            o.push_str(&format!("max_bytes = {max_bytes}\n"));
+            o.push_str(&format!("until_us = {until_us}\n"));
+        }
         Workload::Tenants {
             elephants,
             elephant_bytes,
@@ -241,6 +257,9 @@ pub fn to_toml(s: &Scenario) -> String {
     }
     if s.asserts.warmup_bins != 0 {
         o.push_str(&format!("warmup_bins = {}\n", s.asserts.warmup_bins));
+    }
+    if let Some(v) = s.asserts.fct_below_bytes {
+        o.push_str(&format!("fct_below_bytes = {v}\n"));
     }
     for (p, c) in &s.asserts.cells {
         o.push_str(&format!("\n[assert.cells.{}]\n", p.key()));

@@ -1,4 +1,4 @@
-//! Golden replay: three corpus scenarios are byte-identical to a
+//! Golden replay: six corpus scenarios are byte-identical to a
 //! hand-written build-and-run of the same experiment.
 //!
 //! Each test spells the experiment out inline — its own endpoint nodes
@@ -9,9 +9,10 @@
 //! clean conservation audit, same engine digest. It also pins the digest
 //! recorded in the checked-in scenario file, so editing
 //! `scenarios/*.toml` out from under the reference fails here, not in CI
-//! archaeology. The failure and corruption studies exist only as
-//! scenarios; `fig5` is still a binary too, and its sequence here is
-//! that binary's.
+//! archaeology. Every experiment here exists only as a scenario; the
+//! Fig. 5 and Fig. 6 sequences are those of the retired `fig5` and
+//! `fig6` binaries, measurements included, so the reported numbers are
+//! the ones those binaries recorded.
 
 use std::path::Path;
 
@@ -28,8 +29,19 @@ use mtp_sim::{LinkFailMode, Node};
 use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
 use mtp_wire::EntityId;
 
-use mtp_bench::study::{mtp_periodic, tcp_periodic, us};
+use mtp_bench::study::{tcp_periodic, us};
 use mtp_net::Strategy;
+use mtp_wire::PathletId;
+use mtp_workload::{poisson_schedule, FctCollector, SizeDist};
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
+
+/// The failure studies' periodic workload as an MTP schedule.
+fn mtp_periodic(count: u64, bytes: u64, every_us: u64) -> Vec<ScheduledMsg> {
+    (0..count)
+        .map(|i| ScheduledMsg::new(us(every_us * i), bytes as u32))
+        .collect()
+}
 
 /// An MTP sender/sink pair, spelled out: client 1 to server 2, entity 0,
 /// message ids from 2^40, each SACK block repeated in `sack_redundancy`
@@ -326,14 +338,141 @@ fn fig5_scenario_is_byte_identical_to_figure_binary() {
     assert_eq!(tcp_cell.result.digest, tcp_digest);
     assert_eq!(pinned_digest(&s, "tcp-dctcp", 5), tcp_digest);
 
-    // The scenario's goodput means are the figure's means: same series,
-    // same 31-bin warmup.
+    // The scenario reports the figure's numbers: the same series, its
+    // mean after the same 31-bin warmup, and the same recovery time.
     let mean = |series: &[f64]| {
         let tail = &series[31.min(series.len())..];
         tail.iter().sum::<f64>() / tail.len() as f64
     };
-    assert_eq!(mtp_cell.result.goodput_mean_gbps, Some(mean(&mtp_series)));
-    assert_eq!(tcp_cell.result.goodput_mean_gbps, Some(mean(&tcp_series)));
-    // And the figure's headline stands: MTP beats DCTCP across the flips.
+    for (cell, series) in [(&mtp_cell, &mtp_series), (&tcp_cell, &tcp_series)] {
+        let r = &cell.result;
+        assert_eq!(r.goodput_series_gbps.as_ref(), Some(series));
+        assert_eq!(r.goodput_mean_gbps, Some(mean(series)));
+        assert_eq!(r.recovery_us, Some(fig5_recovery_us(series)));
+    }
+    // And the figure's headline stands: MTP beats DCTCP across the flips
+    // and recovers faster after each one.
     assert!(mean(&mtp_series) > mean(&tcp_series));
+    assert!(fig5_recovery_us(&mtp_series) < fig5_recovery_us(&tcp_series));
+}
+
+/// fig5's convergence rule, verbatim: the mean time from the start of
+/// each return to the 100 Gbps path until goodput first reaches 80 Gbps;
+/// a phase with no recovery counts as the full phase.
+fn fig5_recovery_us(series: &[f64]) -> f64 {
+    let bins_per_phase = 12; // 384 us / 32 us
+    let mut recoveries = Vec::new();
+    let mut phase_start = 0usize;
+    while phase_start + bins_per_phase <= series.len() {
+        let is_fast_phase = (phase_start / bins_per_phase).is_multiple_of(2);
+        if is_fast_phase && phase_start > 0 {
+            let recover_bins = series[phase_start..phase_start + bins_per_phase]
+                .iter()
+                .position(|&r| r >= 80.0)
+                .unwrap_or(bins_per_phase);
+            recoveries.push(recover_bins as f64 * 32.0);
+        }
+        phase_start += bins_per_phase;
+    }
+    recoveries.iter().sum::<f64>() / recoveries.len().max(1) as f64
+}
+
+// ------------------------------------------------------------- fig6
+
+/// fig6's build sequence, verbatim, behind `forward`, checked against
+/// the scenario file that names the same balancer: engine digest,
+/// exactly-once ledger, and the numbers fig6 recorded (small-message
+/// p50/p99, completions, retransmissions, forward-path bytes).
+fn fig6_matches_inline_reference(file: &str, forward: Strategy) {
+    let s = load_scenario(file);
+
+    // Arrivals: seed 6, the 10 KB-1 GB mix at 70 % of 200 Gbps for
+    // 20 ms, priority = size class.
+    let mut rng = SmallRng::seed_from_u64(6);
+    let schedule = poisson_schedule(
+        &mut rng,
+        &SizeDist::fig6_mix(),
+        Bandwidth::from_gbps(200),
+        0.7,
+        Time::ZERO,
+        Duration::from_millis(20),
+        None,
+    )
+    .into_iter()
+    .map(|(t, b)| {
+        let mut m = ScheduledMsg::new(t, b as u32);
+        m.pri = (64 - b.leading_zeros()) as u8;
+        m
+    })
+    .collect();
+    let mut d = parallel_paths(
+        6,
+        mtp_ends(
+            MtpConfig::default(),
+            schedule,
+            Duration::from_micros(100),
+            1,
+        ),
+        ParallelSpec {
+            a: LinkSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(1)),
+            b: LinkSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(2)),
+            host: LinkSpec::new(Bandwidth::from_gbps(200), Duration::from_micros(1)),
+            forward,
+            reverse: Strategy::Fixed,
+        },
+    );
+    d.sim.run_until(Time::ZERO + Duration::from_millis(80));
+    assert!(d.sim.audit().ok(), "reference run fails conservation");
+    let ledger = Ledger::capture(&d.sim, &[d.sender], d.sink);
+    let sender = d.sim.node_as::<MtpSenderNode>(d.sender);
+    let records: Vec<(Time, Option<Time>)> = sender
+        .msgs
+        .iter()
+        .map(|m| (m.submitted, m.completed))
+        .collect();
+    let digest = engine_digest(&d.sim, &records);
+    let mut fct = FctCollector::new();
+    for m in &sender.msgs {
+        if let Some(f) = m.fct() {
+            fct.record(m.bytes as u64, f);
+        }
+    }
+    let small = fct.summary_for_sizes(0, 100 * 1024);
+
+    let cell = execute_cell(&s, Protocol::Mtp, 6);
+    let r = &cell.result;
+    assert_eq!(
+        r.violations,
+        Vec::<String>::new(),
+        "scenario cell must pass"
+    );
+    assert_eq!(r.digest, digest, "engine digest diverged");
+    assert_eq!(cell.ledger.as_ref(), Some(&ledger), "ledger diverged");
+    assert_eq!(pinned_digest(&s, "mtp", 6), digest);
+    assert_eq!(
+        (r.p50_us, r.p99_us),
+        (Some(small.p50_us), Some(small.p99_us))
+    );
+    assert_eq!(r.completed as usize, fct.samples.len());
+    assert_eq!(r.retransmissions, sender.sender.stats.retransmissions);
+    let tx = |l| d.sim.link_stats(l).tx_bytes;
+    assert_eq!(r.path_tx_bytes, Some([tx(d.a_fwd), tx(d.b_fwd)]));
+}
+
+#[test]
+fn fig6_ecmp_scenario_is_byte_identical_to_figure_binary() {
+    fig6_matches_inline_reference("fig6_ecmp.toml", Strategy::Ecmp);
+}
+
+#[test]
+fn fig6_spray_scenario_is_byte_identical_to_figure_binary() {
+    fig6_matches_inline_reference("fig6_spray.toml", Strategy::Spray { next: 0 });
+}
+
+#[test]
+fn fig6_mtp_lb_scenario_is_byte_identical_to_figure_binary() {
+    fig6_matches_inline_reference(
+        "fig6_mtp_lb.toml",
+        Strategy::mtp_lb(2, vec![Some(PathletId(1)), Some(PathletId(2))]),
+    );
 }

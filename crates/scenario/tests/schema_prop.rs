@@ -62,12 +62,14 @@ fn arb_topology(rng: &mut SmallRng) -> Topology {
         1 => Topology::TwoPath {
             a: arb_link(rng),
             b: arb_link(rng),
-            strategy: match rng.gen_range(0..3) {
+            host: rng.gen_bool(0.5).then(|| arb_link(rng)),
+            strategy: match rng.gen_range(0..4) {
                 0 => TwoPathStrategy::Alternate {
                     period_us: rng.gen_range(1..=10_000_000),
                 },
                 1 => TwoPathStrategy::Ecmp,
-                _ => TwoPathStrategy::Spray,
+                2 => TwoPathStrategy::Spray,
+                _ => TwoPathStrategy::MtpLb,
             },
             goodput_bin_us: rng.gen_range(1..=1_000_000),
         },
@@ -85,8 +87,17 @@ fn arb_topology(rng: &mut SmallRng) -> Topology {
     }
 }
 
-fn arb_workload(rng: &mut SmallRng, topo: &Topology) -> Workload {
+fn arb_workload(rng: &mut SmallRng, topo: &Topology, horizon_us: u64) -> Workload {
     match topo {
+        Topology::TwoPath { .. } if rng.gen_bool(0.3) => {
+            let min = rng.gen_range(1..=u32::MAX as u64);
+            Workload::Poisson {
+                load: rng.gen_range(1..=100) as f64 / 100.0,
+                min_bytes: min,
+                max_bytes: rng.gen_range(min..=u32::MAX as u64),
+                until_us: rng.gen_range(1..=horizon_us),
+            }
+        }
         Topology::Diamond { .. } | Topology::TwoPath { .. } => {
             if rng.gen_bool(0.5) {
                 Workload::Periodic {
@@ -238,7 +249,7 @@ fn arb_scenario(rng: &mut SmallRng) -> Scenario {
         next += rng.gen_range(1..=100u64);
     }
 
-    let workload = arb_workload(rng, &topology);
+    let workload = arb_workload(rng, &topology, horizon_us);
     let faults: Vec<FaultSpec> = (0..rng.gen_range(0..=3))
         .filter_map(|_| arb_fault(rng, &topology, horizon_us))
         .collect();
@@ -281,6 +292,9 @@ fn arb_scenario(rng: &mut SmallRng) -> Scenario {
                 && rng.gen_bool(0.3),
             window_us,
             warmup_bins: rng.gen_range(0..=1000),
+            fct_below_bytes: rng
+                .gen_bool(0.3)
+                .then(|| rng.gen_range(1..=u32::MAX as u64)),
             cells,
             digests,
         },
@@ -535,4 +549,82 @@ corruption_accounting = true
 "#;
     let e = schema_err(doc);
     assert_eq!(e.field, "assert.corruption_accounting");
+}
+
+// ------------------------------------------- two-path Poisson (Fig. 6)
+
+const HEAD: &str =
+    "[scenario]\nname = \"lb\"\nseeds = [1]\nhorizon_us = 1000\nprotocols = [\"mtp\"]\n";
+const TWO_PATH: &str = "[topology]\nkind = \"two-path\"\nstrategy = \"mtp-lb\"\n\
+    [topology.a]\nrate_gbps = 10\ndelay_us = 1\n[topology.b]\nrate_gbps = 10\ndelay_us = 2\n";
+const HOST: &str = "[topology.host]\nrate_gbps = 20\ndelay_us = 1\n";
+const POISSON: &str = "[workload]\nkind = \"poisson\"\nload = 0.5\n\
+    min_bytes = 1000\nmax_bytes = 100000\nuntil_us = 500\n";
+const FCT_BELOW: &str = "[assert]\nfct_below_bytes = 10000\n";
+
+/// The three shapes that take neither Poisson traffic nor a host link.
+const OTHER_TOPOLOGIES: [&str; 3] = [
+    "[topology]\nkind = \"diamond\"\n[topology.path]\nrate_gbps = 10\ndelay_us = 5\n",
+    "[topology]\nkind = \"dumbbell\"\n[topology.edge]\nrate_gbps = 10\ndelay_us = 2\n\
+     [topology.shared]\nrate_gbps = 40\ndelay_us = 5\n",
+    "[topology]\nkind = \"leaf-spine\"\nleaves = 2\nspines = 2\nhosts_per_leaf = 2\n\
+     [topology.host_link]\nrate_gbps = 10\ndelay_us = 1\n\
+     [topology.spine_link]\nrate_gbps = 10\ndelay_us = 1\n",
+];
+
+fn fig6_like() -> String {
+    [HEAD, TWO_PATH, HOST, POISSON, FCT_BELOW].concat()
+}
+
+#[test]
+fn fig6_like_document_is_valid_and_roundtrips() {
+    let s = from_str(&fig6_like()).expect("fig6-like document decodes");
+    assert_eq!(s.asserts.fct_below_bytes, Some(10_000));
+    assert_eq!(from_str(&to_toml(&s)).expect("re-decode"), s);
+}
+
+#[test]
+fn mtp_lb_refuses_tcp() {
+    let doc = fig6_like().replace("[\"mtp\"]", "[\"mtp\", \"tcp-dctcp\"]");
+    let e = schema_err(&doc);
+    assert_eq!(e.field, "topology.strategy");
+    assert!(e.msg.contains("tcp-dctcp"), "msg: {}", e.msg);
+}
+
+#[test]
+fn poisson_runs_only_on_two_path() {
+    for topo in OTHER_TOPOLOGIES {
+        let e = schema_err(&[HEAD, topo, POISSON].concat());
+        assert_eq!(e.field, "workload.kind", "{topo}");
+        assert!(e.msg.contains("poisson"), "msg: {}", e.msg);
+    }
+}
+
+#[test]
+fn poisson_arrivals_end_by_the_horizon() {
+    let e = schema_err(&fig6_like().replace("until_us = 500", "until_us = 1001"));
+    assert_eq!(e.field, "workload.until_us");
+    assert!(e.msg.contains("1..=1000"), "msg: {}", e.msg);
+}
+
+#[test]
+fn poisson_size_range_must_be_ordered() {
+    let e = schema_err(&fig6_like().replace("min_bytes = 1000", "min_bytes = 200000"));
+    assert_eq!(e.field, "workload.min_bytes");
+    assert!(e.msg.contains("max_bytes"), "msg: {}", e.msg);
+}
+
+#[test]
+fn host_link_is_two_path_only() {
+    for topo in OTHER_TOPOLOGIES {
+        let e = schema_err(&[HEAD, topo, HOST, POISSON].concat());
+        assert_eq!(e.field, "topology.host", "{topo}");
+    }
+}
+
+#[test]
+fn fct_below_bytes_must_be_positive() {
+    let e = schema_err(&fig6_like().replace("fct_below_bytes = 10000", "fct_below_bytes = 0"));
+    assert_eq!(e.field, "assert.fct_below_bytes");
+    assert!(e.msg.contains("out of range"), "msg: {}", e.msg);
 }

@@ -149,6 +149,10 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 100.0);
         assert_eq!(percentile(&v, 50.0), 51.0); // nearest rank on 0..99
         assert_eq!(percentile(&[], 99.0), 0.0);
+        // round(p·(n−1)) on a short, unsorted series: rank 2 and rank 4.
+        let s = [5.0, 1.0, 4.0, 2.0, 3.0];
+        assert_eq!(percentile(&s, 50.0), 3.0);
+        assert_eq!(percentile(&s, 99.0), 5.0);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! * [`mod@bench`] — experiment topologies and the per-figure harness.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, and the `mtp-bench`
-//! binaries (`table1`, `fig2`, `fig3`, `fig5`, `fig6`, `fig7`,
-//! `ablations`) to regenerate every table and figure of the paper.
+//! binaries (`table1`, `fig2`, `fig3`, `fig7`, `ablations`) plus the
+//! `scenarios/fig5_*` and `scenarios/fig6_*` files (run by `mtp-scenario`'s
+//! `scn`) to regenerate every table and figure of the paper.
 
 #![forbid(unsafe_code)]
 
