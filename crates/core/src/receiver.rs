@@ -6,6 +6,13 @@
 //! list back to the sender (paper §3.1.1: the receiver "copies this list to
 //! the ACK Path Feedback list").
 //!
+//! MTP acknowledges `(message, packet)` pairs as lists, so nothing ties one
+//! ACK to one packet. [`MtpReceiver::ack_into`] acknowledges a packet into
+//! the ACK its caller is building: the simulator, which delivers one packet
+//! per event, starts a new ACK for each ([`MtpReceiver::on_data`]); the
+//! wire listener, whose socket drain delivers tens of frames at once, keeps
+//! one ACK open across the drain while the packets' echoed feedback agrees.
+//!
 //! Two properties of the MTP design make the receiver cheap:
 //!
 //! * messages start at packet 0 and carry their total length in every
@@ -112,7 +119,7 @@ impl InMsg {
 }
 
 /// Counters kept by a receiver.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MtpReceiverStats {
     /// Data packets processed (including duplicates and trimmed headers).
     pub pkts_seen: u64,
@@ -186,8 +193,8 @@ pub struct MtpReceiver {
     events: Vec<MsgDelivered>,
     /// Payload bytes of incomplete messages currently held.
     buffered: u64,
-    /// Total SACK entries per ACK, counting the fresh one (min 1). Above
-    /// 1, each ACK re-echoes the most recent receptions, so the loss of
+    /// SACK entries per ACK of one packet, counting the fresh one (min 1).
+    /// Above 1, each ACK re-echoes the most recent receptions, so the loss of
     /// any single ACK no longer strands its packet at the sender until an
     /// RTO — the same redundancy TCP gets from overlapping SACK blocks.
     sack_redundancy: usize,
@@ -225,8 +232,9 @@ impl MtpReceiver {
     }
 
     /// Echo up to `k - 1` recent receptions in every ACK in addition to
-    /// the fresh SACK (so `k` entries total). `k = 1` (the default) is
-    /// the plain one-packet-per-ACK behavior. Turn this up on topologies
+    /// the fresh SACK (so `k` entries total in an ACK of one packet; an
+    /// ACK that packets join echoes them once). `k = 1` (the default) is
+    /// the plain one-SACK-per-packet behavior. Turn this up on topologies
     /// where the reverse path can lose ACKs — e.g. sprayed ACK fan-out
     /// with a failed return path — so a dropped ACK is covered by its
     /// successors instead of costing the sender a full RTO.
@@ -357,17 +365,64 @@ impl MtpReceiver {
         self.buffered
     }
 
-    /// Process a data packet; returns the ACK to transmit (every data
-    /// packet is acknowledged immediately) and the number of new payload
-    /// bytes it contributed.
+    /// Process a data packet; returns an ACK of its own (the packet is
+    /// acknowledged at once, by an ACK no other packet shares) and the
+    /// number of new payload bytes it contributed. [`ack_into`](Self::ack_into)
+    /// on a fresh header, wrapped in a [`Packet`].
     pub fn on_data(&mut self, now: Time, hdr: &MtpHeader, ecn: EcnCodepoint) -> (Packet, u64) {
+        // The pooled header's retained Vec capacities are the reusable
+        // buffers: SACK/NACK/feedback entries are written straight into
+        // the ACK being built, so steady state performs no allocation.
+        let mut ack_hdr = mtp_sim::pool::take_header();
+        let newly = self
+            .ack_into(now, hdr, ecn, &mut ack_hdr)
+            .expect("a reset header starts a new ACK");
+        let wire = ack_hdr.wire_len() as u32;
+        let mut ack = Packet::new(Headers::Mtp(ack_hdr), wire);
+        ack.sent_at = now;
+        ack.ecn = EcnCodepoint::NotEct;
+        (ack, newly)
+    }
+
+    /// Process a data packet, acknowledging it into `ack`, the ACK the
+    /// caller is building; returns the number of new payload bytes it
+    /// contributed.
+    ///
+    /// A reset header ([`MtpHeader::reset`], or a default one) starts a new
+    /// ACK: its fixed fields, the echoed path feedback, the packet's SACK,
+    /// the redundancy echoes of recent receptions and its gap NACKs. An
+    /// ACK already started (`pkt_type` is `Ack`) takes only the packet's
+    /// SACK and its NACKs.
+    ///
+    /// A packet joins a started ACK only if the ACK stays what one ACK per
+    /// packet would have told the sender: it echoes the same path feedback
+    /// (same pathlet, same CE mark), both lists stay within 255 entries,
+    /// and its SACK answers no NACK the ACK already carries (a sender reads
+    /// an ACK's SACKs before its NACKs, so that NACK would then repair
+    /// nothing). Otherwise this returns `None` having changed nothing, and
+    /// the caller sends `ack` and retries on a reset header.
+    pub fn ack_into(
+        &mut self,
+        now: Time,
+        hdr: &MtpHeader,
+        ecn: EcnCodepoint,
+        ack: &mut MtpHeader,
+    ) -> Option<u64> {
         debug_assert_eq!(hdr.pkt_type, PktType::Data);
+        let id = hdr.msg_id;
+        let found = self.cell_of(id).map(|c| self.map[c] as usize - 1);
+        // A message with no record yet (or any more) goes by this header.
+        let len_pkts = found.map_or(hdr.msg_len_pkts, |s| self.msgs[s].len_pkts);
+        let pkt_num = hdr.pkt_num.0.min(len_pkts.saturating_sub(1));
+        let joining = ack.pkt_type == PktType::Ack;
+        if joining && !self.may_join(hdr, ecn.is_ce(), found, pkt_num, ack) {
+            return None;
+        }
         self.stats.pkts_seen += 1;
         let trimmed = hdr.is_trimmed();
-        let id = hdr.msg_id;
         // A completed message keeps no record (`None`): its id alone says
         // this is a late copy, acknowledged as its record would have been.
-        let slot = match self.cell_of(id).map(|c| self.map[c] as usize - 1) {
+        let slot = match found {
             None if self.completed.contains(id.0) => None,
             None => {
                 let bitmap = Bitmap::for_pkts(hdr.msg_len_pkts, &mut self.spare_bitmaps);
@@ -388,12 +443,7 @@ impl MtpReceiver {
             slot => slot,
         };
 
-        let len_pkts = slot.map_or(hdr.msg_len_pkts, |s| self.msgs[s].len_pkts);
-        let pkt_num = hdr.pkt_num.0.min(len_pkts.saturating_sub(1));
-        // The pooled header's retained Vec capacities are the reusable
-        // buffers: SACK/NACK/feedback entries are written straight into
-        // the ACK being built, so steady state performs no allocation.
-        let mut ack_hdr = mtp_sim::pool::take_header();
+        let nacks_before = ack.nack.len();
         let mut newly = 0u64;
         let mut complete = false;
 
@@ -402,7 +452,7 @@ impl MtpReceiver {
             // without waiting for an RTO.
             self.stats.trimmed += 1;
             if slot.is_some_and(|s| !self.msgs[s].test(pkt_num)) {
-                ack_hdr.nack.push(SackEntry {
+                ack.nack.push(SackEntry {
                     msg: id,
                     pkt: PktNum(pkt_num),
                 });
@@ -432,23 +482,19 @@ impl MtpReceiver {
                 }
                 _ => self.stats.duplicates += 1,
             }
-            ack_hdr.sack.push(SackEntry {
+            let fresh = SackEntry {
                 msg: id,
                 pkt: PktNum(pkt_num),
-            });
+            };
+            ack.sack.push(fresh);
             // Redundant echo of recent receptions (possibly of other
             // messages): a lost ACK is then covered by the next few ACKs
             // instead of stranding its packet until the sender's RTO. The
-            // sender treats SACKs idempotently, so repeats are free.
+            // sender treats SACKs idempotently, so repeats are free. An
+            // ACK echoes them once, when it starts.
             if self.sack_redundancy > 1 {
-                let fresh = SackEntry {
-                    msg: id,
-                    pkt: PktNum(pkt_num),
-                };
-                for e in &self.recent {
-                    if *e != fresh {
-                        ack_hdr.sack.push(*e);
-                    }
+                if !joining {
+                    ack.sack.extend(self.recent.iter().filter(|&&e| e != fresh));
                 }
                 if self.recent.len() < self.sack_redundancy - 1 {
                     self.recent.push(fresh);
@@ -469,8 +515,8 @@ impl MtpReceiver {
             if pkt_num > expected {
                 let from = expected.max(msg.nacked_below);
                 for missing in from..pkt_num {
-                    if !msg.test(missing) && ack_hdr.nack.len() < 255 {
-                        ack_hdr.nack.push(SackEntry {
+                    if !msg.test(missing) && ack.nack.len() < 255 {
+                        ack.nack.push(SackEntry {
                             msg: id,
                             pkt: PktNum(missing),
                         });
@@ -486,38 +532,80 @@ impl MtpReceiver {
             }
             self.completed.insert(id.0);
         }
-        self.stats.nacks_sent += ack_hdr.nack.len() as u64;
+        self.stats.nacks_sent += (ack.nack.len() - nacks_before) as u64;
+        if joining {
+            return Some(newly);
+        }
 
-        // Echo the path feedback, upgrading with the IP-level CE mark: if a
-        // non-MTP-aware queue marked the packet, attribute the mark to the
-        // stamped pathlets (or to the default pathlet if none stamped).
-        Self::echo_feedback_into(hdr, ecn.is_ce(), &mut ack_hdr.ack_path_feedback);
-
-        ack_hdr.src_port = self.addr;
-        ack_hdr.dst_port = hdr.src_port;
-        ack_hdr.pkt_type = PktType::Ack;
-        ack_hdr.msg_pri = hdr.msg_pri;
-        ack_hdr.tc = hdr.tc;
-        ack_hdr.flags = 0;
-        ack_hdr.msg_id = id;
-        ack_hdr.entity = hdr.entity;
-        ack_hdr.msg_len_pkts = hdr.msg_len_pkts;
-        ack_hdr.msg_len_bytes = hdr.msg_len_bytes;
-        ack_hdr.pkt_num = hdr.pkt_num;
-        ack_hdr.pkt_len = 0;
-        ack_hdr.pkt_offset = hdr.pkt_offset;
-        let wire = ack_hdr.wire_len() as u32;
-        let mut ack = Packet::new(Headers::Mtp(ack_hdr), wire);
-        ack.sent_at = now;
-        ack.ecn = EcnCodepoint::NotEct;
-        (ack, newly)
+        debug_assert!(ack.ack_path_feedback.is_empty());
+        Self::echo_feedback(hdr, ecn.is_ce(), |e| ack.ack_path_feedback.push(e));
+        ack.src_port = self.addr;
+        ack.dst_port = hdr.src_port;
+        ack.pkt_type = PktType::Ack;
+        ack.msg_pri = hdr.msg_pri;
+        ack.tc = hdr.tc;
+        ack.flags = 0;
+        ack.msg_id = id;
+        ack.entity = hdr.entity;
+        ack.msg_len_pkts = hdr.msg_len_pkts;
+        ack.msg_len_bytes = hdr.msg_len_bytes;
+        ack.pkt_num = hdr.pkt_num;
+        ack.pkt_len = 0;
+        ack.pkt_offset = hdr.pkt_offset;
+        Some(newly)
     }
 
-    /// Copy `hdr`'s accumulated path feedback into `out` (assumed empty),
-    /// upgrading/synthesizing ECN marks as [`on_data`](Self::on_data)
-    /// describes.
-    fn echo_feedback_into(hdr: &MtpHeader, ce: bool, out: &mut Vec<PathFeedback>) {
-        debug_assert!(out.is_empty());
+    /// Whether `hdr`, packet `pkt_num` of the message in slot `found`,
+    /// may join the started `ack` (see [`ack_into`](Self::ack_into)).
+    /// Reads receiver state, changes none. The NACK count is an upper
+    /// bound: every packet a gap skips, as if none had arrived.
+    fn may_join(
+        &self,
+        hdr: &MtpHeader,
+        ce: bool,
+        found: Option<usize>,
+        pkt_num: u32,
+        ack: &MtpHeader,
+    ) -> bool {
+        let trimmed = hdr.is_trimmed();
+        let msg = found.map(|s| &self.msgs[s]);
+        // A completed message's copy is never NACKed; a new one's record
+        // starts with nothing seen.
+        let nacks = if found.is_none() && self.completed.contains(hdr.msg_id.0) {
+            0
+        } else {
+            let skipped = match msg {
+                _ if hdr.is_retx() => 0,
+                Some(m) => {
+                    pkt_num.saturating_sub(m.max_seen.map_or(0, |x| x + 1).max(m.nacked_below))
+                }
+                None => pkt_num,
+            };
+            usize::from(trimmed) + skipped as usize
+        };
+        let fresh = SackEntry {
+            msg: hdr.msg_id,
+            pkt: PktNum(pkt_num),
+        };
+        ack.sack.len() + usize::from(!trimmed) <= 255
+            && ack.nack.len() + nacks <= 255
+            && (trimmed || !ack.nack.contains(&fresh))
+            && Self::echoes(hdr, ce, &ack.ack_path_feedback)
+    }
+
+    /// `hdr`'s accumulated path feedback as an ACK echoes it, entry by
+    /// entry into `emit` (at most 255), upgraded with the IP-level CE
+    /// mark: if a non-MTP-aware queue marked the packet, the mark is
+    /// attributed to the stamped pathlets (or to the default pathlet if
+    /// none stamped).
+    fn echo_feedback(hdr: &MtpHeader, ce: bool, mut emit: impl FnMut(PathFeedback)) {
+        let mut n = 0;
+        let mut push = |e| {
+            if n < 255 {
+                n += 1;
+                emit(e);
+            }
+        };
         let mut has_mark_entry = false;
         for fb in &hdr.path_feedback {
             let mut e = *fb;
@@ -525,32 +613,38 @@ impl MtpReceiver {
                 has_mark_entry = true;
                 e.feedback = Feedback::EcnMark { ce: stamped || ce };
             }
-            out.push(e);
+            push(e);
         }
         if ce && !has_mark_entry {
-            let (path, tc) = out
+            let (path, tc) = hdr
+                .path_feedback
                 .first()
-                .map(|e| (e.path, e.tc))
-                .unwrap_or((DEFAULT_PATHLET, hdr.tc));
-            out.push(PathFeedback {
+                .map_or((DEFAULT_PATHLET, hdr.tc), |e| (e.path, e.tc));
+            push(PathFeedback {
                 path,
                 tc,
                 feedback: Feedback::EcnMark { ce: true },
             });
-        }
-        if out.is_empty() {
+        } else if hdr.path_feedback.is_empty() {
             // No MTP-aware device stamped anything: report the whole network
             // as the default pathlet, unmarked, so the sender's window can
             // grow on clean ACKs.
-            out.push(PathFeedback {
+            push(PathFeedback {
                 path: DEFAULT_PATHLET,
                 tc: hdr.tc,
                 feedback: Feedback::EcnMark { ce: false },
             });
         }
-        if out.len() > 255 {
-            out.truncate(255);
-        }
+    }
+
+    /// Whether `echo` is exactly what an ACK of `hdr` echoes.
+    fn echoes(hdr: &MtpHeader, ce: bool, echo: &[PathFeedback]) -> bool {
+        let (mut n, mut same) = (0, true);
+        Self::echo_feedback(hdr, ce, |e| {
+            same &= echo.get(n) == Some(&e);
+            n += 1;
+        });
+        same && n == echo.len()
     }
 }
 
@@ -774,6 +868,145 @@ mod tests {
             "mark attributed to the stamped pathlet"
         );
         assert_eq!(fb[1].feedback, Feedback::EcnMark { ce: true });
+    }
+
+    /// Packet `pkt` of a 300-packet message 5, stamped as the wire
+    /// listener stamps it: the pathlet it arrived on and its CE mark.
+    fn stamped(pkt: u32, path: u16, ce: bool) -> MtpHeader {
+        let mut h = data(5, pkt, 300, 1000);
+        h.path_feedback = vec![PathFeedback {
+            path: PathletId(path),
+            tc: TrafficClass::BEST_EFFORT,
+            feedback: Feedback::EcnMark { ce },
+        }];
+        h
+    }
+
+    /// What a refusal must leave as it was.
+    fn footprint(r: &MtpReceiver) -> (MtpReceiverStats, usize, usize) {
+        (r.stats, r.resident(), r.in_reassembly())
+    }
+
+    /// An ACK started by packet 0 and joined by packets `1..n`.
+    fn ack_of_run(r: &mut MtpReceiver, n: u32) -> MtpHeader {
+        let mut ack = MtpHeader::default();
+        for pkt in 0..n {
+            let h = stamped(pkt, 1, false);
+            assert_eq!(
+                r.ack_into(Time::ZERO, &h, EcnCodepoint::Ect0, &mut ack),
+                Some(1000)
+            );
+        }
+        ack
+    }
+
+    #[test]
+    fn a_run_of_packets_shares_one_ack() {
+        let mut r = MtpReceiver::new(2).with_sack_redundancy(8);
+        r.on_data(Time::ZERO, &data(9, 0, 1, 10), EcnCodepoint::Ect0);
+        let ack = ack_of_run(&mut r, 4);
+        // The recent reception is echoed once, by the packet that started
+        // the ACK; the fixed fields are that packet's.
+        let sacks: Vec<_> = ack.sack.iter().map(|e| (e.msg.0, e.pkt.0)).collect();
+        assert_eq!(sacks, [(5, 0), (9, 0), (5, 1), (5, 2), (5, 3)]);
+        assert_eq!(
+            (ack.pkt_type, ack.pkt_num, ack.dst_port),
+            (PktType::Ack, PktNum(0), 1)
+        );
+        assert_eq!(ack.ack_path_feedback.len(), 1);
+        // A gap NACKs into the open ACK too, and is counted once.
+        let mut ack = ack;
+        r.ack_into(
+            Time::ZERO,
+            &stamped(6, 1, false),
+            EcnCodepoint::Ect0,
+            &mut ack,
+        );
+        let nacks: Vec<_> = ack.nack.iter().map(|e| e.pkt.0).collect();
+        assert_eq!((nacks, r.stats.nacks_sent), (vec![4, 5], 2));
+    }
+
+    #[test]
+    fn ack_into_refuses_another_pathlet_untouched() {
+        let mut r = MtpReceiver::new(2);
+        let mut ack = ack_of_run(&mut r, 2);
+        let (before, sealed) = (footprint(&r), ack.clone());
+        let other = stamped(2, 3, false);
+        assert_eq!(
+            r.ack_into(Time::ZERO, &other, EcnCodepoint::Ect0, &mut ack),
+            None
+        );
+        assert_eq!((footprint(&r), &ack), (before, &sealed));
+        // A fresh ACK takes it.
+        let mut fresh = MtpHeader::default();
+        assert_eq!(
+            r.ack_into(Time::ZERO, &other, EcnCodepoint::Ect0, &mut fresh),
+            Some(1000)
+        );
+        assert_eq!(fresh.ack_path_feedback[0].path, PathletId(3));
+    }
+
+    #[test]
+    fn ack_into_refuses_a_ce_mark_into_an_unmarked_ack() {
+        let mut r = MtpReceiver::new(2);
+        let mut ack = ack_of_run(&mut r, 2);
+        let before = footprint(&r);
+        // Stamped CE by the last hop, or marked CE at the IP level.
+        let marked = stamped(2, 1, true);
+        assert_eq!(
+            r.ack_into(Time::ZERO, &marked, EcnCodepoint::Ect0, &mut ack),
+            None
+        );
+        let plain = stamped(2, 1, false);
+        assert_eq!(
+            r.ack_into(Time::ZERO, &plain, EcnCodepoint::Ce, &mut ack),
+            None
+        );
+        assert_eq!((footprint(&r), ack.sack.len()), (before, 2));
+    }
+
+    #[test]
+    fn ack_into_refuses_a_full_sack_list() {
+        let mut r = MtpReceiver::new(2);
+        let mut ack = ack_of_run(&mut r, 255);
+        assert_eq!(ack.sack.len(), 255);
+        let before = footprint(&r);
+        let next = stamped(255, 1, false);
+        assert_eq!(
+            r.ack_into(Time::ZERO, &next, EcnCodepoint::Ect0, &mut ack),
+            None
+        );
+        assert_eq!((footprint(&r), ack.sack.len()), (before, 255));
+        // A trimmed header adds no SACK, only its NACK: it still joins.
+        let mut trimmed = next;
+        trimmed.flags |= flags::TRIMMED;
+        assert_eq!(
+            r.ack_into(Time::ZERO, &trimmed, EcnCodepoint::Ect0, &mut ack),
+            Some(0)
+        );
+        assert_eq!((ack.sack.len(), ack.nack.len()), (255, 1));
+    }
+
+    #[test]
+    fn ack_into_refuses_a_sack_answering_its_own_nack() {
+        let mut r = MtpReceiver::new(2);
+        let mut ack = ack_of_run(&mut r, 1);
+        r.ack_into(
+            Time::ZERO,
+            &stamped(2, 1, false),
+            EcnCodepoint::Ect0,
+            &mut ack,
+        );
+        assert_eq!(ack.nack.len(), 1, "packet 1 proven lost");
+        // Its repair in the same ACK would be read before the NACK.
+        let before = footprint(&r);
+        let mut repair = stamped(1, 1, false);
+        repair.flags |= flags::RETX;
+        assert_eq!(
+            r.ack_into(Time::ZERO, &repair, EcnCodepoint::Ect0, &mut ack),
+            None
+        );
+        assert_eq!(footprint(&r), before);
     }
 
     #[test]

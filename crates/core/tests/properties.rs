@@ -510,6 +510,279 @@ fn run_receiver_model(seed: u64, window: u64, steps: usize) -> Result<u64, Strin
     Ok(stragglers)
 }
 
+/// A sender with every packet of messages of `sizes` bytes in flight (a
+/// window nothing fills), and those packets' headers.
+fn sender_in_flight(sizes: &[u32]) -> (MtpSender, Vec<MtpHeader>) {
+    let cfg = MtpConfig {
+        cc: CcKind::Fixed { window: 1 << 28 },
+        ..MtpConfig::default()
+    };
+    let mut s = MtpSender::new(cfg, 1, EntityId(0), 500);
+    let mut out = Vec::new();
+    for &bytes in sizes {
+        s.send_message(2, bytes, 0, TrafficClass::BEST_EFFORT, Time::ZERO, &mut out);
+    }
+    let sent = out
+        .iter()
+        .map(|p| p.headers.as_mtp().expect("data").clone());
+    (s, sent.collect())
+}
+
+/// What a sender does with `acks`: the packets it retransmits on their
+/// NACKs, the messages it completes, and — asked at the end to repair
+/// every packet in `sent` — the packets no ACK acknowledged. Each sorted.
+type SenderVerdict = (Vec<(u64, u32)>, Vec<u64>, Vec<(u64, u32)>);
+
+fn sender_verdict(mut s: MtpSender, sent: &[MtpHeader], acks: &[MtpHeader]) -> SenderVerdict {
+    let mut out = Vec::new();
+    let key = |p: &mtp_sim::packet::Packet| {
+        let h = p.headers.as_mtp().expect("data");
+        assert!(h.is_retx(), "every packet was already in flight");
+        (h.msg_id.0, h.pkt_num.0)
+    };
+    for ack in acks {
+        s.on_ack(Time(1), ack, &mut out);
+    }
+    let mut retx: Vec<_> = out.drain(..).map(|p| key(&p)).collect();
+    let mut events = Vec::new();
+    s.drain_events(&mut events);
+    let mut completed: Vec<u64> = events
+        .iter()
+        .map(|SenderEvent::MsgCompleted { id, .. }| id.0)
+        .collect();
+    let probe = MtpHeader {
+        pkt_type: PktType::Ack,
+        nack: sent
+            .iter()
+            .map(|h| SackEntry {
+                msg: h.msg_id,
+                pkt: h.pkt_num,
+            })
+            .collect(),
+        ..MtpHeader::default()
+    };
+    s.on_ack(Time(2), &probe, &mut out);
+    let mut unacked: Vec<_> = out.iter().map(key).collect();
+    retx.sort_unstable();
+    completed.sort_unstable();
+    unacked.sort_unstable();
+    (retx, completed, unacked)
+}
+
+/// How one run of `coalesced_acks_match` draws its arrivals and seals.
+#[derive(Debug, Clone, Copy)]
+struct Weather {
+    /// Packets lost, %; half as many again are trimmed, and 5 % are
+    /// duplicated.
+    loss_pct: u32,
+    /// While a repair or a duplicate is pending, one arrives in about one
+    /// step of this many; the rest arrive after every first copy.
+    late_in: u32,
+    /// The pathlet, the stamped and the IP-level CE mark each change
+    /// about once in this many arrivals.
+    flip_in: u32,
+    /// Receiver B seals its open ACK after this % of arrivals.
+    seal_pct: u32,
+}
+
+/// One ACK per packet (`on_data`, receiver A) against `ack_into` with
+/// seals at random points (receiver B) over one random arrival sequence
+/// drawn as `weather` says: the packets of messages of `sizes` bytes from
+/// one sender, interleaved across messages, some lost, trimmed or
+/// duplicated, the lost and trimmed ones mostly repaired later by copies
+/// flagged RETX; each arrival stamped by one of two pathlets (or none),
+/// with a stamped and an IP-level CE mark. B also seals whenever the core
+/// refuses a packet.
+///
+/// Each ACK of B must be the ACK A sent for its first packet extended by
+/// the fresh SACK and the NACKs of every packet that joined it, and every
+/// such packet's own ACK must echo what B's does (no ACK mixes two
+/// echoes). Hence both receivers end with equal stats and deliveries,
+/// B's SACKs form the same set as A's and its NACKs the same multiset,
+/// and a sender fed either stream acknowledges, completes and repairs
+/// the same packets (its windows are not compared).
+fn coalesced_acks_match(
+    seed: u64,
+    sizes: &[u32],
+    redundancy: usize,
+    weather: Weather,
+) -> Result<(), String> {
+    use rand::{Rng, SeedableRng};
+    use std::collections::{BTreeSet, VecDeque};
+    let Weather {
+        loss_pct,
+        late_in,
+        flip_in,
+        seal_pct,
+    } = weather;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let (_, sent) = sender_in_flight(sizes);
+
+    // Per message, its packets in send order; the network keeps that
+    // order within a message and interleaves messages.
+    let mut queues: Vec<VecDeque<&MtpHeader>> = vec![VecDeque::new(); sizes.len()];
+    for h in &sent {
+        queues[(h.msg_id.0 - 500) as usize].push_back(h);
+    }
+    let (mut path, mut stamp_ce, mut ip_ce) = (1u16, false, false);
+    let mut repairs: Vec<MtpHeader> = Vec::new();
+    let mut arrivals: Vec<(MtpHeader, EcnCodepoint)> = Vec::new();
+    loop {
+        let live: Vec<usize> = (0..queues.len())
+            .filter(|&m| !queues[m].is_empty())
+            .collect();
+        if live.is_empty() && repairs.is_empty() {
+            break;
+        }
+        let mut hdr = if !repairs.is_empty() && (live.is_empty() || rng.gen_range(0..late_in) == 0)
+        {
+            repairs.swap_remove(rng.gen_range(0..repairs.len()))
+        } else {
+            let m = live[rng.gen_range(0..live.len())];
+            let h = queues[m].pop_front().expect("live").clone();
+            match rng.gen_range(0u32..100) {
+                // Lost: a hole the next packet of its message reveals.
+                x if x < loss_pct => {
+                    let mut repair = h.clone();
+                    repair.flags |= flags::RETX;
+                    if rng.gen_range(0u32..5) != 0 {
+                        repairs.push(repair);
+                    }
+                    continue;
+                }
+                // Trimmed: only the header arrives.
+                x if x < loss_pct * 3 / 2 => {
+                    let mut repair = h.clone();
+                    repair.flags |= flags::RETX;
+                    repairs.push(repair);
+                    let mut h = h;
+                    h.flags |= flags::TRIMMED;
+                    h
+                }
+                // Duplicated: a second copy arrives later.
+                x if x < loss_pct * 3 / 2 + 5 => {
+                    repairs.push(h.clone());
+                    h
+                }
+                _ => h,
+            }
+        };
+        if rng.gen_range(0..flip_in) == 0 {
+            path = rng.gen_range(0..3);
+        }
+        stamp_ce ^= rng.gen_range(0..flip_in) == 0;
+        ip_ce ^= rng.gen_range(0..flip_in) == 0;
+        hdr.path_feedback.clear();
+        if path > 0 {
+            hdr.path_feedback.push(PathFeedback {
+                path: PathletId(path),
+                tc: hdr.tc,
+                feedback: Feedback::EcnMark { ce: stamp_ce },
+            });
+        }
+        let ecn = if ip_ce {
+            EcnCodepoint::Ce
+        } else {
+            EcnCodepoint::Ect0
+        };
+        arrivals.push((hdr, ecn));
+    }
+
+    let mut a = MtpReceiver::new(2).with_sack_redundancy(redundancy);
+    let mut b = MtpReceiver::new(2).with_sack_redundancy(redundancy);
+    let (mut a_acks, mut b_acks) = (Vec::new(), Vec::new());
+    // The arrivals each of B's ACKs acknowledged, first one first.
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    let mut open = MtpHeader::default();
+    let seal = |open: &mut MtpHeader, b_acks: &mut Vec<MtpHeader>| {
+        if open.pkt_type == PktType::Ack {
+            b_acks.push(open.clone());
+            open.reset();
+        }
+    };
+    for (i, (hdr, ecn)) in arrivals.iter().enumerate() {
+        let now = Time(i as u64);
+        let (ack, newly_a) = a.on_data(now, hdr, *ecn);
+        a_acks.push(ack.headers.as_mtp().expect("an ACK").clone());
+        let newly_b = match b.ack_into(now, hdr, *ecn, &mut open) {
+            Some(newly) => newly,
+            None => {
+                seal(&mut open, &mut b_acks);
+                b.ack_into(now, hdr, *ecn, &mut open)
+                    .ok_or("a reset header refused a packet")?
+            }
+        };
+        if newly_a != newly_b {
+            return Err(format!(
+                "arrival {i}: {newly_a} new bytes at A, {newly_b} at B"
+            ));
+        }
+        if members.len() == b_acks.len() {
+            members.push(Vec::new());
+        }
+        members[b_acks.len()].push(i);
+        if rng.gen_range(0u32..100) < seal_pct {
+            seal(&mut open, &mut b_acks);
+        }
+    }
+    seal(&mut open, &mut b_acks);
+
+    for (j, (got, joined)) in b_acks.iter().zip(&members).enumerate() {
+        let mut want = a_acks[joined[0]].clone();
+        for &i in &joined[1..] {
+            let own = &a_acks[i];
+            if own.ack_path_feedback != want.ack_path_feedback {
+                return Err(format!(
+                    "ACK {j} mixes echoes: {:?} and arrival {i}'s {:?}",
+                    want.ack_path_feedback, own.ack_path_feedback
+                ));
+            }
+            // Its fresh SACK leads its own ACK's list (a trimmed header's
+            // list is empty).
+            want.sack.extend(own.sack.first());
+            want.nack.extend_from_slice(&own.nack);
+        }
+        if *got != want {
+            return Err(format!(
+                "ACK {j} of arrivals {joined:?}: {got:?}, one ACK per packet says {want:?}"
+            ));
+        }
+        if got.sack.len() > 255 || got.nack.len() > 255 {
+            return Err(format!("ACK {j}'s lists outgrow the wire's 255 entries"));
+        }
+    }
+    if a.stats != b.stats {
+        return Err(format!("stats {:?} vs {:?}", a.stats, b.stats));
+    }
+    let (mut a_ev, mut b_ev) = (Vec::new(), Vec::new());
+    a.drain_events(&mut a_ev);
+    b.drain_events(&mut b_ev);
+    if a_ev != b_ev {
+        return Err("deliveries differ".into());
+    }
+    let sacks = |acks: &[MtpHeader]| -> BTreeSet<(u64, u32)> {
+        let all = acks.iter().flat_map(|h| &h.sack);
+        all.map(|e| (e.msg.0, e.pkt.0)).collect()
+    };
+    let nacks = |acks: &[MtpHeader]| {
+        let all = acks.iter().flat_map(|h| &h.nack);
+        let mut v: Vec<(u64, u32)> = all.map(|e| (e.msg.0, e.pkt.0)).collect();
+        v.sort_unstable();
+        v
+    };
+    if sacks(&a_acks) != sacks(&b_acks) || nacks(&a_acks) != nacks(&b_acks) {
+        return Err("SACK sets or NACK multisets differ".into());
+    }
+    let verdict = |acks: &[MtpHeader]| sender_verdict(sender_in_flight(sizes).0, &sent, acks);
+    let (by_a, by_b) = (verdict(&a_acks), verdict(&b_acks));
+    if by_a != by_b {
+        return Err(format!(
+            "sender fed one ACK per packet: {by_a:?}; coalesced: {by_b:?}"
+        ));
+    }
+    Ok(())
+}
+
 /// Seed 6 with windows of 3 keeps at most 9 records, so the probe map
 /// stays at its initial 16 cells and mostly full: a completion deletes
 /// from the middle of a probe run, and the ids behind the hole stay
@@ -720,6 +993,25 @@ proptest! {
         steps in 200usize..3_000,
     ) {
         run_receiver_model(seed, window, steps).unwrap_or_else(|m| panic!("{m}"));
+    }
+
+    /// An ACK that packets join at any seal points tells the receiver's
+    /// stats, its deliveries and a sender what one ACK per packet does
+    /// (see `coalesced_acks_match`). Echoes that never change, no seals
+    /// and repairs held to the end let an ACK's lists reach their 255
+    /// entries.
+    #[test]
+    fn coalesced_acks_match_one_ack_per_packet(
+        seed in any::<u64>(),
+        sizes in prop::collection::vec(1u32..300_000, 1..6),
+        redundancy in 1usize..9,
+        loss_pct in 0u32..40,
+        late_in in prop_oneof![Just(u32::MAX), 1u32..10],
+        flip_in in prop_oneof![Just(u32::MAX), 2u32..40],
+        seal_pct in prop_oneof![Just(0u32), 0u32..60],
+    ) {
+        let weather = Weather { loss_pct, late_in, flip_in, seal_pct };
+        coalesced_acks_match(seed, &sizes, redundancy, weather).unwrap_or_else(|m| panic!("{m}"));
     }
 
     /// Every controller keeps its window inside [floor, cap] under

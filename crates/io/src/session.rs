@@ -547,6 +547,32 @@ impl TxQueue {
     }
 }
 
+/// The listener's one open ACK: every data frame a socket drain delivers
+/// from one peer is acknowledged into it while the receiver core lets the
+/// frame join (see `MtpReceiver::ack_into`). Its lists keep their
+/// capacity from drain to drain; it never enters the header pool, whose
+/// data headers would inherit that capacity.
+struct OpenAck {
+    /// Reset while no ACK is open.
+    hdr: MtpHeader,
+    /// Where the open ACK goes.
+    peer: SocketAddrV4,
+}
+
+impl OpenAck {
+    /// Queue the open ACK, if there is one, on `tx` and reset it.
+    fn seal(&mut self, tx: &mut TxQueue, budget: usize, registry: &mut Registry) -> io::Result<()> {
+        if self.hdr.pkt_type != PktType::Ack {
+            return Ok(());
+        }
+        let queued = tx.push_frame(self.peer, budget, &self.hdr, &[]);
+        self.hdr.reset();
+        queued.map_err(invalid)?;
+        registry.count(Metric::WireFramesTx, 1);
+        Ok(())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Connector / sender session
 // ---------------------------------------------------------------------------
@@ -1138,6 +1164,8 @@ pub struct Listener {
     ev_buf: Vec<MsgDelivered>,
     /// The header every received data frame is parsed into.
     rx_hdr: MtpHeader,
+    /// The ACK the current data-socket drain is building.
+    open_ack: OpenAck,
     /// ACK datagrams per data socket.
     acks: Vec<TxQueue>,
     /// Datagram bytes of queue beyond which an arrival is marked CE.
@@ -1186,6 +1214,10 @@ impl Listener {
             died: None,
             ev_buf: Vec::new(),
             rx_hdr: MtpHeader::default(),
+            open_ack: OpenAck {
+                hdr: MtpHeader::default(),
+                peer: SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0),
+            },
             registry,
         })
     }
@@ -1381,8 +1413,13 @@ impl Listener {
             let report = sock.recv_each(max, |bytes, src| {
                 let ce = depth.arrive(bytes.len());
                 self.on_data_datagram(p, src, bytes, ce)
-            })?;
-            count_received(&mut self.registry, report);
+            });
+            // The drain's last ACK closes with it, even a drain an error
+            // cut short.
+            let budget = self.cfg.io.datagram_budget;
+            self.open_ack
+                .seal(&mut self.acks[p], budget, &mut self.registry)?;
+            count_received(&mut self.registry, report?);
             deepest = deepest.max(depth.ahead);
             // Coalesced ACKs go back out the socket their data arrived on.
             self.acks[p].flush(sock, &mut self.registry)
@@ -1477,7 +1514,24 @@ impl Listener {
                 feedback: Feedback::EcnMark { ce },
             });
             self.registry.count(Metric::WireCeMarked, ce as u64);
-            let (ack, newly) = conn.recv.on_data(now, &hdr, EcnCodepoint::Ect0);
+            // One ACK per drain and peer, while the core lets each packet
+            // join it; a refusal seals it and the packet starts the next.
+            let (open, budget) = (&mut self.open_ack, self.cfg.io.datagram_budget);
+            let mut seal =
+                |open: &mut OpenAck| open.seal(&mut self.acks[p], budget, &mut self.registry);
+            if open.peer != src {
+                seal(open)?;
+                open.peer = src;
+            }
+            let ecn = EcnCodepoint::Ect0;
+            let newly = match conn.recv.ack_into(now, &hdr, ecn, &mut open.hdr) {
+                Some(newly) => newly,
+                None => {
+                    seal(open)?;
+                    let fresh = conn.recv.ack_into(now, &hdr, ecn, &mut open.hdr);
+                    fresh.expect("a reset header starts a new ACK")
+                }
+            };
             if newly > 0 {
                 if msg_new {
                     conn.reasm_bytes += hdr.msg_len_bytes as u64;
@@ -1492,22 +1546,9 @@ impl Listener {
                 });
                 buf[hdr.pkt_offset as usize..end as usize].copy_from_slice(data);
             }
-            self.queue_ack(p, src, ack)?;
             self.drain_deliveries();
         }
         self.rx_hdr = hdr;
-        Ok(())
-    }
-
-    fn queue_ack(&mut self, p: usize, peer: SocketAddrV4, ack: Packet) -> io::Result<()> {
-        let Headers::Mtp(ack_hdr) = ack.headers else {
-            return Ok(());
-        };
-        self.acks[p]
-            .push_frame(peer, self.cfg.io.datagram_budget, &ack_hdr, &[])
-            .map_err(invalid)?;
-        self.registry.count(Metric::WireFramesTx, 1);
-        mtp_sim::pool::recycle_header(ack_hdr);
         Ok(())
     }
 

@@ -16,6 +16,10 @@
 //!   and once marking has begun no socket's queue may be found deeper
 //!   than twice the marking threshold (plus framing).
 //!
+//! The listener acknowledges a drain's frames in one ACK, so it may send
+//! no more frames than it reads datagrams, and on the bulk shape no more
+//! than one per twenty data frames.
+//!
 //! The sessions run one at a time: each spins a thread, and three at
 //! once on a two-CPU host keep the kernel's deferred loopback delivery
 //! waiting longer than the 3 ms retransmission timeout — scheduler
@@ -48,13 +52,17 @@ struct Shape {
 }
 
 /// What the session's queues did, as the listener's gauges showed it
-/// turn by turn.
+/// turn by turn, and how many frames each end sent.
 struct Queues {
     /// The listener's marking threshold (`usize::MAX`: none).
     threshold: usize,
     ce_marked: u64,
     /// Deepest drain seen on any turn after the first turn that marked.
     deepest_after_first_mark: usize,
+    /// The sender's data frames and the listener's frames (ACKs and
+    /// control answers).
+    data_frames: u64,
+    listener_frames: u64,
 }
 
 fn run(shape: &Shape) -> Option<Queues> {
@@ -126,11 +134,21 @@ fn run(shape: &Shape) -> Option<Queues> {
             "{ctx}: datagrams the kernel dropped at the {end}'s sockets"
         );
     }
+    // A datagram is stamped whole and comes from one peer, so all the
+    // frames it carries share one ACK unless a list fills: at most one
+    // frame back per datagram in, control answers included.
     let ce_marked = listener.registry().get(Metric::WireCeMarked);
+    let listener_frames = listener.registry().get(Metric::WireFramesTx);
+    let listener_datagrams = listener.registry().get(Metric::WireDatagramsRx);
+    assert!(
+        listener_frames <= listener_datagrams,
+        "{ctx}: the listener sent {listener_frames} frames for {listener_datagrams} datagrams"
+    );
     eprintln!(
         "{ctx}: {} data frames, {ce_marked} marked CE, threshold {} B of {} B granted, \
          deepest drain once marking began {deepest_after_first_mark} B, \
-         {} datagrams in {} sends ({} refused once)",
+         {} datagrams in {} sends ({} refused once); listener: {listener_frames} frames \
+         for {listener_datagrams} datagrams",
         stats.pkts_sent,
         listener.ce_threshold(),
         listener.registry().gauge(Gauge::WireRcvbufBytes),
@@ -142,18 +160,30 @@ fn run(shape: &Shape) -> Option<Queues> {
         threshold: listener.ce_threshold(),
         ce_marked,
         deepest_after_first_mark,
+        data_frames: stats.pkts_sent,
+        listener_frames,
     })
 }
 
 #[test]
 fn bulk_shaped_session_loses_nothing() {
-    run(&Shape {
+    let Some(seen) = run(&Shape {
         name: "bulk (200 x 256 KiB, 2 outstanding)",
         messages: 200,
         msg_len: 256 * 1024,
         outstanding: 2,
         synth: false,
-    });
+    }) else {
+        return;
+    };
+    // One ACK per drain, not per frame: a 256 KiB message is 180 data
+    // frames, and was 180 ACK frames when each frame had its own.
+    assert!(
+        seen.listener_frames * 20 <= seen.data_frames,
+        "{} listener frames for {} data frames: ACKs are not coalesced",
+        seen.listener_frames,
+        seen.data_frames
+    );
 }
 
 #[test]

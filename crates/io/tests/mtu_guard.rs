@@ -5,8 +5,8 @@
 //! [`DEFAULT_DATAGRAM_BUDGET`]; [`append_frame`] is the only seam where
 //! a frame could outgrow its datagram. These tests pin the guard from
 //! both sides: the worst *realistic* header shapes (a data packet
-//! dragging a full 255-entry exclusion list; an ACK carrying 255 NACKs
-//! plus the SACK redundancy ring plus echoed path feedback) must fit,
+//! dragging a full 255-entry exclusion list; a drain's coalesced ACK
+//! carrying 255 SACKs, 255 NACKs and echoed path feedback) must fit,
 //! and a deliberately over-budget frame must be rejected with
 //! [`FrameError::FrameTooBig`] rather than silently truncated or split.
 
@@ -45,14 +45,14 @@ fn worst_data_header(pkt_len: u16) -> MtpHeader {
     }
 }
 
-/// The widest ACK a receiver can emit: a full 255-entry NACK list, the
-/// SACK redundancy ring (the configured k plus the fresh entry), and
-/// echoed per-pathlet feedback.
-fn worst_ack_header(sack_redundancy: usize) -> MtpHeader {
+/// The widest ACK a receiver can emit: packets join one ACK only while
+/// both its lists stay within 255 entries (`MtpReceiver::ack_into`), so
+/// full SACK and NACK lists, and the listener's one echoed stamp.
+fn worst_ack_header() -> MtpHeader {
     MtpHeader {
         pkt_type: PktType::Ack,
         msg_id: MsgId(u64::MAX),
-        sack: (0..=sack_redundancy as u32)
+        sack: (0..255u32)
             .map(|k| SackEntry {
                 msg: MsgId(u64::MAX - k as u64),
                 pkt: PktNum(u32::MAX - k),
@@ -79,11 +79,11 @@ fn worst_ack_header(sack_redundancy: usize) -> MtpHeader {
 fn worst_case_headers_fit_default_budget() {
     let mtu_payload = MtpConfig::default().mtu_payload as usize;
     let data = worst_data_header(mtu_payload as u16);
-    let ack = worst_ack_header(8);
+    let ack = worst_ack_header();
 
     // The closed-form bound dominates the real sealed sizes...
     let data_bound = MtpHeader::max_sealed_wire_len(255, 1, 0, 0, 0);
-    let ack_bound = MtpHeader::max_sealed_wire_len(0, 0, 1, 9, 255);
+    let ack_bound = MtpHeader::max_sealed_wire_len(0, 0, 1, 255, 255);
     assert!(data.sealed_wire_len() <= data_bound);
     assert!(ack.sealed_wire_len() <= ack_bound);
 
@@ -109,7 +109,7 @@ fn worst_case_headers_fit_default_budget() {
 fn worst_case_frames_round_trip_through_coalescing() {
     let mtu_payload = MtpConfig::default().mtu_payload as usize;
     let data = worst_data_header(mtu_payload as u16);
-    let ack = worst_ack_header(8);
+    let ack = worst_ack_header();
     let payload = vec![0xA5u8; mtu_payload];
 
     let mut dgram = Vec::new();
@@ -124,7 +124,7 @@ fn worst_case_frames_round_trip_through_coalescing() {
     assert_eq!(frames[0].0, FrameKind::Mtp);
     let (h0, _, _) = MtpHeader::parse_sealed(frames[0].1).expect("ack parses");
     assert_eq!(h0.nack.len(), 255);
-    assert_eq!(h0.sack.len(), 9);
+    assert_eq!(h0.sack.len(), 255);
     assert_eq!(frames[1].0, FrameKind::Mtp);
     let (h1, used, payload_ok) = MtpHeader::parse_sealed(frames[1].1).expect("data parses");
     assert_eq!(h1.path_exclude.len(), 255);
