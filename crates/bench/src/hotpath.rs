@@ -364,6 +364,7 @@ pub fn leafspine_incast(seed: u64) -> HotpathRun {
         |_leaf| mtp_net::Strategy::Ecmp,
         PathSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(1)),
         PathSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(1)),
+        false,
     );
     ls.sim.enable_trace(4096);
 

@@ -1,8 +1,8 @@
 //! # mtp-bench — the experiment harness
 //!
 //! One binary per table/figure of the paper's evaluation that is not yet
-//! a scenario file (Figs. 5 and 6 are: `scn
-//! scenarios/{fig5_alternation,fig6_ecmp,fig6_spray,fig6_mtp_lb}.toml`):
+//! a scenario file (Figs. 5 and 6, Fig. 5 across start phases and Fig. 6
+//! on a leaf-spine fabric are: `scn scenarios/{fig5_*,fig6_*,leafspine_*}.toml`):
 //!
 //! | binary   | paper artefact | what it regenerates |
 //! |----------|----------------|---------------------|
@@ -12,8 +12,6 @@
 //! | `fig7`   | Figure 7       | per-entity isolation |
 //! | `ablations` | §4 design discussion | pathlet granularity, header overhead, blob vs message |
 //! | `fig_fabric` | beyond the paper | ~10k-endpoint multi-pod Clos, serial vs pod-sharded, digests identical |
-//! | `leafspine` | beyond the paper | the Fig. 6 comparison on a 4×4 leaf-spine fabric |
-//! | `sweep` | beyond the paper | the Fig. 5 result across many seeds, run in parallel |
 //!
 //! Each binary prints the series/rows the paper reports and writes a JSON
 //! record under `results/`. Runs are deterministic: fixed seeds, shared
@@ -27,6 +25,7 @@
 //! behind the golden-digest and sharded == serial tests in `tests/`;
 //! [`fabric::fault_schedule`] is an ordinary `mtp_faults::FaultSchedule`,
 //! replayed by the `FaultDriver` serially and by `schedule_admin` sharded.
+//! [`parallel`] fans seeds out over threads; only its own tests call it.
 //! Timing lives in the repository's one benchmark, `benchmark/`.
 
 #![forbid(unsafe_code)]

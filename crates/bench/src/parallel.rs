@@ -4,13 +4,11 @@
 //! *independent seeds* are embarrassingly parallel: each worker thread
 //! builds and runs its own `Simulator`. This module fans a seed list out
 //! over threads and collects results in seed order, so a sweep's output is
-//! as deterministic as a single run.
+//! as deterministic as a single run. Its only callers are its own tests,
+//! which prove that on the leaf-spine incast workload; multi-seed sweeps
+//! are scenario files (`scn` runs a file's seeds serially).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Re-export of the canonical implementation in
-/// [`mtp_workload::stats`]; experiment binaries import it from here.
-pub use mtp_workload::mean_std;
 
 /// Run `f(seed)` for every seed, in parallel across at most `workers`
 /// threads, returning results in the same order as `seeds`. A `workers`
@@ -75,6 +73,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mtp_workload::mean_std;
 
     #[test]
     fn results_come_back_in_seed_order() {

@@ -168,7 +168,10 @@ pub fn ls_addr(leaf: usize, hosts_per_leaf: usize, i: usize) -> u16 {
 /// * cross-leaf traffic fans over the spines using `make_strategy()`
 ///   (one strategy instance per leaf), with each uplink stamped as
 ///   pathlet `spine + 1`;
-/// * spines route by destination leaf.
+/// * spines route by destination leaf; with `spine_stamps` set, every
+///   spine also stamps its per-destination-leaf downlink queue depth as
+///   `QueueDepth` feedback under a [`mtp_net::strategies::conga_pathlet`]
+///   id, which [`Strategy::conga_lb`] leaves snoop from passing ACKs.
 ///
 /// Host node `leaf * hosts_per_leaf + i` is produced by
 /// `make_host(leaf, i, addr)` and attaches on its port 0.
@@ -178,34 +181,6 @@ pub fn ls_addr(leaf: usize, hosts_per_leaf: usize, i: usize) -> u16 {
 /// port `l` faces leaf `l`.
 #[allow(clippy::too_many_arguments)] // topology knobs are clearer positionally
 pub fn leaf_spine(
-    seed: u64,
-    n_leaves: usize,
-    n_spines: usize,
-    hosts_per_leaf: usize,
-    make_host: impl FnMut(usize, usize, u16) -> Box<dyn mtp_sim::Node>,
-    make_strategy: impl FnMut(usize) -> Strategy,
-    host_link: PathSpec,
-    spine_link: PathSpec,
-) -> LeafSpine {
-    leaf_spine_ext(
-        seed,
-        n_leaves,
-        n_spines,
-        hosts_per_leaf,
-        make_host,
-        make_strategy,
-        host_link,
-        spine_link,
-        false,
-    )
-}
-
-/// [`leaf_spine`] with CONGA instrumentation: when `spine_stamps` is set,
-/// every spine stamps its per-destination-leaf downlink queue depth as
-/// `QueueDepth` feedback under a [`mtp_net::strategies::conga_pathlet`]
-/// id, which [`Strategy::conga_lb`] leaves snoop from passing ACKs.
-#[allow(clippy::too_many_arguments)] // topology knobs are clearer positionally
-pub fn leaf_spine_ext(
     seed: u64,
     n_leaves: usize,
     n_spines: usize,

@@ -3,8 +3,8 @@
 //! [`MtpSenderNode`] drives a scheduled message workload through an
 //! [`MtpSender`]; [`MtpSinkNode`] reassembles messages with an
 //! [`MtpReceiver`], acknowledges them, and records goodput and per-message
-//! latency. Both are thin shims: all protocol behaviour lives in the
-//! sans-IO cores.
+//! latency; [`MtpDuplexHost`] joins the two on one host. All are thin
+//! shims: all protocol behaviour lives in the sans-IO cores.
 
 use mtp_sim::time::{Duration, Time};
 use mtp_sim::{BinSeries, Ctx, Gauge, Headers, HistId, Metric, Node, Packet, PortId};
@@ -439,6 +439,47 @@ impl Node for MtpSinkNode {
 
     fn name(&self) -> &str {
         &self.name
+    }
+}
+
+/// A host that both sends its schedule and sinks whatever arrives: in a
+/// permutation workload every host plays both roles. Data goes to the
+/// sink half; ACK, NACK and control packets to the sender half.
+pub struct MtpDuplexHost {
+    /// The sending half.
+    pub sender: MtpSenderNode,
+    /// The sinking half.
+    pub sink: MtpSinkNode,
+}
+
+impl Node for MtpDuplexHost {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        self.sender.on_start(ctx);
+    }
+
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
+        let is_data = pkt
+            .headers
+            .as_mtp()
+            .is_some_and(|h| h.pkt_type == PktType::Data);
+        if is_data {
+            self.sink.on_packet(ctx, port, pkt);
+        } else {
+            self.sender.on_packet(ctx, port, pkt);
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.sender.on_timer(ctx, token);
+    }
+
+    fn audit_counters(&self, out: &mut mtp_sim::NodeAuditCounters) {
+        self.sender.audit_counters(out);
+        self.sink.audit_counters(out);
+    }
+
+    fn name(&self) -> &str {
+        "duplex-host"
     }
 }
 

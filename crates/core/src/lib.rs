@@ -60,7 +60,9 @@ pub mod receiver;
 pub mod sender;
 
 pub use config::MtpConfig;
-pub use host::{EndpointMirror, MtpMsgRecord, MtpSenderNode, MtpSinkNode, ScheduledMsg};
+pub use host::{
+    EndpointMirror, MtpDuplexHost, MtpMsgRecord, MtpSenderNode, MtpSinkNode, ScheduledMsg,
+};
 pub use pathlet_cc::{CcKind, DctcpLikeCc, FixedWindowCc, PathletCc, RcpLikeCc, SwiftLikeCc};
 pub use pathlets::{PathletEntry, PathletTable};
 pub use receiver::{MsgDelivered, MtpReceiver, MtpReceiverStats};

@@ -7,7 +7,6 @@
 //! deliveries the sender never submitted, and byte totals that agree.
 
 use mtp_core::{MtpSenderNode, MtpSinkNode};
-use mtp_sim::{NodeId, Simulator};
 
 /// End-to-end outcome of the MTP sessions into one sink, in
 /// deterministic order.
@@ -25,29 +24,28 @@ pub struct Ledger {
 }
 
 impl Ledger {
-    /// Snapshot `senders` and the one `sink` they all send to from `sim`
-    /// (a fan-in's senders draw message ids from disjoint ranges).
-    pub fn capture(sim: &Simulator, senders: &[NodeId], sink: NodeId) -> Ledger {
-        let receiver = sim.node_as::<MtpSinkNode>(sink);
-        let mut delivered: Vec<(u64, u32)> = receiver
-            .delivered
-            .iter()
-            .map(|d| (d.id.0, d.bytes))
-            .collect();
+    /// Snapshot `senders` and the one `sink` they all send to (a fan-in's
+    /// senders draw message ids from disjoint ranges).
+    pub fn capture<'a>(
+        senders: impl IntoIterator<Item = &'a MtpSenderNode>,
+        sink: &MtpSinkNode,
+    ) -> Ledger {
+        let mut delivered: Vec<(u64, u32)> =
+            sink.delivered.iter().map(|d| (d.id.0, d.bytes)).collect();
         delivered.sort_unstable();
-        let msgs = senders
-            .iter()
-            .flat_map(|&snd| &sim.node_as::<MtpSenderNode>(snd).msgs);
-        let completed: Vec<(u32, u64)> = msgs
-            .clone()
-            .filter_map(|m| m.completed.map(|c| (m.bytes, c.0)))
-            .collect();
-        let unfinished = msgs.count() - completed.len();
+        let mut completed = Vec::new();
+        let mut unfinished = 0;
+        for m in senders.into_iter().flat_map(|s| &s.msgs) {
+            match m.completed {
+                Some(c) => completed.push((m.bytes, c.0)),
+                None => unfinished += 1,
+            }
+        }
         Ledger {
             delivered,
             completed,
             unfinished,
-            goodput: receiver.total_goodput(),
+            goodput: sink.total_goodput(),
         }
     }
 

@@ -49,7 +49,7 @@ fn run_cell(seed: u64, ctx: &str, build: impl Fn(&ParallelPaths) -> FaultSchedul
     drv.run_until(&mut d.sim, us(100_000));
     assert_eq!(drv.remaining(), 0, "[{ctx}] faults left unapplied");
     mtp_sim::assert_conservation(&d.sim);
-    let ledger = Ledger::capture(&d.sim, &[d.sender], d.sink);
+    let ledger = Ledger::capture([d.sim.node_as(d.sender)], d.sim.node_as(d.sink));
     ledger.assert_exactly_once(ctx);
     ledger
 }
@@ -184,7 +184,7 @@ fn run_corruption_cell(
     drv.run_until(&mut d.sim, us(100_000));
     assert_eq!(drv.remaining(), 0, "[{ctx}] faults left unapplied");
     mtp_sim::assert_conservation(&d.sim);
-    let ledger = Ledger::capture(&d.sim, &[d.sender], d.sink);
+    let ledger = Ledger::capture([d.sim.node_as(d.sender)], d.sim.node_as(d.sink));
     ledger.assert_exactly_once(ctx);
     let corrupted: u64 = [d.a_fwd, d.a_rev, d.b_fwd, d.b_rev]
         .iter()
@@ -328,5 +328,6 @@ fn failover_machinery_actually_engaged() {
         stats.quarantines >= stats.failovers,
         "failovers only happen via quarantine"
     );
-    Ledger::capture(&d.sim, &[d.sender], d.sink).assert_exactly_once("engaged");
+    Ledger::capture([d.sim.node_as(d.sender)], d.sim.node_as(d.sink))
+        .assert_exactly_once("engaged");
 }

@@ -52,7 +52,7 @@ proptest! {
             unfinished, 0,
             "link {:?} cut at {}us ({:?}) wedged the session", link, cut_us, mode
         );
-        let ledger = Ledger::capture(&d.sim, &[d.sender], d.sink);
+        let ledger = Ledger::capture([d.sim.node_as(d.sender)], d.sim.node_as(d.sink));
         ledger.assert_exactly_once("single-link-property");
     }
 }

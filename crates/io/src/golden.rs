@@ -127,7 +127,7 @@ pub fn run_sim_golden(workload: &GoldenWorkload) -> SimOutcome {
     );
     mtp_sim::assert_conservation(&sim);
 
-    let ledger = Ledger::capture(&sim, &[snd], sink);
+    let ledger = Ledger::capture([sim.node_as(snd)], sim.node_as(sink));
     ledger.assert_exactly_once("golden sim run");
     let content_digest = payload::synth_content_digest(ledger.delivered.iter().copied());
     SimOutcome {

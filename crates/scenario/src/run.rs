@@ -11,7 +11,7 @@
 
 use mtp_bench::study::{completion_stats, corrupted_frames, tcp_periodic, us};
 use mtp_bench::topo::{dumbbell, dumbbell_dst, dumbbell_src, leaf_spine, ls_addr};
-use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
+use mtp_core::{MtpConfig, MtpDuplexHost, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_faults::{
     mtp_pair, parallel_paths, tcp_pair, FaultDriver, FaultSchedule, Ledger, LinkSpec, ParallelSpec,
     PATHLET_A, PATHLET_B,
@@ -27,8 +27,8 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use crate::schema::{
-    Asserts, CellAsserts, FailMode, FaultSpec, LinkParams, Protocol, Scenario, Topology,
-    TwoPathStrategy, Workload,
+    Asserts, CellAsserts, FailMode, FaultSpec, LeafSpineStrategy, LinkParams, Protocol, Scenario,
+    Topology, TwoPathStrategy, Workload,
 };
 
 /// Measured outcome of one cell, as written to the report.
@@ -76,14 +76,14 @@ pub struct CellResult {
 }
 
 /// One executed cell: the reportable result plus the raw exactly-once
-/// ledger (MTP cells with one sink only), which the golden-replay tests
-/// compare against the figure binaries'.
+/// ledgers, which the golden-replay tests compare against hand-written
+/// runs'.
 pub struct CellRun {
     /// The reportable result.
     pub result: CellResult,
-    /// The captured ledger, when every MTP sender of the topology sends
-    /// to one sink.
-    pub ledger: Option<Ledger>,
+    /// MTP cells: one ledger per sink and the senders sending to it, in
+    /// sender order. TCP cells: none.
+    pub ledgers: Vec<Ledger>,
 }
 
 /// Outcome of a whole scenario: every protocol × seed cell.
@@ -264,21 +264,21 @@ struct CorruptionLedger {
     caught: u64,
 }
 
+/// `(submitted, completed, bytes)` of one scheduled message.
+type MsgRecord = (Time, Option<Time>, u64);
+
 /// Everything measured from one finished cell, before assertion checking.
 struct Measured {
     sim: Simulator,
-    /// `(submitted, completed, bytes)` per scheduled message, sender
-    /// order.
-    records: Vec<(Time, Option<Time>, u64)>,
+    /// One per scheduled message, sender order.
+    records: Vec<MsgRecord>,
     timeouts: u64,
     retransmissions: u64,
     goodput_series: Option<Vec<f64>>,
     path_tx_bytes: Option<[u64; 2]>,
     corruption: Option<CorruptionLedger>,
-    ledger: Option<Ledger>,
-    /// Exactly-once violations for topologies of several sinks (where a
-    /// single [`Ledger`] does not apply).
-    multi_exactly_once: Option<Vec<String>>,
+    /// See [`CellRun::ledgers`].
+    ledgers: Vec<Ledger>,
 }
 
 /// The cell digest: [`fnv64`] over the cell's deterministic state dump
@@ -345,14 +345,29 @@ fn tcp_cfg(p: Protocol) -> TcpConfig {
 
 /// The single sender's `(submit, bytes)` schedule; a Poisson process
 /// offers its load against the host link.
-fn single_flow_schedule(w: &Workload, seed: u64, host: &LinkSpec) -> Vec<(Time, u64)> {
-    match w {
+fn single_flow_schedule(s: &Scenario, seed: u64, host: &LinkSpec) -> Vec<(Time, u64)> {
+    match &s.workload {
         Workload::Periodic {
             count,
             bytes,
             interval_us,
         } => tcp_periodic(*count, *bytes, *interval_us),
-        Workload::Single { bytes } => vec![(Time::ZERO, *bytes)],
+        Workload::Single {
+            bytes,
+            start_step_us,
+        } => {
+            let at = match (start_step_us, &s.topology) {
+                (
+                    Some(step),
+                    Topology::TwoPath {
+                        strategy: TwoPathStrategy::Alternate { period_us },
+                        ..
+                    },
+                ) => us((u128::from(seed) * u128::from(*step) % u128::from(*period_us)) as u64),
+                _ => Time::ZERO,
+            };
+            vec![(at, *bytes)]
+        }
         Workload::Poisson {
             load,
             min_bytes,
@@ -371,7 +386,16 @@ fn single_flow_schedule(w: &Workload, seed: u64, host: &LinkSpec) -> Vec<(Time, 
     }
 }
 
-/// The heavy-tailed message sizes every Poisson source draws from.
+/// A Poisson message, whose priority is its size class: shorter is more
+/// urgent, the request-aware half of Fig. 6's balancer.
+fn size_class_msg(at: Time, bytes: u64) -> ScheduledMsg {
+    ScheduledMsg {
+        pri: (64 - bytes.leading_zeros()) as u8,
+        ..ScheduledMsg::new(at, bytes as u32)
+    }
+}
+
+/// The heavy-tailed message sizes `poisson` and `tenants` draw from.
 fn pareto(min: u64, max: u64) -> SizeDist {
     SizeDist::BoundedPareto {
         alpha: 1.1,
@@ -431,20 +455,18 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
         ),
         _ => unreachable!("caller dispatched on topology"),
     };
-    let schedule = single_flow_schedule(&s.workload, seed, &spec.host);
+    let schedule = single_flow_schedule(s, seed, &spec.host);
     let ends = match p {
-        // A Poisson message's priority is its size class: shorter is more
-        // urgent, the request-aware half of Fig. 6's balancer.
         Protocol::Mtp => {
             let poisson = matches!(s.workload, Workload::Poisson { .. });
             let schedule = schedule
                 .into_iter()
                 .map(|(t, b)| {
-                    let mut m = ScheduledMsg::new(t, b as u32);
                     if poisson {
-                        m.pri = (64 - b.leading_zeros()) as u8;
+                        size_class_msg(t, b)
+                    } else {
+                        ScheduledMsg::new(t, b as u32)
                     }
-                    m
                 })
                 .collect();
             mtp_pair(mtp_cfg(s), schedule, goodput_bin, sack_redundancy)
@@ -467,7 +489,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
     FaultDriver::new(build_schedule(&s.faults, &names, seed))
         .run_until(&mut d.sim, us(s.horizon_us));
 
-    let (records, timeouts, retransmissions, goodput_series, malformed, ledger, multi_exactly_once);
+    let (records, timeouts, retransmissions, goodput_series, malformed, ledgers);
     match p {
         Protocol::Mtp => {
             let snd = d.sim.node_as::<MtpSenderNode>(d.sender);
@@ -481,8 +503,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
             retransmissions = snd.sender.stats.retransmissions;
             goodput_series = sink.goodput.rates_gbps();
             malformed = snd.malformed + sink.malformed;
-            ledger = Some(Ledger::capture(&d.sim, &[d.sender], d.sink));
-            multi_exactly_once = None;
+            ledgers = vec![Ledger::capture([snd], sink)];
         }
         _ => {
             let snd = d.sim.node_as::<TcpSenderNode>(d.sender);
@@ -496,12 +517,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
             retransmissions = snd.retransmissions();
             goodput_series = sink.goodput.rates_gbps();
             malformed = snd.malformed + sink.malformed;
-            ledger = None;
-            multi_exactly_once = Some(if snd.all_done() {
-                Vec::new()
-            } else {
-                vec!["tcp sender did not complete every transfer".to_string()]
-            });
+            ledgers = Vec::new();
         }
     }
     let corruption = s.asserts.corruption_accounting.then(|| CorruptionLedger {
@@ -520,8 +536,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
         goodput_series: Some(goodput_series),
         path_tx_bytes: Some(path_tx_bytes),
         corruption,
-        ledger,
-        multi_exactly_once,
+        ledgers,
     }
 }
 
@@ -599,25 +614,14 @@ fn run_dumbbell(s: &Scenario, seed: u64) -> Measured {
     };
     let mut drv = FaultDriver::new(build_schedule(&s.faults, &names, seed));
     drv.run_until(&mut sim, us(s.horizon_us));
-    let mut records = Vec::new();
-    let (mut timeouts, mut retransmissions) = (0u64, 0u64);
-    let mut multi = Vec::new();
-    for (i, (&snd, &sink)) in d.senders.iter().zip(d.sinks.iter()).enumerate() {
-        let node = sim.node_as::<MtpSenderNode>(snd);
-        records.extend(
-            node.msgs
-                .iter()
-                .map(|m| (m.submitted, m.completed, m.bytes as u64)),
-        );
-        timeouts += node.sender.stats.timeouts;
-        retransmissions += node.sender.stats.retransmissions;
-        multi.extend(
-            Ledger::capture(&sim, &[snd], sink)
-                .check_exactly_once()
-                .into_iter()
-                .map(|v| format!("pair {i}: {v}")),
-        );
-    }
+    let (records, timeouts, retransmissions) =
+        sender_totals(d.senders.iter().map(|&h| sim.node_as(h)));
+    let ledgers = d
+        .senders
+        .iter()
+        .zip(&d.sinks)
+        .map(|(&snd, &sink)| Ledger::capture([sim.node_as(snd)], sim.node_as(sink)))
+        .collect();
     Measured {
         sim,
         records,
@@ -626,80 +630,136 @@ fn run_dumbbell(s: &Scenario, seed: u64) -> Measured {
         goodput_series: None,
         path_tx_bytes: None,
         corruption: None,
-        ledger: None,
-        multi_exactly_once: Some(multi),
+        ledgers,
     }
 }
 
+/// Message records of MTP senders in order, with their summed timeouts
+/// and retransmissions.
+fn sender_totals<'a>(
+    senders: impl Iterator<Item = &'a MtpSenderNode>,
+) -> (Vec<MsgRecord>, u64, u64) {
+    let (mut records, mut timeouts, mut retransmissions) = (Vec::new(), 0, 0);
+    for node in senders {
+        records.extend(
+            node.msgs
+                .iter()
+                .map(|m| (m.submitted, m.completed, m.bytes as u64)),
+        );
+        timeouts += node.sender.stats.timeouts;
+        retransmissions += node.sender.stats.retransmissions;
+    }
+    (records, timeouts, retransmissions)
+}
+
 fn run_leaf_spine(s: &Scenario, seed: u64) -> Measured {
-    let (leaves, spines, hpl, host_link, spine_link) = match &s.topology {
-        Topology::LeafSpine {
-            leaves,
-            spines,
-            hosts_per_leaf,
-            host_link,
-            spine_link,
-        } => (
-            *leaves as usize,
-            *spines as usize,
-            *hosts_per_leaf as usize,
-            to_spec(*host_link),
-            to_spec(*spine_link),
-        ),
-        _ => unreachable!("caller dispatched on topology"),
-    };
-    let Workload::Fanin {
-        rounds,
-        bytes,
-        stagger_us,
-        round_gap_us,
-    } = &s.workload
-    else {
-        unreachable!("schema restricts leaf-spine to the fanin workload")
-    };
-    let cfg = mtp_cfg(s);
-    // The aggregator is host 0 of leaf 0; every other host fans in to it.
-    let target = ls_addr(0, hpl, 0);
-    let failover = s.mtp.failover;
-    let ls = leaf_spine(
-        seed,
+    let Topology::LeafSpine {
         leaves,
         spines,
-        hpl,
-        |leaf, i, addr| {
-            if addr == target {
-                Box::new(MtpSinkNode::new(addr, Duration::from_micros(100)))
-            } else {
-                let k = (leaf * hpl + i) as u64;
-                let sched: Vec<ScheduledMsg> = (0..*rounds)
-                    .map(|m| {
-                        ScheduledMsg::new(us(stagger_us * k + round_gap_us * m), *bytes as u32)
-                    })
-                    .collect();
-                Box::new(MtpSenderNode::new(
-                    cfg.clone(),
-                    addr,
-                    target,
-                    mtp_wire::EntityId(addr),
-                    (k + 1) << 40,
-                    sched,
-                ))
-            }
-        },
-        |_leaf| {
-            if failover {
-                // Pathlet-aware spreading over the spines, so quarantining
-                // a crashed spine's pathlet re-steers onto survivors.
-                Strategy::mtp_lb(
-                    spines,
-                    (1..=spines).map(|p| Some(PathletId(p as u16))).collect(),
-                )
-            } else {
-                Strategy::Ecmp
-            }
-        },
+        hosts_per_leaf,
         host_link,
         spine_link,
+        strategy,
+    } = &s.topology
+    else {
+        unreachable!("caller dispatched on topology")
+    };
+    let (spines, hpl) = (*spines as usize, *hosts_per_leaf as usize);
+    let n = *leaves as usize * hpl;
+    let host_rate = to_spec(*host_link).rate;
+    let cfg = mtp_cfg(s);
+    let sender = |addr: u16, dst: u16, k: usize, sched| {
+        MtpSenderNode::new(
+            cfg.clone(),
+            addr,
+            dst,
+            mtp_wire::EntityId(addr),
+            (k as u64 + 1) << 40,
+            sched,
+        )
+    };
+    // Pathlet-aware spreading under failover, so quarantining a crashed
+    // spine's pathlet re-steers onto survivors.
+    let strategy = strategy.unwrap_or(if s.mtp.failover {
+        LeafSpineStrategy::MtpLb
+    } else {
+        LeafSpineStrategy::Ecmp
+    });
+    let ls = leaf_spine(
+        seed,
+        *leaves as usize,
+        spines,
+        hpl,
+        |leaf, i, addr| -> Box<dyn mtp_sim::Node> {
+            let k = leaf * hpl + i;
+            match &s.workload {
+                // The aggregator is host 0 of leaf 0; every other host
+                // fans in to it.
+                Workload::Fanin { .. } if k == 0 => {
+                    Box::new(MtpSinkNode::new(addr, Duration::from_micros(100)))
+                }
+                Workload::Fanin {
+                    rounds,
+                    bytes,
+                    stagger_us,
+                    round_gap_us,
+                } => {
+                    let sched = (0..*rounds)
+                        .map(|m| {
+                            let at = us(stagger_us * k as u64 + round_gap_us * m);
+                            ScheduledMsg::new(at, *bytes as u32)
+                        })
+                        .collect();
+                    Box::new(sender(addr, ls_addr(0, hpl, 0), k, sched))
+                }
+                Workload::Permutation {
+                    load,
+                    min_bytes,
+                    max_bytes,
+                    alpha,
+                    until_us,
+                } => {
+                    let sizes = SizeDist::BoundedPareto {
+                        alpha: *alpha,
+                        min: *min_bytes,
+                        max: *max_bytes,
+                    };
+                    let sched = poisson_schedule(
+                        &mut SmallRng::seed_from_u64(seed + k as u64),
+                        &sizes,
+                        host_rate,
+                        *load,
+                        Time::ZERO,
+                        Duration::from_micros(*until_us),
+                        None,
+                    )
+                    .into_iter()
+                    .map(|(t, b)| size_class_msg(t, b))
+                    .collect();
+                    let dst = (k + hpl) % n;
+                    Box::new(MtpDuplexHost {
+                        sender: sender(addr, ls_addr(dst / hpl, hpl, dst % hpl), k, sched),
+                        sink: MtpSinkNode::new(addr, Duration::from_micros(100)),
+                    })
+                }
+                _ => unreachable!("schema restricts leaf-spine to fanin/permutation"),
+            }
+        },
+        |_leaf| match strategy {
+            LeafSpineStrategy::Ecmp => Strategy::Ecmp,
+            LeafSpineStrategy::Spray => Strategy::Spray { next: 0 },
+            LeafSpineStrategy::MtpLb => Strategy::mtp_lb(
+                spines,
+                (1..=spines).map(|p| Some(PathletId(p as u16))).collect(),
+            ),
+            LeafSpineStrategy::MtpConga => Strategy::conga_lb(
+                spines,
+                Box::new(move |addr| ((addr as usize - 1) / hpl) as u16),
+            ),
+        },
+        to_spec(*host_link),
+        to_spec(*spine_link),
+        strategy == LeafSpineStrategy::MtpConga,
     );
     let mut sim = ls.sim;
     let names = Names {
@@ -715,22 +775,22 @@ fn run_leaf_spine(s: &Scenario, seed: u64) -> Measured {
     let mut drv = FaultDriver::new(build_schedule(&s.faults, &names, seed));
     drv.run_until(&mut sim, us(s.horizon_us));
 
-    let (sink, senders) = ls.hosts.split_first().expect("the aggregator is host 0");
-    let mut records = Vec::new();
-    let (mut timeouts, mut retransmissions) = (0u64, 0u64);
-    for &h in senders {
-        let node = sim.node_as::<MtpSenderNode>(h);
-        records.extend(
-            node.msgs
-                .iter()
-                .map(|m| (m.submitted, m.completed, m.bytes as u64)),
-        );
-        timeouts += node.sender.stats.timeouts;
-        retransmissions += node.sender.stats.retransmissions;
+    let (records, timeouts, retransmissions, ledgers);
+    if let Workload::Permutation { .. } = s.workload {
+        // Every host's sender half against the sink half it sends to.
+        let hosts: Vec<&MtpDuplexHost> = ls.hosts.iter().map(|&h| sim.node_as(h)).collect();
+        (records, timeouts, retransmissions) = sender_totals(hosts.iter().map(|h| &h.sender));
+        ledgers = (0..n)
+            .map(|k| Ledger::capture([&hosts[k].sender], &hosts[(k + hpl) % n].sink))
+            .collect();
+    } else {
+        // One ledger across the fan-in: all senders' completions against
+        // the single sink's deliveries.
+        let (sink, senders) = ls.hosts.split_first().expect("the aggregator is host 0");
+        let senders = senders.iter().map(|&h| sim.node_as::<MtpSenderNode>(h));
+        (records, timeouts, retransmissions) = sender_totals(senders.clone());
+        ledgers = vec![Ledger::capture(senders, sim.node_as(*sink))];
     }
-    // One exactly-once ledger across the fan-in: all senders'
-    // completions against the single sink's deliveries.
-    let ledger = Ledger::capture(&sim, senders, *sink);
     Measured {
         sim,
         records,
@@ -739,25 +799,36 @@ fn run_leaf_spine(s: &Scenario, seed: u64) -> Measured {
         goodput_series: None,
         path_tx_bytes: None,
         corruption: None,
-        ledger: Some(ledger),
-        multi_exactly_once: None,
+        ledgers,
     }
 }
 
 // ---------------------------------------------------------------- check
 
-fn check_cell_asserts(c: &CellAsserts, r: &CellResult, m: &Measured, out: &mut Vec<String>) {
+fn check_cell_asserts(
+    c: &CellAsserts,
+    p: Protocol,
+    r: &CellResult,
+    m: &Measured,
+    out: &mut Vec<String>,
+) {
     if c.exactly_once {
-        match (&m.ledger, &m.multi_exactly_once) {
-            (Some(l), _) => out.extend(
+        // TCP keeps no delivery ledger: every transfer must complete.
+        if p != Protocol::Mtp && r.unfinished > 0 {
+            out.push("assert exactly_once: tcp sender did not complete every transfer".into());
+        }
+        let several = m.ledgers.len() > 1;
+        for (i, l) in m.ledgers.iter().enumerate() {
+            let pair = if several {
+                format!("pair {i}: ")
+            } else {
+                String::new()
+            };
+            out.extend(
                 l.check_exactly_once()
                     .into_iter()
-                    .map(|v| format!("assert exactly_once: {v}")),
-            ),
-            (None, Some(multi)) => {
-                out.extend(multi.iter().map(|v| format!("assert exactly_once: {v}")))
-            }
-            (None, None) => out.push("assert exactly_once: no ledger captured".to_string()),
+                    .map(|v| format!("assert exactly_once: {pair}{v}")),
+            );
         }
     }
     if let Some(want) = c.completed {
@@ -923,7 +994,7 @@ pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
     r.violations = v;
     CellRun {
         result: r,
-        ledger: m.ledger,
+        ledgers: m.ledgers,
     }
 }
 
@@ -955,7 +1026,7 @@ fn check_asserts(
         }
     }
     if let Some((_, cell)) = a.cells.iter().find(|(proto, _)| *proto == p) {
-        check_cell_asserts(cell, r, m, out);
+        check_cell_asserts(cell, p, r, m, out);
     }
     let key = format!("{}/{seed}", p.key());
     if let Some((_, want)) = a.digests.iter().find(|(k, _)| *k == key) {
@@ -1013,7 +1084,7 @@ completed = 4
         assert_eq!(a.result.completed, 4);
         let b = execute_cell(&s, Protocol::Mtp, 3);
         assert_eq!(a.result, b.result, "replay must be byte-identical");
-        assert_eq!(a.ledger, b.ledger);
+        assert_eq!(a.ledgers, b.ledgers);
     }
 
     /// The one cell function on both node types, without the corpus: the

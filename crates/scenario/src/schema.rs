@@ -135,6 +135,21 @@ pub enum TwoPathStrategy {
     MtpLb,
 }
 
+/// The uplink strategy every leaf of a leaf-spine fabric runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LeafSpineStrategy {
+    /// Per-message ECMP hashing.
+    Ecmp,
+    /// Per-packet spray.
+    Spray,
+    /// The message-aware MTP balancer over one pathlet per spine.
+    MtpLb,
+    /// CONGA-style balancing on the spines' per-destination-leaf
+    /// downlink queue depths, snooped from passing ACKs; the only
+    /// strategy that makes spines stamp.
+    MtpConga,
+}
+
 /// The network shape a scenario runs on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Topology {
@@ -168,8 +183,7 @@ pub enum Topology {
         /// The shared bottleneck.
         shared: LinkParams,
     },
-    /// A 2-tier Clos fabric with every non-aggregator host sending to
-    /// one aggregator (MTP only).
+    /// A 2-tier Clos fabric (MTP only).
     LeafSpine {
         /// Number of leaf switches (>= 2).
         leaves: u64,
@@ -181,6 +195,9 @@ pub enum Topology {
         host_link: LinkParams,
         /// Leaf-to-spine links.
         spine_link: LinkParams,
+        /// The leaves' uplink strategy; `None` is `mtp-lb` under
+        /// `[mtp] failover` and `ecmp` otherwise.
+        strategy: Option<LeafSpineStrategy>,
     },
 }
 
@@ -256,6 +273,10 @@ pub enum Workload {
     Single {
         /// Message size in bytes.
         bytes: u64,
+        /// Alternate two-path only: start at
+        /// `(seed × start_step_us) mod alternate_period_us` instead, so
+        /// each seed meets the flips at its own phase.
+        start_step_us: Option<u64>,
     },
     /// An open-loop Poisson arrival process at `load` of the host link
     /// until `until_us`, seeded by the cell seed, with bounded-Pareto
@@ -303,6 +324,23 @@ pub enum Workload {
         /// Gap between a host's rounds in microseconds.
         round_gap_us: u64,
     },
+    /// A cross-leaf permutation on a leaf-spine fabric: every host both
+    /// sends and sinks, host `k` sending to host
+    /// `(k + hosts_per_leaf) mod n` an open-loop Poisson process at
+    /// `load` of the host link until `until_us`, seeded `seed + k`, with
+    /// bounded-Pareto sizes; an MTP message's priority is its size class.
+    Permutation {
+        /// Offered load per host as a fraction of the host link (0, 1].
+        load: f64,
+        /// Smallest message in bytes.
+        min_bytes: u64,
+        /// Largest message in bytes.
+        max_bytes: u64,
+        /// Pareto shape (> 1).
+        alpha: f64,
+        /// Last arrival time, microseconds (<= `horizon_us`).
+        until_us: u64,
+    },
 }
 
 impl Workload {
@@ -314,6 +352,7 @@ impl Workload {
             Workload::Poisson { .. } => "poisson",
             Workload::Tenants { .. } => "tenants",
             Workload::Fanin { .. } => "fanin",
+            Workload::Permutation { .. } => "permutation",
         }
     }
 }
@@ -776,6 +815,23 @@ fn decode_topology(mut t: Table) -> Result<Topology, SchemaError> {
             hosts_per_leaf: take_u64_in(&mut t, "hosts_per_leaf", P, 1, 16)?,
             host_link: take_link(&mut t, "host_link", P)?,
             spine_link: take_link(&mut t, "spine_link", P)?,
+            strategy: match t.remove("strategy") {
+                None => None,
+                Some(v) => Some(match as_str(v, "topology.strategy")?.as_str() {
+                    "ecmp" => LeafSpineStrategy::Ecmp,
+                    "spray" => LeafSpineStrategy::Spray,
+                    "mtp-lb" => LeafSpineStrategy::MtpLb,
+                    "mtp-conga" => LeafSpineStrategy::MtpConga,
+                    other => {
+                        return Err(err(
+                            field(P, "strategy"),
+                            format!(
+                                "unknown strategy `{other}` (expected ecmp, spray, mtp-lb, or mtp-conga)"
+                            ),
+                        ));
+                    }
+                }),
+            },
         },
         other => {
             return Err(err(
@@ -801,6 +857,7 @@ fn decode_workload(mut t: Table, horizon_us: u64) -> Result<Workload, SchemaErro
         },
         "single" => Workload::Single {
             bytes: take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?,
+            start_step_us: take_opt_u64_in(&mut t, "start_step_us", P, 1, MAX_HORIZON_US)?,
         },
         "poisson" => {
             let load = take_load(&mut t, "load", P)?;
@@ -837,11 +894,27 @@ fn decode_workload(mut t: Table, horizon_us: u64) -> Result<Workload, SchemaErro
             stagger_us: take_u64_in(&mut t, "stagger_us", P, 0, MAX_HORIZON_US)?,
             round_gap_us: take_u64_in(&mut t, "round_gap_us", P, 1, MAX_HORIZON_US)?,
         },
+        "permutation" => {
+            let load = take_load(&mut t, "load", P)?;
+            let (min_bytes, max_bytes) = take_sizes(&mut t, "min_bytes", "max_bytes", P)?;
+            let f = field(P, "alpha");
+            let alpha = as_f64(take(&mut t, "alpha", P)?, &f)?;
+            if alpha <= 1.0 {
+                return Err(err(f, format!("out of range: must be > 1, got {alpha}")));
+            }
+            Workload::Permutation {
+                load,
+                min_bytes,
+                max_bytes,
+                alpha,
+                until_us: take_u64_in(&mut t, "until_us", P, 1, horizon_us)?,
+            }
+        }
         other => {
             return Err(err(
                 field(P, "kind"),
                 format!(
-                    "unknown workload `{other}` (expected periodic, single, poisson, tenants, or fanin)"
+                    "unknown workload `{other}` (expected periodic, single, poisson, tenants, fanin, or permutation)"
                 ),
             ));
         }
@@ -1182,7 +1255,10 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
             Workload::Periodic { .. } | Workload::Single { .. },
         ) | (Topology::TwoPath { .. }, Workload::Poisson { .. })
             | (Topology::Dumbbell { .. }, Workload::Tenants { .. })
-            | (Topology::LeafSpine { .. }, Workload::Fanin { .. })
+            | (
+                Topology::LeafSpine { .. },
+                Workload::Fanin { .. } | Workload::Permutation { .. }
+            )
     );
     if !workload_ok {
         return Err(err(
@@ -1192,6 +1268,26 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
                 s.workload.kind(),
                 s.topology.kind()
             ),
+        ));
+    }
+    let alternates = matches!(
+        s.topology,
+        Topology::TwoPath {
+            strategy: TwoPathStrategy::Alternate { .. },
+            ..
+        }
+    );
+    if matches!(
+        s.workload,
+        Workload::Single {
+            start_step_us: Some(_),
+            ..
+        }
+    ) && !alternates
+    {
+        return Err(err(
+            "workload.start_step_us",
+            "a stepped start needs an alternate two-path (it is a phase of the flip period)",
         ));
     }
     for (i, f) in s.faults.iter().enumerate() {

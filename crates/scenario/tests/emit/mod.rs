@@ -3,7 +3,8 @@
 //! scenarios, so it lives with the test that needs it.
 
 use mtp_scenario::schema::{
-    FailMode, FaultSpec, LinkParams, MtpOpts, Scenario, Topology, TwoPathStrategy, Workload,
+    FailMode, FaultSpec, LeafSpineStrategy, LinkParams, MtpOpts, Scenario, Topology,
+    TwoPathStrategy, Workload,
 };
 use mtp_scenario::toml::{escape_basic, format_key};
 
@@ -102,10 +103,20 @@ pub fn to_toml(s: &Scenario) -> String {
             hosts_per_leaf,
             host_link,
             spine_link,
+            strategy,
         } => {
             o.push_str(&format!("leaves = {leaves}\n"));
             o.push_str(&format!("spines = {spines}\n"));
             o.push_str(&format!("hosts_per_leaf = {hosts_per_leaf}\n"));
+            if let Some(strategy) = strategy {
+                let key = match strategy {
+                    LeafSpineStrategy::Ecmp => "ecmp",
+                    LeafSpineStrategy::Spray => "spray",
+                    LeafSpineStrategy::MtpLb => "mtp-lb",
+                    LeafSpineStrategy::MtpConga => "mtp-conga",
+                };
+                o.push_str(&format!("strategy = \"{key}\"\n"));
+            }
             emit_link(&mut o, "topology.host_link", host_link);
             emit_link(&mut o, "topology.spine_link", spine_link);
         }
@@ -123,7 +134,15 @@ pub fn to_toml(s: &Scenario) -> String {
             o.push_str(&format!("bytes = {bytes}\n"));
             o.push_str(&format!("interval_us = {interval_us}\n"));
         }
-        Workload::Single { bytes } => o.push_str(&format!("bytes = {bytes}\n")),
+        Workload::Single {
+            bytes,
+            start_step_us,
+        } => {
+            o.push_str(&format!("bytes = {bytes}\n"));
+            if let Some(step) = start_step_us {
+                o.push_str(&format!("start_step_us = {step}\n"));
+            }
+        }
         Workload::Poisson {
             load,
             min_bytes,
@@ -160,6 +179,19 @@ pub fn to_toml(s: &Scenario) -> String {
             o.push_str(&format!("bytes = {bytes}\n"));
             o.push_str(&format!("stagger_us = {stagger_us}\n"));
             o.push_str(&format!("round_gap_us = {round_gap_us}\n"));
+        }
+        Workload::Permutation {
+            load,
+            min_bytes,
+            max_bytes,
+            alpha,
+            until_us,
+        } => {
+            o.push_str(&format!("load = {}\n", format_float(*load)));
+            o.push_str(&format!("min_bytes = {min_bytes}\n"));
+            o.push_str(&format!("max_bytes = {max_bytes}\n"));
+            o.push_str(&format!("alpha = {}\n", format_float(*alpha)));
+            o.push_str(&format!("until_us = {until_us}\n"));
         }
     }
 

@@ -1,4 +1,4 @@
-//! Golden replay: six corpus scenarios are byte-identical to a
+//! Golden replay: eleven corpus scenarios are byte-identical to a
 //! hand-written build-and-run of the same experiment.
 //!
 //! Each test spells the experiment out inline — its own endpoint nodes
@@ -10,13 +10,15 @@
 //! recorded in the checked-in scenario file, so editing
 //! `scenarios/*.toml` out from under the reference fails here, not in CI
 //! archaeology. Every experiment here exists only as a scenario; the
-//! Fig. 5 and Fig. 6 sequences are those of the retired `fig5` and
-//! `fig6` binaries, measurements included, so the reported numbers are
-//! the ones those binaries recorded.
+//! Fig. 5, Fig. 6, leaf-spine and phase-sweep sequences are those of the
+//! retired `fig5`, `fig6`, `leafspine` and `sweep` binaries, measurements
+//! included, so the reported numbers are the ones those binaries
+//! recorded (numbers a scenario report does not carry are asserted here
+//! as the literals of the retired records).
 
 use std::path::Path;
 
-use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
+use mtp_core::{MtpConfig, MtpDuplexHost, MtpSenderNode, MtpSinkNode, ScheduledMsg};
 use mtp_faults::topo::{CLIENT_ADDR, SERVER_ADDR};
 use mtp_faults::{
     parallel_paths, FaultDriver, FaultSchedule, Ledger, LinkSpec, ParallelPaths, ParallelSpec,
@@ -30,9 +32,10 @@ use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
 use mtp_wire::EntityId;
 
 use mtp_bench::study::{tcp_periodic, us};
+use mtp_bench::topo::{leaf_spine, ls_addr};
 use mtp_net::Strategy;
 use mtp_wire::PathletId;
-use mtp_workload::{poisson_schedule, FctCollector, SizeDist};
+use mtp_workload::{mean_std, poisson_schedule, FctCollector, SizeDist};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -162,7 +165,7 @@ fn failover_scenario_is_byte_identical_to_inline_reference() {
     let mut drv = FaultDriver::new(failover_outage(&d));
     drv.run_until(&mut d.sim, us(FO_HORIZON));
     assert!(d.sim.audit().ok(), "reference run fails conservation");
-    let fig_ledger = Ledger::capture(&d.sim, &[d.sender], d.sink);
+    let fig_ledger = Ledger::capture([d.sim.node_as(d.sender)], d.sim.node_as(d.sink));
     let records: Vec<(Time, Option<Time>)> = d
         .sim
         .node_as::<MtpSenderNode>(d.sender)
@@ -180,12 +183,8 @@ fn failover_scenario_is_byte_identical_to_inline_reference() {
         "scenario cell must pass"
     );
     assert_eq!(cell.result.digest, fig_digest, "engine digest diverged");
-    assert_eq!(
-        cell.ledger.as_ref(),
-        Some(&fig_ledger),
-        "exactly-once ledger diverged"
-    );
     assert_eq!(fig_ledger.check_exactly_once(), Vec::<String>::new());
+    assert_eq!(cell.ledgers, [fig_ledger], "exactly-once ledger diverged");
     assert_eq!(
         pinned_digest(&s, "mtp", FO_SEED),
         fig_digest,
@@ -251,7 +250,7 @@ fn corruption_scenario_is_byte_identical_to_inline_reference() {
     let mut drv = FaultDriver::new(corruption_storm(&d));
     drv.run_until(&mut d.sim, us(CO_HORIZON));
     assert!(d.sim.audit().ok(), "reference run fails conservation");
-    let fig_ledger = Ledger::capture(&d.sim, &[d.sender], d.sink);
+    let fig_ledger = Ledger::capture([d.sim.node_as(d.sender)], d.sim.node_as(d.sink));
     let records: Vec<(Time, Option<Time>)> = d
         .sim
         .node_as::<MtpSenderNode>(d.sender)
@@ -264,7 +263,7 @@ fn corruption_scenario_is_byte_identical_to_inline_reference() {
     let cell = execute_cell(&s, Protocol::Mtp, CO_SEED);
     assert_eq!(cell.result.violations, Vec::<String>::new());
     assert_eq!(cell.result.digest, fig_digest);
-    assert_eq!(cell.ledger.as_ref(), Some(&fig_ledger));
+    assert_eq!(cell.ledgers, [fig_ledger]);
     assert_eq!(pinned_digest(&s, "mtp", CO_SEED), fig_digest);
     // The storm must actually have damaged frames for the accounting
     // assertion to mean anything.
@@ -423,7 +422,7 @@ fn fig6_matches_inline_reference(file: &str, forward: Strategy) {
     );
     d.sim.run_until(Time::ZERO + Duration::from_millis(80));
     assert!(d.sim.audit().ok(), "reference run fails conservation");
-    let ledger = Ledger::capture(&d.sim, &[d.sender], d.sink);
+    let ledger = Ledger::capture([d.sim.node_as(d.sender)], d.sim.node_as(d.sink));
     let sender = d.sim.node_as::<MtpSenderNode>(d.sender);
     let records: Vec<(Time, Option<Time>)> = sender
         .msgs
@@ -447,7 +446,7 @@ fn fig6_matches_inline_reference(file: &str, forward: Strategy) {
         "scenario cell must pass"
     );
     assert_eq!(r.digest, digest, "engine digest diverged");
-    assert_eq!(cell.ledger.as_ref(), Some(&ledger), "ledger diverged");
+    assert_eq!(cell.ledgers, [ledger], "ledger diverged");
     assert_eq!(pinned_digest(&s, "mtp", 6), digest);
     assert_eq!(
         (r.p50_us, r.p99_us),
@@ -474,5 +473,306 @@ fn fig6_mtp_lb_scenario_is_byte_identical_to_figure_binary() {
     fig6_matches_inline_reference(
         "fig6_mtp_lb.toml",
         Strategy::mtp_lb(2, vec![Some(PathletId(1)), Some(PathletId(2))]),
+    );
+}
+
+// --------------------------------------------------------- leafspine
+
+/// One balancer's row of the retired `leafspine` record: p99 completion
+/// time of the messages under 100 KiB and of all messages, in
+/// microseconds, and retransmissions. Every row completed 9240 of 9240.
+struct LeafSpineRow {
+    small_p99_us: f64,
+    all_p99_us: f64,
+    retransmissions: u64,
+}
+
+/// leafspine's build sequence, verbatim, behind one balancer, checked
+/// against the scenario file that names the same balancer: engine
+/// digest, one exactly-once ledger per (sender, sink) pair, and the
+/// record's row. The binary seeded its simulator with 77 and host `k`'s
+/// arrivals with `900 + k`; the file's seed 900 seeds both, and nothing
+/// draws from the simulator's own RNG, so the runs are one and the same.
+fn leafspine_matches_binary(
+    file: &str,
+    strategy: impl FnMut(usize) -> Strategy,
+    spine_stamps: bool,
+    row: LeafSpineRow,
+) {
+    const LEAVES: usize = 4;
+    const SPINES: usize = 4;
+    const HOSTS_PER_LEAF: usize = 4;
+    const N: usize = LEAVES * HOSTS_PER_LEAF;
+
+    // Host k: Poisson arrivals at 45 % of its 100 Gbps link for 5 ms,
+    // bounded-Pareto (alpha 1.2) 10 KiB-10 MiB, priority = size class.
+    let schedules: Vec<Vec<ScheduledMsg>> = (0..N)
+        .map(|k| {
+            let mut rng = SmallRng::seed_from_u64(900 + k as u64);
+            poisson_schedule(
+                &mut rng,
+                &SizeDist::BoundedPareto {
+                    alpha: 1.2,
+                    min: 10 * 1024,
+                    max: 10 << 20,
+                },
+                Bandwidth::from_gbps(100),
+                0.45,
+                Time::ZERO,
+                Duration::from_millis(5),
+                None,
+            )
+            .into_iter()
+            .map(|(t, b)| {
+                let mut m = ScheduledMsg::new(t, b as u32);
+                m.pri = (64 - b.leading_zeros()) as u8;
+                m
+            })
+            .collect()
+        })
+        .collect();
+    let total: usize = schedules.iter().map(Vec::len).sum();
+    let link = LinkSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(1));
+    let mut ls = leaf_spine(
+        77,
+        LEAVES,
+        SPINES,
+        HOSTS_PER_LEAF,
+        |leaf, i, addr| {
+            // Cross-leaf permutation: host k sends to host k + 4.
+            let k = leaf * HOSTS_PER_LEAF + i;
+            let dst_k = (k + HOSTS_PER_LEAF) % N;
+            let dst = ls_addr(
+                dst_k / HOSTS_PER_LEAF,
+                HOSTS_PER_LEAF,
+                dst_k % HOSTS_PER_LEAF,
+            );
+            Box::new(MtpDuplexHost {
+                sender: MtpSenderNode::new(
+                    MtpConfig::default(),
+                    addr,
+                    dst,
+                    EntityId(addr),
+                    (k as u64 + 1) << 40,
+                    schedules[k].clone(),
+                ),
+                sink: MtpSinkNode::new(addr, Duration::from_micros(100)),
+            })
+        },
+        strategy,
+        link,
+        link,
+        spine_stamps,
+    );
+    ls.sim.run_until(Time::ZERO + Duration::from_millis(30));
+    assert!(ls.sim.audit().ok(), "reference run fails conservation");
+    let hosts: Vec<&MtpDuplexHost> = ls.hosts.iter().map(|&h| ls.sim.node_as(h)).collect();
+    let mut fct = FctCollector::new();
+    let mut retx = 0;
+    let mut records: Vec<(Time, Option<Time>)> = Vec::new();
+    for h in &hosts {
+        retx += h.sender.sender.stats.retransmissions;
+        for m in &h.sender.msgs {
+            records.push((m.submitted, m.completed));
+            if let Some(f) = m.fct() {
+                fct.record(m.bytes as u64, f);
+            }
+        }
+    }
+    let ledgers: Vec<Ledger> = (0..N)
+        .map(|k| Ledger::capture([&hosts[k].sender], &hosts[(k + HOSTS_PER_LEAF) % N].sink))
+        .collect();
+    for l in &ledgers {
+        assert_eq!(l.check_exactly_once(), Vec::<String>::new());
+    }
+    let digest = engine_digest(&ls.sim, &records);
+    let small = fct.summary_for_sizes(0, 100 * 1024);
+
+    let s = load_scenario(file);
+    let cell = execute_cell(&s, Protocol::Mtp, 900);
+    let r = &cell.result;
+    assert_eq!(
+        r.violations,
+        Vec::<String>::new(),
+        "scenario cell must pass"
+    );
+    assert_eq!(r.digest, digest, "engine digest diverged");
+    assert_eq!(pinned_digest(&s, "mtp", 900), digest);
+    assert_eq!(cell.ledgers, ledgers, "ledgers diverged");
+
+    // The record's row: reference and cell alike.
+    assert_eq!((fct.samples.len(), total), (9240, 9240));
+    assert_eq!((r.completed, r.completed + r.unfinished), (9240, 9240));
+    assert_eq!(small.p99_us, row.small_p99_us);
+    assert_eq!(r.p99_us, Some(row.small_p99_us));
+    assert_eq!(fct.summary().p99_us, row.all_p99_us);
+    assert_eq!(retx, row.retransmissions);
+    assert_eq!(r.retransmissions, row.retransmissions);
+}
+
+#[test]
+fn leafspine_ecmp_scenario_is_byte_identical_to_binary() {
+    leafspine_matches_binary(
+        "leafspine_ecmp.toml",
+        |_| Strategy::Ecmp,
+        false,
+        LeafSpineRow {
+            small_p99_us: 108.645986,
+            all_p99_us: 468.14607,
+            retransmissions: 1766,
+        },
+    );
+}
+
+#[test]
+fn leafspine_spray_scenario_is_byte_identical_to_binary() {
+    leafspine_matches_binary(
+        "leafspine_spray.toml",
+        |_| Strategy::Spray { next: 0 },
+        false,
+        LeafSpineRow {
+            small_p99_us: 103.713177,
+            all_p99_us: 509.590723,
+            retransmissions: 6328,
+        },
+    );
+}
+
+#[test]
+fn leafspine_mtp_lb_scenario_is_byte_identical_to_binary() {
+    leafspine_matches_binary(
+        "leafspine_mtp_lb.toml",
+        |_| Strategy::mtp_lb(4, (0..4).map(|s| Some(PathletId(s as u16 + 1))).collect()),
+        false,
+        LeafSpineRow {
+            small_p99_us: 132.936256,
+            all_p99_us: 984.085995,
+            retransmissions: 489,
+        },
+    );
+}
+
+#[test]
+fn leafspine_mtp_conga_scenario_is_byte_identical_to_binary() {
+    leafspine_matches_binary(
+        "leafspine_mtp_conga.toml",
+        |_| Strategy::conga_lb(4, Box::new(|addr| ((addr as usize - 1) / 4) as u16)),
+        true,
+        LeafSpineRow {
+            small_p99_us: 152.038501,
+            all_p99_us: 872.561986,
+            retransmissions: 557,
+        },
+    );
+}
+
+// ------------------------------------------------------------- sweep
+
+/// sweep's build sequence, verbatim: Fig. 5's network and flow for 6 ms,
+/// seed `s` starting the flow at `(37 s) mod 384` us. Each cell must match
+/// it (digest, goodput series, steady mean after 31 bins), and the
+/// per-protocol and improvement mean ± std over the twelve phases must
+/// equal the retired `sweep` record bit for bit.
+#[test]
+fn fig5_phase_sweep_scenario_is_byte_identical_to_binary() {
+    let s = load_scenario("fig5_phase_sweep.toml");
+    assert_eq!(s.seeds, (1..=12).collect::<Vec<u64>>());
+
+    let sample = Duration::from_micros(32);
+    let network = || ParallelSpec {
+        a: LinkSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(1)),
+        b: LinkSpec::new(Bandwidth::from_gbps(10), Duration::from_micros(1)),
+        host: LinkSpec::host_default(),
+        forward: Strategy::Alternate {
+            period: Duration::from_micros(384),
+        },
+        reverse: Strategy::Fixed,
+    };
+    let horizon = Time::ZERO + Duration::from_millis(6);
+    let steady_mean = |series: &[f64]| {
+        let s = &series[31.min(series.len())..];
+        s.iter().sum::<f64>() / s.len().max(1) as f64
+    };
+    // The cell against the reference's digest and series; returns the
+    // reference's steady mean.
+    let check = |proto: Protocol, seed: u64, digest: String, series: Vec<f64>| {
+        let r = execute_cell(&s, proto, seed).result;
+        assert_eq!(r.violations, Vec::<String>::new(), "{proto:?}/{seed}");
+        assert_eq!(r.digest, digest, "{proto:?}/{seed} digest diverged");
+        assert_eq!(pinned_digest(&s, proto.key(), seed), digest);
+        assert_eq!(r.goodput_series_gbps.as_ref(), Some(&series));
+        assert_eq!(r.goodput_mean_gbps, Some(steady_mean(&series)));
+        steady_mean(&series)
+    };
+
+    let (mut dctcp, mut mtp) = (Vec::new(), Vec::new());
+    for seed in 1..=12u64 {
+        let start = Time::ZERO + Duration::from_micros((seed * 37) % 384);
+
+        let mut t = parallel_paths(
+            seed,
+            tcp_ends(TcpConfig::dctcp(), vec![(start, 200_000_000)], sample),
+            network(),
+        );
+        t.sim.run_until(horizon);
+        assert!(t.sim.audit().ok(), "reference run fails conservation");
+        let records: Vec<(Time, Option<Time>)> = t
+            .sim
+            .node_as::<TcpSenderNode>(t.sender)
+            .msgs
+            .iter()
+            .map(|r| (r.submitted, r.completed))
+            .collect();
+        dctcp.push(check(
+            Protocol::TcpDctcp,
+            seed,
+            engine_digest(&t.sim, &records),
+            t.sim.node_as::<TcpSinkNode>(t.sink).goodput.rates_gbps(),
+        ));
+
+        let mut m = parallel_paths(
+            seed,
+            mtp_ends(
+                MtpConfig::default(),
+                vec![ScheduledMsg {
+                    at: start,
+                    ..ScheduledMsg::new(Time::ZERO, 200_000_000)
+                }],
+                sample,
+                1,
+            ),
+            network(),
+        );
+        m.sim.run_until(horizon);
+        assert!(m.sim.audit().ok(), "reference run fails conservation");
+        let records: Vec<(Time, Option<Time>)> = m
+            .sim
+            .node_as::<MtpSenderNode>(m.sender)
+            .msgs
+            .iter()
+            .map(|r| (r.submitted, r.completed))
+            .collect();
+        mtp.push(check(
+            Protocol::Mtp,
+            seed,
+            engine_digest(&m.sim, &records),
+            m.sim.node_as::<MtpSinkNode>(m.sink).goodput.rates_gbps(),
+        ));
+    }
+
+    let improvements: Vec<f64> = dctcp
+        .iter()
+        .zip(&mtp)
+        .map(|(d, m)| (m / d - 1.0) * 100.0)
+        .collect();
+    assert!(
+        improvements.iter().all(|&i| i > 0.0),
+        "MTP must win at every phase: {improvements:?}"
+    );
+    assert_eq!(mean_std(&dctcp), (43.60703821656042, 0.25105148960849943));
+    assert_eq!(mean_std(&mtp), (51.38459925690018, 0.04532445859860336));
+    assert_eq!(
+        mean_std(&improvements),
+        (17.839360266159506, 0.7254962695874184)
     );
 }

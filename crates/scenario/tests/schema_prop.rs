@@ -16,8 +16,8 @@ mod emit;
 
 use emit::to_toml;
 use mtp_scenario::schema::{
-    self, from_str, Asserts, CellAsserts, FailMode, FaultSpec, LinkParams, LoadError, MtpOpts,
-    Protocol, Scenario, Topology, TwoPathStrategy, Workload,
+    self, from_str, Asserts, CellAsserts, FailMode, FaultSpec, LeafSpineStrategy, LinkParams,
+    LoadError, MtpOpts, Protocol, Scenario, Topology, TwoPathStrategy, Workload,
 };
 
 // ------------------------------------------------- arbitrary scenarios
@@ -83,6 +83,13 @@ fn arb_topology(rng: &mut SmallRng) -> Topology {
             hosts_per_leaf: rng.gen_range(1..=16),
             host_link: arb_link(rng),
             spine_link: arb_link(rng),
+            strategy: match rng.gen_range(0..5) {
+                0 => None,
+                1 => Some(LeafSpineStrategy::Ecmp),
+                2 => Some(LeafSpineStrategy::Spray),
+                3 => Some(LeafSpineStrategy::MtpLb),
+                _ => Some(LeafSpineStrategy::MtpConga),
+            },
         },
     }
 }
@@ -99,6 +106,13 @@ fn arb_workload(rng: &mut SmallRng, topo: &Topology, horizon_us: u64) -> Workloa
             }
         }
         Topology::Diamond { .. } | Topology::TwoPath { .. } => {
+            let alternates = matches!(
+                topo,
+                Topology::TwoPath {
+                    strategy: TwoPathStrategy::Alternate { .. },
+                    ..
+                }
+            );
             if rng.gen_bool(0.5) {
                 Workload::Periodic {
                     count: rng.gen_range(1..=100_000),
@@ -108,6 +122,8 @@ fn arb_workload(rng: &mut SmallRng, topo: &Topology, horizon_us: u64) -> Workloa
             } else {
                 Workload::Single {
                     bytes: rng.gen_range(1..=u32::MAX as u64),
+                    start_step_us: (alternates && rng.gen_bool(0.5))
+                        .then(|| rng.gen_range(1..=10_000_000)),
                 }
             }
         }
@@ -126,6 +142,16 @@ fn arb_workload(rng: &mut SmallRng, topo: &Topology, horizon_us: u64) -> Workloa
                 mice_load: rng.gen_range(1..=100) as f64 / 100.0,
                 mice_min_bytes: min,
                 mice_max_bytes: min + rng.gen_range(0..=100_000u64),
+            }
+        }
+        Topology::LeafSpine { .. } if rng.gen_bool(0.5) => {
+            let min = rng.gen_range(1..=u32::MAX as u64);
+            Workload::Permutation {
+                load: rng.gen_range(1..=100) as f64 / 100.0,
+                min_bytes: min,
+                max_bytes: rng.gen_range(min..=u32::MAX as u64),
+                alpha: 1.0 + rng.gen_range(1..=300) as f64 / 100.0,
+                until_us: rng.gen_range(1..=horizon_us),
             }
         }
         Topology::LeafSpine { .. } => Workload::Fanin {
@@ -627,4 +653,71 @@ fn fct_below_bytes_must_be_positive() {
     let e = schema_err(&fig6_like().replace("fct_below_bytes = 10000", "fct_below_bytes = 0"));
     assert_eq!(e.field, "assert.fct_below_bytes");
     assert!(e.msg.contains("out of range"), "msg: {}", e.msg);
+}
+
+// -------------------- leaf-spine permutation and phase sweep (Figs. 6, 5)
+
+const LEAF_SPINE: &str = "[topology]\nkind = \"leaf-spine\"\nleaves = 2\nspines = 2\n\
+    hosts_per_leaf = 2\nstrategy = \"mtp-conga\"\n\
+    [topology.host_link]\nrate_gbps = 10\ndelay_us = 1\n\
+    [topology.spine_link]\nrate_gbps = 10\ndelay_us = 1\n";
+const PERMUTATION: &str = "[workload]\nkind = \"permutation\"\nload = 0.5\n\
+    min_bytes = 1000\nmax_bytes = 100000\nalpha = 1.2\nuntil_us = 500\n";
+const ALTERNATE: &str = "[topology]\nkind = \"two-path\"\nstrategy = \"alternate\"\n\
+    alternate_period_us = 384\n\
+    [topology.a]\nrate_gbps = 10\ndelay_us = 1\n[topology.b]\nrate_gbps = 1\ndelay_us = 1\n";
+const STEPPED: &str = "[workload]\nkind = \"single\"\nbytes = 1000\nstart_step_us = 37\n";
+
+fn permutation_like() -> String {
+    [HEAD, LEAF_SPINE, PERMUTATION].concat()
+}
+
+#[test]
+fn permutation_and_stepped_documents_are_valid_and_roundtrip() {
+    for doc in [permutation_like(), [HEAD, ALTERNATE, STEPPED].concat()] {
+        let s = from_str(&doc).expect("document decodes");
+        assert_eq!(from_str(&to_toml(&s)).expect("re-decode"), s, "{doc}");
+    }
+}
+
+#[test]
+fn unknown_leaf_spine_strategy_is_refused() {
+    let e = schema_err(&permutation_like().replace("mtp-conga", "alternate"));
+    assert_eq!(e.field, "topology.strategy");
+    assert!(e.msg.contains("`alternate`"), "msg: {}", e.msg);
+}
+
+#[test]
+fn permutation_runs_only_on_leaf_spine() {
+    let others = [OTHER_TOPOLOGIES[0], OTHER_TOPOLOGIES[1], TWO_PATH];
+    for topo in others {
+        let e = schema_err(&[HEAD, topo, PERMUTATION].concat());
+        assert_eq!(e.field, "workload.kind", "{topo}");
+        assert!(e.msg.contains("permutation"), "msg: {}", e.msg);
+    }
+}
+
+#[test]
+fn stepped_start_needs_an_alternate_two_path() {
+    let others = [OTHER_TOPOLOGIES[0], TWO_PATH];
+    for topo in others {
+        let e = schema_err(&[HEAD, topo, STEPPED].concat());
+        assert_eq!(e.field, "workload.start_step_us", "{topo}");
+    }
+}
+
+#[test]
+fn pareto_alpha_must_exceed_one() {
+    for alpha in ["1.0", "1", "0.5"] {
+        let e = schema_err(&permutation_like().replace("alpha = 1.2", &format!("alpha = {alpha}")));
+        assert_eq!(e.field, "workload.alpha");
+        assert!(e.msg.contains("must be > 1"), "msg: {}", e.msg);
+    }
+}
+
+#[test]
+fn permutation_arrivals_end_by_the_horizon() {
+    let e = schema_err(&permutation_like().replace("until_us = 500", "until_us = 1001"));
+    assert_eq!(e.field, "workload.until_us");
+    assert!(e.msg.contains("1..=1000"), "msg: {}", e.msg);
 }

@@ -19,8 +19,7 @@ pub fn percentile(samples: &[f64], p: f64) -> f64 {
 /// Mean and sample standard deviation of a slice.
 ///
 /// Returns `(0.0, 0.0)` for an empty slice and a zero deviation for a
-/// single sample. This is the canonical implementation; `mtp-bench`
-/// re-exports it for experiment binaries.
+/// single sample.
 pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     if xs.is_empty() {
         return (0.0, 0.0);

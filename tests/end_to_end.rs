@@ -277,6 +277,7 @@ fn leaf_spine_fabric_completes_permutation() {
         },
         PathSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(1)),
         PathSpec::new(Bandwidth::from_gbps(100), Duration::from_micros(1)),
+        false,
     );
     ls.sim.run_until(Time::ZERO + Duration::from_millis(20));
     mtp::sim::assert_conservation(&ls.sim);
