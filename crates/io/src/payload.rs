@@ -34,19 +34,26 @@ fn block_word(id: MsgId, block: u64) -> u64 {
     splitmix64(id.0.wrapping_mul(0xA076_1D64_78BD_642F) ^ block)
 }
 
-/// Fill `buf` with the bytes of message `id` starting at byte `offset`.
+/// Fill `buf` with the bytes of message `id` starting at byte `offset`:
+/// the rest of the block `offset` starts inside, whole words, then the
+/// head of the block the range ends inside.
 pub fn fill(id: MsgId, offset: u32, buf: &mut [u8]) {
-    // Sentinel: no real position sits in block u64::MAX (offsets are
-    // u32-bounded), so the first byte always computes its word.
-    let mut block = u64::MAX;
-    let mut word = [0u8; 8];
-    for (k, b) in buf.iter_mut().enumerate() {
-        let pos = offset as u64 + k as u64;
-        if pos / 8 != block {
-            block = pos / 8;
-            word = block_word(id, block).to_le_bytes();
-        }
-        *b = word[(pos % 8) as usize];
+    let mut block = u64::from(offset / 8);
+    let skip = (offset % 8) as usize;
+    let head = ((8 - skip) % 8).min(buf.len());
+    let (head_bytes, body) = buf.split_at_mut(head);
+    if head > 0 {
+        head_bytes.copy_from_slice(&block_word(id, block).to_le_bytes()[skip..skip + head]);
+        block += 1;
+    }
+    let mut words = body.chunks_exact_mut(8);
+    for word in &mut words {
+        word.copy_from_slice(&block_word(id, block).to_le_bytes());
+        block += 1;
+    }
+    let tail = words.into_remainder();
+    if !tail.is_empty() {
+        tail.copy_from_slice(&block_word(id, block).to_le_bytes()[..tail.len()]);
     }
 }
 
@@ -69,6 +76,25 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 /// Digest of one message's reassembled bytes.
 pub fn message_digest(bytes: &[u8]) -> u64 {
     fnv1a(FNV_OFFSET, bytes)
+}
+
+/// `(message_digest(a), message_digest(b))` in one pass: the two chains
+/// run interleaved over the common prefix, each tail finishes alone.
+///
+/// Each byte of a fold waits on the multiply before it, so one chain
+/// leaves the core mostly idle; a second, independent chain fills those
+/// slots: a 256 KiB message folds in about 210 µs paired against 415 µs
+/// alone (one core of a 2-vCPU Intel Xeon). Four chains fold in about
+/// 105 µs, but the listener would hold three delivered 256 KiB buffers
+/// instead of one, so it pairs.
+pub(crate) fn message_digest_pair(a: &[u8], b: &[u8]) -> (u64, u64) {
+    let common = a.len().min(b.len());
+    let (mut ha, mut hb) = (FNV_OFFSET, FNV_OFFSET);
+    for (&x, &y) in a[..common].iter().zip(&b[..common]) {
+        ha = (ha ^ x as u64).wrapping_mul(FNV_PRIME);
+        hb = (hb ^ y as u64).wrapping_mul(FNV_PRIME);
+    }
+    (fnv1a(ha, &a[common..]), fnv1a(hb, &b[common..]))
 }
 
 /// Digest of the message `id` of length `len` as [`fill`] defines it —
@@ -114,6 +140,65 @@ pub fn synth_content_digest(msgs: impl IntoIterator<Item = (u64, u32)>) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// [`fill`] one byte at a time: the reference the word writer must
+    /// match.
+    fn fill_bytewise(id: MsgId, offset: u32, buf: &mut [u8]) {
+        for (k, b) in buf.iter_mut().enumerate() {
+            let pos = offset as u64 + k as u64;
+            *b = block_word(id, pos / 8).to_le_bytes()[(pos % 8) as usize];
+        }
+    }
+
+    proptest! {
+        /// The paired fold is two serial folds, at any two lengths.
+        #[test]
+        fn digest_pair_equals_two_serial_digests(
+            a in prop::collection::vec(any::<u8>(), 0..600),
+            b in prop::collection::vec(any::<u8>(), 0..600),
+        ) {
+            let want = (message_digest(&a), message_digest(&b));
+            prop_assert_eq!(message_digest_pair(&a, &b), want);
+            prop_assert_eq!(message_digest_pair(&b, &a), (want.1, want.0));
+            prop_assert_eq!(message_digest_pair(&a, &[]), (want.0, message_digest(&[])));
+        }
+
+        /// Whole-word `fill` writes the bytes the byte loop does, at every
+        /// alignment, length and offset a `u32` position allows.
+        #[test]
+        fn fill_equals_the_bytewise_reference(
+            id in any::<u64>(),
+            len in 0usize..301,
+            align in 0u32..8,
+            at in any::<u32>(),
+        ) {
+            let top = u32::MAX - len as u32;
+            let offset = (at % (top / 8 + 1) * 8 + align).min(top);
+            let (mut words, mut bytes) = (vec![0u8; len], vec![0u8; len]);
+            fill(MsgId(id), offset, &mut words);
+            fill_bytewise(MsgId(id), offset, &mut bytes);
+            prop_assert_eq!(words, bytes);
+        }
+    }
+
+    #[test]
+    fn fill_covers_every_head_alignment() {
+        let id = MsgId(7);
+        for offset in 0..16u32 {
+            for len in 0..=24 {
+                let (mut words, mut bytes) = (vec![0u8; len], vec![0u8; len]);
+                fill(id, offset, &mut words);
+                fill_bytewise(id, offset, &mut bytes);
+                assert_eq!(words, bytes, "offset {offset} len {len}");
+            }
+        }
+        let top = u32::MAX - 300;
+        let (mut words, mut bytes) = (vec![0u8; 300], vec![0u8; 300]);
+        fill(id, top, &mut words);
+        fill_bytewise(id, top, &mut bytes);
+        assert_eq!(words, bytes, "the last positions a u32 offset reaches");
+    }
 
     #[test]
     fn fill_is_offset_independent() {

@@ -123,7 +123,9 @@ pub struct SessionCaps {
     /// Most reassembly bytes the receiver will hold across partially
     /// received messages. One message is always admitted even if it
     /// alone exceeds the cap (progress guarantee); the enforced bound is
-    /// therefore `max(cap, largest single message)`.
+    /// therefore `max(cap, largest single message)`. The listener holds
+    /// one delivered message more, outside the cap, while its content
+    /// digest waits for the next delivery's to fold with.
     pub max_reassembly_bytes: u64,
 }
 
@@ -1138,6 +1140,12 @@ struct Conn {
     peak_reasm_bytes: u64,
     delivered: Vec<(u64, u32)>,
     digests: Vec<(u64, u32, u64)>,
+    /// A delivered message `(id, len, bytes)` whose digest waits for the
+    /// next delivery's, so the two fold in one pass
+    /// ([`payload::message_digest_pair`]): half the per-byte digest cost
+    /// of `wire_bulk`'s messages, for one delivered buffer held past its
+    /// delivery. Finalize folds a leftover alone; a death drops it.
+    undigested: Option<(u64, u32, Vec<u8>)>,
 }
 
 /// The listening, receiving end: owns a control socket (the published
@@ -1308,6 +1316,9 @@ impl Listener {
     fn finalize_conn(&mut self) {
         if let Some(conn) = self.drop_conn() {
             let (mut delivered, mut digests) = (conn.delivered, conn.digests);
+            if let Some((id, len, buf)) = conn.undigested {
+                digests.push((id, len, payload::message_digest(&buf)));
+            }
             delivered.sort_unstable();
             digests.sort_unstable();
             let (client_sid, server_sid) = self.ctrl.ids();
@@ -1386,6 +1397,7 @@ impl Listener {
             peak_reasm_bytes: 0,
             delivered: Vec::new(),
             digests: Vec::new(),
+            undigested: None,
         });
         self.registry.gauge_add(Gauge::SessionsActive, 1);
         self.died = None;
@@ -1559,16 +1571,23 @@ impl Listener {
         let mut ev = std::mem::take(&mut self.ev_buf);
         conn.recv.drain_events(&mut ev);
         for d in ev.drain(..) {
-            let mut buf = conn.reasm.remove(&d.id.0).unwrap_or_default();
+            let buf = conn.reasm.remove(&d.id.0).unwrap_or_default();
             debug_assert_eq!(buf.len(), d.bytes as usize);
             conn.reasm_bytes -= buf.len() as u64;
             self.registry
                 .gauge_add(Gauge::SessionReasmBytes, -(buf.len() as i64));
-            conn.digests
-                .push((d.id.0, d.bytes, payload::message_digest(&buf)));
             conn.delivered.push((d.id.0, d.bytes));
-            buf.clear();
-            conn.spare_reasm.push(buf);
+            let Some((id, len, held)) = conn.undigested.take() else {
+                conn.undigested = Some((d.id.0, d.bytes, buf));
+                continue;
+            };
+            let (first, second) = payload::message_digest_pair(&held, &buf);
+            conn.digests.push((id, len, first));
+            conn.digests.push((d.id.0, d.bytes, second));
+            for mut spare in [held, buf] {
+                spare.clear();
+                conn.spare_reasm.push(spare);
+            }
         }
         self.ev_buf = ev;
     }
