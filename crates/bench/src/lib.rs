@@ -1,17 +1,19 @@
 //! # mtp-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation that is not yet
-//! a scenario file (Figs. 5 and 6, Fig. 5 across start phases and Fig. 6
-//! on a leaf-spine fabric are: `scn scenarios/{fig5_*,fig6_*,leafspine_*}.toml`):
+//! One binary per figure of the paper's evaluation that is not yet a
+//! scenario file (Figs. 3, 5, 6 and 7, Fig. 5 across start phases and
+//! Fig. 6 on a leaf-spine fabric are:
+//! `scn scenarios/{fig3_*,fig5_*,fig6_*,fig7_*,leafspine_*}.toml`):
 //!
 //! | binary   | paper artefact | what it regenerates |
 //! |----------|----------------|---------------------|
-//! | `table1` | Table 1        | transport capability matrix |
 //! | `fig2`   | Figure 2       | proxy buffering vs HOL blocking |
-//! | `fig3`   | Figure 3       | one-message-per-flow congestion noise |
-//! | `fig7`   | Figure 7       | per-entity isolation |
 //! | `ablations` | §4 design discussion | pathlet granularity, header overhead, blob vs message |
 //! | `fig_fabric` | beyond the paper | ~10k-endpoint multi-pod Clos, serial vs pod-sharded, digests identical |
+//!
+//! Table 1 runs no simulator: `tests/table1.rs` rebuilds it from the
+//! transports' capability records and compares it with
+//! `results/table1.json` byte for byte.
 //!
 //! Each binary prints the series/rows the paper reports and writes a JSON
 //! record under `results/`. Runs are deterministic: fixed seeds, shared

@@ -7,7 +7,7 @@ use serde::Serialize;
 /// A labelled experiment result written to `results/<name>.json`.
 #[derive(Debug, Serialize)]
 pub struct ExperimentRecord<T: Serialize> {
-    /// Experiment id (e.g. "fig7").
+    /// Experiment id (e.g. "fig2").
     pub id: &'static str,
     /// What the paper's version of this artefact shows.
     pub paper_claim: &'static str,

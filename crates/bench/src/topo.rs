@@ -8,7 +8,7 @@
 //!   diamond, so its one builder lives in `mtp-faults` and is re-exported
 //!   here ([`parallel_paths`]);
 //! * **dumbbell**: N senders — sw1 —(shared link)— sw2 — receiver(s)
-//!   (Figs. 3 and 7).
+//!   (Figs. 3 and 7, whose scenario files `mtp-scenario` builds here).
 
 use mtp_net::{FanoutForwarder, Stamp, StampKind, StaticRoutes, Strategy, SwitchNode};
 use mtp_sim::{LinkCfg, NodeId, PortId, Simulator};

@@ -1,10 +1,11 @@
 //! The cell engine: build, run, measure, and check one scenario ×
 //! protocol × seed cell.
 //!
-//! A cell is executed against the exact builders the figure binaries use
+//! A cell is executed against the shared network builders
 //! ([`mtp_faults::parallel_paths`], [`mtp_bench::topo::dumbbell`], …),
-//! so a scenario file that names the same parameters reproduces the same
-//! packet-level run — the golden-replay tests pin this byte-for-byte.
+//! so a scenario file that names the same parameters as a hand-written
+//! run reproduces the same packet-level run — the golden-replay tests pin
+//! this byte-for-byte, and the retired figure binaries' numbers with it.
 //! Every assertion is checked non-panicking: violations come back as
 //! strings naming the assertion, never as a crash, so one broken cell
 //! cannot take down a corpus run.
@@ -16,10 +17,12 @@ use mtp_faults::{
     mtp_pair, parallel_paths, tcp_pair, FaultDriver, FaultSchedule, Ledger, LinkSpec, ParallelSpec,
     PATHLET_A, PATHLET_B,
 };
-use mtp_net::{Strategy, SwitchNode};
+use mtp_net::{src_addr, FairShareEnforcer, IngressPolicy, Strategy, SwitchNode};
 use mtp_sim::time::{Bandwidth, Duration, Time};
-use mtp_sim::{DirLinkId, LinkFailMode, NodeId, Simulator};
-use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode};
+use mtp_sim::{
+    DirLinkId, DrrQueue, LinkFailMode, Node, NodeAuditCounters, NodeId, Qdisc, Simulator,
+};
+use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
 use mtp_wire::PathletId;
 use mtp_workload::{poisson_schedule, SizeDist};
 use rand::rngs::SmallRng;
@@ -27,8 +30,8 @@ use rand::SeedableRng;
 use serde::Serialize;
 
 use crate::schema::{
-    Asserts, CellAsserts, FailMode, FaultSpec, LeafSpineStrategy, LinkParams, Protocol, Scenario,
-    Topology, TwoPathStrategy, Workload,
+    Asserts, CellAsserts, FailMode, FaultSpec, Isolation, LeafSpineStrategy, LinkParams, Protocol,
+    Scenario, Topology, TwoPathStrategy, Workload,
 };
 
 /// Measured outcome of one cell, as written to the report.
@@ -57,10 +60,15 @@ pub struct CellResult {
     /// Sender retransmissions.
     pub retransmissions: u64,
     /// Mean sink goodput after `assert.warmup_bins` bins, Gbps
-    /// (single-sink topologies only).
+    /// (single-sink topologies and the dumbbell).
     pub goodput_mean_gbps: Option<f64>,
-    /// Sink goodput per sampling bin, Gbps (single-sink topologies only).
+    /// Sink goodput per sampling bin, Gbps (single-sink topologies; on
+    /// the dumbbell, the sum over its sinks).
     pub goodput_series_gbps: Option<Vec<f64>>,
+    /// Per tenant, in tenant order: the sum over the tenant's sinks of
+    /// each sink's mean goodput over the last quarter of its bins, Gbps
+    /// (dumbbell only).
+    pub tenant_goodput_gbps: Option<Vec<f64>>,
     /// Mean time from each return to path A until goodput reaches 80 %
     /// of path A's rate, microseconds (`alternate` two-path only).
     pub recovery_us: Option<f64>,
@@ -131,10 +139,12 @@ pub fn fnv64(s: &str) -> String {
 }
 
 fn to_spec(l: LinkParams) -> LinkSpec {
-    LinkSpec::new(
-        Bandwidth::from_gbps(l.rate_gbps),
-        Duration::from_micros(l.delay_us),
-    )
+    LinkSpec {
+        rate: Bandwidth::from_gbps(l.rate_gbps),
+        delay: Duration::from_micros(l.delay_us),
+        cap_pkts: l.queue_pkts as usize,
+        ecn_k: l.ecn_k as usize,
+    }
 }
 
 /// Name → handle maps a topology publishes for fault resolution.
@@ -275,6 +285,7 @@ struct Measured {
     timeouts: u64,
     retransmissions: u64,
     goodput_series: Option<Vec<f64>>,
+    tenant_goodput: Option<Vec<f64>>,
     path_tx_bytes: Option<[u64; 2]>,
     corruption: Option<CorruptionLedger>,
     /// See [`CellRun::ledgers`].
@@ -534,77 +545,132 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
         timeouts,
         retransmissions,
         goodput_series: Some(goodput_series),
+        tenant_goodput: None,
         path_tx_bytes: Some(path_tx_bytes),
         corruption,
         ledgers,
     }
 }
 
-fn run_dumbbell(s: &Scenario, seed: u64) -> Measured {
-    let (edge, shared) = match &s.topology {
-        Topology::Dumbbell { edge, shared } => (to_spec(*edge), to_spec(*shared)),
-        _ => unreachable!("caller dispatched on topology"),
-    };
-    let Workload::Tenants {
-        elephants,
-        elephant_bytes,
-        mice,
-        mice_load,
-        mice_min_bytes,
-        mice_max_bytes,
-    } = &s.workload
+/// A dumbbell cell: one sender/sink pair per tenant sender through the
+/// shared link, with the tenants' isolation on it. Sender `i` has address
+/// `i + 1`, the tenant from `Workload::tenant_of_sender` as its MTP
+/// entity, and connection/message ids from `(i + 1) × 10^6` / `(i + 1)
+/// << 40`.
+fn run_dumbbell(s: &Scenario, p: Protocol, seed: u64) -> Measured {
+    let Topology::Dumbbell {
+        edge,
+        shared,
+        goodput_bin_us,
+        isolation,
+    } = &s.topology
     else {
-        unreachable!("schema restricts dumbbell to the tenants workload")
+        unreachable!("caller dispatched on topology")
     };
-    let n = (elephants + mice) as usize;
-    let cfg = mtp_cfg(s);
-    let sizes = pareto(*mice_min_bytes, *mice_max_bytes);
-    let horizon = Duration::from_micros(s.horizon_us);
-    let make_schedule = |i: usize| -> Vec<ScheduledMsg> {
-        if (i as u64) < *elephants {
-            vec![ScheduledMsg::new(Time::ZERO, *elephant_bytes as u32)]
-        } else {
-            // Each mouse runs its own seeded open-loop Poisson process at
-            // `mice_load` of its edge link.
-            let mut rng =
-                SmallRng::seed_from_u64(seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            poisson_schedule(
-                &mut rng,
-                &sizes,
-                edge.rate,
-                *mice_load,
-                Time::ZERO,
-                horizon,
-                None,
-            )
-            .into_iter()
-            .map(|(t, b)| ScheduledMsg::new(t, b as u32))
-            .collect()
+    let (edge, shared) = (to_spec(*edge), to_spec(*shared));
+    let bin = Duration::from_micros(*goodput_bin_us);
+    let tenant_of = s.workload.tenant_of_sender();
+    let policy = (*isolation == Some(Isolation::FairShare)).then(|| {
+        // One enforcement epoch per round trip of the shared link.
+        Box::new(FairShareEnforcer::new(shared.rate, shared.delay.mul(2))) as Box<dyn IngressPolicy>
+    });
+    let queue = (*isolation == Some(Isolation::Drr)).then(|| {
+        // One band per tenant, by the tenant of the source address.
+        let tenant_of = tenant_of.clone();
+        Box::new(DrrQueue::new(
+            usize::from(tenant_of[tenant_of.len() - 1]),
+            shared.cap_pkts,
+            1500,
+            Some(shared.ecn_k),
+            Box::new(move |pkt| {
+                src_addr(pkt)
+                    .and_then(|a| tenant_of.get(usize::from(a).wrapping_sub(1)))
+                    .map_or(0, |&t| usize::from(t) - 1)
+            }),
+        )) as Box<dyn Qdisc>
+    });
+    let make_sender = |i: usize| -> Box<dyn Node> {
+        let (src, dst) = (dumbbell_src(i), dumbbell_dst(i));
+        let mtp = |sched| {
+            let entity = mtp_wire::EntityId(tenant_of[i]);
+            MtpSenderNode::new(mtp_cfg(s), src, dst, entity, (i as u64 + 1) << 40, sched)
+        };
+        match (&s.workload, p) {
+            (
+                Workload::Streams {
+                    messages, bytes, ..
+                },
+                Protocol::Mtp,
+            ) => {
+                let sched = vec![ScheduledMsg::new(Time::ZERO, *bytes as u32); *messages as usize];
+                Box::new(mtp(sched).closed_loop())
+            }
+            (
+                Workload::Streams {
+                    messages, bytes, ..
+                },
+                tcp,
+            ) => {
+                let mode = if s.tcp.conn_per_message {
+                    TcpWorkloadMode::ConnPerMessage
+                } else {
+                    TcpWorkloadMode::Persistent
+                };
+                let sched = vec![(Time::ZERO, *bytes); *messages as usize];
+                let conn_id_base = (i as u32 + 1) * 1_000_000;
+                Box::new(
+                    TcpSenderNode::with_addrs(tcp_cfg(tcp), mode, conn_id_base, sched, src, dst)
+                        .closed_loop(),
+                )
+            }
+            (
+                Workload::Tenants {
+                    elephants,
+                    elephant_bytes,
+                    mice_load,
+                    mice_min_bytes,
+                    mice_max_bytes,
+                    ..
+                },
+                _,
+            ) => Box::new(mtp(if (i as u64) < *elephants {
+                vec![ScheduledMsg::new(Time::ZERO, *elephant_bytes as u32)]
+            } else {
+                // Each mouse runs its own seeded open-loop Poisson
+                // process at `mice_load` of its edge link.
+                let mut rng = SmallRng::seed_from_u64(
+                    seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                );
+                poisson_schedule(
+                    &mut rng,
+                    &pareto(*mice_min_bytes, *mice_max_bytes),
+                    edge.rate,
+                    *mice_load,
+                    Time::ZERO,
+                    Duration::from_micros(s.horizon_us),
+                    None,
+                )
+                .into_iter()
+                .map(|(t, b)| ScheduledMsg::new(t, b as u32))
+                .collect()
+            })),
+            _ => unreachable!("schema restricts dumbbell to tenants/streams"),
         }
     };
     let d = dumbbell(
         seed,
-        n,
-        |i| {
-            Box::new(MtpSenderNode::new(
-                cfg.clone(),
-                dumbbell_src(i),
-                dumbbell_dst(i),
-                mtp_wire::EntityId(dumbbell_src(i)),
-                ((i as u64) + 1) << 40,
-                make_schedule(i),
-            ))
-        },
-        |i| {
-            Box::new(MtpSinkNode::new(
-                dumbbell_dst(i),
-                Duration::from_micros(100),
-            ))
+        tenant_of.len(),
+        make_sender,
+        |i| -> Box<dyn Node> {
+            match p {
+                Protocol::Mtp => Box::new(MtpSinkNode::new(dumbbell_dst(i), bin)),
+                tcp => Box::new(TcpSinkNode::new(tcp_cfg(tcp), bin)),
+            }
         },
         edge,
         shared,
-        None,
-        None,
+        policy,
+        queue,
     );
     let mut sim = d.sim;
     let names = Names {
@@ -614,20 +680,67 @@ fn run_dumbbell(s: &Scenario, seed: u64) -> Measured {
     };
     let mut drv = FaultDriver::new(build_schedule(&s.faults, &names, seed));
     drv.run_until(&mut sim, us(s.horizon_us));
-    let (records, timeouts, retransmissions) =
-        sender_totals(d.senders.iter().map(|&h| sim.node_as(h)));
-    let ledgers = d
-        .senders
-        .iter()
-        .zip(&d.sinks)
-        .map(|(&snd, &sink)| Ledger::capture([sim.node_as(snd)], sim.node_as(sink)))
-        .collect();
+
+    let (records, timeouts, retransmissions, ledgers, sink_series): (_, _, _, _, Vec<Vec<f64>>);
+    match p {
+        Protocol::Mtp => {
+            (records, timeouts, retransmissions) =
+                sender_totals(d.senders.iter().map(|&h| sim.node_as(h)));
+            ledgers = d
+                .senders
+                .iter()
+                .zip(&d.sinks)
+                .map(|(&snd, &sink)| Ledger::capture([sim.node_as(snd)], sim.node_as(sink)))
+                .collect();
+            sink_series = d
+                .sinks
+                .iter()
+                .map(|&h| sim.node_as::<MtpSinkNode>(h).goodput.rates_gbps())
+                .collect();
+        }
+        _ => {
+            // The audit counters include connections a per-message
+            // sender has already retired.
+            let mut counters = NodeAuditCounters::default();
+            let mut recs = Vec::new();
+            for &h in &d.senders {
+                let snd = sim.node_as::<TcpSenderNode>(h);
+                recs.extend(snd.msgs.iter().map(|m| (m.submitted, m.completed, m.size)));
+                snd.audit_counters(&mut counters);
+            }
+            (records, timeouts, retransmissions) =
+                (recs, counters.timeouts, counters.retransmissions);
+            ledgers = Vec::new();
+            sink_series = d
+                .sinks
+                .iter()
+                .map(|&h| sim.node_as::<TcpSinkNode>(h).goodput.rates_gbps())
+                .collect();
+        }
+    }
+    // The sum over the sinks, bin by bin.
+    let mut total: Vec<f64> = Vec::new();
+    for series in &sink_series {
+        if total.len() < series.len() {
+            total.resize(series.len(), 0.0);
+        }
+        for (t, r) in total.iter_mut().zip(series) {
+            *t += r;
+        }
+    }
+    // Each sink's steady state, past its convergence transient.
+    let mut tenant_goodput = vec![0.0; tenant_of.last().map_or(0, |&t| t as usize)];
+    for (series, &t) in sink_series.iter().zip(&tenant_of) {
+        let tail = &series[series.len() * 3 / 4..];
+        tenant_goodput[t as usize - 1] += tail.iter().sum::<f64>() / tail.len().max(1) as f64;
+    }
     Measured {
         sim,
         records,
         timeouts,
         retransmissions,
-        goodput_series: None,
+        goodput_series: Some(total),
+        tenant_goodput: Some(tenant_goodput),
         path_tx_bytes: None,
         corruption: None,
         ledgers,
@@ -797,6 +910,7 @@ fn run_leaf_spine(s: &Scenario, seed: u64) -> Measured {
         timeouts,
         retransmissions,
         goodput_series: None,
+        tenant_goodput: None,
         path_tx_bytes: None,
         corruption: None,
         ledgers,
@@ -889,6 +1003,19 @@ fn check_cell_asserts(
             ));
         }
     }
+    if let Some(max) = c.tenant_ratio_max {
+        // The schema guarantees at least two tenants.
+        let t = r.tenant_goodput_gbps.as_deref().unwrap_or_default();
+        let (lo, hi) = t.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &g| {
+            (lo.min(g), hi.max(g))
+        });
+        let ratio = hi / lo;
+        if ratio.is_nan() || ratio > max {
+            out.push(format!(
+                "assert tenant_ratio_max: expected <= {max}, got {ratio:.3}"
+            ));
+        }
+    }
     if let Some(min) = c.goodput_mean_min_gbps {
         match r.goodput_mean_gbps {
             Some(v) if v >= min => {}
@@ -929,7 +1056,7 @@ fn mean_recovery_us(
 pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
     let mut m = match &s.topology {
         Topology::Diamond { .. } | Topology::TwoPath { .. } => run_parallel_paths(s, p, seed),
-        Topology::Dumbbell { .. } => run_dumbbell(s, seed),
+        Topology::Dumbbell { .. } => run_dumbbell(s, p, seed),
         Topology::LeafSpine { .. } => run_leaf_spine(s, seed),
     };
 
@@ -982,6 +1109,7 @@ pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
         retransmissions: m.retransmissions,
         goodput_mean_gbps: goodput_mean,
         goodput_series_gbps: m.goodput_series.take(),
+        tenant_goodput_gbps: m.tenant_goodput.take(),
         recovery_us,
         path_tx_bytes: m.path_tx_bytes,
         corrupted_frames: m.corruption.as_ref().map(|c| c.corrupted),

@@ -107,8 +107,21 @@ pub struct MtpOpts {
     pub failover: bool,
 }
 
-/// One link's parameters. The queue is always the paper's standard
-/// 128-packet ECN(20) queue — scenarios vary rate and delay.
+/// TCP-specific options.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TcpOpts {
+    /// Open a fresh connection per message (handshake and slow start
+    /// every time, Fig. 3) instead of one persistent connection.
+    /// Dumbbell only.
+    pub conn_per_message: bool,
+}
+
+/// The paper's standard queue: 128 packets, ECN marking from 20.
+const DEFAULT_QUEUE_PKTS: u64 = 128;
+const DEFAULT_ECN_K: u64 = 20;
+
+/// One link's parameters: rate, delay and its ECN FIFO, by default the
+/// paper's standard 128-packet ECN(20) queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkParams {
     /// Link rate in Gbps (1..=1000).
@@ -116,6 +129,10 @@ pub struct LinkParams {
     /// One-way propagation delay in microseconds (1..=1_000_000;
     /// zero-latency links are rejected).
     pub delay_us: u64,
+    /// Queue capacity in packets (1..=100_000; default 128).
+    pub queue_pkts: u64,
+    /// ECN marking threshold in packets (<= `queue_pkts`; default 20).
+    pub ecn_k: u64,
 }
 
 /// The fan-out strategy at the first-hop switch of a two-path topology.
@@ -150,6 +167,17 @@ pub enum LeafSpineStrategy {
     MtpConga,
 }
 
+/// How a dumbbell's shared link separates tenants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isolation {
+    /// Deficit round robin with one band per tenant, classified by the
+    /// sender address's tenant (Fig. 7's separate queues).
+    Drr,
+    /// One FIFO behind a fair-share enforcer on the left switch, which
+    /// marks over-share entities (Fig. 7's MTP system); MTP only.
+    FairShare,
+}
+
 /// The network shape a scenario runs on.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Topology {
@@ -176,12 +204,17 @@ pub enum Topology {
         /// Sink goodput sampling bin in microseconds.
         goodput_bin_us: u64,
     },
-    /// N sender/receiver pairs through one shared bottleneck (MTP only).
+    /// N sender/receiver pairs through one shared bottleneck. TCP runs
+    /// only the `streams` workload there.
     Dumbbell {
         /// Host-to-switch edge links.
         edge: LinkParams,
         /// The shared bottleneck.
         shared: LinkParams,
+        /// Sink goodput sampling bin in microseconds.
+        goodput_bin_us: u64,
+        /// Tenant separation on the shared link; `None` is one FIFO.
+        isolation: Option<Isolation>,
     },
     /// A 2-tier Clos fabric (MTP only).
     LeafSpine {
@@ -212,14 +245,19 @@ impl Topology {
         }
     }
 
-    /// True when `p` has a driver on this topology.
-    pub fn supports(&self, p: Protocol) -> bool {
+    /// True when `p` has a driver on this topology running `w`.
+    pub fn supports(&self, p: Protocol, w: &Workload) -> bool {
         match self {
             Topology::Diamond { .. } => true,
             Topology::TwoPath { strategy, .. } => {
                 p == Protocol::Mtp || *strategy != TwoPathStrategy::MtpLb
             }
-            Topology::Dumbbell { .. } | Topology::LeafSpine { .. } => p == Protocol::Mtp,
+            Topology::Dumbbell { isolation, .. } => {
+                p == Protocol::Mtp
+                    || (matches!(w, Workload::Streams { .. })
+                        && *isolation != Some(Isolation::FairShare))
+            }
+            Topology::LeafSpine { .. } => p == Protocol::Mtp,
         }
     }
 
@@ -310,6 +348,18 @@ pub enum Workload {
         /// Largest mouse message in bytes.
         mice_max_bytes: u64,
     },
+    /// Closed-loop streams on a dumbbell: tenant `t` (from 1) runs
+    /// `senders[t - 1]` senders, each submitting `messages` messages of
+    /// `bytes` one after another, the next when the previous completes.
+    Streams {
+        /// Senders per tenant, in tenant order (1..=4 tenants of
+        /// 1..=16 senders).
+        senders: Vec<u64>,
+        /// Messages per sender.
+        messages: u64,
+        /// Message size in bytes.
+        bytes: u64,
+    },
     /// RPC fan-in rounds on a leaf-spine fabric: every host except the
     /// aggregator (leaf 0, host 0) submits `rounds` messages of `bytes`,
     /// host `k` staggered by `k * stagger_us`, round `m` at
@@ -351,8 +401,25 @@ impl Workload {
             Workload::Single { .. } => "single",
             Workload::Poisson { .. } => "poisson",
             Workload::Tenants { .. } => "tenants",
+            Workload::Streams { .. } => "streams",
             Workload::Fanin { .. } => "fanin",
             Workload::Permutation { .. } => "permutation",
+        }
+    }
+
+    /// The tenant (from 1) of each dumbbell sender, in sender order:
+    /// every `tenants` sender is a tenant of its own. Empty for workloads
+    /// that do not run on the dumbbell.
+    pub fn tenant_of_sender(&self) -> Vec<u16> {
+        match self {
+            Workload::Tenants {
+                elephants, mice, ..
+            } => (1..=(elephants + mice) as u16).collect(),
+            Workload::Streams { senders, .. } => (1..)
+                .zip(senders)
+                .flat_map(|(t, &n)| std::iter::repeat_n(t, n as usize))
+                .collect(),
+            _ => Vec::new(),
         }
     }
 }
@@ -482,6 +549,9 @@ pub struct CellAsserts {
     /// Lower bound on mean sink goodput (after `assert.warmup_bins`
     /// bins), Gbps.
     pub goodput_mean_min_gbps: Option<f64>,
+    /// Upper bound on the largest tenant's goodput over the smallest's
+    /// (dumbbell with at least two tenants).
+    pub tenant_ratio_max: Option<f64>,
 }
 
 /// The scenario's typed pass/fail contract.
@@ -535,6 +605,8 @@ pub struct Scenario {
     pub protocols: Vec<Protocol>,
     /// MTP options.
     pub mtp: MtpOpts,
+    /// TCP options.
+    pub tcp: TcpOpts,
     /// The network.
     pub topology: Topology,
     /// The application workload.
@@ -753,10 +825,21 @@ fn decode_link(mut t: Table, prefix: &str) -> Result<LinkParams, SchemaError> {
         }
         other => other?,
     };
+    let queue_pkts =
+        take_opt_u64_in(&mut t, "queue_pkts", prefix, 1, 100_000)?.unwrap_or(DEFAULT_QUEUE_PKTS);
+    let ecn_k = take_opt_u64_in(&mut t, "ecn_k", prefix, 0, 100_000)?.unwrap_or(DEFAULT_ECN_K);
+    if ecn_k > queue_pkts {
+        return Err(err(
+            field(prefix, "ecn_k"),
+            format!("must be <= queue_pkts ({queue_pkts}), got {ecn_k}"),
+        ));
+    }
     ensure_empty(&t, prefix)?;
     Ok(LinkParams {
         rate_gbps,
         delay_us,
+        queue_pkts,
+        ecn_k,
     })
 }
 
@@ -808,6 +891,21 @@ fn decode_topology(mut t: Table) -> Result<Topology, SchemaError> {
         "dumbbell" => Topology::Dumbbell {
             edge: take_link(&mut t, "edge", P)?,
             shared: take_link(&mut t, "shared", P)?,
+            goodput_bin_us: take_opt_u64_in(&mut t, "goodput_bin_us", P, 1, 1_000_000)?
+                .unwrap_or(100),
+            isolation: match t.remove("isolation") {
+                None => None,
+                Some(v) => Some(match as_str(v, "topology.isolation")?.as_str() {
+                    "drr" => Isolation::Drr,
+                    "fair-share" => Isolation::FairShare,
+                    other => {
+                        return Err(err(
+                            field(P, "isolation"),
+                            format!("unknown isolation `{other}` (expected drr or fair-share)"),
+                        ));
+                    }
+                }),
+            },
         },
         "leaf-spine" => Topology::LeafSpine {
             leaves: take_u64_in(&mut t, "leaves", P, 2, 16)?,
@@ -888,6 +986,37 @@ fn decode_workload(mut t: Table, horizon_us: u64) -> Result<Workload, SchemaErro
                 mice_max_bytes,
             }
         }
+        "streams" => {
+            let f = field(P, "senders");
+            let senders = match take(&mut t, "senders", P)? {
+                Value::Array(items) if (1..=4).contains(&items.len()) => {
+                    let mut out = Vec::new();
+                    for v in items {
+                        let n = as_u64(v, &f)?;
+                        if !(1..=16).contains(&n) {
+                            return Err(err(
+                                f,
+                                format!("out of range: every tenant needs 1..=16 senders, got {n}"),
+                            ));
+                        }
+                        out.push(n);
+                    }
+                    out
+                }
+                Value::Array(_) => return Err(err(f, "need 1..=4 tenants")),
+                other => {
+                    return Err(err(
+                        f,
+                        format!("expected an array, got {}", other.type_name()),
+                    ));
+                }
+            };
+            Workload::Streams {
+                senders,
+                messages: take_u64_in(&mut t, "messages", P, 1, 100_000)?,
+                bytes: take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?,
+            }
+        }
         "fanin" => Workload::Fanin {
             rounds: take_u64_in(&mut t, "rounds", P, 1, 1_000)?,
             bytes: take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?,
@@ -914,7 +1043,7 @@ fn decode_workload(mut t: Table, horizon_us: u64) -> Result<Workload, SchemaErro
             return Err(err(
                 field(P, "kind"),
                 format!(
-                    "unknown workload `{other}` (expected periodic, single, poisson, tenants, fanin, or permutation)"
+                    "unknown workload `{other}` (expected periodic, single, poisson, tenants, streams, fanin, or permutation)"
                 ),
             ));
         }
@@ -1033,6 +1162,7 @@ fn decode_cell_asserts(mut t: Table, prefix: &str) -> Result<CellAsserts, Schema
         p99_max_us: take_opt_f64_min(&mut t, "p99_max_us", prefix, 0.0)?,
         timeouts_max: take_opt_u64_in(&mut t, "timeouts_max", prefix, 0, u64::MAX)?,
         goodput_mean_min_gbps: take_opt_f64_min(&mut t, "goodput_mean_min_gbps", prefix, 0.0)?,
+        tenant_ratio_max: take_opt_f64_min(&mut t, "tenant_ratio_max", prefix, 1.0)?,
     };
     ensure_empty(&t, prefix)?;
     Ok(c)
@@ -1184,6 +1314,17 @@ pub fn from_table(mut root: Table) -> Result<Scenario, SchemaError> {
             o
         }
     };
+    let tcp = match root.remove("tcp") {
+        None => TcpOpts::default(),
+        Some(v) => {
+            let mut t = as_table(v, "tcp")?;
+            let o = TcpOpts {
+                conn_per_message: take_bool_or(&mut t, "conn_per_message", "tcp", false)?,
+            };
+            ensure_empty(&t, "tcp")?;
+            o
+        }
+    };
 
     let topology = decode_topology(take_table(&mut root, "topology", "")?)?;
     let workload = decode_workload(take_table(&mut root, "workload", "")?, horizon_us)?;
@@ -1218,6 +1359,7 @@ pub fn from_table(mut root: Table) -> Result<Scenario, SchemaError> {
         horizon_us,
         protocols,
         mtp,
+        tcp,
         topology,
         workload,
         faults,
@@ -1231,9 +1373,17 @@ pub fn from_table(mut root: Table) -> Result<Scenario, SchemaError> {
 /// link and node references, assertion prerequisites.
 fn validate(s: &Scenario) -> Result<(), SchemaError> {
     for p in &s.protocols {
-        if !s.topology.supports(*p) {
+        if !s.topology.supports(*p, &s.workload) {
             let (f, on) = match s.topology {
                 Topology::TwoPath { .. } => ("topology.strategy", "strategy `mtp-lb`".to_string()),
+                Topology::Dumbbell {
+                    isolation: Some(Isolation::FairShare),
+                    ..
+                } => ("topology.isolation", "isolation `fair-share`".to_string()),
+                Topology::Dumbbell { .. } => (
+                    "scenario.protocols",
+                    format!("topology `dumbbell` with workload `{}`", s.workload.kind()),
+                ),
                 _ => (
                     "scenario.protocols",
                     format!("topology `{}`", s.topology.kind()),
@@ -1254,7 +1404,10 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
             Topology::Diamond { .. } | Topology::TwoPath { .. },
             Workload::Periodic { .. } | Workload::Single { .. },
         ) | (Topology::TwoPath { .. }, Workload::Poisson { .. })
-            | (Topology::Dumbbell { .. }, Workload::Tenants { .. })
+            | (
+                Topology::Dumbbell { .. },
+                Workload::Tenants { .. } | Workload::Streams { .. }
+            )
             | (
                 Topology::LeafSpine { .. },
                 Workload::Fanin { .. } | Workload::Permutation { .. }
@@ -1289,6 +1442,23 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
             "workload.start_step_us",
             "a stepped start needs an alternate two-path (it is a phase of the flip period)",
         ));
+    }
+    if s.tcp.conn_per_message {
+        if s.protocols.iter().all(|&p| p == Protocol::Mtp) {
+            return Err(err(
+                "tcp.conn_per_message",
+                "no TCP protocol in scenario.protocols",
+            ));
+        }
+        if !matches!(s.topology, Topology::Dumbbell { .. }) {
+            return Err(err(
+                "tcp.conn_per_message",
+                format!(
+                    "only the dumbbell opens a connection per message, not `{}`",
+                    s.topology.kind()
+                ),
+            ));
+        }
     }
     for (i, f) in s.faults.iter().enumerate() {
         let prefix = format!("fault[{i}]");
@@ -1357,6 +1527,13 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
             )
         {
             return Err(err(f, "goodput bounds need a single-sink topology"));
+        }
+        let tenants = s.workload.tenant_of_sender().last().copied().unwrap_or(0);
+        if c.tenant_ratio_max.is_some() && tenants < 2 {
+            return Err(err(
+                format!("{f}.tenant_ratio_max"),
+                "needs a dumbbell workload with at least two tenants",
+            ));
         }
     }
     for (key, _) in &s.asserts.digests {

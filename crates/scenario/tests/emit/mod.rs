@@ -3,8 +3,8 @@
 //! scenarios, so it lives with the test that needs it.
 
 use mtp_scenario::schema::{
-    FailMode, FaultSpec, LeafSpineStrategy, LinkParams, MtpOpts, Scenario, Topology,
-    TwoPathStrategy, Workload,
+    FailMode, FaultSpec, Isolation, LeafSpineStrategy, LinkParams, MtpOpts, Scenario, TcpOpts,
+    Topology, TwoPathStrategy, Workload,
 };
 use mtp_scenario::toml::{escape_basic, format_key};
 
@@ -41,8 +41,8 @@ fn format_float(v: f64) -> String {
 
 fn emit_link(out: &mut String, header: &str, l: &LinkParams) {
     out.push_str(&format!(
-        "[{header}]\nrate_gbps = {}\ndelay_us = {}\n",
-        l.rate_gbps, l.delay_us
+        "[{header}]\nrate_gbps = {}\ndelay_us = {}\nqueue_pkts = {}\necn_k = {}\n",
+        l.rate_gbps, l.delay_us, l.queue_pkts, l.ecn_k
     ));
 }
 
@@ -64,6 +64,10 @@ pub fn to_toml(s: &Scenario) -> String {
     if s.mtp != MtpOpts::default() {
         o.push_str("\n[mtp]\n");
         o.push_str(&format!("failover = {}\n", s.mtp.failover));
+    }
+    if s.tcp != TcpOpts::default() {
+        o.push_str("\n[tcp]\n");
+        o.push_str(&format!("conn_per_message = {}\n", s.tcp.conn_per_message));
     }
 
     o.push_str("\n[topology]\n");
@@ -93,7 +97,18 @@ pub fn to_toml(s: &Scenario) -> String {
                 emit_link(&mut o, "topology.host", host);
             }
         }
-        Topology::Dumbbell { edge, shared } => {
+        Topology::Dumbbell {
+            edge,
+            shared,
+            goodput_bin_us,
+            isolation,
+        } => {
+            o.push_str(&format!("goodput_bin_us = {goodput_bin_us}\n"));
+            match isolation {
+                None => {}
+                Some(Isolation::Drr) => o.push_str("isolation = \"drr\"\n"),
+                Some(Isolation::FairShare) => o.push_str("isolation = \"fair-share\"\n"),
+            }
             emit_link(&mut o, "topology.edge", edge);
             emit_link(&mut o, "topology.shared", shared);
         }
@@ -168,6 +183,16 @@ pub fn to_toml(s: &Scenario) -> String {
             o.push_str(&format!("mice_load = {}\n", format_float(*mice_load)));
             o.push_str(&format!("mice_min_bytes = {mice_min_bytes}\n"));
             o.push_str(&format!("mice_max_bytes = {mice_max_bytes}\n"));
+        }
+        Workload::Streams {
+            senders,
+            messages,
+            bytes,
+        } => {
+            let senders: Vec<String> = senders.iter().map(|n| n.to_string()).collect();
+            o.push_str(&format!("senders = [{}]\n", senders.join(", ")));
+            o.push_str(&format!("messages = {messages}\n"));
+            o.push_str(&format!("bytes = {bytes}\n"));
         }
         Workload::Fanin {
             rounds,
@@ -321,6 +346,9 @@ pub fn to_toml(s: &Scenario) -> String {
         }
         if let Some(v) = c.goodput_mean_min_gbps {
             o.push_str(&format!("goodput_mean_min_gbps = {}\n", format_float(v)));
+        }
+        if let Some(v) = c.tenant_ratio_max {
+            o.push_str(&format!("tenant_ratio_max = {}\n", format_float(v)));
         }
     }
     if !s.asserts.digests.is_empty() {

@@ -15,6 +15,11 @@
 //! included, so the reported numbers are the ones those binaries
 //! recorded (numbers a scenario report does not carry are asserted here
 //! as the literals of the retired records).
+//!
+//! The five Fig. 3 and Fig. 7 files are checked the other way round: each
+//! cell's reported series and tenant goodputs against the numbers the
+//! retired `fig3` and `fig7` binaries recorded, copied in as literals,
+//! bit for bit, plus the digest the file pins.
 
 use std::path::Path;
 
@@ -24,7 +29,7 @@ use mtp_faults::{
     parallel_paths, FaultDriver, FaultSchedule, Ledger, LinkSpec, ParallelPaths, ParallelSpec,
     PATHLET_A, PATHLET_B,
 };
-use mtp_scenario::run::{engine_digest, execute_cell};
+use mtp_scenario::run::{engine_digest, execute_cell, fnv64};
 use mtp_scenario::schema::{from_str, Protocol, Scenario};
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{LinkFailMode, Node};
@@ -775,4 +780,96 @@ fn fig5_phase_sweep_scenario_is_byte_identical_to_binary() {
         mean_std(&improvements),
         (17.839360266159506, 0.7254962695874184)
     );
+}
+
+// ------------------------------------------------------------- fig3
+
+/// One system of the retired `fig3` record, checked against its scenario
+/// file: the summed 32 us goodput series (63 bins, by the [`fnv64`] of
+/// its `{:?}` rendering), its mean after the 8-bin warmup and its σ over
+/// the same bins, all bit for bit. Returns σ/µ, the figure's noise.
+fn fig3_matches_record(file: &str, series_fnv: &str, mean: f64, std: f64) -> f64 {
+    let s = load_scenario(file);
+    let r = execute_cell(&s, Protocol::TcpNewReno, 3).result;
+    assert_eq!(
+        r.violations,
+        Vec::<String>::new(),
+        "scenario cell must pass"
+    );
+    assert_eq!(pinned_digest(&s, "tcp-newreno", 3), r.digest);
+    let series = r
+        .goodput_series_gbps
+        .expect("a dumbbell reports its sinks' sum");
+    assert_eq!(series.len(), 63);
+    assert_eq!(fnv64(&format!("{series:?}")), series_fnv, "series diverged");
+    assert_eq!(r.goodput_mean_gbps, Some(mean));
+    // fig3's σ, verbatim: population variance of the post-warmup bins.
+    let steady = &series[8..];
+    let var = steady.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / steady.len() as f64;
+    assert_eq!(var.sqrt(), std);
+    std / mean
+}
+
+/// The retired record's persistent-connection row.
+const FIG3_PERSISTENT: (f64, f64) = (68.31287272727276, 4.86417036952877);
+/// The retired record's one-request-per-flow row.
+const FIG3_ONE_RPF: (f64, f64) = (27.571127272727264, 5.506772577487225);
+
+#[test]
+fn fig3_conn_per_message_scenario_reproduces_the_record() {
+    let (mean, std) = FIG3_ONE_RPF;
+    let noise = fig3_matches_record("fig3_conn_per_message.toml", "3e343a57b7b41ce8", mean, std);
+    // The figure's headline: a connection per request is the noisier.
+    assert!(noise > FIG3_PERSISTENT.1 / FIG3_PERSISTENT.0);
+}
+
+#[test]
+fn fig3_persistent_scenario_reproduces_the_record() {
+    let (mean, std) = FIG3_PERSISTENT;
+    let noise = fig3_matches_record("fig3_persistent.toml", "b72cfb4fb679c2ec", mean, std);
+    assert!(noise < FIG3_ONE_RPF.1 / FIG3_ONE_RPF.0);
+    assert!(mean > FIG3_ONE_RPF.0);
+}
+
+// ------------------------------------------------------------- fig7
+
+/// One row of the retired `fig7` record, checked against its scenario
+/// file: tenant 1's and tenant 2's goodput (each sink's mean over the
+/// last quarter of its bins, summed per tenant) and tenant 2 ÷ tenant 1,
+/// bit for bit. Returns the ratio.
+fn fig7_matches_record(file: &str, proto: Protocol, row: [f64; 3]) -> f64 {
+    let s = load_scenario(file);
+    let r = execute_cell(&s, proto, 7).result;
+    assert_eq!(
+        r.violations,
+        Vec::<String>::new(),
+        "scenario cell must pass"
+    );
+    assert_eq!(pinned_digest(&s, proto.key(), 7), r.digest);
+    let tenants = r
+        .tenant_goodput_gbps
+        .expect("a dumbbell reports its tenants");
+    assert_eq!(tenants, row[..2]);
+    assert_eq!(tenants[1] / tenants[0], row[2]);
+    row[2]
+}
+
+#[test]
+fn fig7_shared_queue_scenario_reproduces_the_record() {
+    let row = [12.357439999999999, 84.97784, 6.876654064272213];
+    let ratio = fig7_matches_record("fig7_shared_queue.toml", Protocol::TcpDctcp, row);
+    // Per-flow fairness: eight flows take most of the link from one.
+    assert!(ratio > 5.0);
+}
+
+#[test]
+fn fig7_drr_scenario_reproduces_the_record() {
+    let row = [48.67056, 48.66472, 0.9998800095992321];
+    fig7_matches_record("fig7_drr.toml", Protocol::TcpDctcp, row);
+}
+
+#[test]
+fn fig7_fair_share_scenario_reproduces_the_record() {
+    let row = [43.32112, 45.49943999999999, 1.050283095173901];
+    fig7_matches_record("fig7_fair_share.toml", Protocol::Mtp, row);
 }

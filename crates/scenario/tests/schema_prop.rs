@@ -16,16 +16,20 @@ mod emit;
 
 use emit::to_toml;
 use mtp_scenario::schema::{
-    self, from_str, Asserts, CellAsserts, FailMode, FaultSpec, LeafSpineStrategy, LinkParams,
-    LoadError, MtpOpts, Protocol, Scenario, Topology, TwoPathStrategy, Workload,
+    self, from_str, Asserts, CellAsserts, FailMode, FaultSpec, Isolation, LeafSpineStrategy,
+    LinkParams, LoadError, MtpOpts, Protocol, Scenario, TcpOpts, Topology, TwoPathStrategy,
+    Workload,
 };
 
 // ------------------------------------------------- arbitrary scenarios
 
 fn arb_link(rng: &mut SmallRng) -> LinkParams {
+    let queue_pkts = rng.gen_range(1..=100_000);
     LinkParams {
         rate_gbps: rng.gen_range(1..=1000),
         delay_us: rng.gen_range(1..=1_000_000),
+        queue_pkts,
+        ecn_k: rng.gen_range(0..=queue_pkts),
     }
 }
 
@@ -76,6 +80,12 @@ fn arb_topology(rng: &mut SmallRng) -> Topology {
         2 => Topology::Dumbbell {
             edge: arb_link(rng),
             shared: arb_link(rng),
+            goodput_bin_us: rng.gen_range(1..=1_000_000),
+            isolation: match rng.gen_range(0..3) {
+                0 => None,
+                1 => Some(Isolation::Drr),
+                _ => Some(Isolation::FairShare),
+            },
         },
         _ => Topology::LeafSpine {
             leaves: rng.gen_range(2..=16),
@@ -127,6 +137,13 @@ fn arb_workload(rng: &mut SmallRng, topo: &Topology, horizon_us: u64) -> Workloa
                 }
             }
         }
+        Topology::Dumbbell { .. } if rng.gen_bool(0.5) => Workload::Streams {
+            senders: (0..rng.gen_range(1..=4))
+                .map(|_| rng.gen_range(1..=16))
+                .collect(),
+            messages: rng.gen_range(1..=100_000),
+            bytes: rng.gen_range(1..=u32::MAX as u64),
+        },
         Topology::Dumbbell { .. } => {
             let elephants = rng.gen_range(0..=16u64);
             let mice = if elephants == 0 {
@@ -233,8 +250,14 @@ fn arb_fault(rng: &mut SmallRng, topo: &Topology, horizon_us: u64) -> Option<Fau
     }
 }
 
-fn arb_cell(rng: &mut SmallRng, topo: &Topology, has_window: bool) -> CellAsserts {
+fn arb_cell(
+    rng: &mut SmallRng,
+    topo: &Topology,
+    workload: &Workload,
+    has_window: bool,
+) -> CellAsserts {
     let single_sink = matches!(topo, Topology::Diamond { .. } | Topology::TwoPath { .. });
+    let tenants = workload.tenant_of_sender().last().copied().unwrap_or(0);
     let mut c = CellAsserts {
         exactly_once: rng.gen_bool(0.5),
         completed: rng.gen_bool(0.5).then(|| rng.gen_range(0..100_000)),
@@ -245,6 +268,7 @@ fn arb_cell(rng: &mut SmallRng, topo: &Topology, has_window: bool) -> CellAssert
         p99_max_us: rng.gen_bool(0.5).then(|| arb_float(rng)),
         timeouts_max: rng.gen_bool(0.5).then(|| rng.gen_range(0..10_000)),
         goodput_mean_min_gbps: (single_sink && rng.gen_bool(0.5)).then(|| arb_float(rng)),
+        tenant_ratio_max: (tenants >= 2 && rng.gen_bool(0.5)).then(|| 1.0 + arb_float(rng)),
     };
     // The emitter elides all-default cell tables, so an all-default cell
     // would not survive the roundtrip as an explicit entry.
@@ -257,16 +281,18 @@ fn arb_cell(rng: &mut SmallRng, topo: &Topology, has_window: bool) -> CellAssert
 fn arb_scenario(rng: &mut SmallRng) -> Scenario {
     let topology = arb_topology(rng);
     let horizon_us = rng.gen_range(1000..=10_000_000);
+    let workload = arb_workload(rng, &topology, horizon_us);
 
     let mut protocols = Vec::new();
     for p in [Protocol::Mtp, Protocol::TcpNewReno, Protocol::TcpDctcp] {
-        if topology.supports(p) && rng.gen_bool(0.5) {
+        if topology.supports(p, &workload) && rng.gen_bool(0.5) {
             protocols.push(p);
         }
     }
     if protocols.is_empty() {
         protocols.push(Protocol::Mtp);
     }
+    let has_tcp = protocols.iter().any(|&p| p != Protocol::Mtp);
 
     let mut seeds = Vec::new();
     let mut next = rng.gen_range(0..1000u64);
@@ -275,7 +301,6 @@ fn arb_scenario(rng: &mut SmallRng) -> Scenario {
         next += rng.gen_range(1..=100u64);
     }
 
-    let workload = arb_workload(rng, &topology, horizon_us);
     let faults: Vec<FaultSpec> = (0..rng.gen_range(0..=3))
         .filter_map(|_| arb_fault(rng, &topology, horizon_us))
         .collect();
@@ -287,7 +312,7 @@ fn arb_scenario(rng: &mut SmallRng) -> Scenario {
     let mut cells = Vec::new();
     for &p in &protocols {
         if rng.gen_bool(0.5) {
-            cells.push((p, arb_cell(rng, &topology, window_us.is_some())));
+            cells.push((p, arb_cell(rng, &topology, &workload, window_us.is_some())));
         }
     }
     let mut digests = Vec::new();
@@ -308,6 +333,11 @@ fn arb_scenario(rng: &mut SmallRng) -> Scenario {
         protocols,
         mtp: MtpOpts {
             failover: rng.gen_bool(0.5),
+        },
+        tcp: TcpOpts {
+            conn_per_message: has_tcp
+                && matches!(topology, Topology::Dumbbell { .. })
+                && rng.gen_bool(0.5),
         },
         topology: topology.clone(),
         workload,
@@ -720,4 +750,107 @@ fn permutation_arrivals_end_by_the_horizon() {
     let e = schema_err(&permutation_like().replace("until_us = 500", "until_us = 1001"));
     assert_eq!(e.field, "workload.until_us");
     assert!(e.msg.contains("1..=1000"), "msg: {}", e.msg);
+}
+
+// ------------------------------- dumbbell streams and isolation (Figs. 3, 7)
+
+const DUMBBELL: &str = "[topology]\nkind = \"dumbbell\"\ngoodput_bin_us = 32\n\
+    isolation = \"drr\"\n\
+    [topology.edge]\nrate_gbps = 100\ndelay_us = 1\nqueue_pkts = 256\necn_k = 40\n\
+    [topology.shared]\nrate_gbps = 100\ndelay_us = 10\nqueue_pkts = 256\necn_k = 40\n";
+const STREAMS: &str = "[workload]\nkind = \"streams\"\nsenders = [1, 8]\n\
+    messages = 4\nbytes = 16384\n";
+const TCP_HEAD: &str = "[scenario]\nname = \"lb\"\nseeds = [1]\nhorizon_us = 1000\n\
+    protocols = [\"tcp-newreno\"]\n";
+const CONN_PER_MESSAGE: &str = "[tcp]\nconn_per_message = true\n";
+const RATIO: &str = "[assert.cells.mtp]\ntenant_ratio_max = 1.1\n";
+
+fn streams_like() -> String {
+    [HEAD, DUMBBELL, STREAMS, RATIO].concat()
+}
+
+#[test]
+fn streams_documents_are_valid_and_roundtrip() {
+    let tcp = [TCP_HEAD, CONN_PER_MESSAGE, DUMBBELL, STREAMS].concat();
+    let fair = streams_like().replace("\"drr\"", "\"fair-share\"");
+    for doc in [streams_like(), tcp, fair] {
+        let s = from_str(&doc).expect("document decodes");
+        assert_eq!(from_str(&to_toml(&s)).expect("re-decode"), s, "{doc}");
+    }
+    let s = from_str(&streams_like()).expect("document decodes");
+    assert_eq!(s.workload.tenant_of_sender(), [1, 2, 2, 2, 2, 2, 2, 2, 2]);
+}
+
+#[test]
+fn fair_share_refuses_tcp() {
+    let doc = [TCP_HEAD, DUMBBELL, STREAMS]
+        .concat()
+        .replace("\"drr\"", "\"fair-share\"");
+    let e = schema_err(&doc);
+    assert_eq!(e.field, "topology.isolation");
+    assert!(e.msg.contains("tcp-newreno"), "msg: {}", e.msg);
+}
+
+#[test]
+fn conn_per_message_needs_tcp_on_the_dumbbell() {
+    let e = schema_err(&[HEAD, CONN_PER_MESSAGE, DUMBBELL, STREAMS].concat());
+    assert_eq!(e.field, "tcp.conn_per_message");
+    assert!(e.msg.contains("no TCP protocol"), "msg: {}", e.msg);
+
+    let e = schema_err(
+        &[
+            TCP_HEAD,
+            CONN_PER_MESSAGE,
+            OTHER_TOPOLOGIES[0],
+            "[workload]\nkind = \"single\"\nbytes = 1000\n",
+        ]
+        .concat(),
+    );
+    assert_eq!(e.field, "tcp.conn_per_message");
+    assert!(e.msg.contains("`diamond`"), "msg: {}", e.msg);
+}
+
+#[test]
+fn every_tenant_needs_a_sender() {
+    for senders in ["[0]", "[1, 0]"] {
+        let e = schema_err(&streams_like().replace("[1, 8]", senders));
+        assert_eq!(e.field, "workload.senders", "{senders}");
+        assert!(e.msg.contains("got 0"), "msg: {}", e.msg);
+    }
+    let e = schema_err(&streams_like().replace("[1, 8]", "[]"));
+    assert_eq!(e.field, "workload.senders");
+}
+
+#[test]
+fn queue_must_hold_its_marking_threshold() {
+    let e = schema_err(&streams_like().replacen("ecn_k = 40", "ecn_k = 300", 1));
+    assert_eq!(e.field, "topology.edge.ecn_k");
+    assert!(e.msg.contains("queue_pkts (256)"), "msg: {}", e.msg);
+
+    let e = schema_err(&streams_like().replace(
+        "delay_us = 10\nqueue_pkts = 256",
+        "delay_us = 10\nqueue_pkts = 0",
+    ));
+    assert_eq!(e.field, "topology.shared.queue_pkts");
+    assert!(e.msg.contains("out of range"), "msg: {}", e.msg);
+}
+
+#[test]
+fn tenant_ratio_needs_two_tenants() {
+    let e = schema_err(&streams_like().replace("[1, 8]", "[4]"));
+    assert_eq!(e.field, "assert.cells.mtp.tenant_ratio_max");
+    assert!(e.msg.contains("two tenants"), "msg: {}", e.msg);
+
+    let e = schema_err(&[BASE, "\n", RATIO].concat());
+    assert_eq!(e.field, "assert.cells.mtp.tenant_ratio_max");
+}
+
+#[test]
+fn streams_run_only_on_the_dumbbell() {
+    let others = [OTHER_TOPOLOGIES[0], OTHER_TOPOLOGIES[2], TWO_PATH];
+    for topo in others {
+        let e = schema_err(&[HEAD, topo, STREAMS].concat());
+        assert_eq!(e.field, "workload.kind", "{topo}");
+        assert!(e.msg.contains("streams"), "msg: {}", e.msg);
+    }
 }

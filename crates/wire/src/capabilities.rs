@@ -5,8 +5,9 @@
 //! table of checkmarks in the benchmark binary, each transport crate in
 //! this workspace exports a [`TransportCapabilities`] record *next to its
 //! implementation*, with a justification string per requirement tied to the
-//! mechanism that provides (or denies) it. The `table1` binary collects the
-//! records and renders the paper's table.
+//! mechanism that provides (or denies) it. `mtp-bench`'s `table1` test
+//! collects the records into the paper's table and compares it with
+//! `results/table1.json`.
 
 use serde::{Deserialize, Serialize};
 

@@ -16,9 +16,9 @@
 //! * [`mod@bench`] — experiment topologies and the per-figure harness.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, and the `mtp-bench`
-//! binaries (`table1`, `fig2`, `fig3`, `fig7`, `ablations`) plus the
-//! `scenarios/fig5_*` and `scenarios/fig6_*` files (run by `mtp-scenario`'s
-//! `scn`) to regenerate every table and figure of the paper.
+//! binaries (`fig2`, `ablations`), its `table1` test, and the
+//! `scenarios/fig{3,5,6,7}_*` files (run by `mtp-scenario`'s `scn`) to
+//! regenerate every table and figure of the paper.
 
 #![forbid(unsafe_code)]
 
