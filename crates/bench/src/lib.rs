@@ -1,22 +1,18 @@
 //! # mtp-bench — the experiment harness
 //!
-//! One binary per figure of the paper's evaluation that is not yet a
-//! scenario file (Figs. 3, 5, 6 and 7, Fig. 5 across start phases and
-//! Fig. 6 on a leaf-spine fabric are:
-//! `scn scenarios/{fig3_*,fig5_*,fig6_*,fig7_*,leafspine_*}.toml`):
-//!
-//! | binary   | paper artefact | what it regenerates |
-//! |----------|----------------|---------------------|
-//! | `fig2`   | Figure 2       | proxy buffering vs HOL blocking |
-//! | `ablations` | §4 design discussion | pathlet granularity, header overhead, blob vs message |
-//! | `fig_fabric` | beyond the paper | ~10k-endpoint multi-pod Clos, serial vs pod-sharded, digests identical |
+//! One binary for the one figure of the paper's evaluation that is not
+//! yet a scenario file, `fig2` (Figure 2: proxy buffering vs HOL
+//! blocking). Figs. 3, 5, 6 and 7, Fig. 5 across start phases, Fig. 6 on
+//! a leaf-spine fabric and the §4 ablations are
+//! `scn scenarios/{fig3_*,fig5_*,fig6_*,fig7_*,leafspine_*,abl_*}.toml`;
+//! the §4 header-overhead ablation is `mtp-net`'s `header_overhead` test.
 //!
 //! Table 1 runs no simulator: `tests/table1.rs` rebuilds it from the
 //! transports' capability records and compares it with
 //! `results/table1.json` byte for byte.
 //!
-//! Each binary prints the series/rows the paper reports and writes a JSON
-//! record under `results/`. Runs are deterministic: fixed seeds, shared
+//! `fig2` prints the series the paper reports and writes a JSON record
+//! under `results/`. Runs are deterministic: fixed seeds, shared
 //! topology builders ([`topo`]: `dumbbell`, `leaf_spine`, and the
 //! two-parallel-path network, [`topo::parallel_paths`], which is also the
 //! failure study's diamond). The failure and corruption studies are
@@ -24,7 +20,8 @@
 //! [`study`] holds the measurement helpers that runner uses.
 //!
 //! [`hotpath`], [`endpoint`] and [`fabric`] are the fixed-seed workloads
-//! behind the golden-digest and sharded == serial tests in `tests/`;
+//! behind the golden-digest and sharded == serial tests in `tests/`, the
+//! latter up to [`fabric::FabricCfg::figure`]'s 10 240 hosts;
 //! [`fabric::fault_schedule`] is an ordinary `mtp_faults::FaultSchedule`,
 //! replayed by the `FaultDriver` serially and by `schedule_admin` sharded.
 //! [`parallel`] fans seeds out over threads; only its own tests call it.

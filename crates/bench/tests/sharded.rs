@@ -10,8 +10,8 @@
 
 use mtp_bench::fabric::{build, fault_schedule, run_serial, run_sharded, FabricCfg};
 use mtp_faults::FaultSchedule;
-use mtp_sim::monolithic_digest;
 use mtp_sim::time::{Duration, Time};
+use mtp_sim::{monolithic_digest, Metric};
 
 /// Room for every trace event of a tiny-fabric run (the digest asserts
 /// the ring never wrapped, so this must exceed the true event count).
@@ -22,8 +22,10 @@ fn horizon() -> Time {
 }
 
 /// The determinism matrix: {2, 3, 4} shards × 3 seeds, with the full
-/// fault + corruption schedule live. Byte-identical digests, merged
-/// audit clean.
+/// fault + corruption schedule live, then the figure-scale fabric (8
+/// pods, 10 240 hosts) on 4 shards. Byte-identical digests, merged audit
+/// clean, and the figure run's counts are those the retired `fig_fabric`
+/// study recorded.
 #[test]
 fn sharded_digest_matches_serial_across_matrix() {
     for seed in [1u64, 2, 3] {
@@ -49,6 +51,29 @@ fn sharded_digest_matches_serial_across_matrix() {
             ss.audit().assert_ok();
         }
     }
+
+    // Untraced: the host start stagger spans ~4 ms, and 8 ms drains it.
+    let net = build(FabricCfg::figure());
+    let horizon = Time::ZERO + Duration::from_millis(8);
+    let admin = fault_schedule(&net, 1);
+    let serial = run_serial(&net, 1, None, horizon, admin.clone());
+    mtp_sim::assert_conservation(&serial);
+    let ss = run_sharded(&net, 4, 1, None, horizon, admin);
+    assert_eq!(ss.digest(), monolithic_digest(&serial), "figure fabric");
+    ss.audit().assert_ok();
+    assert_eq!(
+        (serial.events_processed(), ss.events_processed()),
+        (883_808, 883_808)
+    );
+    assert_eq!(ss.lookahead().0, 5_021_506);
+    let snap = ss.merged_snapshot();
+    let counts = [
+        Metric::PktsDelivered,
+        Metric::PktsMalformed,
+        Metric::PktsBoundaryIn,
+    ]
+    .map(|m| snap.counters[m as usize]);
+    assert_eq!(counts, [431_664, 4, 61_488]);
 }
 
 /// A clean (fault-free) cross-check too: the equivalence must not depend

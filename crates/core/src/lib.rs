@@ -19,8 +19,8 @@
 //!   coexist. Senders advertise congested pathlets back to the network via
 //!   the header's path-exclude list.
 //! * **Blob mode** (§3.1.2) is a schedule, not a module: bulk data
-//!   submitted as independent single-packet messages (`ablations`'
-//!   blob-vs-message arm in `mtp-bench` runs one).
+//!   submitted as independent single-packet messages
+//!   (`scenarios/abl_spray_blob.toml` runs one).
 //!
 //! The sans-IO cores ([`sender::MtpSender`], [`receiver::MtpReceiver`]) are
 //! wrapped by simulator nodes in [`host`]; in-network devices that stamp

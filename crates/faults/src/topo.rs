@@ -96,6 +96,9 @@ pub struct ParallelSpec {
     pub forward: Strategy,
     /// How sw2 fans server traffic (ACKs) back.
     pub reverse: Strategy,
+    /// The pathlet sw1 stamps on path B: [`PATHLET_B`], or [`PATHLET_A`]
+    /// to make both paths one pathlet.
+    pub b_pathlet: PathletId,
 }
 
 /// Handle to a built two-parallel-path network, with every
@@ -124,8 +127,8 @@ pub struct ParallelPaths {
 /// Build sender — sw1 ═(A/B)═ sw2 — sink around the caller's endpoint
 /// pair, which must speak from [`CLIENT_ADDR`] to [`SERVER_ADDR`] on port
 /// 0 ([`mtp_pair`] and [`tcp_pair`] do). sw1 stamps path A as
-/// [`PATHLET_A`] and path B as [`PATHLET_B`] into passing MTP data
-/// packets; other traffic passes unstamped.
+/// [`PATHLET_A`] and path B as the spec's `b_pathlet` into passing MTP
+/// data packets; other traffic passes unstamped.
 ///
 /// Node and link creation order is part of the contract, since every
 /// pinned digest hashes it: sender, sink, sw1, sw2; then host–sw1, path A,
@@ -141,6 +144,7 @@ pub fn parallel_paths(
         host,
         forward,
         reverse,
+        b_pathlet,
     } = spec;
     let mut sim = Simulator::new(seed);
     let sender = sim.add_node(sender);
@@ -156,7 +160,7 @@ pub fn parallel_paths(
             )),
         )
         .with_stamp(PortId(1), Stamp::new(PATHLET_A, StampKind::Presence))
-        .with_stamp(PortId(2), Stamp::new(PATHLET_B, StampKind::Presence)),
+        .with_stamp(PortId(2), Stamp::new(b_pathlet, StampKind::Presence)),
     ));
     let sw2 = sim.add_node(Box::new(SwitchNode::new(
         "sw2",

@@ -17,6 +17,7 @@ pub fn diamond_spec(forward: Strategy) -> ParallelSpec {
         host: LinkSpec::host_default(),
         forward,
         reverse: Strategy::Spray { next: 0 },
+        b_pathlet: PATHLET_B,
     }
 }
 

@@ -21,6 +21,7 @@ use mtp_net::{src_addr, FairShareEnforcer, IngressPolicy, Strategy, SwitchNode};
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{
     DirLinkId, DrrQueue, LinkFailMode, Node, NodeAuditCounters, NodeId, Qdisc, Simulator,
+    TrimmingQueue,
 };
 use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
 use mtp_wire::PathletId;
@@ -355,7 +356,8 @@ fn tcp_cfg(p: Protocol) -> TcpConfig {
 }
 
 /// The single sender's `(submit, bytes)` schedule; a Poisson process
-/// offers its load against the host link.
+/// offers its load against the host link, and a chunked `single` submits
+/// every chunk at its start time.
 fn single_flow_schedule(s: &Scenario, seed: u64, host: &LinkSpec) -> Vec<(Time, u64)> {
     match &s.workload {
         Workload::Periodic {
@@ -366,6 +368,7 @@ fn single_flow_schedule(s: &Scenario, seed: u64, host: &LinkSpec) -> Vec<(Time, 
         Workload::Single {
             bytes,
             start_step_us,
+            chunk_bytes,
         } => {
             let at = match (start_step_us, &s.topology) {
                 (
@@ -377,7 +380,10 @@ fn single_flow_schedule(s: &Scenario, seed: u64, host: &LinkSpec) -> Vec<(Time, 
                 ) => us((u128::from(seed) * u128::from(*step) % u128::from(*period_us)) as u64),
                 _ => Time::ZERO,
             };
-            vec![(at, *bytes)]
+            let chunk = chunk_bytes.unwrap_or(*bytes);
+            (0..bytes.div_ceil(chunk))
+                .map(|i| (at, chunk.min(bytes - i * chunk)))
+                .collect()
         }
         Workload::Poisson {
             load,
@@ -436,6 +442,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
                     _ => Strategy::Fixed,
                 },
                 reverse: Strategy::Spray { next: 0 },
+                b_pathlet: PATHLET_B,
             },
             Duration::from_micros(100),
             8,
@@ -446,6 +453,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
             host,
             strategy,
             goodput_bin_us,
+            pathlets,
         } => (
             ParallelSpec {
                 a: to_spec(*a),
@@ -460,6 +468,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
                     TwoPathStrategy::MtpLb => mtp_lb(),
                 },
                 reverse: Strategy::Fixed,
+                b_pathlet: if *pathlets == 1 { PATHLET_A } else { PATHLET_B },
             },
             Duration::from_micros(*goodput_bin_us),
             1,
@@ -553,16 +562,17 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
 }
 
 /// A dumbbell cell: one sender/sink pair per tenant sender through the
-/// shared link, with the tenants' isolation on it. Sender `i` has address
-/// `i + 1`, the tenant from `Workload::tenant_of_sender` as its MTP
-/// entity, and connection/message ids from `(i + 1) × 10^6` / `(i + 1)
-/// << 40`.
+/// shared link, with the tenants' isolation or NDP trimming on it. Sender
+/// `i` has address `i + 1`, the tenant from `Workload::tenant_of_sender`
+/// as its MTP entity, and connection/message ids from `(i + 1) × 10^6` /
+/// `(i + 1) << 40`.
 fn run_dumbbell(s: &Scenario, p: Protocol, seed: u64) -> Measured {
     let Topology::Dumbbell {
         edge,
         shared,
         goodput_bin_us,
         isolation,
+        trimming,
     } = &s.topology
     else {
         unreachable!("caller dispatched on topology")
@@ -574,7 +584,7 @@ fn run_dumbbell(s: &Scenario, p: Protocol, seed: u64) -> Measured {
         // One enforcement epoch per round trip of the shared link.
         Box::new(FairShareEnforcer::new(shared.rate, shared.delay.mul(2))) as Box<dyn IngressPolicy>
     });
-    let queue = (*isolation == Some(Isolation::Drr)).then(|| {
+    let drr = (*isolation == Some(Isolation::Drr)).then(|| {
         // One band per tenant, by the tenant of the source address.
         let tenant_of = tenant_of.clone();
         Box::new(DrrQueue::new(
@@ -588,6 +598,11 @@ fn run_dumbbell(s: &Scenario, p: Protocol, seed: u64) -> Measured {
                     .map_or(0, |&t| usize::from(t) - 1)
             }),
         )) as Box<dyn Qdisc>
+    });
+    // NDP: a data queue of the shared link's cap and K, with 256 slots
+    // for trimmed headers and control ahead of it.
+    let trim = trimming.then(|| {
+        Box::new(TrimmingQueue::new(shared.cap_pkts, shared.ecn_k, 256)) as Box<dyn Qdisc>
     });
     let make_sender = |i: usize| -> Box<dyn Node> {
         let (src, dst) = (dumbbell_src(i), dumbbell_dst(i));
@@ -670,7 +685,7 @@ fn run_dumbbell(s: &Scenario, p: Protocol, seed: u64) -> Measured {
         edge,
         shared,
         policy,
-        queue,
+        drr.or(trim),
     );
     let mut sim = d.sim;
     let names = Names {

@@ -203,6 +203,10 @@ pub enum Topology {
         strategy: TwoPathStrategy,
         /// Sink goodput sampling bin in microseconds.
         goodput_bin_us: u64,
+        /// Pathlets sw1 stamps: 2 gives each path its own, 1 stamps both
+        /// as path A's (§4: "a single pathlet mimics TCP"); `mtp-lb`
+        /// needs 2.
+        pathlets: u64,
     },
     /// N sender/receiver pairs through one shared bottleneck. TCP runs
     /// only the `streams` workload there.
@@ -215,6 +219,11 @@ pub enum Topology {
         goodput_bin_us: u64,
         /// Tenant separation on the shared link; `None` is one FIFO.
         isolation: Option<Isolation>,
+        /// The shared link trims overflowing MTP packets to their headers
+        /// and queues those ahead of data (§4's NDP), instead of dropping
+        /// them; set as `trimming` in `[topology.shared]`. Not with
+        /// `isolation`.
+        trimming: bool,
     },
     /// A 2-tier Clos fabric (MTP only).
     LeafSpine {
@@ -307,7 +316,8 @@ pub enum Workload {
         /// Submission interval in microseconds.
         interval_us: u64,
     },
-    /// One message of `bytes` at t = 0 (diamond / two-path).
+    /// One message of `bytes` at t = 0 (diamond / two-path), or
+    /// ⌈`bytes` / `chunk_bytes`⌉ messages at that time, the last one short.
     Single {
         /// Message size in bytes.
         bytes: u64,
@@ -315,6 +325,9 @@ pub enum Workload {
         /// `(seed × start_step_us) mod alternate_period_us` instead, so
         /// each seed meets the flips at its own phase.
         start_step_us: Option<u64>,
+        /// Split `bytes` into messages of this size (blob mode, §3.1.2);
+        /// at most 100 000 of them.
+        chunk_bytes: Option<u64>,
     },
     /// An open-loop Poisson arrival process at `load` of the host link
     /// until `until_us`, seeded by the cell seed, with bounded-Pareto
@@ -811,6 +824,8 @@ const MAX_MSG_BYTES: u64 = u32::MAX as u64;
 const MAX_SEED_XOR: u64 = i64::MAX as u64;
 /// Horizon ceiling: 10 simulated seconds.
 const MAX_HORIZON_US: u64 = 10_000_000;
+/// Most messages a chunked `single` workload may split into.
+const MAX_CHUNKS: u64 = 100_000;
 
 fn decode_link(mut t: Table, prefix: &str) -> Result<LinkParams, SchemaError> {
     let rate_gbps = take_u64_in(&mut t, "rate_gbps", prefix, 1, 1_000)?;
@@ -864,6 +879,7 @@ fn decode_topology(mut t: Table) -> Result<Topology, SchemaError> {
             };
             let goodput_bin_us =
                 take_opt_u64_in(&mut t, "goodput_bin_us", P, 1, 1_000_000)?.unwrap_or(100);
+            let pathlets = take_opt_u64_in(&mut t, "pathlets", P, 1, 2)?.unwrap_or(2);
             let strategy = match take_str(&mut t, "strategy", P)?.as_str() {
                 "alternate" => TwoPathStrategy::Alternate {
                     period_us: take_u64_in(&mut t, "alternate_period_us", P, 1, MAX_HORIZON_US)?,
@@ -880,20 +896,30 @@ fn decode_topology(mut t: Table) -> Result<Topology, SchemaError> {
                     ));
                 }
             };
+            if pathlets == 1 && strategy == TwoPathStrategy::MtpLb {
+                return Err(err(
+                    field(P, "pathlets"),
+                    "strategy `mtp-lb` balances over two pathlets",
+                ));
+            }
             Topology::TwoPath {
                 a,
                 b,
                 host,
                 strategy,
                 goodput_bin_us,
+                pathlets,
             }
         }
-        "dumbbell" => Topology::Dumbbell {
-            edge: take_link(&mut t, "edge", P)?,
-            shared: take_link(&mut t, "shared", P)?,
-            goodput_bin_us: take_opt_u64_in(&mut t, "goodput_bin_us", P, 1, 1_000_000)?
-                .unwrap_or(100),
-            isolation: match t.remove("isolation") {
+        "dumbbell" => {
+            let edge = take_link(&mut t, "edge", P)?;
+            const S: &str = "topology.shared";
+            let mut shared = take_table(&mut t, "shared", P)?;
+            let trimming = take_bool_or(&mut shared, "trimming", S, false)?;
+            let shared = decode_link(shared, S)?;
+            let goodput_bin_us =
+                take_opt_u64_in(&mut t, "goodput_bin_us", P, 1, 1_000_000)?.unwrap_or(100);
+            let isolation = match t.remove("isolation") {
                 None => None,
                 Some(v) => Some(match as_str(v, "topology.isolation")?.as_str() {
                     "drr" => Isolation::Drr,
@@ -905,8 +931,21 @@ fn decode_topology(mut t: Table) -> Result<Topology, SchemaError> {
                         ));
                     }
                 }),
-            },
-        },
+            };
+            if trimming && isolation.is_some() {
+                return Err(err(
+                    field(S, "trimming"),
+                    "a trimming queue is one FIFO; it cannot also isolate tenants",
+                ));
+            }
+            Topology::Dumbbell {
+                edge,
+                shared,
+                goodput_bin_us,
+                isolation,
+                trimming,
+            }
+        }
         "leaf-spine" => Topology::LeafSpine {
             leaves: take_u64_in(&mut t, "leaves", P, 2, 16)?,
             spines: take_u64_in(&mut t, "spines", P, 1, 16)?,
@@ -953,10 +992,20 @@ fn decode_workload(mut t: Table, horizon_us: u64) -> Result<Workload, SchemaErro
             bytes: take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?,
             interval_us: take_u64_in(&mut t, "interval_us", P, 1, MAX_HORIZON_US)?,
         },
-        "single" => Workload::Single {
-            bytes: take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?,
-            start_step_us: take_opt_u64_in(&mut t, "start_step_us", P, 1, MAX_HORIZON_US)?,
-        },
+        "single" => {
+            let bytes = take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?;
+            Workload::Single {
+                bytes,
+                start_step_us: take_opt_u64_in(&mut t, "start_step_us", P, 1, MAX_HORIZON_US)?,
+                chunk_bytes: take_opt_u64_in(
+                    &mut t,
+                    "chunk_bytes",
+                    P,
+                    bytes.div_ceil(MAX_CHUNKS),
+                    bytes,
+                )?,
+            }
+        }
         "poisson" => {
             let load = take_load(&mut t, "load", P)?;
             let (min_bytes, max_bytes) = take_sizes(&mut t, "min_bytes", "max_bytes", P)?;

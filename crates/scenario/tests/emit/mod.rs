@@ -80,8 +80,10 @@ pub fn to_toml(s: &Scenario) -> String {
             host,
             strategy,
             goodput_bin_us,
+            pathlets,
         } => {
             o.push_str(&format!("goodput_bin_us = {goodput_bin_us}\n"));
+            o.push_str(&format!("pathlets = {pathlets}\n"));
             match strategy {
                 TwoPathStrategy::Alternate { period_us } => {
                     o.push_str("strategy = \"alternate\"\n");
@@ -102,6 +104,7 @@ pub fn to_toml(s: &Scenario) -> String {
             shared,
             goodput_bin_us,
             isolation,
+            trimming,
         } => {
             o.push_str(&format!("goodput_bin_us = {goodput_bin_us}\n"));
             match isolation {
@@ -111,6 +114,9 @@ pub fn to_toml(s: &Scenario) -> String {
             }
             emit_link(&mut o, "topology.edge", edge);
             emit_link(&mut o, "topology.shared", shared);
+            if *trimming {
+                o.push_str("trimming = true\n");
+            }
         }
         Topology::LeafSpine {
             leaves,
@@ -152,10 +158,14 @@ pub fn to_toml(s: &Scenario) -> String {
         Workload::Single {
             bytes,
             start_step_us,
+            chunk_bytes,
         } => {
             o.push_str(&format!("bytes = {bytes}\n"));
             if let Some(step) = start_step_us {
                 o.push_str(&format!("start_step_us = {step}\n"));
+            }
+            if let Some(chunk) = chunk_bytes {
+                o.push_str(&format!("chunk_bytes = {chunk}\n"));
             }
         }
         Workload::Poisson {

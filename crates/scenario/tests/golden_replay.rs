@@ -16,10 +16,10 @@
 //! recorded (numbers a scenario report does not carry are asserted here
 //! as the literals of the retired records).
 //!
-//! The five Fig. 3 and Fig. 7 files are checked the other way round: each
-//! cell's reported series and tenant goodputs against the numbers the
-//! retired `fig3` and `fig7` binaries recorded, copied in as literals,
-//! bit for bit, plus the digest the file pins.
+//! The five Fig. 3 and Fig. 7 files and the five §4 ablation files are
+//! checked the other way round: each cell's reported numbers against the
+//! ones the retired `fig3`, `fig7` and `ablations` binaries recorded,
+//! copied in as literals, bit for bit, plus the digest the file pins.
 
 use std::path::Path;
 
@@ -101,6 +101,7 @@ fn diamond(forward: Strategy) -> ParallelSpec {
         host: LinkSpec::host_default(),
         forward,
         reverse: Strategy::Spray { next: 0 },
+        b_pathlet: PATHLET_B,
     }
 }
 
@@ -292,6 +293,7 @@ fn fig5_scenario_is_byte_identical_to_figure_binary() {
         host: LinkSpec::host_default(),
         forward: Strategy::Alternate { period },
         reverse: Strategy::Fixed,
+        b_pathlet: PATHLET_B,
     };
     let flow: u64 = 200_000_000;
 
@@ -423,6 +425,7 @@ fn fig6_matches_inline_reference(file: &str, forward: Strategy) {
             host: LinkSpec::new(Bandwidth::from_gbps(200), Duration::from_micros(1)),
             forward,
             reverse: Strategy::Fixed,
+            b_pathlet: PATHLET_B,
         },
     );
     d.sim.run_until(Time::ZERO + Duration::from_millis(80));
@@ -692,6 +695,7 @@ fn fig5_phase_sweep_scenario_is_byte_identical_to_binary() {
             period: Duration::from_micros(384),
         },
         reverse: Strategy::Fixed,
+        b_pathlet: PATHLET_B,
     };
     let horizon = Time::ZERO + Duration::from_millis(6);
     let steady_mean = |series: &[f64]| {
@@ -872,4 +876,64 @@ fn fig7_drr_scenario_reproduces_the_record() {
 fn fig7_fair_share_scenario_reproduces_the_record() {
     let row = [43.32112, 45.49943999999999, 1.050283095173901];
     fig7_matches_record("fig7_fair_share.toml", Protocol::Mtp, row);
+}
+
+// ------------------------------------------------------ §4 ablations
+
+/// Runs `file`'s one MTP cell at `seed`, which must pass and match the
+/// file's pinned digest.
+fn ablation_cell(file: &str, seed: u64) -> mtp_scenario::run::CellRun {
+    let s = load_scenario(file);
+    let cell = execute_cell(&s, Protocol::Mtp, seed);
+    assert_eq!(cell.result.violations, Vec::<String>::new(), "{file}");
+    assert_eq!(pinned_digest(&s, "mtp", seed), cell.result.digest, "{file}");
+    cell
+}
+
+/// A1, pathlet granularity: Fig. 5's file and its one-pathlet twin at
+/// the retired record's seed 11 and 6 ms horizon, whose steady means
+/// (after 31 bins) must be the record's, bit for bit.
+#[test]
+fn abl_single_pathlet_scenario_reproduces_the_record() {
+    let mean = |file: &str| {
+        let mut s = load_scenario(file);
+        s.seeds = vec![11];
+        s.horizon_us = 6000;
+        // The files' bounds are for their own seed and horizon.
+        s.asserts.cells.clear();
+        let r = execute_cell(&s, Protocol::Mtp, 11).result;
+        assert_eq!(r.violations, Vec::<String>::new(), "{file}");
+        r.goodput_mean_gbps
+            .expect("a two-path cell reports goodput")
+    };
+    assert_eq!(mean("fig5_alternation.toml"), 51.34643312101906);
+    assert_eq!(mean("abl_single_pathlet.toml"), 36.830127388534954);
+}
+
+/// A3, blob vs message mode: 10 MB sprayed as one message completes at
+/// 16 421 us after 2 277 retransmissions; as 6 850 blob messages the
+/// last completes at 882 us, with none.
+#[test]
+fn abl_spray_scenarios_reproduce_the_record() {
+    let message = ablation_cell("abl_spray_message.toml", 17).result;
+    assert_eq!(message.p50_us, Some(16421.48832));
+    assert_eq!(message.retransmissions, 2277);
+
+    let blob = ablation_cell("abl_spray_blob.toml", 17);
+    let last = blob.ledgers[0].completed.iter().map(|&(_, ps)| ps).max();
+    assert_eq!(last.map(|ps| Time(ps).as_micros_f64()), Some(882.10048));
+    assert_eq!(blob.result.retransmissions, 0);
+}
+
+/// A4, NDP via MTP: the 16-way incast's p99 completion time and RTO
+/// count, drop-tail then trimming.
+#[test]
+fn abl_incast_scenarios_reproduce_the_record() {
+    for (file, p99_us, timeouts) in [
+        ("abl_incast_droptail.toml", 3253.25344, 32),
+        ("abl_incast_trimming.toml", 159.50968, 0),
+    ] {
+        let r = ablation_cell(file, 19).result;
+        assert_eq!((r.p99_us, r.timeouts), (Some(p99_us), timeouts), "{file}");
+    }
 }

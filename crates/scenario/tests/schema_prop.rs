@@ -63,30 +63,42 @@ fn arb_topology(rng: &mut SmallRng) -> Topology {
         0 => Topology::Diamond {
             path: arb_link(rng),
         },
-        1 => Topology::TwoPath {
-            a: arb_link(rng),
-            b: arb_link(rng),
-            host: rng.gen_bool(0.5).then(|| arb_link(rng)),
-            strategy: match rng.gen_range(0..4) {
+        1 => {
+            let strategy = match rng.gen_range(0..4) {
                 0 => TwoPathStrategy::Alternate {
                     period_us: rng.gen_range(1..=10_000_000),
                 },
                 1 => TwoPathStrategy::Ecmp,
                 2 => TwoPathStrategy::Spray,
                 _ => TwoPathStrategy::MtpLb,
-            },
-            goodput_bin_us: rng.gen_range(1..=1_000_000),
-        },
-        2 => Topology::Dumbbell {
-            edge: arb_link(rng),
-            shared: arb_link(rng),
-            goodput_bin_us: rng.gen_range(1..=1_000_000),
-            isolation: match rng.gen_range(0..3) {
+            };
+            Topology::TwoPath {
+                a: arb_link(rng),
+                b: arb_link(rng),
+                host: rng.gen_bool(0.5).then(|| arb_link(rng)),
+                strategy,
+                goodput_bin_us: rng.gen_range(1..=1_000_000),
+                pathlets: if strategy == TwoPathStrategy::MtpLb {
+                    2
+                } else {
+                    rng.gen_range(1..=2)
+                },
+            }
+        }
+        2 => {
+            let isolation = match rng.gen_range(0..3) {
                 0 => None,
                 1 => Some(Isolation::Drr),
                 _ => Some(Isolation::FairShare),
-            },
-        },
+            };
+            Topology::Dumbbell {
+                edge: arb_link(rng),
+                shared: arb_link(rng),
+                goodput_bin_us: rng.gen_range(1..=1_000_000),
+                isolation,
+                trimming: isolation.is_none() && rng.gen_bool(0.5),
+            }
+        }
         _ => Topology::LeafSpine {
             leaves: rng.gen_range(2..=16),
             spines: rng.gen_range(1..=16),
@@ -130,10 +142,14 @@ fn arb_workload(rng: &mut SmallRng, topo: &Topology, horizon_us: u64) -> Workloa
                     interval_us: rng.gen_range(1..=10_000_000),
                 }
             } else {
+                let bytes = rng.gen_range(1..=u32::MAX as u64);
                 Workload::Single {
-                    bytes: rng.gen_range(1..=u32::MAX as u64),
+                    bytes,
                     start_step_us: (alternates && rng.gen_bool(0.5))
                         .then(|| rng.gen_range(1..=10_000_000)),
+                    chunk_bytes: rng
+                        .gen_bool(0.5)
+                        .then(|| rng.gen_range(bytes.div_ceil(100_000)..=bytes)),
                 }
             }
         }
@@ -853,4 +869,88 @@ fn streams_run_only_on_the_dumbbell() {
         assert_eq!(e.field, "workload.kind", "{topo}");
         assert!(e.msg.contains("streams"), "msg: {}", e.msg);
     }
+}
+
+// ---------------- §4 ablations: one pathlet, blob chunks, NDP trimming
+
+const SPRAY: &str = "[topology]\nkind = \"two-path\"\nstrategy = \"spray\"\npathlets = 1\n\
+    [topology.a]\nrate_gbps = 100\ndelay_us = 1\n[topology.b]\nrate_gbps = 100\ndelay_us = 2\n";
+const CHUNKED: &str = "[workload]\nkind = \"single\"\nbytes = 10000\nchunk_bytes = 1460\n";
+const TRIMMING: &str = "[topology]\nkind = \"dumbbell\"\n\
+    [topology.edge]\nrate_gbps = 100\ndelay_us = 1\n\
+    [topology.shared]\nrate_gbps = 100\ndelay_us = 1\nqueue_pkts = 9\necn_k = 9\n\
+    trimming = true\n";
+const INCAST: &str = "[workload]\nkind = \"streams\"\nsenders = [16]\nmessages = 1\n\
+    bytes = 65536\n";
+
+#[test]
+fn ablation_documents_are_valid_and_roundtrip() {
+    for doc in [
+        [HEAD, SPRAY, CHUNKED].concat(),
+        [HEAD, TRIMMING, INCAST].concat(),
+    ] {
+        let s = from_str(&doc).expect("document decodes");
+        assert_eq!(from_str(&to_toml(&s)).expect("re-decode"), s, "{doc}");
+    }
+}
+
+#[test]
+fn pathlets_is_a_two_path_key() {
+    for topo in OTHER_TOPOLOGIES {
+        let topo = topo.replacen("\"\n", "\"\npathlets = 1\n", 1);
+        let e = schema_err(&[HEAD, &topo, CHUNKED].concat());
+        assert_eq!(e.field, "topology.pathlets", "{topo}");
+    }
+}
+
+#[test]
+fn one_pathlet_refuses_the_balancer() {
+    let topo = TWO_PATH.replace("\"mtp-lb\"\n", "\"mtp-lb\"\npathlets = 1\n");
+    let e = schema_err(&[HEAD, &topo, CHUNKED].concat());
+    assert_eq!(e.field, "topology.pathlets");
+    assert!(e.msg.contains("mtp-lb"), "msg: {}", e.msg);
+}
+
+#[test]
+fn pathlets_is_one_or_two() {
+    for n in ["0", "3"] {
+        let doc = [
+            HEAD,
+            &SPRAY.replace("pathlets = 1", &format!("pathlets = {n}")),
+            CHUNKED,
+        ];
+        let e = schema_err(&doc.concat());
+        assert_eq!(e.field, "topology.pathlets", "{n}");
+        assert!(e.msg.contains("1..=2"), "msg: {}", e.msg);
+    }
+}
+
+#[test]
+fn chunks_fit_the_message() {
+    for (bytes, chunk) in [(10_000, 0), (10_000, 10_001), (10_000_000, 99)] {
+        let workload =
+            format!("[workload]\nkind = \"single\"\nbytes = {bytes}\nchunk_bytes = {chunk}\n");
+        let e = schema_err(&[HEAD, SPRAY, &workload].concat());
+        assert_eq!(e.field, "workload.chunk_bytes", "{bytes}/{chunk}");
+        assert!(e.msg.contains("out of range"), "msg: {}", e.msg);
+    }
+}
+
+#[test]
+fn trimming_is_the_dumbbell_shared_link_alone() {
+    let drr = TRIMMING.replacen("\"\n", "\"\nisolation = \"drr\"\n", 1);
+    let e = schema_err(&[HEAD, &drr, INCAST].concat());
+    assert_eq!(e.field, "topology.shared.trimming");
+    assert!(e.msg.contains("isolate"), "msg: {}", e.msg);
+
+    let edge = TRIMMING.replace(
+        "delay_us = 1\n[topology.shared]",
+        "delay_us = 1\ntrimming = true\n[topology.shared]",
+    );
+    let e = schema_err(&[HEAD, &edge, INCAST].concat());
+    assert_eq!(e.field, "topology.edge.trimming");
+
+    let path = SPRAY.replace("delay_us = 2\n", "delay_us = 2\ntrimming = true\n");
+    let e = schema_err(&[HEAD, &path, CHUNKED].concat());
+    assert_eq!(e.field, "topology.b.trimming");
 }

@@ -50,6 +50,7 @@ fn run(name: &str, strategy: Strategy) {
             host: PathSpec::host_default(),
             forward: strategy,
             reverse: Strategy::Fixed,
+            b_pathlet: PathletId(2),
         },
     );
     tp.sim.run_until(Time::ZERO + Duration::from_millis(20));

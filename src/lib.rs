@@ -16,9 +16,9 @@
 //! * [`mod@bench`] — experiment topologies and the per-figure harness.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, and the `mtp-bench`
-//! binaries (`fig2`, `ablations`), its `table1` test, and the
-//! `scenarios/fig{3,5,6,7}_*` files (run by `mtp-scenario`'s `scn`) to
-//! regenerate every table and figure of the paper.
+//! binary `fig2`, its `table1` test, and the `scenarios/fig{3,5,6,7}_*`
+//! and `scenarios/abl_*` files (run by `mtp-scenario`'s `scn`) to
+//! regenerate every table, figure and §4 ablation of the paper.
 
 #![forbid(unsafe_code)]
 
