@@ -10,8 +10,12 @@
 //!   parameters, workload mix, fault schedule, protocol matrix, and a
 //!   typed `[assert]` block (exactly-once ledger, conservation audit,
 //!   corruption accounting, completion counts, FCT percentile bounds,
-//!   pinned digests). Decoding rejects unknown keys and out-of-range
-//!   values with errors naming the offending field;
+//!   pinned digests). Each type lists its keys once, with their ranges
+//!   and defaults, in a key function over the [`schema::Keys`] trait;
+//!   decoding is that trait's one implementation here, and refuses
+//!   unknown keys and out-of-range values with errors naming the
+//!   offending field. The property suite's emitter and generator are the
+//!   others;
 //! * [`run`] — executes each scenario × protocol × seed cell against the
 //!   existing `mtp-sim` / `mtp-faults` / `mtp-workload` APIs and checks
 //!   every assertion, reporting violations as data (never panicking);

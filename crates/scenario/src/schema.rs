@@ -19,6 +19,7 @@
 //! panics on arbitrary input — the proptest suite pins this.
 
 use std::fmt;
+use std::ops::RangeInclusive;
 
 use crate::toml::{format_key, parse, Table, TomlError, Value};
 
@@ -80,23 +81,7 @@ pub enum Protocol {
 impl Protocol {
     /// The wire name used in scenario files and reports.
     pub fn key(&self) -> &'static str {
-        match self {
-            Protocol::Mtp => "mtp",
-            Protocol::TcpNewReno => "tcp-newreno",
-            Protocol::TcpDctcp => "tcp-dctcp",
-        }
-    }
-
-    fn from_key(s: &str, field: &str) -> Result<Protocol, SchemaError> {
-        match s {
-            "mtp" => Ok(Protocol::Mtp),
-            "tcp-newreno" => Ok(Protocol::TcpNewReno),
-            "tcp-dctcp" => Ok(Protocol::TcpDctcp),
-            other => Err(err(
-                field,
-                format!("unknown protocol `{other}` (expected mtp, tcp-newreno, or tcp-dctcp)"),
-            )),
-        }
+        PROTOCOLS.name(self)
     }
 }
 
@@ -122,7 +107,7 @@ const DEFAULT_ECN_K: u64 = 20;
 
 /// One link's parameters: rate, delay and its ECN FIFO, by default the
 /// paper's standard 128-packet ECN(20) queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinkParams {
     /// Link rate in Gbps (1..=1000).
     pub rate_gbps: u64,
@@ -246,12 +231,7 @@ pub enum Topology {
 impl Topology {
     /// The wire name of this topology kind.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Topology::Diamond { .. } => "diamond",
-            Topology::TwoPath { .. } => "two-path",
-            Topology::Dumbbell { .. } => "dumbbell",
-            Topology::LeafSpine { .. } => "leaf-spine",
-        }
+        TOPOLOGIES.name(self)
     }
 
     /// True when `p` has a driver on this topology running `w`.
@@ -268,6 +248,25 @@ impl Topology {
             }
             Topology::LeafSpine { .. } => p == Protocol::Mtp,
         }
+    }
+
+    /// True when `w` runs on this topology.
+    pub fn runs(&self, w: &Workload) -> bool {
+        matches!(
+            (self, w),
+            (
+                Topology::Diamond { .. } | Topology::TwoPath { .. },
+                Workload::Periodic { .. } | Workload::Single { .. },
+            ) | (Topology::TwoPath { .. }, Workload::Poisson { .. })
+                | (
+                    Topology::Dumbbell { .. },
+                    Workload::Tenants { .. } | Workload::Streams { .. }
+                )
+                | (
+                    Topology::LeafSpine { .. },
+                    Workload::Fanin { .. } | Workload::Permutation { .. }
+                )
+        )
     }
 
     /// Directed-link names fault scripts may reference on this topology.
@@ -409,15 +408,7 @@ pub enum Workload {
 impl Workload {
     /// The wire name of this workload kind.
     pub fn kind(&self) -> &'static str {
-        match self {
-            Workload::Periodic { .. } => "periodic",
-            Workload::Single { .. } => "single",
-            Workload::Poisson { .. } => "poisson",
-            Workload::Tenants { .. } => "tenants",
-            Workload::Streams { .. } => "streams",
-            Workload::Fanin { .. } => "fanin",
-            Workload::Permutation { .. } => "permutation",
-        }
+        WORKLOADS.name(self)
     }
 
     /// The tenant (from 1) of each dumbbell sender, in sender order:
@@ -604,7 +595,7 @@ impl Default for Asserts {
 }
 
 /// One fully-validated scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Scenario {
     /// Scenario name (also the report file stem): `[a-z0-9_-]+`.
     pub name: String,
@@ -630,6 +621,616 @@ pub struct Scenario {
     pub asserts: Asserts,
 }
 
+// ---------------------------------------------------------------- keys
+
+/// Largest message MTP's `ScheduledMsg` can carry (u32 byte count).
+const MAX_MSG_BYTES: u64 = u32::MAX as u64;
+/// Largest integer a scenario file can hold: TOML integers are i64.
+const MAX_INT: u64 = i64::MAX as u64;
+/// Horizon ceiling: 10 simulated seconds.
+const MAX_HORIZON_US: u64 = 10_000_000;
+/// Most messages a chunked `single` workload may split into.
+const MAX_CHUNKS: u64 = 100_000;
+
+/// A link before its keys are read.
+const BLANK_LINK: LinkParams = LinkParams {
+    rate_gbps: 0,
+    delay_us: 0,
+    queue_pkts: 0,
+    ecn_k: 0,
+};
+
+/// A sum type's wire names, in the order a refusal lists them.
+pub struct Names<T: 'static> {
+    /// What a refusal calls the value: "unknown {what} `x`".
+    pub what: &'static str,
+    /// Whether that refusal lists the expected names.
+    pub listed: bool,
+    /// Each name and its value; for [`Topology`], [`Workload`] and
+    /// [`FaultSpec`] the value is the blank variant the key function
+    /// fills.
+    pub all: &'static [(&'static str, T)],
+}
+
+impl<T> Names<T> {
+    /// The wire name of `v`'s variant.
+    pub fn name(&self, v: &T) -> &'static str {
+        let d = std::mem::discriminant(v);
+        self.all
+            .iter()
+            .find(|(_, b)| std::mem::discriminant(b) == d)
+            .map_or("", |(n, _)| n)
+    }
+
+    fn value(&self, name: &str) -> Option<&T> {
+        self.all.iter().find(|(n, _)| *n == name).map(|(_, v)| v)
+    }
+
+    fn unknown(&self, other: &str) -> String {
+        let msg = format!("unknown {} `{other}`", self.what);
+        let names: Vec<&str> = self.all.iter().map(|(n, _)| *n).collect();
+        match names.split_last() {
+            Some((last, [one])) if self.listed => format!("{msg} (expected {one} or {last})"),
+            Some((last, init)) if self.listed => {
+                format!("{msg} (expected {}, or {last})", init.join(", "))
+            }
+            _ => msg,
+        }
+    }
+}
+
+/// The protocols.
+pub const PROTOCOLS: Names<Protocol> = Names {
+    what: "protocol",
+    listed: true,
+    all: &[
+        ("mtp", Protocol::Mtp),
+        ("tcp-newreno", Protocol::TcpNewReno),
+        ("tcp-dctcp", Protocol::TcpDctcp),
+    ],
+};
+
+/// The topology kinds.
+#[rustfmt::skip]
+pub const TOPOLOGIES: Names<Topology> = Names {
+    what: "topology",
+    listed: true,
+    all: &[
+        ("diamond", Topology::Diamond { path: BLANK_LINK }),
+        ("two-path", Topology::TwoPath { a: BLANK_LINK, b: BLANK_LINK, host: None, strategy: TwoPathStrategy::Ecmp, goodput_bin_us: 0, pathlets: 0 }),
+        ("dumbbell", Topology::Dumbbell { edge: BLANK_LINK, shared: BLANK_LINK, goodput_bin_us: 0, isolation: None, trimming: false }),
+        ("leaf-spine", Topology::LeafSpine { leaves: 0, spines: 0, hosts_per_leaf: 0, host_link: BLANK_LINK, spine_link: BLANK_LINK, strategy: None }),
+    ],
+};
+
+/// The two-path fan-out strategies.
+pub const TWO_PATH_STRATEGIES: Names<TwoPathStrategy> = Names {
+    what: "strategy",
+    listed: true,
+    all: &[
+        ("alternate", TwoPathStrategy::Alternate { period_us: 0 }),
+        ("ecmp", TwoPathStrategy::Ecmp),
+        ("spray", TwoPathStrategy::Spray),
+        ("mtp-lb", TwoPathStrategy::MtpLb),
+    ],
+};
+
+/// The leaf-spine uplink strategies.
+pub const LEAF_SPINE_STRATEGIES: Names<LeafSpineStrategy> = Names {
+    what: "strategy",
+    listed: true,
+    all: &[
+        ("ecmp", LeafSpineStrategy::Ecmp),
+        ("spray", LeafSpineStrategy::Spray),
+        ("mtp-lb", LeafSpineStrategy::MtpLb),
+        ("mtp-conga", LeafSpineStrategy::MtpConga),
+    ],
+};
+
+/// The dumbbell's tenant isolations.
+pub const ISOLATIONS: Names<Isolation> = Names {
+    what: "isolation",
+    listed: true,
+    all: &[
+        ("drr", Isolation::Drr),
+        ("fair-share", Isolation::FairShare),
+    ],
+};
+
+/// The workload kinds.
+#[rustfmt::skip]
+pub const WORKLOADS: Names<Workload> = Names {
+    what: "workload",
+    listed: true,
+    all: &[
+        ("periodic", Workload::Periodic { count: 0, bytes: 0, interval_us: 0 }),
+        ("single", Workload::Single { bytes: 0, start_step_us: None, chunk_bytes: None }),
+        ("poisson", Workload::Poisson { load: 0.0, min_bytes: 0, max_bytes: 0, until_us: 0 }),
+        ("tenants", Workload::Tenants { elephants: 0, elephant_bytes: 0, mice: 0, mice_load: 0.0, mice_min_bytes: 0, mice_max_bytes: 0 }),
+        ("streams", Workload::Streams { senders: Vec::new(), messages: 0, bytes: 0 }),
+        ("fanin", Workload::Fanin { rounds: 0, bytes: 0, stagger_us: 0, round_gap_us: 0 }),
+        ("permutation", Workload::Permutation { load: 0.0, min_bytes: 0, max_bytes: 0, alpha: 0.0, until_us: 0 }),
+    ],
+};
+
+/// The fault kinds.
+#[rustfmt::skip]
+pub const FAULTS: Names<FaultSpec> = Names {
+    what: "fault kind",
+    listed: false,
+    all: &[
+        ("cut_both", FaultSpec::CutBoth { link: String::new(), from_us: 0, to_us: 0, mode: FailMode::Blackhole }),
+        ("link_down", FaultSpec::LinkDown { link: String::new(), at_us: 0, mode: FailMode::Blackhole }),
+        ("link_up", FaultSpec::LinkUp { link: String::new(), at_us: 0 }),
+        ("degrade", FaultSpec::Degrade { link: String::new(), at_us: 0, rate_gbps: 0, delay_us: 0 }),
+        ("corrupt_rate", FaultSpec::CorruptRate { link: String::new(), at_us: 0, ppm: 0, flips: 0, seed_xor: 0 }),
+        ("bitflip_burst", FaultSpec::BitflipBurst { link: String::new(), at_us: 0, pkts: 0, flips: 0, seed_xor: 0 }),
+        ("truncate_burst", FaultSpec::TruncateBurst { link: String::new(), at_us: 0, pkts: 0, seed_xor: 0 }),
+        ("crash_restart", FaultSpec::CrashRestart { node: String::new(), from_us: 0, to_us: 0 }),
+    ],
+};
+
+/// The link failure modes.
+pub const FAIL_MODES: Names<FailMode> = Names {
+    what: "mode",
+    listed: true,
+    all: &[
+        ("blackhole", FailMode::Blackhole),
+        ("drain", FailMode::Drain),
+    ],
+};
+
+impl Default for Topology {
+    /// The first kind's blank, as the decoder starts from it.
+    fn default() -> Topology {
+        TOPOLOGIES.all[0].1.clone()
+    }
+}
+
+impl Default for Workload {
+    /// The first kind's blank, as the decoder starts from it.
+    fn default() -> Workload {
+        WORKLOADS.all[0].1.clone()
+    }
+}
+
+impl Default for FaultSpec {
+    /// The first kind's blank, as the decoder starts from it.
+    fn default() -> FaultSpec {
+        FAULTS.all[0].1.clone()
+    }
+}
+
+/// A range of finite reals.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Reals {
+    /// The bound or more.
+    From(f64),
+    /// More than the bound.
+    Above(f64),
+    /// A fraction in (0, 1]: an offered load.
+    Fraction,
+}
+
+impl Reals {
+    /// True when `v` is in the range.
+    fn contains(&self, v: f64) -> bool {
+        match *self {
+            Reals::From(lo) => v >= lo,
+            Reals::Above(lo) => v > lo,
+            Reals::Fraction => v > 0.0 && v <= 1.0,
+        }
+    }
+}
+
+impl fmt::Display for Reals {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Reals::From(lo) => write!(f, ">= {lo}"),
+            Reals::Above(lo) => write!(f, "> {lo}"),
+            Reals::Fraction => write!(f, "in (0, 1]"),
+        }
+    }
+}
+
+/// A list key's length and items, and how their refusals read.
+pub struct List {
+    /// Items allowed.
+    pub len: RangeInclusive<usize>,
+    /// The refusal of too few items.
+    pub few: &'static str,
+    /// The refusal of too many.
+    pub many: &'static str,
+    /// Each integer item's range.
+    pub each: RangeInclusive<u64>,
+    /// What an out-of-range item's refusal says it needs.
+    pub need: &'static str,
+}
+
+const SEEDS: List = List {
+    len: 1..=64,
+    few: "need at least one seed",
+    many: "at most 64 seeds",
+    each: 0..=MAX_INT,
+    need: "",
+};
+
+const SENDERS: List = List {
+    len: 1..=4,
+    few: "need 1..=4 tenants",
+    many: "need 1..=4 tenants",
+    each: 1..=16,
+    need: "every tenant needs 1..=16 senders",
+};
+
+type Walk = Result<(), SchemaError>;
+
+/// One walk over the scenario's keys. Each schema type's key function
+/// calls it once per key, in file order, with the key's range and
+/// default; `scenario_keys` is the root. A key is in scope exactly where
+/// its function lists it.
+///
+/// The decoder is the library's walk: it reads a TOML table and refuses,
+/// by field path, a missing, mistyped, out-of-range or unlisted key. The
+/// property suite's emitter, generator and probes are the others. Every
+/// walk leaves `v` holding the key's value.
+pub trait Keys: Sized {
+    /// Whether the optional `key` is given; `set` is whether the value in
+    /// hand differs from the key's default.
+    fn has(&mut self, key: &str, set: bool) -> bool;
+    /// An integer in `range`.
+    fn u64(&mut self, key: &str, v: &mut u64, range: RangeInclusive<u64>) -> Walk;
+    /// A finite number in `range`.
+    fn f64(&mut self, key: &str, v: &mut f64, range: Reals) -> Walk;
+    /// A boolean.
+    fn bool(&mut self, key: &str, v: &mut bool) -> Walk;
+    /// A string.
+    fn str(&mut self, key: &str, v: &mut String) -> Walk;
+    /// One of `names`; on a sum type's `kind`, its variant.
+    fn pick<T: Clone>(&mut self, key: &str, v: &mut T, names: &Names<T>) -> Walk;
+    /// A list of integers.
+    fn u64s(&mut self, key: &str, v: &mut Vec<u64>, list: &List) -> Walk;
+    /// A list of distinct names, at least one.
+    fn picks<T: Clone + PartialEq>(&mut self, key: &str, v: &mut Vec<T>, names: &Names<T>) -> Walk;
+    /// An optional `[from_us, to_us]` pair.
+    fn span(&mut self, key: &str, v: &mut Option<(u64, u64)>) -> Walk;
+    /// A nested table, walked by `f`.
+    fn table(&mut self, key: &str, f: impl FnOnce(&mut Self) -> Walk) -> Walk;
+    /// An optional array of tables (`[[key]]`), each walked by `f`.
+    fn tables<T: Default>(
+        &mut self,
+        key: &str,
+        v: &mut Vec<T>,
+        f: impl FnMut(&mut Self, &mut T) -> Walk,
+    ) -> Walk;
+    /// An optional table of tables keyed by one of `names`, each walked
+    /// by `f`, in file order.
+    fn named<T: Clone, V: Default>(
+        &mut self,
+        key: &str,
+        v: &mut Vec<(T, V)>,
+        names: &Names<T>,
+        f: impl FnMut(&mut Self, &mut V) -> Walk,
+    ) -> Walk;
+    /// An optional table of pinned digests: any key, each value 16
+    /// lowercase hex digits.
+    fn pins(&mut self, key: &str, v: &mut Vec<(String, String)>) -> Walk;
+    /// A relationship between keys already walked: refused at `key` with
+    /// `msg` unless `ok`.
+    fn rule(&mut self, key: &str, ok: bool, msg: impl fmt::Display) -> Walk;
+
+    /// An integer in `range`, `default` when absent.
+    fn u64_or(&mut self, key: &str, v: &mut u64, range: RangeInclusive<u64>, default: u64) -> Walk {
+        or(self, key, v, default, |k, v| k.u64(key, v, range))
+    }
+    /// A boolean, `default` when absent.
+    fn bool_or(&mut self, key: &str, v: &mut bool, default: bool) -> Walk {
+        or(self, key, v, default, |k, v| k.bool(key, v))
+    }
+    /// A string, empty when absent.
+    fn str_or(&mut self, key: &str, v: &mut String) -> Walk {
+        or(self, key, v, String::new(), |k, v| k.str(key, v))
+    }
+    /// An optional integer in `range`.
+    fn opt_u64(&mut self, key: &str, v: &mut Option<u64>, range: RangeInclusive<u64>) -> Walk {
+        or(self, key, v, None, |k, v| {
+            k.u64(key, v.get_or_insert(0), range)
+        })
+    }
+    /// An optional number in `range`.
+    fn opt_f64(&mut self, key: &str, v: &mut Option<f64>, range: Reals) -> Walk {
+        or(self, key, v, None, |k, v| {
+            k.f64(key, v.get_or_insert(0.0), range)
+        })
+    }
+    /// An optional one of `names`.
+    fn opt_pick<T: Clone + PartialEq>(
+        &mut self,
+        key: &str,
+        v: &mut Option<T>,
+        names: &Names<T>,
+    ) -> Walk {
+        let blank = &names.all[0].1;
+        or(self, key, v, None, |k, v| {
+            k.pick(key, v.get_or_insert_with(|| blank.clone()), names)
+        })
+    }
+    /// An optional table, walked by `f`.
+    fn opt_table<T: Default + PartialEq>(
+        &mut self,
+        key: &str,
+        v: &mut Option<T>,
+        f: impl FnOnce(&mut Self, &mut T) -> Walk,
+    ) -> Walk {
+        or(self, key, v, None, |k, v| {
+            k.table(key, |k| f(k, v.get_or_insert_with(T::default)))
+        })
+    }
+    /// A table whose keys keep their defaults when it is absent.
+    fn table_or(&mut self, key: &str, f: impl FnOnce(&mut Self) -> Walk) -> Walk {
+        if self.has(key, true) {
+            return self.table(key, f);
+        }
+        Ok(())
+    }
+}
+
+/// `v` through `f` when `key` is given, `default` when it is absent.
+fn or<K: Keys, T: PartialEq>(
+    k: &mut K,
+    key: &str,
+    v: &mut T,
+    default: T,
+    f: impl FnOnce(&mut K, &mut T) -> Walk,
+) -> Walk {
+    if k.has(key, *v != default) {
+        return f(k, v);
+    }
+    *v = default;
+    Ok(())
+}
+
+// The key functions are tables, one key a line, so rustfmt leaves them as
+// written.
+
+/// A link's rate and delay: a link table's first rows, and a `degrade`
+/// fault's new values.
+#[rustfmt::skip]
+fn rate_delay<K: Keys>(k: &mut K, rate_gbps: &mut u64, delay_us: &mut u64) -> Walk {
+    k.u64("rate_gbps", rate_gbps, 1..=1_000)?;
+    k.u64("delay_us", delay_us, 1..=1_000_000).map_err(|mut e| {
+        if e.msg.starts_with("out of range") {
+            e.msg.push_str(" (zero-latency links are not supported)");
+        }
+        e
+    })
+}
+
+#[rustfmt::skip]
+fn link_keys<K: Keys>(k: &mut K, l: &mut LinkParams) -> Walk {
+    rate_delay(k, &mut l.rate_gbps, &mut l.delay_us)?;
+    k.u64_or("queue_pkts", &mut l.queue_pkts, 1..=100_000, DEFAULT_QUEUE_PKTS)?;
+    k.u64_or("ecn_k", &mut l.ecn_k, 0..=100_000, DEFAULT_ECN_K)?;
+    let (queue_pkts, ecn_k) = (l.queue_pkts, l.ecn_k);
+    let msg = format_args!("must be <= queue_pkts ({queue_pkts}), got {ecn_k}");
+    k.rule("ecn_k", ecn_k <= queue_pkts, msg)
+}
+
+#[rustfmt::skip]
+fn topology_keys<K: Keys>(k: &mut K, t: &mut Topology) -> Walk {
+    k.pick("kind", t, &TOPOLOGIES)?;
+    match t {
+        Topology::Diamond { path } => k.table("path", |k| link_keys(k, path)),
+        Topology::TwoPath { a, b, host, strategy, goodput_bin_us, pathlets } => {
+            k.table("a", |k| link_keys(k, a))?;
+            k.table("b", |k| link_keys(k, b))?;
+            k.opt_table("host", host, link_keys)?;
+            k.u64_or("goodput_bin_us", goodput_bin_us, 1..=1_000_000, 100)?;
+            k.u64_or("pathlets", pathlets, 1..=2, 2)?;
+            k.pick("strategy", strategy, &TWO_PATH_STRATEGIES)?;
+            if let TwoPathStrategy::Alternate { period_us } = strategy {
+                k.u64("alternate_period_us", period_us, 1..=MAX_HORIZON_US)?;
+            }
+            let ok = *pathlets == 2 || *strategy != TwoPathStrategy::MtpLb;
+            k.rule("pathlets", ok, "strategy `mtp-lb` balances over two pathlets")
+        }
+        Topology::Dumbbell { edge, shared, goodput_bin_us, isolation, trimming } => {
+            k.table("edge", |k| link_keys(k, edge))?;
+            k.table("shared", |k| {
+                k.bool_or("trimming", trimming, false)?;
+                link_keys(k, shared)
+            })?;
+            k.u64_or("goodput_bin_us", goodput_bin_us, 1..=1_000_000, 100)?;
+            k.opt_pick("isolation", isolation, &ISOLATIONS)?;
+            let msg = "a trimming queue is one FIFO; it cannot also isolate tenants";
+            k.rule("shared.trimming", !*trimming || isolation.is_none(), msg)
+        }
+        Topology::LeafSpine { leaves, spines, hosts_per_leaf, host_link, spine_link, strategy } => {
+            k.u64("leaves", leaves, 2..=16)?;
+            k.u64("spines", spines, 1..=16)?;
+            k.u64("hosts_per_leaf", hosts_per_leaf, 1..=16)?;
+            k.table("host_link", |k| link_keys(k, host_link))?;
+            k.table("spine_link", |k| link_keys(k, spine_link))?;
+            k.opt_pick("strategy", strategy, &LEAF_SPINE_STRATEGIES)
+        }
+    }
+}
+
+/// A `[min, max]` message-size range in bytes.
+#[rustfmt::skip]
+fn size_keys<K: Keys>(k: &mut K, [lo, hi]: [&str; 2], min: &mut u64, max: &mut u64) -> Walk {
+    k.u64(lo, min, 1..=MAX_MSG_BYTES)?;
+    k.u64(hi, max, 1..=MAX_MSG_BYTES)?;
+    k.rule(lo, *min <= *max, format_args!("must be <= {hi} ({max})"))
+}
+
+#[rustfmt::skip]
+fn workload_keys<K: Keys>(k: &mut K, w: &mut Workload, horizon_us: u64) -> Walk {
+    const BYTES: RangeInclusive<u64> = 1..=MAX_MSG_BYTES;
+    k.pick("kind", w, &WORKLOADS)?;
+    match w {
+        Workload::Periodic { count, bytes, interval_us } => {
+            k.u64("count", count, 1..=100_000)?;
+            k.u64("bytes", bytes, BYTES)?;
+            k.u64("interval_us", interval_us, 1..=MAX_HORIZON_US)
+        }
+        Workload::Single { bytes, start_step_us, chunk_bytes } => {
+            k.u64("bytes", bytes, BYTES)?;
+            k.opt_u64("start_step_us", start_step_us, 1..=MAX_HORIZON_US)?;
+            k.opt_u64("chunk_bytes", chunk_bytes, bytes.div_ceil(MAX_CHUNKS)..=*bytes)
+        }
+        Workload::Poisson { load, min_bytes, max_bytes, until_us } => {
+            k.f64("load", load, Reals::Fraction)?;
+            size_keys(k, ["min_bytes", "max_bytes"], min_bytes, max_bytes)?;
+            k.u64("until_us", until_us, 1..=horizon_us)
+        }
+        Workload::Tenants {
+            elephants, elephant_bytes, mice, mice_load, mice_min_bytes, mice_max_bytes,
+        } => {
+            k.u64("elephants", elephants, 0..=16)?;
+            k.u64("elephant_bytes", elephant_bytes, BYTES)?;
+            k.u64("mice", mice, 0..=16)?;
+            k.rule("elephants", *elephants + *mice > 0, "need at least one tenant")?;
+            k.f64("mice_load", mice_load, Reals::Fraction)?;
+            size_keys(k, ["mice_min_bytes", "mice_max_bytes"], mice_min_bytes, mice_max_bytes)
+        }
+        Workload::Streams { senders, messages, bytes } => {
+            k.u64s("senders", senders, &SENDERS)?;
+            k.u64("messages", messages, 1..=100_000)?;
+            k.u64("bytes", bytes, BYTES)
+        }
+        Workload::Fanin { rounds, bytes, stagger_us, round_gap_us } => {
+            k.u64("rounds", rounds, 1..=1_000)?;
+            k.u64("bytes", bytes, BYTES)?;
+            k.u64("stagger_us", stagger_us, 0..=MAX_HORIZON_US)?;
+            k.u64("round_gap_us", round_gap_us, 1..=MAX_HORIZON_US)
+        }
+        Workload::Permutation { load, min_bytes, max_bytes, alpha, until_us } => {
+            k.f64("load", load, Reals::Fraction)?;
+            size_keys(k, ["min_bytes", "max_bytes"], min_bytes, max_bytes)?;
+            k.f64("alpha", alpha, Reals::Above(1.0))?;
+            k.u64("until_us", until_us, 1..=horizon_us)
+        }
+    }
+}
+
+/// A `[from_us, to_us)` fault window inside the horizon.
+#[rustfmt::skip]
+fn window_keys<K: Keys>(k: &mut K, from_us: &mut u64, to_us: &mut u64, horizon_us: u64) -> Walk {
+    k.u64("from_us", from_us, 0..=horizon_us)?;
+    k.u64("to_us", to_us, 0..=horizon_us)?;
+    k.rule("to_us", *to_us > *from_us, format_args!("must be > from_us ({from_us}), got {to_us}"))
+}
+
+#[rustfmt::skip]
+fn fault_keys<K: Keys>(k: &mut K, f: &mut FaultSpec, horizon_us: u64) -> Walk {
+    let at = 0..=horizon_us;
+    k.pick("kind", f, &FAULTS)?;
+    match f {
+        FaultSpec::CutBoth { link, from_us, to_us, mode } => {
+            window_keys(k, from_us, to_us, horizon_us)?;
+            k.str("link", link)?;
+            k.pick("mode", mode, &FAIL_MODES)
+        }
+        FaultSpec::LinkDown { link, at_us, mode } => {
+            k.str("link", link)?;
+            k.u64("at_us", at_us, at)?;
+            k.pick("mode", mode, &FAIL_MODES)
+        }
+        FaultSpec::LinkUp { link, at_us } => {
+            k.str("link", link)?;
+            k.u64("at_us", at_us, at)
+        }
+        FaultSpec::Degrade { link, at_us, rate_gbps, delay_us } => {
+            k.str("link", link)?;
+            k.u64("at_us", at_us, at)?;
+            rate_delay(k, rate_gbps, delay_us)
+        }
+        FaultSpec::CorruptRate { link, at_us, ppm, flips, seed_xor } => {
+            k.u64("ppm", ppm, 0..=1_000_000)?;
+            k.u64("flips", flips, 0..=3)?;
+            k.rule("flips", *ppm == 0 || *flips > 0, "must be >= 1 when ppm > 0")?;
+            k.str("link", link)?;
+            k.u64("at_us", at_us, at)?;
+            k.u64_or("seed_xor", seed_xor, 0..=MAX_INT, 0)
+        }
+        FaultSpec::BitflipBurst { link, at_us, pkts, flips, seed_xor } => {
+            k.str("link", link)?;
+            k.u64("at_us", at_us, at)?;
+            k.u64("pkts", pkts, 1..=1_000_000)?;
+            k.u64("flips", flips, 1..=3)?;
+            k.u64_or("seed_xor", seed_xor, 0..=MAX_INT, 0)
+        }
+        FaultSpec::TruncateBurst { link, at_us, pkts, seed_xor } => {
+            k.str("link", link)?;
+            k.u64("at_us", at_us, at)?;
+            k.u64("pkts", pkts, 1..=1_000_000)?;
+            k.u64_or("seed_xor", seed_xor, 0..=MAX_INT, 0)
+        }
+        FaultSpec::CrashRestart { node, from_us, to_us } => {
+            window_keys(k, from_us, to_us, horizon_us)?;
+            k.str("node", node)
+        }
+    }
+}
+
+#[rustfmt::skip]
+fn cell_keys<K: Keys>(k: &mut K, c: &mut CellAsserts) -> Walk {
+    const COUNT: RangeInclusive<u64> = 0..=MAX_INT;
+    k.bool_or("exactly_once", &mut c.exactly_once, false)?;
+    k.opt_u64("completed", &mut c.completed, COUNT)?;
+    k.opt_u64("completed_min", &mut c.completed_min, COUNT)?;
+    k.opt_u64("during_window_min", &mut c.during_window_min, COUNT)?;
+    k.opt_u64("during_window_max", &mut c.during_window_max, COUNT)?;
+    k.opt_f64("p50_max_us", &mut c.p50_max_us, Reals::From(0.0))?;
+    k.opt_f64("p99_max_us", &mut c.p99_max_us, Reals::From(0.0))?;
+    k.opt_u64("timeouts_max", &mut c.timeouts_max, COUNT)?;
+    k.opt_f64("goodput_mean_min_gbps", &mut c.goodput_mean_min_gbps, Reals::From(0.0))?;
+    k.opt_f64("tenant_ratio_max", &mut c.tenant_ratio_max, Reals::From(1.0))
+}
+
+#[rustfmt::skip]
+fn assert_keys<K: Keys>(k: &mut K, a: &mut Asserts) -> Walk {
+    k.bool_or("conservation", &mut a.conservation, true)?;
+    k.bool_or("corruption_accounting", &mut a.corruption_accounting, false)?;
+    k.span("window_us", &mut a.window_us)?;
+    if let Some((from, to)) = a.window_us {
+        let msg = format_args!("window end must be > start, got [{from}, {to}]");
+        k.rule("window_us", to > from, msg)?;
+    }
+    k.u64_or("warmup_bins", &mut a.warmup_bins, 0..=1_000_000, 0)?;
+    k.opt_u64("fct_below_bytes", &mut a.fct_below_bytes, 1..=MAX_MSG_BYTES)?;
+    k.named("cells", &mut a.cells, &PROTOCOLS, cell_keys)?;
+    k.pins("digests", &mut a.digests)
+}
+
+/// Every key of a scenario file, in file order: the one declaration the
+/// decoder, and the property suite's emitter and generator, walk.
+#[rustfmt::skip]
+pub fn scenario_keys<K: Keys>(k: &mut K, s: &mut Scenario) -> Walk {
+    k.table("scenario", |k| {
+        k.str("name", &mut s.name)?;
+        let stem = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_';
+        let ok = !s.name.is_empty() && s.name.chars().all(stem);
+        k.rule("name", ok, "must be non-empty and use only [a-z0-9_-] (it names the report file)")?;
+        k.str_or("description", &mut s.description)?;
+        k.u64s("seeds", &mut s.seeds, &SEEDS)?;
+        let seeds = &s.seeds;
+        if let Some(seed) = seeds.iter().find(|&&x| seeds.iter().filter(|&&y| y == x).count() > 1) {
+            k.rule("seeds", false, format_args!("duplicate seed {seed}"))?;
+        }
+        k.u64("horizon_us", &mut s.horizon_us, 1..=MAX_HORIZON_US)?;
+        k.picks("protocols", &mut s.protocols, &PROTOCOLS)
+    })?;
+    k.table_or("mtp", |k| k.bool_or("failover", &mut s.mtp.failover, false))?;
+    k.table_or("tcp", |k| k.bool_or("conn_per_message", &mut s.tcp.conn_per_message, false))?;
+    k.table("topology", |k| topology_keys(k, &mut s.topology))?;
+    let horizon_us = s.horizon_us;
+    k.table("workload", |k| workload_keys(k, &mut s.workload, horizon_us))?;
+    k.tables("fault", &mut s.faults, |k, f| fault_keys(k, f, horizon_us))?;
+    k.table_or("assert", |k| assert_keys(k, &mut s.asserts))
+}
+
 // -------------------------------------------------------------- decode
 
 fn field(prefix: &str, key: &str) -> String {
@@ -640,782 +1241,271 @@ fn field(prefix: &str, key: &str) -> String {
     }
 }
 
-/// Reject leftover (unknown) keys in `t`.
-fn ensure_empty(t: &Table, prefix: &str) -> Result<(), SchemaError> {
-    if let Some(k) = t.keys().next() {
-        return Err(err(field(prefix, k), "unknown key"));
+fn mistyped(expected: &str, v: &Value) -> String {
+    format!("expected {expected}, got {}", v.type_name())
+}
+
+/// The decoder: the [`Keys`] walk over one TOML table, `path` naming it
+/// in refusals.
+struct Decoder {
+    t: Table,
+    path: String,
+}
+
+impl Decoder {
+    /// The decoder of table `v`, refused at `path` if it is no table.
+    fn open(path: String, v: Value) -> Result<Decoder, SchemaError> {
+        match v {
+            Value::Table(t) => Ok(Decoder { t, path }),
+            other => Err(err(path, mistyped("a table", &other))),
+        }
     }
-    Ok(())
-}
 
-fn take(t: &mut Table, key: &str, prefix: &str) -> Result<Value, SchemaError> {
-    t.remove(key)
-        .ok_or_else(|| err(field(prefix, key), "missing required key"))
-}
-
-fn as_table(v: Value, f: &str) -> Result<Table, SchemaError> {
-    match v {
-        Value::Table(t) => Ok(t),
-        other => Err(err(
-            f,
-            format!("expected a table, got {}", other.type_name()),
-        )),
+    /// Table `v` at `path`, walked by `f` from a blank `T`.
+    fn walk<T: Default>(
+        path: String,
+        v: Value,
+        f: impl FnOnce(&mut Decoder, &mut T) -> Walk,
+    ) -> Result<T, SchemaError> {
+        let mut d = Decoder::open(path, v)?;
+        let mut x = T::default();
+        f(&mut d, &mut x)?;
+        d.finish()?;
+        Ok(x)
     }
-}
 
-fn as_str(v: Value, f: &str) -> Result<String, SchemaError> {
-    match v {
-        Value::Str(s) => Ok(s),
-        other => Err(err(
-            f,
-            format!("expected a string, got {}", other.type_name()),
-        )),
+    fn fail(&self, key: &str, msg: impl Into<String>) -> SchemaError {
+        err(field(&self.path, key), msg)
     }
-}
 
-fn as_u64(v: Value, f: &str) -> Result<u64, SchemaError> {
-    match v {
-        Value::Int(i) if i >= 0 => Ok(i as u64),
-        Value::Int(i) => Err(err(f, format!("must be non-negative, got {i}"))),
-        other => Err(err(
-            f,
-            format!("expected an integer, got {}", other.type_name()),
-        )),
+    fn take(&mut self, key: &str) -> Result<Value, SchemaError> {
+        self.t
+            .remove(key)
+            .ok_or_else(|| self.fail(key, "missing required key"))
     }
-}
 
-fn as_f64(v: Value, f: &str) -> Result<f64, SchemaError> {
-    match v {
-        Value::Float(x) if x.is_finite() => Ok(x),
-        Value::Int(i) => Ok(i as f64),
-        Value::Float(_) => Err(err(f, "must be a finite number")),
-        other => Err(err(
-            f,
-            format!("expected a number, got {}", other.type_name()),
-        )),
+    /// Refuse the first key no walk took.
+    fn finish(&self) -> Walk {
+        match self.t.keys().next() {
+            Some(k) => Err(self.fail(k, "unknown key")),
+            None => Ok(()),
+        }
     }
-}
 
-fn as_bool(v: Value, f: &str) -> Result<bool, SchemaError> {
-    match v {
-        Value::Bool(b) => Ok(b),
-        other => Err(err(
-            f,
-            format!("expected a boolean, got {}", other.type_name()),
-        )),
+    fn int(&self, key: &str, v: Value) -> Result<u64, SchemaError> {
+        match v {
+            Value::Int(i) if i >= 0 => Ok(i as u64),
+            Value::Int(i) => Err(self.fail(key, format!("must be non-negative, got {i}"))),
+            other => Err(self.fail(key, mistyped("an integer", &other))),
+        }
     }
-}
 
-fn take_table(t: &mut Table, key: &str, prefix: &str) -> Result<Table, SchemaError> {
-    let f = field(prefix, key);
-    as_table(take(t, key, prefix)?, &f)
-}
-
-fn take_str(t: &mut Table, key: &str, prefix: &str) -> Result<String, SchemaError> {
-    let f = field(prefix, key);
-    as_str(take(t, key, prefix)?, &f)
-}
-
-fn take_u64_in(
-    t: &mut Table,
-    key: &str,
-    prefix: &str,
-    lo: u64,
-    hi: u64,
-) -> Result<u64, SchemaError> {
-    let f = field(prefix, key);
-    let v = as_u64(take(t, key, prefix)?, &f)?;
-    if v < lo || v > hi {
-        return Err(err(
-            f,
-            format!("out of range: must be in {lo}..={hi}, got {v}"),
-        ));
+    fn name<'n, T>(&self, key: &str, v: Value, names: &'n Names<T>) -> Result<&'n T, SchemaError> {
+        match v {
+            Value::Str(s) => names
+                .value(&s)
+                .ok_or_else(|| self.fail(key, names.unknown(&s))),
+            other => Err(self.fail(key, mistyped("a string", &other))),
+        }
     }
-    Ok(v)
-}
 
-fn take_opt_u64_in(
-    t: &mut Table,
-    key: &str,
-    prefix: &str,
-    lo: u64,
-    hi: u64,
-) -> Result<Option<u64>, SchemaError> {
-    let f = field(prefix, key);
-    match t.remove(key) {
-        None => Ok(None),
-        Some(v) => {
-            let v = as_u64(v, &f)?;
-            if v < lo || v > hi {
-                return Err(err(
-                    f,
-                    format!("out of range: must be in {lo}..={hi}, got {v}"),
-                ));
-            }
-            Ok(Some(v))
+    /// A list's items, refused with `few` or `many` outside `len`.
+    fn list(
+        &mut self,
+        key: &str,
+        len: &RangeInclusive<usize>,
+        few: &str,
+        many: &str,
+    ) -> Result<Vec<Value>, SchemaError> {
+        match self.take(key)? {
+            Value::Array(items) if items.len() < *len.start() => Err(self.fail(key, few)),
+            Value::Array(items) if items.len() > *len.end() => Err(self.fail(key, many)),
+            Value::Array(items) => Ok(items),
+            other => Err(self.fail(key, mistyped("an array", &other))),
         }
     }
 }
 
-fn take_opt_f64_min(
-    t: &mut Table,
-    key: &str,
-    prefix: &str,
-    lo: f64,
-) -> Result<Option<f64>, SchemaError> {
-    let f = field(prefix, key);
-    match t.remove(key) {
-        None => Ok(None),
-        Some(v) => {
-            let v = as_f64(v, &f)?;
-            if v < lo {
-                return Err(err(f, format!("out of range: must be >= {lo}, got {v}")));
-            }
-            Ok(Some(v))
-        }
+impl Keys for Decoder {
+    fn has(&mut self, key: &str, _: bool) -> bool {
+        self.t.get(key).is_some()
     }
-}
 
-/// An offered load: a fraction in (0, 1].
-fn take_load(t: &mut Table, key: &str, prefix: &str) -> Result<f64, SchemaError> {
-    let f = field(prefix, key);
-    let v = as_f64(take(t, key, prefix)?, &f)?;
-    if v <= 0.0 || v > 1.0 {
-        return Err(err(f, format!("out of range: must be in (0, 1], got {v}")));
-    }
-    Ok(v)
-}
-
-/// A `[min, max]` message-size range in bytes.
-fn take_sizes(
-    t: &mut Table,
-    min_key: &str,
-    max_key: &str,
-    prefix: &str,
-) -> Result<(u64, u64), SchemaError> {
-    let min = take_u64_in(t, min_key, prefix, 1, MAX_MSG_BYTES)?;
-    let max = take_u64_in(t, max_key, prefix, 1, MAX_MSG_BYTES)?;
-    if min > max {
-        return Err(err(
-            field(prefix, min_key),
-            format!("must be <= {max_key} ({max})"),
-        ));
-    }
-    Ok((min, max))
-}
-
-fn take_bool_or(
-    t: &mut Table,
-    key: &str,
-    prefix: &str,
-    default: bool,
-) -> Result<bool, SchemaError> {
-    let f = field(prefix, key);
-    match t.remove(key) {
-        None => Ok(default),
-        Some(v) => as_bool(v, &f),
-    }
-}
-
-/// Largest message MTP's `ScheduledMsg` can carry (u32 byte count).
-const MAX_MSG_BYTES: u64 = u32::MAX as u64;
-/// Largest `seed_xor`: TOML integers are i64, so anything larger could
-/// not be re-read after emission.
-const MAX_SEED_XOR: u64 = i64::MAX as u64;
-/// Horizon ceiling: 10 simulated seconds.
-const MAX_HORIZON_US: u64 = 10_000_000;
-/// Most messages a chunked `single` workload may split into.
-const MAX_CHUNKS: u64 = 100_000;
-
-fn decode_link(mut t: Table, prefix: &str) -> Result<LinkParams, SchemaError> {
-    let rate_gbps = take_u64_in(&mut t, "rate_gbps", prefix, 1, 1_000)?;
-    let delay_us = match take_u64_in(&mut t, "delay_us", prefix, 1, 1_000_000) {
-        Err(e) if e.msg.starts_with("out of range") => {
-            // Name the real constraint for the zero-latency case.
-            let f = field(prefix, "delay_us");
-            return Err(err(
-                f,
-                format!("{} (zero-latency links are not supported)", e.msg),
+    fn u64(&mut self, key: &str, v: &mut u64, range: RangeInclusive<u64>) -> Walk {
+        let x = self.take(key)?;
+        *v = self.int(key, x)?;
+        if !range.contains(v) {
+            let (lo, hi) = range.into_inner();
+            return Err(self.fail(
+                key,
+                format!("out of range: must be in {lo}..={hi}, got {v}"),
             ));
         }
-        other => other?,
-    };
-    let queue_pkts =
-        take_opt_u64_in(&mut t, "queue_pkts", prefix, 1, 100_000)?.unwrap_or(DEFAULT_QUEUE_PKTS);
-    let ecn_k = take_opt_u64_in(&mut t, "ecn_k", prefix, 0, 100_000)?.unwrap_or(DEFAULT_ECN_K);
-    if ecn_k > queue_pkts {
-        return Err(err(
-            field(prefix, "ecn_k"),
-            format!("must be <= queue_pkts ({queue_pkts}), got {ecn_k}"),
-        ));
+        Ok(())
     }
-    ensure_empty(&t, prefix)?;
-    Ok(LinkParams {
-        rate_gbps,
-        delay_us,
-        queue_pkts,
-        ecn_k,
-    })
-}
 
-fn take_link(t: &mut Table, key: &str, prefix: &str) -> Result<LinkParams, SchemaError> {
-    let f = field(prefix, key);
-    decode_link(take_table(t, key, prefix)?, &f)
-}
-
-fn decode_topology(mut t: Table) -> Result<Topology, SchemaError> {
-    const P: &str = "topology";
-    let kind = take_str(&mut t, "kind", P)?;
-    let topo = match kind.as_str() {
-        "diamond" => Topology::Diamond {
-            path: take_link(&mut t, "path", P)?,
-        },
-        "two-path" => {
-            let a = take_link(&mut t, "a", P)?;
-            let b = take_link(&mut t, "b", P)?;
-            let host = match t.remove("host") {
-                None => None,
-                Some(v) => Some(decode_link(as_table(v, "topology.host")?, "topology.host")?),
-            };
-            let goodput_bin_us =
-                take_opt_u64_in(&mut t, "goodput_bin_us", P, 1, 1_000_000)?.unwrap_or(100);
-            let pathlets = take_opt_u64_in(&mut t, "pathlets", P, 1, 2)?.unwrap_or(2);
-            let strategy = match take_str(&mut t, "strategy", P)?.as_str() {
-                "alternate" => TwoPathStrategy::Alternate {
-                    period_us: take_u64_in(&mut t, "alternate_period_us", P, 1, MAX_HORIZON_US)?,
-                },
-                "ecmp" => TwoPathStrategy::Ecmp,
-                "spray" => TwoPathStrategy::Spray,
-                "mtp-lb" => TwoPathStrategy::MtpLb,
-                other => {
-                    return Err(err(
-                        field(P, "strategy"),
-                        format!(
-                            "unknown strategy `{other}` (expected alternate, ecmp, spray, or mtp-lb)"
-                        ),
-                    ));
-                }
-            };
-            if pathlets == 1 && strategy == TwoPathStrategy::MtpLb {
-                return Err(err(
-                    field(P, "pathlets"),
-                    "strategy `mtp-lb` balances over two pathlets",
-                ));
-            }
-            Topology::TwoPath {
-                a,
-                b,
-                host,
-                strategy,
-                goodput_bin_us,
-                pathlets,
-            }
+    fn f64(&mut self, key: &str, v: &mut f64, range: Reals) -> Walk {
+        *v = match self.take(key)? {
+            Value::Float(x) if x.is_finite() => x,
+            Value::Int(i) => i as f64,
+            Value::Float(_) => return Err(self.fail(key, "must be a finite number")),
+            other => return Err(self.fail(key, mistyped("a number", &other))),
+        };
+        if !range.contains(*v) {
+            return Err(self.fail(key, format!("out of range: must be {range}, got {v}")));
         }
-        "dumbbell" => {
-            let edge = take_link(&mut t, "edge", P)?;
-            const S: &str = "topology.shared";
-            let mut shared = take_table(&mut t, "shared", P)?;
-            let trimming = take_bool_or(&mut shared, "trimming", S, false)?;
-            let shared = decode_link(shared, S)?;
-            let goodput_bin_us =
-                take_opt_u64_in(&mut t, "goodput_bin_us", P, 1, 1_000_000)?.unwrap_or(100);
-            let isolation = match t.remove("isolation") {
-                None => None,
-                Some(v) => Some(match as_str(v, "topology.isolation")?.as_str() {
-                    "drr" => Isolation::Drr,
-                    "fair-share" => Isolation::FairShare,
-                    other => {
-                        return Err(err(
-                            field(P, "isolation"),
-                            format!("unknown isolation `{other}` (expected drr or fair-share)"),
-                        ));
-                    }
-                }),
-            };
-            if trimming && isolation.is_some() {
-                return Err(err(
-                    field(S, "trimming"),
-                    "a trimming queue is one FIFO; it cannot also isolate tenants",
-                ));
-            }
-            Topology::Dumbbell {
-                edge,
-                shared,
-                goodput_bin_us,
-                isolation,
-                trimming,
-            }
-        }
-        "leaf-spine" => Topology::LeafSpine {
-            leaves: take_u64_in(&mut t, "leaves", P, 2, 16)?,
-            spines: take_u64_in(&mut t, "spines", P, 1, 16)?,
-            hosts_per_leaf: take_u64_in(&mut t, "hosts_per_leaf", P, 1, 16)?,
-            host_link: take_link(&mut t, "host_link", P)?,
-            spine_link: take_link(&mut t, "spine_link", P)?,
-            strategy: match t.remove("strategy") {
-                None => None,
-                Some(v) => Some(match as_str(v, "topology.strategy")?.as_str() {
-                    "ecmp" => LeafSpineStrategy::Ecmp,
-                    "spray" => LeafSpineStrategy::Spray,
-                    "mtp-lb" => LeafSpineStrategy::MtpLb,
-                    "mtp-conga" => LeafSpineStrategy::MtpConga,
-                    other => {
-                        return Err(err(
-                            field(P, "strategy"),
-                            format!(
-                                "unknown strategy `{other}` (expected ecmp, spray, mtp-lb, or mtp-conga)"
-                            ),
-                        ));
-                    }
-                }),
-            },
-        },
-        other => {
-            return Err(err(
-                field(P, "kind"),
-                format!(
-                    "unknown topology `{other}` (expected diamond, two-path, dumbbell, or leaf-spine)"
-                ),
-            ));
-        }
-    };
-    ensure_empty(&t, P)?;
-    Ok(topo)
-}
-
-fn decode_workload(mut t: Table, horizon_us: u64) -> Result<Workload, SchemaError> {
-    const P: &str = "workload";
-    let kind = take_str(&mut t, "kind", P)?;
-    let w = match kind.as_str() {
-        "periodic" => Workload::Periodic {
-            count: take_u64_in(&mut t, "count", P, 1, 100_000)?,
-            bytes: take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?,
-            interval_us: take_u64_in(&mut t, "interval_us", P, 1, MAX_HORIZON_US)?,
-        },
-        "single" => {
-            let bytes = take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?;
-            Workload::Single {
-                bytes,
-                start_step_us: take_opt_u64_in(&mut t, "start_step_us", P, 1, MAX_HORIZON_US)?,
-                chunk_bytes: take_opt_u64_in(
-                    &mut t,
-                    "chunk_bytes",
-                    P,
-                    bytes.div_ceil(MAX_CHUNKS),
-                    bytes,
-                )?,
-            }
-        }
-        "poisson" => {
-            let load = take_load(&mut t, "load", P)?;
-            let (min_bytes, max_bytes) = take_sizes(&mut t, "min_bytes", "max_bytes", P)?;
-            Workload::Poisson {
-                load,
-                min_bytes,
-                max_bytes,
-                until_us: take_u64_in(&mut t, "until_us", P, 1, horizon_us)?,
-            }
-        }
-        "tenants" => {
-            let elephants = take_u64_in(&mut t, "elephants", P, 0, 16)?;
-            let elephant_bytes = take_u64_in(&mut t, "elephant_bytes", P, 1, MAX_MSG_BYTES)?;
-            let mice = take_u64_in(&mut t, "mice", P, 0, 16)?;
-            if elephants + mice == 0 {
-                return Err(err(field(P, "elephants"), "need at least one tenant"));
-            }
-            let mice_load = take_load(&mut t, "mice_load", P)?;
-            let (mice_min_bytes, mice_max_bytes) =
-                take_sizes(&mut t, "mice_min_bytes", "mice_max_bytes", P)?;
-            Workload::Tenants {
-                elephants,
-                elephant_bytes,
-                mice,
-                mice_load,
-                mice_min_bytes,
-                mice_max_bytes,
-            }
-        }
-        "streams" => {
-            let f = field(P, "senders");
-            let senders = match take(&mut t, "senders", P)? {
-                Value::Array(items) if (1..=4).contains(&items.len()) => {
-                    let mut out = Vec::new();
-                    for v in items {
-                        let n = as_u64(v, &f)?;
-                        if !(1..=16).contains(&n) {
-                            return Err(err(
-                                f,
-                                format!("out of range: every tenant needs 1..=16 senders, got {n}"),
-                            ));
-                        }
-                        out.push(n);
-                    }
-                    out
-                }
-                Value::Array(_) => return Err(err(f, "need 1..=4 tenants")),
-                other => {
-                    return Err(err(
-                        f,
-                        format!("expected an array, got {}", other.type_name()),
-                    ));
-                }
-            };
-            Workload::Streams {
-                senders,
-                messages: take_u64_in(&mut t, "messages", P, 1, 100_000)?,
-                bytes: take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?,
-            }
-        }
-        "fanin" => Workload::Fanin {
-            rounds: take_u64_in(&mut t, "rounds", P, 1, 1_000)?,
-            bytes: take_u64_in(&mut t, "bytes", P, 1, MAX_MSG_BYTES)?,
-            stagger_us: take_u64_in(&mut t, "stagger_us", P, 0, MAX_HORIZON_US)?,
-            round_gap_us: take_u64_in(&mut t, "round_gap_us", P, 1, MAX_HORIZON_US)?,
-        },
-        "permutation" => {
-            let load = take_load(&mut t, "load", P)?;
-            let (min_bytes, max_bytes) = take_sizes(&mut t, "min_bytes", "max_bytes", P)?;
-            let f = field(P, "alpha");
-            let alpha = as_f64(take(&mut t, "alpha", P)?, &f)?;
-            if alpha <= 1.0 {
-                return Err(err(f, format!("out of range: must be > 1, got {alpha}")));
-            }
-            Workload::Permutation {
-                load,
-                min_bytes,
-                max_bytes,
-                alpha,
-                until_us: take_u64_in(&mut t, "until_us", P, 1, horizon_us)?,
-            }
-        }
-        other => {
-            return Err(err(
-                field(P, "kind"),
-                format!(
-                    "unknown workload `{other}` (expected periodic, single, poisson, tenants, streams, fanin, or permutation)"
-                ),
-            ));
-        }
-    };
-    ensure_empty(&t, P)?;
-    Ok(w)
-}
-
-fn decode_fault(mut t: Table, prefix: &str, horizon_us: u64) -> Result<FaultSpec, SchemaError> {
-    let kind = take_str(&mut t, "kind", prefix)?;
-    let mode = |t: &mut Table, prefix: &str| -> Result<FailMode, SchemaError> {
-        let f = field(prefix, "mode");
-        match take_str(t, "mode", prefix)?.as_str() {
-            "blackhole" => Ok(FailMode::Blackhole),
-            "drain" => Ok(FailMode::Drain),
-            other => Err(err(
-                f,
-                format!("unknown mode `{other}` (expected blackhole or drain)"),
-            )),
-        }
-    };
-    let spec = match kind.as_str() {
-        "cut_both" => {
-            let from_us = take_u64_in(&mut t, "from_us", prefix, 0, horizon_us)?;
-            let to_us = take_u64_in(&mut t, "to_us", prefix, 0, horizon_us)?;
-            if to_us <= from_us {
-                return Err(err(
-                    field(prefix, "to_us"),
-                    format!("must be > from_us ({from_us}), got {to_us}"),
-                ));
-            }
-            FaultSpec::CutBoth {
-                link: take_str(&mut t, "link", prefix)?,
-                from_us,
-                to_us,
-                mode: mode(&mut t, prefix)?,
-            }
-        }
-        "link_down" => FaultSpec::LinkDown {
-            link: take_str(&mut t, "link", prefix)?,
-            at_us: take_u64_in(&mut t, "at_us", prefix, 0, horizon_us)?,
-            mode: mode(&mut t, prefix)?,
-        },
-        "link_up" => FaultSpec::LinkUp {
-            link: take_str(&mut t, "link", prefix)?,
-            at_us: take_u64_in(&mut t, "at_us", prefix, 0, horizon_us)?,
-        },
-        "degrade" => FaultSpec::Degrade {
-            link: take_str(&mut t, "link", prefix)?,
-            at_us: take_u64_in(&mut t, "at_us", prefix, 0, horizon_us)?,
-            rate_gbps: take_u64_in(&mut t, "rate_gbps", prefix, 1, 1_000)?,
-            delay_us: take_u64_in(&mut t, "delay_us", prefix, 1, 1_000_000)?,
-        },
-        "corrupt_rate" => {
-            let ppm = take_u64_in(&mut t, "ppm", prefix, 0, 1_000_000)?;
-            let flips = take_u64_in(&mut t, "flips", prefix, 0, 3)?;
-            if ppm > 0 && flips == 0 {
-                return Err(err(field(prefix, "flips"), "must be >= 1 when ppm > 0"));
-            }
-            FaultSpec::CorruptRate {
-                link: take_str(&mut t, "link", prefix)?,
-                at_us: take_u64_in(&mut t, "at_us", prefix, 0, horizon_us)?,
-                ppm,
-                flips,
-                seed_xor: take_opt_u64_in(&mut t, "seed_xor", prefix, 0, MAX_SEED_XOR)?
-                    .unwrap_or(0),
-            }
-        }
-        "bitflip_burst" => FaultSpec::BitflipBurst {
-            link: take_str(&mut t, "link", prefix)?,
-            at_us: take_u64_in(&mut t, "at_us", prefix, 0, horizon_us)?,
-            pkts: take_u64_in(&mut t, "pkts", prefix, 1, 1_000_000)?,
-            flips: take_u64_in(&mut t, "flips", prefix, 1, 3)?,
-            seed_xor: take_opt_u64_in(&mut t, "seed_xor", prefix, 0, MAX_SEED_XOR)?.unwrap_or(0),
-        },
-        "truncate_burst" => FaultSpec::TruncateBurst {
-            link: take_str(&mut t, "link", prefix)?,
-            at_us: take_u64_in(&mut t, "at_us", prefix, 0, horizon_us)?,
-            pkts: take_u64_in(&mut t, "pkts", prefix, 1, 1_000_000)?,
-            seed_xor: take_opt_u64_in(&mut t, "seed_xor", prefix, 0, MAX_SEED_XOR)?.unwrap_or(0),
-        },
-        "crash_restart" => {
-            let from_us = take_u64_in(&mut t, "from_us", prefix, 0, horizon_us)?;
-            let to_us = take_u64_in(&mut t, "to_us", prefix, 0, horizon_us)?;
-            if to_us <= from_us {
-                return Err(err(
-                    field(prefix, "to_us"),
-                    format!("must be > from_us ({from_us}), got {to_us}"),
-                ));
-            }
-            FaultSpec::CrashRestart {
-                node: take_str(&mut t, "node", prefix)?,
-                from_us,
-                to_us,
-            }
-        }
-        other => {
-            return Err(err(
-                field(prefix, "kind"),
-                format!("unknown fault kind `{other}`"),
-            ));
-        }
-    };
-    ensure_empty(&t, prefix)?;
-    Ok(spec)
-}
-
-fn decode_cell_asserts(mut t: Table, prefix: &str) -> Result<CellAsserts, SchemaError> {
-    let c = CellAsserts {
-        exactly_once: take_bool_or(&mut t, "exactly_once", prefix, false)?,
-        completed: take_opt_u64_in(&mut t, "completed", prefix, 0, u64::MAX)?,
-        completed_min: take_opt_u64_in(&mut t, "completed_min", prefix, 0, u64::MAX)?,
-        during_window_min: take_opt_u64_in(&mut t, "during_window_min", prefix, 0, u64::MAX)?,
-        during_window_max: take_opt_u64_in(&mut t, "during_window_max", prefix, 0, u64::MAX)?,
-        p50_max_us: take_opt_f64_min(&mut t, "p50_max_us", prefix, 0.0)?,
-        p99_max_us: take_opt_f64_min(&mut t, "p99_max_us", prefix, 0.0)?,
-        timeouts_max: take_opt_u64_in(&mut t, "timeouts_max", prefix, 0, u64::MAX)?,
-        goodput_mean_min_gbps: take_opt_f64_min(&mut t, "goodput_mean_min_gbps", prefix, 0.0)?,
-        tenant_ratio_max: take_opt_f64_min(&mut t, "tenant_ratio_max", prefix, 1.0)?,
-    };
-    ensure_empty(&t, prefix)?;
-    Ok(c)
-}
-
-fn decode_asserts(mut t: Table) -> Result<Asserts, SchemaError> {
-    const P: &str = "assert";
-    let conservation = take_bool_or(&mut t, "conservation", P, true)?;
-    let corruption_accounting = take_bool_or(&mut t, "corruption_accounting", P, false)?;
-    let window_us = match t.remove("window_us") {
-        None => None,
-        Some(Value::Array(items)) if items.len() == 2 => {
-            let f = field(P, "window_us");
-            let a = as_u64(items[0].clone(), &f)?;
-            let b = as_u64(items[1].clone(), &f)?;
-            if b <= a {
-                return Err(err(
-                    f,
-                    format!("window end must be > start, got [{a}, {b}]"),
-                ));
-            }
-            Some((a, b))
-        }
-        Some(_) => {
-            return Err(err(
-                field(P, "window_us"),
-                "expected a [from_us, to_us] pair",
-            ));
-        }
-    };
-    let warmup_bins = take_opt_u64_in(&mut t, "warmup_bins", P, 0, 1_000_000)?.unwrap_or(0);
-    let fct_below_bytes = take_opt_u64_in(&mut t, "fct_below_bytes", P, 1, MAX_MSG_BYTES)?;
-    let mut cells = Vec::new();
-    if let Some(v) = t.remove("cells") {
-        let ct = as_table(v, &field(P, "cells"))?;
-        for (k, v) in ct.iter() {
-            let f = format!("{P}.cells.{k}");
-            let proto = Protocol::from_key(k, &f)?;
-            cells.push((proto, decode_cell_asserts(as_table(v.clone(), &f)?, &f)?));
-        }
+        Ok(())
     }
-    let mut digests = Vec::new();
-    if let Some(v) = t.remove("digests") {
-        let dt = as_table(v, &field(P, "digests"))?;
-        for (k, v) in dt.iter() {
-            let f = format!("{P}.digests.{}", format_key(k));
-            let hex = as_str(v.clone(), &f)?;
-            if hex.len() != 16 || !hex.chars().all(|c| c.is_ascii_hexdigit()) {
-                return Err(err(f, "digest must be 16 lowercase hex characters"));
-            }
-            if hex.chars().any(|c| c.is_ascii_uppercase()) {
-                return Err(err(f, "digest must be 16 lowercase hex characters"));
-            }
-            digests.push((k.to_string(), hex));
+
+    fn bool(&mut self, key: &str, v: &mut bool) -> Walk {
+        match self.take(key)? {
+            Value::Bool(b) => *v = b,
+            other => return Err(self.fail(key, mistyped("a boolean", &other))),
         }
+        Ok(())
     }
-    ensure_empty(&t, P)?;
-    Ok(Asserts {
-        conservation,
-        corruption_accounting,
-        window_us,
-        warmup_bins,
-        fct_below_bytes,
-        cells,
-        digests,
-    })
-}
 
-/// Decode and validate a scenario from parsed TOML.
-pub fn from_table(mut root: Table) -> Result<Scenario, SchemaError> {
-    const P: &str = "scenario";
-    let mut s = take_table(&mut root, "scenario", "")?;
-    let name = take_str(&mut s, "name", P)?;
-    if name.is_empty()
-        || !name
-            .chars()
-            .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_')
-    {
-        return Err(err(
-            field(P, "name"),
-            "must be non-empty and use only [a-z0-9_-] (it names the report file)",
-        ));
+    fn str(&mut self, key: &str, v: &mut String) -> Walk {
+        match self.take(key)? {
+            Value::Str(s) => *v = s,
+            other => return Err(self.fail(key, mistyped("a string", &other))),
+        }
+        Ok(())
     }
-    let description = match s.remove("description") {
-        None => String::new(),
-        Some(v) => as_str(v, &field(P, "description"))?,
-    };
-    let seeds = {
-        let f = field(P, "seeds");
-        match take(&mut s, "seeds", P)? {
-            Value::Array(items) if !items.is_empty() && items.len() <= 64 => {
-                let mut out = Vec::new();
-                for v in items {
-                    out.push(as_u64(v, &f)?);
-                }
-                for w in out.windows(2) {
-                    if out.iter().filter(|&&x| x == w[0]).count() > 1 {
-                        return Err(err(f, format!("duplicate seed {}", w[0])));
-                    }
-                }
-                out
-            }
-            Value::Array(items) if items.is_empty() => {
-                return Err(err(f, "need at least one seed"));
-            }
-            Value::Array(_) => return Err(err(f, "at most 64 seeds")),
-            other => {
-                return Err(err(
-                    f,
-                    format!("expected an array, got {}", other.type_name()),
-                ));
-            }
-        }
-    };
-    let horizon_us = take_u64_in(&mut s, "horizon_us", P, 1, MAX_HORIZON_US)?;
-    let protocols = {
-        let f = field(P, "protocols");
-        match take(&mut s, "protocols", P)? {
-            Value::Array(items) if !items.is_empty() => {
-                let mut out: Vec<Protocol> = Vec::new();
-                for v in items {
-                    let p = Protocol::from_key(&as_str(v, &f)?, &f)?;
-                    if out.contains(&p) {
-                        return Err(err(f, format!("duplicate protocol `{}`", p.key())));
-                    }
-                    out.push(p);
-                }
-                out
-            }
-            Value::Array(_) => return Err(err(f, "need at least one protocol")),
-            other => {
-                return Err(err(
-                    f,
-                    format!("expected an array, got {}", other.type_name()),
-                ));
-            }
-        }
-    };
-    ensure_empty(&s, P)?;
 
-    let mtp = match root.remove("mtp") {
-        None => MtpOpts::default(),
-        Some(v) => {
-            let mut t = as_table(v, "mtp")?;
-            let o = MtpOpts {
-                failover: take_bool_or(&mut t, "failover", "mtp", false)?,
-            };
-            ensure_empty(&t, "mtp")?;
-            o
-        }
-    };
-    let tcp = match root.remove("tcp") {
-        None => TcpOpts::default(),
-        Some(v) => {
-            let mut t = as_table(v, "tcp")?;
-            let o = TcpOpts {
-                conn_per_message: take_bool_or(&mut t, "conn_per_message", "tcp", false)?,
-            };
-            ensure_empty(&t, "tcp")?;
-            o
-        }
-    };
+    fn pick<T: Clone>(&mut self, key: &str, v: &mut T, names: &Names<T>) -> Walk {
+        let x = self.take(key)?;
+        *v = self.name(key, x, names)?.clone();
+        Ok(())
+    }
 
-    let topology = decode_topology(take_table(&mut root, "topology", "")?)?;
-    let workload = decode_workload(take_table(&mut root, "workload", "")?, horizon_us)?;
+    fn u64s(&mut self, key: &str, v: &mut Vec<u64>, list: &List) -> Walk {
+        v.clear();
+        for x in self.list(key, &list.len, list.few, list.many)? {
+            let n = self.int(key, x)?;
+            if !list.each.contains(&n) {
+                return Err(self.fail(key, format!("out of range: {}, got {n}", list.need)));
+            }
+            v.push(n);
+        }
+        Ok(())
+    }
 
-    let mut faults = Vec::new();
-    if let Some(v) = root.remove("fault") {
-        let items = match v {
-            Value::Array(items) => items,
-            other => {
-                return Err(err(
-                    "fault",
-                    format!("expected [[fault]] tables, got {}", other.type_name()),
-                ));
+    fn picks<T: Clone + PartialEq>(&mut self, key: &str, v: &mut Vec<T>, names: &Names<T>) -> Walk {
+        v.clear();
+        let items = self.list(key, &(0..=usize::MAX), "", "")?;
+        if items.is_empty() {
+            return Err(self.fail(key, format!("need at least one {}", names.what)));
+        }
+        for x in items {
+            let p = self.name(key, x, names)?;
+            if v.contains(p) {
+                let msg = format!("duplicate {} `{}`", names.what, names.name(p));
+                return Err(self.fail(key, msg));
+            }
+            v.push(p.clone());
+        }
+        Ok(())
+    }
+
+    fn span(&mut self, key: &str, v: &mut Option<(u64, u64)>) -> Walk {
+        let pair = match self.t.remove(key) {
+            None => return Ok(()),
+            Some(Value::Array(items)) => <[Value; 2]>::try_from(items).ok(),
+            Some(_) => None,
+        };
+        let Some([from, to]) = pair else {
+            return Err(self.fail(key, "expected a [from_us, to_us] pair"));
+        };
+        *v = Some((self.int(key, from)?, self.int(key, to)?));
+        Ok(())
+    }
+
+    fn table(&mut self, key: &str, f: impl FnOnce(&mut Self) -> Walk) -> Walk {
+        let v = self.take(key)?;
+        Decoder::walk(field(&self.path, key), v, |d, ()| f(d))
+    }
+
+    fn tables<T: Default>(
+        &mut self,
+        key: &str,
+        v: &mut Vec<T>,
+        mut f: impl FnMut(&mut Self, &mut T) -> Walk,
+    ) -> Walk {
+        let items = match self.t.remove(key) {
+            None => return Ok(()),
+            Some(Value::Array(items)) => items,
+            Some(other) => {
+                let msg = mistyped(&format!("[[{key}]] tables"), &other);
+                return Err(self.fail(key, msg));
             }
         };
         for (i, item) in items.into_iter().enumerate() {
-            let prefix = format!("fault[{i}]");
-            faults.push(decode_fault(as_table(item, &prefix)?, &prefix, horizon_us)?);
+            let path = format!("{}[{i}]", field(&self.path, key));
+            v.push(Decoder::walk(path, item, &mut f)?);
         }
+        Ok(())
     }
 
-    let asserts = match root.remove("assert") {
-        None => Asserts::default(),
-        Some(v) => decode_asserts(as_table(v, "assert")?)?,
-    };
-    ensure_empty(&root, "")?;
+    fn named<T: Clone, V: Default>(
+        &mut self,
+        key: &str,
+        v: &mut Vec<(T, V)>,
+        names: &Names<T>,
+        mut f: impl FnMut(&mut Self, &mut V) -> Walk,
+    ) -> Walk {
+        let Some(x) = self.t.remove(key) else {
+            return Ok(());
+        };
+        let entries = Decoder::open(field(&self.path, key), x)?;
+        for (name, x) in entries.t.iter() {
+            let path = format!("{}.{name}", entries.path);
+            let Some(t) = names.value(name) else {
+                return Err(err(path, names.unknown(name)));
+            };
+            v.push((t.clone(), Decoder::walk(path, x.clone(), &mut f)?));
+        }
+        Ok(())
+    }
 
-    let sc = Scenario {
-        name,
-        description,
-        seeds,
-        horizon_us,
-        protocols,
-        mtp,
-        tcp,
-        topology,
-        workload,
-        faults,
-        asserts,
+    fn pins(&mut self, key: &str, v: &mut Vec<(String, String)>) -> Walk {
+        let Some(x) = self.t.remove(key) else {
+            return Ok(());
+        };
+        let pins = Decoder::open(field(&self.path, key), x)?;
+        for (k, x) in pins.t.iter() {
+            let f = format!("{}.{}", pins.path, format_key(k));
+            let Value::Str(hex) = x else {
+                return Err(err(f, mistyped("a string", x)));
+            };
+            let lower_hex = |c: char| c.is_ascii_digit() || ('a'..='f').contains(&c);
+            if hex.len() != 16 || !hex.chars().all(lower_hex) {
+                return Err(err(f, "digest must be 16 lowercase hex characters"));
+            }
+            v.push((k.to_string(), hex.clone()));
+        }
+        Ok(())
+    }
+
+    fn rule(&mut self, key: &str, ok: bool, msg: impl fmt::Display) -> Walk {
+        if ok {
+            return Ok(());
+        }
+        Err(self.fail(key, msg.to_string()))
+    }
+}
+
+/// Decode and validate a scenario from parsed TOML.
+pub fn from_table(root: Table) -> Result<Scenario, SchemaError> {
+    let mut d = Decoder {
+        t: root,
+        path: String::new(),
     };
-    validate(&sc)?;
-    Ok(sc)
+    let mut s = Scenario::default();
+    scenario_keys(&mut d, &mut s)?;
+    d.finish()?;
+    validate(&s)?;
+    Ok(s)
 }
 
 /// Cross-field validation: protocol/topology/workload compatibility,
@@ -1447,22 +1537,7 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
             ));
         }
     }
-    let workload_ok = matches!(
-        (&s.topology, &s.workload),
-        (
-            Topology::Diamond { .. } | Topology::TwoPath { .. },
-            Workload::Periodic { .. } | Workload::Single { .. },
-        ) | (Topology::TwoPath { .. }, Workload::Poisson { .. })
-            | (
-                Topology::Dumbbell { .. },
-                Workload::Tenants { .. } | Workload::Streams { .. }
-            )
-            | (
-                Topology::LeafSpine { .. },
-                Workload::Fanin { .. } | Workload::Permutation { .. }
-            )
-    );
-    if !workload_ok {
+    if !s.topology.runs(&s.workload) {
         return Err(err(
             "workload.kind",
             format!(
@@ -1569,13 +1644,11 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
         {
             return Err(err(f, "during_window_* bounds need assert.window_us"));
         }
-        if c.goodput_mean_min_gbps.is_some()
-            && !matches!(
-                s.topology,
-                Topology::TwoPath { .. } | Topology::Diamond { .. }
-            )
-        {
-            return Err(err(f, "goodput bounds need a single-sink topology"));
+        if c.goodput_mean_min_gbps.is_some() && matches!(s.topology, Topology::LeafSpine { .. }) {
+            return Err(err(
+                format!("{f}.goodput_mean_min_gbps"),
+                "leaf-spine cells report no goodput series",
+            ));
         }
         let tenants = s.workload.tenant_of_sender().last().copied().unwrap_or(0);
         if c.tenant_ratio_max.is_some() && tenants < 2 {
@@ -1590,7 +1663,9 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
         let Some((proto, seed)) = key.split_once('/') else {
             return Err(err(f, "digest key must be `protocol/seed`"));
         };
-        let p = Protocol::from_key(proto, &f)?;
+        let Some(&p) = PROTOCOLS.value(proto) else {
+            return Err(err(f, PROTOCOLS.unknown(proto)));
+        };
         if !s.protocols.contains(&p) {
             return Err(err(f, "protocol is not in scenario.protocols"));
         }

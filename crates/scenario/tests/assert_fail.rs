@@ -52,6 +52,46 @@ fn unsatisfiable_bound_names_scenario_cell_and_assertion() {
 }
 
 #[test]
+fn unsatisfiable_goodput_bound_on_the_dumbbell_is_a_violation() {
+    let s = from_str(
+        r#"
+[scenario]
+name = "failing"
+seeds = [3]
+horizon_us = 2000
+protocols = ["mtp"]
+
+[topology]
+kind = "dumbbell"
+[topology.edge]
+rate_gbps = 10
+delay_us = 1
+[topology.shared]
+rate_gbps = 10
+delay_us = 5
+
+[workload]
+kind = "streams"
+senders = [2]
+messages = 4
+bytes = 20000
+
+[assert.cells.mtp]
+goodput_mean_min_gbps = 1000.0
+"#,
+    )
+    .expect("valid scenario");
+    let result = run_scenario(&s);
+    assert!(!result.passed);
+    let v = &result.cells[0].violations;
+    let line = v
+        .iter()
+        .find(|l| l.contains("assert goodput_mean_min_gbps"))
+        .unwrap_or_else(|| panic!("no goodput violation in {v:?}"));
+    assert!(line.contains("expected >= 1000"), "line: {line}");
+}
+
+#[test]
 fn tampered_digest_names_the_mismatch() {
     // Run once to learn the true digest, tamper one nibble, re-run.
     let clean = from_str(BASE).expect("valid scenario");

@@ -4,9 +4,17 @@
 //!    [`emit::to_toml`] decodes back to an equal `Scenario`.
 //! 2. **Typed rejection**: unknown keys, out-of-range values, and
 //!    zero-latency links are rejected with a [`SchemaError`] naming the
-//!    offending field — never a panic.
+//!    offending field — never a panic. Every bounded key is offered just
+//!    outside its range, and every kind-scoped key under a kind that does
+//!    not list it.
 //! 3. **Total decoding**: `from_str` never panics, on arbitrary byte
 //!    soup or on mutated-valid documents.
+//!
+//! The generator, the probe and the catalog are one [`Keys`] walk over
+//! `scenario_keys`, so each key's range is written once, in the schema.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -16,367 +24,377 @@ mod emit;
 
 use emit::to_toml;
 use mtp_scenario::schema::{
-    self, from_str, Asserts, CellAsserts, FailMode, FaultSpec, Isolation, LeafSpineStrategy,
-    LinkParams, LoadError, MtpOpts, Protocol, Scenario, TcpOpts, Topology, TwoPathStrategy,
-    Workload,
+    self, from_str, from_table, scenario_keys, CellAsserts, FaultSpec, Keys, List, LoadError,
+    Names, Protocol, Reals, Scenario, SchemaError, Topology, TwoPathStrategy, Workload, FAULTS,
+    PROTOCOLS, TOPOLOGIES, WORKLOADS,
 };
+use mtp_scenario::toml::{parse, Table, Value};
+
+type Walk = Result<(), SchemaError>;
+
+/// Cases per property: at least 256, more under `PROPTEST_CASES`.
+fn cases() -> u32 {
+    ProptestConfig::default().cases.max(256)
+}
+
+// ------------------------------------------------------------- the walk
+
+/// A bounded numeric key: an integer, a list's integer items, or a real.
+#[derive(Debug, Clone)]
+enum Bound {
+    Int(RangeInclusive<u64>),
+    Items(RangeInclusive<u64>),
+    Real(Reals),
+}
+
+/// The test's [`Keys`] walk. With an RNG it is the generator: it draws
+/// every key in its range, and the relationships between keys of one
+/// table as it goes; it gives each optional key already set, and keeps
+/// the shape `draw` chose (each sum type's kind, the faults, cells,
+/// protocols and pins). With a catalog round it gives every optional key
+/// and takes each round's name. Otherwise it is the probe: it changes
+/// nothing. All three record what they visit.
+#[derive(Default)]
+struct Trail<'r> {
+    rng: Option<&'r mut SmallRng>,
+    round: Option<usize>,
+    /// The generator's topology: it names the links and nodes faults use.
+    topology: Topology,
+    /// The integers drawn so far in the table walked.
+    drawn: BTreeMap<String, u64>,
+    /// Field path of the table walked, as refusals spell it.
+    field: Vec<String>,
+    /// The same with each sum type's kind in place: `fault[cut_both]`.
+    scope: Vec<String>,
+    /// Keys and wire names visited: `workload[single].bytes`,
+    /// `topology[two-path].strategy=ecmp`.
+    seen: BTreeSet<String>,
+    /// Each bounded key's field path and bound.
+    bounds: Vec<(String, Bound)>,
+}
+
+impl Trail<'_> {
+    fn visit(&mut self, key: &str) {
+        let scope = self.scope.join(".");
+        self.seen
+            .insert(format!("{scope}.{key}").trim_start_matches('.').into());
+    }
+
+    fn bound(&mut self, key: &str, b: Bound) {
+        self.visit(key);
+        let field = format!("{}.{key}", self.field.join("."));
+        let field = field.trim_start_matches('.').to_string();
+        self.bounds.push((field, b));
+    }
+
+    fn within<R>(&mut self, field: String, scope: &str, f: impl FnOnce(&mut Self) -> R) -> R {
+        self.field.push(field);
+        self.scope.push(scope.to_string());
+        self.drawn.clear();
+        let r = f(self);
+        self.field.pop();
+        self.scope.pop();
+        r
+    }
+}
+
+impl Keys for Trail<'_> {
+    fn has(&mut self, _: &str, set: bool) -> bool {
+        match (&mut self.rng, self.round) {
+            (Some(rng), _) => set || rng.gen_bool(0.5),
+            (None, Some(_)) => true,
+            (None, None) => set,
+        }
+    }
+
+    fn u64(&mut self, key: &str, v: &mut u64, range: RangeInclusive<u64>) -> Walk {
+        if let Some(rng) = &mut self.rng {
+            // The relationships `from_table` checks inside a table.
+            let (lo, hi) = (*range.start(), *range.end());
+            let drawn = |k: &str| self.drawn.get(k).copied().unwrap_or_default();
+            let (lo, hi) = match key {
+                "ecn_k" => (lo, hi.min(drawn("queue_pkts"))),
+                "max_bytes" => (drawn("min_bytes"), hi),
+                "mice_max_bytes" => (drawn("mice_min_bytes"), hi),
+                "from_us" => (lo, hi - 1),
+                "to_us" => (drawn("from_us") + 1, hi),
+                "flips" if drawn("ppm") > 0 => (lo.max(1), hi),
+                "mice" if drawn("elephants") == 0 => (1, hi),
+                _ => (lo, hi),
+            };
+            *v = rng.gen_range(lo..=hi);
+            self.drawn.insert(key.to_string(), *v);
+        }
+        self.bound(key, Bound::Int(range));
+        Ok(())
+    }
+
+    fn f64(&mut self, key: &str, v: &mut f64, range: Reals) -> Walk {
+        if let Some(rng) = &mut self.rng {
+            // Messy mantissas: Display roundtrips every finite f64.
+            *v = match range {
+                Reals::From(lo) | Reals::Above(lo) => {
+                    lo + rng.gen_range(0..u32::MAX) as f64 / 7.0 + 0.001
+                }
+                Reals::Fraction => rng.gen_range(1..=100) as f64 / 100.0,
+            };
+        }
+        self.bound(key, Bound::Real(range));
+        Ok(())
+    }
+
+    fn bool(&mut self, key: &str, v: &mut bool) -> Walk {
+        if let Some(rng) = &mut self.rng {
+            *v = rng.gen_bool(0.5);
+        }
+        self.visit(key);
+        Ok(())
+    }
+
+    fn str(&mut self, key: &str, v: &mut String) -> Walk {
+        // Everything escape_basic has to handle.
+        const CHARS: &[char] = &[
+            'a', 'Z', '0', ' ', '.', ',', '"', '\\', '\n', '\t', '#', '=', '[', ']', 'é', '€',
+        ];
+        const NAME: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_-";
+        let t = &self.topology;
+        let cut = self.scope.last().is_some_and(|s| s == "fault[cut_both]");
+        if let Some(rng) = &mut self.rng {
+            *v = match key {
+                "name" => (0..rng.gen_range(1..=20))
+                    .map(|_| *pick(rng, NAME) as char)
+                    .collect(),
+                "link" if cut => pick(rng, t.pair_names()).to_string(),
+                "link" => pick(rng, t.link_names()).to_string(),
+                _ => (0..rng.gen_range(0..=40))
+                    .map(|_| *pick(rng, CHARS))
+                    .collect(),
+            };
+        }
+        self.visit(key);
+        Ok(())
+    }
+
+    fn pick<T: Clone>(&mut self, key: &str, v: &mut T, names: &Names<T>) -> Walk {
+        if key != "kind" {
+            match (&mut self.rng, self.round) {
+                (Some(rng), _) => *v = pick(rng, names.all).1.clone(),
+                (None, Some(r)) => *v = names.all[r % names.all.len()].1.clone(),
+                (None, None) => {}
+            }
+        }
+        let name = names.name(v);
+        self.visit(&format!("{key}={name}"));
+        if key == "kind" {
+            let scope = self.scope.last_mut().expect("a kind is inside a table");
+            *scope = format!("{scope}[{name}]");
+        }
+        Ok(())
+    }
+
+    fn u64s(&mut self, key: &str, v: &mut Vec<u64>, list: &List) -> Walk {
+        if let Some(rng) = &mut self.rng {
+            let (lo, hi) = (*list.len.start(), *list.len.end());
+            let n = rng.gen_range(lo..=hi.min(lo + 4));
+            *v = (0..n).map(|_| rng.gen_range(list.each.clone())).collect();
+        }
+        self.bound(key, Bound::Items(list.each.clone()));
+        Ok(())
+    }
+
+    fn picks<T: Clone + PartialEq>(&mut self, key: &str, v: &mut Vec<T>, names: &Names<T>) -> Walk {
+        for p in v.iter() {
+            self.visit(&format!("{key}={}", names.name(p)));
+        }
+        Ok(())
+    }
+
+    fn span(&mut self, key: &str, v: &mut Option<(u64, u64)>) -> Walk {
+        if let Some(rng) = &mut self.rng {
+            *v = rng.gen_bool(0.4).then(|| {
+                (
+                    rng.gen_range(0..=i64::MAX as u64),
+                    rng.gen_range(0..=i64::MAX as u64),
+                )
+            });
+        }
+        self.visit(key);
+        Ok(())
+    }
+
+    fn table(&mut self, key: &str, f: impl FnOnce(&mut Self) -> Walk) -> Walk {
+        self.visit(key);
+        self.within(key.to_string(), key, f)
+    }
+
+    fn tables<T: Default>(
+        &mut self,
+        key: &str,
+        v: &mut Vec<T>,
+        mut f: impl FnMut(&mut Self, &mut T) -> Walk,
+    ) -> Walk {
+        self.visit(key);
+        for (i, x) in v.iter_mut().enumerate() {
+            self.within(format!("{key}[{i}]"), key, |w| f(w, x))?;
+        }
+        Ok(())
+    }
+
+    fn named<T: Clone, V: Default>(
+        &mut self,
+        key: &str,
+        v: &mut Vec<(T, V)>,
+        names: &Names<T>,
+        mut f: impl FnMut(&mut Self, &mut V) -> Walk,
+    ) -> Walk {
+        self.visit(key);
+        for (name, x) in v.iter_mut() {
+            let name = names.name(name);
+            self.visit(&format!("{key}={name}"));
+            self.within(format!("{key}.{name}"), key, |w| f(w, x))?;
+        }
+        Ok(())
+    }
+
+    fn pins(&mut self, key: &str, v: &mut Vec<(String, String)>) -> Walk {
+        if let Some(rng) = &mut self.rng {
+            for (_, hex) in v.iter_mut() {
+                *hex = format!("{:016x}", rng.gen_range(0..u64::MAX));
+            }
+        }
+        self.visit(key);
+        Ok(())
+    }
+
+    fn rule(&mut self, _: &str, _: bool, _: impl std::fmt::Display) -> Walk {
+        Ok(())
+    }
+}
 
 // ------------------------------------------------- arbitrary scenarios
 
-fn arb_link(rng: &mut SmallRng) -> LinkParams {
-    let queue_pkts = rng.gen_range(1..=100_000);
-    LinkParams {
-        rate_gbps: rng.gen_range(1..=1000),
-        delay_us: rng.gen_range(1..=1_000_000),
-        queue_pkts,
-        ecn_k: rng.gen_range(0..=queue_pkts),
-    }
-}
-
-fn arb_name(rng: &mut SmallRng) -> String {
-    const CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_-";
-    let len = rng.gen_range(1..=20);
-    (0..len)
-        .map(|_| CHARS[rng.gen_range(0..CHARS.len())] as char)
-        .collect()
-}
-
-fn arb_description(rng: &mut SmallRng) -> String {
-    // Includes everything escape_basic has to handle.
-    const CHARS: &[char] = &[
-        'a', 'Z', '0', ' ', '.', ',', '"', '\\', '\n', '\t', '#', '=', '[', ']', 'é', '€',
-    ];
-    let len = rng.gen_range(0..=40);
-    (0..len)
-        .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
-        .collect()
-}
-
-fn arb_float(rng: &mut SmallRng) -> f64 {
-    // Positive finite values with messy mantissas; Display roundtrips
-    // every finite f64 exactly, so no rounding is needed.
-    rng.gen_range(0..u32::MAX) as f64 / 7.0 + 0.001
-}
-
-fn arb_topology(rng: &mut SmallRng) -> Topology {
-    match rng.gen_range(0..4) {
-        0 => Topology::Diamond {
-            path: arb_link(rng),
-        },
-        1 => {
-            let strategy = match rng.gen_range(0..4) {
-                0 => TwoPathStrategy::Alternate {
-                    period_us: rng.gen_range(1..=10_000_000),
-                },
-                1 => TwoPathStrategy::Ecmp,
-                2 => TwoPathStrategy::Spray,
-                _ => TwoPathStrategy::MtpLb,
-            };
-            Topology::TwoPath {
-                a: arb_link(rng),
-                b: arb_link(rng),
-                host: rng.gen_bool(0.5).then(|| arb_link(rng)),
-                strategy,
-                goodput_bin_us: rng.gen_range(1..=1_000_000),
-                pathlets: if strategy == TwoPathStrategy::MtpLb {
-                    2
-                } else {
-                    rng.gen_range(1..=2)
-                },
-            }
-        }
-        2 => {
-            let isolation = match rng.gen_range(0..3) {
-                0 => None,
-                1 => Some(Isolation::Drr),
-                _ => Some(Isolation::FairShare),
-            };
-            Topology::Dumbbell {
-                edge: arb_link(rng),
-                shared: arb_link(rng),
-                goodput_bin_us: rng.gen_range(1..=1_000_000),
-                isolation,
-                trimming: isolation.is_none() && rng.gen_bool(0.5),
-            }
-        }
-        _ => Topology::LeafSpine {
-            leaves: rng.gen_range(2..=16),
-            spines: rng.gen_range(1..=16),
-            hosts_per_leaf: rng.gen_range(1..=16),
-            host_link: arb_link(rng),
-            spine_link: arb_link(rng),
-            strategy: match rng.gen_range(0..5) {
-                0 => None,
-                1 => Some(LeafSpineStrategy::Ecmp),
-                2 => Some(LeafSpineStrategy::Spray),
-                3 => Some(LeafSpineStrategy::MtpLb),
-                _ => Some(LeafSpineStrategy::MtpConga),
-            },
-        },
-    }
-}
-
-fn arb_workload(rng: &mut SmallRng, topo: &Topology, horizon_us: u64) -> Workload {
-    match topo {
-        Topology::TwoPath { .. } if rng.gen_bool(0.3) => {
-            let min = rng.gen_range(1..=u32::MAX as u64);
-            Workload::Poisson {
-                load: rng.gen_range(1..=100) as f64 / 100.0,
-                min_bytes: min,
-                max_bytes: rng.gen_range(min..=u32::MAX as u64),
-                until_us: rng.gen_range(1..=horizon_us),
-            }
-        }
-        Topology::Diamond { .. } | Topology::TwoPath { .. } => {
-            let alternates = matches!(
-                topo,
-                Topology::TwoPath {
-                    strategy: TwoPathStrategy::Alternate { .. },
-                    ..
-                }
-            );
-            if rng.gen_bool(0.5) {
-                Workload::Periodic {
-                    count: rng.gen_range(1..=100_000),
-                    bytes: rng.gen_range(1..=u32::MAX as u64),
-                    interval_us: rng.gen_range(1..=10_000_000),
-                }
-            } else {
-                let bytes = rng.gen_range(1..=u32::MAX as u64);
-                Workload::Single {
-                    bytes,
-                    start_step_us: (alternates && rng.gen_bool(0.5))
-                        .then(|| rng.gen_range(1..=10_000_000)),
-                    chunk_bytes: rng
-                        .gen_bool(0.5)
-                        .then(|| rng.gen_range(bytes.div_ceil(100_000)..=bytes)),
-                }
-            }
-        }
-        Topology::Dumbbell { .. } if rng.gen_bool(0.5) => Workload::Streams {
-            senders: (0..rng.gen_range(1..=4))
-                .map(|_| rng.gen_range(1..=16))
-                .collect(),
-            messages: rng.gen_range(1..=100_000),
-            bytes: rng.gen_range(1..=u32::MAX as u64),
-        },
-        Topology::Dumbbell { .. } => {
-            let elephants = rng.gen_range(0..=16u64);
-            let mice = if elephants == 0 {
-                rng.gen_range(1..=16)
-            } else {
-                rng.gen_range(0..=16)
-            };
-            let min = rng.gen_range(1..=100_000);
-            Workload::Tenants {
-                elephants,
-                elephant_bytes: rng.gen_range(1..=u32::MAX as u64),
-                mice,
-                mice_load: rng.gen_range(1..=100) as f64 / 100.0,
-                mice_min_bytes: min,
-                mice_max_bytes: min + rng.gen_range(0..=100_000u64),
-            }
-        }
-        Topology::LeafSpine { .. } if rng.gen_bool(0.5) => {
-            let min = rng.gen_range(1..=u32::MAX as u64);
-            Workload::Permutation {
-                load: rng.gen_range(1..=100) as f64 / 100.0,
-                min_bytes: min,
-                max_bytes: rng.gen_range(min..=u32::MAX as u64),
-                alpha: 1.0 + rng.gen_range(1..=300) as f64 / 100.0,
-                until_us: rng.gen_range(1..=horizon_us),
-            }
-        }
-        Topology::LeafSpine { .. } => Workload::Fanin {
-            rounds: rng.gen_range(1..=1000),
-            bytes: rng.gen_range(1..=u32::MAX as u64),
-            stagger_us: rng.gen_range(0..=10_000_000),
-            round_gap_us: rng.gen_range(1..=10_000_000),
-        },
-    }
-}
-
-fn arb_fault(rng: &mut SmallRng, topo: &Topology, horizon_us: u64) -> Option<FaultSpec> {
-    let mode = if rng.gen_bool(0.5) {
-        FailMode::Blackhole
-    } else {
-        FailMode::Drain
-    };
-    let at_us = rng.gen_range(0..=horizon_us);
-    let from_us = rng.gen_range(0..horizon_us);
-    let to_us = rng.gen_range(from_us + 1..=horizon_us);
-    let pick =
-        |rng: &mut SmallRng, names: &[&str]| names[rng.gen_range(0..names.len())].to_string();
-    match topo {
-        Topology::LeafSpine { spines, .. } => Some(FaultSpec::CrashRestart {
-            node: format!("spine{}", rng.gen_range(0..*spines)),
-            from_us,
-            to_us,
-        }),
-        topo => {
-            let links = topo.link_names();
-            match rng.gen_range(0..7) {
-                0 if !topo.pair_names().is_empty() => Some(FaultSpec::CutBoth {
-                    link: pick(rng, topo.pair_names()),
-                    from_us,
-                    to_us,
-                    mode,
-                }),
-                0 => None,
-                1 => Some(FaultSpec::LinkDown {
-                    link: pick(rng, links),
-                    at_us,
-                    mode,
-                }),
-                2 => Some(FaultSpec::LinkUp {
-                    link: pick(rng, links),
-                    at_us,
-                }),
-                3 => Some(FaultSpec::Degrade {
-                    link: pick(rng, links),
-                    at_us,
-                    rate_gbps: rng.gen_range(1..=1000),
-                    delay_us: rng.gen_range(1..=1_000_000),
-                }),
-                4 => {
-                    let ppm = rng.gen_range(0..=1_000_000);
-                    Some(FaultSpec::CorruptRate {
-                        link: pick(rng, links),
-                        at_us,
-                        ppm,
-                        flips: if ppm == 0 { 0 } else { rng.gen_range(1..=3) },
-                        seed_xor: rng.gen_range(0..=i64::MAX as u64),
-                    })
-                }
-                5 => Some(FaultSpec::BitflipBurst {
-                    link: pick(rng, links),
-                    at_us,
-                    pkts: rng.gen_range(1..=1_000_000),
-                    flips: rng.gen_range(1..=3),
-                    seed_xor: rng.gen_range(0..=i64::MAX as u64),
-                }),
-                _ => Some(FaultSpec::TruncateBurst {
-                    link: pick(rng, links),
-                    at_us,
-                    pkts: rng.gen_range(1..=1_000_000),
-                    seed_xor: rng.gen_range(0..=i64::MAX as u64),
-                }),
-            }
-        }
-    }
-}
-
-fn arb_cell(
-    rng: &mut SmallRng,
-    topo: &Topology,
-    workload: &Workload,
-    has_window: bool,
-) -> CellAsserts {
-    let single_sink = matches!(topo, Topology::Diamond { .. } | Topology::TwoPath { .. });
-    let tenants = workload.tenant_of_sender().last().copied().unwrap_or(0);
-    let mut c = CellAsserts {
-        exactly_once: rng.gen_bool(0.5),
-        completed: rng.gen_bool(0.5).then(|| rng.gen_range(0..100_000)),
-        completed_min: rng.gen_bool(0.5).then(|| rng.gen_range(0..100_000)),
-        during_window_min: (has_window && rng.gen_bool(0.5)).then(|| rng.gen_range(0..1000)),
-        during_window_max: (has_window && rng.gen_bool(0.5)).then(|| rng.gen_range(0..1000)),
-        p50_max_us: rng.gen_bool(0.5).then(|| arb_float(rng)),
-        p99_max_us: rng.gen_bool(0.5).then(|| arb_float(rng)),
-        timeouts_max: rng.gen_bool(0.5).then(|| rng.gen_range(0..10_000)),
-        goodput_mean_min_gbps: (single_sink && rng.gen_bool(0.5)).then(|| arb_float(rng)),
-        tenant_ratio_max: (tenants >= 2 && rng.gen_bool(0.5)).then(|| 1.0 + arb_float(rng)),
-    };
-    // The emitter elides all-default cell tables, so an all-default cell
-    // would not survive the roundtrip as an explicit entry.
-    if c == CellAsserts::default() {
-        c.completed_min = Some(rng.gen_range(0..100_000));
-    }
-    c
+fn pick<'a, T>(rng: &mut SmallRng, items: &'a [T]) -> &'a T {
+    &items[rng.gen_range(0..items.len())]
 }
 
 fn arb_scenario(rng: &mut SmallRng) -> Scenario {
-    let topology = arb_topology(rng);
-    let horizon_us = rng.gen_range(1000..=10_000_000);
-    let workload = arb_workload(rng, &topology, horizon_us);
+    draw(rng).0
+}
 
-    let mut protocols = Vec::new();
-    for p in [Protocol::Mtp, Protocol::TcpNewReno, Protocol::TcpDctcp] {
-        if topology.supports(p, &workload) && rng.gen_bool(0.5) {
-            protocols.push(p);
-        }
-    }
-    if protocols.is_empty() {
-        protocols.push(Protocol::Mtp);
-    }
-    let has_tcp = protocols.iter().any(|&p| p != Protocol::Mtp);
-
-    let mut seeds = Vec::new();
-    let mut next = rng.gen_range(0..1000u64);
-    for _ in 0..rng.gen_range(1..=5) {
-        seeds.push(next);
-        next += rng.gen_range(1..=100u64);
-    }
-
-    let faults: Vec<FaultSpec> = (0..rng.gen_range(0..=3))
-        .filter_map(|_| arb_fault(rng, &topology, horizon_us))
+/// A valid scenario and the keys drawn for it: the shape by hand, every
+/// key by the walk, then the relationships between keys made to hold.
+fn draw(rng: &mut SmallRng) -> (Scenario, BTreeSet<String>) {
+    let topology = pick(rng, TOPOLOGIES.all).1.clone();
+    let workloads: Vec<_> = WORKLOADS
+        .all
+        .iter()
+        .filter(|(_, w)| topology.runs(w))
         .collect();
+    let leaf_spine = matches!(topology, Topology::LeafSpine { .. });
+    let faults: Vec<_> = (FAULTS.all.iter())
+        .filter(|(_, f)| match f {
+            FaultSpec::CutBoth { .. } => !topology.pair_names().is_empty(),
+            FaultSpec::CrashRestart { .. } => leaf_spine,
+            _ => !topology.link_names().is_empty(),
+        })
+        .collect();
+    let mut s = Scenario {
+        workload: pick(rng, &workloads).1.clone(),
+        faults: (0..rng.gen_range(0..=3))
+            .map(|_| pick(rng, &faults).1.clone())
+            .collect(),
+        protocols: (PROTOCOLS.all.iter())
+            .filter(|_| rng.gen_bool(0.5))
+            .map(|(_, p)| *p)
+            .collect(),
+        topology,
+        ..Scenario::default()
+    };
+    s.asserts.cells = (s.protocols.iter())
+        .filter(|_| rng.gen_bool(0.5))
+        .map(|&p| (p, CellAsserts::default()))
+        .collect();
+    s.asserts.digests = vec![Default::default(); rng.gen_range(0..=2)];
+    let mut gen = Trail {
+        rng: Some(rng),
+        topology: s.topology.clone(),
+        ..Trail::default()
+    };
+    scenario_keys(&mut gen, &mut s).expect("drawing refuses nothing");
+    let drawn = gen.seen;
+    conform(&mut s, rng);
+    (s, drawn)
+}
 
-    let window_us = rng.gen_bool(0.4).then(|| {
-        let a = rng.gen_range(0..horizon_us);
-        (a, rng.gen_range(a + 1..=horizon_us))
-    });
-    let mut cells = Vec::new();
-    for &p in &protocols {
-        if rng.gen_bool(0.5) {
-            cells.push((p, arb_cell(rng, &topology, &workload, window_us.is_some())));
+/// Make the relationships between drawn keys across tables hold
+/// (`from_table`'s rules, once more).
+fn conform(s: &mut Scenario, rng: &mut SmallRng) {
+    s.seeds.sort_unstable();
+    s.seeds.dedup();
+    let mut alternates = false;
+    if let Topology::TwoPath {
+        strategy, pathlets, ..
+    } = &mut s.topology
+    {
+        alternates = matches!(strategy, TwoPathStrategy::Alternate { .. });
+        if *strategy == TwoPathStrategy::MtpLb {
+            *pathlets = 2;
         }
     }
-    let mut digests = Vec::new();
-    for _ in 0..rng.gen_range(0..=2u32) {
-        let p = protocols[rng.gen_range(0..protocols.len())];
-        let s = seeds[rng.gen_range(0..seeds.len())];
-        let key = format!("{}/{s}", p.key());
-        if !digests.iter().any(|(k, _)| *k == key) {
-            digests.push((key, format!("{:016x}", rng.gen_range(0..u64::MAX))));
+    if let Topology::Dumbbell {
+        isolation,
+        trimming,
+        ..
+    } = &mut s.topology
+    {
+        *trimming &= isolation.is_none();
+    }
+    if let Workload::Single { start_step_us, .. } = &mut s.workload {
+        *start_step_us = start_step_us.filter(|_| alternates);
+    }
+    if let Topology::LeafSpine { spines, .. } = s.topology {
+        for f in &mut s.faults {
+            if let FaultSpec::CrashRestart { node, .. } = f {
+                *node = format!("spine{}", rng.gen_range(0..spines));
+            }
         }
     }
-
-    Scenario {
-        name: arb_name(rng),
-        description: arb_description(rng),
-        seeds,
-        horizon_us,
-        protocols,
-        mtp: MtpOpts {
-            failover: rng.gen_bool(0.5),
-        },
-        tcp: TcpOpts {
-            conn_per_message: has_tcp
-                && matches!(topology, Topology::Dumbbell { .. })
-                && rng.gen_bool(0.5),
-        },
-        topology: topology.clone(),
-        workload,
-        faults,
-        asserts: Asserts {
-            conservation: rng.gen_bool(0.8),
-            corruption_accounting: matches!(topology, Topology::Diamond { .. })
-                && rng.gen_bool(0.3),
-            window_us,
-            warmup_bins: rng.gen_range(0..=1000),
-            fct_below_bytes: rng
-                .gen_bool(0.3)
-                .then(|| rng.gen_range(1..=u32::MAX as u64)),
-            cells,
-            digests,
-        },
+    let w = s.workload.clone();
+    s.protocols.retain(|&p| s.topology.supports(p, &w));
+    if s.protocols.is_empty() {
+        s.protocols.push(Protocol::Mtp);
     }
+    let tcp = s.protocols.iter().any(|&p| p != Protocol::Mtp);
+    s.tcp.conn_per_message &= tcp && matches!(s.topology, Topology::Dumbbell { .. });
+
+    let a = &mut s.asserts;
+    a.corruption_accounting &= matches!(s.topology, Topology::Diamond { .. });
+    if let Some((from, to)) = &mut a.window_us {
+        (*from, *to) = ((*from).min(*to), (*from).max(*to).max(1));
+        *from = (*from).min(*to - 1);
+    }
+    a.cells.retain(|(p, _)| s.protocols.contains(p));
+    let goodput = !matches!(s.topology, Topology::LeafSpine { .. });
+    let tenants = s.workload.tenant_of_sender().last().copied().unwrap_or(0);
+    for (_, c) in &mut a.cells {
+        if a.window_us.is_none() {
+            (c.during_window_min, c.during_window_max) = (None, None);
+        }
+        c.goodput_mean_min_gbps = c.goodput_mean_min_gbps.filter(|_| goodput);
+        c.tenant_ratio_max = c.tenant_ratio_max.filter(|_| tenants >= 2);
+    }
+    for (key, _) in &mut a.digests {
+        let (p, seed) = (pick(rng, &s.protocols), pick(rng, &s.seeds));
+        *key = format!("{}/{seed}", p.key());
+    }
+    let mut keys = BTreeSet::new();
+    a.digests.retain(|(key, _)| keys.insert(key.clone()));
 }
 
 // ----------------------------------------------------------- properties
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn roundtrip_is_lossless(seed in any::<u64>()) {
@@ -407,6 +425,162 @@ proptest! {
         }
         let _ = from_str(&String::from_utf8_lossy(&bytes));
     }
+}
+
+// ------------------------------------------- every key, by its own table
+
+/// Every key and wire name of every kind: `scenario_keys` walked over
+/// each topology × workload × fault kind, each round taking a different
+/// name of every non-kind choice.
+fn catalog() -> BTreeSet<String> {
+    let mut seen = BTreeSet::new();
+    for (_, topology) in TOPOLOGIES.all {
+        for (_, workload) in WORKLOADS.all {
+            for round in 0..8 {
+                let mut s = Scenario {
+                    topology: topology.clone(),
+                    workload: workload.clone(),
+                    faults: FAULTS.all.iter().map(|(_, f)| f.clone()).collect(),
+                    protocols: PROTOCOLS.all.iter().map(|(_, p)| *p).collect(),
+                    ..Scenario::default()
+                };
+                s.asserts.cells = s
+                    .protocols
+                    .iter()
+                    .map(|&p| (p, Default::default()))
+                    .collect();
+                let mut t = Trail {
+                    round: Some(round),
+                    ..Trail::default()
+                };
+                scenario_keys(&mut t, &mut s).expect("listing refuses nothing");
+                seen.append(&mut t.seen);
+            }
+        }
+    }
+    seen
+}
+
+#[test]
+fn generator_draws_every_key_and_name() {
+    let mut drawn = BTreeSet::new();
+    for seed in 0..u64::from(cases()) {
+        drawn.append(&mut draw(&mut SmallRng::seed_from_u64(seed)).1);
+    }
+    let all = catalog();
+    let missed: Vec<_> = all.difference(&drawn).collect();
+    assert!(missed.is_empty(), "never drawn: {missed:?}");
+    assert!(all.contains("fault[degrade].delay_us"), "{all:?}");
+}
+
+/// Set `path` (dotted, `name[i]` for an array's item) in `t` to `v`.
+fn set(t: &mut Table, path: &str, v: Value) {
+    let Some((head, rest)) = path.split_once('.') else {
+        t.insert(path, v);
+        return;
+    };
+    let inner = match head.split_once('[') {
+        Some((name, i)) => match t.get_mut(name) {
+            Some(Value::Array(items)) => {
+                &mut items[i.trim_end_matches(']').parse::<usize>().unwrap()]
+            }
+            other => panic!("{path}: {other:?}"),
+        },
+        None => t.get_mut(head).unwrap_or_else(|| panic!("{path}")),
+    };
+    match inner {
+        Value::Table(t) => set(t, rest, v),
+        other => panic!("{path}: {other:?}"),
+    }
+}
+
+/// The literals one step outside `b`, where the file format has them.
+fn outside(b: &Bound) -> Vec<Value> {
+    let ints = |r: &RangeInclusive<u64>| {
+        let above = (*r.end() < i64::MAX as u64).then(|| *r.end() as i64 + 1);
+        [Some(*r.start() as i64 - 1), above].into_iter().flatten()
+    };
+    match b {
+        Bound::Int(r) => ints(r).map(Value::Int).collect(),
+        Bound::Items(r) => ints(r).map(|x| Value::Array(vec![Value::Int(x)])).collect(),
+        Bound::Real(Reals::From(lo)) => vec![Value::Float(lo.next_down())],
+        Bound::Real(Reals::Above(lo)) => vec![Value::Float(*lo)],
+        Bound::Real(Reals::Fraction) => vec![Value::Float(0.0), Value::Float(1f64.next_up())],
+    }
+}
+
+#[test]
+fn every_bound_is_refused_at_its_key() {
+    let mut offered = BTreeSet::new();
+    for seed in 0..128 {
+        let mut s = arb_scenario(&mut SmallRng::seed_from_u64(seed));
+        let text = to_toml(&s);
+        let mut probe = Trail::default();
+        scenario_keys(&mut probe, &mut s).expect("probing refuses nothing");
+        for (path, bound) in probe.bounds {
+            for v in outside(&bound) {
+                let mut t = parse(&text).expect("emitted TOML parses");
+                set(&mut t, &path, v.clone());
+                let e = from_table(t).expect_err(&format!("{path} = {v:?} refused"));
+                assert_eq!(e.field, path, "{v:?}: {}", e.msg);
+                offered.insert(path.clone());
+            }
+        }
+    }
+    assert!(offered.len() > 100, "{offered:?}");
+}
+
+#[test]
+fn keys_out_of_their_kind_are_unknown() {
+    // (section, kind) -> the keys that kind lists.
+    let mut listed: BTreeMap<(String, String), BTreeSet<String>> = BTreeMap::new();
+    for entry in catalog() {
+        let Some((scope, key)) = entry.split_once('.') else {
+            continue;
+        };
+        let Some((section, kind)) = scope.split_once('[') else {
+            continue;
+        };
+        if !key.contains(['.', '=']) {
+            let kind = kind.trim_end_matches(']').to_string();
+            listed
+                .entry((section.into(), kind))
+                .or_default()
+                .insert(key.into());
+        }
+    }
+    let mut offered = 0;
+    for seed in 0..32 {
+        let s = arb_scenario(&mut SmallRng::seed_from_u64(seed));
+        let text = to_toml(&s);
+        let mut tables = vec![
+            ("topology", s.topology.kind(), "topology".to_string()),
+            ("workload", s.workload.kind(), "workload".to_string()),
+        ];
+        for (i, f) in s.faults.iter().enumerate() {
+            tables.push(("fault", FAULTS.name(f), format!("fault[{i}]")));
+        }
+        for (section, kind, path) in tables {
+            let own = &listed[&(section.to_string(), kind.to_string())];
+            let foreign: BTreeSet<_> = listed
+                .iter()
+                .filter(|((s, _), _)| s == section)
+                .flat_map(|(_, keys)| keys.difference(own))
+                .collect();
+            for key in foreign {
+                let mut t = parse(&text).expect("emitted TOML parses");
+                let field = format!("{path}.{key}");
+                set(&mut t, &field, Value::Int(1));
+                let e = from_table(t).expect_err(&format!("{field} refused"));
+                assert_eq!(
+                    (e.field.as_str(), e.msg.as_str()),
+                    (field.as_str(), "unknown key")
+                );
+                offered += 1;
+            }
+        }
+    }
+    assert!(offered > 100, "{offered}");
 }
 
 // ------------------------------------------------------ typed rejection
@@ -953,4 +1127,31 @@ fn trimming_is_the_dumbbell_shared_link_alone() {
     let path = SPRAY.replace("delay_us = 2\n", "delay_us = 2\ntrimming = true\n");
     let e = schema_err(&[HEAD, &path, CHUNKED].concat());
     assert_eq!(e.field, "topology.b.trimming");
+}
+
+// ------------------------------ goodput bounds and degrade's link rows
+
+#[test]
+fn goodput_bound_decodes_where_cells_report_goodput() {
+    let s = from_str(&(streams_like() + "goodput_mean_min_gbps = 50.0\n")).expect("dumbbell bound");
+    assert_eq!(s.asserts.cells[0].1.goodput_mean_min_gbps, Some(50.0));
+    assert_eq!(from_str(&to_toml(&s)).expect("re-decode"), s);
+
+    let doc = permutation_like() + "[assert.cells.mtp]\ngoodput_mean_min_gbps = 50.0\n";
+    let e = schema_err(&doc);
+    assert_eq!(e.field, "assert.cells.mtp.goodput_mean_min_gbps");
+    assert!(e.msg.contains("leaf-spine"), "msg: {}", e.msg);
+}
+
+#[test]
+fn degrade_delay_is_a_link_delay() {
+    let e = schema_err(&format!(
+        "{BASE}\n[[fault]]\nkind = \"degrade\"\nlink = \"a_fwd\"\nat_us = 1\nrate_gbps = 10\ndelay_us = 0\n"
+    ));
+    assert_eq!(e.field, "fault[0].delay_us");
+    assert!(
+        e.msg.contains("zero-latency links are not supported"),
+        "msg: {}",
+        e.msg
+    );
 }
