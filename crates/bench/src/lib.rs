@@ -1,23 +1,21 @@
 //! # mtp-bench — the experiment harness
 //!
-//! One binary for the one figure of the paper's evaluation that is not
-//! yet a scenario file, `fig2` (Figure 2: proxy buffering vs HOL
-//! blocking). Figs. 3, 5, 6 and 7, Fig. 5 across start phases, Fig. 6 on
-//! a leaf-spine fabric and the §4 ablations are
-//! `scn scenarios/{fig3_*,fig5_*,fig6_*,fig7_*,leafspine_*,abl_*}.toml`;
+//! No binaries: every figure of the paper's evaluation is a scenario
+//! file. Figs. 2, 3, 5, 6 and 7, Fig. 5 across start phases, Fig. 6 on a
+//! leaf-spine fabric and the §4 ablations are
+//! `scn scenarios/{fig2_*,fig3_*,fig5_*,fig6_*,fig7_*,leafspine_*,abl_*}.toml`;
 //! the §4 header-overhead ablation is `mtp-net`'s `header_overhead` test.
 //!
 //! Table 1 runs no simulator: `tests/table1.rs` rebuilds it from the
 //! transports' capability records and compares it with
 //! `results/table1.json` byte for byte.
 //!
-//! `fig2` prints the series the paper reports and writes a JSON record
-//! under `results/`. Runs are deterministic: fixed seeds, shared
-//! topology builders ([`topo`]: `dumbbell`, `leaf_spine`, and the
+//! What the scenario runner shares with this crate is deterministic:
+//! the topology builders ([`topo`]: `dumbbell`, `leaf_spine`, and the
 //! two-parallel-path network, [`topo::parallel_paths`], which is also the
-//! failure study's diamond). The failure and corruption studies are
-//! scenario files too (`scn scenarios/{failover,corruption}_diamond.toml`);
-//! [`study`] holds the measurement helpers that runner uses.
+//! failure study's diamond) and the measurement helpers in [`study`]. The
+//! failure and corruption studies are scenario files too
+//! (`scn scenarios/{failover,corruption}_diamond.toml`).
 //!
 //! [`hotpath`], [`endpoint`] and [`fabric`] are the fixed-seed workloads
 //! behind the golden-digest and sharded == serial tests in `tests/`, the
@@ -33,9 +31,6 @@
 pub mod endpoint;
 pub mod fabric;
 pub mod hotpath;
-pub mod output;
 pub mod parallel;
 pub mod study;
 pub mod topo;
-
-pub use output::{write_json, ExperimentRecord};

@@ -4,8 +4,16 @@
 //! for byte with `results/table1.json`. No simulator runs; a change to
 //! any cell, justification or row order fails here.
 
-use mtp_bench::ExperimentRecord;
 use mtp_wire::capabilities::TransportCapabilities;
+use serde::Serialize;
+
+/// The committed record's shape, fields in file order.
+#[derive(Serialize)]
+struct Record {
+    id: &'static str,
+    paper_claim: &'static str,
+    data: Vec<TransportCapabilities>,
+}
 
 /// The rows in the paper's order: the TCP variants and DCTCP, then UDP,
 /// QUIC, MPTCP, Swift, the RDMA modes and MTP.
@@ -23,7 +31,7 @@ fn rows() -> Vec<TransportCapabilities> {
 
 #[test]
 fn table1_matches_the_committed_record() {
-    let record = ExperimentRecord {
+    let record = Record {
         id: "table1",
         paper_claim: "no TCP/UDP/QUIC/MPTCP/Swift/RDMA configuration meets all five \
                       in-network-computing requirements; MTP meets all five",

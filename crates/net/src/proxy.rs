@@ -12,9 +12,10 @@
 //!   window and the client stalls: requests queued behind the bulk stream
 //!   are head-of-line blocked.
 //!
-//! [`TcpProxyNode`] implements both configurations; the Fig. 2 harness
-//! samples [`buffered_bytes`](TcpProxyNode::buffered_bytes) over time for
-//! the first and measures message latencies for the second.
+//! [`TcpProxyNode`] implements both configurations. The `proxy` topology
+//! of the scenario harness (`scenarios/fig2_*.toml`) samples
+//! [`buffered_bytes`](TcpProxyNode::buffered_bytes) over time and reports
+//! the high-water mark and the bytes relayed.
 
 use mtp_sim::packet::{Headers, Packet};
 use mtp_sim::time::Time;

@@ -8,9 +8,8 @@ use mtp_net::{
     StaticRoutes, SwitchNode, TcpProxyNode,
 };
 use mtp_sim::time::{Bandwidth, Duration, Time};
-use mtp_sim::{Ctx, Headers, Node, Packet};
 use mtp_sim::{LinkCfg, PortId, Simulator};
-use mtp_tcp::{SenderConn, TcpConfig, TcpSinkNode};
+use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
 use mtp_wire::EntityId;
 
 /// Fig. 7 mechanism: two tenants share one queue; the enforcer equalizes
@@ -126,71 +125,20 @@ fn fairshare_enforcer_equalizes_unequal_tenants() {
     );
 }
 
-/// A minimal TCP client node driving the proxy: opens one connection and
-/// streams bytes forever (the Fig. 2 bulk sender).
-struct BulkTcpClient {
-    conn: SenderConn,
-    pending: Vec<Packet>,
-    armed: Option<Time>,
-}
-
-impl BulkTcpClient {
-    fn new(cfg: TcpConfig, total: u64) -> BulkTcpClient {
-        let mut conn = SenderConn::new(cfg, 1, 1, 2);
-        let mut pending = Vec::new();
-        conn.open(Time::ZERO, &mut pending);
-        conn.app_write(total, Time::ZERO, &mut pending);
-        BulkTcpClient {
-            conn,
-            pending,
-            armed: None,
-        }
-    }
-
-    fn flush(&mut self, ctx: &mut Ctx<'_>, out: Vec<Packet>) {
-        for p in out {
-            ctx.send(PortId(0), p);
-        }
-        match self.conn.next_deadline() {
-            Some(dl) => {
-                if self.armed != Some(dl) {
-                    ctx.set_timer_at(dl, 1);
-                    self.armed = Some(dl);
-                }
-            }
-            None => self.armed = None,
-        }
-    }
-}
-
-impl Node for BulkTcpClient {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let out = std::mem::take(&mut self.pending);
-        self.flush(ctx, out);
-    }
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, pkt: Packet) {
-        let Headers::Tcp(hdr) = pkt.headers else {
-            return;
-        };
-        let mut out = Vec::new();
-        self.conn.on_segment(ctx.now(), &hdr, &mut out);
-        self.flush(ctx, out);
-    }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        self.armed = None;
-        let mut out = Vec::new();
-        self.conn.on_timer(ctx.now(), &mut out);
-        self.flush(ctx, out);
-    }
-}
-
+/// The Fig. 2 line: one persistent NewReno connection streaming 100 MB
+/// from a 100 Gbps client through the proxy to a 40 Gbps server.
 fn proxy_setup(relay_cap: Option<u64>) -> (Simulator, mtp_sim::NodeId) {
     let mut sim = Simulator::new(2);
     let cfg = TcpConfig {
         handshake: false,
         ..TcpConfig::default()
     };
-    let client = sim.add_node(Box::new(BulkTcpClient::new(cfg.clone(), 100_000_000)));
+    let client = sim.add_node(Box::new(TcpSenderNode::new(
+        cfg.clone(),
+        TcpWorkloadMode::Persistent,
+        1,
+        vec![(Time::ZERO, 100_000_000)],
+    )));
     let proxy = sim.add_node(Box::new(TcpProxyNode::new(
         cfg.clone(),
         cfg.clone(),

@@ -1,8 +1,9 @@
 //! # mtp-scenario — the declarative scenario harness
 //!
-//! Every figure binary in `mtp-bench` is one hand-written Rust program:
-//! topology, workload, fault script, contenders, and pass/fail checks all
-//! fused together. This crate splits that fusion into data + one engine:
+//! Each paper figure used to be a hand-written Rust program in
+//! `mtp-bench`: topology, workload, fault script, contenders, and
+//! pass/fail checks all fused together. This crate splits that fusion
+//! into data + one engine, and every figure is now a scenario file:
 //!
 //! * [`toml`] — a strict, never-panicking TOML-subset parser (the build
 //!   environment vendors no `toml` crate);

@@ -17,10 +17,10 @@ use mtp_faults::{
     mtp_pair, parallel_paths, tcp_pair, FaultDriver, FaultSchedule, Ledger, LinkSpec, ParallelSpec,
     PATHLET_A, PATHLET_B,
 };
-use mtp_net::{src_addr, FairShareEnforcer, IngressPolicy, Strategy, SwitchNode};
+use mtp_net::{src_addr, FairShareEnforcer, IngressPolicy, Strategy, SwitchNode, TcpProxyNode};
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{
-    DirLinkId, DrrQueue, LinkFailMode, Node, NodeAuditCounters, NodeId, Qdisc, Simulator,
+    DirLinkId, DrrQueue, LinkFailMode, Node, NodeAuditCounters, NodeId, PortId, Qdisc, Simulator,
     TrimmingQueue,
 };
 use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
@@ -78,10 +78,23 @@ pub struct CellResult {
     pub path_tx_bytes: Option<[u64; 2]>,
     /// Frames damaged in flight (diamond only).
     pub corrupted_frames: Option<u64>,
+    /// The proxy's buffer (proxy only).
+    pub proxy: Option<ProxyReport>,
     /// [`fnv64`] digest of the run's observable state.
     pub digest: String,
     /// Violated assertions, empty when the cell passed.
     pub violations: Vec<String>,
+}
+
+/// What a TCP-terminating proxy held and passed on.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct ProxyReport {
+    /// Bytes buffered at the end of each sampling bin.
+    pub buffered_series_bytes: Vec<u64>,
+    /// The most bytes ever buffered.
+    pub max_buffered_bytes: u64,
+    /// Bytes passed on to the server connection.
+    pub relayed_bytes: u64,
 }
 
 /// One executed cell: the reportable result plus the raw exactly-once
@@ -289,6 +302,7 @@ struct Measured {
     tenant_goodput: Option<Vec<f64>>,
     path_tx_bytes: Option<[u64; 2]>,
     corruption: Option<CorruptionLedger>,
+    proxy: Option<ProxyReport>,
     /// See [`CellRun::ledgers`].
     ledgers: Vec<Ledger>,
 }
@@ -557,6 +571,7 @@ fn run_parallel_paths(s: &Scenario, p: Protocol, seed: u64) -> Measured {
         tenant_goodput: None,
         path_tx_bytes: Some(path_tx_bytes),
         corruption,
+        proxy: None,
         ledgers,
     }
 }
@@ -758,6 +773,7 @@ fn run_dumbbell(s: &Scenario, p: Protocol, seed: u64) -> Measured {
         tenant_goodput: Some(tenant_goodput),
         path_tx_bytes: None,
         corruption: None,
+        proxy: None,
         ledgers,
     }
 }
@@ -928,7 +944,82 @@ fn run_leaf_spine(s: &Scenario, seed: u64) -> Measured {
         tenant_goodput: None,
         path_tx_bytes: None,
         corruption: None,
+        proxy: None,
         ledgers,
+    }
+}
+
+/// Sink goodput bin, and the proxy's buffer sampling bin, of a proxy
+/// cell.
+const PROXY_BIN_US: u64 = 100;
+
+/// A proxy cell: a TCP client, a TCP-terminating proxy and a sink in a
+/// line, the proxy's buffer sampled at the end of every 100 us bin. Both
+/// connections start established, without a SYN handshake. The client is
+/// connection 1 from address 1, the proxy's server side connection 2.
+fn run_proxy(s: &Scenario, p: Protocol, seed: u64) -> Measured {
+    let Topology::Proxy {
+        client,
+        server,
+        window_cap_kb,
+    } = &s.topology
+    else {
+        unreachable!("caller dispatched on topology")
+    };
+    let (client, server) = (to_spec(*client), to_spec(*server));
+    let cfg = TcpConfig {
+        handshake: false,
+        ..tcp_cfg(p)
+    };
+    let mut sim = Simulator::new(seed);
+    let schedule = single_flow_schedule(s, seed, &client);
+    let snd = sim.add_node(Box::new(TcpSenderNode::new(
+        cfg.clone(),
+        TcpWorkloadMode::Persistent,
+        1,
+        schedule,
+    )));
+    let relay_cap = window_cap_kb.map(|kb| kb * 1024);
+    let proxy = TcpProxyNode::new(cfg.clone(), cfg.clone(), 1, 2, relay_cap);
+    let proxy = sim.add_node(Box::new(proxy));
+    let bin = Duration::from_micros(PROXY_BIN_US);
+    let sink = sim.add_node(Box::new(TcpSinkNode::new(cfg, bin)));
+    for (a, port, b, l) in [(snd, 0, proxy, client), (proxy, 1, sink, server)] {
+        sim.connect(a, PortId(port), b, PortId(0), l.link_cfg(), l.link_cfg());
+    }
+
+    // The schema refuses every fault on a proxy, so there is no driver.
+    let mut buffered_series_bytes = Vec::new();
+    let mut t = 0;
+    while t < s.horizon_us {
+        t = (t + PROXY_BIN_US).min(s.horizon_us);
+        sim.run_until(us(t));
+        buffered_series_bytes.push(sim.node_as::<TcpProxyNode>(proxy).buffered_bytes());
+    }
+
+    let relay = sim.node_as::<TcpProxyNode>(proxy);
+    let report = ProxyReport {
+        buffered_series_bytes,
+        max_buffered_bytes: relay.max_buffered,
+        relayed_bytes: relay.relayed,
+    };
+    let client = sim.node_as::<TcpSenderNode>(snd);
+    let records = (client.msgs.iter())
+        .map(|m| (m.submitted, m.completed, m.size))
+        .collect();
+    let (timeouts, retransmissions) = (client.timeouts(), client.retransmissions());
+    let goodput_series = sim.node_as::<TcpSinkNode>(sink).goodput.rates_gbps();
+    Measured {
+        sim,
+        records,
+        timeouts,
+        retransmissions,
+        goodput_series: Some(goodput_series),
+        tenant_goodput: None,
+        path_tx_bytes: None,
+        corruption: None,
+        proxy: Some(report),
+        ledgers: Vec::new(),
     }
 }
 
@@ -1073,6 +1164,7 @@ pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
         Topology::Diamond { .. } | Topology::TwoPath { .. } => run_parallel_paths(s, p, seed),
         Topology::Dumbbell { .. } => run_dumbbell(s, p, seed),
         Topology::LeafSpine { .. } => run_leaf_spine(s, seed),
+        Topology::Proxy { .. } => run_proxy(s, p, seed),
     };
 
     let stats = completion_stats(
@@ -1128,6 +1220,7 @@ pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
         recovery_us,
         path_tx_bytes: m.path_tx_bytes,
         corrupted_frames: m.corruption.as_ref().map(|c| c.corrupted),
+        proxy: m.proxy.take(),
         digest,
         violations: Vec::new(),
     };

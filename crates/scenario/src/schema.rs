@@ -226,6 +226,19 @@ pub enum Topology {
         /// `[mtp] failover` and `ecmp` otherwise.
         strategy: Option<LeafSpineStrategy>,
     },
+    /// A client, a TCP-terminating proxy and a server in a line (Fig. 2):
+    /// the proxy ends the client's connection and re-sends its bytes on
+    /// its own to the server. TCP only; both connections start without a
+    /// SYN handshake, and the goodput and buffer samples are 100 us bins.
+    Proxy {
+        /// Client-to-proxy link.
+        client: LinkParams,
+        /// Proxy-to-server link.
+        server: LinkParams,
+        /// Cap on the bytes the proxy holds, in KiB; the client's window
+        /// shrinks with the free space. `None` is an unlimited window.
+        window_cap_kb: Option<u64>,
+    },
 }
 
 impl Topology {
@@ -247,6 +260,7 @@ impl Topology {
                         && *isolation != Some(Isolation::FairShare))
             }
             Topology::LeafSpine { .. } => p == Protocol::Mtp,
+            Topology::Proxy { .. } => p != Protocol::Mtp,
         }
     }
 
@@ -266,6 +280,7 @@ impl Topology {
                     Topology::LeafSpine { .. },
                     Workload::Fanin { .. } | Workload::Permutation { .. }
                 )
+                | (Topology::Proxy { .. }, Workload::Single { .. })
         )
     }
 
@@ -275,7 +290,7 @@ impl Topology {
             Topology::Diamond { .. } => &["a_fwd", "a_rev", "b_fwd", "b_rev"],
             Topology::TwoPath { .. } => &["a_fwd", "b_fwd"],
             Topology::Dumbbell { .. } => &["shared"],
-            Topology::LeafSpine { .. } => &[],
+            Topology::LeafSpine { .. } | Topology::Proxy { .. } => &[],
         }
     }
 
@@ -631,6 +646,9 @@ const MAX_INT: u64 = i64::MAX as u64;
 const MAX_HORIZON_US: u64 = 10_000_000;
 /// Most messages a chunked `single` workload may split into.
 const MAX_CHUNKS: u64 = 100_000;
+/// Largest proxy window cap, in KiB: 4 GiB, the reach of TCP's 32-bit
+/// receive window.
+const MAX_WINDOW_KB: u64 = 4 << 20;
 
 /// A link before its keys are read.
 const BLANK_LINK: LinkParams = LinkParams {
@@ -700,6 +718,7 @@ pub const TOPOLOGIES: Names<Topology> = Names {
         ("two-path", Topology::TwoPath { a: BLANK_LINK, b: BLANK_LINK, host: None, strategy: TwoPathStrategy::Ecmp, goodput_bin_us: 0, pathlets: 0 }),
         ("dumbbell", Topology::Dumbbell { edge: BLANK_LINK, shared: BLANK_LINK, goodput_bin_us: 0, isolation: None, trimming: false }),
         ("leaf-spine", Topology::LeafSpine { leaves: 0, spines: 0, hosts_per_leaf: 0, host_link: BLANK_LINK, spine_link: BLANK_LINK, strategy: None }),
+        ("proxy", Topology::Proxy { client: BLANK_LINK, server: BLANK_LINK, window_cap_kb: None }),
     ],
 };
 
@@ -1052,6 +1071,11 @@ fn topology_keys<K: Keys>(k: &mut K, t: &mut Topology) -> Walk {
             k.table("host_link", |k| link_keys(k, host_link))?;
             k.table("spine_link", |k| link_keys(k, spine_link))?;
             k.opt_pick("strategy", strategy, &LEAF_SPINE_STRATEGIES)
+        }
+        Topology::Proxy { client, server, window_cap_kb } => {
+            k.table("client", |k| link_keys(k, client))?;
+            k.table("server", |k| link_keys(k, server))?;
+            k.opt_u64("window_cap_kb", window_cap_kb, 1..=MAX_WINDOW_KB)
         }
     }
 }
@@ -1528,10 +1552,11 @@ fn validate(s: &Scenario) -> Result<(), SchemaError> {
                     format!("topology `{}`", s.topology.kind()),
                 ),
             };
+            let only = if *p == Protocol::Mtp { "TCP" } else { "mtp" };
             return Err(err(
                 f,
                 format!(
-                    "protocol `{}` has no driver on {on} (only mtp runs there)",
+                    "protocol `{}` has no driver on {on} (only {only} runs there)",
                     p.key()
                 ),
             ));

@@ -16,10 +16,11 @@
 //! recorded (numbers a scenario report does not carry are asserted here
 //! as the literals of the retired records).
 //!
-//! The five Fig. 3 and Fig. 7 files and the five §4 ablation files are
-//! checked the other way round: each cell's reported numbers against the
-//! ones the retired `fig3`, `fig7` and `ablations` binaries recorded,
-//! copied in as literals, bit for bit, plus the digest the file pins.
+//! The five Fig. 2 files, the five Fig. 3 and Fig. 7 files and the five
+//! §4 ablation files are checked the other way round: each cell's
+//! reported numbers against the ones the retired `fig2`, `fig3`, `fig7`
+//! and `ablations` binaries recorded, copied in as literals, bit for bit,
+//! plus the digest the file pins.
 
 use std::path::Path;
 
@@ -29,8 +30,8 @@ use mtp_faults::{
     parallel_paths, FaultDriver, FaultSchedule, Ledger, LinkSpec, ParallelPaths, ParallelSpec,
     PATHLET_A, PATHLET_B,
 };
-use mtp_scenario::run::{engine_digest, execute_cell, fnv64};
-use mtp_scenario::schema::{from_str, Protocol, Scenario};
+use mtp_scenario::run::{engine_digest, execute_cell, fnv64, CellResult, ProxyReport};
+use mtp_scenario::schema::{from_str, Protocol, Scenario, Topology};
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{LinkFailMode, Node};
 use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
@@ -784,6 +785,79 @@ fn fig5_phase_sweep_scenario_is_byte_identical_to_binary() {
         mean_std(&improvements),
         (17.839360266159506, 0.7254962695874184)
     );
+}
+
+// ------------------------------------------------------------- fig2
+
+/// The retired `fig2` record's unlimited-window series: the proxy's
+/// buffer at the end of every 100 us bin to 4 ms, in MB.
+#[rustfmt::skip]
+const FIG2_UNLIMITED_MB: [f64; 40] = [
+    0.68474, 1.4162, 2.14474, 2.87474, 3.6062, 4.33474, 5.06474, 5.3728,
+    5.1684, 4.96108, 4.7523, 4.54644, 4.62528, 4.90706, 5.18446, 5.46332,
+    5.74656, 6.0298, 6.44444, 7.05034, 7.665, 8.27382, 8.87826, 9.50022,
+    10.10758, 10.70764, 11.31938, 11.9428, 12.5341, 13.14438, 13.77072, 14.37078,
+    14.98836, 15.5928, 16.1987, 16.82212, 17.41926, 18.01932, 18.64566, 19.23258,
+];
+
+/// Runs `file`'s one NewReno cell at seed 2, which must pass and match
+/// the file's pinned digest, and returns it with the proxy's report.
+fn fig2_cell(file: &str) -> (CellResult, ProxyReport) {
+    let s = load_scenario(file);
+    let mut r = execute_cell(&s, Protocol::TcpNewReno, 2).result;
+    assert_eq!(r.violations, Vec::<String>::new(), "{file}");
+    assert_eq!(pinned_digest(&s, "tcp-newreno", 2), r.digest, "{file}");
+    let proxy = r.proxy.take().expect("a proxy cell reports its buffer");
+    (r, proxy)
+}
+
+/// Fig. 2(a): the buffer series, bit for bit. It is not monotonic: the
+/// client overruns its queue and times out once, between 750 and 800 us,
+/// and the buffer falls from 5.37 MB at 800 us to 4.55 MB at 1 200 us.
+/// From about 1.25 ms the proxy's server-side connection is in NewReno
+/// fast recovery after 20 drops at the 40 Gbps queue. It repairs one hole
+/// per partial ACK, one every ~614 us (its full 2 048-packet queue at
+/// 40 Gbps), so the later growth is that stall as well as the mismatch.
+#[test]
+fn fig2_unlimited_scenario_reproduces_the_record() {
+    let (r, proxy) = fig2_cell("fig2_unlimited.toml");
+    let mb: Vec<f64> = (proxy.buffered_series_bytes.iter())
+        .map(|&b| b as f64 / 1e6)
+        .collect();
+    assert_eq!(mb, FIG2_UNLIMITED_MB);
+    assert_eq!((r.timeouts, r.retransmissions), (1, 11_058));
+}
+
+/// The retired record's capped rows: the file, its window cap (KiB), the
+/// largest buffer (KiB), bytes relayed (MB) and head-of-line delay, the
+/// time the largest buffer takes to drain at 40 Gbps (us); then the
+/// client's retransmissions. Only the 4 MiB cap, about 2 870 segments,
+/// overflows the 2 048-packet client queue.
+#[rustfmt::skip]
+const FIG2_CAPPED: [(&str, u64, f64, f64, f64, u64); 4] = [
+    ("fig2_window_64k.toml", 64, 111.046875, 19.493556, 22.7424, 0),
+    ("fig2_window_256k.toml", 256, 494.87109375, 19.690656, 101.3496, 0),
+    ("fig2_window_1m.toml", 1024, 2030.87109375, 20.477448, 415.9224, 0),
+    ("fig2_window_4m.toml", 4096, 8192.5390625, 12.760124, 1677.832, 5_530),
+];
+
+/// Fig. 2(b): each capped row, bit for bit.
+#[test]
+fn fig2_window_scenarios_reproduce_the_record() {
+    for (file, cap_kb, max_buffered_kb, relayed_mb, hol_delay_us, retx) in FIG2_CAPPED {
+        let s = load_scenario(file);
+        let Topology::Proxy { window_cap_kb, .. } = s.topology else {
+            panic!("{file} is no proxy");
+        };
+        assert_eq!(window_cap_kb, Some(cap_kb), "{file}");
+        let (r, proxy) = fig2_cell(file);
+        let max = proxy.max_buffered_bytes;
+        let hol = Bandwidth::from_gbps(40).serialize_time(u32::try_from(max).unwrap());
+        assert_eq!(max as f64 / 1024.0, max_buffered_kb, "{file}");
+        assert_eq!(proxy.relayed_bytes as f64 / 1e6, relayed_mb, "{file}");
+        assert_eq!(hol.as_micros_f64(), hol_delay_us, "{file}");
+        assert_eq!(r.retransmissions, retx, "{file}");
+    }
 }
 
 // ------------------------------------------------------------- fig3

@@ -298,9 +298,15 @@ fn draw(rng: &mut SmallRng) -> (Scenario, BTreeSet<String>) {
             _ => !topology.link_names().is_empty(),
         })
         .collect();
+    // A topology that publishes no link or node name takes no fault.
+    let n_faults = if faults.is_empty() {
+        0
+    } else {
+        rng.gen_range(0..=3)
+    };
     let mut s = Scenario {
         workload: pick(rng, &workloads).1.clone(),
-        faults: (0..rng.gen_range(0..=3))
+        faults: (0..n_faults)
             .map(|_| pick(rng, &faults).1.clone())
             .collect(),
         protocols: (PROTOCOLS.all.iter())
@@ -362,7 +368,9 @@ fn conform(s: &mut Scenario, rng: &mut SmallRng) {
     let w = s.workload.clone();
     s.protocols.retain(|&p| s.topology.supports(p, &w));
     if s.protocols.is_empty() {
-        s.protocols.push(Protocol::Mtp);
+        let mut all = PROTOCOLS.all.iter().map(|(_, p)| *p);
+        let first = all.find(|&p| s.topology.supports(p, &w));
+        s.protocols.extend(first);
     }
     let tcp = s.protocols.iter().any(|&p| p != Protocol::Mtp);
     s.tcp.conn_per_message &= tcp && matches!(s.topology, Topology::Dumbbell { .. });
@@ -1154,4 +1162,63 @@ fn degrade_delay_is_a_link_delay() {
         "msg: {}",
         e.msg
     );
+}
+
+// ------------------------------- the TCP-terminating proxy (Fig. 2)
+
+const PROXY: &str = "[topology]\nkind = \"proxy\"\nwindow_cap_kb = 64\n\
+    [topology.client]\nrate_gbps = 100\ndelay_us = 2\n\
+    [topology.server]\nrate_gbps = 40\ndelay_us = 2\n";
+const SINGLE: &str = "[workload]\nkind = \"single\"\nbytes = 1000\n";
+
+fn proxy_like() -> String {
+    [TCP_HEAD, PROXY, SINGLE].concat()
+}
+
+#[test]
+fn proxy_document_is_valid_and_roundtrips() {
+    let s = from_str(&proxy_like()).expect("document decodes");
+    assert_eq!(from_str(&to_toml(&s)).expect("re-decode"), s);
+}
+
+#[test]
+fn proxy_refuses_mtp() {
+    let doc = proxy_like().replace("[\"tcp-newreno\"]", "[\"tcp-newreno\", \"mtp\"]");
+    let e = schema_err(&doc);
+    assert_eq!(e.field, "scenario.protocols");
+    assert!(e.msg.contains("`mtp`"), "msg: {}", e.msg);
+    assert!(e.msg.contains("only TCP runs there"), "msg: {}", e.msg);
+}
+
+#[test]
+fn proxy_runs_only_the_single_workload() {
+    let periodic = "[workload]\nkind = \"periodic\"\ncount = 2\nbytes = 1000\ninterval_us = 10\n";
+    for workload in [periodic, STREAMS, POISSON] {
+        let e = schema_err(&[TCP_HEAD, PROXY, workload].concat());
+        assert_eq!(e.field, "workload.kind", "{workload}");
+        assert!(e.msg.contains("`proxy`"), "msg: {}", e.msg);
+    }
+}
+
+#[test]
+fn proxy_faults_name_no_link() {
+    for link in ["client", "server", "a_fwd", "shared"] {
+        let fault = format!(
+            "[[fault]]\nkind = \"link_down\"\nlink = \"{link}\"\nat_us = 1\nmode = \"drain\"\n"
+        );
+        let e = schema_err(&(proxy_like() + &fault));
+        assert_eq!(e.field, "fault[0].link", "{link}");
+        assert!(e.msg.contains("unknown link"), "msg: {}", e.msg);
+    }
+    let cut = "[[fault]]\nkind = \"cut_both\"\nlink = \"a\"\nfrom_us = 1\nto_us = 2\n\
+        mode = \"drain\"\n";
+    let e = schema_err(&(proxy_like() + cut));
+    assert_eq!(e.field, "fault[0].link");
+}
+
+#[test]
+fn window_cap_must_be_positive() {
+    let e = schema_err(&proxy_like().replace("window_cap_kb = 64", "window_cap_kb = 0"));
+    assert_eq!(e.field, "topology.window_cap_kb");
+    assert!(e.msg.contains("out of range"), "msg: {}", e.msg);
 }

@@ -13,12 +13,13 @@
 //! * [`net`] — in-network devices: switches, load balancers, proxy, cache
 //!   offload, fair-share enforcement;
 //! * [`workload`] — workload generators and FCT statistics;
-//! * [`mod@bench`] — experiment topologies and the per-figure harness.
+//! * [`mod@bench`] — experiment topologies and the golden and sharded
+//!   workloads.
 //!
-//! See `examples/quickstart.rs` for a five-minute tour, and the `mtp-bench`
-//! binary `fig2`, its `table1` test, and the `scenarios/fig{3,5,6,7}_*`
-//! and `scenarios/abl_*` files (run by `mtp-scenario`'s `scn`) to
-//! regenerate every table, figure and §4 ablation of the paper.
+//! See `examples/quickstart.rs` for a five-minute tour, and `mtp-bench`'s
+//! `table1` test and the `scenarios/fig{2,3,5,6,7}_*` and
+//! `scenarios/abl_*` files (run by `mtp-scenario`'s `scn`) to regenerate
+//! every table, figure and §4 ablation of the paper.
 
 #![forbid(unsafe_code)]
 
