@@ -105,6 +105,18 @@ impl TcpProxyNode {
         }
     }
 
+    /// RTO expirations of the server-side connection: the live one plus
+    /// those retired by crashes.
+    pub fn server_timeouts(&self) -> u64 {
+        self.send.stats.timeouts + self.retired_timeouts
+    }
+
+    /// Segments the server-side connection retransmitted: the live one
+    /// plus those retired by crashes.
+    pub fn server_retransmissions(&self) -> u64 {
+        self.send.stats.retransmissions + self.retired_retransmissions
+    }
+
     /// Bytes currently buffered inside the proxy: received from the client
     /// but not yet accepted by the server connection's window (its send
     /// backlog), plus anything still in the client-side receive buffer.
@@ -264,8 +276,8 @@ impl Node for TcpProxyNode {
 
     fn audit_counters(&self, out: &mut mtp_sim::NodeAuditCounters) {
         out.malformed += self.malformed;
-        out.timeouts += self.send.stats.timeouts + self.retired_timeouts;
-        out.retransmissions += self.send.stats.retransmissions + self.retired_retransmissions;
+        out.timeouts += self.server_timeouts();
+        out.retransmissions += self.server_retransmissions();
     }
 
     fn name(&self) -> &str {

@@ -95,6 +95,10 @@ pub struct ProxyReport {
     pub max_buffered_bytes: u64,
     /// Bytes passed on to the server connection.
     pub relayed_bytes: u64,
+    /// RTO expirations of the proxy's server-side connection.
+    pub server_timeouts: u64,
+    /// Segments the proxy's server-side connection retransmitted.
+    pub server_retransmissions: u64,
 }
 
 /// One executed cell: the reportable result plus the raw exactly-once
@@ -1002,6 +1006,8 @@ fn run_proxy(s: &Scenario, p: Protocol, seed: u64) -> Measured {
         buffered_series_bytes,
         max_buffered_bytes: relay.max_buffered,
         relayed_bytes: relay.relayed,
+        server_timeouts: relay.server_timeouts(),
+        server_retransmissions: relay.server_retransmissions(),
     };
     let client = sim.node_as::<TcpSenderNode>(snd);
     let records = (client.msgs.iter())

@@ -167,7 +167,13 @@ impl MtpHeader {
     /// [`wire_len`](Self::wire_len) bytes. Returns the number of bytes
     /// written.
     pub fn emit(&self, buf: &mut [u8]) -> Result<usize, WireError> {
-        let need = self.wire_len();
+        self.emit_len(buf, self.wire_len())
+    }
+
+    /// [`emit`](Self::emit) given `need`, this header's
+    /// [`wire_len`](Self::wire_len): sealing computes it once for both the
+    /// header and the trailer's offset, since it walks the feedback lists.
+    fn emit_len(&self, buf: &mut [u8], need: usize) -> Result<usize, WireError> {
         if buf.len() < need {
             return Err(WireError::Truncated {
                 needed: need,
@@ -306,18 +312,17 @@ impl MtpHeader {
     /// so per-frame sealing (the corruption studies' hot path) can run
     /// out of a recycled buffer.
     pub fn emit_sealed(&self, buf: &mut [u8]) -> Result<usize, WireError> {
-        let need = self.sealed_wire_len();
+        let used = self.wire_len();
+        let need = used + crate::integrity::PAYLOAD_CSUM_LEN;
         if buf.len() < need {
             return Err(WireError::Truncated {
                 needed: need,
                 got: buf.len(),
             });
         }
-        let used = self.emit(buf)?;
+        self.emit_len(buf, used)?;
         buf[41] = crate::integrity::INTEGRITY_SEALED;
-        // Bytes 42–43 are zero here (emit wrote them so), which is exactly
-        // how the verifier recomputes the CRC.
-        let crc = crate::integrity::crc16_ccitt(&buf[..used]);
+        let crc = crate::integrity::header_crc16(&buf[..used]);
         buf[42..44].copy_from_slice(&crc.to_be_bytes());
         buf[used..need].copy_from_slice(&self.payload_csum().to_be_bytes());
         Ok(need)
@@ -362,16 +367,12 @@ impl MtpHeader {
         // integrity flags and CRC here, not zeros); the walk itself is
         // total and panic-free, so running it before the CRC check is
         // safe — nothing is *trusted* until the CRC over the walked
-        // region matches. The CRC is recomputed by streaming the buffer
-        // around bytes 42–43 (zero at sealing time), so no scratch copy
-        // of the header is ever made.
+        // region matches. The CRC is recomputed by the function sealing
+        // used, in one walk that reads bytes 42–43 as zero, as they were
+        // at sealing time; no copy of the header is made.
         let used = self.parse_inner(buf, true)?;
         let stored_crc = u16::from_be_bytes([buf[42], buf[43]]);
-        let mut crc = crate::integrity::Crc16::new();
-        crc.update(&buf[..42]);
-        crc.update(&[0, 0]);
-        crc.update(&buf[44..used]);
-        if crc.finish() != stored_crc {
+        if crate::integrity::header_crc16(&buf[..used]) != stored_crc {
             return Err(WireError::BadHeaderCrc);
         }
         let need = used + crate::integrity::PAYLOAD_CSUM_LEN;
@@ -449,15 +450,13 @@ impl MtpHeader {
             }
         };
 
-        hdr.path_exclude.reserve(n_excl);
-        for _ in 0..n_excl {
-            need(at, PATH_EXCLUDE_ENTRY_LEN, buf)?;
-            hdr.path_exclude.push(PathExclude {
-                path: PathletId(u16::from_be_bytes([buf[at], buf[at + 1]])),
-                tc: TrafficClass(buf[at + 2]),
-            });
-            at += PATH_EXCLUDE_ENTRY_LEN;
-        }
+        let path_exclude = fixed_entries::<PATH_EXCLUDE_ENTRY_LEN>(buf, at, n_excl)?;
+        hdr.path_exclude
+            .extend(path_exclude.iter().map(|e| PathExclude {
+                path: PathletId(u16::from_be_bytes([e[0], e[1]])),
+                tc: TrafficClass(e[2]),
+            }));
+        at += n_excl * PATH_EXCLUDE_ENTRY_LEN;
         for (count, acked) in [(n_fb, false), (n_ack_fb, true)] {
             for _ in 0..count {
                 need(at, PATH_FEEDBACK_PREFIX_LEN, buf)?;
@@ -478,37 +477,35 @@ impl MtpHeader {
                 at += PATH_FEEDBACK_PREFIX_LEN + vlen;
             }
         }
-        for (count, is_nack) in [(n_sack, false), (n_nack, true)] {
-            for _ in 0..count {
-                need(at, SACK_ENTRY_LEN, buf)?;
-                let entry = SackEntry {
-                    msg: MsgId(u64::from_be_bytes([
-                        buf[at],
-                        buf[at + 1],
-                        buf[at + 2],
-                        buf[at + 3],
-                        buf[at + 4],
-                        buf[at + 5],
-                        buf[at + 6],
-                        buf[at + 7],
-                    ])),
-                    pkt: PktNum(u32::from_be_bytes([
-                        buf[at + 8],
-                        buf[at + 9],
-                        buf[at + 10],
-                        buf[at + 11],
-                    ])),
-                };
-                if is_nack {
-                    hdr.nack.push(entry);
-                } else {
-                    hdr.sack.push(entry);
-                }
-                at += SACK_ENTRY_LEN;
-            }
+        for (count, list) in [(n_sack, &mut hdr.sack), (n_nack, &mut hdr.nack)] {
+            let entries = fixed_entries::<SACK_ENTRY_LEN>(buf, at, count)?;
+            list.extend(entries.iter().map(|e| SackEntry {
+                msg: MsgId(u64::from_be_bytes(
+                    e[..8].try_into().expect("8 of 12 bytes"),
+                )),
+                pkt: PktNum(u32::from_be_bytes(
+                    e[8..].try_into().expect("4 of 12 bytes"),
+                )),
+            }));
+            at += count * SACK_ENTRY_LEN;
         }
         Ok(at)
     }
+}
+
+/// The `n` fixed-size `N`-byte entries of a list section starting at
+/// `at`, after one bounds check for the whole section. A section that
+/// does not fit reports the end of its first entry that does not, as an
+/// entry-by-entry walk would.
+fn fixed_entries<const N: usize>(buf: &[u8], at: usize, n: usize) -> Result<&[[u8; N]], WireError> {
+    let Some(section) = buf.get(at..at + n * N) else {
+        let fit = buf.len().saturating_sub(at) / N;
+        return Err(WireError::Truncated {
+            needed: at + (fit + 1) * N,
+            got: buf.len(),
+        });
+    };
+    Ok(section.as_chunks::<N>().0)
 }
 
 #[cfg(test)]
@@ -600,16 +597,61 @@ mod tests {
         }
     }
 
+    /// [`sample`] with three exclusions, three SACKs and two NACKs, so a
+    /// cut can land past the first entry of every list section.
+    fn long_lists() -> MtpHeader {
+        let mut hdr = sample();
+        for i in 0..2 {
+            hdr.path_exclude.push(PathExclude {
+                path: PathletId(20 + i),
+                tc: TrafficClass(1),
+            });
+        }
+        for (list, pkt) in [(&mut hdr.sack, 4), (&mut hdr.nack, 3)] {
+            list.push(SackEntry {
+                msg: MsgId(6),
+                pkt: PktNum(pkt),
+            });
+        }
+        hdr
+    }
+
+    /// The refusal an entry-by-entry walk gives for `hdr`'s encoding cut
+    /// to `cut` bytes (`cut >= FIXED_HEADER_LEN`): the end of the first
+    /// entry that does not fit, a feedback entry's 5-byte prefix counting
+    /// as an entry before its value.
+    fn walked_refusal(hdr: &MtpHeader, cut: usize) -> WireError {
+        let mut ends = Vec::new();
+        let mut at = FIXED_HEADER_LEN;
+        for _ in &hdr.path_exclude {
+            at += PATH_EXCLUDE_ENTRY_LEN;
+            ends.push(at);
+        }
+        for e in hdr.path_feedback.iter().chain(&hdr.ack_path_feedback) {
+            ends.push(at + PATH_FEEDBACK_PREFIX_LEN);
+            at += e.wire_len();
+            ends.push(at);
+        }
+        for _ in hdr.sack.iter().chain(&hdr.nack) {
+            at += SACK_ENTRY_LEN;
+            ends.push(at);
+        }
+        let needed = *ends.iter().find(|&&end| end > cut).expect("cut inside");
+        WireError::Truncated { needed, got: cut }
+    }
+
     #[test]
     fn parse_rejects_truncated_lists() {
-        let hdr = sample();
+        let hdr = long_lists();
         let bytes = hdr.to_bytes().unwrap();
-        // Every cut point within the variable section must error, not panic.
+        // Every cut point within the variable section is refused with the
+        // entry-by-entry walk's error, not a panic.
         for cut in FIXED_HEADER_LEN..bytes.len() {
-            assert!(matches!(
+            assert_eq!(
                 MtpHeader::parse(&bytes[..cut]),
-                Err(WireError::Truncated { .. })
-            ));
+                Err(walked_refusal(&hdr, cut)),
+                "cut at {cut}"
+            );
         }
     }
 
@@ -727,10 +769,25 @@ mod tests {
 
     #[test]
     fn sealed_rejects_truncation_at_every_cut() {
-        let sealed = sample().to_sealed_bytes().unwrap();
+        let hdr = long_lists();
+        let sealed = hdr.to_sealed_bytes().unwrap();
         for cut in 0..sealed.len() {
-            assert!(
-                MtpHeader::parse_sealed(&sealed[..cut]).is_err(),
+            let want = if cut < FIXED_HEADER_LEN {
+                WireError::Truncated {
+                    needed: FIXED_HEADER_LEN,
+                    got: cut,
+                }
+            } else if cut < hdr.wire_len() {
+                walked_refusal(&hdr, cut)
+            } else {
+                WireError::Truncated {
+                    needed: sealed.len(),
+                    got: cut,
+                }
+            };
+            assert_eq!(
+                MtpHeader::parse_sealed(&sealed[..cut]),
+                Err(want),
                 "cut at {cut}"
             );
         }

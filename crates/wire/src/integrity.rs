@@ -46,10 +46,11 @@ pub const PAYLOAD_CSUM_LEN: usize = 4;
 // ---------------------------------------------------------------------------
 // Lookup tables, built at compile time.
 //
-// Both CRCs use slice-by-8: `T[k][b]` is the CRC contribution of byte `b`
-// followed by `k` zero bytes, so eight input bytes collapse into eight
-// independent table loads XORed together — no loop-carried dependency
-// inside a block, which is what makes this ~8x the bitwise form.
+// `T[k][b]` is the CRC contribution of byte `b` followed by `k` zero bytes,
+// so a block of input bytes collapses into independent table loads XORed
+// together — no loop-carried dependency inside a block. CRC-16 walks
+// 16-byte blocks (see `crc16_update`); CRC-32 walks 8-byte blocks, since
+// its inputs are fixed 18- and 32-byte records.
 // ---------------------------------------------------------------------------
 
 /// CRC-16/CCITT-FALSE polynomial (MSB-first, non-reflected).
@@ -72,15 +73,15 @@ const fn crc16_byte(b: u8) -> u16 {
     crc
 }
 
-const fn crc16_tables() -> [[u16; 256]; 8] {
-    let mut t = [[0u16; 256]; 8];
+const fn crc16_tables() -> [[u16; 256]; 16] {
+    let mut t = [[0u16; 256]; 16];
     let mut b = 0;
     while b < 256 {
         t[0][b] = crc16_byte(b as u8);
         b += 1;
     }
     let mut k = 1;
-    while k < 8 {
+    while k < 16 {
         let mut b = 0;
         while b < 256 {
             let v = t[k - 1][b];
@@ -123,25 +124,54 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     t
 }
 
-static CRC16_T: [[u16; 256]; 8] = crc16_tables();
+static CRC16_T: [[u16; 256]; 16] = crc16_tables();
 static CRC32_T: [[u32; 256]; 8] = crc32_tables();
 
-/// Advance a raw (un-finalized) CRC-16 state over `bytes`, slice-by-8.
-fn crc16_update(mut crc: u16, bytes: &[u8]) -> u16 {
-    let mut chunks = bytes.chunks_exact(8);
-    for c in chunks.by_ref() {
-        // The 16-bit state is consumed by the first two data bytes; the
-        // remaining six contribute independently.
-        crc = CRC16_T[7][((crc >> 8) as u8 ^ c[0]) as usize]
-            ^ CRC16_T[6][(crc as u8 ^ c[1]) as usize]
-            ^ CRC16_T[5][c[2] as usize]
-            ^ CRC16_T[4][c[3] as usize]
-            ^ CRC16_T[3][c[4] as usize]
-            ^ CRC16_T[2][c[5] as usize]
-            ^ CRC16_T[1][c[6] as usize]
-            ^ CRC16_T[0][c[7] as usize];
+/// Fold `N` bytes (`N` even, at most 16) into a raw CRC-16 state: the
+/// 16-bit state is consumed by the first two bytes, the other `N - 2`
+/// contribute independently. Those are XORed together first, so only the
+/// two state-dependent loads and their two XORs sit on the chain from one
+/// fold to the next.
+#[inline(always)]
+fn crc16_fold<const N: usize>(crc: u16, c: &[u8; N]) -> u16 {
+    let mut rest = 0;
+    let mut i = 2;
+    while i < N {
+        rest ^= CRC16_T[N - 1 - i][c[i] as usize];
+        i += 1;
     }
-    for &b in chunks.remainder() {
+    rest ^ CRC16_T[N - 1][((crc >> 8) as u8 ^ c[0]) as usize]
+        ^ CRC16_T[N - 2][(crc as u8 ^ c[1]) as usize]
+}
+
+/// Advance a raw (un-finalized) CRC-16 state over `bytes`, slice-by-16.
+///
+/// Cost: 16 table loads and 15 XORs per 16-byte block, of which two
+/// loads and two XORs carry the state to the next block, out of 8 KiB of
+/// tables (16 × 256 `u16`). A tail of up to 15 bytes folds 8, 4 and 2
+/// bytes at a time, so only a last odd byte takes a single-byte step.
+/// What it pays: putting the slice-by-8 walk with byte-at-a-time tails
+/// back cost `core_repair` 15 % and 11 % of its `ops_per_s` in two runs
+/// of ten pairs, winning 0 and 2 of them (EXPERIMENTS.md, "Ablation
+/// table").
+fn crc16_update(mut crc: u16, bytes: &[u8]) -> u16 {
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for block in blocks {
+        crc = crc16_fold(crc, block);
+    }
+    let (eights, tail) = tail.as_chunks::<8>();
+    if let Some(c) = eights.first() {
+        crc = crc16_fold(crc, c);
+    }
+    let (fours, tail) = tail.as_chunks::<4>();
+    if let Some(c) = fours.first() {
+        crc = crc16_fold(crc, c);
+    }
+    let (twos, tail) = tail.as_chunks::<2>();
+    if let Some(c) = twos.first() {
+        crc = crc16_fold(crc, c);
+    }
+    if let Some(&b) = tail.first() {
         crc = (crc << 8) ^ CRC16_T[0][((crc >> 8) as u8 ^ b) as usize];
     }
     crc
@@ -151,15 +181,16 @@ fn crc16_update(mut crc: u16, bytes: &[u8]) -> u16 {
 fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let mut chunks = bytes.chunks_exact(8);
     for c in chunks.by_ref() {
-        let a = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        crc = CRC32_T[7][(a & 0xFF) as usize]
-            ^ CRC32_T[6][((a >> 8) & 0xFF) as usize]
-            ^ CRC32_T[5][((a >> 16) & 0xFF) as usize]
-            ^ CRC32_T[4][(a >> 24) as usize]
-            ^ CRC32_T[3][c[4] as usize]
+        // The last four loads do not depend on the state: XOR them first,
+        // as `crc16_fold` does, so they stay off the chain between blocks.
+        let rest = CRC32_T[3][c[4] as usize]
             ^ CRC32_T[2][c[5] as usize]
             ^ CRC32_T[1][c[6] as usize]
             ^ CRC32_T[0][c[7] as usize];
+        let a = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = rest
+            ^ (CRC32_T[7][(a & 0xFF) as usize] ^ CRC32_T[6][((a >> 8) & 0xFF) as usize])
+            ^ (CRC32_T[5][((a >> 16) & 0xFF) as usize] ^ CRC32_T[4][(a >> 24) as usize]);
     }
     for &b in chunks.remainder() {
         crc = (crc >> 8) ^ CRC32_T[0][((crc ^ b as u32) & 0xFF) as usize];
@@ -167,41 +198,27 @@ fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     crc
 }
 
-/// Streaming CRC-16/CCITT-FALSE: polynomial 0x1021, init 0xFFFF, no
-/// reflection, no final XOR. The streaming form lets `parse_sealed`
-/// verify a header whose CRC bytes must be treated as zero without
-/// copying the buffer.
-#[derive(Debug, Clone, Copy)]
-pub struct Crc16(u16);
-
-impl Crc16 {
-    /// A fresh CRC in its initial state.
-    pub fn new() -> Crc16 {
-        Crc16(0xFFFF)
-    }
-
-    /// Feed bytes into the CRC.
-    pub fn update(&mut self, bytes: &[u8]) {
-        self.0 = crc16_update(self.0, bytes);
-    }
-
-    /// The CRC of everything fed so far.
-    pub fn finish(self) -> u16 {
-        self.0
-    }
-}
-
-impl Default for Crc16 {
-    fn default() -> Self {
-        Crc16::new()
-    }
-}
-
-/// One-shot CRC-16/CCITT-FALSE over `bytes`. Table-driven slice-by-8:
-/// sealing happens per damaged or audited frame in the corruption studies,
-/// where header CRCs are a measurable slice of the profile.
+/// One-shot CRC-16/CCITT-FALSE over `bytes`: polynomial 0x1021, init
+/// 0xFFFF, no reflection, no final XOR, table-driven slice-by-16.
 pub fn crc16_ccitt(bytes: &[u8]) -> u16 {
     crc16_update(0xFFFF, bytes)
+}
+
+/// The CRC-16/CCITT-FALSE of an encoded MTP header `hdr` (fixed portion
+/// plus every variable section, no trailer) with bytes 42–43, where the
+/// CRC itself is stored, read as zero. Sealing and verifying both call
+/// this, so they cannot disagree on the zero window.
+///
+/// One walk, no copy of the header: bytes 0..40 in place, then 40..44 as
+/// one 4-byte fold of `[b40, b41, 0, 0]` built on the stack, then the
+/// variable sections in place.
+pub(crate) fn header_crc16(hdr: &[u8]) -> u16 {
+    let (fixed, lists) = hdr
+        .split_first_chunk::<{ crate::FIXED_HEADER_LEN }>()
+        .expect("an encoded header holds its fixed portion");
+    let crc = crc16_update(0xFFFF, &fixed[..40]);
+    let crc = crc16_fold(crc, &[fixed[40], fixed[41], 0, 0]);
+    crc16_update(crc, lists)
 }
 
 /// CRC-32 (IEEE 802.3): reflected polynomial 0xEDB88320, init and final
@@ -214,6 +231,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MtpHeader;
 
     /// Bit-at-a-time CRC-16/CCITT-FALSE — the reference the table
     /// implementation must match exactly.
@@ -263,17 +281,125 @@ mod tests {
         for len in 0..=2048 {
             let m = &buf[..len];
             assert_eq!(crc16_ccitt(m), crc16_bitwise(m), "len {len}");
-            // The streaming form must agree with the one-shot for every
-            // split point class (front-heavy, back-heavy, odd cuts).
+            // The walk must compose at any split point (front-heavy,
+            // back-heavy, odd cuts): `header_crc16` restarts it twice.
             if len > 0 {
                 for cut in [1, len / 3, len / 2, len - 1] {
-                    let mut c = Crc16::new();
-                    c.update(&m[..cut]);
-                    c.update(&m[cut..]);
-                    assert_eq!(c.finish(), crc16_bitwise(m), "len {len} cut {cut}");
+                    let crc = crc16_update(crc16_update(0xFFFF, &m[..cut]), &m[cut..]);
+                    assert_eq!(crc, crc16_bitwise(m), "len {len} cut {cut}");
                 }
             }
         }
+    }
+
+    /// The header CRC is the plain CRC of a copy with bytes 42–43 zeroed,
+    /// at every length a header can have here, whatever those bytes hold.
+    #[test]
+    fn header_crc16_reads_the_crc_field_as_zero() {
+        let mut buf = vec![0u8; 2048];
+        fill(&mut buf, 0x4EAD_E242);
+        for len in crate::FIXED_HEADER_LEN..=2048 {
+            let mut zeroed = buf[..len].to_vec();
+            zeroed[42..44].fill(0);
+            assert_eq!(
+                header_crc16(&buf[..len]),
+                crc16_bitwise(&zeroed),
+                "len {len}"
+            );
+        }
+    }
+
+    /// A header of exactly `len` encoded bytes, built from 3-byte
+    /// exclusions, at most one 5-, 6-, 7- or 9-byte feedback TLV and
+    /// 12-byte SACK/NACK entries; `None` if no header is `len` bytes.
+    fn header_of_len(len: usize) -> Option<MtpHeader> {
+        use crate::{Feedback, PathExclude, PathFeedback, PathletId, SackEntry, TrafficClass};
+        let rest = len.checked_sub(crate::FIXED_HEADER_LEN)?;
+        let tlvs = [
+            (0, None),
+            (5, Some(Feedback::Trim)),
+            (6, Some(Feedback::EcnMark { ce: true })),
+            (7, Some(Feedback::EcnFraction { fraction: 0xA5C3 })),
+            (9, Some(Feedback::Delay { ns: 0x0102_0304 })),
+        ];
+        for n12 in (0..=rest / 12).rev() {
+            let r = rest - 12 * n12;
+            for (tlv_len, feedback) in tlvs {
+                if r < tlv_len || !(r - tlv_len).is_multiple_of(3) {
+                    continue;
+                }
+                let tag = len as u64;
+                let entry = |i: usize| SackEntry {
+                    msg: crate::MsgId(tag << 40 | i as u64),
+                    pkt: crate::PktNum(0xFF00_0000 | i as u32),
+                };
+                let feedback = feedback.map(|feedback| PathFeedback {
+                    path: PathletId(0xBEEF),
+                    tc: TrafficClass(3),
+                    feedback,
+                });
+                let mut hdr = MtpHeader {
+                    msg_id: crate::MsgId(tag.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                    pkt_len: 1400,
+                    path_exclude: (0..(r - tlv_len) / 3)
+                        .map(|i| PathExclude {
+                            path: PathletId(0x7000 + i as u16),
+                            tc: TrafficClass(i as u8),
+                        })
+                        .collect(),
+                    sack: (0..n12 - n12 / 2).map(entry).collect(),
+                    nack: (n12 - n12 / 2..n12).map(entry).collect(),
+                    ..MtpHeader::default()
+                };
+                // Alternate which feedback list carries the TLV.
+                let list = if len.is_multiple_of(2) {
+                    &mut hdr.path_feedback
+                } else {
+                    &mut hdr.ack_path_feedback
+                };
+                list.extend(feedback);
+                return Some(hdr);
+            }
+        }
+        None
+    }
+
+    /// Every header length from 44 to 96 bytes puts bytes 42–43 at a
+    /// different place relative to the walk's blocks and tails: each
+    /// sealed header verifies, stores the bitwise CRC of a copy with
+    /// bytes 42–43 zeroed, and refuses every single-bit flip.
+    #[test]
+    fn sealed_crc_window_holds_at_every_header_length() {
+        let mut unformable = Vec::new();
+        for len in crate::FIXED_HEADER_LEN..=96 {
+            let Some(hdr) = header_of_len(len) else {
+                unformable.push(len);
+                continue;
+            };
+            assert_eq!(hdr.wire_len(), len);
+            let sealed = hdr.to_sealed_bytes().unwrap();
+            let (back, used, payload_ok) = MtpHeader::parse_sealed(&sealed).unwrap();
+            assert_eq!(
+                (&back, used, payload_ok),
+                (&hdr, sealed.len(), true),
+                "len {len}"
+            );
+            let mut zeroed = sealed[..len].to_vec();
+            zeroed[42..44].fill(0);
+            let stored = u16::from_be_bytes([sealed[42], sealed[43]]);
+            assert_eq!(stored, crc16_bitwise(&zeroed), "len {len}");
+            for bit in 0..len * 8 {
+                let mut m = sealed.clone();
+                m[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    MtpHeader::parse_sealed(&m).is_err(),
+                    "len {len}: flip at bit {bit} verified"
+                );
+            }
+        }
+        // Every part is at least 3 bytes, so no header is 1, 2 or 4 bytes
+        // past the fixed portion.
+        assert_eq!(unformable, [45, 46, 48]);
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub use bridge::{decapsulate, encapsulate};
 pub use error::WireError;
 pub use feedback::{Feedback, PathFeedback};
 pub use header::{MtpHeader, PathExclude, SackEntry};
-pub use integrity::{crc16_ccitt, crc32, Crc16, INTEGRITY_SEALED, PAYLOAD_CSUM_LEN};
+pub use integrity::{crc16_ccitt, crc32, INTEGRITY_SEALED, PAYLOAD_CSUM_LEN};
 pub use session::{
     CtrlKind, SessionCtrl, SESSION_CTRL_CRC_LEN, SESSION_CTRL_FIXED_LEN, SESSION_WIRE_VERSION,
 };

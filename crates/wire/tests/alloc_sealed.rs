@@ -1,13 +1,16 @@
 //! Proof that the sealed encode/verify hot path does not allocate.
 //!
-//! The corruption studies seal and re-verify a header for every damaged
-//! frame, so `emit_sealed` into a caller-owned buffer plus `parse_sealed`
-//! of a plain data header (no variable sections — the shape of every MTP
-//! data packet) must perform **zero** heap allocations. This pins down
-//! the design guarantees introduced with the table-driven checksums: the
-//! CRC tables are static, `parse_sealed` walks the input in place with a
-//! streaming CRC instead of a scratch copy, and empty variable sections
-//! cost nothing to parse.
+//! Every MTP frame a session sends is sealed with `emit_sealed` into a
+//! caller-owned buffer, and every frame it receives is verified with
+//! `parse_sealed_from` into a header it reuses, so both must perform
+//! **zero** heap allocations once warm: for a plain data header (no
+//! variable sections, the shape of every MTP data packet) and for an
+//! ACK-shaped one (a feedback entry, 8 SACKs and a NACK), whose list
+//! sections refill the reused header's kept capacity. This pins down the
+//! design guarantees of the table-driven checksums: the CRC tables are
+//! static, sealing and verification walk the header in place in one pass
+//! (the CRC field is read as zero through a 4-byte stack array, not a
+//! copy of the header) and empty variable sections cost nothing to parse.
 //!
 //! This lives in an integration test so the counting allocator governs
 //! the whole test binary, and so the `unsafe` impl of `GlobalAlloc` stays
@@ -16,7 +19,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mtp_wire::{MsgId, MtpHeader, PktNum, TcpHeader};
+use mtp_wire::{
+    Feedback, MsgId, MtpHeader, PathFeedback, PathletId, PktNum, PktType, SackEntry, TcpHeader,
+    TrafficClass,
+};
 
 struct CountingAlloc;
 
@@ -57,10 +63,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-// One #[test] entry point so the three phases share one measuring thread.
+// One #[test] entry point so the phases share one measuring thread.
 #[test]
 fn sealed_hot_paths_allocate_nothing() {
     sealed_encode_verify_roundtrip_allocates_nothing();
+    sealed_ack_into_reused_header_allocates_nothing();
     tcp_sealed_roundtrip_allocates_nothing();
     crc_primitives_allocate_nothing();
 }
@@ -96,6 +103,46 @@ fn sealed_encode_verify_roundtrip_allocates_nothing() {
     assert_eq!(
         during, 0,
         "sealed encode/verify hot path must not allocate (saw {during} allocations in 1000 rounds)"
+    );
+}
+
+/// The session's receive path: an ACK-shaped header sealed into a reused
+/// buffer and verified into a reused header.
+fn sealed_ack_into_reused_header_allocates_nothing() {
+    let entry = |pkt| SackEntry {
+        msg: MsgId(0xACE),
+        pkt: PktNum(pkt),
+    };
+    let ack = MtpHeader {
+        pkt_type: PktType::Ack,
+        msg_id: MsgId(0xACE),
+        ack_path_feedback: vec![PathFeedback {
+            path: PathletId(1),
+            tc: TrafficClass(0),
+            feedback: Feedback::EcnMark { ce: true },
+        }],
+        sack: (0..8).map(entry).collect(),
+        nack: vec![entry(9)],
+        ..MtpHeader::default()
+    };
+    let mut buf = vec![0u8; ack.sealed_wire_len()];
+    let mut back = MtpHeader::default();
+
+    // Warm-up: grows `back`'s list sections to the ACK's counts.
+    let used = ack.emit_sealed(&mut buf).unwrap();
+    assert_eq!(back.parse_sealed_from(&buf[..used]), Ok((used, true)));
+    assert_eq!(back, ack);
+
+    let before = allocs();
+    for _ in 0..1000 {
+        let used = ack.emit_sealed(&mut buf).unwrap();
+        assert_eq!(back.parse_sealed_from(&buf[..used]), Ok((used, true)));
+        assert_eq!(back.sack.len(), 8);
+    }
+    let during = allocs() - before;
+    assert_eq!(
+        during, 0,
+        "sealed ACK verify into a reused header must not allocate (saw {during} allocations in 1000 rounds)"
     );
 }
 

@@ -30,6 +30,23 @@ use mtp_wire::{
     TCP_SEALED_LEN,
 };
 
+/// Bit-at-a-time CRC-16/CCITT-FALSE, the reference the table walk must
+/// match.
+fn crc16_bitwise(bytes: &[u8]) -> u16 {
+    let mut crc: u16 = 0xFFFF;
+    for &b in bytes {
+        crc ^= (b as u16) << 8;
+        for _ in 0..8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ 0x1021
+            } else {
+                crc << 1
+            };
+        }
+    }
+    crc
+}
+
 fn arb_ctrl_kind() -> impl Strategy<Value = CtrlKind> {
     prop_oneof![
         Just(CtrlKind::Hello),
@@ -320,13 +337,14 @@ proptest! {
         prop_assert_eq!(used, TCP_SEALED_LEN);
     }
 
-    /// Over arbitrary fuzz-corpus buffers `crc32` agrees with a
-    /// bit-at-a-time reference, as do the streaming and one-shot CRC-16
-    /// forms at any split point.
+    /// Over arbitrary fuzz-corpus buffers `crc32` and `crc16_ccitt` agree
+    /// with bit-at-a-time references, and over arbitrary headers the
+    /// header CRC that sealing stores (the function verify recomputes)
+    /// is the bitwise CRC-16 of the header with bytes 42–43 zeroed.
     #[test]
     fn crc_matches_reference_on_fuzz_corpus(
         bytes in prop::collection::vec(any::<u8>(), 0..2500),
-        cut_frac in 0.0f64..1.0,
+        hdr in arb_header(),
     ) {
         let mut reference: u32 = 0xFFFF_FFFF;
         for &b in &bytes {
@@ -338,13 +356,14 @@ proptest! {
         }
         let reference = !reference;
         prop_assert_eq!(mtp_wire::integrity::crc32(&bytes), reference);
+        prop_assert_eq!(mtp_wire::integrity::crc16_ccitt(&bytes), crc16_bitwise(&bytes));
 
-        let one_shot = mtp_wire::integrity::crc16_ccitt(&bytes);
-        let cut = (bytes.len() as f64 * cut_frac) as usize;
-        let mut streaming = mtp_wire::integrity::Crc16::new();
-        streaming.update(&bytes[..cut]);
-        streaming.update(&bytes[cut..]);
-        prop_assert_eq!(streaming.finish(), one_shot);
+        let sealed = hdr.to_sealed_bytes().unwrap();
+        let mut zeroed = sealed[..sealed.len() - PAYLOAD_CSUM_LEN].to_vec();
+        zeroed[42..44].fill(0);
+        let stored = u16::from_be_bytes([sealed[42], sealed[43]]);
+        prop_assert_eq!(stored, crc16_bitwise(&zeroed));
+        prop_assert!(MtpHeader::parse_sealed(&sealed).is_ok());
     }
 
     /// Mutated-valid bridged frames: flips anywhere in the encapsulation
