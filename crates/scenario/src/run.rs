@@ -1196,7 +1196,7 @@ pub fn execute_cell(s: &Scenario, p: Protocol, seed: u64) -> CellRun {
                 ..
             },
             Some(series),
-        ) if period_us >= goodput_bin_us => Some(mean_recovery_us(
+        ) => Some(mean_recovery_us(
             series,
             (period_us / goodput_bin_us) as usize,
             *goodput_bin_us as f64,

@@ -18,7 +18,7 @@
 //! with a [`SchemaError`] naming the offending field. Decode never
 //! panics on arbitrary input — the proptest suite pins this.
 
-use std::fmt;
+use std::fmt::{self, Display};
 use std::ops::RangeInclusive;
 
 use crate::toml::{format_key, parse, Table, TomlError, Value};
@@ -935,8 +935,9 @@ pub trait Keys: Sized {
     /// lowercase hex digits.
     fn pins(&mut self, key: &str, v: &mut Vec<(String, String)>) -> Walk;
     /// A relationship between keys already walked: refused at `key` with
-    /// `msg` unless `ok`.
-    fn rule(&mut self, key: &str, ok: bool, msg: impl fmt::Display) -> Walk;
+    /// `msg` unless `ok`. `fix` is the repair that makes it hold: the
+    /// decoder and the emitter ignore it, the generator calls it.
+    fn rule(&mut self, key: impl Display, ok: bool, msg: impl Display, fix: impl FnOnce()) -> Walk;
 
     /// An integer in `range`, `default` when absent.
     fn u64_or(&mut self, key: &str, v: &mut u64, range: RangeInclusive<u64>, default: u64) -> Walk {
@@ -1032,7 +1033,7 @@ fn link_keys<K: Keys>(k: &mut K, l: &mut LinkParams) -> Walk {
     k.u64_or("ecn_k", &mut l.ecn_k, 0..=100_000, DEFAULT_ECN_K)?;
     let (queue_pkts, ecn_k) = (l.queue_pkts, l.ecn_k);
     let msg = format_args!("must be <= queue_pkts ({queue_pkts}), got {ecn_k}");
-    k.rule("ecn_k", ecn_k <= queue_pkts, msg)
+    k.rule("ecn_k", ecn_k <= queue_pkts, msg, || l.ecn_k = queue_pkts)
 }
 
 #[rustfmt::skip]
@@ -1049,9 +1050,13 @@ fn topology_keys<K: Keys>(k: &mut K, t: &mut Topology) -> Walk {
             k.pick("strategy", strategy, &TWO_PATH_STRATEGIES)?;
             if let TwoPathStrategy::Alternate { period_us } = strategy {
                 k.u64("alternate_period_us", period_us, 1..=MAX_HORIZON_US)?;
+                // The runner cuts the goodput series into phases of whole bins.
+                let (period, bin) = (*period_us, *goodput_bin_us);
+                let msg = format_args!("must be a multiple of goodput_bin_us ({bin}), got {period}");
+                k.rule("alternate_period_us", period.is_multiple_of(bin), msg, || *period_us = (period - period % bin).max(bin))?;
             }
             let ok = *pathlets == 2 || *strategy != TwoPathStrategy::MtpLb;
-            k.rule("pathlets", ok, "strategy `mtp-lb` balances over two pathlets")
+            k.rule("pathlets", ok, "strategy `mtp-lb` balances over two pathlets", || *pathlets = 2)
         }
         Topology::Dumbbell { edge, shared, goodput_bin_us, isolation, trimming } => {
             k.table("edge", |k| link_keys(k, edge))?;
@@ -1062,7 +1067,7 @@ fn topology_keys<K: Keys>(k: &mut K, t: &mut Topology) -> Walk {
             k.u64_or("goodput_bin_us", goodput_bin_us, 1..=1_000_000, 100)?;
             k.opt_pick("isolation", isolation, &ISOLATIONS)?;
             let msg = "a trimming queue is one FIFO; it cannot also isolate tenants";
-            k.rule("shared.trimming", !*trimming || isolation.is_none(), msg)
+            k.rule("shared.trimming", !*trimming || isolation.is_none(), msg, || *trimming = false)
         }
         Topology::LeafSpine { leaves, spines, hosts_per_leaf, host_link, spine_link, strategy } => {
             k.u64("leaves", leaves, 2..=16)?;
@@ -1085,13 +1090,20 @@ fn topology_keys<K: Keys>(k: &mut K, t: &mut Topology) -> Walk {
 fn size_keys<K: Keys>(k: &mut K, [lo, hi]: [&str; 2], min: &mut u64, max: &mut u64) -> Walk {
     k.u64(lo, min, 1..=MAX_MSG_BYTES)?;
     k.u64(hi, max, 1..=MAX_MSG_BYTES)?;
-    k.rule(lo, *min <= *max, format_args!("must be <= {hi} ({max})"))
+    k.rule(lo, *min <= *max, format_args!("must be <= {hi} ({max})"), || *min = *max)
 }
 
 #[rustfmt::skip]
-fn workload_keys<K: Keys>(k: &mut K, w: &mut Workload, horizon_us: u64) -> Walk {
+fn workload_keys<K: Keys>(k: &mut K, w: &mut Workload, t: &Topology, horizon_us: u64) -> Walk {
     const BYTES: RangeInclusive<u64> = 1..=MAX_MSG_BYTES;
     k.pick("kind", w, &WORKLOADS)?;
+    let (kind, on) = (w.kind(), t.kind());
+    let msg = format_args!("workload `{kind}` does not run on topology `{on}`");
+    k.rule("kind", t.runs(w), msg, || {
+        if let Some((_, first)) = WORKLOADS.all.iter().find(|(_, b)| t.runs(b)) {
+            *w = first.clone();
+        }
+    })?;
     match w {
         Workload::Periodic { count, bytes, interval_us } => {
             k.u64("count", count, 1..=100_000)?;
@@ -1101,6 +1113,9 @@ fn workload_keys<K: Keys>(k: &mut K, w: &mut Workload, horizon_us: u64) -> Walk 
         Workload::Single { bytes, start_step_us, chunk_bytes } => {
             k.u64("bytes", bytes, BYTES)?;
             k.opt_u64("start_step_us", start_step_us, 1..=MAX_HORIZON_US)?;
+            let alternates = matches!(t, Topology::TwoPath { strategy: TwoPathStrategy::Alternate { .. }, .. });
+            let msg = "a stepped start needs an alternate two-path (it is a phase of the flip period)";
+            k.rule("start_step_us", alternates || start_step_us.is_none(), msg, || *start_step_us = None)?;
             k.opt_u64("chunk_bytes", chunk_bytes, bytes.div_ceil(MAX_CHUNKS)..=*bytes)
         }
         Workload::Poisson { load, min_bytes, max_bytes, until_us } => {
@@ -1114,7 +1129,7 @@ fn workload_keys<K: Keys>(k: &mut K, w: &mut Workload, horizon_us: u64) -> Walk 
             k.u64("elephants", elephants, 0..=16)?;
             k.u64("elephant_bytes", elephant_bytes, BYTES)?;
             k.u64("mice", mice, 0..=16)?;
-            k.rule("elephants", *elephants + *mice > 0, "need at least one tenant")?;
+            k.rule("elephants", *elephants + *mice > 0, "need at least one tenant", || *mice = 1)?;
             k.f64("mice_load", mice_load, Reals::Fraction)?;
             size_keys(k, ["mice_min_bytes", "mice_max_bytes"], mice_min_bytes, mice_max_bytes)
         }
@@ -1143,57 +1158,76 @@ fn workload_keys<K: Keys>(k: &mut K, w: &mut Workload, horizon_us: u64) -> Walk 
 fn window_keys<K: Keys>(k: &mut K, from_us: &mut u64, to_us: &mut u64, horizon_us: u64) -> Walk {
     k.u64("from_us", from_us, 0..=horizon_us)?;
     k.u64("to_us", to_us, 0..=horizon_us)?;
-    k.rule("to_us", *to_us > *from_us, format_args!("must be > from_us ({from_us}), got {to_us}"))
+    let (from, to) = (*from_us, *to_us);
+    k.rule("to_us", to > from, format_args!("must be > from_us ({from}), got {to}"), || {
+        *from_us = from.min(to).min(horizon_us - 1);
+        *to_us = from.max(to).max(*from_us + 1);
+    })
+}
+
+/// A fault's `link`: one of the names topology `t` publishes for a link,
+/// or for a pair of links when `pair`.
+#[rustfmt::skip]
+fn link_key<K: Keys>(k: &mut K, link: &mut String, t: &Topology, pair: bool) -> Walk {
+    let (what, names) = if pair { ("link pair", t.pair_names()) } else { ("link", t.link_names()) };
+    k.str("link", link)?;
+    let ok = names.contains(&link.as_str());
+    // Built only for a refusal: the repair rewrites `link`, so `msg` cannot borrow it.
+    let msg = (!ok).then(|| format!("unknown {what} `{link}` on `{}` (valid: {names:?})", t.kind()));
+    k.rule("link", ok, msg.unwrap_or_default(), || *link = names[link.len() % names.len()].to_string())
 }
 
 #[rustfmt::skip]
-fn fault_keys<K: Keys>(k: &mut K, f: &mut FaultSpec, horizon_us: u64) -> Walk {
+fn fault_keys<K: Keys>(k: &mut K, f: &mut FaultSpec, t: &Topology, horizon_us: u64) -> Walk {
     let at = 0..=horizon_us;
     k.pick("kind", f, &FAULTS)?;
     match f {
         FaultSpec::CutBoth { link, from_us, to_us, mode } => {
             window_keys(k, from_us, to_us, horizon_us)?;
-            k.str("link", link)?;
+            link_key(k, link, t, true)?;
             k.pick("mode", mode, &FAIL_MODES)
         }
         FaultSpec::LinkDown { link, at_us, mode } => {
-            k.str("link", link)?;
+            link_key(k, link, t, false)?;
             k.u64("at_us", at_us, at)?;
             k.pick("mode", mode, &FAIL_MODES)
         }
         FaultSpec::LinkUp { link, at_us } => {
-            k.str("link", link)?;
+            link_key(k, link, t, false)?;
             k.u64("at_us", at_us, at)
         }
         FaultSpec::Degrade { link, at_us, rate_gbps, delay_us } => {
-            k.str("link", link)?;
+            link_key(k, link, t, false)?;
             k.u64("at_us", at_us, at)?;
             rate_delay(k, rate_gbps, delay_us)
         }
         FaultSpec::CorruptRate { link, at_us, ppm, flips, seed_xor } => {
             k.u64("ppm", ppm, 0..=1_000_000)?;
             k.u64("flips", flips, 0..=3)?;
-            k.rule("flips", *ppm == 0 || *flips > 0, "must be >= 1 when ppm > 0")?;
-            k.str("link", link)?;
+            k.rule("flips", *ppm == 0 || *flips > 0, "must be >= 1 when ppm > 0", || *flips = 1)?;
+            link_key(k, link, t, false)?;
             k.u64("at_us", at_us, at)?;
             k.u64_or("seed_xor", seed_xor, 0..=MAX_INT, 0)
         }
         FaultSpec::BitflipBurst { link, at_us, pkts, flips, seed_xor } => {
-            k.str("link", link)?;
+            link_key(k, link, t, false)?;
             k.u64("at_us", at_us, at)?;
             k.u64("pkts", pkts, 1..=1_000_000)?;
             k.u64("flips", flips, 1..=3)?;
             k.u64_or("seed_xor", seed_xor, 0..=MAX_INT, 0)
         }
         FaultSpec::TruncateBurst { link, at_us, pkts, seed_xor } => {
-            k.str("link", link)?;
+            link_key(k, link, t, false)?;
             k.u64("at_us", at_us, at)?;
             k.u64("pkts", pkts, 1..=1_000_000)?;
             k.u64_or("seed_xor", seed_xor, 0..=MAX_INT, 0)
         }
         FaultSpec::CrashRestart { node, from_us, to_us } => {
             window_keys(k, from_us, to_us, horizon_us)?;
-            k.str("node", node)
+            k.str("node", node)?;
+            let ok = t.node_name_ok(node);
+            let msg = (!ok).then(|| format!("unknown node `{node}` on `{}`", t.kind()));
+            k.rule("node", ok, msg.unwrap_or_default(), || *node = "spine0".into())
         }
     }
 }
@@ -1220,7 +1254,7 @@ fn assert_keys<K: Keys>(k: &mut K, a: &mut Asserts) -> Walk {
     k.span("window_us", &mut a.window_us)?;
     if let Some((from, to)) = a.window_us {
         let msg = format_args!("window end must be > start, got [{from}, {to}]");
-        k.rule("window_us", to > from, msg)?;
+        k.rule("window_us", to > from, msg, || a.window_us = Some((to.min(from.saturating_sub(1)), from.max(1))))?;
     }
     k.u64_or("warmup_bins", &mut a.warmup_bins, 0..=1_000_000, 0)?;
     k.opt_u64("fct_below_bytes", &mut a.fct_below_bytes, 1..=MAX_MSG_BYTES)?;
@@ -1228,21 +1262,116 @@ fn assert_keys<K: Keys>(k: &mut K, a: &mut Asserts) -> Walk {
     k.pins("digests", &mut a.digests)
 }
 
-/// Every key of a scenario file, in file order: the one declaration the
-/// decoder, and the property suite's emitter and generator, walk.
+/// Every protocol has a driver on the topology running the workload, and
+/// `[tcp]`'s per-message connections have a TCP cell and a dumbbell.
+#[rustfmt::skip]
+fn driver_rules<K: Keys>(k: &mut K, s: &mut Scenario) -> Walk {
+    let (t, w) = (&s.topology, &s.workload);
+    let alien = s.protocols.iter().copied().find(|&p| !t.supports(p, w));
+    let (key, on, name) = match t {
+        Topology::TwoPath { .. } => ("topology.strategy", "strategy", "mtp-lb"),
+        Topology::Dumbbell { isolation: Some(Isolation::FairShare), .. } => ("topology.isolation", "isolation", "fair-share"),
+        Topology::Dumbbell { .. } => ("scenario.protocols", "topology `dumbbell` with workload", w.kind()),
+        _ => ("scenario.protocols", "topology", t.kind()),
+    };
+    let (p, only) = (alien.map_or("", |p| p.key()), if alien == Some(Protocol::Mtp) { "TCP" } else { "mtp" });
+    let msg = format_args!("protocol `{p}` has no driver on {on} `{name}` (only {only} runs there)");
+    k.rule(key, alien.is_none(), msg, || {
+        s.protocols.retain(|&p| t.supports(p, w));
+        let first = PROTOCOLS.all.iter().map(|&(_, p)| p).find(|&p| t.supports(p, w));
+        if s.protocols.is_empty() { s.protocols.extend(first) }
+    })?;
+    let tcp = s.protocols.iter().any(|&p| p != Protocol::Mtp);
+    let (per_message, on) = (&mut s.tcp.conn_per_message, t.kind());
+    let msg = "no TCP protocol in scenario.protocols";
+    k.rule("tcp.conn_per_message", !*per_message || tcp, msg, || *per_message = false)?;
+    let ok = !*per_message || matches!(t, Topology::Dumbbell { .. });
+    let msg = format_args!("only the dumbbell opens a connection per message, not `{on}`");
+    k.rule("tcp.conn_per_message", ok, msg, || *per_message = false)
+}
+
+/// What `[assert]`'s bounds and pins need from the rest of the file.
+#[rustfmt::skip]
+fn assert_rules<K: Keys>(k: &mut K, s: &mut Scenario) -> Walk {
+    let (a, t, protocols, seeds) = (&mut s.asserts, &s.topology, &s.protocols, &s.seeds);
+    // Corruption accounting needs hardened-device counters, which the
+    // runner reads off the diamond's named switches.
+    let ok = !a.corruption_accounting || matches!(t, Topology::Diamond { .. });
+    let msg = "only supported on the diamond topology";
+    k.rule("assert.corruption_accounting", ok, msg, || a.corruption_accounting = false)?;
+    let stray = a.cells.iter().map(|&(p, _)| p).find(|p| !protocols.contains(p));
+    let (key, msg) = (stray.map_or("", |p| p.key()), "protocol is not in scenario.protocols");
+    k.rule(format_args!("assert.cells.{key}"), stray.is_none(), msg, || a.cells.retain(|(p, _)| protocols.contains(p)))?;
+    for (p, c) in &mut a.cells {
+        let key = p.key();
+        let ok = c.during_window_min.is_none() && c.during_window_max.is_none() || a.window_us.is_some();
+        let msg = "during_window_* bounds need assert.window_us";
+        k.rule(format_args!("assert.cells.{key}"), ok, msg, || (c.during_window_min, c.during_window_max) = (None, None))?;
+        let ok = c.goodput_mean_min_gbps.is_none() || !matches!(t, Topology::LeafSpine { .. });
+        let msg = "leaf-spine cells report no goodput series";
+        k.rule(format_args!("assert.cells.{key}.goodput_mean_min_gbps"), ok, msg, || c.goodput_mean_min_gbps = None)?;
+        let ok = c.tenant_ratio_max.is_none() || s.workload.tenant_of_sender().last().is_some_and(|&n| n >= 2);
+        let msg = "needs a dumbbell workload with at least two tenants";
+        k.rule(format_args!("assert.cells.{key}.tenant_ratio_max"), ok, msg, || c.tenant_ratio_max = None)?;
+    }
+    let bad = a.digests.iter().find_map(|(key, _)| {
+        let msg = pin_refusal(key, protocols, seeds)?;
+        Some((format!("assert.digests.{}", format_key(key)), msg))
+    });
+    let (key, msg) = bad.as_ref().map_or(("", ""), |(k, m)| (k.as_str(), m.as_str()));
+    k.rule(key, bad.is_none(), msg, || {
+        for (i, (key, _)) in a.digests.iter_mut().enumerate() {
+            if pin_refusal(key, protocols, seeds).is_some() {
+                *key = format!("{}/{}", protocols[i % protocols.len()].key(), seeds[i % seeds.len()]);
+            }
+        }
+        // A table holds each key once.
+        a.digests.sort_unstable();
+        a.digests.dedup_by(|x, y| x.0 == y.0);
+    })
+}
+
+/// Why the runner would look up no cell by the pin `key`, if it would not.
+fn pin_refusal(key: &str, protocols: &[Protocol], seeds: &[u64]) -> Option<String> {
+    let Some((proto, seed)) = key.split_once('/') else {
+        return Some("digest key must be `protocol/seed`".into());
+    };
+    let Some(p) = PROTOCOLS.value(proto) else {
+        return Some(PROTOCOLS.unknown(proto));
+    };
+    if !protocols.contains(p) {
+        return Some("protocol is not in scenario.protocols".into());
+    }
+    // Canonical spelling only: the runner looks a pin up by
+    // `protocol/{seed}`, so `mtp/011` or `mtp/+11` would match no cell.
+    let Some(seed) = seed.parse::<u64>().ok().filter(|n| n.to_string() == seed) else {
+        return Some(format!("`{seed}` is not a seed in plain decimal"));
+    };
+    (!seeds.contains(&seed)).then(|| format!("seed {seed} is not in scenario.seeds"))
+}
+
+/// Every key of a scenario file, in file order, and every relationship
+/// between them after the keys it reads: the one declaration the decoder,
+/// and the property suite's emitter and generator, walk.
 #[rustfmt::skip]
 pub fn scenario_keys<K: Keys>(k: &mut K, s: &mut Scenario) -> Walk {
     k.table("scenario", |k| {
         k.str("name", &mut s.name)?;
         let stem = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-' || c == '_';
         let ok = !s.name.is_empty() && s.name.chars().all(stem);
-        k.rule("name", ok, "must be non-empty and use only [a-z0-9_-] (it names the report file)")?;
+        k.rule("name", ok, "must be non-empty and use only [a-z0-9_-] (it names the report file)", || {
+            s.name.retain(stem);
+            if s.name.is_empty() { s.name.push('_') }
+        })?;
         k.str_or("description", &mut s.description)?;
         k.u64s("seeds", &mut s.seeds, &SEEDS)?;
         let seeds = &s.seeds;
-        if let Some(seed) = seeds.iter().find(|&&x| seeds.iter().filter(|&&y| y == x).count() > 1) {
-            k.rule("seeds", false, format_args!("duplicate seed {seed}"))?;
-        }
+        let dup = seeds.iter().copied().find(|&x| seeds.iter().filter(|&&y| y == x).count() > 1);
+        let msg = format_args!("duplicate seed {}", dup.unwrap_or_default());
+        k.rule("seeds", dup.is_none(), msg, || {
+            s.seeds.sort_unstable();
+            s.seeds.dedup();
+        })?;
         k.u64("horizon_us", &mut s.horizon_us, 1..=MAX_HORIZON_US)?;
         k.picks("protocols", &mut s.protocols, &PROTOCOLS)
     })?;
@@ -1250,9 +1379,11 @@ pub fn scenario_keys<K: Keys>(k: &mut K, s: &mut Scenario) -> Walk {
     k.table_or("tcp", |k| k.bool_or("conn_per_message", &mut s.tcp.conn_per_message, false))?;
     k.table("topology", |k| topology_keys(k, &mut s.topology))?;
     let horizon_us = s.horizon_us;
-    k.table("workload", |k| workload_keys(k, &mut s.workload, horizon_us))?;
-    k.tables("fault", &mut s.faults, |k, f| fault_keys(k, f, horizon_us))?;
-    k.table_or("assert", |k| assert_keys(k, &mut s.asserts))
+    k.table("workload", |k| workload_keys(k, &mut s.workload, &s.topology, horizon_us))?;
+    driver_rules(k, s)?;
+    k.tables("fault", &mut s.faults, |k, f| fault_keys(k, f, &s.topology, horizon_us))?;
+    k.table_or("assert", |k| assert_keys(k, &mut s.asserts))?;
+    assert_rules(k, s)
 }
 
 // -------------------------------------------------------------- decode
@@ -1511,15 +1642,16 @@ impl Keys for Decoder {
         Ok(())
     }
 
-    fn rule(&mut self, key: &str, ok: bool, msg: impl fmt::Display) -> Walk {
+    fn rule(&mut self, key: impl Display, ok: bool, msg: impl Display, _: impl FnOnce()) -> Walk {
         if ok {
             return Ok(());
         }
-        Err(self.fail(key, msg.to_string()))
+        Err(self.fail(&key.to_string(), msg.to_string()))
     }
 }
 
-/// Decode and validate a scenario from parsed TOML.
+/// Decode a scenario from parsed TOML: the decoder's walk over
+/// [`scenario_keys`], refused at the first key or rule that does not hold.
 pub fn from_table(root: Table) -> Result<Scenario, SchemaError> {
     let mut d = Decoder {
         t: root,
@@ -1528,185 +1660,10 @@ pub fn from_table(root: Table) -> Result<Scenario, SchemaError> {
     let mut s = Scenario::default();
     scenario_keys(&mut d, &mut s)?;
     d.finish()?;
-    validate(&s)?;
     Ok(s)
 }
 
-/// Cross-field validation: protocol/topology/workload compatibility,
-/// link and node references, assertion prerequisites.
-fn validate(s: &Scenario) -> Result<(), SchemaError> {
-    for p in &s.protocols {
-        if !s.topology.supports(*p, &s.workload) {
-            let (f, on) = match s.topology {
-                Topology::TwoPath { .. } => ("topology.strategy", "strategy `mtp-lb`".to_string()),
-                Topology::Dumbbell {
-                    isolation: Some(Isolation::FairShare),
-                    ..
-                } => ("topology.isolation", "isolation `fair-share`".to_string()),
-                Topology::Dumbbell { .. } => (
-                    "scenario.protocols",
-                    format!("topology `dumbbell` with workload `{}`", s.workload.kind()),
-                ),
-                _ => (
-                    "scenario.protocols",
-                    format!("topology `{}`", s.topology.kind()),
-                ),
-            };
-            let only = if *p == Protocol::Mtp { "TCP" } else { "mtp" };
-            return Err(err(
-                f,
-                format!(
-                    "protocol `{}` has no driver on {on} (only {only} runs there)",
-                    p.key()
-                ),
-            ));
-        }
-    }
-    if !s.topology.runs(&s.workload) {
-        return Err(err(
-            "workload.kind",
-            format!(
-                "workload `{}` does not run on topology `{}`",
-                s.workload.kind(),
-                s.topology.kind()
-            ),
-        ));
-    }
-    let alternates = matches!(
-        s.topology,
-        Topology::TwoPath {
-            strategy: TwoPathStrategy::Alternate { .. },
-            ..
-        }
-    );
-    if matches!(
-        s.workload,
-        Workload::Single {
-            start_step_us: Some(_),
-            ..
-        }
-    ) && !alternates
-    {
-        return Err(err(
-            "workload.start_step_us",
-            "a stepped start needs an alternate two-path (it is a phase of the flip period)",
-        ));
-    }
-    if s.tcp.conn_per_message {
-        if s.protocols.iter().all(|&p| p == Protocol::Mtp) {
-            return Err(err(
-                "tcp.conn_per_message",
-                "no TCP protocol in scenario.protocols",
-            ));
-        }
-        if !matches!(s.topology, Topology::Dumbbell { .. }) {
-            return Err(err(
-                "tcp.conn_per_message",
-                format!(
-                    "only the dumbbell opens a connection per message, not `{}`",
-                    s.topology.kind()
-                ),
-            ));
-        }
-    }
-    for (i, f) in s.faults.iter().enumerate() {
-        let prefix = format!("fault[{i}]");
-        match f {
-            FaultSpec::CutBoth { link, .. } => {
-                if !s.topology.pair_names().contains(&link.as_str()) {
-                    return Err(err(
-                        field(&prefix, "link"),
-                        format!(
-                            "unknown link pair `{link}` on `{}` (valid: {:?})",
-                            s.topology.kind(),
-                            s.topology.pair_names()
-                        ),
-                    ));
-                }
-            }
-            FaultSpec::LinkDown { link, .. }
-            | FaultSpec::LinkUp { link, .. }
-            | FaultSpec::Degrade { link, .. }
-            | FaultSpec::CorruptRate { link, .. }
-            | FaultSpec::BitflipBurst { link, .. }
-            | FaultSpec::TruncateBurst { link, .. } => {
-                if !s.topology.link_names().contains(&link.as_str()) {
-                    return Err(err(
-                        field(&prefix, "link"),
-                        format!(
-                            "unknown link `{link}` on `{}` (valid: {:?})",
-                            s.topology.kind(),
-                            s.topology.link_names()
-                        ),
-                    ));
-                }
-            }
-            FaultSpec::CrashRestart { node, .. } => {
-                if !s.topology.node_name_ok(node) {
-                    return Err(err(
-                        field(&prefix, "node"),
-                        format!("unknown node `{node}` on `{}`", s.topology.kind()),
-                    ));
-                }
-            }
-        }
-    }
-    // Corruption accounting needs hardened-device counters, which the
-    // runner reads off the diamond's named switches.
-    if s.asserts.corruption_accounting && !matches!(s.topology, Topology::Diamond { .. }) {
-        return Err(err(
-            "assert.corruption_accounting",
-            "only supported on the diamond topology",
-        ));
-    }
-    for (p, c) in &s.asserts.cells {
-        let f = format!("assert.cells.{}", p.key());
-        if !s.protocols.contains(p) {
-            return Err(err(f, "protocol is not in scenario.protocols"));
-        }
-        if (c.during_window_min.is_some() || c.during_window_max.is_some())
-            && s.asserts.window_us.is_none()
-        {
-            return Err(err(f, "during_window_* bounds need assert.window_us"));
-        }
-        if c.goodput_mean_min_gbps.is_some() && matches!(s.topology, Topology::LeafSpine { .. }) {
-            return Err(err(
-                format!("{f}.goodput_mean_min_gbps"),
-                "leaf-spine cells report no goodput series",
-            ));
-        }
-        let tenants = s.workload.tenant_of_sender().last().copied().unwrap_or(0);
-        if c.tenant_ratio_max.is_some() && tenants < 2 {
-            return Err(err(
-                format!("{f}.tenant_ratio_max"),
-                "needs a dumbbell workload with at least two tenants",
-            ));
-        }
-    }
-    for (key, _) in &s.asserts.digests {
-        let f = format!("assert.digests.{}", format_key(key));
-        let Some((proto, seed)) = key.split_once('/') else {
-            return Err(err(f, "digest key must be `protocol/seed`"));
-        };
-        let Some(&p) = PROTOCOLS.value(proto) else {
-            return Err(err(f, PROTOCOLS.unknown(proto)));
-        };
-        if !s.protocols.contains(&p) {
-            return Err(err(f, "protocol is not in scenario.protocols"));
-        }
-        // Canonical spelling only: the runner looks a pin up by
-        // `protocol/{seed}`, so `mtp/011` or `mtp/+11` would match no cell.
-        let Some(seed) = seed.parse::<u64>().ok().filter(|n| n.to_string() == seed) else {
-            return Err(err(f, format!("`{seed}` is not a seed in plain decimal")));
-        };
-        if !s.seeds.contains(&seed) {
-            return Err(err(f, format!("seed {seed} is not in scenario.seeds")));
-        }
-    }
-    Ok(())
-}
-
-/// Parse + decode + validate a scenario from TOML text.
+/// Parse TOML text and decode it with [`from_table`].
 pub fn from_str(input: &str) -> Result<Scenario, LoadError> {
     let root = parse(input).map_err(LoadError::Parse)?;
     from_table(root).map_err(LoadError::Schema)

@@ -6,6 +6,7 @@
 
 use mtp_scenario::schema::{scenario_keys, Keys, List, Names, Reals, Scenario, SchemaError};
 use mtp_scenario::toml::{escape_basic, format_key};
+use std::fmt::Display;
 use std::ops::RangeInclusive;
 
 type Walk = Result<(), SchemaError>;
@@ -149,7 +150,7 @@ impl Keys for Emit {
         self.put(key, t)
     }
 
-    fn rule(&mut self, _: &str, _: bool, _: impl std::fmt::Display) -> Walk {
+    fn rule(&mut self, _: impl Display, _: bool, _: impl Display, _: impl FnOnce()) -> Walk {
         Ok(())
     }
 }

@@ -6,14 +6,17 @@
 //!    zero-latency links are rejected with a [`SchemaError`] naming the
 //!    offending field — never a panic. Every bounded key is offered just
 //!    outside its range, and every kind-scoped key under a kind that does
-//!    not list it.
+//!    not list it. Every rule between keys is refused at its own key,
+//!    with its own message, when it alone fails.
 //! 3. **Total decoding**: `from_str` never panics, on arbitrary byte
 //!    soup or on mutated-valid documents.
 //!
 //! The generator, the probe and the catalog are one [`Keys`] walk over
-//! `scenario_keys`, so each key's range is written once, in the schema.
+//! `scenario_keys`, so each key's range, and each rule between keys with
+//! its repair, is written once, in the schema.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 use std::ops::RangeInclusive;
 
 use proptest::prelude::*;
@@ -25,8 +28,7 @@ mod emit;
 use emit::to_toml;
 use mtp_scenario::schema::{
     self, from_str, from_table, scenario_keys, CellAsserts, FaultSpec, Keys, List, LoadError,
-    Names, Protocol, Reals, Scenario, SchemaError, Topology, TwoPathStrategy, Workload, FAULTS,
-    PROTOCOLS, TOPOLOGIES, WORKLOADS,
+    Names, Reals, Scenario, SchemaError, Topology, FAULTS, PROTOCOLS, TOPOLOGIES, WORKLOADS,
 };
 use mtp_scenario::toml::{parse, Table, Value};
 
@@ -48,20 +50,26 @@ enum Bound {
 }
 
 /// The test's [`Keys`] walk. With an RNG it is the generator: it draws
-/// every key in its range, and the relationships between keys of one
-/// table as it goes; it gives each optional key already set, and keeps
-/// the shape `draw` chose (each sum type's kind, the faults, cells,
-/// protocols and pins). With a catalog round it gives every optional key
-/// and takes each round's name. Otherwise it is the probe: it changes
-/// nothing. All three record what they visit.
+/// every key in its range and calls each failing rule's repair, except
+/// the `spare`-th's, after which it repairs nothing; it gives each
+/// optional key already set, and keeps the shape `draw` chose (each sum
+/// type's kind, the faults, cells, protocols and the number of pins).
+/// With a catalog round it gives every optional key and takes each
+/// round's name. Otherwise it is the probe: it changes nothing. All three
+/// record what they visit.
 #[derive(Default)]
 struct Trail<'r> {
     rng: Option<&'r mut SmallRng>,
     round: Option<usize>,
-    /// The generator's topology: it names the links and nodes faults use.
-    topology: Topology,
-    /// The integers drawn so far in the table walked.
-    drawn: BTreeMap<String, u64>,
+    /// The failing rule the generator leaves for the decoder, from 0.
+    spare: Option<usize>,
+    /// Failing rules the generator has met.
+    failed: usize,
+    /// The spared rule's refusal.
+    refusal: Option<SchemaError>,
+    /// A repair changed the kind of the table walked: its keys are not
+    /// the kind `pick` recorded, so they are not credited to it.
+    rekinded: bool,
     /// Field path of the table walked, as refusals spell it.
     field: Vec<String>,
     /// The same with each sum type's kind in place: `fault[cut_both]`.
@@ -75,27 +83,55 @@ struct Trail<'r> {
 
 impl Trail<'_> {
     fn visit(&mut self, key: &str) {
+        if self.rekinded {
+            return;
+        }
         let scope = self.scope.join(".");
         self.seen
             .insert(format!("{scope}.{key}").trim_start_matches('.').into());
     }
 
+    /// The field path of `key` in the table walked.
+    fn path(&self, key: impl Display) -> String {
+        let field = format!("{}.{key}", self.field.join("."));
+        field.trim_start_matches('.').to_string()
+    }
+
     fn bound(&mut self, key: &str, b: Bound) {
         self.visit(key);
-        let field = format!("{}.{key}", self.field.join("."));
-        let field = field.trim_start_matches('.').to_string();
+        let field = self.path(key);
         self.bounds.push((field, b));
     }
 
     fn within<R>(&mut self, field: String, scope: &str, f: impl FnOnce(&mut Self) -> R) -> R {
         self.field.push(field);
         self.scope.push(scope.to_string());
-        self.drawn.clear();
         let r = f(self);
         self.field.pop();
         self.scope.pop();
+        self.rekinded = false;
         r
     }
+}
+
+/// An integer in `r`, one time in four its low end, where relationships
+/// between keys fail most (no tenants, a repeated seed).
+fn int(rng: &mut SmallRng, r: RangeInclusive<u64>) -> u64 {
+    if rng.gen_bool(0.25) {
+        *r.start()
+    } else {
+        rng.gen_range(r)
+    }
+}
+
+/// A string of everything `escape_basic` has to handle.
+fn text(rng: &mut SmallRng) -> String {
+    const CHARS: &[char] = &[
+        'a', 'Z', '0', ' ', '.', ',', '"', '\\', '\n', '\t', '#', '=', '[', ']', 'é', '€',
+    ];
+    (0..rng.gen_range(0..=40))
+        .map(|_| *pick(rng, CHARS))
+        .collect()
 }
 
 impl Keys for Trail<'_> {
@@ -109,21 +145,7 @@ impl Keys for Trail<'_> {
 
     fn u64(&mut self, key: &str, v: &mut u64, range: RangeInclusive<u64>) -> Walk {
         if let Some(rng) = &mut self.rng {
-            // The relationships `from_table` checks inside a table.
-            let (lo, hi) = (*range.start(), *range.end());
-            let drawn = |k: &str| self.drawn.get(k).copied().unwrap_or_default();
-            let (lo, hi) = match key {
-                "ecn_k" => (lo, hi.min(drawn("queue_pkts"))),
-                "max_bytes" => (drawn("min_bytes"), hi),
-                "mice_max_bytes" => (drawn("mice_min_bytes"), hi),
-                "from_us" => (lo, hi - 1),
-                "to_us" => (drawn("from_us") + 1, hi),
-                "flips" if drawn("ppm") > 0 => (lo.max(1), hi),
-                "mice" if drawn("elephants") == 0 => (1, hi),
-                _ => (lo, hi),
-            };
-            *v = rng.gen_range(lo..=hi);
-            self.drawn.insert(key.to_string(), *v);
+            *v = int(rng, range.clone());
         }
         self.bound(key, Bound::Int(range));
         Ok(())
@@ -152,24 +174,8 @@ impl Keys for Trail<'_> {
     }
 
     fn str(&mut self, key: &str, v: &mut String) -> Walk {
-        // Everything escape_basic has to handle.
-        const CHARS: &[char] = &[
-            'a', 'Z', '0', ' ', '.', ',', '"', '\\', '\n', '\t', '#', '=', '[', ']', 'é', '€',
-        ];
-        const NAME: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_-";
-        let t = &self.topology;
-        let cut = self.scope.last().is_some_and(|s| s == "fault[cut_both]");
         if let Some(rng) = &mut self.rng {
-            *v = match key {
-                "name" => (0..rng.gen_range(1..=20))
-                    .map(|_| *pick(rng, NAME) as char)
-                    .collect(),
-                "link" if cut => pick(rng, t.pair_names()).to_string(),
-                "link" => pick(rng, t.link_names()).to_string(),
-                _ => (0..rng.gen_range(0..=40))
-                    .map(|_| *pick(rng, CHARS))
-                    .collect(),
-            };
+            *v = text(rng);
         }
         self.visit(key);
         Ok(())
@@ -196,7 +202,7 @@ impl Keys for Trail<'_> {
         if let Some(rng) = &mut self.rng {
             let (lo, hi) = (*list.len.start(), *list.len.end());
             let n = rng.gen_range(lo..=hi.min(lo + 4));
-            *v = (0..n).map(|_| rng.gen_range(list.each.clone())).collect();
+            *v = (0..n).map(|_| int(rng, list.each.clone())).collect();
         }
         self.bound(key, Bound::Items(list.each.clone()));
         Ok(())
@@ -258,7 +264,9 @@ impl Keys for Trail<'_> {
 
     fn pins(&mut self, key: &str, v: &mut Vec<(String, String)>) -> Walk {
         if let Some(rng) = &mut self.rng {
-            for (_, hex) in v.iter_mut() {
+            for (i, (pin, hex)) in v.iter_mut().enumerate() {
+                // The index first keeps them distinct, as a table's keys are.
+                *pin = format!("{i}{}", text(rng));
                 *hex = format!("{:016x}", rng.gen_range(0..u64::MAX));
             }
         }
@@ -266,7 +274,21 @@ impl Keys for Trail<'_> {
         Ok(())
     }
 
-    fn rule(&mut self, _: &str, _: bool, _: impl std::fmt::Display) -> Walk {
+    fn rule(&mut self, key: impl Display, ok: bool, msg: impl Display, fix: impl FnOnce()) -> Walk {
+        if ok || self.rng.is_none() || self.refusal.is_some() {
+            return Ok(());
+        }
+        if self.spare == Some(self.failed) {
+            let field = self.path(key);
+            self.refusal = Some(SchemaError {
+                field,
+                msg: msg.to_string(),
+            });
+        } else {
+            self.rekinded |= key.to_string() == "kind";
+            fix();
+        }
+        self.failed += 1;
         Ok(())
     }
 }
@@ -278,18 +300,13 @@ fn pick<'a, T>(rng: &mut SmallRng, items: &'a [T]) -> &'a T {
 }
 
 fn arb_scenario(rng: &mut SmallRng) -> Scenario {
-    draw(rng).0
+    draw(rng, None).0
 }
 
-/// A valid scenario and the keys drawn for it: the shape by hand, every
-/// key by the walk, then the relationships between keys made to hold.
-fn draw(rng: &mut SmallRng) -> (Scenario, BTreeSet<String>) {
+/// A scenario and the generator that walked it: the shape by hand, every
+/// key by the walk, which repairs each rule that fails but the `spare`-th.
+fn draw(rng: &mut SmallRng, spare: Option<usize>) -> (Scenario, Trail<'_>) {
     let topology = pick(rng, TOPOLOGIES.all).1.clone();
-    let workloads: Vec<_> = WORKLOADS
-        .all
-        .iter()
-        .filter(|(_, w)| topology.runs(w))
-        .collect();
     let leaf_spine = matches!(topology, Topology::LeafSpine { .. });
     let faults: Vec<_> = (FAULTS.all.iter())
         .filter(|(_, f)| match f {
@@ -304,14 +321,17 @@ fn draw(rng: &mut SmallRng) -> (Scenario, BTreeSet<String>) {
     } else {
         rng.gen_range(0..=3)
     };
+    // Any non-empty set of protocols; the rules drop those with no driver.
+    let mask = rng.gen_range(1..1u32 << PROTOCOLS.all.len());
     let mut s = Scenario {
-        workload: pick(rng, &workloads).1.clone(),
+        workload: pick(rng, WORKLOADS.all).1.clone(),
         faults: (0..n_faults)
             .map(|_| pick(rng, &faults).1.clone())
             .collect(),
-        protocols: (PROTOCOLS.all.iter())
-            .filter(|_| rng.gen_bool(0.5))
-            .map(|(_, p)| *p)
+        protocols: (0..)
+            .zip(PROTOCOLS.all)
+            .filter(|(i, _)| mask >> i & 1 == 1)
+            .map(|(_, (_, p))| *p)
             .collect(),
         topology,
         ..Scenario::default()
@@ -323,80 +343,11 @@ fn draw(rng: &mut SmallRng) -> (Scenario, BTreeSet<String>) {
     s.asserts.digests = vec![Default::default(); rng.gen_range(0..=2)];
     let mut gen = Trail {
         rng: Some(rng),
-        topology: s.topology.clone(),
+        spare,
         ..Trail::default()
     };
     scenario_keys(&mut gen, &mut s).expect("drawing refuses nothing");
-    let drawn = gen.seen;
-    conform(&mut s, rng);
-    (s, drawn)
-}
-
-/// Make the relationships between drawn keys across tables hold
-/// (`from_table`'s rules, once more).
-fn conform(s: &mut Scenario, rng: &mut SmallRng) {
-    s.seeds.sort_unstable();
-    s.seeds.dedup();
-    let mut alternates = false;
-    if let Topology::TwoPath {
-        strategy, pathlets, ..
-    } = &mut s.topology
-    {
-        alternates = matches!(strategy, TwoPathStrategy::Alternate { .. });
-        if *strategy == TwoPathStrategy::MtpLb {
-            *pathlets = 2;
-        }
-    }
-    if let Topology::Dumbbell {
-        isolation,
-        trimming,
-        ..
-    } = &mut s.topology
-    {
-        *trimming &= isolation.is_none();
-    }
-    if let Workload::Single { start_step_us, .. } = &mut s.workload {
-        *start_step_us = start_step_us.filter(|_| alternates);
-    }
-    if let Topology::LeafSpine { spines, .. } = s.topology {
-        for f in &mut s.faults {
-            if let FaultSpec::CrashRestart { node, .. } = f {
-                *node = format!("spine{}", rng.gen_range(0..spines));
-            }
-        }
-    }
-    let w = s.workload.clone();
-    s.protocols.retain(|&p| s.topology.supports(p, &w));
-    if s.protocols.is_empty() {
-        let mut all = PROTOCOLS.all.iter().map(|(_, p)| *p);
-        let first = all.find(|&p| s.topology.supports(p, &w));
-        s.protocols.extend(first);
-    }
-    let tcp = s.protocols.iter().any(|&p| p != Protocol::Mtp);
-    s.tcp.conn_per_message &= tcp && matches!(s.topology, Topology::Dumbbell { .. });
-
-    let a = &mut s.asserts;
-    a.corruption_accounting &= matches!(s.topology, Topology::Diamond { .. });
-    if let Some((from, to)) = &mut a.window_us {
-        (*from, *to) = ((*from).min(*to), (*from).max(*to).max(1));
-        *from = (*from).min(*to - 1);
-    }
-    a.cells.retain(|(p, _)| s.protocols.contains(p));
-    let goodput = !matches!(s.topology, Topology::LeafSpine { .. });
-    let tenants = s.workload.tenant_of_sender().last().copied().unwrap_or(0);
-    for (_, c) in &mut a.cells {
-        if a.window_us.is_none() {
-            (c.during_window_min, c.during_window_max) = (None, None);
-        }
-        c.goodput_mean_min_gbps = c.goodput_mean_min_gbps.filter(|_| goodput);
-        c.tenant_ratio_max = c.tenant_ratio_max.filter(|_| tenants >= 2);
-    }
-    for (key, _) in &mut a.digests {
-        let (p, seed) = (pick(rng, &s.protocols), pick(rng, &s.seeds));
-        *key = format!("{}/{seed}", p.key());
-    }
-    let mut keys = BTreeSet::new();
-    a.digests.retain(|(key, _)| keys.insert(key.clone()));
+    (s, gen)
 }
 
 // ----------------------------------------------------------- properties
@@ -473,7 +424,7 @@ fn catalog() -> BTreeSet<String> {
 fn generator_draws_every_key_and_name() {
     let mut drawn = BTreeSet::new();
     for seed in 0..u64::from(cases()) {
-        drawn.append(&mut draw(&mut SmallRng::seed_from_u64(seed)).1);
+        drawn.append(&mut draw(&mut SmallRng::seed_from_u64(seed), None).1.seen);
     }
     let all = catalog();
     let missed: Vec<_> = all.difference(&drawn).collect();
@@ -536,6 +487,57 @@ fn every_bound_is_refused_at_its_key() {
         }
     }
     assert!(offered.len() > 100, "{offered:?}");
+}
+
+/// Every rule's field, `*` standing for an index, a link table, a
+/// protocol or a pin; a field matches the first pattern that fits it.
+#[rustfmt::skip]
+const RULES: &[&str] = &[
+    "scenario.name", "scenario.seeds", "scenario.protocols", "tcp.conn_per_message",
+    "topology.*.ecn_k", "topology.alternate_period_us", "topology.pathlets",
+    "topology.shared.trimming", "topology.strategy", "topology.isolation",
+    "workload.kind", "workload.start_step_us", "workload.elephants", "workload.min_bytes",
+    "workload.mice_min_bytes",
+    "fault[*].to_us", "fault[*].flips", "fault[*].link", "fault[*].node",
+    "assert.window_us", "assert.corruption_accounting", "assert.cells.*.goodput_mean_min_gbps",
+    "assert.cells.*.tenant_ratio_max", "assert.cells.*", "assert.digests.*",
+];
+
+/// Draws that leave one rule unrepaired.
+const RULE_DRAWS: u64 = 16_384;
+
+/// Each draw leaves one failing rule, chosen at random, unrepaired and
+/// repairs nothing after it: the decoder must stop at that rule.
+#[test]
+fn every_rule_is_refused_at_its_key() {
+    let fits = |pattern: &str, field: &str| match pattern.split_once('*') {
+        Some((head, tail)) => {
+            field.len() > head.len() + tail.len()
+                && field.starts_with(head)
+                && field.ends_with(tail)
+        }
+        None => pattern == field,
+    };
+    let mut refused = BTreeSet::new();
+    for seed in 0..RULE_DRAWS {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let failed = draw(&mut rng.clone(), None).1.failed;
+        if failed == 0 {
+            continue;
+        }
+        let spare = SmallRng::seed_from_u64(!seed).gen_range(0..failed);
+        let (s, gen) = draw(&mut rng, Some(spare));
+        let want = gen.refusal.expect("the spared rule fails");
+        let text = to_toml(&s);
+        let got = schema_err(&text);
+        assert_eq!(got, want, "seed {seed}, rule {spare} of {failed}\n{text}");
+        let rule = (RULES.iter())
+            .find(|r| fits(r, &got.field))
+            .unwrap_or_else(|| panic!("a rule at {} is not in RULES", got.field));
+        refused.insert(*rule);
+    }
+    let never: Vec<_> = RULES.iter().filter(|r| !refused.contains(*r)).collect();
+    assert!(never.is_empty(), "never refused: {never:?}");
 }
 
 #[test]
@@ -892,7 +894,7 @@ const LEAF_SPINE: &str = "[topology]\nkind = \"leaf-spine\"\nleaves = 2\nspines 
 const PERMUTATION: &str = "[workload]\nkind = \"permutation\"\nload = 0.5\n\
     min_bytes = 1000\nmax_bytes = 100000\nalpha = 1.2\nuntil_us = 500\n";
 const ALTERNATE: &str = "[topology]\nkind = \"two-path\"\nstrategy = \"alternate\"\n\
-    alternate_period_us = 384\n\
+    alternate_period_us = 384\ngoodput_bin_us = 32\n\
     [topology.a]\nrate_gbps = 10\ndelay_us = 1\n[topology.b]\nrate_gbps = 1\ndelay_us = 1\n";
 const STEPPED: &str = "[workload]\nkind = \"single\"\nbytes = 1000\nstart_step_us = 37\n";
 
@@ -932,6 +934,17 @@ fn stepped_start_needs_an_alternate_two_path() {
         let e = schema_err(&[HEAD, topo, STEPPED].concat());
         assert_eq!(e.field, "workload.start_step_us", "{topo}");
     }
+}
+
+#[test]
+fn flip_period_is_whole_goodput_bins() {
+    let doc = [HEAD, ALTERNATE, STEPPED].concat();
+    let e = schema_err(&doc.replace("goodput_bin_us = 32", "goodput_bin_us = 100"));
+    assert_eq!(e.field, "topology.alternate_period_us");
+    assert_eq!(e.msg, "must be a multiple of goodput_bin_us (100), got 384");
+    let e = schema_err(&doc.replace("goodput_bin_us = 32\n", ""));
+    assert_eq!(e.field, "topology.alternate_period_us");
+    assert!(e.msg.contains("(100)"), "msg: {}", e.msg);
 }
 
 #[test]

@@ -172,44 +172,6 @@ impl Snapshot {
         }
         out
     }
-
-    /// Render as a JSON object (hand-rolled: every key is a static
-    /// identifier, so no escaping is needed).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::from("{\n  \"counters\": {");
-        for (i, m) in Metric::ALL.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {}", m.name(), self.counters[i]);
-        }
-        out.push_str("\n  },\n  \"gauges\": {");
-        for (i, g) in Gauge::ALL.iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(out, "{sep}\n    \"{}\": {}", g.name(), self.gauges[i]);
-        }
-        out.push_str("\n  },\n  \"hists\": {");
-        for (i, h) in HistId::ALL.iter().enumerate() {
-            let s = &self.hists[i];
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                out,
-                "{sep}\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p99\": {}}}",
-                h.name(),
-                s.count,
-                s.sum,
-                s.min,
-                s.max,
-                s.p50,
-                s.p99
-            );
-        }
-        let _ = write!(
-            out,
-            "\n  }},\n  \"digest\": \"{:#018x}\"\n}}",
-            self.digest()
-        );
-        out
-    }
 }
 
 #[cfg(test)]
@@ -267,15 +229,5 @@ mod tests {
         let direct = whole.snapshot();
         assert_eq!(merged, direct);
         assert_eq!(merged.digest(), direct.digest());
-    }
-
-    #[test]
-    fn snapshot_json_is_well_formed_enough() {
-        let mut r = Registry::new();
-        r.count(Metric::MsgsCompleted, 40);
-        let j = r.snapshot().to_json();
-        assert!(j.contains("\"msgs_completed\""));
-        assert!(j.starts_with('{') && j.ends_with('}'));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }
