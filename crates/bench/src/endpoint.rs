@@ -42,7 +42,10 @@ use rand::{Rng, SeedableRng};
 use crate::hotpath::HotpathRun;
 
 /// FNV-1a over every emitted header's wire bytes; order-sensitive, so any
-/// change in packet contents *or* emission order changes the digest.
+/// change in packet contents *or* emission order changes the digest. It
+/// hashes the sealed header without its trailer and with bytes 41–43
+/// (integrity flags and CRC) read as zero: the bytes the goldens were
+/// blessed over, before the header had a CRC.
 struct WireHash {
     state: u64,
     scratch: Vec<u8>,
@@ -57,12 +60,14 @@ impl WireHash {
     }
 
     fn absorb(&mut self, hdr: &MtpHeader) {
-        let n = hdr.wire_len();
-        if self.scratch.len() < n {
-            self.scratch.resize(n, 0);
+        let sealed = hdr.sealed_wire_len();
+        if self.scratch.len() < sealed {
+            self.scratch.resize(sealed, 0);
         }
-        hdr.emit(&mut self.scratch[..n]).expect("emit header");
-        for &b in &self.scratch[..n] {
+        hdr.emit_sealed(&mut self.scratch[..sealed])
+            .expect("emit header");
+        self.scratch[41..44].fill(0);
+        for &b in &self.scratch[..hdr.wire_len()] {
             self.state ^= b as u64;
             self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
         }

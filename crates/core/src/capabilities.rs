@@ -13,7 +13,7 @@ pub fn mtp() -> TransportCapabilities {
             "acks name (msg, pkt) pairs, never byte ranges: devices may change lengths and packet counts (sender.rs/receiver.rs)",
         ),
         low_buffering: Assessment::yes(
-            "every packet carries msg id/len/offset; MtpHeader::parse reads per-message fields at fixed offsets 8-35 (mtp-wire::header)",
+            "every packet carries msg id/len/offset; MtpHeader::parse_sealed reads per-message fields at fixed offsets 8-35 (mtp-wire::header)",
         ),
         inter_message_independence: Assessment::yes(
             "messages are independent; no connection state; per-message load balancing is safe (host.rs)",

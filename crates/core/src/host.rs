@@ -144,7 +144,8 @@ pub struct MtpSenderNode {
     armed: Option<Time>,
     /// Closed loop: submit message i+1 when message i completes.
     closed_loop: bool,
-    /// Packets rejected by the wire-integrity check (corrupted in flight).
+    /// Packets rejected by the wire-integrity check (corrupted in flight):
+    /// unverifiable headers, plus packets whose payload checksum failed.
     pub malformed: u64,
     /// Registry-mirror shadow for the embedded sender's counters.
     mirror: EndpointMirror,
@@ -293,8 +294,9 @@ impl Node for MtpSenderNode {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, mut pkt: Packet) {
         // Verify wire integrity before trusting a single header field; a
         // corrupted ACK could otherwise poison the window or complete the
-        // wrong message.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() {
+        // wrong message. An ACK whose payload checksum failed is refused
+        // too: its trailer took the damage, and it must be counted.
+        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
             self.malformed += 1;
             ctx.trace_malformed(&pkt, _port);
             mtp_sim::pool::recycle_packet(pkt);
@@ -457,7 +459,16 @@ impl Node for MtpDuplexHost {
         self.sender.on_start(ctx);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) {
+        // A damaged frame's type is unknown until it verifies, so verify
+        // before dispatching; the sink half counts what neither half
+        // could use.
+        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
+            self.sink.malformed += 1;
+            ctx.trace_malformed(&pkt, port);
+            mtp_sim::pool::recycle_packet(pkt);
+            return;
+        }
         let is_data = pkt
             .headers
             .as_mtp()

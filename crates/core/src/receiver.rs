@@ -1039,10 +1039,7 @@ mod tests {
             },
         ];
         fn wire_bytes(h: &MtpHeader) -> Vec<u8> {
-            let mut buf = vec![0u8; 2048];
-            let n = h.emit(&mut buf).expect("emit");
-            buf.truncate(n);
-            buf
+            h.to_sealed_bytes().expect("emit")
         }
         let mut r1 = MtpReceiver::new(2);
         let (ack1, _) = r1.on_data(Time::ZERO, &h, EcnCodepoint::Ce);

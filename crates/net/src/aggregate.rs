@@ -43,6 +43,10 @@ pub struct AggregateStats {
     pub bytes_in: u64,
     /// Payload bytes sent upstream.
     pub bytes_out: u64,
+    /// Packets rejected by the wire-integrity check: unverifiable
+    /// headers, plus packets whose payload checksum failed (dropped
+    /// without an ACK, so the worker repairs them like any loss).
+    pub malformed: u64,
 }
 
 /// In-network aggregation: workers on ports `1..=W`, parameter server on
@@ -105,7 +109,15 @@ impl AggregatorNode {
 }
 
 impl Node for AggregatorNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) {
+        // A terminating device must not act on a field, or count a
+        // gradient, that it has not verified.
+        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
+            self.stats.malformed += 1;
+            ctx.trace_malformed(&pkt, port);
+            mtp_sim::pool::recycle_packet(pkt);
+            return;
+        }
         let now = ctx.now();
         let ecn = pkt.ecn;
         let app = pkt.app;
@@ -170,6 +182,10 @@ impl Node for AggregatorNode {
         let mut out = Vec::new();
         self.sender.on_timer(ctx.now(), &mut out);
         self.flush_sender(ctx, out);
+    }
+
+    fn audit_counters(&self, out: &mut mtp_sim::NodeAuditCounters) {
+        out.malformed += self.stats.malformed;
     }
 
     fn name(&self) -> &str {

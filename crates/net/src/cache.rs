@@ -254,8 +254,6 @@ impl Node for KvCacheNode {
 
 /// A backend KV server with a bounded service rate.
 pub struct KvServerNode {
-    #[allow(dead_code)] // address kept for symmetry/debugging
-    addr: u16,
     reply_bytes: u32,
     service_time: Duration,
     receiver: MtpReceiver,
@@ -286,7 +284,6 @@ impl KvServerNode {
         msg_id_base: u64,
     ) -> KvServerNode {
         KvServerNode {
-            addr,
             reply_bytes,
             service_time,
             receiver: MtpReceiver::new(addr),
@@ -419,8 +416,6 @@ impl Node for KvServerNode {
 
 /// A KV client issuing GET requests and measuring completion latency.
 pub struct KvClientNode {
-    #[allow(dead_code)] // address kept for symmetry/debugging
-    addr: u16,
     server_addr: u16,
     req_bytes: u32,
     sender: MtpSender,
@@ -456,7 +451,6 @@ impl KvClientNode {
         schedule: Vec<(Time, u64)>,
     ) -> KvClientNode {
         KvClientNode {
-            addr,
             server_addr,
             req_bytes,
             sender: MtpSender::new(cfg, addr, EntityId(0), msg_id_base),

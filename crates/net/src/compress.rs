@@ -36,12 +36,14 @@ pub struct CompressStats {
     pub bytes_out: u64,
     /// High-water mark of reassembly buffering.
     pub max_buffered: u64,
+    /// Packets rejected by the wire-integrity check: unverifiable
+    /// headers, plus packets whose payload checksum failed (dropped
+    /// without an ACK, so the sender repairs them like any loss).
+    pub malformed: u64,
 }
 
 /// An inline compressing offload: upstream on port 0, downstream on port 1.
 pub struct CompressorNode {
-    #[allow(dead_code)] // address kept for symmetry/debugging
-    addr: u16,
     /// Output bytes = input bytes × `ratio` (rounded up, min 1).
     ratio: f64,
     receiver: MtpReceiver,
@@ -59,7 +61,6 @@ impl CompressorNode {
     pub fn new(cfg: MtpConfig, addr: u16, ratio: f64, msg_id_base: u64) -> CompressorNode {
         assert!(ratio > 0.0 && ratio <= 1.0, "ratio in (0, 1]");
         CompressorNode {
-            addr,
             ratio,
             receiver: MtpReceiver::new(addr),
             sender: MtpSender::new(cfg, addr, EntityId(0), msg_id_base),
@@ -86,7 +87,15 @@ impl CompressorNode {
 }
 
 impl Node for CompressorNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) {
+        // A terminating device must not act on a field, or forward a
+        // payload, that it has not verified.
+        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
+            self.stats.malformed += 1;
+            ctx.trace_malformed(&pkt, port);
+            mtp_sim::pool::recycle_packet(pkt);
+            return;
+        }
         let now = ctx.now();
         let ecn = pkt.ecn;
         let Headers::Mtp(hdr) = pkt.headers else {
@@ -133,6 +142,10 @@ impl Node for CompressorNode {
         let mut out = Vec::new();
         self.sender.on_timer(ctx.now(), &mut out);
         self.flush_sender(ctx, out);
+    }
+
+    fn audit_counters(&self, out: &mut mtp_sim::NodeAuditCounters) {
+        out.malformed += self.stats.malformed;
     }
 
     fn name(&self) -> &str {

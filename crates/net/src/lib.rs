@@ -26,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod bridge;
 pub mod cache;
 pub mod compress;
 pub mod fairshare;
@@ -38,7 +37,6 @@ pub mod strategies;
 pub mod switch;
 
 pub use aggregate::{AggregateStats, AggregatorNode};
-pub use bridge::{BridgeStats, TcpIslandBridge, BRIDGE_OVERHEAD};
 pub use cache::{CacheStats, KvCacheNode, KvClientNode, KvServerNode};
 pub use compress::{CompressStats, CompressorNode};
 pub use fairshare::FairShareEnforcer;

@@ -14,7 +14,6 @@ pub fn dst_addr(pkt: &Packet) -> Option<u16> {
     match &pkt.headers {
         Headers::Tcp(h) => Some(h.dst_port),
         Headers::Mtp(h) => Some(h.dst_port),
-        Headers::Bridged { tcp, .. } => Some(tcp.dst_port),
         // Corrupted bytes carry no *trusted* address; switches drop them
         // before routing, but the accessor stays total.
         Headers::Raw | Headers::Mangled { .. } => None,
@@ -26,7 +25,6 @@ pub fn src_addr(pkt: &Packet) -> Option<u16> {
     match &pkt.headers {
         Headers::Tcp(h) => Some(h.src_port),
         Headers::Mtp(h) => Some(h.src_port),
-        Headers::Bridged { tcp, .. } => Some(tcp.src_port),
         Headers::Raw | Headers::Mangled { .. } => None,
     }
 }

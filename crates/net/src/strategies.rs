@@ -213,8 +213,6 @@ impl FanoutForwarder {
                 let f = match &pkt.headers {
                     Headers::Tcp(h) => h.conn_id as u64,
                     Headers::Mtp(h) => h.msg_id.0,
-                    // Legacy ECMP sees only the outer TCP segment.
-                    Headers::Bridged { tcp, .. } => tcp.conn_id as u64,
                     Headers::Raw | Headers::Mangled { .. } => 0,
                 };
                 let mut h = 0xcbf29ce484222325u64;

@@ -26,8 +26,6 @@
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use mtp_wire::bridge::{BRIDGE_MAGIC, BRIDGE_PREAMBLE_LEN, BRIDGE_VERSION};
-use mtp_wire::tcp::TCP_HEADER_LEN;
 use mtp_wire::{MtpHeader, TcpHeader, WireError};
 
 use crate::packet::{Headers, Packet, WireProto};
@@ -36,9 +34,7 @@ use crate::pool;
 /// Serialize a packet's structured header to its sealed wire bytes.
 ///
 /// Returns `None` for frames with no modelled header ([`Headers::Raw`]) and
-/// for already-mangled packets. Bridged packets materialize as the legacy
-/// TCP island would see them: sealed outer TCP header, bridge preamble,
-/// sealed inner MTP header.
+/// for already-mangled packets.
 pub fn materialize(headers: &Headers) -> Option<(WireProto, Vec<u8>)> {
     // The wire image lives in a recycled buffer (capacity retained across
     // frames), so a long corruption run seals headers without touching
@@ -55,19 +51,6 @@ pub fn materialize(headers: &Headers) -> Option<(WireProto, Vec<u8>)> {
             bytes.extend_from_slice(&h.to_sealed_bytes());
             Some((WireProto::Tcp, bytes))
         }
-        Headers::Bridged { tcp, mtp } => {
-            let inner_len = mtp.sealed_wire_len();
-            bytes.extend_from_slice(&tcp.to_sealed_bytes());
-            bytes.extend_from_slice(&BRIDGE_MAGIC.to_be_bytes());
-            bytes.push(BRIDGE_VERSION);
-            bytes.push(0);
-            bytes.extend_from_slice(&(inner_len as u16).to_be_bytes());
-            let at = bytes.len();
-            bytes.resize(at + inner_len, 0);
-            mtp.emit_sealed(&mut bytes[at..])
-                .expect("structured header is always emittable");
-            Some((WireProto::Bridged, bytes))
-        }
         Headers::Raw | Headers::Mangled { .. } => {
             pool::recycle_buf(bytes);
             None
@@ -79,7 +62,7 @@ pub fn materialize(headers: &Headers) -> Option<(WireProto, Vec<u8>)> {
 ///
 /// Returns the reconstructed [`Headers`] plus whether the *payload*
 /// checksum failed while the header itself verified (possible only for
-/// MTP / bridged frames, whose trailer covers the payload descriptor).
+/// MTP frames, whose trailer covers the payload descriptor).
 pub fn verify(proto: WireProto, bytes: &[u8]) -> Result<(Headers, bool), WireError> {
     match proto {
         WireProto::Mtp => {
@@ -100,35 +83,6 @@ pub fn verify(proto: WireProto, bytes: &[u8]) -> Result<(Headers, bool), WireErr
                 return Err(WireError::BadReserved);
             }
             Ok((Headers::Tcp(hdr), false))
-        }
-        WireProto::Bridged => {
-            let (tcp, used) = TcpHeader::parse_sealed(bytes)?;
-            let rest = &bytes[used..];
-            if rest.len() < BRIDGE_PREAMBLE_LEN {
-                return Err(WireError::Truncated {
-                    needed: used + BRIDGE_PREAMBLE_LEN,
-                    got: bytes.len(),
-                });
-            }
-            let magic = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]);
-            if magic != BRIDGE_MAGIC || rest[4] != BRIDGE_VERSION || rest[5] != 0 {
-                // Bridge framing bytes damaged: the frame no longer
-                // carries a recoverable encapsulation.
-                return Err(WireError::BadReserved);
-            }
-            let inner_len = u16::from_be_bytes([rest[6], rest[7]]) as usize;
-            let inner = &rest[BRIDGE_PREAMBLE_LEN..];
-            let (mtp, consumed, payload_ok) = MtpHeader::parse_sealed(inner)?;
-            if consumed != inner_len || used + BRIDGE_PREAMBLE_LEN + consumed != bytes.len() {
-                return Err(WireError::BadReserved);
-            }
-            Ok((
-                Headers::Bridged {
-                    tcp,
-                    mtp: pool::boxed(mtp),
-                },
-                !payload_ok,
-            ))
         }
     }
 }
@@ -154,16 +108,14 @@ pub fn sanitize(pkt: &mut Packet) -> Result<(), WireError> {
 }
 
 /// Modelled payload bytes of a frame: what remains of `wire_len` after the
-/// structured header's *legacy* wire overhead (the form `wire_len` was
-/// originally charged with). Raw frames are all payload; mangled frames
-/// report zero (they are never re-corrupted).
+/// structured header's [`MtpHeader::wire_len`], the length the simulator
+/// charges (it leaves out the sealed form's 4-byte trailer). Raw frames
+/// are all payload; mangled frames report zero (they are never
+/// re-corrupted).
 pub fn payload_len(pkt: &Packet) -> u32 {
     match &pkt.headers {
         Headers::Tcp(h) => h.payload_len as u32,
         Headers::Mtp(h) => pkt.wire_len.saturating_sub(h.wire_len() as u32),
-        Headers::Bridged { mtp, .. } => pkt
-            .wire_len
-            .saturating_sub((TCP_HEADER_LEN + BRIDGE_PREAMBLE_LEN + mtp.wire_len()) as u32),
         Headers::Raw | Headers::Mangled { .. } => 0,
     }
 }
@@ -237,9 +189,8 @@ pub fn corrupt_truncate(pkt: &mut Packet, rng: &mut SmallRng) -> bool {
 
 /// Return any boxed MTP header inside a replaced `Headers` to the pool.
 fn recycle_headers(headers: Headers) {
-    match headers {
-        Headers::Mtp(h) | Headers::Bridged { mtp: h, .. } => pool::recycle_header(h),
-        _ => {}
+    if let Headers::Mtp(h) = headers {
+        pool::recycle_header(h);
     }
 }
 
@@ -271,13 +222,6 @@ mod tests {
         let pkts = [
             mtp_packet(),
             Packet::new(Headers::Tcp(TcpHeader::default()), 64),
-            Packet::new(
-                Headers::Bridged {
-                    tcp: TcpHeader::default(),
-                    mtp: pool::boxed(MtpHeader::default()),
-                },
-                128,
-            ),
         ];
         for pkt in pkts {
             let (proto, bytes) = materialize(&pkt.headers).unwrap();
@@ -286,6 +230,27 @@ mod tests {
             assert!(!dirty);
         }
         assert!(materialize(&Headers::Raw).is_none());
+    }
+
+    /// A frame one byte longer than the header it verifies to is refused:
+    /// the engine knows each frame's length, and the accounting identity
+    /// (every damaged frame counted once) rests on this check.
+    #[test]
+    fn verify_refuses_a_frame_longer_than_its_header() {
+        let pkts = [
+            mtp_packet(),
+            Packet::new(Headers::Tcp(TcpHeader::default()), 64),
+        ];
+        for pkt in pkts {
+            let (proto, mut bytes) = materialize(&pkt.headers).unwrap();
+            assert!(verify(proto, &bytes).is_ok(), "{proto:?}");
+            bytes.push(0);
+            assert_eq!(
+                verify(proto, &bytes),
+                Err(WireError::BadReserved),
+                "{proto:?}"
+            );
+        }
     }
 
     #[test]

@@ -31,9 +31,6 @@ pub enum WireProto {
     Mtp,
     /// A TCP segment (sealed TCP header bytes).
     Tcp,
-    /// An MTP-in-TCP bridged packet (sealed TCP header, bridge preamble,
-    /// sealed MTP header).
-    Bridged,
 }
 
 /// The transport header carried by a packet.
@@ -44,16 +41,6 @@ pub enum Headers {
     /// An MTP packet. Boxed: the header contains variable-length lists and
     /// dominates `Packet`'s size otherwise.
     Mtp(Box<MtpHeader>),
-    /// An MTP packet encapsulated in a TCP segment for transit across a
-    /// legacy TCP island (paper §4, "Interaction with TCP"): legacy
-    /// devices see a well-formed TCP segment, MTP bridges recover the
-    /// full header.
-    Bridged {
-        /// The outer TCP segment visible to legacy devices.
-        tcp: TcpHeader,
-        /// The encapsulated MTP header.
-        mtp: Box<MtpHeader>,
-    },
     /// A raw frame with no modelled transport header (background traffic).
     Raw,
     /// A header whose wire bytes took corruption in flight. The structured
@@ -69,9 +56,7 @@ pub enum Headers {
 }
 
 impl Headers {
-    /// Convenience: borrow the MTP header if this is a *native* MTP packet
-    /// (bridged packets deliberately do NOT match: legacy-facing code must
-    /// treat them as TCP).
+    /// Convenience: borrow the MTP header if this is an MTP packet.
     pub fn as_mtp(&self) -> Option<&MtpHeader> {
         match self {
             Headers::Mtp(h) => Some(h),
@@ -79,8 +64,7 @@ impl Headers {
         }
     }
 
-    /// Convenience: mutably borrow the MTP header if this is a native MTP
-    /// packet.
+    /// Convenience: mutably borrow the MTP header if this is an MTP packet.
     pub fn as_mtp_mut(&mut self) -> Option<&mut MtpHeader> {
         match self {
             Headers::Mtp(h) => Some(h),
@@ -88,12 +72,10 @@ impl Headers {
         }
     }
 
-    /// Convenience: borrow the TCP header if this is a TCP segment —
-    /// including the outer header of a bridged MTP packet.
+    /// Convenience: borrow the TCP header if this is a TCP segment.
     pub fn as_tcp(&self) -> Option<&TcpHeader> {
         match self {
             Headers::Tcp(h) => Some(h),
-            Headers::Bridged { tcp, .. } => Some(tcp),
             _ => None,
         }
     }

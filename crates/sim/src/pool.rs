@@ -95,7 +95,7 @@ pub fn recycle_header(hdr: Box<MtpHeader>) {
 /// delivered (e.g. tail-dropped by a queue discipline).
 pub fn recycle_packet(pkt: Packet) {
     match pkt.headers {
-        Headers::Mtp(hdr) | Headers::Bridged { mtp: hdr, .. } => recycle_header(hdr),
+        Headers::Mtp(hdr) => recycle_header(hdr),
         Headers::Mangled { bytes, .. } => recycle_buf(bytes),
         _ => {}
     }

@@ -2,8 +2,9 @@
 //!
 //! [`MtpHeader`] mirrors Figure 4 of the paper field-for-field. It is the
 //! form carried inside simulated packets and manipulated by endpoints and
-//! in-network devices; [`MtpHeader::emit`] / [`MtpHeader::parse`] convert to
-//! and from the byte-exact wire format documented in the crate root.
+//! in-network devices; [`MtpHeader::emit_sealed`] /
+//! [`MtpHeader::parse_sealed`] convert to and from the byte-exact sealed
+//! wire format documented in the crate root, the only byte form it has.
 
 use serde::{Deserialize, Serialize};
 
@@ -156,30 +157,12 @@ impl MtpHeader {
         self.flags & flags::TRIMMED != 0
     }
 
-    /// Serialize into a freshly allocated buffer.
-    pub fn to_bytes(&self) -> Result<Vec<u8>, WireError> {
-        let mut buf = vec![0u8; self.wire_len()];
-        self.emit(&mut buf)?;
-        Ok(buf)
-    }
-
-    /// Serialize into `buf`, which must be at least
-    /// [`wire_len`](Self::wire_len) bytes. Returns the number of bytes
-    /// written.
-    pub fn emit(&self, buf: &mut [u8]) -> Result<usize, WireError> {
-        self.emit_len(buf, self.wire_len())
-    }
-
-    /// [`emit`](Self::emit) given `need`, this header's
-    /// [`wire_len`](Self::wire_len): sealing computes it once for both the
-    /// header and the trailer's offset, since it walks the feedback lists.
-    fn emit_len(&self, buf: &mut [u8], need: usize) -> Result<usize, WireError> {
-        if buf.len() < need {
-            return Err(WireError::Truncated {
-                needed: need,
-                got: buf.len(),
-            });
-        }
+    /// Write every byte of the sealed header but the CRC (bytes 42–43)
+    /// and the trailer into `buf`, which
+    /// [`emit_sealed`](Self::emit_sealed) has checked holds them; `need`
+    /// is [`wire_len`](Self::wire_len), computed once by the caller since
+    /// it walks the feedback lists.
+    fn emit_fields(&self, buf: &mut [u8], need: usize) -> Result<(), WireError> {
         for (list, name) in [
             (self.path_exclude.len(), "path_exclude"),
             (self.path_feedback.len(), "path_feedback"),
@@ -218,9 +201,7 @@ impl MtpHeader {
         fixed[38] = self.ack_path_feedback.len() as u8;
         fixed[39] = self.sack.len() as u8;
         fixed[40] = self.nack.len() as u8;
-        fixed[41] = 0;
-        fixed[42] = 0;
-        fixed[43] = 0;
+        fixed[41] = crate::integrity::INTEGRITY_SEALED;
 
         let mut at = FIXED_HEADER_LEN;
         for e in &self.path_exclude {
@@ -252,7 +233,7 @@ impl MtpHeader {
             }
         }
         debug_assert_eq!(at, need);
-        Ok(at)
+        Ok(())
     }
 
     /// Total encoded length of the *sealed* form of this header: the
@@ -320,8 +301,7 @@ impl MtpHeader {
                 got: buf.len(),
             });
         }
-        self.emit_len(buf, used)?;
-        buf[41] = crate::integrity::INTEGRITY_SEALED;
+        self.emit_fields(buf, used)?;
         let crc = crate::integrity::header_crc16(&buf[..used]);
         buf[42..44].copy_from_slice(&crc.to_be_bytes());
         buf[used..need].copy_from_slice(&self.payload_csum().to_be_bytes());
@@ -336,10 +316,9 @@ impl MtpHeader {
     /// *payload* checksum is not — the header is trustworthy, the payload
     /// is not, and the caller (a receiving endpoint) decides what to do.
     ///
-    /// The integrity-flags byte must be exactly `INTEGRITY_SEALED`: the
-    /// sealed parser never falls back to the legacy all-zero form, so a
-    /// corrupted flags byte cannot disguise a damaged header as a
-    /// checksum-free legacy one.
+    /// The integrity-flags byte must be exactly `INTEGRITY_SEALED`: there
+    /// is no checksum-free form to fall back to, so a damaged flags byte
+    /// is refused before any other field is read.
     pub fn parse_sealed(buf: &[u8]) -> Result<(MtpHeader, usize, bool), WireError> {
         let mut hdr = MtpHeader::default();
         let (used, payload_ok) = hdr.parse_sealed_from(buf)?;
@@ -362,15 +341,13 @@ impl MtpHeader {
         if buf[41] != crate::integrity::INTEGRITY_SEALED {
             return Err(WireError::BadIntegrityFlags(buf[41]));
         }
-        // The structural walk runs directly on `buf` with the legacy
-        // parser's reserved-byte check suppressed (bytes 41–43 carry the
-        // integrity flags and CRC here, not zeros); the walk itself is
-        // total and panic-free, so running it before the CRC check is
-        // safe — nothing is *trusted* until the CRC over the walked
-        // region matches. The CRC is recomputed by the function sealing
-        // used, in one walk that reads bytes 42–43 as zero, as they were
-        // at sealing time; no copy of the header is made.
-        let used = self.parse_inner(buf, true)?;
+        // The structural walk runs directly on `buf`; it is total and
+        // panic-free, so running it before the CRC check is safe — nothing
+        // is *trusted* until the CRC over the walked region matches. The
+        // CRC is recomputed by the function sealing used, in one walk that
+        // reads bytes 42–43 as zero, as they were at sealing time; no copy
+        // of the header is made.
+        let used = self.parse_inner(buf)?;
         let stored_crc = u16::from_be_bytes([buf[42], buf[43]]);
         if crate::integrity::header_crc16(&buf[..used]) != stored_crc {
             return Err(WireError::BadHeaderCrc);
@@ -387,20 +364,10 @@ impl MtpHeader {
         Ok((need, stored_csum == self.payload_csum()))
     }
 
-    /// Parse a header from the front of `buf`. Returns the header and the
-    /// number of bytes it occupied.
-    pub fn parse(buf: &[u8]) -> Result<(MtpHeader, usize), WireError> {
-        let mut hdr = MtpHeader::default();
-        let used = hdr.parse_inner(buf, false)?;
-        Ok((hdr, used))
-    }
-
-    /// The shared structural walk behind [`parse`](Self::parse) and
+    /// The structural walk behind
     /// [`parse_sealed_from`](Self::parse_sealed_from), filling `self`.
-    /// When `sealed` is set, bytes 41–43 are the caller's responsibility
-    /// (integrity flags + CRC); otherwise they must be zero, as the
-    /// legacy form requires.
-    fn parse_inner(&mut self, buf: &[u8], sealed: bool) -> Result<usize, WireError> {
+    /// Bytes 41–43 (integrity flags and CRC) are the caller's to check.
+    fn parse_inner(&mut self, buf: &[u8]) -> Result<usize, WireError> {
         if buf.len() < FIXED_HEADER_LEN {
             return Err(WireError::Truncated {
                 needed: FIXED_HEADER_LEN,
@@ -408,9 +375,6 @@ impl MtpHeader {
             });
         }
         let pkt_type = PktType::from_wire(buf[4]).ok_or(WireError::BadPktType(buf[4]))?;
-        if !sealed && (buf[41] != 0 || buf[42] != 0 || buf[43] != 0) {
-            return Err(WireError::BadReserved);
-        }
         let hdr = self;
         hdr.src_port = u16::from_be_bytes([buf[0], buf[1]]);
         hdr.dst_port = u16::from_be_bytes([buf[2], buf[3]]);
@@ -566,35 +530,12 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_full() {
-        let hdr = sample();
-        let bytes = hdr.to_bytes().unwrap();
-        assert_eq!(bytes.len(), hdr.wire_len());
-        let (back, used) = MtpHeader::parse(&bytes).unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(back, hdr);
-    }
-
-    #[test]
     fn roundtrip_minimal() {
         let hdr = MtpHeader::default();
-        let bytes = hdr.to_bytes().unwrap();
-        assert_eq!(bytes.len(), FIXED_HEADER_LEN);
-        let (back, used) = MtpHeader::parse(&bytes).unwrap();
-        assert_eq!(used, FIXED_HEADER_LEN);
-        assert_eq!(back, hdr);
-    }
-
-    #[test]
-    fn parse_rejects_truncated_fixed() {
-        let hdr = sample();
-        let bytes = hdr.to_bytes().unwrap();
-        for cut in [0, 1, FIXED_HEADER_LEN - 1] {
-            assert!(matches!(
-                MtpHeader::parse(&bytes[..cut]),
-                Err(WireError::Truncated { .. })
-            ));
-        }
+        let bytes = hdr.to_sealed_bytes().unwrap();
+        let len = FIXED_HEADER_LEN + crate::integrity::PAYLOAD_CSUM_LEN;
+        assert_eq!(bytes.len(), len);
+        assert_eq!(MtpHeader::parse_sealed(&bytes), Ok((hdr, len, true)));
     }
 
     /// [`sample`] with three exclusions, three SACKs and two NACKs, so a
@@ -641,42 +582,22 @@ mod tests {
     }
 
     #[test]
-    fn parse_rejects_truncated_lists() {
-        let hdr = long_lists();
-        let bytes = hdr.to_bytes().unwrap();
-        // Every cut point within the variable section is refused with the
-        // entry-by-entry walk's error, not a panic.
-        for cut in FIXED_HEADER_LEN..bytes.len() {
-            assert_eq!(
-                MtpHeader::parse(&bytes[..cut]),
-                Err(walked_refusal(&hdr, cut)),
-                "cut at {cut}"
-            );
-        }
-    }
-
-    #[test]
     fn parse_rejects_bad_type() {
         let hdr = MtpHeader::default();
-        let mut bytes = hdr.to_bytes().unwrap();
+        let mut bytes = hdr.to_sealed_bytes().unwrap();
         bytes[4] = 0x77;
-        assert_eq!(MtpHeader::parse(&bytes), Err(WireError::BadPktType(0x77)));
-    }
-
-    #[test]
-    fn parse_rejects_nonzero_reserved() {
-        let hdr = MtpHeader::default();
-        let mut bytes = hdr.to_bytes().unwrap();
-        bytes[42] = 1;
-        assert_eq!(MtpHeader::parse(&bytes), Err(WireError::BadReserved));
+        assert_eq!(
+            MtpHeader::parse_sealed(&bytes),
+            Err(WireError::BadPktType(0x77))
+        );
     }
 
     #[test]
     fn emit_rejects_short_buffer() {
         let hdr = sample();
-        let mut buf = vec![0u8; hdr.wire_len() - 1];
+        let mut buf = vec![0u8; hdr.sealed_wire_len() - 1];
         assert!(matches!(
-            hdr.emit(&mut buf),
+            hdr.emit_sealed(&mut buf),
             Err(WireError::Truncated { .. })
         ));
     }
@@ -693,7 +614,7 @@ mod tests {
             ..MtpHeader::default()
         };
         assert!(matches!(
-            hdr.to_bytes(),
+            hdr.to_sealed_bytes(),
             Err(WireError::TooManyEntries { list: "sack", .. })
         ));
     }
@@ -729,16 +650,19 @@ mod tests {
         }
     }
 
+    /// Every integrity-flags byte but the sealed one is refused as such,
+    /// the all-zero byte of a checksum-free header included.
     #[test]
-    fn sealed_rejects_legacy_and_legacy_rejects_sealed() {
-        let hdr = sample();
-        let legacy = hdr.to_bytes().unwrap();
-        assert_eq!(
-            MtpHeader::parse_sealed(&legacy),
-            Err(WireError::BadIntegrityFlags(0))
-        );
-        let sealed = hdr.to_sealed_bytes().unwrap();
-        assert_eq!(MtpHeader::parse(&sealed), Err(WireError::BadReserved));
+    fn sealed_rejects_unsealed_flags() {
+        let sealed = sample().to_sealed_bytes().unwrap();
+        for flags in (0..=u8::MAX).filter(|&f| f != crate::integrity::INTEGRITY_SEALED) {
+            let mut m = sealed.clone();
+            m[41] = flags;
+            assert_eq!(
+                MtpHeader::parse_sealed(&m),
+                Err(WireError::BadIntegrityFlags(flags))
+            );
+        }
     }
 
     #[test]
@@ -809,6 +733,9 @@ mod tests {
             tc: TrafficClass(1),
             feedback: Feedback::Trim,
         });
-        assert_eq!(hdr.to_bytes().unwrap().len(), hdr.wire_len());
+        assert_eq!(
+            hdr.to_sealed_bytes().unwrap().len(),
+            hdr.wire_len() + crate::integrity::PAYLOAD_CSUM_LEN
+        );
     }
 }

@@ -23,9 +23,10 @@
 //!   simulated payload region took a hit, and receivers treat that exactly
 //!   as a real checksum failure (drop, no ACK, recover via loss recovery).
 //!
-//! The sealed forms are strictly additive: legacy `emit`/`parse` continue
-//! to write and require all-zero bytes 41–43, so every pre-existing golden
-//! digest and wire test is untouched when corruption features are off.
+//! The sealed form is the only byte form of both headers: every writer
+//! seals and every reader verifies. The simulator's digests hash the
+//! header with bytes 41–43 read as zero, which is what they hashed before
+//! the header had a CRC, so sealing left every golden digest unchanged.
 
 /// Integrity-flags bit: bytes 42–43 carry a header CRC.
 pub const INTEGRITY_HDR_CRC: u8 = 0x01;
@@ -36,8 +37,8 @@ pub const INTEGRITY_PAYLOAD_CSUM: u8 = 0x02;
 /// The integrity-flags byte of a sealed header: both checks present.
 ///
 /// Sealed parsing requires *exactly* this value. Accepting "no integrity"
-/// (0x00) in the sealed path would let a 2-bit flip of the flags byte plus
-/// a coincidentally-zero CRC masquerade as a valid legacy header.
+/// (0x00) would let a 2-bit flip of the flags byte switch the CRC check
+/// off.
 pub const INTEGRITY_SEALED: u8 = INTEGRITY_HDR_CRC | INTEGRITY_PAYLOAD_CSUM;
 
 /// Length of the payload-checksum trailer appended to a sealed header.

@@ -22,9 +22,10 @@
 //!   mutation compatible with reliability (paper §2.2, §3.1.2).
 //!
 //! [`header::MtpHeader`] is the one representation and the one decoder: an
-//! owned structure with [`parse`](header::MtpHeader::parse) /
-//! [`emit`](header::MtpHeader::emit) that round-trip through the byte
-//! format.
+//! owned structure with [`parse_sealed`](header::MtpHeader::parse_sealed) /
+//! [`emit_sealed`](header::MtpHeader::emit_sealed) that round-trip through
+//! the byte format. The sealed form is the only byte form: every header on
+//! the wire carries its CRC and payload-checksum trailer.
 //!
 //! The simulator crates carry the owned representation inside simulated
 //! packets; round-trip tests (including property-based tests) guarantee the
@@ -56,8 +57,8 @@
 //!     38     1  ack_path_feedback_count
 //!     39     1  sack_count
 //!     40     1  nack_count
-//!     41     1  integrity_flags     (0 = legacy; 0x03 = sealed, see below)
-//!     42     2  header_crc          (CRC-16/CCITT over the header; 0 if legacy)
+//!     41     1  integrity_flags     (always 0x03 = sealed, see below)
+//!     42     2  header_crc          (CRC-16/CCITT over the header)
 //!     44     -  path_exclude        (path_id u16, tc u8) * n            — 3 B each
 //!      .     -  path_feedback       (path_id u16, tc u8, TLV) * n       — 5+len B each
 //!      .     -  ack_path_feedback   (path_id u16, tc u8, TLV) * n       — 5+len B each
@@ -74,18 +75,14 @@
 //! ## Integrity (the sealed form)
 //!
 //! Because in-network devices *trust and mutate* header fields in flight,
-//! the header can carry its own integrity protection in the formerly
-//! reserved bytes 41–43 plus a 4-byte payload-checksum trailer after the
-//! last variable section (see [`integrity`]). The legacy form (bytes 41–43
-//! all zero, no trailer) remains byte-identical to what this crate has
-//! always emitted; [`MtpHeader::to_sealed_bytes`] /
-//! [`MtpHeader::parse_sealed`] produce and require the sealed form
-//! exactly, with no silent fallback between the two.
+//! the header carries its own integrity protection in bytes 41–43 plus a
+//! 4-byte payload-checksum trailer after the last variable section (see
+//! [`integrity`]). [`MtpHeader::to_sealed_bytes`] /
+//! [`MtpHeader::parse_sealed`] produce and require it exactly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bridge;
 pub mod capabilities;
 pub mod error;
 pub mod feedback;
@@ -95,7 +92,6 @@ pub mod session;
 pub mod tcp;
 pub mod types;
 
-pub use bridge::{decapsulate, encapsulate};
 pub use error::WireError;
 pub use feedback::{Feedback, PathFeedback};
 pub use header::{MtpHeader, PathExclude, SackEntry};

@@ -78,7 +78,8 @@ pub struct TcpHeader {
     pub payload_len: u16,
 }
 
-/// Encoded size of the simplified TCP header.
+/// Size of the simplified TCP header's fields, before the CRC-32 trailer
+/// of its sealed form.
 pub const TCP_HEADER_LEN: usize = 32;
 
 /// Encoded size of the sealed TCP header: the 32-byte header with its
@@ -105,63 +106,19 @@ impl Default for TcpHeader {
 }
 
 impl TcpHeader {
-    /// Serialize into a fresh buffer.
-    pub fn to_bytes(&self) -> [u8; TCP_HEADER_LEN] {
-        let mut buf = [0u8; TCP_HEADER_LEN];
-        buf[0..4].copy_from_slice(&self.conn_id.to_be_bytes());
-        buf[4..6].copy_from_slice(&self.src_port.to_be_bytes());
-        buf[6..8].copy_from_slice(&self.dst_port.to_be_bytes());
-        buf[8..16].copy_from_slice(&self.seq.to_be_bytes());
-        buf[16..24].copy_from_slice(&self.ack.to_be_bytes());
-        buf[24] = self.flags.to_wire();
-        buf[25..29].copy_from_slice(&self.rwnd.to_be_bytes());
-        buf[29..31].copy_from_slice(&self.payload_len.to_be_bytes());
-        buf[31] = 0;
-        buf
-    }
-
-    /// Parse from the front of `buf`. The reserved byte 31 must be zero —
-    /// a sealed frame (byte 31 = [`TCP_INTEGRITY_SEALED`]) must go through
-    /// [`parse_sealed`](Self::parse_sealed), and anything else is
-    /// corruption.
-    pub fn parse(buf: &[u8]) -> Result<TcpHeader, WireError> {
-        if buf.len() < TCP_HEADER_LEN {
-            return Err(WireError::Truncated {
-                needed: TCP_HEADER_LEN,
-                got: buf.len(),
-            });
-        }
-        if buf[31] != 0 {
-            return Err(WireError::BadReserved);
-        }
-        Ok(Self::parse_fields(buf))
-    }
-
-    /// Decode the fixed fields; callers have already length-checked `buf`
-    /// and dealt with byte 31.
-    fn parse_fields(buf: &[u8]) -> TcpHeader {
-        TcpHeader {
-            conn_id: u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]),
-            src_port: u16::from_be_bytes([buf[4], buf[5]]),
-            dst_port: u16::from_be_bytes([buf[6], buf[7]]),
-            seq: u64::from_be_bytes([
-                buf[8], buf[9], buf[10], buf[11], buf[12], buf[13], buf[14], buf[15],
-            ]),
-            ack: u64::from_be_bytes([
-                buf[16], buf[17], buf[18], buf[19], buf[20], buf[21], buf[22], buf[23],
-            ]),
-            flags: TcpFlags::from_wire(buf[24]),
-            rwnd: u32::from_be_bytes([buf[25], buf[26], buf[27], buf[28]]),
-            payload_len: u16::from_be_bytes([buf[29], buf[30]]),
-        }
-    }
-
     /// Serialize the sealed form: byte 31 set to [`TCP_INTEGRITY_SEALED`]
     /// and a CRC-32 over the whole 32-byte header appended, standing in
     /// for the TCP checksum the simplified header otherwise lacks.
     pub fn to_sealed_bytes(&self) -> [u8; TCP_SEALED_LEN] {
         let mut out = [0u8; TCP_SEALED_LEN];
-        out[..TCP_HEADER_LEN].copy_from_slice(&self.to_bytes());
+        out[0..4].copy_from_slice(&self.conn_id.to_be_bytes());
+        out[4..6].copy_from_slice(&self.src_port.to_be_bytes());
+        out[6..8].copy_from_slice(&self.dst_port.to_be_bytes());
+        out[8..16].copy_from_slice(&self.seq.to_be_bytes());
+        out[16..24].copy_from_slice(&self.ack.to_be_bytes());
+        out[24] = self.flags.to_wire();
+        out[25..29].copy_from_slice(&self.rwnd.to_be_bytes());
+        out[29..31].copy_from_slice(&self.payload_len.to_be_bytes());
         out[31] = TCP_INTEGRITY_SEALED;
         let crc = crate::integrity::crc32(&out[..TCP_HEADER_LEN]);
         out[TCP_HEADER_LEN..].copy_from_slice(&crc.to_be_bytes());
@@ -170,8 +127,7 @@ impl TcpHeader {
 
     /// Parse and verify a sealed TCP header from the front of `buf`.
     /// Returns the header and the bytes consumed. Like the MTP sealed
-    /// parser, the integrity byte must match exactly — there is no
-    /// fallback to the unchecked legacy form.
+    /// parser, the integrity byte must match exactly.
     pub fn parse_sealed(buf: &[u8]) -> Result<(TcpHeader, usize), WireError> {
         if buf.len() < TCP_SEALED_LEN {
             return Err(WireError::Truncated {
@@ -191,7 +147,21 @@ impl TcpHeader {
         if crate::integrity::crc32(&buf[..TCP_HEADER_LEN]) != stored {
             return Err(WireError::BadHeaderCrc);
         }
-        Ok((Self::parse_fields(buf), TCP_SEALED_LEN))
+        let hdr = TcpHeader {
+            conn_id: u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]),
+            src_port: u16::from_be_bytes([buf[4], buf[5]]),
+            dst_port: u16::from_be_bytes([buf[6], buf[7]]),
+            seq: u64::from_be_bytes([
+                buf[8], buf[9], buf[10], buf[11], buf[12], buf[13], buf[14], buf[15],
+            ]),
+            ack: u64::from_be_bytes([
+                buf[16], buf[17], buf[18], buf[19], buf[20], buf[21], buf[22], buf[23],
+            ]),
+            flags: TcpFlags::from_wire(buf[24]),
+            rwnd: u32::from_be_bytes([buf[25], buf[26], buf[27], buf[28]]),
+            payload_len: u16::from_be_bytes([buf[29], buf[30]]),
+        };
+        Ok((hdr, TCP_SEALED_LEN))
     }
 }
 
@@ -216,8 +186,8 @@ mod tests {
             rwnd: 1 << 20,
             payload_len: 1460,
         };
-        let bytes = hdr.to_bytes();
-        assert_eq!(TcpHeader::parse(&bytes).unwrap(), hdr);
+        let bytes = hdr.to_sealed_bytes();
+        assert_eq!(TcpHeader::parse_sealed(&bytes), Ok((hdr, TCP_SEALED_LEN)));
     }
 
     #[test]
@@ -226,22 +196,6 @@ mod tests {
             let flags = TcpFlags::from_wire(bits);
             assert_eq!(flags.to_wire(), bits);
         }
-    }
-
-    #[test]
-    fn rejects_truncated() {
-        let bytes = TcpHeader::default().to_bytes();
-        assert!(matches!(
-            TcpHeader::parse(&bytes[..TCP_HEADER_LEN - 1]),
-            Err(WireError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn plain_parse_rejects_nonzero_reserved_byte() {
-        let mut bytes = TcpHeader::default().to_bytes();
-        bytes[31] = 7;
-        assert_eq!(TcpHeader::parse(&bytes), Err(WireError::BadReserved));
     }
 
     #[test]
@@ -257,14 +211,12 @@ mod tests {
         let (back, used) = TcpHeader::parse_sealed(&sealed).unwrap();
         assert_eq!(used, TCP_SEALED_LEN);
         assert_eq!(back, hdr);
-        // Sealed frames are rejected by the plain parser and vice versa.
-        assert_eq!(TcpHeader::parse(&sealed), Err(WireError::BadReserved));
+        // A zero integrity byte is refused before the CRC is read.
+        let mut unsealed = sealed;
+        unsealed[31] = 0;
         assert_eq!(
-            TcpHeader::parse_sealed(&hdr.to_bytes()),
-            Err(WireError::Truncated {
-                needed: TCP_SEALED_LEN,
-                got: TCP_HEADER_LEN
-            })
+            TcpHeader::parse_sealed(&unsealed),
+            Err(WireError::BadIntegrityFlags(0))
         );
     }
 

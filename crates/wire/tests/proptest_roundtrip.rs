@@ -1,7 +1,6 @@
 //! Property-based tests: every structurally valid `MtpHeader` must survive
-//! an emit→parse round trip byte-identically, the zero-copy view must agree
-//! with the owned parse, and arbitrary byte soup must never panic the
-//! parser.
+//! a seal→verify round trip. Byte soup, bit flips and truncation of the
+//! sealed form are `fuzz_decode`'s.
 
 use proptest::prelude::*;
 
@@ -101,43 +100,11 @@ prop_compose! {
 proptest! {
     #[test]
     fn emit_parse_roundtrip(hdr in arb_header()) {
-        let bytes = hdr.to_bytes().unwrap();
-        prop_assert_eq!(bytes.len(), hdr.wire_len());
-        let (back, used) = MtpHeader::parse(&bytes).unwrap();
+        let bytes = hdr.to_sealed_bytes().unwrap();
+        prop_assert_eq!(bytes.len(), hdr.sealed_wire_len());
+        let (back, used, payload_ok) = MtpHeader::parse_sealed(&bytes).unwrap();
         prop_assert_eq!(used, bytes.len());
+        prop_assert!(payload_ok);
         prop_assert_eq!(back, hdr);
-    }
-
-    #[test]
-    fn parser_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let _ = MtpHeader::parse(&bytes);
-        let _ = mtp_wire::TcpHeader::parse(&bytes);
-    }
-
-    #[test]
-    fn truncation_always_detected(hdr in arb_header(), cut_frac in 0.0f64..1.0) {
-        let bytes = hdr.to_bytes().unwrap();
-        let cut = ((bytes.len() as f64) * cut_frac) as usize;
-        if cut < bytes.len() {
-            prop_assert!(MtpHeader::parse(&bytes[..cut]).is_err());
-        }
-    }
-}
-
-proptest! {
-    /// The TCP-island bridge encapsulation round-trips any header and
-    /// never panics on garbage payloads.
-    #[test]
-    fn bridge_roundtrip(hdr in arb_header(), trailer in prop::collection::vec(any::<u8>(), 0..64)) {
-        let mut wire = mtp_wire::encapsulate(&hdr).unwrap();
-        wire.extend_from_slice(&trailer);
-        let (back, consumed) = mtp_wire::decapsulate(&wire).unwrap().expect("bridged");
-        prop_assert_eq!(back, hdr);
-        prop_assert_eq!(&wire[consumed..], &trailer[..]);
-    }
-
-    #[test]
-    fn bridge_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = mtp_wire::decapsulate(&bytes);
     }
 }

@@ -10,7 +10,8 @@ use mtp_sim::{LinkCfg, PortId, Simulator};
 use mtp_wire::{EntityId, MtpHeader, PathletId};
 
 fn main() {
-    // 1. The wire format itself: build a header, emit it, parse it back.
+    // 1. The wire format itself: build a header, seal it (header CRC plus
+    //    payload-checksum trailer), verify and parse it back.
     let hdr = MtpHeader {
         src_port: 1,
         dst_port: 2,
@@ -19,10 +20,11 @@ fn main() {
         msg_len_pkts: 45,
         ..MtpHeader::default()
     };
-    let bytes = hdr.to_bytes().expect("encodable");
-    let (parsed, used) = MtpHeader::parse(&bytes).expect("decodable");
+    let bytes = hdr.to_sealed_bytes().expect("encodable");
+    let (parsed, used, payload_ok) = MtpHeader::parse_sealed(&bytes).expect("decodable");
     assert_eq!(parsed, hdr);
-    println!("wire format: {} header bytes round-trip ok", used);
+    assert!(payload_ok);
+    println!("wire format: {} sealed header bytes round-trip ok", used);
 
     // 2. A small network: sender - switch - sink, with the switch stamping
     //    pathlet feedback into every data packet.

@@ -221,8 +221,11 @@ fn full_stack_runs_are_deterministic() {
 #[test]
 fn facade_reexports_are_usable() {
     let hdr = mtp::wire::MtpHeader::default();
-    let bytes = hdr.to_bytes().expect("encodable");
-    assert_eq!(bytes.len(), mtp::wire::FIXED_HEADER_LEN);
+    let bytes = hdr.to_sealed_bytes().expect("encodable");
+    assert_eq!(
+        bytes.len(),
+        mtp::wire::FIXED_HEADER_LEN + mtp::wire::PAYLOAD_CSUM_LEN
+    );
     let caps = mtp::core::capabilities::mtp();
     assert_eq!(caps.score(), 5);
     let d = mtp::workload::SizeDist::web_search();
