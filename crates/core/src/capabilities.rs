@@ -19,7 +19,7 @@ pub fn mtp() -> TransportCapabilities {
             "messages are independent; no connection state; per-message load balancing is safe (host.rs)",
         ),
         multi_resource_cc: Assessment::yes(
-            "per-(pathlet, TC) controllers with TLV-typed feedback; DCTCP-like, RCP-like, Swift-like coexist (pathlet_cc.rs)",
+            "per-(pathlet, TC) DCTCP-like windows driven by TLV-typed pathlet feedback (pathlet_cc.rs, pathlets.rs)",
         ),
         multi_entity_isolation: Assessment::yes(
             "entity + TC in every header let devices enforce per-entity policy without per-flow state (paper Fig. 7)",

@@ -52,27 +52,6 @@ impl Default for MtpConfig {
 }
 
 impl MtpConfig {
-    /// Configuration with RCP-style explicit-rate pathlet control.
-    pub fn rcp() -> MtpConfig {
-        MtpConfig {
-            cc: CcKind::RcpLike {
-                init_window: 10 * 1500,
-            },
-            ..MtpConfig::default()
-        }
-    }
-
-    /// Configuration with Swift-style delay-target pathlet control.
-    pub fn swift(target: Duration) -> MtpConfig {
-        MtpConfig {
-            cc: CcKind::SwiftLike {
-                init_window: 10 * 1500,
-                target,
-            },
-            ..MtpConfig::default()
-        }
-    }
-
     /// Enable dead-pathlet detection and failover.
     pub fn with_failover(mut self) -> MtpConfig {
         self.failover = true;

@@ -13,11 +13,11 @@
 //!   mutation** and per-message **load balancing** safe.
 //! * **Pathlet congestion control** (§3.1.3). Senders keep one congestion
 //!   controller per `(pathlet, traffic class)` pair
-//!   ([`pathlets::PathletTable`]), with the algorithm selected by the TLV
-//!   type of the network's feedback ([`pathlet_cc`]): DCTCP-like ECN
-//!   windows, RCP-like explicit rates, and Swift-like delay targets
-//!   coexist. Senders advertise congested pathlets back to the network via
-//!   the header's path-exclude list.
+//!   ([`pathlets::PathletTable`]): a DCTCP-like window driven by the
+//!   TLV-typed feedback the network stamps per pathlet ([`pathlet_cc`]),
+//!   ECN marks or an aggregated marking fraction. Senders advertise
+//!   congested pathlets back to the network via the header's path-exclude
+//!   list.
 //! * **Blob mode** (§3.1.2) is a schedule, not a module: bulk data
 //!   submitted as independent single-packet messages
 //!   (`scenarios/abl_spray_blob.toml` runs one).
@@ -63,7 +63,7 @@ pub use config::MtpConfig;
 pub use host::{
     EndpointMirror, MtpDuplexHost, MtpMsgRecord, MtpSenderNode, MtpSinkNode, ScheduledMsg,
 };
-pub use pathlet_cc::{CcKind, DctcpLikeCc, FixedWindowCc, PathletCc, RcpLikeCc, SwiftLikeCc};
+pub use pathlet_cc::{CcKind, DctcpLikeCc, FixedWindowCc, PathletCc};
 pub use pathlets::{PathletEntry, PathletTable};
 pub use receiver::{MsgDelivered, MtpReceiver, MtpReceiverStats};
 pub use sender::{MtpSender, MtpSenderStats, PathHealth, SenderEvent, DEFAULT_PATHLET};

@@ -1,17 +1,14 @@
 //! Per-pathlet congestion controllers.
 //!
 //! MTP end-hosts do not keep one congestion window per flow; they keep one
-//! controller per `(pathlet, traffic class)` pair, and different pathlets
-//! may run **different algorithms** — the TLV type of the feedback selects
-//! which controller consumes it (paper §3.1.3). This module provides the
-//! [`PathletCc`] trait and four controllers:
+//! controller per `(pathlet, traffic class)` pair, driven by the TLV-typed
+//! feedback the pathlet's switches stamp (paper §3.1.3). This module
+//! provides the [`PathletCc`] trait and two controllers:
 //!
-//! * [`DctcpLikeCc`] — window-based, driven by per-pathlet ECN marks with
-//!   DCTCP's `alpha` EWMA response;
-//! * [`RcpLikeCc`] — rate-based, driven by explicit `RcpRate` feedback; the
-//!   admission window is `rate × RTT`;
-//! * [`SwiftLikeCc`] — delay-based, driven by `Delay` feedback against a
-//!   target (Swift-style AIMD on delay overshoot);
+//! * [`DctcpLikeCc`] — window-based, driven by per-pathlet ECN marks
+//!   ([`Feedback::EcnMark`]) or an aggregated marking fraction
+//!   ([`Feedback::EcnFraction`]) with DCTCP's `alpha` EWMA response; every
+//!   other TLV reads as "no congestion signal";
 //! * [`FixedWindowCc`] — a constant window, for tests and ablations.
 //!
 //! All windows are in bytes and floored at one MTU so a pathlet can always
@@ -52,13 +49,7 @@ pub trait PathletCc: std::fmt::Debug {
     /// A loss (NACK or retransmission timeout) was attributed to this
     /// pathlet.
     fn on_loss(&mut self, now: Time);
-
-    /// Short algorithm name for traces and ablation output.
-    fn kind(&self) -> &'static str;
 }
-
-/// Builds a controller for a newly observed pathlet.
-pub type CcFactory = Box<dyn Fn() -> Box<dyn PathletCc>>;
 
 /// Which controller family new pathlets get.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,18 +59,6 @@ pub enum CcKind {
         /// Initial window in bytes.
         init_window: u64,
     },
-    /// [`RcpLikeCc`] with the given initial window in bytes.
-    RcpLike {
-        /// Window used until the first rate feedback arrives.
-        init_window: u64,
-    },
-    /// [`SwiftLikeCc`] with the given target one-hop queueing delay.
-    SwiftLike {
-        /// Initial window in bytes.
-        init_window: u64,
-        /// Target per-pathlet queueing delay.
-        target: Duration,
-    },
     /// [`FixedWindowCc`].
     Fixed {
         /// The constant window in bytes.
@@ -88,20 +67,11 @@ pub enum CcKind {
 }
 
 impl CcKind {
-    /// Build a factory producing this kind of controller.
-    pub fn factory(self) -> CcFactory {
+    /// A controller of this kind for a newly observed pathlet.
+    pub fn build(self) -> Box<dyn PathletCc> {
         match self {
-            CcKind::DctcpLike { init_window } => {
-                Box::new(move || Box::new(DctcpLikeCc::new(init_window)))
-            }
-            CcKind::RcpLike { init_window } => {
-                Box::new(move || Box::new(RcpLikeCc::new(init_window)))
-            }
-            CcKind::SwiftLike {
-                init_window,
-                target,
-            } => Box::new(move || Box::new(SwiftLikeCc::new(init_window, target))),
-            CcKind::Fixed { window } => Box::new(move || Box::new(FixedWindowCc::new(window))),
+            CcKind::DctcpLike { init_window } => Box::new(DctcpLikeCc::new(init_window)),
+            CcKind::Fixed { window } => Box::new(FixedWindowCc::new(window)),
         }
     }
 }
@@ -211,128 +181,6 @@ impl PathletCc for DctcpLikeCc {
         self.reduce_guard = self.window;
         self.clamp();
     }
-
-    fn kind(&self) -> &'static str {
-        "dctcp-like"
-    }
-}
-
-/// RCP-style explicit-rate control: the pathlet tells the sender its fair
-/// rate; the admission window is `rate × smoothed RTT`.
-#[derive(Debug)]
-pub struct RcpLikeCc {
-    window: u64,
-    rate_mbps: Option<u32>,
-    srtt: Option<Duration>,
-}
-
-impl RcpLikeCc {
-    /// A controller admitting `init_window` bytes until rate feedback
-    /// arrives.
-    pub fn new(init_window: u64) -> RcpLikeCc {
-        RcpLikeCc {
-            window: init_window.clamp(WINDOW_FLOOR, WINDOW_CAP),
-            rate_mbps: None,
-            srtt: None,
-        }
-    }
-
-    /// The last explicit rate received, if any.
-    pub fn rate_mbps(&self) -> Option<u32> {
-        self.rate_mbps
-    }
-
-    fn recompute(&mut self) {
-        if let (Some(rate), Some(srtt)) = (self.rate_mbps, self.srtt) {
-            let bytes = (rate as u128 * 1_000_000 / 8) * srtt.0 as u128 / 1_000_000_000_000;
-            self.window = (bytes as u64).clamp(WINDOW_FLOOR, WINDOW_CAP);
-        }
-    }
-}
-
-impl PathletCc for RcpLikeCc {
-    fn window(&self) -> u64 {
-        self.window
-    }
-
-    fn on_ack(&mut self, _acked: u64, fb: Option<&Feedback>, rtt: Option<Duration>, _now: Time) {
-        if let Some(rtt) = rtt {
-            self.srtt = Some(match self.srtt {
-                None => rtt,
-                Some(s) => Duration((7 * s.0 + rtt.0) / 8),
-            });
-        }
-        if let Some(Feedback::RcpRate { mbps }) = fb {
-            self.rate_mbps = Some(*mbps);
-        }
-        self.recompute();
-    }
-
-    fn on_loss(&mut self, _now: Time) {
-        // Rate-allocated pathlets treat loss as a stale allocation: back off
-        // to half until the next explicit rate arrives.
-        self.window = (self.window / 2).max(WINDOW_FLOOR);
-    }
-
-    fn kind(&self) -> &'static str {
-        "rcp-like"
-    }
-}
-
-/// Swift-style delay-target control on per-pathlet queueing delay.
-#[derive(Debug)]
-pub struct SwiftLikeCc {
-    window: f64,
-    target: Duration,
-    /// Max multiplicative decrease factor per decision.
-    max_mdf: f64,
-    mtu: f64,
-}
-
-impl SwiftLikeCc {
-    /// A controller targeting `target` queueing delay on this pathlet.
-    pub fn new(init_window: u64, target: Duration) -> SwiftLikeCc {
-        SwiftLikeCc {
-            window: init_window as f64,
-            target,
-            max_mdf: 0.5,
-            mtu: WINDOW_FLOOR as f64,
-        }
-    }
-}
-
-impl PathletCc for SwiftLikeCc {
-    fn window(&self) -> u64 {
-        self.window as u64
-    }
-
-    fn on_ack(&mut self, acked: u64, fb: Option<&Feedback>, _rtt: Option<Duration>, _now: Time) {
-        match fb {
-            Some(Feedback::Delay { ns }) => {
-                let delay = Duration::from_nanos(*ns as u64);
-                if delay > self.target {
-                    // Multiplicative decrease proportional to overshoot.
-                    let over = (delay.0 - self.target.0) as f64 / delay.0 as f64;
-                    let factor = (1.0 - over).max(1.0 - self.max_mdf);
-                    self.window *= factor;
-                } else {
-                    self.window += self.mtu * acked as f64 / self.window;
-                }
-            }
-            _ => {
-                self.window += self.mtu * acked as f64 / self.window;
-            }
-        }
-        self.window = self.window.clamp(WINDOW_FLOOR as f64, WINDOW_CAP as f64);
-    }
-
-    fn on_loss(&mut self, _now: Time) {
-        self.window = (self.window * (1.0 - self.max_mdf)).max(WINDOW_FLOOR as f64);
-    }
-
-    fn kind(&self) -> &'static str {
-        "swift-like"
-    }
 }
 
 /// A constant window, for unit tests and ablations.
@@ -358,10 +206,6 @@ impl PathletCc for FixedWindowCc {
     fn on_ack(&mut self, _: u64, _: Option<&Feedback>, _: Option<Duration>, _: Time) {}
 
     fn on_loss(&mut self, _: Time) {}
-
-    fn kind(&self) -> &'static str {
-        "fixed"
-    }
 }
 
 #[cfg(test)]
@@ -413,47 +257,6 @@ mod tests {
     }
 
     #[test]
-    fn rcp_window_is_rate_times_rtt() {
-        let mut cc = RcpLikeCc::new(15_000);
-        // 80 Gbps rate, 10 us RTT => 100 KB window.
-        cc.on_ack(
-            1500,
-            Some(&Feedback::RcpRate { mbps: 80_000 }),
-            Some(Duration::from_micros(10)),
-            T,
-        );
-        let w = cc.window();
-        assert!((w as i64 - 100_000).unsigned_abs() < 2_000, "window {w}");
-        assert_eq!(cc.rate_mbps(), Some(80_000));
-    }
-
-    #[test]
-    fn rcp_updates_on_new_rate() {
-        let mut cc = RcpLikeCc::new(15_000);
-        cc.on_ack(
-            1500,
-            Some(&Feedback::RcpRate { mbps: 80_000 }),
-            Some(Duration::from_micros(10)),
-            T,
-        );
-        let w80 = cc.window();
-        cc.on_ack(1500, Some(&Feedback::RcpRate { mbps: 8_000 }), None, T);
-        assert!(cc.window() < w80 / 5, "rate cut 10x shrinks window ~10x");
-    }
-
-    #[test]
-    fn swift_backs_off_above_target() {
-        let mut cc = SwiftLikeCc::new(150_000, Duration::from_micros(10));
-        let before = cc.window();
-        cc.on_ack(1500, Some(&Feedback::Delay { ns: 40_000 }), None, T);
-        assert!(cc.window() < before);
-        // And grows when under target.
-        let low = cc.window();
-        cc.on_ack(1500, Some(&Feedback::Delay { ns: 1_000 }), None, T);
-        assert!(cc.window() > low);
-    }
-
-    #[test]
     fn fixed_window_never_moves() {
         let mut cc = FixedWindowCc::new(30_000);
         cc.on_ack(1500, Some(&Feedback::EcnMark { ce: true }), None, T);
@@ -462,24 +265,16 @@ mod tests {
     }
 
     #[test]
-    fn factories_build_expected_kinds() {
-        assert_eq!(
-            CcKind::DctcpLike { init_window: 1 }.factory()().kind(),
-            "dctcp-like"
-        );
-        assert_eq!(
-            CcKind::RcpLike { init_window: 1 }.factory()().kind(),
-            "rcp-like"
-        );
-        assert_eq!(
-            CcKind::SwiftLike {
-                init_window: 1,
-                target: Duration::from_micros(5)
-            }
-            .factory()()
-            .kind(),
-            "swift-like"
-        );
-        assert_eq!(CcKind::Fixed { window: 1 }.factory()().kind(), "fixed");
+    fn kinds_build_their_controllers() {
+        let mut dctcp = CcKind::DctcpLike {
+            init_window: 15_000,
+        }
+        .build();
+        assert_eq!(dctcp.window(), 15_000);
+        dctcp.on_ack(1500, None, None, T);
+        assert!(dctcp.window() > 15_000, "a DCTCP-like window grows");
+        let mut fixed = CcKind::Fixed { window: 1 }.build();
+        fixed.on_ack(1500, None, None, T);
+        assert_eq!(fixed.window(), WINDOW_FLOOR, "a fixed window, floored");
     }
 }

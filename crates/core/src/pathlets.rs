@@ -23,7 +23,7 @@
 use mtp_sim::time::Time;
 use mtp_wire::{PathExclude, PathletId, TrafficClass};
 
-use crate::pathlet_cc::{CcFactory, PathIdx, PathletCc};
+use crate::pathlet_cc::{CcKind, PathIdx, PathletCc};
 
 /// Congestion state for one `(pathlet, TC)` pair.
 pub struct PathletEntry {
@@ -70,7 +70,8 @@ pub struct PathletTable {
     /// Open-addressed key→index probe table; each slot holds `idx + 1`,
     /// 0 = empty. Length is a power of two.
     map: Vec<u32>,
-    factory: CcFactory,
+    /// Controller family for new pathlets.
+    cc: CcKind,
     /// Entries whose `excluded_until` is set (possibly expired); lets the
     /// per-packet exclusion scan short-circuit in the common case of no
     /// exclusions at all.
@@ -89,13 +90,13 @@ impl std::fmt::Debug for PathletTable {
 }
 
 impl PathletTable {
-    /// An empty table; `factory` builds controllers for new pathlets.
-    pub fn new(factory: CcFactory) -> PathletTable {
+    /// An empty table; new pathlets get a controller of kind `cc`.
+    pub fn new(cc: CcKind) -> PathletTable {
         PathletTable {
             keys: Vec::new(),
             entries: Vec::new(),
             map: Vec::new(),
-            factory,
+            cc,
             excluded: 0,
             quarantined: 0,
         }
@@ -165,7 +166,7 @@ impl PathletTable {
         let idx = self.entries.len() as u32;
         self.keys.push((path, tc));
         self.entries.push(PathletEntry {
-            cc: (self.factory)(),
+            cc: self.cc.build(),
             inflight: 0,
             excluded_until: None,
             last_seen: now,
@@ -414,11 +415,10 @@ impl PathletTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pathlet_cc::CcKind;
     use mtp_sim::time::Duration;
 
     fn table() -> PathletTable {
-        PathletTable::new(CcKind::Fixed { window: 10_000 }.factory())
+        PathletTable::new(CcKind::Fixed { window: 10_000 })
     }
 
     const P1: PathletId = PathletId(1);

@@ -265,7 +265,7 @@ impl MtpSender {
     /// from `msg_id_base` (must be globally unique per sender).
     pub fn new(cfg: MtpConfig, addr: u16, entity: EntityId, msg_id_base: u64) -> MtpSender {
         let rtt = RttEstimator::new(cfg.min_rto);
-        let pathlets = PathletTable::new(cfg.cc.factory());
+        let pathlets = PathletTable::new(cfg.cc);
         MtpSender {
             cfg,
             addr,

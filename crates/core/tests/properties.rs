@@ -1,15 +1,16 @@
 //! Property-based tests of the sans-IO MTP cores: receiver exactly-once
 //! delivery under arbitrary arrival orders, sender robustness under
 //! adversarial ACK streams, controller window bounds under arbitrary
-//! feedback, and the two bounded-state mechanisms — the sender's sliding
-//! message window and the receiver's records that live only while their
-//! message is in reassembly — each checked step by step against a model
-//! that keeps everything.
+//! feedback, the TLVs no controller reads changing nothing, and the two
+//! bounded-state mechanisms — the sender's sliding message window and the
+//! receiver's records that live only while their message is in
+//! reassembly — each checked step by step against a model that keeps
+//! everything.
 
 use proptest::prelude::*;
 
 use mtp_core::pathlet_cc::{CcKind, WINDOW_CAP, WINDOW_FLOOR};
-use mtp_core::{MtpConfig, MtpReceiver, MtpSender, SenderEvent};
+use mtp_core::{DctcpLikeCc, MtpConfig, MtpReceiver, MtpSender, PathletCc, SenderEvent};
 use mtp_sim::time::{Duration, Time};
 use mtp_wire::types::flags;
 use mtp_wire::{
@@ -1015,19 +1016,18 @@ proptest! {
     }
 
     /// Every controller keeps its window inside [floor, cap] under
-    /// arbitrary feedback and loss sequences.
+    /// arbitrary loss and arbitrary feedback, every TLV the codec decodes
+    /// included: a peer can send any of them in an ACK.
     #[test]
     fn controller_windows_stay_bounded(
-        kind_sel in 0usize..4,
-        ops in prop::collection::vec((0u8..6, any::<u32>()), 1..200),
+        kind_sel in 0usize..2,
+        ops in prop::collection::vec((0u8..9, any::<u32>()), 1..200),
     ) {
         let kind = match kind_sel {
             0 => CcKind::DctcpLike { init_window: 15_000 },
-            1 => CcKind::RcpLike { init_window: 15_000 },
-            2 => CcKind::SwiftLike { init_window: 15_000, target: Duration::from_micros(10) },
             _ => CcKind::Fixed { window: 15_000 },
         };
-        let mut cc = kind.factory()();
+        let mut cc = kind.build();
         for (op, v) in ops {
             match op {
                 0 => cc.on_ack(1500, Some(&Feedback::EcnMark { ce: v % 2 == 0 }), None, Time::ZERO),
@@ -1035,14 +1035,55 @@ proptest! {
                 2 => cc.on_ack(1500, Some(&Feedback::Delay { ns: v }), None, Time::ZERO),
                 3 => cc.on_ack(u64::from(v) % 100_000, None, None, Time::ZERO),
                 4 => cc.on_loss(Time::ZERO),
+                5 => cc.on_ack(1500, Some(&Feedback::QueueDepth { bytes: v }), None, Time::ZERO),
+                6 => cc.on_ack(1500, Some(&Feedback::PathChange { new_path: PathletId(v as u16) }), None, Time::ZERO),
+                7 => cc.on_ack(1500, Some(&Feedback::Trim), None, Time::ZERO),
                 _ => cc.on_ack(0, Some(&Feedback::EcnFraction { fraction: (v % 65536) as u16 }), None, Time::ZERO),
             }
             let w = cc.window();
             prop_assert!(
                 (WINDOW_FLOOR..=WINDOW_CAP).contains(&w),
-                "{} window {w} escaped bounds",
-                cc.kind()
+                "{kind:?} window {w} escaped bounds"
             );
+        }
+    }
+
+    /// The DCTCP-like controller reads only `EcnMark` and `EcnFraction`:
+    /// fed any other TLV on every ACK, it keeps the window and `alpha` of
+    /// a twin fed no feedback at all, step by step, through marks and
+    /// losses that both see.
+    #[test]
+    fn other_tlvs_read_as_no_congestion_signal(
+        ops in prop::collection::vec((0u8..4, 0u64..100_000, 0u8..5, any::<u32>()), 1..200),
+    ) {
+        let mut fed = DctcpLikeCc::new(15_000);
+        let mut none = DctcpLikeCc::new(15_000);
+        for (op, acked, sel, v) in ops {
+            match op {
+                0 | 1 => {
+                    let fb = match sel {
+                        0 => Feedback::RcpRate { mbps: v },
+                        1 => Feedback::Delay { ns: v },
+                        2 => Feedback::QueueDepth { bytes: v },
+                        3 => Feedback::PathChange { new_path: PathletId(v as u16) },
+                        _ => Feedback::Trim,
+                    };
+                    let rtt = (op == 1).then(|| Duration::from_nanos(u64::from(v)));
+                    fed.on_ack(acked, Some(&fb), rtt, Time::ZERO);
+                    none.on_ack(acked, None, rtt, Time::ZERO);
+                }
+                2 => {
+                    let mark = Feedback::EcnMark { ce: v % 2 == 0 };
+                    fed.on_ack(acked, Some(&mark), None, Time::ZERO);
+                    none.on_ack(acked, Some(&mark), None, Time::ZERO);
+                }
+                _ => {
+                    fed.on_loss(Time::ZERO);
+                    none.on_loss(Time::ZERO);
+                }
+            }
+            prop_assert_eq!(fed.window(), none.window());
+            prop_assert_eq!(fed.alpha().to_bits(), none.alpha().to_bits());
         }
     }
 }

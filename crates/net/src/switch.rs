@@ -45,30 +45,6 @@ pub enum StampKind {
     Presence,
     /// Report the egress queue depth in bytes (load-aware balancing).
     QueueDepth,
-    /// Report an RCP-style explicit rate: the port's capacity divided by
-    /// the number of distinct source hosts seen in the last epoch.
-    RcpRate {
-        /// Egress capacity in Mbit/s.
-        capacity_mbps: u32,
-        /// Epoch over which active sources are counted.
-        epoch: mtp_sim::time::Duration,
-    },
-    /// Report the packet's queueing delay estimate (queue bytes / rate) in
-    /// nanoseconds, for Swift-like delay controllers.
-    DelayEstimate {
-        /// Egress drain rate used to convert queue bytes to delay.
-        rate: mtp_sim::time::Bandwidth,
-    },
-    /// Aggregated feedback (paper §4: "feedback can be aggregated"): an
-    /// EWMA of how often this egress stood at or above its marking
-    /// threshold, reported as an `EcnFraction` TLV instead of per-packet
-    /// bits — one small value summarising recent congestion.
-    EcnFractionEwma {
-        /// The egress queue's marking threshold in packets.
-        k_pkts: usize,
-        /// EWMA gain numerator (gain = num/65536 per packet observed).
-        gain_num: u32,
-    },
 }
 
 /// A per-egress-port pathlet stamp.
@@ -81,12 +57,6 @@ pub struct Stamp {
     pub tc: Option<TrafficClass>,
     /// What to report.
     pub kind: StampKind,
-    /// RcpRate bookkeeping: active sources this/last epoch.
-    rcp_seen: std::collections::HashSet<u16>,
-    rcp_active_prev: usize,
-    rcp_epoch_end: Time,
-    /// EcnFractionEwma bookkeeping: fraction in 1/65535 units.
-    fraction_ewma: u32,
 }
 
 impl Stamp {
@@ -96,10 +66,6 @@ impl Stamp {
             pathlet,
             tc: None,
             kind,
-            rcp_seen: std::collections::HashSet::new(),
-            rcp_active_prev: 1,
-            rcp_epoch_end: Time::ZERO,
-            fraction_ewma: 0,
         }
     }
 
@@ -109,46 +75,12 @@ impl Stamp {
         self
     }
 
-    fn feedback(&mut self, ctx: &Ctx<'_>, port: PortId, pkt: &Packet, now: Time) -> Feedback {
+    fn feedback(&self, ctx: &Ctx<'_>, port: PortId) -> Feedback {
         match self.kind {
             StampKind::Presence => Feedback::EcnMark { ce: false },
             StampKind::QueueDepth => Feedback::QueueDepth {
                 bytes: ctx.egress_len_bytes(port) as u32,
             },
-            StampKind::RcpRate {
-                capacity_mbps,
-                epoch,
-            } => {
-                if now >= self.rcp_epoch_end {
-                    self.rcp_active_prev = self.rcp_seen.len().max(1);
-                    self.rcp_seen.clear();
-                    self.rcp_epoch_end = now + epoch;
-                }
-                if let Some(src) = crate::routes::src_addr(pkt) {
-                    self.rcp_seen.insert(src);
-                }
-                let active = self.rcp_seen.len().max(self.rcp_active_prev).max(1);
-                Feedback::RcpRate {
-                    mbps: capacity_mbps / active as u32,
-                }
-            }
-            StampKind::DelayEstimate { rate } => {
-                let bytes = ctx.egress_len_bytes(port) as u32;
-                let delay = rate.serialize_time(bytes);
-                Feedback::Delay {
-                    ns: (delay.0 / 1000).min(u32::MAX as u64) as u32,
-                }
-            }
-            StampKind::EcnFractionEwma { k_pkts, gain_num } => {
-                let over = ctx.egress_len_pkts(port) >= k_pkts;
-                let target: u32 = if over { 65_535 } else { 0 };
-                // fraction += gain * (observation - fraction)
-                let delta = (target as i64 - self.fraction_ewma as i64) * gain_num as i64 / 65_536;
-                self.fraction_ewma = (self.fraction_ewma as i64 + delta).clamp(0, 65_535) as u32;
-                Feedback::EcnFraction {
-                    fraction: self.fraction_ewma as u16,
-                }
-            }
         }
     }
 }
@@ -253,15 +185,13 @@ impl Node for SwitchNode {
         let Some(cfg) = &self.advertise else { return };
         let interval = cfg.interval;
         let hosts = cfg.hosts.clone();
-        let now = ctx.now();
         for host in hosts {
             // One feedback entry per stamped egress, reporting its
             // current state.
             let mut entries = Vec::new();
-            for (port, stamp) in self.stamps.iter_mut().enumerate() {
+            for (port, stamp) in self.stamps.iter().enumerate() {
                 let Some(stamp) = stamp else { continue };
-                let probe = Packet::new(mtp_sim::Headers::Raw, 0);
-                let fb = stamp.feedback(ctx, PortId(port), &probe, now);
+                let fb = stamp.feedback(ctx, PortId(port));
                 entries.push(PathFeedback {
                     path: stamp.pathlet,
                     tc: stamp.tc.unwrap_or(TrafficClass::BEST_EFFORT),
@@ -321,14 +251,14 @@ impl Node for SwitchNode {
             }
         };
         // Stamp pathlet feedback into MTP data packets leaving this port.
-        if let Some(Some(stamp)) = self.stamps.get_mut(out_port.0) {
+        if let Some(Some(stamp)) = self.stamps.get(out_port.0) {
             let is_data = pkt
                 .headers
                 .as_mtp()
                 .map(|h| h.pkt_type == PktType::Data)
                 .unwrap_or(false);
             if is_data {
-                let fb = stamp.feedback(ctx, out_port, &pkt, now);
+                let fb = stamp.feedback(ctx, out_port);
                 let hdr = pkt.headers.as_mtp_mut().expect("checked is_data");
                 let entry = PathFeedback {
                     path: stamp.pathlet,

@@ -161,12 +161,6 @@ impl Ctx<'_> {
         self.inner.cancel_timer(id);
     }
 
-    /// Number of packets queued at this node's egress `port`
-    /// (not counting a packet currently being serialized).
-    pub fn egress_len_pkts(&self, port: PortId) -> usize {
-        self.inner.egress_queue_len(self.node, port).0
-    }
-
     /// Number of bytes queued at this node's egress `port`.
     pub fn egress_len_bytes(&self, port: PortId) -> usize {
         self.inner.egress_queue_len(self.node, port).1

@@ -27,11 +27,15 @@ mod tag {
 
 /// A single piece of per-pathlet congestion feedback.
 ///
-/// Different pathlets may use different variants simultaneously — that is
-/// the point: a DCTCP-like controller consumes [`Feedback::EcnMark`], an
-/// RCP-like controller consumes [`Feedback::RcpRate`], a Swift-like
-/// controller consumes [`Feedback::Delay`], all coexisting in one packet's
-/// feedback list.
+/// Different pathlets may report different variants in one packet's
+/// feedback list. Today one controller reads them: the sender's DCTCP-like
+/// pathlet window (`mtp-core`) consumes [`Feedback::EcnMark`] and
+/// [`Feedback::EcnFraction`]. Switches stamp `EcnMark` and
+/// [`Feedback::QueueDepth`], which the CONGA-style balancer snoops, and
+/// the sender follows [`Feedback::PathChange`] to its new active pathlet.
+/// The other tags are kept because the wire format (paper Fig. 4) defines
+/// them: the codec decodes them from any peer, and a controller that does
+/// not read a tag treats it as no congestion signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Feedback {
     /// Binary congestion-experienced indication for this packet on this

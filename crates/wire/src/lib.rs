@@ -67,10 +67,10 @@
 //! ```
 //!
 //! Feedback values are TLVs (`type u8, len u8, value[len]`) so that
-//! different pathlets can use **different congestion-control algorithms**
-//! simultaneously — an ECN mark for a DCTCP-like controller, an explicit
-//! rate for an RCP-like controller, a delay sample for a Swift-like
-//! controller (paper §3.1.3, §4 "Managing Complexity").
+//! different pathlets can report **different congestion signals** in one
+//! packet — an ECN mark, an explicit rate, a delay sample, a queue depth
+//! (paper §3.1.3, §4 "Managing Complexity"). Which tags a controller reads
+//! today is listed at [`Feedback`].
 //!
 //! ## Integrity (the sealed form)
 //!
