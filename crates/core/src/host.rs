@@ -317,8 +317,7 @@ impl Node for MtpSenderNode {
                 self.after_completions(ctx);
                 self.sync_timer(ctx);
             }
-            PktType::Control => self.sender.on_control(now, &hdr),
-            PktType::Data => {}
+            PktType::Control | PktType::Data => {}
         }
         self.mirror.sync_sender(ctx, &self.sender.stats);
         mtp_sim::pool::recycle_header(hdr);
@@ -499,6 +498,7 @@ mod tests {
     use super::*;
     use mtp_sim::time::Bandwidth;
     use mtp_sim::{LinkCfg, Simulator};
+    use mtp_wire::{Feedback, MtpHeader, PathFeedback, PathletId};
 
     fn pair(
         cfg: MtpConfig,
@@ -521,6 +521,93 @@ mod tests {
         let sink = sim.add_node(Box::new(MtpSinkNode::new(2, Duration::from_micros(100))));
         sim.connect(snd, PortId(0), sink, PortId(0), ab, ba);
         (sim, snd, sink)
+    }
+
+    /// Passes packets between its two ports and, at `at`, sends the node
+    /// on port 0 one Control packet naming `paths`.
+    struct Advertiser {
+        at: Duration,
+        paths: Vec<PathletId>,
+    }
+
+    impl Node for Advertiser {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(self.at, 0);
+        }
+
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
+            ctx.send(PortId(1 - port.0), pkt);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+            let hdr = MtpHeader {
+                dst_port: 1,
+                pkt_type: PktType::Control,
+                path_feedback: self
+                    .paths
+                    .iter()
+                    .map(|&path| PathFeedback {
+                        path,
+                        tc: TrafficClass::BEST_EFFORT,
+                        feedback: Feedback::EcnMark { ce: false },
+                    })
+                    .collect(),
+                ..MtpHeader::default()
+            };
+            let wire = hdr.wire_len() as u32;
+            let pkt = Packet::new(Headers::Mtp(mtp_sim::pool::boxed(hdr)), wire).without_ect();
+            ctx.send(PortId(0), pkt);
+        }
+    }
+
+    #[test]
+    fn a_control_packet_changes_nothing_at_a_sender() {
+        let rate = Bandwidth::from_gbps(10);
+        let d = Duration::from_micros(2);
+        let mk = || LinkCfg::drop_tail(rate, d, 256);
+        let mut sim = Simulator::new(1);
+        let snd = sim.add_node(Box::new(MtpSenderNode::new(
+            MtpConfig::default(),
+            1,
+            2,
+            EntityId(0),
+            1 << 32,
+            vec![ScheduledMsg::new(Time::ZERO, 100_000)],
+        )));
+        let adv = sim.add_node(Box::new(Advertiser {
+            at: Duration::from_millis(5),
+            paths: [7, 8, 9].map(PathletId).to_vec(),
+        }));
+        let sink = sim.add_node(Box::new(MtpSinkNode::new(2, Duration::from_micros(100))));
+        let (_, to_sender) = sim.connect(snd, PortId(0), adv, PortId(0), mk(), mk());
+        sim.connect(adv, PortId(1), sink, PortId(0), mk(), mk());
+        let seen = |sim: &Simulator| {
+            let sender = &sim.node_as::<MtpSenderNode>(snd).sender;
+            let windows: Vec<_> = sender
+                .pathlets()
+                .iter()
+                .map(|(&key, e)| (key, e.cc.window()))
+                .collect();
+            (sender.known_pathlets(), windows)
+        };
+
+        // The message is done and the sender idle before the Control
+        // packet leaves.
+        sim.run_until(Time::ZERO + Duration::from_millis(4));
+        assert!(sim.node_as::<MtpSenderNode>(snd).all_done());
+        let before = seen(&sim);
+        assert!(before.0 > 0, "the transfer taught the sender a pathlet");
+        let delivered = sim.link_stats(to_sender).tx_pkts;
+
+        sim.run_until(Time::ZERO + Duration::from_millis(10));
+        assert_eq!(
+            sim.link_stats(to_sender).tx_pkts,
+            delivered + 1,
+            "the Control packet reached the sender"
+        );
+        assert_eq!(sim.node_as::<MtpSenderNode>(snd).malformed, 0);
+        assert_eq!(seen(&sim), before, "pathlets and windows unchanged");
+        mtp_sim::assert_conservation(&sim);
     }
 
     #[test]

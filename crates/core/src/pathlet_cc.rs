@@ -14,7 +14,6 @@
 //! All windows are in bytes and floored at one MTU so a pathlet can always
 //! probe, and capped to keep pathological feedback from unbounding state.
 
-use mtp_sim::time::{Duration, Time};
 use mtp_wire::Feedback;
 
 /// Dense index of an interned `(pathlet, traffic class)` pair within one
@@ -42,13 +41,12 @@ pub trait PathletCc: std::fmt::Debug {
     fn window(&self) -> u64;
 
     /// An acknowledgement attributed `acked` bytes to this pathlet,
-    /// carrying the pathlet's feedback entry (if the ACK echoed one) and an
-    /// RTT sample (if the packet was timed).
-    fn on_ack(&mut self, acked: u64, fb: Option<&Feedback>, rtt: Option<Duration>, now: Time);
+    /// carrying the pathlet's feedback entry (if the ACK echoed one).
+    fn on_ack(&mut self, acked: u64, fb: Option<&Feedback>);
 
     /// A loss (NACK or retransmission timeout) was attributed to this
     /// pathlet.
-    fn on_loss(&mut self, now: Time);
+    fn on_loss(&mut self);
 }
 
 /// Which controller family new pathlets get.
@@ -130,7 +128,7 @@ impl PathletCc for DctcpLikeCc {
         self.window as u64
     }
 
-    fn on_ack(&mut self, acked: u64, fb: Option<&Feedback>, _rtt: Option<Duration>, _now: Time) {
+    fn on_ack(&mut self, acked: u64, fb: Option<&Feedback>) {
         let acked = acked as f64;
         let marked = match fb {
             Some(Feedback::EcnMark { ce }) => *ce,
@@ -175,7 +173,7 @@ impl PathletCc for DctcpLikeCc {
         }
     }
 
-    fn on_loss(&mut self, _now: Time) {
+    fn on_loss(&mut self) {
         self.window /= 2.0;
         self.ssthresh = self.window;
         self.reduce_guard = self.window;
@@ -203,23 +201,21 @@ impl PathletCc for FixedWindowCc {
         self.window
     }
 
-    fn on_ack(&mut self, _: u64, _: Option<&Feedback>, _: Option<Duration>, _: Time) {}
+    fn on_ack(&mut self, _: u64, _: Option<&Feedback>) {}
 
-    fn on_loss(&mut self, _: Time) {}
+    fn on_loss(&mut self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const T: Time = Time::ZERO;
-
     #[test]
     fn dctcp_like_grows_without_marks() {
         let mut cc = DctcpLikeCc::new(15_000);
         let before = cc.window();
         for _ in 0..10 {
-            cc.on_ack(1500, Some(&Feedback::EcnMark { ce: false }), None, T);
+            cc.on_ack(1500, Some(&Feedback::EcnMark { ce: false }));
         }
         assert!(cc.window() > before, "slow start growth");
     }
@@ -227,12 +223,12 @@ mod tests {
     #[test]
     fn dctcp_like_reduces_once_per_window() {
         let mut cc = DctcpLikeCc::new(15_000);
-        cc.on_ack(1500, Some(&Feedback::EcnMark { ce: true }), None, T);
+        cc.on_ack(1500, Some(&Feedback::EcnMark { ce: true }));
         let after_first = cc.window();
         assert!(after_first < 15_000, "alpha=1 initially => halving");
         // More marks inside the guard window do not reduce again (they grow
         // or hold).
-        cc.on_ack(1500, Some(&Feedback::EcnMark { ce: true }), None, T);
+        cc.on_ack(1500, Some(&Feedback::EcnMark { ce: true }));
         assert!(cc.window() >= after_first);
     }
 
@@ -242,7 +238,7 @@ mod tests {
         // Ack a full window at a time so each call closes one observation
         // window: alpha multiplies by 15/16 per window.
         for _ in 0..50 {
-            cc.on_ack(cc.window(), None, None, T);
+            cc.on_ack(cc.window(), None);
         }
         assert!(cc.alpha() < 0.1, "alpha={}", cc.alpha());
     }
@@ -251,7 +247,7 @@ mod tests {
     fn dctcp_like_respects_floor() {
         let mut cc = DctcpLikeCc::new(3000);
         for _ in 0..64 {
-            cc.on_loss(T);
+            cc.on_loss();
         }
         assert_eq!(cc.window(), WINDOW_FLOOR);
     }
@@ -259,8 +255,8 @@ mod tests {
     #[test]
     fn fixed_window_never_moves() {
         let mut cc = FixedWindowCc::new(30_000);
-        cc.on_ack(1500, Some(&Feedback::EcnMark { ce: true }), None, T);
-        cc.on_loss(T);
+        cc.on_ack(1500, Some(&Feedback::EcnMark { ce: true }));
+        cc.on_loss();
         assert_eq!(cc.window(), 30_000);
     }
 
@@ -271,10 +267,10 @@ mod tests {
         }
         .build();
         assert_eq!(dctcp.window(), 15_000);
-        dctcp.on_ack(1500, None, None, T);
+        dctcp.on_ack(1500, None);
         assert!(dctcp.window() > 15_000, "a DCTCP-like window grows");
         let mut fixed = CcKind::Fixed { window: 1 }.build();
-        fixed.on_ack(1500, None, None, T);
+        fixed.on_ack(1500, None);
         assert_eq!(fixed.window(), WINDOW_FLOOR, "a fixed window, floored");
     }
 }

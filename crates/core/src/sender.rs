@@ -107,7 +107,7 @@ pub struct MtpSenderStats {
 /// "peer dead" diagnosis distinguishes a dead network from a dead peer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathHealth {
-    /// Pathlets known (observed via feedback or advertisement).
+    /// Pathlets known (observed via feedback).
     pub known: usize,
     /// Pathlets currently quarantined as presumed dead.
     pub quarantined: usize,
@@ -479,22 +479,7 @@ impl MtpSender {
         }
     }
 
-    /// Process a Control packet: a network path advertisement. Each
-    /// feedback entry names an available pathlet (paper §4, the NDP use
-    /// case: "end-hosts learn about available paths from the network");
-    /// the sender pre-creates its controller so the first data packet
-    /// already has converging state, and rate/delay advertisements are
-    /// consumed like ordinary feedback (with no bytes attributed).
-    pub fn on_control(&mut self, now: Time, hdr: &MtpHeader) {
-        debug_assert_eq!(hdr.pkt_type, PktType::Control);
-        for fb in &hdr.path_feedback {
-            let e = self.pathlets.entry(fb.path, fb.tc, now);
-            e.last_seen = now;
-            e.cc.on_ack(0, Some(&fb.feedback), None, now);
-        }
-    }
-
-    /// Number of pathlets known (observed via feedback or advertisement).
+    /// Number of pathlets known (observed via feedback).
     pub fn known_pathlets(&self) -> usize {
         self.pathlets.len()
     }
@@ -702,7 +687,7 @@ impl MtpSender {
                 .unwrap_or(0);
             let e = self.pathlets.at_mut(idx);
             e.last_seen = now;
-            e.cc.on_ack(acked, Some(&fb.feedback), rtt_sample, now);
+            e.cc.on_ack(acked, Some(&fb.feedback));
             if let Feedback::PathChange { new_path } = fb.feedback {
                 self.active = (new_path, fb.tc);
             }
@@ -722,7 +707,7 @@ impl MtpSender {
             // A plain SACK attributing bytes to this pathlet is liveness
             // evidence even without an echoed feedback entry.
             e.last_seen = now;
-            e.cc.on_ack(acked, None, rtt_sample, now);
+            e.cc.on_ack(acked, None);
             if self.cfg.failover {
                 self.pathlets.mark_alive(PathIdx(idx));
             }
@@ -763,7 +748,7 @@ impl MtpSender {
         for i in 0..self.loss_scratch.len() {
             let idx = PathIdx(self.loss_scratch[i]);
             let e = self.pathlets.at_mut(idx);
-            e.cc.on_loss(now);
+            e.cc.on_loss();
             if e.cc.window() <= crate::pathlet_cc::WINDOW_FLOOR {
                 self.pathlets.exclude_at(idx, now + EXCLUDE_COOLDOWN);
             }
@@ -843,14 +828,14 @@ impl MtpSender {
             }
             for i in 0..self.loss_scratch.len() {
                 let idx = PathIdx(self.loss_scratch[i]);
-                self.pathlets.at_mut(idx).cc.on_loss(now);
+                self.pathlets.at_mut(idx).cc.on_loss();
                 self.note_loss(idx, now, out);
             }
             self.loss_scratch.clear();
         } else {
             // One loss signal per timeout event on the active pathlet.
             let (p, tc) = self.active;
-            self.pathlets.entry(p, tc, now).cc.on_loss(now);
+            self.pathlets.entry(p, tc, now).cc.on_loss();
         }
         for i in 0..self.timer_scratch.len() {
             let (slot, pkt) = self.timer_scratch[i];

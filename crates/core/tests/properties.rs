@@ -1030,15 +1030,15 @@ proptest! {
         let mut cc = kind.build();
         for (op, v) in ops {
             match op {
-                0 => cc.on_ack(1500, Some(&Feedback::EcnMark { ce: v % 2 == 0 }), None, Time::ZERO),
-                1 => cc.on_ack(1500, Some(&Feedback::RcpRate { mbps: v }), Some(Duration::from_micros(10)), Time::ZERO),
-                2 => cc.on_ack(1500, Some(&Feedback::Delay { ns: v }), None, Time::ZERO),
-                3 => cc.on_ack(u64::from(v) % 100_000, None, None, Time::ZERO),
-                4 => cc.on_loss(Time::ZERO),
-                5 => cc.on_ack(1500, Some(&Feedback::QueueDepth { bytes: v }), None, Time::ZERO),
-                6 => cc.on_ack(1500, Some(&Feedback::PathChange { new_path: PathletId(v as u16) }), None, Time::ZERO),
-                7 => cc.on_ack(1500, Some(&Feedback::Trim), None, Time::ZERO),
-                _ => cc.on_ack(0, Some(&Feedback::EcnFraction { fraction: (v % 65536) as u16 }), None, Time::ZERO),
+                0 => cc.on_ack(1500, Some(&Feedback::EcnMark { ce: v % 2 == 0 })),
+                1 => cc.on_ack(1500, Some(&Feedback::RcpRate { mbps: v })),
+                2 => cc.on_ack(1500, Some(&Feedback::Delay { ns: v })),
+                3 => cc.on_ack(u64::from(v) % 100_000, None),
+                4 => cc.on_loss(),
+                5 => cc.on_ack(1500, Some(&Feedback::QueueDepth { bytes: v })),
+                6 => cc.on_ack(1500, Some(&Feedback::PathChange { new_path: PathletId(v as u16) })),
+                7 => cc.on_ack(1500, Some(&Feedback::Trim)),
+                _ => cc.on_ack(0, Some(&Feedback::EcnFraction { fraction: (v % 65536) as u16 })),
             }
             let w = cc.window();
             prop_assert!(
@@ -1068,18 +1068,17 @@ proptest! {
                         3 => Feedback::PathChange { new_path: PathletId(v as u16) },
                         _ => Feedback::Trim,
                     };
-                    let rtt = (op == 1).then(|| Duration::from_nanos(u64::from(v)));
-                    fed.on_ack(acked, Some(&fb), rtt, Time::ZERO);
-                    none.on_ack(acked, None, rtt, Time::ZERO);
+                    fed.on_ack(acked, Some(&fb));
+                    none.on_ack(acked, None);
                 }
                 2 => {
                     let mark = Feedback::EcnMark { ce: v % 2 == 0 };
-                    fed.on_ack(acked, Some(&mark), None, Time::ZERO);
-                    none.on_ack(acked, Some(&mark), None, Time::ZERO);
+                    fed.on_ack(acked, Some(&mark));
+                    none.on_ack(acked, Some(&mark));
                 }
                 _ => {
-                    fed.on_loss(Time::ZERO);
-                    none.on_loss(Time::ZERO);
+                    fed.on_loss();
+                    none.on_loss();
                 }
             }
             prop_assert_eq!(fed.window(), none.window());

@@ -136,7 +136,6 @@ mod tests {
                 Time::ZERO + Duration::from_micros(56),
                 LinkFailMode::Blackhole,
             );
-            sched.corrupt_burst(Time::ZERO + Duration::from_micros(70), fwd, 1);
             let mut drv = FaultDriver::new(sched);
             drv.run_until(&mut sim, Time::ZERO + Duration::from_millis(1));
             (

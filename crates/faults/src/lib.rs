@@ -7,7 +7,8 @@
 //!
 //! * [`schedule`] — the builder for fault scripts: [`mtp_sim::FaultEvent`]s
 //!   (link down/up in blackhole or drain mode, rate/delay degradation,
-//!   corruption bursts, node crash/restart) as plain sorted data;
+//!   bit-flip and truncation bursts and steady corruption rates, node
+//!   crash/restart) as plain sorted data;
 //! * [`driver`] — replays a schedule against a running [`mtp_sim`]
 //!   simulation at exact virtual times, so `(seed, schedule)` determines
 //!   the entire packet-level execution — reruns are byte-identical;

@@ -92,11 +92,6 @@ impl FaultSchedule {
             .push(at, FaultKind::LinkDelay { link, delay })
     }
 
-    /// Destroy the next `pkts` offers to a link direction, starting at `at`.
-    pub fn corrupt_burst(&mut self, at: Time, link: DirLinkId, pkts: u32) -> &mut Self {
-        self.push(at, FaultKind::CorruptBurst { link, pkts })
-    }
-
     /// Flip `flips` bits in each of the next `pkts` corruptible packets
     /// on a link direction, starting at `at`, delivering the damage.
     pub fn bitflip_burst(

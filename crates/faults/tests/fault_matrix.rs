@@ -3,7 +3,7 @@
 //! and against a deterministic replay of itself.
 //!
 //! Fault types: link blackhole, link drain, far-switch crash/restart,
-//! pathlet flap, rate/delay degradation with a corruption burst.
+//! pathlet flap, rate/delay degradation with a bit-flip burst.
 //! Timings: early (mid-slow-start) and mid-transfer. Seeds: three per
 //! cell, also varying the message mix.
 
@@ -139,15 +139,15 @@ fn degradation_and_corruption_burst() {
     for &seed in &SEEDS {
         run_cell_replayed(seed, &format!("degrade/s{seed}"), |d| {
             let mut s = FaultSchedule::new();
-            // Path A falls to 1 Gbps with 50 us delay, eats a burst of
-            // corrupted packets, then recovers.
+            // Path A falls to 1 Gbps with 50 us delay, delivers a burst
+            // of damaged frames its receivers must reject, then recovers.
             s.degrade(
                 us(150),
                 d.a_fwd,
                 Bandwidth::from_gbps(1),
                 Duration::from_micros(50),
             );
-            s.corrupt_burst(us(200), d.a_fwd, 8);
+            s.bitflip_burst(us(200), d.a_fwd, 8, 2, seed ^ 0xDE6);
             s.degrade(
                 us(2_150),
                 d.a_fwd,

@@ -339,16 +339,6 @@ impl core::fmt::Display for SessionState {
     }
 }
 
-/// Where a submitted message's bytes come from.
-#[derive(Debug, Clone)]
-enum PayloadSource {
-    /// Deterministic synthesized content ([`payload::fill`]) — the test
-    /// generator; no bytes are stored.
-    Synth,
-    /// Caller-owned bytes, held until the message completes.
-    Owned(Vec<u8>),
-}
-
 /// What every data socket asks the kernel for: a receive queue on the
 /// listener's, where data lands, and a send queue on the sender's, where
 /// it leaves; nothing is inherited from the host's `rmem_default`. 4 MiB
@@ -583,8 +573,7 @@ impl OpenAck {
 ///
 /// Owns one socket per pathlet, the sans-IO [`MtpSender`] core, and the
 /// session control state. Built by [`SenderSession::connect`]; fed by
-/// [`try_send`](SenderSession::try_send) /
-/// [`try_send_synth`](SenderSession::try_send_synth); driven by
+/// [`try_send`](SenderSession::try_send); driven by
 /// [`poll`](SenderSession::poll) (or the blocking helpers
 /// [`flush`](SenderSession::flush) and [`close`](SenderSession::close)).
 pub struct SenderSession {
@@ -595,9 +584,9 @@ pub struct SenderSession {
     snd: MtpSender,
     clock: MonotonicClock,
     ctrl: Control,
-    /// Payload sources of messages `next_msg_id() - payloads.len() ..`,
-    /// `None` once completed: the same in-order window as the core's.
-    payloads: VecDeque<Option<PayloadSource>>,
+    /// Payloads of messages `next_msg_id() - payloads.len() ..`, `None`
+    /// once completed: the same in-order window as the core's.
+    payloads: VecDeque<Option<Vec<u8>>>,
     submitted: u64,
     buffered_bytes: u64,
     retx_rr: u64,
@@ -608,13 +597,12 @@ pub struct SenderSession {
     /// Lengths of the messages admitted and not yet handed to the core:
     /// the next flush does that, so the core's clock for a message (its
     /// RTT samples, its RTO deadline) starts when its packets really
-    /// leave. Their payload sources are already in `payloads`.
+    /// leave. Their payloads are already in `payloads`.
     parked: Vec<u32>,
     /// A submission has flushed since the last turn; the next ones stay
     /// parked until the turn's flush.
     submitted_this_turn: bool,
     ev_buf: Vec<SenderEvent>,
-    scratch: Vec<u8>,
     /// The header every received frame is parsed into.
     rx_hdr: MtpHeader,
     /// Outgoing datagrams per pathlet socket.
@@ -656,7 +644,6 @@ impl SenderSession {
             parked: Vec::new(),
             submitted_this_turn: false,
             ev_buf: Vec::new(),
-            scratch: Vec::new(),
             rx_hdr: MtpHeader::default(),
             tx: Vec::new(),
             registry: Registry::new(),
@@ -705,17 +692,7 @@ impl SenderSession {
         assert!(len > 0, "empty messages are not a thing MTP sends");
         self.admit(len as u64)?;
         self.buffered_bytes += len as u64;
-        self.submit(len, PayloadSource::Owned(bytes))
-    }
-
-    /// Submit a message of `len` synthesized bytes ([`payload::fill`]) —
-    /// the deterministic test generator. Same admission as
-    /// [`try_send`](Self::try_send) minus the buffered-byte charge
-    /// (synthesized content is regenerated, not stored).
-    pub fn try_send_synth(&mut self, len: u32) -> Result<MsgId, SessionError> {
-        assert!(len > 0, "empty messages are not a thing MTP sends");
-        self.admit(0)?;
-        self.submit(len, PayloadSource::Synth)
+        self.submit(len, bytes)
     }
 
     fn admit(&mut self, add_bytes: u64) -> Result<(), SessionError> {
@@ -741,11 +718,11 @@ impl SenderSession {
     /// shares the flush of the next [`poll`](Self::poll) (or
     /// [`wait`](Self::wait)), coalesced per pathlet like everything a
     /// turn's ACKs release.
-    fn submit(&mut self, len: u32, src: PayloadSource) -> Result<MsgId, SessionError> {
+    fn submit(&mut self, len: u32, bytes: Vec<u8>) -> Result<MsgId, SessionError> {
         // The core numbers messages in the order it is handed them, which
         // is this order.
         let id = MsgId(self.next_msg_id());
-        self.payloads.push_back(Some(src));
+        self.payloads.push_back(Some(bytes));
         self.submitted += 1;
         self.registry.gauge_add(Gauge::MsgsInFlight, 1);
         self.parked.push(len);
@@ -790,7 +767,7 @@ impl SenderSession {
 
     /// Hand the core the messages parked since the last flush, then
     /// seal, coalesce, and transmit the core-emitted packets waiting in
-    /// `out_buf`, materializing payload bytes from each message's source.
+    /// `out_buf`, each with its slice of its message's payload.
     fn dispatch(&mut self) -> Result<(), SessionError> {
         if !self.parked.is_empty() {
             let now = self.clock.now();
@@ -821,17 +798,13 @@ impl SenderSession {
             let p = self.route(&hdr);
             let len = hdr.pkt_len as usize;
             let off = hdr.pkt_offset as usize;
-            let src = self.payload_slot(hdr.msg_id.0);
-            let bytes: &[u8] = match src.and_then(|k| self.payloads.get(k)) {
-                Some(Some(PayloadSource::Owned(buf))) => &buf[off..off + len],
-                _ => {
-                    if self.scratch.len() < len {
-                        self.scratch.resize(len, 0);
-                    }
-                    payload::fill(hdr.msg_id, hdr.pkt_offset, &mut self.scratch[..len]);
-                    &self.scratch[..len]
-                }
-            };
+            // The core emits packets only for messages it has not
+            // completed, and a payload leaves the window only at completion.
+            let buf = self
+                .payload_slot(hdr.msg_id.0)
+                .and_then(|k| self.payloads.get(k)?.as_ref())
+                .expect("an emitted packet's message holds its payload");
+            let bytes = &buf[off..off + len];
             self.tx[p]
                 .push_frame(self.peers[p], budget, &hdr, bytes)
                 .map_err(invalid)?;
@@ -924,8 +897,7 @@ impl SenderSession {
             // flush; sending it now would cost a datagram and a system
             // call per ACK.
             PktType::Ack | PktType::Nack => self.snd.on_ack(now, &self.rx_hdr, &mut self.out_buf),
-            PktType::Control => self.snd.on_control(now, &self.rx_hdr),
-            PktType::Data => {}
+            PktType::Control | PktType::Data => {}
         }
     }
 
@@ -985,10 +957,8 @@ impl SenderSession {
         for e in ev.drain(..) {
             let SenderEvent::MsgCompleted { id, completed, .. } = e;
             let slot = self.payload_slot(id.0);
-            if let Some(src) = slot.and_then(|k| self.payloads.get_mut(k)?.take()) {
-                if let PayloadSource::Owned(buf) = src {
-                    self.buffered_bytes -= buf.len() as u64;
-                }
+            if let Some(buf) = slot.and_then(|k| self.payloads.get_mut(k)?.take()) {
+                self.buffered_bytes -= buf.len() as u64;
                 self.registry.gauge_add(Gauge::MsgsInFlight, -1);
             }
             self.completions.push((id.0, completed));

@@ -10,7 +10,7 @@
 //!
 //! * bulk-shaped — 200 caller-owned messages of 256 KiB, 2 outstanding;
 //! * rpc-shaped — 5 000 caller-owned messages of 512 B, 16 outstanding;
-//! * heavy — 100 synthesized messages of 1 MiB, 8 outstanding: enough in
+//! * heavy — 100 caller-owned messages of 1 MiB, 8 outstanding: enough in
 //!   flight to outgrow any queue unless the listener's CE stamp holds the
 //!   sender's pathlet windows back. Besides the zeros it must show marks,
 //!   and once marking has begun no socket's queue may be found deeper
@@ -32,10 +32,9 @@ mod common;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use common::{assert_exactly_once, close, connect};
-use mtp_io::{loopback_available, payload, SessionConfig, SessionError, DEFAULT_DATAGRAM_BUDGET};
+use common::{assert_exactly_once, close, connect, message};
+use mtp_io::{loopback_available, SessionConfig, SessionError, DEFAULT_DATAGRAM_BUDGET};
 use mtp_telemetry::{Gauge, Metric};
-use mtp_wire::MsgId;
 
 const WALL: Duration = Duration::from_secs(120);
 
@@ -46,9 +45,6 @@ struct Shape {
     messages: usize,
     msg_len: usize,
     outstanding: usize,
-    /// Submit with `try_send_synth` (no bytes stored) instead of owned
-    /// buffers.
-    synth: bool,
 }
 
 /// What the session's queues did, as the listener's gauges showed it
@@ -91,14 +87,7 @@ fn run(shape: &Shape) -> Option<Queues> {
         );
         while submitted < shape.messages && submitted - completed < shape.outstanding {
             let id = base + submitted as u64;
-            let sent = if shape.synth {
-                sess.try_send_synth(shape.msg_len as u32)
-            } else {
-                let mut buf = vec![0u8; shape.msg_len];
-                payload::fill(MsgId(id), 0, &mut buf);
-                sess.try_send(buf)
-            };
-            match sent {
+            match sess.try_send(message(id, shape.msg_len)) {
                 Ok(got) => assert_eq!(got.0, id, "{ctx}: ids are sequential"),
                 Err(SessionError::Backpressure { .. }) => break,
                 Err(e) => panic!("{ctx}: submit: {e}"),
@@ -172,7 +161,6 @@ fn bulk_shaped_session_loses_nothing() {
         messages: 200,
         msg_len: 256 * 1024,
         outstanding: 2,
-        synth: false,
     }) else {
         return;
     };
@@ -193,7 +181,6 @@ fn rpc_shaped_session_loses_nothing() {
         messages: 5_000,
         msg_len: 512,
         outstanding: 16,
-        synth: false,
     });
 }
 
@@ -204,7 +191,6 @@ fn heavy_session_is_held_back_by_marks_not_by_loss() {
         messages: 100,
         msg_len: 1 << 20,
         outstanding: 8,
-        synth: true,
     };
     let Some(queues) = run(&shape) else {
         return;

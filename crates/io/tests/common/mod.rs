@@ -1,11 +1,20 @@
-//! What the single-thread loopback tests share: a helper thread for the
-//! two blocking calls, connect and close over it, and the exactly-once
-//! check of a finished session.
+//! What the single-thread loopback tests share: the bytes of a test
+//! message, a helper thread for the two blocking calls, connect and close
+//! over it, and the exactly-once check of a finished session.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use mtp_io::{payload, Listener, SenderSession, SessionConfig, SessionReport};
+use mtp_wire::MsgId;
+
+/// Message `id`'s `len` bytes of [`payload::fill`] content: what
+/// [`assert_exactly_once`] expects delivered.
+pub fn message(id: u64, len: usize) -> Vec<u8> {
+    let mut buf = vec![0u8; len];
+    payload::fill(MsgId(id), 0, &mut buf);
+    buf
+}
 
 /// Serve `listener` on a helper thread while `call` blocks on this one
 /// (`connect` and `close` need their peer answered).

@@ -508,7 +508,9 @@ fn a_second_connector_hears_busy_within_one_round() {
 
     let base = first.next_msg_id();
     for _ in 0..MESSAGES {
-        first.try_send_synth(512).expect("submit");
+        first
+            .try_send(common::message(first.next_msg_id(), 512))
+            .expect("submit");
     }
     let deadline = Instant::now() + WALL;
     while first.completions().len() < MESSAGES {

@@ -15,7 +15,7 @@ use std::net::{Ipv4Addr, SocketAddrV4, UdpSocket};
 use std::time::{Duration, Instant};
 
 use common::{assert_exactly_once, close, connect};
-use mtp_io::{append_frame, loopback_available, payload, SessionConfig, DEFAULT_DATAGRAM_BUDGET};
+use mtp_io::{append_frame, loopback_available, SessionConfig, DEFAULT_DATAGRAM_BUDGET};
 use mtp_telemetry::{Gauge, Metric};
 use mtp_wire::types::flags;
 use mtp_wire::{MsgId, MtpHeader, PktNum, PktType};
@@ -34,8 +34,7 @@ fn a_duplicate_after_the_old_linger_is_a_duplicate() {
     let (mut listener, mut sess) = connect(&scfg);
 
     let id = sess.next_msg_id();
-    let mut body = vec![0u8; MSG_LEN];
-    payload::fill(MsgId(id), 0, &mut body);
+    let body = common::message(id, MSG_LEN);
     sess.try_send(body.clone()).expect("send");
     while sess.completions().is_empty() {
         assert!(Instant::now() < deadline, "the message never completed");

@@ -39,7 +39,8 @@ fn every_digest_is_its_own_message_s_paired_or_left_over() {
     let (mut listener, mut sess) = common::connect(&cfg);
     let base = sess.next_msg_id();
     for len in sizes {
-        sess.try_send_synth(len).expect("submit");
+        sess.try_send(common::message(sess.next_msg_id(), len as usize))
+            .expect("submit");
     }
     let deadline = Instant::now() + WALL;
     while sess.completions().len() < sizes.len() {
@@ -75,7 +76,8 @@ fn a_death_with_a_digest_waiting_reports_nothing() {
     let (mut listener, mut sess) = common::connect(&cfg);
     // Three messages: two fold together, the third waits.
     for len in [4_000, 900, 12_345] {
-        sess.try_send_synth(len).expect("submit");
+        sess.try_send(common::message(sess.next_msg_id(), len))
+            .expect("submit");
     }
     let deadline = Instant::now() + WALL;
     while sess.completions().len() < 3 {

@@ -29,8 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use common::{assert_exactly_once, close, connect};
-use mtp_io::{loopback_available, payload, SessionConfig, SessionError};
-use mtp_wire::MsgId;
+use mtp_io::{loopback_available, SessionConfig, SessionError};
 
 struct CountingAlloc;
 
@@ -84,12 +83,6 @@ const WARMUP_SAMPLES: usize = 4;
 const HEAP_PER_KMSG: usize = 128 * 1024;
 const WALL: Duration = Duration::from_secs(120);
 
-fn message(id: u64) -> Vec<u8> {
-    let mut buf = vec![0u8; MSG_LEN];
-    payload::fill(MsgId(id), 0, &mut buf);
-    buf
-}
-
 /// What one session held at its peak, and the live heap every
 /// `SAMPLE_EVERY` messages.
 struct Peaks {
@@ -121,7 +114,7 @@ fn run_session(ctx: &str, messages: usize, pause: Option<Duration>) -> Peaks {
             "{ctx}: {consumed} of {messages} done at the wall limit"
         );
         while submitted < messages && submitted - consumed < OUTSTANDING {
-            match sess.try_send(message(base + submitted as u64)) {
+            match sess.try_send(common::message(base + submitted as u64, MSG_LEN)) {
                 Ok(id) => assert_eq!(id.0, base + submitted as u64, "ids are sequential"),
                 Err(SessionError::Backpressure { .. }) => break,
                 Err(e) => panic!("{ctx}: try_send: {e}"),

@@ -31,8 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use common::{assert_exactly_once, close, connect};
-use mtp_io::{loopback_available, payload, SessionConfig};
-use mtp_wire::MsgId;
+use mtp_io::{loopback_available, SessionConfig};
 
 struct CountingAlloc;
 
@@ -73,11 +72,7 @@ fn allocs_per_message(msg_len: usize, outstanding: usize, warm: usize, counted: 
     // it, completing it frees it.
     let mut messages: Vec<Vec<u8>> = (0..total as u64)
         .rev()
-        .map(|k| {
-            let mut buf = vec![0u8; msg_len];
-            payload::fill(MsgId(base + k), 0, &mut buf);
-            buf
-        })
+        .map(|k| common::message(base + k, msg_len))
         .collect();
     let (mut submitted, mut completed) = (0usize, 0usize);
     let mut at_warm = None;

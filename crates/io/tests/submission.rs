@@ -14,11 +14,11 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{assert_exactly_once, close, connect};
+use common::{assert_exactly_once, close, connect, message};
 use mtp_io::{loopback_available, Listener, SenderSession, SessionConfig};
 use mtp_telemetry::Metric;
 
-const MSG_LEN: u32 = 512;
+const MSG_LEN: usize = 512;
 
 /// A connected pair whose sender has just finished a turn, or `None`
 /// (after a NOTICE) without loopback.
@@ -53,7 +53,8 @@ fn the_first_submission_after_a_turn_leaves_at_once() {
         return;
     };
     let sent = datagrams_tx(&sess);
-    sess.try_send_synth(MSG_LEN).expect("submit");
+    sess.try_send(message(sess.next_msg_id(), MSG_LEN))
+        .expect("submit");
     assert_eq!(datagrams_tx(&sess), sent + 1, "transmitted by try_send");
     // On the listener's socket before the sender polls again.
     assert_eq!(frames_received_by_a_turn(&mut listener), 1);
@@ -64,14 +65,16 @@ fn further_submissions_share_the_next_turn_s_flush() {
     let Some((mut listener, mut sess)) = fresh_turn("further_submissions_share") else {
         return;
     };
-    sess.try_send_synth(MSG_LEN).expect("first submission");
+    sess.try_send(message(sess.next_msg_id(), MSG_LEN))
+        .expect("first submission");
     assert_eq!(frames_received_by_a_turn(&mut listener), 1);
 
     // Eight more before the next turn: two for each of the four pathlets
     // (a message's pathlet is its id modulo the live ones).
     let (sent, framed) = (datagrams_tx(&sess), frames_tx(&sess));
     for _ in 0..8 {
-        sess.try_send_synth(MSG_LEN).expect("parked submission");
+        sess.try_send(message(sess.next_msg_id(), MSG_LEN))
+            .expect("parked submission");
     }
     assert_eq!(datagrams_tx(&sess), sent, "a parked submission transmitted");
     assert_eq!(frames_received_by_a_turn(&mut listener), 0);
@@ -91,7 +94,8 @@ fn further_submissions_share_the_next_turn_s_flush() {
 
     // The turn is over: the next submission is a first one again.
     let sent = datagrams_tx(&sess);
-    sess.try_send_synth(MSG_LEN).expect("submit");
+    sess.try_send(message(sess.next_msg_id(), MSG_LEN))
+        .expect("submit");
     assert_eq!(datagrams_tx(&sess), sent + 1);
 }
 
@@ -100,8 +104,10 @@ fn wait_transmits_what_is_parked_before_it_sleeps() {
     let Some((mut listener, mut sess)) = fresh_turn("wait_transmits_what_is_parked") else {
         return;
     };
-    sess.try_send_synth(MSG_LEN).expect("first submission");
-    sess.try_send_synth(MSG_LEN).expect("parked submission");
+    sess.try_send(message(sess.next_msg_id(), MSG_LEN))
+        .expect("first submission");
+    sess.try_send(message(sess.next_msg_id(), MSG_LEN))
+        .expect("parked submission");
     let sent = datagrams_tx(&sess);
     assert_eq!(frames_received_by_a_turn(&mut listener), 1);
 
@@ -118,9 +124,11 @@ fn a_parked_submission_is_not_timed_until_it_leaves() {
     let Some((mut listener, mut sess)) = fresh_turn("a_parked_submission_is_not_timed") else {
         return;
     };
-    sess.try_send_synth(MSG_LEN).expect("first submission");
+    sess.try_send(message(sess.next_msg_id(), MSG_LEN))
+        .expect("first submission");
     assert_eq!(frames_received_by_a_turn(&mut listener), 1);
-    sess.try_send_synth(MSG_LEN).expect("parked submission");
+    sess.try_send(message(sess.next_msg_id(), MSG_LEN))
+        .expect("parked submission");
 
     // A caller (or a preempted thread) that takes several retransmission
     // timeouts to come back to `poll()`: the parked message must leave
@@ -142,10 +150,11 @@ fn close_after_a_burst_delivers_every_message_once() {
     };
     let base = sess.next_msg_id();
     for _ in 0..BURST {
-        sess.try_send_synth(MSG_LEN).expect("submit");
+        sess.try_send(message(sess.next_msg_id(), MSG_LEN))
+            .expect("submit");
     }
     let deadline = Instant::now() + Duration::from_secs(60);
     let report = close("burst then close", &mut listener, &mut sess, deadline);
-    assert_exactly_once("burst then close", base, BURST, MSG_LEN as usize, &report);
+    assert_exactly_once("burst then close", base, BURST, MSG_LEN, &report);
     assert_eq!(sess.completions().len(), BURST);
 }

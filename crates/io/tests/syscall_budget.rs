@@ -72,7 +72,7 @@ fn read(sender: &Registry, listener: &Registry) -> Counts {
     }
 }
 
-/// Move `messages` synthesized messages at `outstanding` and return what
+/// Move `messages` messages at `outstanding` and return what
 /// it took; `None` (after a NOTICE) where the counts cannot be made.
 fn run(ctx: &str, messages: usize, outstanding: usize) -> Option<Counts> {
     if !loopback_available() || !cfg!(target_os = "linux") {
@@ -93,7 +93,8 @@ fn run(ctx: &str, messages: usize, outstanding: usize) -> Option<Counts> {
         );
         while submitted < messages && submitted - completed < outstanding {
             // Far below the caps: even backpressure would be a bug.
-            sess.try_send_synth(MSG_LEN as u32).expect("submit");
+            sess.try_send(common::message(sess.next_msg_id(), MSG_LEN))
+                .expect("submit");
             submitted += 1;
         }
         listener.poll_once().expect("listener turn");

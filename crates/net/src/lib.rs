@@ -46,6 +46,5 @@ pub use replica::{ReplicaLbNode, ReplicaLbStats, ReplicaPolicy};
 pub use routes::{dst_addr, src_addr, RouteError, StaticRoutes};
 pub use strategies::{conga_decode, conga_pathlet, FanoutForwarder, StaticForwarder, Strategy};
 pub use switch::{
-    AdvertiseCfg, Forwarder, IngressPolicy, MarkAllPolicy, Stamp, StampKind, SwitchNode,
-    SwitchStats,
+    Forwarder, IngressPolicy, MarkAllPolicy, Stamp, StampKind, SwitchNode, SwitchStats,
 };

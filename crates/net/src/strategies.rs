@@ -36,6 +36,13 @@ pub fn conga_decode(p: PathletId) -> Option<(u16, u16)> {
     }
 }
 
+/// Per-message commitment cap of the message-pinning balancers. A
+/// window-limited sender trickles a large message over many RTTs;
+/// committing its full length would reserve a path it cannot fill. A few
+/// BDPs of commitment is enough to keep two elephants apart without
+/// idling paths.
+const COMMIT_CAP: u64 = 256 * 1024;
+
 /// How the fan-out group is used.
 pub enum Strategy {
     /// All fan traffic takes the first port.
@@ -68,11 +75,6 @@ pub enum Strategy {
         committed: Vec<u64>,
         /// Pathlet identity of each fan port (to honor path_exclude).
         pathlets: Vec<Option<PathletId>>,
-        /// Per-message commitment cap. A window-limited sender trickles a
-        /// large message over many RTTs; committing its full length would
-        /// reserve a path it cannot fill. A few BDPs of commitment is
-        /// enough to keep two elephants apart without idling paths.
-        commit_cap: u64,
         /// Rotating tie-break offset: with empty queues every path scores
         /// zero, and a fixed `min` would herd every new message onto fan
         /// port 0.
@@ -103,8 +105,6 @@ pub enum Strategy {
         leaf_of: Box<dyn Fn(u16) -> u16>,
         /// Remote observations older than this decay to irrelevance.
         horizon: Duration,
-        /// Per-message commitment cap (see `MtpMessageLb`).
-        commit_cap: u64,
         /// Rotating tie-break.
         rr: usize,
     },
@@ -123,7 +123,14 @@ impl Strategy {
     /// A fresh MTP message-aware balancer; `pathlets[i]` names the pathlet
     /// of fan port `i` so sender exclusions can be honored.
     pub fn mtp_lb(n_fan: usize, pathlets: Vec<Option<PathletId>>) -> Strategy {
-        Self::mtp_lb_capped(n_fan, pathlets, 256 * 1024)
+        assert_eq!(pathlets.len(), n_fan);
+        Strategy::MtpMessageLb {
+            pins: HashMap::new(),
+            committed: vec![0; n_fan],
+            pathlets,
+            rr: 0,
+            retx_seen: HashMap::new(),
+        }
     }
 
     /// A fresh CONGA-style balancer over `n_fan` spines; `leaf_of` maps a
@@ -135,25 +142,7 @@ impl Strategy {
             remote: HashMap::new(),
             leaf_of,
             horizon: Duration::from_micros(15),
-            commit_cap: 256 * 1024,
             rr: 0,
-        }
-    }
-
-    /// [`Strategy::mtp_lb`] with an explicit per-message commitment cap.
-    pub fn mtp_lb_capped(
-        n_fan: usize,
-        pathlets: Vec<Option<PathletId>>,
-        commit_cap: u64,
-    ) -> Strategy {
-        assert_eq!(pathlets.len(), n_fan);
-        Strategy::MtpMessageLb {
-            pins: HashMap::new(),
-            committed: vec![0; n_fan],
-            pathlets,
-            commit_cap,
-            rr: 0,
-            retx_seen: HashMap::new(),
         }
     }
 }
@@ -239,7 +228,6 @@ impl FanoutForwarder {
                 remote,
                 leaf_of,
                 horizon,
-                commit_cap,
                 rr,
             } => {
                 let Headers::Mtp(hdr) = &pkt.headers else {
@@ -286,7 +274,7 @@ impl FanoutForwarder {
                             .min_by_key(|&i| score(i))
                             .expect("non-empty fan");
                         let total = hdr.msg_len_bytes as u64;
-                        committed[idx] += total.saturating_sub(payload).min(*commit_cap);
+                        committed[idx] += total.saturating_sub(payload).min(COMMIT_CAP);
                         if total > payload {
                             e.insert(MsgPin {
                                 fan_idx: idx,
@@ -301,7 +289,6 @@ impl FanoutForwarder {
                 pins,
                 committed,
                 pathlets,
-                commit_cap,
                 rr,
                 retx_seen,
             } => {
@@ -399,7 +386,7 @@ impl FanoutForwarder {
                                     })
                                     .min_by_key(|&i| score(i));
                                 if let Some(new_idx) = alive {
-                                    let mv = pin.remaining.min(*commit_cap);
+                                    let mv = pin.remaining.min(COMMIT_CAP);
                                     committed[pin.fan_idx] =
                                         committed[pin.fan_idx].saturating_sub(mv);
                                     committed[new_idx] += mv;
@@ -445,7 +432,7 @@ impl FanoutForwarder {
                                 .expect("non-empty pool")
                         };
                         let total = hdr.msg_len_bytes as u64;
-                        committed[idx] += total.saturating_sub(payload).min(*commit_cap);
+                        committed[idx] += total.saturating_sub(payload).min(COMMIT_CAP);
                         if total > payload {
                             e.insert(MsgPin {
                                 fan_idx: idx,

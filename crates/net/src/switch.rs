@@ -114,18 +114,6 @@ pub struct SwitchStats {
     pub malformed: u64,
 }
 
-/// Periodic path-advertisement configuration (paper §4, NDP: "end-hosts
-/// learn about available paths from the network"). The switch sends a
-/// Control packet to each listed host on every tick, carrying one
-/// feedback entry per stamped egress — so senders pre-warm their pathlet
-/// tables before any data flows.
-pub struct AdvertiseCfg {
-    /// Advertisement period.
-    pub interval: mtp_sim::time::Duration,
-    /// Host addresses to advertise to (must be routable by the forwarder).
-    pub hosts: Vec<u16>,
-}
-
 /// A switch with a pluggable forwarder, per-port pathlet stamps, and an
 /// optional ingress policy.
 pub struct SwitchNode {
@@ -133,7 +121,6 @@ pub struct SwitchNode {
     /// Indexed by egress `PortId.0`; `None` for an unstamped port.
     stamps: Vec<Option<Stamp>>,
     policy: Option<Box<dyn IngressPolicy>>,
-    advertise: Option<AdvertiseCfg>,
     /// Counters.
     pub stats: SwitchStats,
     name: String,
@@ -146,7 +133,6 @@ impl SwitchNode {
             forwarder,
             stamps: Vec::new(),
             policy: None,
-            advertise: None,
             stats: SwitchStats::default(),
             name: name.into(),
         }
@@ -166,57 +152,9 @@ impl SwitchNode {
         self.policy = Some(policy);
         self
     }
-
-    /// Periodically advertise the stamped pathlets to `hosts`.
-    pub fn with_path_advertisement(mut self, cfg: AdvertiseCfg) -> SwitchNode {
-        self.advertise = Some(cfg);
-        self
-    }
 }
 
 impl Node for SwitchNode {
-    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        if let Some(cfg) = &self.advertise {
-            ctx.set_timer(cfg.interval, 0);
-        }
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        let Some(cfg) = &self.advertise else { return };
-        let interval = cfg.interval;
-        let hosts = cfg.hosts.clone();
-        for host in hosts {
-            // One feedback entry per stamped egress, reporting its
-            // current state.
-            let mut entries = Vec::new();
-            for (port, stamp) in self.stamps.iter().enumerate() {
-                let Some(stamp) = stamp else { continue };
-                let fb = stamp.feedback(ctx, PortId(port));
-                entries.push(PathFeedback {
-                    path: stamp.pathlet,
-                    tc: stamp.tc.unwrap_or(TrafficClass::BEST_EFFORT),
-                    feedback: fb,
-                });
-            }
-            entries.sort_by_key(|e| (e.path.0, e.tc.0));
-            let hdr = mtp_wire::MtpHeader {
-                dst_port: host,
-                pkt_type: PktType::Control,
-                path_feedback: entries,
-                ..mtp_wire::MtpHeader::default()
-            };
-            let wire = hdr.wire_len() as u32;
-            let pkt =
-                Packet::new(mtp_sim::Headers::Mtp(mtp_sim::pool::boxed(hdr)), wire).without_ect();
-            if let Ok(out) = self.forwarder.route(ctx, PortId(usize::MAX >> 1), &pkt) {
-                ctx.send(out, pkt);
-            } else {
-                mtp_sim::pool::recycle_packet(pkt);
-            }
-        }
-        ctx.set_timer(interval, 0);
-    }
-
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_port: PortId, mut pkt: Packet) {
         // Verify wire integrity before the policy or forwarder trusts any
         // header field: a switch must not route on corrupted bytes.
@@ -277,24 +215,15 @@ impl Node for SwitchNode {
         ctx.send(out_port, pkt);
     }
 
-    fn on_fault(&mut self, ctx: &mut Ctx<'_>, fault: NodeFault) {
-        match fault {
-            NodeFault::Crash => {
-                // Volatile state dies with the device: message pins and
-                // committed-byte accounting in the forwarder, per-entity
-                // usage in the ingress policy. Static routes and stamp
-                // configuration survive (they model control-plane config).
-                self.forwarder.reset();
-                if let Some(policy) = &mut self.policy {
-                    policy.reset();
-                }
-            }
-            NodeFault::Restart => {
-                // The advertisement timer was swallowed while down; re-arm
-                // it so senders re-learn this switch's pathlets.
-                if let Some(cfg) = &self.advertise {
-                    ctx.set_timer(cfg.interval, 0);
-                }
+    fn on_fault(&mut self, _ctx: &mut Ctx<'_>, fault: NodeFault) {
+        if let NodeFault::Crash = fault {
+            // Volatile state dies with the device: message pins and
+            // committed-byte accounting in the forwarder, per-entity
+            // usage in the ingress policy. Static routes and stamp
+            // configuration survive (they model control-plane config).
+            self.forwarder.reset();
+            if let Some(policy) = &mut self.policy {
+                policy.reset();
             }
         }
     }

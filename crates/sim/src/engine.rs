@@ -142,7 +142,7 @@ pub struct LinkStats {
     /// Wire bytes removed from frames by truncation faults on this link.
     pub corrupt_loss_bytes: u64,
     /// Packets destroyed by injected faults (link down, queue flush,
-    /// corruption bursts) rather than by the queue discipline.
+    /// crashed-node egress) rather than by the queue discipline.
     pub faulted_pkts: u64,
     /// Wire bytes destroyed by injected faults.
     pub faulted_bytes: u64,
@@ -170,8 +170,6 @@ pub(crate) struct DirLink {
     /// The in-flight packet was caught by a blackhole cut: destroy it at
     /// its TxDone instead of delivering it.
     doomed: bool,
-    /// Corruption burst: destroy this many further offered packets.
-    corrupt_next: u32,
     /// Bit-flip burst: damage-and-deliver this many further corruptible
     /// offered packets.
     bitflip_next: u32,
@@ -220,7 +218,6 @@ fn new_dir_link(
         stats: LinkStats::default(),
         up: true,
         doomed: false,
-        corrupt_next: 0,
         bitflip_next: 0,
         bitflip_flips: 0,
         truncate_next: 0,
@@ -562,12 +559,8 @@ impl SimInner {
         self.telemetry
             .count(mtp_telemetry::Metric::BytesOffered, offered_bytes);
         // Fault injection: a downed link destroys every offered packet
-        // (blackhole and drain alike refuse new admissions); a corruption
-        // burst destroys the next `corrupt_next` packets of a healthy link.
-        if !link.up || link.corrupt_next != 0 {
-            if link.up {
-                link.corrupt_next -= 1;
-            }
+        // (blackhole and drain alike refuse new admissions).
+        if !link.up {
             link.stats.faulted_pkts += 1;
             link.stats.faulted_bytes += offered_bytes;
             self.telemetry.count(mtp_telemetry::Metric::PktsFaulted, 1);
@@ -1129,20 +1122,9 @@ impl Simulator {
         self.inner.links[dir.0].delay = delay;
     }
 
-    /// Destroy the next `pkts` packets offered to this link direction
-    /// (burst corruption on an otherwise healthy link).
-    pub fn corrupt_burst(&mut self, dir: DirLinkId, pkts: u32) {
-        self.inner
-            .telemetry
-            .count(mtp_telemetry::Metric::FaultsApplied, 1);
-        self.inner.links[dir.0].corrupt_next =
-            self.inner.links[dir.0].corrupt_next.saturating_add(pkts);
-    }
-
     /// Flip `flips` random bits in each of the next `pkts` corruptible
     /// packets offered to this direction, and **deliver the damaged
-    /// bytes** (unlike [`corrupt_burst`](Self::corrupt_burst), which
-    /// destroys). Whoever receives them must verify and reject. Bit
+    /// bytes**. Whoever receives them must verify and reject. Bit
     /// positions come from a dedicated RNG seeded with `seed`, so the
     /// damage pattern replays byte-identically. With `flips <= 3`,
     /// header damage is *guaranteed* detected (CRC-16 Hamming distance),
@@ -2007,16 +1989,6 @@ mod tests {
         // Nothing new arrives (everything was destroyed), but the link is
         // usable again — covered end-to-end by the faults crate tests.
         assert_eq!(sim.node_as::<Catcher>(b).arrivals.len(), stranded);
-    }
-
-    #[test]
-    fn corrupt_burst_destroys_next_offers_only() {
-        let (mut sim, _a, b, ab, _ba) = fault_pair(6);
-        sim.corrupt_burst(ab, 2);
-        sim.run();
-        assert_eq!(sim.node_as::<Catcher>(b).arrivals.len(), 4);
-        assert_eq!(sim.link_stats(ab).faulted_pkts, 2);
-        assert!(sim.link_is_up(ab), "corruption is not an admin-down");
     }
 
     #[test]

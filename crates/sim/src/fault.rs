@@ -2,7 +2,7 @@
 //! accepts, as plain data.
 //!
 //! A [`FaultKind`] names one of the engine's fault methods
-//! ([`Simulator::fail_link`], [`Simulator::corrupt_burst`],
+//! ([`Simulator::fail_link`], [`Simulator::bitflip_burst`],
 //! [`Simulator::crash_node`], …) with its arguments, and a [`FaultEvent`]
 //! pins it to a virtual time. Both the serial fault driver (`mtp-faults`)
 //! and the sharded runtime ([`crate::ShardedSimulator::schedule_admin`])
@@ -46,17 +46,8 @@ pub enum FaultKind {
         /// The new one-way delay.
         delay: Duration,
     },
-    /// Destroy the next `pkts` packets offered to a link direction
-    /// (a corruption burst: the link stays up).
-    CorruptBurst {
-        /// The affected link direction.
-        link: DirLinkId,
-        /// How many future offers to destroy.
-        pkts: u32,
-    },
     /// Flip `flips` random bits in each of the next `pkts` corruptible
-    /// packets on a link direction and **deliver the damaged frames**
-    /// (unlike [`CorruptBurst`](Self::CorruptBurst), which destroys).
+    /// packets on a link direction and **deliver the damaged frames**.
     /// Receivers must detect and reject them via wire integrity checks.
     BitflipBurst {
         /// The affected link direction.
@@ -113,7 +104,6 @@ impl FaultKind {
             FaultKind::LinkUp { link } => sim.restore_link(link),
             FaultKind::LinkRate { link, rate } => sim.set_link_rate(link, rate),
             FaultKind::LinkDelay { link, delay } => sim.set_link_delay(link, delay),
-            FaultKind::CorruptBurst { link, pkts } => sim.corrupt_burst(link, pkts),
             FaultKind::BitflipBurst {
                 link,
                 pkts,

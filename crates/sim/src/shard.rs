@@ -156,7 +156,6 @@ fn route(
         FaultKind::LinkDown { link, .. }
         | FaultKind::LinkUp { link }
         | FaultKind::LinkRate { link, .. }
-        | FaultKind::CorruptBurst { link, .. }
         | FaultKind::BitflipBurst { link, .. }
         | FaultKind::TruncateBurst { link, .. }
         | FaultKind::CorruptRate { link, .. } => {

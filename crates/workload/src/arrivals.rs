@@ -41,13 +41,6 @@ pub fn poisson_schedule<R: Rng + ?Sized>(
     out
 }
 
-/// A fixed-rate schedule: `n` messages of `bytes`, evenly spaced by `gap`.
-pub fn paced_schedule(n: u64, bytes: u64, start: Time, gap: Duration) -> Vec<(Time, u64)> {
-    (0..n)
-        .map(|i| (start + Duration(gap.0 * i), bytes))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,15 +63,6 @@ mod tests {
         // Arrivals are sorted and inside the horizon.
         assert!(sched.windows(2).all(|w| w[0].0 <= w[1].0));
         assert!(sched.iter().all(|&(t, _)| t < Time::ZERO + horizon));
-    }
-
-    #[test]
-    fn paced_schedule_spacing() {
-        let s = paced_schedule(3, 500, Time(100), Duration(50));
-        assert_eq!(
-            s,
-            vec![(Time(100), 500), (Time(150), 500), (Time(200), 500)]
-        );
     }
 
     #[test]

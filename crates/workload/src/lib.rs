@@ -4,11 +4,11 @@
 //! toward short messages", §5.2), Poisson arrival processes at controlled
 //! load, and tail-latency summaries. This crate provides:
 //!
-//! * [`size::SizeDist`] — fixed / uniform / bounded-Pareto / log-normal /
-//!   empirical size distributions, with presets for the paper's Fig. 6 mix
-//!   and a web-search-like CDF;
+//! * [`size::SizeDist`] — fixed / bounded-Pareto / empirical size
+//!   distributions, with presets for the paper's Fig. 6 mix and a
+//!   web-search-like CDF;
 //! * [`arrivals`] — open-loop Poisson schedules at a target fraction of
-//!   link capacity, plus paced schedules;
+//!   link capacity;
 //! * [`stats`] — percentile and size-bucketed FCT summaries (the 99th
 //!   percentile is what Fig. 6 reports).
 //!
@@ -22,6 +22,6 @@ pub mod arrivals;
 pub mod size;
 pub mod stats;
 
-pub use arrivals::{paced_schedule, poisson_schedule};
+pub use arrivals::poisson_schedule;
 pub use size::SizeDist;
 pub use stats::{mean_std, percentile, FctCollector, FctSample, FctSummary};

@@ -7,7 +7,6 @@
 //! empirical CDF type for replaying published distributions.
 
 use rand::Rng;
-use rand_distr::{Distribution, LogNormal};
 use serde::{Deserialize, Serialize};
 
 /// A message-size distribution.
@@ -18,30 +17,12 @@ pub enum SizeDist {
         /// The constant size.
         bytes: u64,
     },
-    /// Uniform in `[min, max]`.
-    Uniform {
-        /// Smallest size.
-        min: u64,
-        /// Largest size.
-        max: u64,
-    },
     /// Bounded Pareto: heavy-tailed with exponent `alpha`, truncated to
     /// `[min, max]`. `alpha` slightly above 1 gives the classic
     /// "mostly mice, a few elephants carrying most bytes" shape.
     BoundedPareto {
         /// Tail exponent (> 0).
         alpha: f64,
-        /// Smallest size.
-        min: u64,
-        /// Largest size.
-        max: u64,
-    },
-    /// Log-normal over bytes, truncated to `[min, max]`.
-    LogNormalBytes {
-        /// Mean of ln(size).
-        mu: f64,
-        /// Std dev of ln(size).
-        sigma: f64,
         /// Smallest size.
         min: u64,
         /// Largest size.
@@ -91,7 +72,6 @@ impl SizeDist {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
         match self {
             SizeDist::Fixed { bytes } => *bytes,
-            SizeDist::Uniform { min, max } => rng.gen_range(*min..=*max),
             SizeDist::BoundedPareto { alpha, min, max } => {
                 // Inverse-CDF of the bounded Pareto.
                 let (l, h) = (*min as f64, *max as f64);
@@ -100,15 +80,6 @@ impl SizeDist {
                 let ha = h.powf(*alpha);
                 let x = (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha);
                 (x as u64).clamp(*min, *max)
-            }
-            SizeDist::LogNormalBytes {
-                mu,
-                sigma,
-                min,
-                max,
-            } => {
-                let d = LogNormal::new(*mu, *sigma).expect("valid lognormal params");
-                (d.sample(rng) as u64).clamp(*min, *max)
             }
             SizeDist::Empirical { points } => {
                 let u: f64 = rng.gen_range(0.0..1.0);
@@ -155,13 +126,9 @@ mod tests {
     }
 
     #[test]
-    fn fixed_and_uniform_bounds() {
+    fn fixed_is_constant() {
         let mut r = rng();
         assert_eq!(SizeDist::Fixed { bytes: 777 }.sample(&mut r), 777);
-        for _ in 0..1000 {
-            let v = SizeDist::Uniform { min: 10, max: 20 }.sample(&mut r);
-            assert!((10..=20).contains(&v));
-        }
     }
 
     #[test]
@@ -203,21 +170,6 @@ mod tests {
         let samples: Vec<u64> = (0..5000).map(|_| d.sample(&mut r)).collect();
         assert!(samples.iter().any(|&s| s < 20 * 1024));
         assert!(samples.iter().any(|&s| s > 1024 * 1024));
-    }
-
-    #[test]
-    fn lognormal_clamped() {
-        let d = SizeDist::LogNormalBytes {
-            mu: 10.0,
-            sigma: 2.0,
-            min: 1000,
-            max: 100_000,
-        };
-        let mut r = rng();
-        for _ in 0..1000 {
-            let v = d.sample(&mut r);
-            assert!((1000..=100_000).contains(&v));
-        }
     }
 
     #[test]

@@ -90,36 +90,6 @@ impl FctCollector {
         Self::summarize(&bucket)
     }
 
-    /// Bucket samples by decade of size; returns `(lo, hi, summary)` rows.
-    pub fn by_size_decade(&self) -> Vec<(u64, u64, FctSummary)> {
-        let mut rows = Vec::new();
-        if self.samples.is_empty() {
-            return rows;
-        }
-        let min = self
-            .samples
-            .iter()
-            .map(|s| s.bytes)
-            .min()
-            .expect("non-empty");
-        let max = self
-            .samples
-            .iter()
-            .map(|s| s.bytes)
-            .max()
-            .expect("non-empty");
-        let mut lo = 10u64.pow((min as f64).log10().floor() as u32);
-        while lo <= max {
-            let hi = lo * 10;
-            let s = self.summary_for_sizes(lo, hi);
-            if s.count > 0 {
-                rows.push((lo, hi, s));
-            }
-            lo = hi;
-        }
-        rows
-    }
-
     fn summarize(samples: &[FctSample]) -> FctSummary {
         let us: Vec<f64> = samples.iter().map(|s| s.fct.as_micros_f64()).collect();
         let mean = if us.is_empty() {
@@ -171,11 +141,9 @@ mod tests {
         c.record(500, Duration::from_micros(1));
         c.record(5_000, Duration::from_micros(2));
         c.record(50_000, Duration::from_micros(3));
-        let rows = c.by_size_decade();
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].2.count, 1);
-        let mid = c.summary_for_sizes(1_000, 10_000);
-        assert_eq!(mid.count, 1);
-        assert!((mid.mean_us - 2.0).abs() < 1e-9);
+        for (lo, hi) in [(100, 1_000), (1_000, 10_000), (10_000, 100_000)] {
+            assert_eq!(c.summary_for_sizes(lo, hi).count, 1, "[{lo}, {hi})");
+        }
+        assert!((c.summary_for_sizes(1_000, 10_000).mean_us - 2.0).abs() < 1e-9);
     }
 }
