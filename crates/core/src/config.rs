@@ -2,7 +2,7 @@
 
 use mtp_sim::time::Duration;
 
-use crate::pathlet_cc::CcKind;
+use crate::pathlet_cc::{DctcpLikeCc, PathletCc};
 
 /// How long a congested pathlet stays on the advertised exclude list.
 /// A pathlet is excluded when its window is driven to the floor by loss —
@@ -26,8 +26,8 @@ pub const MAX_BACKOFF: Duration = Duration::from_micros(8_000);
 pub struct MtpConfig {
     /// Maximum payload bytes per packet.
     pub mtu_payload: u32,
-    /// Controller family for newly observed pathlets.
-    pub cc: CcKind,
+    /// The controller every newly observed pathlet starts as.
+    pub cc: PathletCc,
     /// Lower bound on the retransmission timeout.
     pub min_rto: Duration,
     /// Dead-pathlet detection, quarantine and failover (paper §3–4:
@@ -42,9 +42,7 @@ impl Default for MtpConfig {
     fn default() -> Self {
         MtpConfig {
             mtu_payload: 1460,
-            cc: CcKind::DctcpLike {
-                init_window: 10 * 1500,
-            },
+            cc: PathletCc::DctcpLike(DctcpLikeCc::new()),
             min_rto: Duration::from_micros(200),
             failover: false,
         }

@@ -63,12 +63,7 @@ pub use config::MtpConfig;
 pub use host::{
     EndpointMirror, MtpDuplexHost, MtpMsgRecord, MtpSenderNode, MtpSinkNode, ScheduledMsg,
 };
-pub use pathlet_cc::{CcKind, DctcpLikeCc, FixedWindowCc, PathletCc};
+pub use pathlet_cc::{DctcpLikeCc, PathletCc};
 pub use pathlets::{PathletEntry, PathletTable};
 pub use receiver::{MsgDelivered, MtpReceiver, MtpReceiverStats};
 pub use sender::{MtpSender, MtpSenderStats, PathHealth, SenderEvent, DEFAULT_PATHLET};
-
-/// DCTCP's EWMA gain for the marking-fraction estimate (1/16, as in the
-/// DCTCP paper; shared by the pathlet controller and the `mtp-tcp`
-/// baseline).
-pub const DCTCP_G: f64 = 1.0 / 16.0;

@@ -1,7 +1,7 @@
 //! The sender's pathlet table: congestion state per `(pathlet, TC)` pair.
 //!
 //! This is the heart of pathlet congestion control (paper §3.1.3). Each
-//! `(PathletId, TrafficClass)` key owns a [`PathletCc`] controller, an
+//! `(PathletId, TrafficClass)` key owns a [`PathletCc`] window, an
 //! in-flight byte count, and an optional exclusion deadline. Windows evolve
 //! from echoed feedback; in-flight accounting is charged at transmission
 //! and credited on SACK/NACK/timeout; exclusions are advertised back to the
@@ -23,12 +23,12 @@
 use mtp_sim::time::Time;
 use mtp_wire::{PathExclude, PathletId, TrafficClass};
 
-use crate::pathlet_cc::{CcKind, PathIdx, PathletCc};
+use crate::pathlet_cc::{PathIdx, PathletCc};
 
 /// Congestion state for one `(pathlet, TC)` pair.
 pub struct PathletEntry {
-    /// The controller evolving this pathlet's window.
-    pub cc: Box<dyn PathletCc>,
+    /// The controller evolving this pathlet's window, stored inline.
+    pub cc: PathletCc,
     /// Bytes currently charged against this pathlet.
     pub inflight: u64,
     /// If set, the sender advertises this pathlet as excluded until then.
@@ -70,8 +70,8 @@ pub struct PathletTable {
     /// Open-addressed key→index probe table; each slot holds `idx + 1`,
     /// 0 = empty. Length is a power of two.
     map: Vec<u32>,
-    /// Controller family for new pathlets.
-    cc: CcKind,
+    /// The controller every new pathlet starts as.
+    cc: PathletCc,
     /// Entries whose `excluded_until` is set (possibly expired); lets the
     /// per-packet exclusion scan short-circuit in the common case of no
     /// exclusions at all.
@@ -90,8 +90,8 @@ impl std::fmt::Debug for PathletTable {
 }
 
 impl PathletTable {
-    /// An empty table; new pathlets get a controller of kind `cc`.
-    pub fn new(cc: CcKind) -> PathletTable {
+    /// An empty table; each new pathlet starts as a copy of `cc`.
+    pub fn new(cc: PathletCc) -> PathletTable {
         PathletTable {
             keys: Vec::new(),
             entries: Vec::new(),
@@ -157,7 +157,7 @@ impl PathletTable {
         }
     }
 
-    /// Intern a key: return its dense index, creating a fresh controller
+    /// Intern a key: return its dense index, starting a fresh controller
     /// (and `last_seen = now`) on first contact.
     pub fn intern(&mut self, path: PathletId, tc: TrafficClass, now: Time) -> PathIdx {
         if let Some(idx) = self.lookup(path, tc) {
@@ -166,7 +166,7 @@ impl PathletTable {
         let idx = self.entries.len() as u32;
         self.keys.push((path, tc));
         self.entries.push(PathletEntry {
-            cc: self.cc.build(),
+            cc: self.cc,
             inflight: 0,
             excluded_until: None,
             last_seen: now,
@@ -207,21 +207,9 @@ impl PathletTable {
         &mut self.entries[idx.0 as usize]
     }
 
-    /// Get or create the entry for a pathlet.
-    pub fn entry(&mut self, path: PathletId, tc: TrafficClass, now: Time) -> &mut PathletEntry {
-        let idx = self.intern(path, tc, now);
-        &mut self.entries[idx.0 as usize]
-    }
-
     /// Read-only lookup.
     pub fn get(&self, path: PathletId, tc: TrafficClass) -> Option<&PathletEntry> {
         self.lookup(path, tc).map(|idx| self.at(idx))
-    }
-
-    /// Charge `bytes` of a new transmission against a pathlet.
-    pub fn charge(&mut self, path: PathletId, tc: TrafficClass, bytes: u64, now: Time) {
-        let e = self.entry(path, tc, now);
-        e.inflight += bytes;
     }
 
     /// Charge `bytes` against an already-interned pathlet.
@@ -230,24 +218,12 @@ impl PathletTable {
         self.entries[idx.0 as usize].inflight += bytes;
     }
 
-    /// Credit `bytes` back (on ACK, NACK, or timeout of a charged packet).
-    pub fn credit(&mut self, path: PathletId, tc: TrafficClass, bytes: u64) {
-        if let Some(idx) = self.lookup(path, tc) {
-            self.credit_at(idx, bytes);
-        }
-    }
-
-    /// Credit `bytes` back on an already-interned pathlet.
+    /// Credit `bytes` back on an already-interned pathlet (on ACK, NACK,
+    /// or timeout of a charged packet).
     #[inline]
     pub fn credit_at(&mut self, idx: PathIdx, bytes: u64) {
         let e = &mut self.entries[idx.0 as usize];
         e.inflight = e.inflight.saturating_sub(bytes);
-    }
-
-    /// Window headroom for admitting new data on a pathlet. An unknown
-    /// pathlet reports the initial window of a fresh controller.
-    pub fn room(&mut self, path: PathletId, tc: TrafficClass, now: Time) -> u64 {
-        self.entry(path, tc, now).room()
     }
 
     /// Window headroom on an already-interned pathlet.
@@ -256,14 +232,8 @@ impl PathletTable {
         self.entries[idx.0 as usize].room()
     }
 
-    /// Mark a pathlet excluded until `until`; data packets will carry the
-    /// exclusion so the network steers around it.
-    pub fn exclude(&mut self, path: PathletId, tc: TrafficClass, until: Time, now: Time) {
-        let idx = self.intern(path, tc, now);
-        self.exclude_at(idx, until);
-    }
-
-    /// Mark an already-interned pathlet excluded until `until`.
+    /// Mark an already-interned pathlet excluded until `until`; data
+    /// packets will carry the exclusion so the network steers around it.
     pub fn exclude_at(&mut self, idx: PathIdx, until: Time) {
         let e = &mut self.entries[idx.0 as usize];
         if e.excluded_until.is_none() {
@@ -396,15 +366,6 @@ impl PathletTable {
         out.sort_by_key(|x| (x.path.0, x.tc.0));
     }
 
-    /// The active exclusions to advertise at time `now`, as a fresh `Vec`.
-    /// Expired entries are cleared as a side effect. Hot paths use
-    /// [`append_exclusions`](Self::append_exclusions) instead.
-    pub fn active_exclusions(&mut self, now: Time) -> Vec<PathExclude> {
-        let mut out = Vec::new();
-        self.append_exclusions(now, &mut out);
-        out
-    }
-
     /// Iterate over `(key, entry)` pairs in interning order (for
     /// instrumentation).
     pub fn iter(&self) -> impl Iterator<Item = (&(PathletId, TrafficClass), &PathletEntry)> {
@@ -418,7 +379,14 @@ mod tests {
     use mtp_sim::time::Duration;
 
     fn table() -> PathletTable {
-        PathletTable::new(CcKind::Fixed { window: 10_000 })
+        PathletTable::new(PathletCc::Fixed(10_000))
+    }
+
+    /// The exclusions active at `now`, as a fresh `Vec`.
+    fn active(t: &mut PathletTable, now: Time) -> Vec<PathExclude> {
+        let mut out = Vec::new();
+        t.append_exclusions(now, &mut out);
+        out
     }
 
     const P1: PathletId = PathletId(1);
@@ -428,46 +396,50 @@ mod tests {
     #[test]
     fn charge_and_credit_track_room() {
         let mut t = table();
-        assert_eq!(t.room(P1, TC, Time::ZERO), 10_000);
-        t.charge(P1, TC, 4_000, Time::ZERO);
-        assert_eq!(t.room(P1, TC, Time::ZERO), 6_000);
-        t.credit(P1, TC, 4_000);
-        assert_eq!(t.room(P1, TC, Time::ZERO), 10_000);
+        let a = t.intern(P1, TC, Time::ZERO);
+        assert_eq!(t.room_at(a), 10_000);
+        t.charge_at(a, 4_000);
+        assert_eq!(t.room_at(a), 6_000);
+        t.credit_at(a, 4_000);
+        assert_eq!(t.room_at(a), 10_000);
         // Over-credit saturates instead of wrapping.
-        t.credit(P1, TC, 99_999);
-        assert_eq!(t.room(P1, TC, Time::ZERO), 10_000);
+        t.credit_at(a, 99_999);
+        assert_eq!(t.room_at(a), 10_000);
     }
 
     #[test]
     fn pathlets_are_independent() {
         let mut t = table();
-        t.charge(P1, TC, 10_000, Time::ZERO);
-        assert_eq!(t.room(P1, TC, Time::ZERO), 0);
-        assert_eq!(
-            t.room(P2, TC, Time::ZERO),
-            10_000,
-            "other pathlet unaffected"
-        );
+        let a = t.intern(P1, TC, Time::ZERO);
+        t.charge_at(a, 10_000);
+        assert_eq!(t.room_at(a), 0);
+        let b = t.intern(P2, TC, Time::ZERO);
+        assert_eq!(t.room_at(b), 10_000, "other pathlet unaffected");
         assert_eq!(t.len(), 2);
     }
 
     #[test]
     fn same_pathlet_different_tc_is_separate() {
         let mut t = table();
-        t.charge(P1, TrafficClass(1), 10_000, Time::ZERO);
-        assert_eq!(t.room(P1, TrafficClass(2), Time::ZERO), 10_000);
+        let a = t.intern(P1, TrafficClass(1), Time::ZERO);
+        t.charge_at(a, 10_000);
+        let b = t.intern(P1, TrafficClass(2), Time::ZERO);
+        assert_eq!(t.room_at(b), 10_000);
     }
 
     #[test]
     fn exclusions_expire() {
         let mut t = table();
+        // Interned out of key order, so the sort is what orders the list.
+        let b = t.intern(P2, TC, Time::ZERO);
+        let a = t.intern(P1, TC, Time::ZERO);
         let until = Time::ZERO + Duration::from_micros(100);
-        t.exclude(P1, TC, until, Time::ZERO);
-        t.exclude(P2, TC, until, Time::ZERO);
-        let active = t.active_exclusions(Time::ZERO + Duration::from_micros(50));
-        assert_eq!(active.len(), 2);
-        assert_eq!(active[0].path, P1, "sorted order");
-        let after = t.active_exclusions(Time::ZERO + Duration::from_micros(150));
+        t.exclude_at(a, until);
+        t.exclude_at(b, until);
+        let now = active(&mut t, Time::ZERO + Duration::from_micros(50));
+        assert_eq!(now.len(), 2);
+        assert_eq!(now[0].path, P1, "sorted order");
+        let after = active(&mut t, Time::ZERO + Duration::from_micros(150));
         assert!(after.is_empty());
         // Cleared, not just filtered.
         assert!(t.get(P1, TC).unwrap().excluded_until.is_none());
@@ -513,7 +485,7 @@ mod tests {
         t.quarantine_at(a, until);
         assert!(t.at(a).is_quarantined(Time::ZERO));
         // Quarantine implies an advertised exclusion over the same span.
-        assert_eq!(t.active_exclusions(Time::ZERO).len(), 1);
+        assert_eq!(active(&mut t, Time::ZERO).len(), 1);
         // Alternatives skip quarantined entries; a quarantined-only pool
         // yields None.
         assert_eq!(t.best_alternative(a, Time::ZERO), Some(b));
@@ -547,7 +519,7 @@ mod tests {
     fn exclusion_fast_path_counter_balances() {
         let mut t = table();
         // No exclusions: append is a no-op even with entries present.
-        t.intern(P1, TC, Time::ZERO);
+        let a = t.intern(P1, TC, Time::ZERO);
         let mut out = Vec::new();
         t.append_exclusions(Time::ZERO, &mut out);
         assert!(out.is_empty());
@@ -555,8 +527,8 @@ mod tests {
         // Set, re-set (no double count), expire, and observe the counter
         // return to the fast path.
         let until = Time::ZERO + Duration::from_micros(10);
-        t.exclude(P1, TC, until, Time::ZERO);
-        t.exclude(P1, TC, until, Time::ZERO);
+        t.exclude_at(a, until);
+        t.exclude_at(a, until);
         assert_eq!(t.excluded, 1);
         t.append_exclusions(Time::ZERO + Duration::from_micros(20), &mut out);
         assert!(out.is_empty());

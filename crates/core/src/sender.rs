@@ -835,7 +835,8 @@ impl MtpSender {
         } else {
             // One loss signal per timeout event on the active pathlet.
             let (p, tc) = self.active;
-            self.pathlets.entry(p, tc, now).cc.on_loss();
+            let idx = self.pathlets.intern(p, tc, now);
+            self.pathlets.at_mut(idx).cc.on_loss();
         }
         for i in 0..self.timer_scratch.len() {
             let (slot, pkt) = self.timer_scratch[i];

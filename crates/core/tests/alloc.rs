@@ -28,10 +28,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mtp_core::{CcKind, MsgDelivered, MtpConfig, MtpReceiver, MtpSender, SenderEvent};
+use mtp_core::{MsgDelivered, MtpConfig, MtpReceiver, MtpSender, PathletCc, SenderEvent};
 use mtp_sim::packet::{Headers, Packet};
 use mtp_sim::time::{Duration, Time};
-use mtp_wire::{EcnCodepoint, EntityId, PktType, TrafficClass};
+use mtp_wire::{
+    EcnCodepoint, EntityId, Feedback, MtpHeader, PathFeedback, PathletId, PktType, TrafficClass,
+};
 
 struct CountingAlloc;
 
@@ -93,7 +95,7 @@ impl Loopback {
         // A fixed window keeps the in-flight high-water mark constant, so
         // buffer capacities reached during warm-up are final.
         let cfg = MtpConfig {
-            cc: CcKind::Fixed { window: 15_000 },
+            cc: PathletCc::Fixed(15_000),
             ..MtpConfig::default()
         };
         Loopback {
@@ -309,4 +311,59 @@ fn endpoint_nack_repair_steady_state_allocates_nothing() {
         measured, 0,
         "NACK repair path allocated {measured} times across 10 loss episodes"
     );
+}
+
+/// A pathlet's window lives inline in the sender's table: learning a key
+/// from ACK feedback costs only the table's amortized growth, not an
+/// allocation per key. Every learned pathlet starts as the configured
+/// window.
+#[test]
+fn learning_pathlets_from_feedback_allocates_less_than_once_per_key() {
+    const KEYS: u16 = 256;
+    const WINDOW: u64 = 20_000;
+    let cfg = MtpConfig {
+        cc: PathletCc::Fixed(WINDOW),
+        ..MtpConfig::default()
+    };
+    let mut sender = MtpSender::new(cfg, 1, EntityId(0), 1);
+    // Sixteen ACKs of sixteen fresh keys each, built before measuring.
+    let acks: Vec<MtpHeader> = (0..KEYS / 16)
+        .map(|a| MtpHeader {
+            pkt_type: PktType::Ack,
+            ack_path_feedback: (0..16)
+                .map(|k| PathFeedback {
+                    path: PathletId(100 + a * 16 + k),
+                    tc: TrafficClass((k % 4) as u8),
+                    feedback: Feedback::EcnMark { ce: k % 3 == 0 },
+                })
+                .collect(),
+            ..MtpHeader::default()
+        })
+        .collect();
+    let mut out = Vec::new();
+    let known = sender.pathlets().len();
+
+    let before = allocs();
+    for (i, ack) in acks.iter().enumerate() {
+        sender.on_ack(Time::ZERO + Duration::from_micros(i as u64), ack, &mut out);
+    }
+    let allocs = allocs() - before;
+
+    let learned = sender.pathlets().len() - known;
+    assert_eq!(learned, KEYS as usize);
+    assert!(out.is_empty(), "no data to send");
+    assert!(
+        allocs < learned as u64,
+        "learning {learned} pathlets allocated {allocs} times"
+    );
+    for (&(path, _), e) in sender.pathlets().iter() {
+        if path.0 >= 100 {
+            assert_eq!(
+                e.cc.window(),
+                WINDOW,
+                "pathlet {} starts at the configured window",
+                path.0
+            );
+        }
+    }
 }

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 
-use mtp_core::pathlet_cc::{CcKind, WINDOW_CAP, WINDOW_FLOOR};
+use mtp_core::pathlet_cc::{WINDOW_CAP, WINDOW_FLOOR};
 use mtp_core::{DctcpLikeCc, MtpConfig, MtpReceiver, MtpSender, PathletCc, SenderEvent};
 use mtp_sim::time::{Duration, Time};
 use mtp_wire::types::flags;
@@ -59,11 +59,9 @@ fn run_lossy_session(
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
 
     let cc = if fixed_window {
-        CcKind::Fixed { window: 15_000 }
+        PathletCc::Fixed(15_000)
     } else {
-        CcKind::DctcpLike {
-            init_window: 15_000,
-        }
+        PathletCc::DctcpLike(DctcpLikeCc::new())
     };
     let mut s = MtpSender::new(
         MtpConfig {
@@ -227,7 +225,7 @@ fn run_window_session(seed: u64, loss_pct: u32, dup_pct: u32, n_msgs: u64) -> Re
     const BASE: u64 = 9_000;
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let cfg = MtpConfig {
-        cc: CcKind::Fixed { window: 15_000 },
+        cc: PathletCc::Fixed(15_000),
         ..MtpConfig::default()
     };
     let mut s = MtpSender::new(cfg, 1, EntityId(0), BASE);
@@ -515,7 +513,7 @@ fn run_receiver_model(seed: u64, window: u64, steps: usize) -> Result<u64, Strin
 /// window nothing fills), and those packets' headers.
 fn sender_in_flight(sizes: &[u32]) -> (MtpSender, Vec<MtpHeader>) {
     let cfg = MtpConfig {
-        cc: CcKind::Fixed { window: 1 << 28 },
+        cc: PathletCc::Fixed(1 << 28),
         ..MtpConfig::default()
     };
     let mut s = MtpSender::new(cfg, 1, EntityId(0), 500);
@@ -899,7 +897,7 @@ proptest! {
         use rand::SeedableRng;
         let bytes = msg_kb * 1024;
         let mut s = MtpSender::new(
-            MtpConfig { cc: CcKind::Fixed { window: 1 << 28 }, ..MtpConfig::default() },
+            MtpConfig { cc: PathletCc::Fixed(1 << 28), ..MtpConfig::default() },
             1,
             EntityId(0),
             500,
@@ -1024,10 +1022,10 @@ proptest! {
         ops in prop::collection::vec((0u8..9, any::<u32>()), 1..200),
     ) {
         let kind = match kind_sel {
-            0 => CcKind::DctcpLike { init_window: 15_000 },
-            _ => CcKind::Fixed { window: 15_000 },
+            0 => PathletCc::DctcpLike(DctcpLikeCc::new()),
+            _ => PathletCc::Fixed(15_000),
         };
-        let mut cc = kind.build();
+        let mut cc = kind;
         for (op, v) in ops {
             match op {
                 0 => cc.on_ack(1500, Some(&Feedback::EcnMark { ce: v % 2 == 0 })),
@@ -1049,15 +1047,15 @@ proptest! {
     }
 
     /// The DCTCP-like controller reads only `EcnMark` and `EcnFraction`:
-    /// fed any other TLV on every ACK, it keeps the window and `alpha` of
-    /// a twin fed no feedback at all, step by step, through marks and
-    /// losses that both see.
+    /// fed any other TLV on every ACK, it keeps the window, `alpha` and
+    /// every other field of a twin fed no feedback at all, step by step,
+    /// through marks and losses that both see.
     #[test]
     fn other_tlvs_read_as_no_congestion_signal(
         ops in prop::collection::vec((0u8..4, 0u64..100_000, 0u8..5, any::<u32>()), 1..200),
     ) {
-        let mut fed = DctcpLikeCc::new(15_000);
-        let mut none = DctcpLikeCc::new(15_000);
+        let mut fed = PathletCc::DctcpLike(DctcpLikeCc::new());
+        let mut none = fed;
         for (op, acked, sel, v) in ops {
             match op {
                 0 | 1 => {
@@ -1082,7 +1080,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(fed.window(), none.window());
-            prop_assert_eq!(fed.alpha().to_bits(), none.alpha().to_bits());
+            // Every field, `alpha` and its observation window included.
+            prop_assert_eq!(fed, none);
         }
     }
 }

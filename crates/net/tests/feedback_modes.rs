@@ -2,7 +2,7 @@
 //! sender's per-pathlet controllers, and two TLV types from two switches
 //! share one ACK (paper §3.1.3).
 
-use mtp_core::{CcKind, MtpConfig, MtpSenderNode, MtpSinkNode, ScheduledMsg};
+use mtp_core::{MtpConfig, MtpSenderNode, MtpSinkNode, PathletCc, ScheduledMsg};
 use mtp_net::{Stamp, StampKind, StaticForwarder, StaticRoutes, SwitchNode};
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{LinkCfg, NodeId, PortId, Simulator};
@@ -57,7 +57,7 @@ fn build(cfg: MtpConfig, stamp: Stamp, bytes: u32) -> (Simulator, NodeId, NodeId
 #[test]
 fn fixed_window_ignores_all_feedback() {
     let cfg = MtpConfig {
-        cc: CcKind::Fixed { window: 30_000 },
+        cc: PathletCc::Fixed(30_000),
         ..MtpConfig::default()
     };
     let stamp = Stamp::new(PathletId(5), StampKind::Presence);

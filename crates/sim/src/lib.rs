@@ -57,6 +57,7 @@
 
 pub mod audit;
 pub mod corrupt;
+pub mod dctcp;
 pub mod engine;
 pub mod fault;
 pub mod loss;
@@ -73,6 +74,7 @@ mod wheel;
 
 pub use audit::{assert_conservation, AuditReport};
 pub use corrupt::sanitize;
+pub use dctcp::DctcpAlpha;
 pub use engine::{pkt_id, BoundaryKind, DirLinkId, LinkCfg, LinkFailMode, LinkStats, Simulator};
 pub use fault::{FaultEvent, FaultKind};
 pub use loss::{stream_seed, LossyQueue, ReorderQueue};

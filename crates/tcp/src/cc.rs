@@ -8,7 +8,9 @@
 //! * DCTCP tracks the fraction `F` of acknowledged bytes that were marked
 //!   during each window, maintains `alpha <- (1-g) alpha + g F` with
 //!   `g = 1/16`, and scales the window by `1 - alpha/2` once per window —
-//!   gentle under mild congestion, aggressive under heavy congestion.
+//!   gentle under mild congestion, aggressive under heavy congestion. The
+//!   estimate and the cut are [`DctcpAlpha`], which MTP's pathlet window
+//!   runs too.
 //!
 //! This module deliberately keeps a **single window for the whole
 //! connection**: that is TCP's design, and it is exactly what the paper's
@@ -16,7 +18,7 @@
 //! 10 Gbps path, this one window is wrong for the new path and must
 //! re-converge. MTP's per-pathlet windows (in `mtp-core`) avoid that.
 
-use mtp_sim::time::Time;
+use mtp_sim::DctcpAlpha;
 
 /// Which congestion-control law a connection runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,9 +29,6 @@ pub enum CcVariant {
     Dctcp,
 }
 
-/// DCTCP's EWMA gain for `alpha` (the paper's recommended 1/16).
-pub const DCTCP_G: f64 = 1.0 / 16.0;
-
 /// Per-connection congestion state.
 #[derive(Debug, Clone)]
 pub struct TcpCc {
@@ -37,19 +36,13 @@ pub struct TcpCc {
     mss: f64,
     cwnd: f64,
     ssthresh: f64,
-    /// DCTCP marking-fraction EWMA.
-    alpha: f64,
-    /// Bytes acked since the current observation window began.
-    window_acked: f64,
-    /// Of those, bytes whose ACKs carried ECE.
-    window_marked: f64,
+    /// DCTCP marking-fraction EWMA over observation windows.
+    alpha: DctcpAlpha,
     /// Sequence number that closes the current alpha-observation window.
     window_end: u64,
     /// No ECN-driven reduction may occur until `snd_una` passes this —
     /// enforces the "once per window of data" rule.
     next_reduction: u64,
-    /// Timestamp of the last loss-driven reduction (for stats only).
-    pub last_reduction: Option<Time>,
 }
 
 impl TcpCc {
@@ -61,12 +54,9 @@ impl TcpCc {
             mss,
             cwnd: mss * init_pkts as f64,
             ssthresh: f64::INFINITY,
-            alpha: 1.0,
-            window_acked: 0.0,
-            window_marked: 0.0,
+            alpha: DctcpAlpha::new(),
             window_end: 0,
             next_reduction: 0,
-            last_reduction: None,
         }
     }
 
@@ -75,14 +65,9 @@ impl TcpCc {
         self.cwnd as u64
     }
 
-    /// Current slow-start threshold in bytes.
-    pub fn ssthresh(&self) -> f64 {
-        self.ssthresh
-    }
-
     /// DCTCP's current `alpha` estimate (1.0 until the first window ends).
     pub fn alpha(&self) -> f64 {
-        self.alpha
+        self.alpha.alpha()
     }
 
     /// True while in slow start.
@@ -90,28 +75,12 @@ impl TcpCc {
         self.cwnd < self.ssthresh
     }
 
-    /// The configured variant.
-    pub fn variant(&self) -> CcVariant {
-        self.variant
-    }
-
     /// Process `acked` newly acknowledged bytes whose ACK carried
     /// `ece`; `snd_una`/`snd_nxt` delimit the window-boundary bookkeeping,
     /// `in_recovery` suppresses growth during loss recovery.
-    pub fn on_ack(
-        &mut self,
-        acked: u64,
-        ece: bool,
-        snd_una: u64,
-        snd_nxt: u64,
-        in_recovery: bool,
-        now: Time,
-    ) {
+    pub fn on_ack(&mut self, acked: u64, ece: bool, snd_una: u64, snd_nxt: u64, in_recovery: bool) {
         let acked_f = acked as f64;
-        self.window_acked += acked_f;
-        if ece {
-            self.window_marked += acked_f;
-        }
+        self.alpha.record(acked_f, if ece { acked_f } else { 0.0 });
 
         let may_reduce = ece && snd_una >= self.next_reduction;
         match self.variant {
@@ -121,23 +90,23 @@ impl TcpCc {
                     self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.mss);
                     self.cwnd = self.ssthresh;
                     self.next_reduction = snd_nxt;
-                    self.last_reduction = Some(now);
                     return;
                 }
             }
             CcVariant::Dctcp => {
                 if may_reduce {
                     // DCTCP reduces once per window, proportionally to alpha.
-                    self.cwnd = (self.cwnd * (1.0 - self.alpha / 2.0)).max(2.0 * self.mss);
+                    self.cwnd = self.alpha.cut(self.cwnd).max(2.0 * self.mss);
                     self.ssthresh = self.cwnd;
                     self.next_reduction = snd_nxt;
-                    self.last_reduction = Some(now);
                 }
             }
         }
 
         if snd_una >= self.window_end {
-            self.end_window(snd_nxt);
+            // NewReno never reads alpha, so its windows may fold too.
+            self.alpha.close();
+            self.window_end = snd_nxt;
         }
 
         if in_recovery {
@@ -150,23 +119,12 @@ impl TcpCc {
         }
     }
 
-    fn end_window(&mut self, snd_nxt: u64) {
-        if self.variant == CcVariant::Dctcp && self.window_acked > 0.0 {
-            let f = (self.window_marked / self.window_acked).clamp(0.0, 1.0);
-            self.alpha = (1.0 - DCTCP_G) * self.alpha + DCTCP_G * f;
-        }
-        self.window_acked = 0.0;
-        self.window_marked = 0.0;
-        self.window_end = snd_nxt;
-    }
-
     /// Enter fast recovery after triple duplicate ACKs. Returns the new
     /// ssthresh in bytes.
-    pub fn on_fast_retransmit(&mut self, now: Time) -> u64 {
+    pub fn on_fast_retransmit(&mut self) -> u64 {
         self.ssthresh = (self.cwnd / 2.0).max(2.0 * self.mss);
         // NewReno inflates by 3 MSS for the three dup-acked segments.
         self.cwnd = self.ssthresh + 3.0 * self.mss;
-        self.last_reduction = Some(now);
         self.ssthresh as u64
     }
 
@@ -181,10 +139,9 @@ impl TcpCc {
     }
 
     /// Collapse after a retransmission timeout.
-    pub fn on_timeout(&mut self, flight: u64, now: Time) {
+    pub fn on_timeout(&mut self, flight: u64) {
         self.ssthresh = ((flight as f64) / 2.0).max(2.0 * self.mss);
         self.cwnd = self.mss;
-        self.last_reduction = Some(now);
     }
 }
 
@@ -203,21 +160,21 @@ mod tests {
         let mut c = cc(CcVariant::NewReno);
         let start = c.cwnd();
         // Ack a full window's worth of bytes: cwnd should double.
-        c.on_ack(start, false, start, 2 * start, false, Time::ZERO);
+        c.on_ack(start, false, start, 2 * start, false);
         assert_eq!(c.cwnd(), 2 * start);
     }
 
     #[test]
     fn congestion_avoidance_grows_one_mss_per_rtt() {
         let mut c = cc(CcVariant::NewReno);
-        c.on_fast_retransmit(Time::ZERO);
+        c.on_fast_retransmit();
         c.on_recovery_exit();
         let w = c.cwnd();
         assert!(!c.in_slow_start());
         // Ack one window in MSS chunks: growth ~ 1 MSS.
         let mut acked = 0;
         while acked < w {
-            c.on_ack(MSS as u64, false, acked, w, false, Time::ZERO);
+            c.on_ack(MSS as u64, false, acked, w, false);
             acked += MSS as u64;
         }
         let grown = c.cwnd() - w;
@@ -231,10 +188,10 @@ mod tests {
     fn newreno_halves_once_per_window_on_ece() {
         let mut c = cc(CcVariant::NewReno);
         let w = c.cwnd();
-        c.on_ack(MSS as u64, true, 0, w, false, Time::ZERO);
+        c.on_ack(MSS as u64, true, 0, w, false);
         assert_eq!(c.cwnd(), w / 2);
         // Second ECE in the same window: no further reduction.
-        c.on_ack(MSS as u64, true, MSS as u64, w, false, Time::ZERO);
+        c.on_ack(MSS as u64, true, MSS as u64, w, false);
         assert!(c.cwnd() >= w / 2);
     }
 
@@ -249,7 +206,7 @@ mod tests {
             let w = c.cwnd();
             let mut acked_in_window = 0;
             while acked_in_window < w {
-                c.on_ack(MSS as u64, true, una, una + w, false, Time::ZERO);
+                c.on_ack(MSS as u64, true, una, una + w, false);
                 una += MSS as u64;
                 acked_in_window += MSS as u64;
             }
@@ -270,7 +227,7 @@ mod tests {
             let w = c.cwnd();
             let mut acked = 0;
             while acked < w {
-                c.on_ack(MSS as u64, false, una, una + w, false, Time::ZERO);
+                c.on_ack(MSS as u64, false, una, una + w, false);
                 una += MSS as u64;
                 acked += MSS as u64;
             }
@@ -278,7 +235,7 @@ mod tests {
         assert!(c.alpha() < 0.3, "alpha={}", c.alpha());
         let w = c.cwnd();
         // One marked ACK now shaves only alpha/2 of the window.
-        c.on_ack(MSS as u64, true, una, una + w, false, Time::ZERO);
+        c.on_ack(MSS as u64, true, una, una + w, false);
         let lost = w - c.cwnd();
         assert!(
             (lost as f64) < 0.2 * w as f64,
@@ -289,7 +246,7 @@ mod tests {
     #[test]
     fn timeout_collapses_to_one_mss() {
         let mut c = cc(CcVariant::NewReno);
-        c.on_timeout(c.cwnd(), Time::ZERO);
+        c.on_timeout(c.cwnd());
         assert_eq!(c.cwnd(), MSS as u64);
         assert!(c.in_slow_start());
     }
@@ -298,7 +255,7 @@ mod tests {
     fn fast_retransmit_sets_ssthresh_half() {
         let mut c = cc(CcVariant::NewReno);
         let w = c.cwnd();
-        let ss = c.on_fast_retransmit(Time::ZERO);
+        let ss = c.on_fast_retransmit();
         assert_eq!(ss, w / 2);
         assert_eq!(c.cwnd(), w / 2 + 3 * MSS as u64);
         c.on_dup_ack_inflation();

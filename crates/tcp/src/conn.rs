@@ -126,11 +126,6 @@ impl SenderConn {
         self.cc.cwnd()
     }
 
-    /// The congestion controller (read-only), for instrumentation.
-    pub fn cc(&self) -> &TcpCc {
-        &self.cc
-    }
-
     /// The smoothed RTT estimate, if any.
     pub fn srtt(&self) -> Option<Duration> {
         self.rtt.srtt()
@@ -232,14 +227,8 @@ impl SenderConn {
             } else {
                 self.dupacks = 0;
             }
-            self.cc.on_ack(
-                acked,
-                ece,
-                self.snd_una,
-                self.snd_nxt,
-                self.in_recovery,
-                now,
-            );
+            self.cc
+                .on_ack(acked, ece, self.snd_una, self.snd_nxt, self.in_recovery);
             if self.flight() > 0 || self.backlog() > 0 {
                 self.arm_rto(now);
             } else {
@@ -261,7 +250,7 @@ impl SenderConn {
                 self.in_recovery = true;
                 self.recover = self.snd_nxt;
                 self.stats.fast_retransmits += 1;
-                self.cc.on_fast_retransmit(now);
+                self.cc.on_fast_retransmit();
                 self.retransmit_head(now, out);
             } else {
                 // A window update may have unblocked us.
@@ -291,7 +280,7 @@ impl SenderConn {
             }
             SenderState::Established => {
                 // Go-back-N from the last cumulative ACK.
-                self.cc.on_timeout(self.flight(), now);
+                self.cc.on_timeout(self.flight());
                 self.snd_nxt = self.snd_una;
                 self.in_recovery = false;
                 self.dupacks = 0;
