@@ -11,9 +11,9 @@
 //! MTP-headered packets routed by an opaque destination tag
 //! ([`mtp_sim::AppData::Opaque`]). The tag survives wire corruption, so a
 //! bit-flipped or truncated packet still reaches its destination host,
-//! which detects the damage with [`mtp_sim::sanitize`] and counts it —
-//! corruption schedules exercise the full detect-at-the-edge path under
-//! sharding.
+//! which detects the damage with [`mtp_sim::corrupt::admit_relay`] and
+//! counts it — corruption schedules exercise the full detect-at-the-edge
+//! path under sharding.
 //!
 //! Every link's propagation delay carries a unique picosecond-level skew
 //! so no two trace events of the same kind can coincide — the digest
@@ -24,10 +24,11 @@ use std::sync::Arc;
 
 use mtp_faults::{FaultDriver, FaultSchedule};
 use mtp_net::TopoGraph;
+use mtp_sim::corrupt::admit_relay;
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{
-    sanitize, AppData, Ctx, Headers, LinkCfg, Node, NodeAuditCounters, Packet, PortId,
-    ShardedSimulator, Simulator,
+    AppData, Ctx, Headers, LinkCfg, Node, NodeAuditCounters, Packet, PortId, ShardedSimulator,
+    Simulator,
 };
 use mtp_wire::{EntityId, MsgId, MtpHeader, PktNum, PktType};
 
@@ -177,12 +178,12 @@ impl Node for FabricHost {
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) {
-        if sanitize(&mut pkt).is_err() {
-            self.malformed += 1;
-            ctx.trace_malformed(&pkt, port);
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
+        // The host counts payload damage itself (`rx_dirty`), so only the
+        // header must verify.
+        let Some(pkt) = admit_relay(ctx, port, pkt, &mut self.malformed) else {
             return;
-        }
+        };
         self.rx_pkts += 1;
         self.rx_bytes += pkt.wire_len as u64;
         if pkt.payload_dirty {

@@ -6,8 +6,9 @@
 //! latency; [`MtpDuplexHost`] joins the two on one host. All are thin
 //! shims: all protocol behaviour lives in the sans-IO cores.
 
+use mtp_sim::corrupt::admit_terminal;
 use mtp_sim::time::{Duration, Time};
-use mtp_sim::{BinSeries, Ctx, Gauge, Headers, HistId, Metric, Node, Packet, PortId};
+use mtp_sim::{BinSeries, Ctx, Gauge, Headers, HistId, Metric, Node, Packet, PortId, RtoTimer};
 use mtp_wire::{EntityId, MsgId, PktType, TrafficClass};
 
 use crate::config::MtpConfig;
@@ -85,6 +86,7 @@ impl EndpointMirror {
 const TOKEN_KIND_SHIFT: u64 = 32;
 const KIND_MSG: u64 = 1;
 const KIND_RTO: u64 = 2;
+const RTO_TOKEN: u64 = KIND_RTO << TOKEN_KIND_SHIFT;
 
 /// One scheduled message.
 #[derive(Debug, Clone, Copy)]
@@ -141,7 +143,7 @@ pub struct MtpSenderNode {
     /// monotonically by the sender, so the list is sorted by construction
     /// and lookup is a binary search — no hashing.
     msg_index: Vec<(MsgId, usize)>,
-    armed: Option<Time>,
+    rto: RtoTimer,
     /// Closed loop: submit message i+1 when message i completes.
     closed_loop: bool,
     /// Packets rejected by the wire-integrity check (corrupted in flight):
@@ -182,7 +184,7 @@ impl MtpSenderNode {
             schedule,
             msgs,
             msg_index: Vec::new(),
-            armed: None,
+            rto: RtoTimer::default(),
             closed_loop: false,
             malformed: 0,
             mirror: EndpointMirror::default(),
@@ -264,18 +266,6 @@ impl MtpSenderNode {
         self.done_buf = done;
         self.done_buf.clear();
     }
-
-    fn sync_timer(&mut self, ctx: &mut Ctx<'_>) {
-        let deadline = self.sender.next_deadline();
-        if let Some(dl) = deadline {
-            if self.armed != Some(dl) {
-                ctx.set_timer_at(dl, KIND_RTO << TOKEN_KIND_SHIFT);
-                self.armed = Some(dl);
-            }
-        } else {
-            self.armed = None;
-        }
-    }
 }
 
 impl Node for MtpSenderNode {
@@ -291,17 +281,14 @@ impl Node for MtpSenderNode {
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // Verify wire integrity before trusting a single header field; a
         // corrupted ACK could otherwise poison the window or complete the
         // wrong message. An ACK whose payload checksum failed is refused
         // too: its trailer took the damage, and it must be counted.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
-            self.malformed += 1;
-            ctx.trace_malformed(&pkt, _port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.malformed) else {
             return;
-        }
+        };
         let Headers::Mtp(hdr) = pkt.headers else {
             return;
         };
@@ -313,9 +300,9 @@ impl Node for MtpSenderNode {
                 self.flush(ctx, &mut out);
                 self.out_buf = out;
                 self.drain_completions(ctx);
-                self.sync_timer(ctx);
+                self.rto.sync(ctx, self.sender.next_deadline(), RTO_TOKEN);
                 self.after_completions(ctx);
-                self.sync_timer(ctx);
+                self.rto.sync(ctx, self.sender.next_deadline(), RTO_TOKEN);
             }
             PktType::Control | PktType::Data => {}
         }
@@ -330,7 +317,7 @@ impl Node for MtpSenderNode {
         match kind {
             KIND_MSG => self.submit(ctx, arg),
             KIND_RTO => {
-                self.armed = None;
+                self.rto.fired();
                 let mut out = std::mem::take(&mut self.out_buf);
                 self.sender.on_timer(now, &mut out);
                 self.flush(ctx, &mut out);
@@ -339,9 +326,9 @@ impl Node for MtpSenderNode {
             _ => {}
         }
         self.drain_completions(ctx);
-        self.sync_timer(ctx);
+        self.rto.sync(ctx, self.sender.next_deadline(), RTO_TOKEN);
         self.after_completions(ctx);
-        self.sync_timer(ctx);
+        self.rto.sync(ctx, self.sender.next_deadline(), RTO_TOKEN);
         self.mirror.sync_sender(ctx, &self.sender.stats);
     }
 
@@ -402,17 +389,14 @@ impl MtpSinkNode {
 }
 
 impl Node for MtpSinkNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // Integrity first: an unverifiable header is counted and dropped;
         // a verified header whose payload checksum failed is equally
         // unusable — dropping it without an ACK turns wire corruption
         // into an ordinary loss the sender already knows how to repair.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
-            self.malformed += 1;
-            ctx.trace_malformed(&pkt, _port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.malformed) else {
             return;
-        }
+        };
         let ecn = pkt.ecn;
         let Headers::Mtp(hdr) = pkt.headers else {
             return;
@@ -458,16 +442,13 @@ impl Node for MtpDuplexHost {
         self.sender.on_start(ctx);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // A damaged frame's type is unknown until it verifies, so verify
         // before dispatching; the sink half counts what neither half
         // could use.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
-            self.sink.malformed += 1;
-            ctx.trace_malformed(&pkt, port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.sink.malformed) else {
             return;
-        }
+        };
         let is_data = pkt
             .headers
             .as_mtp()

@@ -22,9 +22,9 @@
 
 use std::collections::HashMap;
 
+use mtp_sim::corrupt::admit_terminal;
 use mtp_sim::packet::{AppData, Headers, Packet};
-use mtp_sim::time::Time;
-use mtp_sim::{Ctx, Node, PortId};
+use mtp_sim::{Ctx, Node, PortId, RtoTimer};
 use mtp_wire::{EntityId, MsgId, PktType, TrafficClass};
 
 use mtp_core::{MtpConfig, MtpReceiver, MtpSender};
@@ -62,7 +62,7 @@ pub struct AggregatorNode {
     progress: HashMap<u64, usize>,
     /// Message id → round (learned from the data packets' app tags).
     msg_round: HashMap<MsgId, u64>,
-    armed: Option<Time>,
+    rto: RtoTimer,
     /// Counters.
     pub stats: AggregateStats,
 }
@@ -87,7 +87,7 @@ impl AggregatorNode {
             sender: MtpSender::new(cfg, addr, EntityId(0), msg_id_base),
             progress: HashMap::new(),
             msg_round: HashMap::new(),
-            armed: None,
+            rto: RtoTimer::default(),
             stats: AggregateStats::default(),
         }
     }
@@ -96,28 +96,17 @@ impl AggregatorNode {
         for pkt in out {
             ctx.send(UPSTREAM_PORT, pkt);
         }
-        match self.sender.next_deadline() {
-            Some(dl) => {
-                if self.armed != Some(dl) {
-                    ctx.set_timer_at(dl, TOKEN_RTO);
-                    self.armed = Some(dl);
-                }
-            }
-            None => self.armed = None,
-        }
+        self.rto.sync(ctx, self.sender.next_deadline(), TOKEN_RTO);
     }
 }
 
 impl Node for AggregatorNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // A terminating device must not act on a field, or count a
         // gradient, that it has not verified.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
-            self.stats.malformed += 1;
-            ctx.trace_malformed(&pkt, port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.stats.malformed) else {
             return;
-        }
+        };
         let now = ctx.now();
         let ecn = pkt.ecn;
         let app = pkt.app;
@@ -178,7 +167,7 @@ impl Node for AggregatorNode {
         if token != TOKEN_RTO {
             return;
         }
-        self.armed = None;
+        self.rto.fired();
         let mut out = Vec::new();
         self.sender.on_timer(ctx.now(), &mut out);
         self.flush_sender(ctx, out);
@@ -197,7 +186,7 @@ impl Node for AggregatorNode {
 mod tests {
     use super::*;
     use mtp_core::{MtpSenderNode, MtpSinkNode, ScheduledMsg};
-    use mtp_sim::time::{Bandwidth, Duration};
+    use mtp_sim::time::{Bandwidth, Duration, Time};
     use mtp_sim::{LinkCfg, Simulator};
 
     /// 4 workers × 10 rounds through the aggregator: the parameter server

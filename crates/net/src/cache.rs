@@ -15,9 +15,10 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use mtp_sim::corrupt::{admit_relay, admit_terminal};
 use mtp_sim::packet::{AppData, Headers, Packet};
 use mtp_sim::time::{Duration, Time};
-use mtp_sim::{Ctx, Node, NodeFault, PortId};
+use mtp_sim::{Ctx, Node, NodeFault, PortId, RtoTimer};
 use mtp_wire::{EntityId, MsgId, PktType, TrafficClass};
 
 use mtp_core::{EndpointMirror, MtpConfig, MtpReceiver, MtpSender};
@@ -42,9 +43,9 @@ pub struct CacheStats {
     /// state and abandoned replies in flight.
     pub crashes: u64,
     /// Packets rejected by the integrity check: unverifiable headers, plus
-    /// payload-damaged hot GETs (the cache *terminates* those — answering
-    /// a corrupted request would serve the wrong data). Dropped without an
-    /// ACK, so the client retransmits a clean copy.
+    /// payload-damaged frames the cache consumes — hot GETs (answering a
+    /// corrupted request would serve the wrong data) and ACKs for its own
+    /// replies. Dropped without an ACK, so the peer retransmits.
     pub malformed: u64,
 }
 
@@ -60,7 +61,7 @@ pub struct KvCacheNode {
     pending: HashMap<MsgId, (u64, u16)>,
     /// Reply msg id → key (to tag reply packets).
     reply_keys: HashMap<MsgId, u64>,
-    armed: Option<Time>,
+    rto: RtoTimer,
     /// Counters.
     pub stats: CacheStats,
     /// Registry-mirror shadow for the embedded endpoint counters.
@@ -85,7 +86,7 @@ impl KvCacheNode {
             sender: MtpSender::new(cfg, addr, EntityId(0), msg_id_base),
             pending: HashMap::new(),
             reply_keys: HashMap::new(),
-            armed: None,
+            rto: RtoTimer::default(),
             stats: CacheStats::default(),
             mirror: EndpointMirror::default(),
         }
@@ -106,28 +107,17 @@ impl KvCacheNode {
             }
             ctx.send(CLIENT_PORT, pkt);
         }
-        match self.sender.next_deadline() {
-            Some(dl) => {
-                if self.armed != Some(dl) {
-                    ctx.set_timer_at(dl, TOKEN_RTO);
-                    self.armed = Some(dl);
-                }
-            }
-            None => self.armed = None,
-        }
+        self.rto.sync(ctx, self.sender.next_deadline(), TOKEN_RTO);
     }
 }
 
 impl Node for KvCacheNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // Verify before trusting: the cache reads the header (and the
         // payload tag) to decide whether to terminate the request.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() {
-            self.stats.malformed += 1;
-            ctx.trace_malformed(&pkt, port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(pkt) = admit_relay(ctx, port, pkt, &mut self.stats.malformed) else {
             return;
-        }
+        };
         let now = ctx.now();
         if port == SERVER_PORT {
             // Backend → client traffic passes through (payload-damaged
@@ -145,15 +135,13 @@ impl Node for KvCacheNode {
             _ => None,
         };
         match is_hot_get {
-            Some(_) if pkt.payload_dirty => {
-                // A hot GET the cache would terminate, but its payload was
-                // damaged in flight: drop without ACKing so the client's
-                // loss recovery retransmits it.
-                self.stats.malformed += 1;
-                ctx.trace_malformed(&pkt, port);
-                mtp_sim::pool::recycle_packet(pkt);
-            }
             Some(key) => {
+                // The cache terminates a hot GET: one whose payload was
+                // damaged in flight is dropped without an ACK, so the
+                // client's loss recovery retransmits it.
+                let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.stats.malformed) else {
+                    return;
+                };
                 let Headers::Mtp(hdr) = &pkt.headers else {
                     unreachable!()
                 };
@@ -193,6 +181,12 @@ impl Node for KvCacheNode {
                     _ => false,
                 };
                 if is_our_ack {
+                    // The cache consumes its own ACKs, so one whose
+                    // checksum trailer took damage is refused too.
+                    let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.stats.malformed)
+                    else {
+                        return;
+                    };
                     let Headers::Mtp(hdr) = pkt.headers else {
                         unreachable!()
                     };
@@ -216,7 +210,7 @@ impl Node for KvCacheNode {
         if token != TOKEN_RTO {
             return;
         }
-        self.armed = None;
+        self.rto.fired();
         let mut out = Vec::new();
         self.sender.on_timer(ctx.now(), &mut out);
         self.flush_sender(ctx, out);
@@ -233,7 +227,7 @@ impl Node for KvCacheNode {
             self.stats.crashes += 1;
             self.pending.clear();
             self.reply_keys.clear();
-            self.armed = None;
+            self.rto.fired();
         }
     }
 
@@ -264,7 +258,7 @@ pub struct KvServerNode {
     /// FIFO of requests awaiting service: (ready context).
     queue: VecDeque<(u64, u16, u8)>,
     next_free: Time,
-    armed: Option<Time>,
+    rto: RtoTimer,
     /// Requests served.
     pub served: u64,
     /// Packets rejected by the integrity check (corrupted in flight).
@@ -292,7 +286,7 @@ impl KvServerNode {
             reply_keys: HashMap::new(),
             queue: VecDeque::new(),
             next_free: Time::ZERO,
-            armed: None,
+            rto: RtoTimer::default(),
             served: 0,
             malformed: 0,
             mirror: EndpointMirror::default(),
@@ -313,28 +307,17 @@ impl KvServerNode {
             }
             ctx.send(PortId(0), pkt);
         }
-        match self.sender.next_deadline() {
-            Some(dl) => {
-                if self.armed != Some(dl) {
-                    ctx.set_timer_at(dl, TOKEN_RTO);
-                    self.armed = Some(dl);
-                }
-            }
-            None => self.armed = None,
-        }
+        self.rto.sync(ctx, self.sender.next_deadline(), TOKEN_RTO);
     }
 }
 
 impl Node for KvServerNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // Endpoint integrity: unverifiable headers and payload-damaged
         // data are dropped un-ACKed; the requester retransmits.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
-            self.malformed += 1;
-            ctx.trace_malformed(&pkt, _port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.malformed) else {
             return;
-        }
+        };
         let now = ctx.now();
         let app = pkt.app;
         let Headers::Mtp(hdr) = pkt.headers else {
@@ -373,7 +356,7 @@ impl Node for KvServerNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let now = ctx.now();
         if token == TOKEN_RTO {
-            self.armed = None;
+            self.rto.fired();
             let mut out = Vec::new();
             self.sender.on_timer(now, &mut out);
             self.flush_sender(ctx, out);
@@ -430,7 +413,7 @@ pub struct KvClientNode {
     pub completions: Vec<(u64, Duration, bool)>,
     /// Reply message id → (key, from_cache), learned from reply data tags.
     reply_src: HashMap<MsgId, (u64, bool)>,
-    armed: Option<Time>,
+    rto: RtoTimer,
     /// Packets rejected by the integrity check (corrupted in flight).
     pub malformed: u64,
     /// GET request messages submitted so far.
@@ -460,7 +443,7 @@ impl KvClientNode {
             outstanding: HashMap::new(),
             completions: Vec::new(),
             reply_src: HashMap::new(),
-            armed: None,
+            rto: RtoTimer::default(),
             malformed: 0,
             requests_sent: 0,
             mirror: EndpointMirror::default(),
@@ -483,15 +466,7 @@ impl KvClientNode {
             }
             ctx.send(PortId(0), pkt);
         }
-        match self.sender.next_deadline() {
-            Some(dl) => {
-                if self.armed != Some(dl) {
-                    ctx.set_timer_at(dl, TOKEN_RTO);
-                    self.armed = Some(dl);
-                }
-            }
-            None => self.armed = None,
-        }
+        self.rto.sync(ctx, self.sender.next_deadline(), TOKEN_RTO);
     }
 }
 
@@ -502,15 +477,12 @@ impl Node for KvClientNode {
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // Endpoint integrity: drop unverifiable or payload-damaged packets
         // un-ACKed; the replier retransmits.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
-            self.malformed += 1;
-            ctx.trace_malformed(&pkt, _port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.malformed) else {
             return;
-        }
+        };
         let now = ctx.now();
         let app = pkt.app;
         let ecn = pkt.ecn;
@@ -553,7 +525,7 @@ impl Node for KvClientNode {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let now = ctx.now();
         if token == TOKEN_RTO {
-            self.armed = None;
+            self.rto.fired();
             let mut out = Vec::new();
             self.sender.on_timer(now, &mut out);
             self.flush_sender(ctx, out);

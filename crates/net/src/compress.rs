@@ -14,9 +14,9 @@
 
 use std::collections::HashMap;
 
+use mtp_sim::corrupt::admit_terminal;
 use mtp_sim::packet::{Headers, Packet};
-use mtp_sim::time::Time;
-use mtp_sim::{Ctx, Node, PortId};
+use mtp_sim::{Ctx, Node, PortId, RtoTimer};
 use mtp_wire::{EntityId, MsgId, PktType, TrafficClass};
 
 use mtp_core::{MtpConfig, MtpReceiver, MtpSender};
@@ -50,7 +50,7 @@ pub struct CompressorNode {
     sender: MtpSender,
     /// Map original message → forwarded message (for tests/tracing).
     pub forwarded: HashMap<MsgId, MsgId>,
-    armed: Option<Time>,
+    rto: RtoTimer,
     /// Counters.
     pub stats: CompressStats,
 }
@@ -65,7 +65,7 @@ impl CompressorNode {
             receiver: MtpReceiver::new(addr),
             sender: MtpSender::new(cfg, addr, EntityId(0), msg_id_base),
             forwarded: HashMap::new(),
-            armed: None,
+            rto: RtoTimer::default(),
             stats: CompressStats::default(),
         }
     }
@@ -74,28 +74,17 @@ impl CompressorNode {
         for pkt in out {
             ctx.send(DOWNSTREAM_PORT, pkt);
         }
-        match self.sender.next_deadline() {
-            Some(dl) => {
-                if self.armed != Some(dl) {
-                    ctx.set_timer_at(dl, TOKEN_RTO);
-                    self.armed = Some(dl);
-                }
-            }
-            None => self.armed = None,
-        }
+        self.rto.sync(ctx, self.sender.next_deadline(), TOKEN_RTO);
     }
 }
 
 impl Node for CompressorNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // A terminating device must not act on a field, or forward a
         // payload, that it has not verified.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
-            self.stats.malformed += 1;
-            ctx.trace_malformed(&pkt, port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.stats.malformed) else {
             return;
-        }
+        };
         let now = ctx.now();
         let ecn = pkt.ecn;
         let Headers::Mtp(hdr) = pkt.headers else {
@@ -138,7 +127,7 @@ impl Node for CompressorNode {
         if token != TOKEN_RTO {
             return;
         }
-        self.armed = None;
+        self.rto.fired();
         let mut out = Vec::new();
         self.sender.on_timer(ctx.now(), &mut out);
         self.flush_sender(ctx, out);

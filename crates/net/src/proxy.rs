@@ -17,10 +17,11 @@
 //! [`buffered_bytes`](TcpProxyNode::buffered_bytes) over time and reports
 //! the high-water mark and the bytes relayed.
 
+use mtp_sim::corrupt::admit_terminal;
 use mtp_sim::packet::{Headers, Packet};
 use mtp_sim::time::Time;
-use mtp_sim::{Ctx, Node, NodeFault, PortId};
-use mtp_tcp::{ReceiverConn, SenderConn, TcpConfig};
+use mtp_sim::{Ctx, Node, NodeFault, PortId, RtoTimer};
+use mtp_tcp::{ConnMirror, ReceiverConn, SenderConn, TcpConfig};
 
 /// Which side of the proxy a port faces.
 const CLIENT_PORT: PortId = PortId(0);
@@ -41,7 +42,7 @@ pub struct TcpProxyNode {
     pub max_buffered: u64,
     /// Bytes relayed end to end.
     pub relayed: u64,
-    armed: Option<Time>,
+    rto: RtoTimer,
     /// Rebuild info for crash/restart: the (post-override) client config,
     /// server config, and connection ids.
     client_cfg: TcpConfig,
@@ -63,9 +64,8 @@ pub struct TcpProxyNode {
     /// by crashes (the live connection is summed separately at audit time).
     retired_timeouts: u64,
     retired_retransmissions: u64,
-    /// (timeouts, retransmissions) of the live server-side connection
-    /// already mirrored into the registry.
-    send_mirror: (u64, u64),
+    /// Registry mirror of the live server-side connection's counters.
+    send_mirror: ConnMirror,
     name: String,
 }
 
@@ -90,7 +90,7 @@ impl TcpProxyNode {
             relay_cap,
             max_buffered: 0,
             relayed: 0,
-            armed: None,
+            rto: RtoTimer::default(),
             client_cfg,
             server_cfg,
             client_conn,
@@ -100,7 +100,7 @@ impl TcpProxyNode {
             malformed: 0,
             retired_timeouts: 0,
             retired_retransmissions: 0,
-            send_mirror: (0, 0),
+            send_mirror: ConnMirror::default(),
             name: "tcp-proxy".to_string(),
         }
     }
@@ -144,24 +144,8 @@ impl TcpProxyNode {
         self.max_buffered = self.max_buffered.max(self.buffered_bytes());
     }
 
-    /// Mirror timeout/retransmission movement on the server-side
-    /// connection into the registry. Runs on every flush and again before
-    /// a crash discards the connection, so no delta is ever lost.
-    fn sync_send_conn(&mut self, ctx: &mut Ctx<'_>) {
-        let d = self.send.stats.timeouts - self.send_mirror.0;
-        if d > 0 {
-            self.send_mirror.0 = self.send.stats.timeouts;
-            ctx.count(mtp_sim::Metric::Timeouts, d);
-        }
-        let d = self.send.stats.retransmissions - self.send_mirror.1;
-        if d > 0 {
-            self.send_mirror.1 = self.send.stats.retransmissions;
-            ctx.count(mtp_sim::Metric::Retransmissions, d);
-        }
-    }
-
     fn flush(&mut self, ctx: &mut Ctx<'_>, to_client: Vec<Packet>, to_server: Vec<Packet>) {
-        self.sync_send_conn(ctx);
+        self.send_mirror.sync(ctx, &self.send.stats);
         let now = ctx.now();
         for mut p in to_client {
             p.sent_at = now;
@@ -172,15 +156,7 @@ impl TcpProxyNode {
             ctx.send(SERVER_PORT, p);
         }
         // Keep the server-side RTO armed.
-        match self.send.next_deadline() {
-            Some(dl) => {
-                if self.armed != Some(dl) {
-                    ctx.set_timer_at(dl, TOKEN_RTO);
-                    self.armed = Some(dl);
-                }
-            }
-            None => self.armed = None,
-        }
+        self.rto.sync(ctx, self.send.next_deadline(), TOKEN_RTO);
     }
 }
 
@@ -191,17 +167,14 @@ impl Node for TcpProxyNode {
         self.flush(ctx, Vec::new(), to_server);
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // The proxy consumes the client stream and re-originates it, so it
         // is an endpoint for integrity purposes: drop unverifiable headers,
         // and drop payload-damaged data without ACKing it — the client's
         // loss recovery retransmits a clean copy.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
-            self.malformed += 1;
-            ctx.trace_malformed(&pkt, port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.malformed) else {
             return;
-        }
+        };
         let ce = pkt.ecn.is_ce();
         let Headers::Tcp(hdr) = pkt.headers else {
             return;
@@ -234,7 +207,7 @@ impl Node for TcpProxyNode {
         if token != TOKEN_RTO {
             return;
         }
-        self.armed = None;
+        self.rto.fired();
         let mut to_server = Vec::new();
         self.send.on_timer(ctx.now(), &mut to_server);
         self.flush(ctx, Vec::new(), to_server);
@@ -246,13 +219,13 @@ impl Node for TcpProxyNode {
                 // The relay buffer and both connections' state are gone.
                 // Push any unmirrored deltas and bank the dying
                 // connection's totals before rebuilding resets its stats.
-                self.sync_send_conn(ctx);
+                self.send_mirror.sync(ctx, &self.send.stats);
                 self.retired_timeouts += self.send.stats.timeouts;
                 self.retired_retransmissions += self.send.stats.retransmissions;
-                self.send_mirror = (0, 0);
+                self.send_mirror = ConnMirror::default();
                 self.crashes += 1;
                 self.crash_lost_bytes += self.buffered_bytes();
-                self.armed = None;
+                self.rto.fired();
                 self.recv = ReceiverConn::new(&self.client_cfg, self.client_conn, 2, 1);
                 self.send = SenderConn::new(
                     self.server_cfg.clone(),

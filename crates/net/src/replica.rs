@@ -17,6 +17,7 @@
 
 use std::collections::HashMap;
 
+use mtp_sim::corrupt::admit_relay;
 use mtp_sim::packet::Packet;
 use mtp_sim::{Ctx, Node, PortId};
 use mtp_wire::{MsgId, PktType};
@@ -117,17 +118,14 @@ impl ReplicaLbNode {
 }
 
 impl Node for ReplicaLbNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // The balancer rewrites the destination address and pins messages
         // by id — both reads of the header — so it must verify integrity
         // first. Payload-damaged packets with intact headers are still
         // routable and are relayed (the endpoint detects and counts them).
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() {
-            self.stats.malformed += 1;
-            ctx.trace_malformed(&pkt, port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(mut pkt) = admit_relay(ctx, port, pkt, &mut self.stats.malformed) else {
             return;
-        }
+        };
         if port == PortId(0) {
             // Client side: route service-addressed data to a replica;
             // everything else (e.g. ACKs for replies, addressed to a

@@ -12,6 +12,7 @@
 //!    forwarding — used by the fair-share enforcer (paper Fig. 7) to apply
 //!    per-entity policy on a single shared queue.
 
+use mtp_sim::corrupt::admit_relay;
 use mtp_sim::packet::Packet;
 use mtp_sim::time::Time;
 use mtp_sim::{Ctx, Node, NodeFault, PortId};
@@ -155,15 +156,12 @@ impl SwitchNode {
 }
 
 impl Node for SwitchNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, in_port: PortId, pkt: Packet) {
         // Verify wire integrity before the policy or forwarder trusts any
         // header field: a switch must not route on corrupted bytes.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() {
-            self.stats.malformed += 1;
-            ctx.trace_malformed(&pkt, in_port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(mut pkt) = admit_relay(ctx, in_port, pkt, &mut self.stats.malformed) else {
             return;
-        }
+        };
         let now = ctx.now();
         if let Some(policy) = &mut self.policy {
             let was_ce = pkt.ecn.is_ce();

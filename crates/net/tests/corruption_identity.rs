@@ -1,5 +1,5 @@
-//! The corruption identity at every MTP-terminating node: with both
-//! directions of every link corrupting frames, each damaged frame is
+//! The corruption identity at every terminating node, MTP and TCP: with
+//! both directions of every link corrupting frames, each damaged frame is
 //! counted exactly once, by the node that refuses it or by the engine
 //! that destroyed it first:
 //!
@@ -10,9 +10,12 @@
 //! that acts on it, or drops it without counting, breaks the identity.
 
 use mtp_core::{MtpConfig, MtpDuplexHost, MtpSenderNode, MtpSinkNode, ScheduledMsg};
-use mtp_net::{AggregatorNode, CompressorNode};
+use mtp_net::{
+    AggregatorNode, CompressorNode, KvCacheNode, KvClientNode, KvServerNode, TcpProxyNode,
+};
 use mtp_sim::time::{Bandwidth, Duration, Time};
 use mtp_sim::{DirLinkId, LinkCfg, Metric, NodeId, PortId, Simulator};
+use mtp_tcp::{TcpConfig, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
 use mtp_wire::EntityId;
 
 /// One in ten frames damaged on every direction, one flipped bit each.
@@ -170,5 +173,88 @@ fn aggregator_counts_every_damaged_frame() {
         assert_eq!(sim.node_as::<AggregatorNode>(agg).stats.gradients_in, 20);
         assert_eq!(sim.node_as::<MtpSinkNode>(ps).delivered.len(), 10);
         assert_identity(&sim, "workers -> aggregator -> sink", seed);
+    }
+}
+
+/// The KV cache relays cold GETs and the server's replies, and consumes
+/// hot GETs and the ACKs for its own replies: it must refuse a damaged
+/// frame in each role it consumes.
+#[test]
+fn cache_counts_every_damaged_frame() {
+    for seed in 1..=SEEDS {
+        let mut sim = Simulator::new(seed);
+        let cfg = MtpConfig::default();
+        // Hot key 7 alternates with cold keys.
+        let schedule: Vec<(Time, u64)> = (0..40)
+            .map(|i| {
+                let key = if i % 2 == 0 { 7 } else { 100 + i };
+                (Time::ZERO + Duration::from_micros(5 * i), key)
+            })
+            .collect();
+        let client = sim.add_node(Box::new(KvClientNode::new(
+            cfg.clone(),
+            1,
+            2,
+            4_000,
+            1 << 32,
+            schedule,
+        )));
+        let cache = sim.add_node(Box::new(KvCacheNode::new(
+            cfg.clone(),
+            5,
+            [7u64],
+            4_000,
+            2 << 32,
+        )));
+        let server = sim.add_node(Box::new(KvServerNode::new(
+            cfg,
+            2,
+            4_000,
+            Duration::from_micros(2),
+            3 << 32,
+        )));
+        corrupted_link(&mut sim, (client, 0), (cache, 0), seed);
+        corrupted_link(&mut sim, (cache, 1), (server, 0), seed + 100);
+        run_to_quiescence(&mut sim);
+        assert_eq!(sim.node_as::<KvClientNode>(client).done(), 40);
+        assert_identity(&sim, "client -> cache -> server", seed);
+    }
+}
+
+/// The TCP proxy terminates the client's stream and re-originates it.
+#[test]
+fn proxy_counts_every_damaged_frame() {
+    let cfg = TcpConfig {
+        handshake: false,
+        ..TcpConfig::default()
+    };
+    for seed in 1..=SEEDS {
+        let mut sim = Simulator::new(seed);
+        let schedule = (0..10)
+            .map(|i| (Time::ZERO + Duration::from_micros(20 * i), 20_000))
+            .collect();
+        let snd = sim.add_node(Box::new(TcpSenderNode::new(
+            cfg.clone(),
+            TcpWorkloadMode::Persistent,
+            1,
+            schedule,
+        )));
+        let proxy = sim.add_node(Box::new(TcpProxyNode::new(
+            cfg.clone(),
+            cfg.clone(),
+            1,
+            2,
+            None,
+        )));
+        let rcv = sim.add_node(Box::new(TcpSinkNode::new(
+            cfg.clone(),
+            Duration::from_micros(100),
+        )));
+        corrupted_link(&mut sim, (snd, 0), (proxy, 0), seed);
+        corrupted_link(&mut sim, (proxy, 1), (rcv, 0), seed + 100);
+        run_to_quiescence(&mut sim);
+        assert!(sim.node_as::<TcpSenderNode>(snd).all_done());
+        assert_eq!(sim.node_as::<TcpSinkNode>(rcv).total_delivered, 200_000);
+        assert_identity(&sim, "tcp sender -> proxy -> tcp sink", seed);
     }
 }

@@ -7,15 +7,19 @@
 //! fault fires, the structured header is serialized to its **sealed** wire
 //! form (header CRC + payload-checksum trailer, see `mtp_wire::integrity`),
 //! the fault's bit-flips or truncation are applied to those bytes, and the
-//! packet travels on as [`Headers::Mangled`]. Every receiver then calls
-//! [`sanitize`] before trusting anything: a verified packet gets its
+//! packet travels on as [`Headers::Mangled`]. Every receiving node passes
+//! each frame through one of two integrity gates before trusting anything
+//! in it, and the gates run [`sanitize`]: a verified packet gets its
 //! structured header back, a damaged one is rejected with the exact
 //! [`WireError`] a hardware pipeline would raise.
 //!
 //! Flips that land beyond the header region leave the header parseable and
 //! instead set [`Packet::payload_dirty`] — the simulated stand-in for a
-//! payload checksum failure, honored by consuming endpoints (drop, count,
-//! no ACK; recovery happens through ordinary loss recovery).
+//! payload checksum failure. A node that forwards frames uses
+//! [`admit_relay`], which passes such a frame on; a node that consumes
+//! them uses [`admit_terminal`], which refuses it too (no ACK; recovery
+//! happens through ordinary loss recovery). Either gate counts, traces
+//! and recycles what it refuses, so no node can skip a step.
 //!
 //! With at most 3 bit-flips per packet, detection is *guaranteed*, not
 //! probabilistic: CRC-16/CCITT has Hamming distance 4 out to 32 751 bits,
@@ -28,6 +32,7 @@ use rand::Rng;
 
 use mtp_wire::{MtpHeader, TcpHeader, WireError};
 
+use crate::node::{Ctx, PortId};
 use crate::packet::{Headers, Packet, WireProto};
 use crate::pool;
 
@@ -89,12 +94,12 @@ pub fn verify(proto: WireProto, bytes: &[u8]) -> Result<(Headers, bool), WireErr
 
 /// Verify-and-restore a possibly-mangled packet in place.
 ///
-/// This is the first thing every receiving node does. For clean packets it
-/// is a no-op. For mangled packets it runs [`verify`]: on success the
-/// structured header replaces the bytes (a payload-checksum failure folds
-/// into [`Packet::payload_dirty`] — header trustworthy, payload not); on
-/// failure the packet is left mangled and the error returned, and the
-/// caller must count it as malformed, trace it, and recycle it.
+/// For clean packets it is a no-op. For mangled packets it runs
+/// [`verify`]: on success the structured header replaces the bytes (a
+/// payload-checksum failure folds into [`Packet::payload_dirty`] — header
+/// trustworthy, payload not); on failure the packet is left mangled and
+/// the error returned. Nodes call it through [`admit_relay`] or
+/// [`admit_terminal`], which count, trace and recycle what fails.
 pub fn sanitize(pkt: &mut Packet) -> Result<(), WireError> {
     let Headers::Mangled { proto, bytes } = &pkt.headers else {
         return Ok(());
@@ -105,6 +110,51 @@ pub fn sanitize(pkt: &mut Packet) -> Result<(), WireError> {
     }
     pkt.payload_dirty |= dirty;
     Ok(())
+}
+
+/// The integrity gate of a node that forwards `pkt` (a switch, a load
+/// balancer, the cache's relay direction): its header must verify. A
+/// payload-damaged frame passes on; the node that consumes it refuses it.
+///
+/// A refused frame adds one to the caller's `malformed` counter, is traced
+/// as [`Malformed`](crate::TraceKind::Malformed) at `port` (which bumps
+/// the registry's `pkts_malformed` mirror), goes back to the pool, and
+/// `None` is returned.
+#[inline]
+pub fn admit_relay(
+    ctx: &mut Ctx<'_>,
+    port: PortId,
+    mut pkt: Packet,
+    malformed: &mut u64,
+) -> Option<Packet> {
+    if sanitize(&mut pkt).is_err() {
+        return refuse(ctx, port, pkt, malformed);
+    }
+    Some(pkt)
+}
+
+/// The integrity gate of a node that consumes `pkt` (an endpoint, or a
+/// device that terminates a message): as [`admit_relay`], and a frame
+/// whose payload checksum failed is refused too. Dropping it without an
+/// ACK turns wire corruption into a loss the sender already repairs.
+#[inline]
+pub fn admit_terminal(
+    ctx: &mut Ctx<'_>,
+    port: PortId,
+    mut pkt: Packet,
+    malformed: &mut u64,
+) -> Option<Packet> {
+    if sanitize(&mut pkt).is_err() || pkt.payload_dirty {
+        return refuse(ctx, port, pkt, malformed);
+    }
+    Some(pkt)
+}
+
+fn refuse(ctx: &mut Ctx<'_>, port: PortId, pkt: Packet, malformed: &mut u64) -> Option<Packet> {
+    *malformed += 1;
+    ctx.trace_malformed(&pkt, port);
+    pool::recycle_packet(pkt);
+    None
 }
 
 /// Modelled payload bytes of a frame: what remains of `wire_len` after the
@@ -314,5 +364,87 @@ mod tests {
         assert!(sanitize(&mut m).is_ok());
         assert_eq!(m.headers, pkt.headers);
         assert!(!m.payload_dirty);
+    }
+
+    /// Hands each `(terminal, frame)` pair to its integrity gate at start
+    /// and records which frames passed.
+    struct Gate {
+        frames: Vec<(bool, Packet)>,
+        malformed: u64,
+        passed: Vec<Packet>,
+        verdicts: Vec<bool>,
+    }
+
+    impl crate::Node for Gate {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            for (terminal, pkt) in std::mem::take(&mut self.frames) {
+                let out = if terminal {
+                    admit_terminal(ctx, PortId(3), pkt, &mut self.malformed)
+                } else {
+                    admit_relay(ctx, PortId(3), pkt, &mut self.malformed)
+                };
+                self.verdicts.push(out.is_some());
+                self.passed.extend(out);
+            }
+        }
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+    }
+
+    /// A damaged header is refused in both roles; a payload-damaged frame
+    /// passes the relay gate and is refused by the terminal one. Each
+    /// refusal counts once at the node and once in the registry, traces
+    /// one `Malformed` event at the arrival port, and returns the frame's
+    /// buffer to the pool.
+    #[test]
+    fn gates_refuse_by_role_and_account_for_each_refusal() {
+        let mangled = || {
+            let (proto, mut bytes) = materialize(&mtp_packet().headers).unwrap();
+            bytes[0] ^= 1;
+            Packet::new(Headers::Mangled { proto, bytes }, 1000)
+        };
+        let dirty = || {
+            let mut pkt = mtp_packet();
+            pkt.payload_dirty = true;
+            pkt
+        };
+        let frames = vec![
+            (false, mangled()),
+            (true, mangled()),
+            (false, dirty()),
+            (true, dirty()),
+        ];
+        // Empty this thread's buffer pool, so that what the gates return
+        // to it can be counted.
+        while pool::take_buf().capacity() > 0 {}
+        let headers_before = pool::pooled();
+
+        let mut sim = crate::Simulator::new(1);
+        sim.enable_trace(64);
+        let id = sim.add_node(Box::new(Gate {
+            frames,
+            malformed: 0,
+            passed: Vec::new(),
+            verdicts: Vec::new(),
+        }));
+        sim.run();
+
+        let gate = sim.node_as::<Gate>(id);
+        assert_eq!(gate.verdicts, [false, false, true, false]);
+        assert!(gate.passed[0].payload_dirty);
+        assert_eq!(gate.malformed, 3);
+        assert_eq!(sim.telemetry().get(crate::Metric::PktsMalformed), 3);
+        let traced: Vec<_> = sim
+            .trace_events()
+            .into_iter()
+            .filter(|e| e.kind == crate::TraceKind::Malformed)
+            .map(|e| (e.node, e.port))
+            .collect();
+        assert_eq!(traced, [(id, PortId(3)); 3]);
+        // Two mangled wire images and one refused frame's header box.
+        let bufs = std::iter::from_fn(|| Some(pool::take_buf()))
+            .take_while(|b| b.capacity() > 0)
+            .count();
+        assert_eq!(bufs, 2);
+        assert_eq!(pool::pooled(), headers_before + 1);
     }
 }

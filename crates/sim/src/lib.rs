@@ -78,7 +78,7 @@ pub use dctcp::DctcpAlpha;
 pub use engine::{pkt_id, BoundaryKind, DirLinkId, LinkCfg, LinkFailMode, LinkStats, Simulator};
 pub use fault::{FaultEvent, FaultKind};
 pub use loss::{stream_seed, LossyQueue, ReorderQueue};
-pub use node::{Ctx, Node, NodeAuditCounters, NodeFault, NodeId, PortId, TimerId};
+pub use node::{Ctx, Node, NodeAuditCounters, NodeFault, NodeId, PortId, RtoTimer, TimerId};
 pub use packet::{AppData, Headers, Packet, PacketId, WireProto};
 pub use queue::{
     Classifier, DropTailQueue, DrrQueue, EcnQueue, EnqueueVerdict, PriorityQueue, Qdisc,

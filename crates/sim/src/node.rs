@@ -13,6 +13,7 @@ use std::any::Any;
 use serde::Serialize;
 
 use crate::packet::Packet;
+use crate::time::Time;
 
 /// Identifies a node within one simulator instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -25,6 +26,41 @@ pub struct PortId(pub usize);
 /// Identifies an armed timer, for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TimerId(pub u64);
+
+/// A node's retransmission timer: the deadline it last armed, so that an
+/// unchanged deadline arms nothing. Every simulated node that carries a
+/// sender re-arms through this type, so the rule lives here alone.
+///
+/// The timer a new deadline supersedes is not cancelled: it still fires,
+/// its handler calls [`fired`](Self::fired), and the next
+/// [`sync`](Self::sync) arms the current deadline again, whether or not a
+/// timer for it is pending (DESIGN.md, "Stale timers"). Cancelling here
+/// would change every pinned event count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RtoTimer {
+    armed: Option<Time>,
+}
+
+impl RtoTimer {
+    /// Arm a timer at `deadline` with `token`, unless the last one armed
+    /// is for the same deadline; `None` arms nothing and forgets it.
+    #[inline]
+    pub fn sync(&mut self, ctx: &mut Ctx<'_>, deadline: Option<Time>, token: u64) {
+        if let Some(at) = deadline {
+            if self.armed != deadline {
+                ctx.set_timer_at(at, token);
+            }
+        }
+        self.armed = deadline;
+    }
+
+    /// Nothing is armed any more: the timer fired, or the node crashed
+    /// (the engine swallows a crashed node's timers).
+    #[inline]
+    pub fn fired(&mut self) {
+        self.armed = None;
+    }
+}
 
 /// Administrative fault transitions delivered to [`Node::on_fault`].
 ///
@@ -126,7 +162,7 @@ pub struct Ctx<'a> {
 
 impl Ctx<'_> {
     /// The current simulation time.
-    pub fn now(&self) -> crate::time::Time {
+    pub fn now(&self) -> Time {
         self.inner.now
     }
 
@@ -150,7 +186,7 @@ impl Ctx<'_> {
     }
 
     /// Arm a timer at an absolute time.
-    pub fn set_timer_at(&mut self, at: crate::time::Time, token: u64) -> TimerId {
+    pub fn set_timer_at(&mut self, at: Time, token: u64) -> TimerId {
         self.inner.schedule_timer(at, self.node, token)
     }
 
@@ -214,7 +250,9 @@ impl Ctx<'_> {
     /// failure, truncated frame, or payload checksum failure at a consuming
     /// endpoint) and is discarding it. `in_port` is where it arrived. Also
     /// bumps the registry's `pkts_malformed` mirror, which the audit
-    /// reconciles against the node's own counter.
+    /// reconciles against the node's own counter. Nodes reach it through
+    /// the integrity gates, [`admit_relay`](crate::corrupt::admit_relay)
+    /// and [`admit_terminal`](crate::corrupt::admit_terminal).
     pub fn trace_malformed(&mut self, pkt: &Packet, in_port: PortId) {
         self.inner
             .telemetry
@@ -224,6 +262,53 @@ impl Ctx<'_> {
             self.node,
             in_port,
             crate::tracefile::TraceKind::Malformed,
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::time::Duration;
+
+    /// Drives an [`RtoTimer`] through a fixed sequence of deadlines at
+    /// start and records each timer that fires.
+    #[derive(Default)]
+    struct Rearm {
+        rto: RtoTimer,
+        fired: Vec<(Time, u64)>,
+    }
+
+    impl Node for Rearm {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let at = |us| Some(Time::ZERO + Duration::from_micros(us));
+            self.rto.sync(ctx, at(10), 1);
+            self.rto.sync(ctx, at(10), 2); // unchanged: nothing armed
+            self.rto.sync(ctx, at(20), 3); // moved: armed; 1 still pending
+            self.rto.sync(ctx, None, 4); // nothing armed, and forgotten
+            assert_eq!(self.rto, RtoTimer::default());
+            self.rto.sync(ctx, at(20), 5); // after `None`: armed again
+            self.rto.fired();
+            assert_eq!(self.rto, RtoTimer::default());
+            self.rto.sync(ctx, at(20), 6); // after `fired`: armed again
+        }
+
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.fired.push((ctx.now(), token));
+        }
+
+        fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+    }
+
+    #[test]
+    fn rto_timer_arms_once_per_distinct_deadline() {
+        let mut sim = crate::Simulator::new(1);
+        let id = sim.add_node(Box::<Rearm>::default());
+        sim.run();
+        let us = |n| Time::ZERO + Duration::from_micros(n);
+        assert_eq!(
+            sim.node_as::<Rearm>(id).fired,
+            [(us(10), 1), (us(20), 3), (us(20), 5), (us(20), 6)]
         );
     }
 }

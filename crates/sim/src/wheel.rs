@@ -55,9 +55,10 @@
 //! | `tenants_elephant_mice` mtp, seed 47 | 734 656 | 146 349 | 594 541 | 22 317 | 144 825 / 434 892 / 150 806 / 2 338 | 49 |
 //!
 //! Half of `fig5`'s pops come from a run of more than 63 keys that all
-//! carry the same picosecond: neither endpoint's `sync_timer` cancels the
-//! timer it supersedes, so live timers pile up at shared deadlines and
-//! reach a level-0 slot thousands at a time (DESIGN.md, "Stale timers").
+//! carry the same picosecond: [`RtoTimer::sync`](crate::RtoTimer::sync),
+//! through which every sending node re-arms, does not cancel the timer it
+//! supersedes, so live timers pile up at shared deadlines and reach a
+//! level-0 slot thousands at a time (DESIGN.md, "Stale timers").
 //!
 //! ## Cancellation
 //!

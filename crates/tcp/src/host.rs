@@ -9,10 +9,11 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use mtp_sim::corrupt::{admit_relay, admit_terminal};
 use mtp_sim::time::{Duration, Time};
-use mtp_sim::{BinSeries, Ctx, Gauge, Headers, HistId, Metric, Node, Packet, PortId};
+use mtp_sim::{BinSeries, Ctx, Gauge, Headers, HistId, Metric, Node, Packet, PortId, RtoTimer};
 
-use crate::conn::{SenderConn, SenderState};
+use crate::conn::{SenderConn, SenderState, SenderStats};
 use crate::recv::ReceiverConn;
 use crate::TcpConfig;
 
@@ -58,6 +59,32 @@ impl MsgRecord {
     }
 }
 
+/// Mirrors one [`SenderConn`]'s timeout and retransmission counters into
+/// the simulation's metrics registry, as deltas pushed through [`Ctx`].
+/// A node that drops or rebuilds a connection syncs first, so no delta is
+/// lost, and starts the new connection with a fresh mirror.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ConnMirror {
+    timeouts: u64,
+    retransmissions: u64,
+}
+
+impl ConnMirror {
+    /// Push any counter movement since the last sync.
+    pub fn sync(&mut self, ctx: &mut Ctx<'_>, stats: &SenderStats) {
+        let d = stats.timeouts - self.timeouts;
+        if d > 0 {
+            self.timeouts = stats.timeouts;
+            ctx.count(Metric::Timeouts, d);
+        }
+        let d = stats.retransmissions - self.retransmissions;
+        if d > 0 {
+            self.retransmissions = stats.retransmissions;
+            ctx.count(Metric::Retransmissions, d);
+        }
+    }
+}
+
 /// Everything the sender keeps about one connection, so a callback pays
 /// one lookup for all of it.
 struct ConnRecord {
@@ -65,41 +92,8 @@ struct ConnRecord {
     /// The message a per-message connection carries (persistent mode
     /// tracks `bounds` instead).
     msg: usize,
-    /// Deadline currently armed, to suppress stale timers.
-    armed: Option<Time>,
-    /// (timeouts, retransmissions) already mirrored into the registry.
-    mirrored: (u64, u64),
-}
-
-impl ConnRecord {
-    /// Arm an RTO timer if the connection's deadline moved. The timer it
-    /// supersedes is left to fire (DESIGN.md, "Stale timers").
-    fn sync_timer(&mut self, ctx: &mut Ctx<'_>) {
-        let deadline = self.conn.next_deadline();
-        if let Some(dl) = deadline {
-            if self.armed != deadline {
-                ctx.set_timer_at(dl, rto_token(self.conn.conn_id()));
-            }
-        }
-        self.armed = deadline;
-    }
-
-    /// Mirror any timeout/retransmission movement into the registry. Must
-    /// run before a completed connection is dropped, so every delta is
-    /// pushed while the connection still exists.
-    fn sync_stats(&mut self, ctx: &mut Ctx<'_>) {
-        let stats = &self.conn.stats;
-        let d = stats.timeouts - self.mirrored.0;
-        if d > 0 {
-            self.mirrored.0 = stats.timeouts;
-            ctx.count(Metric::Timeouts, d);
-        }
-        let d = stats.retransmissions - self.mirrored.1;
-        if d > 0 {
-            self.mirrored.1 = stats.retransmissions;
-            ctx.count(Metric::Retransmissions, d);
-        }
-    }
+    rto: RtoTimer,
+    mirror: ConnMirror,
 }
 
 fn flush(ctx: &mut Ctx<'_>, out: &mut Vec<Packet>) {
@@ -272,7 +266,7 @@ impl TcpSenderNode {
         event(rec, now, &mut out);
         flush(ctx, &mut out);
         self.out_buf = out;
-        rec.sync_stats(ctx);
+        rec.mirror.sync(ctx, &rec.conn.stats);
         debug_assert!(self.done_buf.is_empty());
         match self.mode {
             TcpWorkloadMode::Persistent => {
@@ -300,7 +294,8 @@ impl TcpSenderNode {
         }
         self.note_completions(ctx);
         if let Some(rec) = &mut self.conns[k] {
-            rec.sync_timer(ctx);
+            rec.rto
+                .sync(ctx, rec.conn.next_deadline(), rto_token(rec.conn.conn_id()));
         }
         self.after_completions(ctx);
     }
@@ -334,8 +329,8 @@ impl TcpSenderNode {
             self.conns.push(Some(ConnRecord {
                 conn,
                 msg: idx,
-                armed: None,
-                mirrored: (0, 0),
+                rto: RtoTimer::default(),
+                mirror: ConnMirror::default(),
             }));
         }
         let rec = self
@@ -354,7 +349,8 @@ impl TcpSenderNode {
         }
         flush(ctx, &mut out);
         self.out_buf = out;
-        rec.sync_timer(ctx);
+        rec.rto
+            .sync(ctx, rec.conn.next_deadline(), rto_token(rec.conn.conn_id()));
     }
 }
 
@@ -371,15 +367,14 @@ impl Node for TcpSenderNode {
         }
     }
 
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // A corrupted ACK must not move the window: verify the checksum
         // stand-in before trusting any field, as a real NIC/stack would.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() {
-            self.malformed += 1;
-            ctx.trace_malformed(&pkt, _port);
-            mtp_sim::pool::recycle_packet(pkt);
+        // A pure ACK carries no payload to damage, so the header check is
+        // the whole check.
+        let Some(pkt) = admit_relay(ctx, port, pkt, &mut self.malformed) else {
             return;
-        }
+        };
         let Headers::Tcp(hdr) = pkt.headers else {
             return;
         };
@@ -394,7 +389,7 @@ impl Node for TcpSenderNode {
         match kind {
             KIND_MSG => self.submit(ctx, arg as usize),
             KIND_RTO => self.drive(ctx, arg as u32, |rec, now, out| {
-                rec.armed = None;
+                rec.rto.fired();
                 rec.conn.on_timer(now, out);
             }),
             _ => {}
@@ -443,17 +438,14 @@ impl TcpSinkNode {
 }
 
 impl Node for TcpSinkNode {
-    fn on_packet(&mut self, ctx: &mut Ctx<'_>, _port: PortId, mut pkt: Packet) {
+    fn on_packet(&mut self, ctx: &mut Ctx<'_>, port: PortId, pkt: Packet) {
         // Checksum stand-in: an unverifiable header or a damaged payload
         // is discarded before the receive path sees it. No ACK is sent,
         // so the sender repairs the hole via dup-ACKs or RTO exactly as
         // for a drop.
-        if mtp_sim::corrupt::sanitize(&mut pkt).is_err() || pkt.payload_dirty {
-            self.malformed += 1;
-            ctx.trace_malformed(&pkt, _port);
-            mtp_sim::pool::recycle_packet(pkt);
+        let Some(pkt) = admit_terminal(ctx, port, pkt, &mut self.malformed) else {
             return;
-        }
+        };
         let ce = pkt.ecn.is_ce();
         let Headers::Tcp(hdr) = pkt.headers else {
             return;

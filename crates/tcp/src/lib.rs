@@ -36,7 +36,7 @@ pub mod recv;
 
 pub use cc::{CcVariant, TcpCc};
 pub use conn::{SenderConn, SenderState};
-pub use host::{TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
+pub use host::{ConnMirror, TcpSenderNode, TcpSinkNode, TcpWorkloadMode};
 pub use mtp_sim::rtt::RttEstimator;
 pub use recv::ReceiverConn;
 
