@@ -123,9 +123,10 @@ pub struct SessionCaps {
     /// Most reassembly bytes the receiver will hold across partially
     /// received messages. One message is always admitted even if it
     /// alone exceeds the cap (progress guarantee); the enforced bound is
-    /// therefore `max(cap, largest single message)`. The listener holds
-    /// one delivered message more, outside the cap, while its content
-    /// digest waits for the next delivery's to fold with.
+    /// therefore `max(cap, largest single message)`. Outside the cap,
+    /// the listener holds delivered bytes whose content digests have not
+    /// yet folded: once a delivery's folding ends, at most twice that
+    /// delivered message's length (see [`Gauge::SessionDigestBytes`]).
     pub max_reassembly_bytes: u64,
 }
 
@@ -1100,22 +1101,168 @@ pub struct SessionReport {
     pub peak_reasm_bytes: u64,
 }
 
+/// Bytes per reassembly piece. A message is reassembled into pieces of
+/// this size, the last one shorter, so its digest can fold a piece at a
+/// time and hand each piece back as soon as it is folded.
+const PIECE: usize = 64 << 10;
+
+/// The bytes the digest lanes may leave unfolded after a delivery, in
+/// lengths of the message just delivered: the two messages a pairwise
+/// fold held. On messages of one length, each delivery then folds one
+/// piece in each of four lanes.
+const UNFOLDED_MSGS: u64 = 2;
+
+/// One message's bytes: its pieces in order, [`PIECE`] bytes each but
+/// the last.
+type Pieces = Vec<Vec<u8>>;
+
 /// What the listener holds for the session its control machine holds.
 struct Conn {
     recv: MtpReceiver,
-    reasm: HashMap<u64, Vec<u8>>,
-    /// Buffers of delivered messages, reused for the next reassembly.
-    spare_reasm: Vec<Vec<u8>>,
+    reasm: HashMap<u64, Reassembly>,
+    /// Pieces, and piece lists, free for the next reassembly.
+    pool: PiecePool,
     reasm_bytes: u64,
     peak_reasm_bytes: u64,
     delivered: Vec<(u64, u32)>,
     digests: Vec<(u64, u32, u64)>,
-    /// A delivered message `(id, len, bytes)` whose digest waits for the
-    /// next delivery's, so the two fold in one pass
-    /// ([`payload::message_digest_pair`]): half the per-byte digest cost
-    /// of `wire_bulk`'s messages, for one delivered buffer held past its
-    /// delivery. Finalize folds a leftover alone; a death drops it.
-    undigested: Option<(u64, u32, Vec<u8>)>,
+    /// Delivered messages whose digests have not finished folding.
+    unfolded: DigestQueue,
+}
+
+/// A message in reassembly. A piece stays empty until the first frame
+/// that reaches it draws it from the pool, so a message that has barely
+/// begun holds one piece, not its whole length.
+#[derive(Default)]
+struct Reassembly {
+    len: u32,
+    pieces: Pieces,
+}
+
+impl Reassembly {
+    /// Copy `data` in at message offset `at`, in two parts where it
+    /// crosses a piece boundary. A reused piece keeps the bytes it held:
+    /// delivery needs every packet of the message, and the packets tile
+    /// it, so each byte is written before it is read.
+    fn write_at(&mut self, pool: &mut PiecePool, at: usize, mut data: &[u8]) {
+        let (mut k, mut off) = (at / PIECE, at % PIECE);
+        while !data.is_empty() {
+            let piece = &mut self.pieces[k];
+            if piece.is_empty() {
+                *piece = pool.pieces.pop().unwrap_or_default();
+                piece.resize(PIECE.min(self.len as usize - k * PIECE), 0);
+            }
+            let n = data.len().min(PIECE - off);
+            piece[off..off + n].copy_from_slice(&data[..n]);
+            data = &data[n..];
+            (k, off) = (k + 1, 0);
+        }
+    }
+}
+
+/// Pieces, and piece lists, of delivered messages, reused by the next
+/// reassembly.
+#[derive(Default)]
+struct PiecePool {
+    pieces: Vec<Vec<u8>>,
+    lists: Vec<Pieces>,
+}
+
+impl PiecePool {
+    /// A `len`-byte message's reassembly, no piece drawn yet.
+    fn reassembly(&mut self, len: u32) -> Reassembly {
+        let mut pieces = self.lists.pop().unwrap_or_default();
+        pieces.resize_with((len as usize).div_ceil(PIECE), Vec::new);
+        Reassembly { len, pieces }
+    }
+}
+
+/// A delivered message whose digest folds a piece at a time.
+struct Unfolded {
+    id: u64,
+    len: u32,
+    /// The digest of its pieces before `next`.
+    digest: u64,
+    pieces: Pieces,
+    next: usize,
+}
+
+/// Delivered messages in delivery order, each folding its digest a piece
+/// at a time alongside up to [`payload::LANES`]` - 1` others: independent
+/// chains fold in the slots one chain leaves idle, and a folded piece goes
+/// straight back to the pool, so the lanes hold no more than
+/// [`UNFOLDED_MSGS`] delivered messages' bytes.
+#[derive(Default)]
+struct DigestQueue {
+    msgs: VecDeque<Unfolded>,
+    /// Bytes in pieces not yet folded: [`Gauge::SessionDigestBytes`].
+    bytes: u64,
+}
+
+impl DigestQueue {
+    /// Queue delivered message `id` of `len` bytes, then fold while more
+    /// than [`UNFOLDED_MSGS`] times `len` waits. Finished digests go to
+    /// `digests`.
+    fn deliver(
+        &mut self,
+        id: u64,
+        len: u32,
+        pieces: Pieces,
+        pool: &mut PiecePool,
+        digests: &mut Vec<(u64, u32, u64)>,
+        registry: &mut Registry,
+    ) {
+        let was = self.bytes;
+        self.bytes += pieces.iter().map(|p| p.len() as u64).sum::<u64>();
+        self.msgs.push_back(Unfolded {
+            id,
+            len,
+            digest: payload::FNV_OFFSET,
+            pieces,
+            next: 0,
+        });
+        while self.bytes > UNFOLDED_MSGS * u64::from(len) {
+            self.fold_step(pool, digests);
+        }
+        registry.gauge_add(Gauge::SessionDigestBytes, self.bytes as i64 - was as i64);
+    }
+
+    /// Fold everything still queued.
+    fn finish(&mut self, pool: &mut PiecePool, digests: &mut Vec<(u64, u32, u64)>) {
+        while !self.msgs.is_empty() {
+            self.fold_step(pool, digests);
+        }
+    }
+
+    /// Fold the next piece of each of the first [`payload::LANES`] queued
+    /// messages in lockstep, and give each folded piece back to `pool`.
+    fn fold_step(&mut self, pool: &mut PiecePool, digests: &mut Vec<(u64, u32, u64)>) {
+        let lanes = self.msgs.len().min(payload::LANES);
+        let mut h = [0; payload::LANES];
+        let mut bufs: [&[u8]; payload::LANES] = [&[]; payload::LANES];
+        for (k, m) in self.msgs.iter().take(lanes).enumerate() {
+            h[k] = m.digest;
+            bufs[k] = m.pieces.get(m.next).map_or(&[], Vec::as_slice);
+        }
+        payload::fold_lanes(&mut h[..lanes], &bufs[..lanes]);
+        // Backwards, so a finished lane's removal moves no lane still due.
+        for k in (0..lanes).rev() {
+            let m = &mut self.msgs[k];
+            m.digest = h[k];
+            if let Some(piece) = m.pieces.get_mut(m.next) {
+                let piece = std::mem::take(piece);
+                self.bytes -= piece.len() as u64;
+                pool.pieces.push(piece);
+                m.next += 1;
+            }
+            if m.next >= m.pieces.len() {
+                let mut m = self.msgs.remove(k).expect("a lane is a queued message");
+                digests.push((m.id, m.len, m.digest));
+                m.pieces.clear();
+                pool.lists.push(m.pieces);
+            }
+        }
+    }
 }
 
 /// The listening, receiving end: owns a control socket (the published
@@ -1278,17 +1425,17 @@ impl Listener {
         self.registry.gauge_add(Gauge::SessionsActive, -1);
         self.registry
             .gauge_add(Gauge::SessionReasmBytes, -(conn.reasm_bytes as i64));
+        self.registry
+            .gauge_add(Gauge::SessionDigestBytes, -(conn.unfolded.bytes as i64));
         let data = &self.socks[..self.data_addrs.len()];
         count_kernel_drops(&mut self.registry, data);
         Some(conn)
     }
 
     fn finalize_conn(&mut self) {
-        if let Some(conn) = self.drop_conn() {
+        if let Some(mut conn) = self.drop_conn() {
+            conn.unfolded.finish(&mut conn.pool, &mut conn.digests);
             let (mut delivered, mut digests) = (conn.delivered, conn.digests);
-            if let Some((id, len, buf)) = conn.undigested {
-                digests.push((id, len, payload::message_digest(&buf)));
-            }
             delivered.sort_unstable();
             digests.sort_unstable();
             let (client_sid, server_sid) = self.ctrl.ids();
@@ -1362,12 +1509,12 @@ impl Listener {
             recv: MtpReceiver::new(self.cfg.server_port)
                 .with_sack_redundancy(self.cfg.io.sack_redundancy),
             reasm: HashMap::new(),
-            spare_reasm: Vec::new(),
+            pool: PiecePool::default(),
             reasm_bytes: 0,
             peak_reasm_bytes: 0,
             delivered: Vec::new(),
             digests: Vec::new(),
-            undigested: None,
+            unfolded: DigestQueue::default(),
         });
         self.registry.gauge_add(Gauge::SessionsActive, 1);
         self.died = None;
@@ -1474,7 +1621,13 @@ impl Listener {
             // Refusing means no `on_data`, hence no ACK — the sender
             // retransmits once delivery has drained room. An empty
             // buffer always admits (progress guarantee).
-            let msg_new = !conn.reasm.contains_key(&hdr.msg_id.0);
+            let held = conn.reasm.get(&hdr.msg_id.0).map(|r| r.len);
+            if held.is_some_and(|len| len != hdr.msg_len_bytes) {
+                // The message's first frame sized its pieces.
+                self.registry.count(Metric::WireParseErrors, 1);
+                continue;
+            }
+            let msg_new = held.is_none();
             if msg_new
                 && !conn.reasm.is_empty()
                 && conn.reasm_bytes + hdr.msg_len_bytes as u64 > self.cfg.caps.max_reassembly_bytes
@@ -1521,12 +1674,10 @@ impl Listener {
                     self.registry
                         .gauge_add(Gauge::SessionReasmBytes, hdr.msg_len_bytes as i64);
                 }
-                let buf = conn.reasm.entry(hdr.msg_id.0).or_insert_with(|| {
-                    let mut buf = conn.spare_reasm.pop().unwrap_or_default();
-                    buf.resize(hdr.msg_len_bytes as usize, 0);
-                    buf
-                });
-                buf[hdr.pkt_offset as usize..end as usize].copy_from_slice(data);
+                let pool = &mut conn.pool;
+                (conn.reasm.entry(hdr.msg_id.0))
+                    .or_insert_with(|| pool.reassembly(hdr.msg_len_bytes))
+                    .write_at(pool, hdr.pkt_offset as usize, data);
             }
             self.drain_deliveries();
         }
@@ -1541,23 +1692,20 @@ impl Listener {
         let mut ev = std::mem::take(&mut self.ev_buf);
         conn.recv.drain_events(&mut ev);
         for d in ev.drain(..) {
-            let buf = conn.reasm.remove(&d.id.0).unwrap_or_default();
-            debug_assert_eq!(buf.len(), d.bytes as usize);
-            conn.reasm_bytes -= buf.len() as u64;
+            let Reassembly { len, pieces } = conn.reasm.remove(&d.id.0).unwrap_or_default();
+            debug_assert_eq!(len, d.bytes);
+            conn.reasm_bytes -= u64::from(len);
             self.registry
-                .gauge_add(Gauge::SessionReasmBytes, -(buf.len() as i64));
+                .gauge_add(Gauge::SessionReasmBytes, -i64::from(len));
             conn.delivered.push((d.id.0, d.bytes));
-            let Some((id, len, held)) = conn.undigested.take() else {
-                conn.undigested = Some((d.id.0, d.bytes, buf));
-                continue;
-            };
-            let (first, second) = payload::message_digest_pair(&held, &buf);
-            conn.digests.push((id, len, first));
-            conn.digests.push((d.id.0, d.bytes, second));
-            for mut spare in [held, buf] {
-                spare.clear();
-                conn.spare_reasm.push(spare);
-            }
+            conn.unfolded.deliver(
+                d.id.0,
+                d.bytes,
+                pieces,
+                &mut conn.pool,
+                &mut conn.digests,
+                &mut self.registry,
+            );
         }
         self.ev_buf = ev;
     }

@@ -121,16 +121,19 @@ impl Node for AggregatorNode {
                 self.sender.drain_events(&mut Vec::new());
                 self.flush_sender(ctx, out);
             }
+            mtp_sim::pool::recycle_header(hdr);
             return;
         }
         // Worker side: terminate gradient messages.
         if hdr.pkt_type != PktType::Data {
+            mtp_sim::pool::recycle_header(hdr);
             return;
         }
         if let Some(AppData::Opaque(round)) = app {
             self.msg_round.insert(hdr.msg_id, round);
         }
         let (ack, _) = self.receiver.on_data(now, &hdr, ecn);
+        mtp_sim::pool::recycle_header(hdr);
         ctx.send(port, ack);
         let mut out = Vec::new();
         let mut delivered = Vec::new();

@@ -149,6 +149,7 @@ impl Node for KvCacheNode {
                 self.pending.insert(hdr.msg_id, (key, hdr.src_port));
                 // Terminate the request: ACK it as the receiver would.
                 let (ack, _newly) = self.receiver.on_data(now, hdr, pkt.ecn);
+                mtp_sim::pool::recycle_packet(pkt);
                 ctx.send(CLIENT_PORT, ack);
                 // Completed requests trigger replies.
                 let mut delivered = Vec::new();
@@ -192,6 +193,7 @@ impl Node for KvCacheNode {
                     };
                     let mut out = Vec::new();
                     self.sender.on_ack(now, &hdr, &mut out);
+                    mtp_sim::pool::recycle_header(hdr);
                     self.sender.drain_events(&mut Vec::new());
                     self.flush_sender(ctx, out);
                 } else {
@@ -349,6 +351,7 @@ impl Node for KvServerNode {
             }
             PktType::Control => {}
         }
+        mtp_sim::pool::recycle_header(hdr);
         self.mirror.sync_sender(ctx, &self.sender.stats);
         self.mirror.sync_receiver(ctx, &self.receiver.stats);
     }
@@ -518,6 +521,7 @@ impl Node for KvClientNode {
             }
             PktType::Control => {}
         }
+        mtp_sim::pool::recycle_header(hdr);
         self.mirror.sync_sender(ctx, &self.sender.stats);
         self.mirror.sync_receiver(ctx, &self.receiver.stats);
     }

@@ -121,6 +121,7 @@ impl Node for CompressorNode {
             self.sender.drain_events(&mut Vec::new());
             self.flush_sender(ctx, out);
         }
+        mtp_sim::pool::recycle_header(hdr);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

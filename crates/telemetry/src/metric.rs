@@ -126,6 +126,7 @@ define_ids!(
     (MsgsInFlight, "msgs_in_flight", "Messages admitted at senders and not yet completed."),
     (SessionsActive, "sessions_active", "Wire sessions currently established (or lingering in TIME-WAIT)."),
     (SessionReasmBytes, "session_reasm_bytes", "Reassembly bytes currently held by a wire listener, governed by its admission cap."),
+    (SessionDigestBytes, "session_digest_bytes", "Delivered bytes a wire listener holds until their content digests fold: at most twice the message delivered last."),
     (WireRcvbufBytes, "wire_rcvbuf_bytes", "Receive queue the kernel granted each of a listener's data sockets, in bytes as the kernel charges them."),
     (WireDrainBytes, "wire_drain_bytes", "Deepest data-socket receive queue a listener's latest turn drained, in datagram bytes."),
 );
