@@ -32,7 +32,12 @@
 //! any kind is needed on the ACK path — and resident state follows the
 //! messages in flight, not the sender's age. An id below the window is
 //! complete: every consumer treats it exactly as it treats an `Acked`
-//! packet, so late or duplicate feedback for it is a silent no-op. The
+//! packet, so late or duplicate feedback for it is a silent no-op. Inside
+//! a message the same rule holds for packets: records cover only the span
+//! from the first unacknowledged packet (`base`) to the first never-sent
+//! one (`next_unsent`), a packet below `base` is `Acked`, and a packet's
+//! length and offset come from its index, so a message costs records in
+//! proportion to what it has in flight, not to its size. The
 //! send queue is an intrusive ready-list threaded through the window (one
 //! FIFO per priority plus a 256-bit occupancy bitmap), making
 //! submit/poll/complete O(1) instead of a sorted-`Vec` insert/scan.
@@ -129,15 +134,16 @@ impl core::fmt::Display for PathHealth {
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum PktState {
-    Unsent,
+    /// Declared lost and about to be retransmitted.
+    Lost,
     InFlight,
     Acked,
 }
 
+/// The record of one packet sent at least once and not yet below its
+/// message's acknowledged prefix.
 #[derive(Debug, Clone, Copy)]
 struct OutPkt {
-    len: u32,
-    offset: u32,
     state: PktState,
     /// Interned pathlet this packet's bytes are currently charged to.
     charged: PathIdx,
@@ -153,7 +159,14 @@ struct OutMsg {
     pri: u8,
     tc: TrafficClass,
     total_bytes: u32,
-    pkts: Vec<OutPkt>,
+    n_pkts: u32,
+    /// Every packet below `base` is acknowledged.
+    base: u32,
+    /// `pkts[i]` is the record of packet `base + i`: the span holds every
+    /// packet sent at least once and not below `base`, so it ends at
+    /// `next_unsent`. Packets from `next_unsent` on were never sent and
+    /// have no record.
+    pkts: VecDeque<OutPkt>,
     acked: u32,
     next_unsent: u32,
     submitted: Time,
@@ -164,9 +177,41 @@ struct OutMsg {
 impl OutMsg {
     /// Every packet acknowledged. Only an in-flight packet can be newly
     /// acknowledged, so a complete message has nothing unsent (it is off
-    /// the ready list) and nothing charged to a pathlet.
+    /// the ready list), nothing charged to a pathlet and an empty span.
     fn is_complete(&self) -> bool {
-        self.acked as usize == self.pkts.len()
+        self.acked == self.n_pkts
+    }
+
+    /// The record of packet `pkt`, if it has one. `None` below `base`
+    /// means acknowledged, and every consumer treats it as `Acked`; `None`
+    /// from `next_unsent` on means never sent (or not in the message).
+    fn pkt(&self, pkt: u32) -> Option<&OutPkt> {
+        self.pkts.get(pkt.checked_sub(self.base)? as usize)
+    }
+
+    fn pkt_mut(&mut self, pkt: u32) -> Option<&mut OutPkt> {
+        self.pkts.get_mut(pkt.checked_sub(self.base)? as usize)
+    }
+
+    /// Payload bytes of packet `pkt < n_pkts` when packets carry `mtu`.
+    fn len_of(&self, pkt: u32, mtu: u32) -> u32 {
+        if pkt == self.n_pkts - 1 {
+            self.total_bytes - pkt * mtu
+        } else {
+            mtu
+        }
+    }
+
+    /// Drop the acknowledged front of the span, advancing `base`.
+    fn advance_base(&mut self) {
+        while self
+            .pkts
+            .front()
+            .is_some_and(|p| p.state == PktState::Acked)
+        {
+            self.pkts.pop_front();
+            self.base += 1;
+        }
     }
 }
 
@@ -185,6 +230,11 @@ impl Window {
         let next = self.retired as u64 + self.live.len() as u64;
         assert!(next < NONE as u64, "sender message-id space exhausted");
         next as u32
+    }
+
+    /// The record in `slot`, unless it has been retired.
+    fn get(&self, slot: u32) -> Option<&OutMsg> {
+        self.live.get(slot.checked_sub(self.retired)? as usize)
     }
 
     /// The record in `slot`, unless it has been retired.
@@ -217,9 +267,9 @@ pub struct MtpSender {
     msgs: Window,
     /// Incomplete messages in the window.
     outstanding: usize,
-    /// Packet tables of retired messages, reused by `send_message` so
+    /// Packet spans of retired messages, reused by `send_message` so
     /// steady-state submission allocates nothing.
-    spare_pkts: Vec<Vec<OutPkt>>,
+    spare_pkts: Vec<VecDeque<OutPkt>>,
     /// Intrusive ready-list: head/tail slot of the FIFO of messages with
     /// unsent packets, one per priority, plus an occupancy bitmap. FIFO
     /// order within a priority is submission order (ids are monotone), so
@@ -358,27 +408,14 @@ impl MtpSender {
         assert!(bytes > 0, "empty message");
         let slot = self.msgs.next_slot();
         let id = self.id_of(slot);
-        let mtu = self.cfg.mtu_payload;
-        let n_pkts = bytes.div_ceil(mtu);
-        let mut pkts = self.spare_pkts.pop().unwrap_or_default();
-        pkts.extend((0..n_pkts).map(|i| OutPkt {
-            len: if i == n_pkts - 1 {
-                bytes - i * mtu
-            } else {
-                mtu
-            },
-            offset: i * mtu,
-            state: PktState::Unsent,
-            charged: PathIdx(0),
-            sent_at: Time::ZERO,
-            epoch: 0,
-        }));
         self.msgs.live.push_back(OutMsg {
             dst,
             pri,
             tc,
             total_bytes: bytes,
-            pkts,
+            n_pkts: bytes.div_ceil(self.cfg.mtu_payload),
+            base: 0,
+            pkts: self.spare_pkts.pop().unwrap_or_default(),
             acked: 0,
             next_unsent: 0,
             submitted: now,
@@ -402,12 +439,12 @@ impl MtpSender {
         self.msgs.live.len()
     }
 
-    /// Retire the completed prefix of the window, keeping each packet
-    /// table for reuse.
+    /// Retire the completed prefix of the window, keeping each (empty)
+    /// packet span for reuse.
     fn retire_completed(&mut self) {
         while self.msgs.live.front().is_some_and(OutMsg::is_complete) {
-            let mut msg = self.msgs.live.pop_front().expect("front checked");
-            msg.pkts.clear();
+            let msg = self.msgs.live.pop_front().expect("front checked");
+            debug_assert!(msg.pkts.is_empty());
             self.spare_pkts.push(msg.pkts);
             self.msgs.retired += 1;
         }
@@ -469,10 +506,12 @@ impl MtpSender {
 
     fn compact_inflight(&mut self) {
         while let Some(&(slot, pkt, epoch, _)) = self.inflight.front() {
-            if self.msgs.get_mut(slot).is_some_and(|m| {
-                let p = &m.pkts[pkt as usize];
-                p.state == PktState::InFlight && p.epoch == epoch
-            }) {
+            if self
+                .msgs
+                .get(slot)
+                .and_then(|m| m.pkt(pkt))
+                .is_some_and(|p| p.state == PktState::InFlight && p.epoch == epoch)
+            {
                 break;
             }
             self.inflight.pop_front();
@@ -568,19 +607,20 @@ impl MtpSender {
         debug_assert!(self.evac_scratch.is_empty());
         for qi in 0..self.inflight.len() {
             let (slot, pkt, epoch, _) = self.inflight[qi];
-            let Some(msg) = self.msgs.get_mut(slot) else {
+            let Some(p) = self.msgs.get(slot).and_then(|m| m.pkt(pkt)) else {
                 continue;
             };
-            let p = &msg.pkts[pkt as usize];
             if p.state == PktState::InFlight && p.epoch == epoch && p.charged == dead {
                 self.evac_scratch.push((slot, pkt));
             }
         }
+        let mtu = self.cfg.mtu_payload;
         for i in 0..self.evac_scratch.len() {
             let (slot, pkt) = self.evac_scratch[i];
-            let p = &mut self.msgs[slot].pkts[pkt as usize];
-            p.state = PktState::Unsent;
-            self.pathlets.credit_at(dead, p.len as u64);
+            let msg = &mut self.msgs[slot];
+            let len = msg.len_of(pkt, mtu);
+            msg.pkt_mut(pkt).expect("in flight, so in the span").state = PktState::Lost;
+            self.pathlets.credit_at(dead, len as u64);
             self.stats.evacuated_pkts += 1;
             self.retransmit(slot, pkt, now, out);
         }
@@ -630,16 +670,18 @@ impl MtpSender {
             self.ack_scratch.resize(self.pathlets.len(), 0);
         }
         debug_assert!(self.ack_touched.is_empty());
+        let mtu = self.cfg.mtu_payload;
         let mut rtt_sample: Option<Duration> = None;
         for s in &hdr.sack {
             let Some(msg) = self.slot_of(s.msg).and_then(|slot| self.msgs.get_mut(slot)) else {
                 continue;
             };
-            let Some(pkt) = msg.pkts.get_mut(s.pkt.0 as usize) else {
+            // Only an in-flight packet can be newly acknowledged: anything
+            // else is a duplicate (below `base` included), or names a
+            // packet never transmitted (no record).
+            let Some(pkt) = msg.pkt_mut(s.pkt.0) else {
                 continue;
             };
-            // Only an in-flight packet can be newly acknowledged: anything
-            // else is a duplicate, or names a packet never transmitted.
             if pkt.state != PktState::InFlight {
                 continue;
             }
@@ -648,7 +690,8 @@ impl MtpSender {
             }
             pkt.state = PktState::Acked;
             let idx = pkt.charged;
-            let len = pkt.len as u64;
+            let len = msg.len_of(s.pkt.0, mtu) as u64;
+            msg.advance_base();
             self.pathlets.credit_at(idx, len);
             let acc = &mut self.ack_scratch[idx.0 as usize];
             if *acc == 0 {
@@ -726,23 +769,23 @@ impl MtpSender {
             let Some(slot) = self.slot_of(n.msg) else {
                 continue;
             };
-            let Some(pkt) = self
-                .msgs
-                .get_mut(slot)
-                .and_then(|m| m.pkts.get_mut(n.pkt.0 as usize))
-            else {
+            let Some(msg) = self.msgs.get_mut(slot) else {
+                continue;
+            };
+            let Some(pkt) = msg.pkt_mut(n.pkt.0) else {
                 continue;
             };
             if pkt.state != PktState::InFlight {
                 continue;
             }
             self.stats.nacks += 1;
+            pkt.state = PktState::Lost;
             let idx = pkt.charged;
-            self.pathlets.credit_at(idx, pkt.len as u64);
+            self.pathlets
+                .credit_at(idx, msg.len_of(n.pkt.0, mtu) as u64);
             if !self.loss_scratch.contains(&idx.0) {
                 self.loss_scratch.push(idx.0);
             }
-            pkt.state = PktState::Unsent;
             self.retransmit(slot, n.pkt.0, now, out);
         }
         for i in 0..self.loss_scratch.len() {
@@ -790,16 +833,18 @@ impl MtpSender {
             return;
         }
         debug_assert!(self.timer_scratch.is_empty());
+        let mtu = self.cfg.mtu_payload;
         while let Some((slot, pkt, epoch, _)) = self.inflight.pop_front() {
             let Some(msg) = self.msgs.get_mut(slot) else {
                 continue;
             };
-            let p = &mut msg.pkts[pkt as usize];
+            let Some(p) = msg.pkt_mut(pkt) else {
+                continue;
+            };
             if p.state == PktState::InFlight && p.epoch == epoch {
-                p.state = PktState::Unsent;
+                p.state = PktState::Lost;
                 let idx = p.charged;
-                let len = p.len as u64;
-                self.pathlets.credit_at(idx, len);
+                self.pathlets.credit_at(idx, msg.len_of(pkt, mtu) as u64);
                 self.timer_scratch.push((slot, pkt));
             }
         }
@@ -821,7 +866,10 @@ impl MtpSender {
             debug_assert!(self.loss_scratch.is_empty());
             for i in 0..self.timer_scratch.len() {
                 let (slot, pkt) = self.timer_scratch[i];
-                let idx = self.msgs[slot].pkts[pkt as usize].charged;
+                let idx = self.msgs[slot]
+                    .pkt(pkt)
+                    .expect("expired, so in the span")
+                    .charged;
                 if !self.loss_scratch.contains(&idx.0) {
                     self.loss_scratch.push(idx.0);
                 }
@@ -866,9 +914,10 @@ impl MtpSender {
     /// Returns (all packets sent, window blocked).
     fn send_from(&mut self, slot: u32, now: Time, out: &mut Vec<Packet>) -> (bool, bool) {
         let (path, _) = self.active;
+        let mtu = self.cfg.mtu_payload;
         let msg = &self.msgs[slot];
         let tc = msg.tc;
-        let n = msg.pkts.len() as u32;
+        let n = msg.n_pkts;
         if msg.next_unsent >= n {
             return (true, false);
         }
@@ -880,25 +929,26 @@ impl MtpSender {
             if msg.next_unsent >= n {
                 return (true, false);
             }
-            let idx = msg.next_unsent as usize;
-            let len = msg.pkts[idx].len;
-            if self.pathlets.room_at(aidx) < len as u64 {
+            let idx = msg.next_unsent;
+            let pkt_len = msg.len_of(idx, mtu);
+            if self.pathlets.room_at(aidx) < pkt_len as u64 {
                 return (false, true);
             }
-            let pkt_meta = &mut msg.pkts[idx];
-            pkt_meta.state = PktState::InFlight;
-            pkt_meta.charged = aidx;
-            pkt_meta.sent_at = now;
-            pkt_meta.epoch += 1;
-            let epoch = pkt_meta.epoch;
-            let pkt_len = pkt_meta.len;
-            let offset = pkt_meta.offset;
+            // The first send extends the span by one record; nothing else
+            // does, so no peer can grow it.
+            debug_assert_eq!(msg.base as usize + msg.pkts.len(), idx as usize);
+            msg.pkts.push_back(OutPkt {
+                state: PktState::InFlight,
+                charged: aidx,
+                sent_at: now,
+                epoch: 1,
+            });
             let pri = msg.pri;
             let dst = msg.dst;
             let total_bytes = msg.total_bytes;
             msg.next_unsent += 1;
             self.pathlets.charge_at(aidx, pkt_len as u64);
-            self.inflight.push_back((slot, idx as u32, epoch, now));
+            self.inflight.push_back((slot, idx, 1, now));
 
             let mut hdr = mtp_sim::pool::take_header();
             hdr.src_port = self.addr;
@@ -906,18 +956,14 @@ impl MtpSender {
             hdr.pkt_type = PktType::Data;
             hdr.msg_pri = pri;
             hdr.tc = tc;
-            hdr.flags = if idx as u32 == n - 1 {
-                flags::LAST_PKT
-            } else {
-                0
-            };
+            hdr.flags = if idx == n - 1 { flags::LAST_PKT } else { 0 };
             hdr.msg_id = id;
             hdr.entity = self.entity;
             hdr.msg_len_pkts = n;
             hdr.msg_len_bytes = total_bytes;
-            hdr.pkt_num = PktNum(idx as u32);
+            hdr.pkt_num = PktNum(idx);
             hdr.pkt_len = pkt_len as u16;
-            hdr.pkt_offset = offset;
+            hdr.pkt_offset = idx * mtu;
             self.pathlets.append_exclusions(now, &mut hdr.path_exclude);
             let wire = pkt_len + hdr.wire_len() as u32;
             let mut packet = Packet::new(Headers::Mtp(hdr), wire);
@@ -931,12 +977,20 @@ impl MtpSender {
     /// loss-repair behaviour), charging the active pathlet.
     fn retransmit(&mut self, slot: u32, pkt_idx: u32, now: Time, out: &mut Vec<Packet>) {
         let (path, _) = self.active;
+        let mtu = self.cfg.mtu_payload;
         let id = self.id_of(slot);
         let tc = self.msgs[slot].tc;
         let aidx = self.pathlets.intern(path, tc, now);
         let msg = &mut self.msgs[slot];
-        let n = msg.pkts.len() as u32;
-        let p = &mut msg.pkts[pkt_idx as usize];
+        let n = msg.n_pkts;
+        let pkt_len = msg.len_of(pkt_idx, mtu);
+        let pri = msg.pri;
+        let dst = msg.dst;
+        let total_bytes = msg.total_bytes;
+        // Below `base` is acknowledged.
+        let Some(p) = msg.pkt_mut(pkt_idx) else {
+            return;
+        };
         if p.state == PktState::Acked {
             return;
         }
@@ -945,11 +999,6 @@ impl MtpSender {
         p.sent_at = now;
         p.epoch += 1;
         let epoch = p.epoch;
-        let pkt_len = p.len;
-        let offset = p.offset;
-        let pri = msg.pri;
-        let dst = msg.dst;
-        let total_bytes = msg.total_bytes;
         self.pathlets.charge_at(aidx, pkt_len as u64);
         self.inflight.push_back((slot, pkt_idx, epoch, now));
 
@@ -966,7 +1015,7 @@ impl MtpSender {
         hdr.msg_len_bytes = total_bytes;
         hdr.pkt_num = PktNum(pkt_idx);
         hdr.pkt_len = pkt_len as u16;
-        hdr.pkt_offset = offset;
+        hdr.pkt_offset = pkt_idx * mtu;
         self.pathlets.append_exclusions(now, &mut hdr.path_exclude);
         let wire = pkt_len + hdr.wire_len() as u32;
         let mut packet = Packet::new(Headers::Mtp(hdr), wire);
@@ -1403,6 +1452,114 @@ mod tests {
         }
         assert_eq!(s.stats.msgs_completed, 0);
         assert_eq!(s.stats.retransmissions, 0);
+    }
+
+    /// A SACK or NACK naming a packet below `base` (acknowledged) or from
+    /// `next_unsent` on (never sent, or past the message) finds no record:
+    /// it moves no counter, no window and no span, and emits nothing.
+    #[test]
+    fn feedback_outside_the_packet_span_is_a_no_op() {
+        let cfg = MtpConfig {
+            cc: crate::PathletCc::Fixed(10 * 1460),
+            ..MtpConfig::default()
+        };
+        let mut s = MtpSender::new(cfg, 1, EntityId(0), 1000);
+        let mut out = Vec::new();
+        let id = s.send_message(
+            2,
+            100 * 1460,
+            0,
+            TrafficClass::BEST_EFFORT,
+            Time::ZERO,
+            &mut out,
+        );
+        assert_eq!(out.len(), 10);
+        let first: Vec<&Packet> = out.iter().take(3).collect();
+        let mut o = Vec::new();
+        s.on_ack(
+            Time::ZERO + Duration::from_micros(10),
+            &ack_for(&first),
+            &mut o,
+        );
+        assert_eq!(o.len(), 3, "three acked packets admit three more");
+        let span = |s: &MtpSender| {
+            let m = &s.msgs[0];
+            (m.base, m.next_unsent, m.pkts.len(), m.acked)
+        };
+        assert_eq!(span(&s), (3, 13, 10, 3), "the acked front is popped");
+        let inflight = |s: &MtpSender| {
+            s.pathlets()
+                .get(DEFAULT_PATHLET, TrafficClass::BEST_EFFORT)
+                .expect("charged")
+                .inflight
+        };
+        let stats = format!("{:?}", s.stats);
+        let charged = inflight(&s);
+        let queued = s.inflight.len();
+        let rto = s.next_deadline();
+        for pkt in [0, 2, 13, 50, 99, 100, u32::MAX] {
+            let entry = [SackEntry {
+                msg: id,
+                pkt: PktNum(pkt),
+            }];
+            for hdr in [
+                MtpHeader {
+                    pkt_type: PktType::Ack,
+                    sack: entry.to_vec(),
+                    ..MtpHeader::default()
+                },
+                MtpHeader {
+                    pkt_type: PktType::Nack,
+                    nack: entry.to_vec(),
+                    ..MtpHeader::default()
+                },
+            ] {
+                let mut o = Vec::new();
+                s.on_ack(Time::ZERO + Duration::from_micros(20), &hdr, &mut o);
+                assert!(o.is_empty(), "packet {pkt}: nothing emitted");
+                assert_eq!(format!("{:?}", s.stats), stats, "packet {pkt}");
+                assert_eq!(inflight(&s), charged, "packet {pkt}");
+                assert_eq!(span(&s), (3, 13, 10, 3), "packet {pkt}");
+                assert_eq!(s.inflight.len(), queued, "packet {pkt}");
+                assert_eq!(s.next_deadline(), rto, "packet {pkt}");
+            }
+        }
+    }
+
+    /// A hole at the span's front holds `base` while later packets are
+    /// acknowledged; its repair pops every acknowledged record behind it.
+    #[test]
+    fn repairing_the_front_hole_pops_the_acked_span() {
+        let mut s = sender();
+        let mut out = Vec::new();
+        let id = s.send_message(
+            2,
+            40 * 1460,
+            0,
+            TrafficClass::BEST_EFFORT,
+            Time::ZERO,
+            &mut out,
+        );
+        assert_eq!(out.len(), 10);
+        let rest: Vec<&Packet> = out.iter().skip(1).collect();
+        let mut ack = ack_for(&rest);
+        ack.nack = vec![SackEntry {
+            msg: id,
+            pkt: PktNum(0),
+        }];
+        let mut o = Vec::new();
+        s.on_ack(Time::ZERO + Duration::from_micros(10), &ack, &mut o);
+        assert_eq!(s.stats.retransmissions, 1);
+        let retx = o.iter().find(|p| data_hdr(p).is_retx()).expect("repair");
+        assert_eq!(data_hdr(retx).pkt_num, PktNum(0));
+        let sent = s.msgs[0].next_unsent;
+        assert_eq!(s.msgs[0].base, 0, "the hole holds the front");
+        assert_eq!(s.msgs[0].pkts.len() as u32, sent);
+        let repair = ack_for(&[retx]);
+        let mut o2 = Vec::new();
+        s.on_ack(Time::ZERO + Duration::from_micros(20), &repair, &mut o2);
+        assert_eq!(s.msgs[0].base, 10, "base jumps past the acked records");
+        assert_eq!(s.msgs[0].pkts.len() as u32, s.msgs[0].next_unsent - 10);
     }
 
     #[test]

@@ -21,6 +21,11 @@
 //! such message, and the receiver's slab and probe map stop growing once
 //! they hold what is in reassembly.
 //!
+//! The allocator also keeps a live-bytes high-water mark, which pins the
+//! sender's state to its window: a 200 MB message (Fig. 5's) costs packet
+//! records only for the span between its first unacknowledged and its
+//! first never-sent packet, not one per packet of the message.
+//!
 //! This lives in an integration test (not the crate's unit tests) so the
 //! counting allocator governs the whole test binary, and so the `unsafe`
 //! impl of `GlobalAlloc` stays outside the library's `forbid(unsafe_code)`.
@@ -32,7 +37,8 @@ use mtp_core::{MsgDelivered, MtpConfig, MtpReceiver, MtpSender, PathletCc, Sende
 use mtp_sim::packet::{Headers, Packet};
 use mtp_sim::time::{Duration, Time};
 use mtp_wire::{
-    EcnCodepoint, EntityId, Feedback, MtpHeader, PathFeedback, PathletId, PktType, TrafficClass,
+    EcnCodepoint, EntityId, Feedback, MtpHeader, PathFeedback, PathletId, PktType, SackEntry,
+    TrafficClass,
 };
 
 struct CountingAlloc;
@@ -43,30 +49,61 @@ struct CountingAlloc;
 // inside the measurement window or not depending on scheduling.
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread allocated minus bytes it freed (negative when it
+    /// frees what another thread allocated), and the highest value that
+    /// has reached since the last [`reset_peak`].
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// Count `allocs` allocating calls and move the live bytes by `bytes`.
+fn note(allocs: u64, bytes: i64) {
     // try_with: TLS may be gone during thread teardown; those allocations
     // are not part of any measurement window anyway.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + allocs));
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + bytes;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
 }
 
 fn allocs() -> u64 {
     ALLOCS.with(|c| c.get())
 }
 
+/// Start a high-water measurement: returns the live bytes now, the base
+/// that [`peak_above`] measures from.
+fn reset_peak() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+/// The highest live bytes since [`reset_peak`] returned `base`, above it.
+fn peak_above(base: i64) -> i64 {
+    PEAK.with(Cell::get) - base
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters are thread-locals
+// of plain integers and touch no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        note(1, layout.size() as i64);
+        // SAFETY: the caller's contract is passed through.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(0, -(layout.size() as i64));
+        // SAFETY: the caller's contract is passed through.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        note(1, new_size as i64 - layout.size() as i64);
+        // SAFETY: the caller's contract is passed through.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -366,4 +403,89 @@ fn learning_pathlets_from_feedback_allocates_less_than_once_per_key() {
             );
         }
     }
+}
+
+/// Fig. 5's single 200 MB message (136 987 packets), driven to completion
+/// through a fixed 64-packet window with every 500th packet's first
+/// transmission lost and NACK-repaired. Each hole sits at the front of the
+/// packet span while the window's worth of packets behind it is
+/// acknowledged; its repair pops all of those records at once. The
+/// sender's live heap, submission included, stays below 64 KiB: it holds
+/// records for the span, not for the message (one per packet would be
+/// 4.4 MB at `send_message`).
+#[test]
+fn a_200_mb_message_costs_sender_state_for_its_window_only() {
+    const BYTES: u32 = 200_000_000;
+    const PKTS: u64 = 136_987;
+    const WINDOW_PKTS: u64 = 64;
+    const LOSE_EVERY: u32 = 500;
+    const BUDGET: i64 = 64 * 1024;
+    let cfg = MtpConfig {
+        cc: PathletCc::Fixed(WINDOW_PKTS * 1460),
+        ..MtpConfig::default()
+    };
+    let mut sender = MtpSender::new(cfg, 1, EntityId(0), 1);
+    // The driver's own buffers and the thread's header pool reach their
+    // sizes before the measurement starts.
+    let mut out: Vec<Packet> = Vec::with_capacity(1024);
+    let mut wire: Vec<(SackEntry, bool)> = Vec::with_capacity(1024);
+    let mut ack = MtpHeader {
+        pkt_type: PktType::Ack,
+        sack: Vec::with_capacity(1),
+        nack: Vec::with_capacity(1),
+        ..MtpHeader::default()
+    };
+    let warm: Vec<_> = (0..1024).map(|_| mtp_sim::pool::take_header()).collect();
+    warm.into_iter().for_each(mtp_sim::pool::recycle_header);
+    let mut sev = Vec::with_capacity(4);
+    let mut now = Time::ZERO;
+    let mut holes = 0;
+
+    let base = reset_peak();
+    sender.send_message(2, BYTES, 0, TrafficClass::BEST_EFFORT, now, &mut out);
+    let mut lost: Option<SackEntry> = None;
+    while !out.is_empty() {
+        wire.extend(out.drain(..).map(|pkt| {
+            let Headers::Mtp(hdr) = pkt.headers else {
+                unreachable!("sender emits MTP packets")
+            };
+            let entry = SackEntry {
+                msg: hdr.msg_id,
+                pkt: hdr.pkt_num,
+            };
+            let retx = hdr.is_retx();
+            mtp_sim::pool::recycle_header(hdr);
+            (entry, retx)
+        }));
+        for (entry, retx) in wire.drain(..) {
+            now += Duration::from_micros(1);
+            if entry.pkt.0 % LOSE_EVERY == 0 && !retx {
+                lost = Some(entry);
+                holes += 1;
+                continue;
+            }
+            // Each arrival is SACKed; the first arrival after a loss also
+            // NACKs the hole, as a receiver's gap detection does.
+            ack.sack.clear();
+            ack.sack.push(entry);
+            ack.nack.clear();
+            ack.nack.extend(lost.take());
+            sender.on_ack(now, &ack, &mut out);
+        }
+    }
+    sender.drain_events(&mut sev);
+    let peak = peak_above(base);
+
+    assert_eq!(sender.stats.msgs_completed, 1, "the message completed");
+    assert_eq!(sev.len(), 1);
+    assert_eq!(sender.resident(), 0);
+    assert_eq!(holes, PKTS.div_ceil(LOSE_EVERY as u64));
+    assert_eq!(sender.stats.nacks, holes);
+    assert_eq!(sender.stats.retransmissions, holes);
+    assert_eq!(sender.stats.pkts_sent, PKTS + holes);
+    eprintln!("sender live heap peak: {peak} B");
+    assert!(
+        peak < BUDGET,
+        "a {BYTES} B message held {peak} B of sender heap at its peak"
+    );
 }

@@ -4,8 +4,6 @@
 //! transport-port fields are **host addresses** (`src_port` = sending host,
 //! `dst_port` = destination host). Switches route on them.
 
-use std::collections::HashMap;
-
 use mtp_sim::packet::{Headers, Packet};
 use mtp_sim::PortId;
 
@@ -49,10 +47,17 @@ impl std::fmt::Display for RouteError {
     }
 }
 
+/// Marks an address with no route in [`StaticRoutes`]'s table.
+const UNROUTED: u32 = u32::MAX;
+
 /// A destination-address routing table.
+///
+/// Host addresses are small by convention, so the table is dense: entry
+/// `addr` holds the egress port of `addr`, or `u32::MAX`. A lookup is one
+/// bounds-checked load, with no hashing on the per-packet path.
 #[derive(Debug, Clone, Default)]
 pub struct StaticRoutes {
-    table: HashMap<u16, PortId>,
+    table: Vec<u32>,
 }
 
 impl StaticRoutes {
@@ -61,15 +66,28 @@ impl StaticRoutes {
         StaticRoutes::default()
     }
 
-    /// Route `addr` out of `port`.
+    /// Route `addr` out of `port`; a later `add` of the same address
+    /// replaces the earlier route.
     pub fn add(mut self, addr: u16, port: PortId) -> StaticRoutes {
-        self.table.insert(addr, port);
+        let port = u32::try_from(port.0)
+            .ok()
+            .filter(|&p| p != UNROUTED)
+            .expect("port index fits the route table");
+        let i = addr as usize;
+        if self.table.len() <= i {
+            self.table.resize(i + 1, UNROUTED);
+        }
+        self.table[i] = port;
         self
     }
 
     /// Look up the egress port for a destination address.
+    #[inline]
     pub fn lookup(&self, addr: u16) -> Option<PortId> {
-        self.table.get(&addr).copied()
+        match self.table.get(addr as usize) {
+            Some(&p) if p != UNROUTED => Some(PortId(p as usize)),
+            _ => None,
+        }
     }
 
     /// Look up the egress port for a packet's destination.
@@ -128,6 +146,27 @@ mod tests {
         );
         assert_eq!(r.route(&t), Some(PortId(2)));
         assert_eq!(r.lookup(42), None);
+    }
+
+    #[test]
+    fn last_add_wins() {
+        let r = StaticRoutes::new()
+            .add(9, PortId(2))
+            .add(3, PortId(0))
+            .add(9, PortId(5));
+        assert_eq!(r.lookup(9), Some(PortId(5)));
+        assert_eq!(r.lookup(3), Some(PortId(0)));
+    }
+
+    #[test]
+    fn unrouted_addresses_have_no_port() {
+        let r = StaticRoutes::new().add(9, PortId(2));
+        // Below the highest routed address, between routes, and past the
+        // end of the table.
+        for addr in [0, 3, 8, 10, u16::MAX] {
+            assert_eq!(r.lookup(addr), None, "address {addr}");
+        }
+        assert_eq!(StaticRoutes::new().lookup(0), None);
     }
 
     #[test]

@@ -246,31 +246,38 @@ pub fn pkt_id(ns: u64, seq: u64) -> PacketId {
     PacketId(((ns + 1) << 40) | seq)
 }
 
-/// Event payload, held in the slab while the event waits in the queue.
+/// Timer payload, held in the slab while the timer waits in the queue.
 ///
-/// Only timers live here now: deliveries ride in per-link [`DirLink::prop`]
+/// Only timers live here: deliveries ride in per-link [`DirLink::prop`]
 /// rings and transmission completions encode their link id in the event
-/// key, so a slab entry is 16 bytes instead of an inline [`Packet`].
-///
-/// `Vacant` marks a slot with no live payload: either free (on the free
-/// list) or a cancelled timer whose queue entry has not been popped yet.
+/// key. The slot's generation lives once, in [`SimInner::slot_gen`], so
+/// an entry is 16 bytes.
 #[derive(Debug)]
-pub(crate) enum EventKind {
-    Timer {
-        node: NodeId,
-        token: u64,
-        /// Generation of the slot when this timer was armed; a matching
-        /// [`TimerId`] proves a cancel refers to *this* arming and not a
-        /// later reuse of the slot.
-        gen: u32,
-        /// Detach handle from [`EventQueue::push`]: the wheel entry
-        /// holding this timer's key, so a cancel can unsplice it in O(1)
-        /// instead of leaving a tombstone (`u32::MAX` when the key went
-        /// straight into the run and only tombstoning is possible).
-        wheel: u32,
-    },
-    Vacant,
+pub(crate) struct TimerSlot {
+    token: u64,
+    /// The owning node's index, or [`VACANT_NODE`] for a slot with no live
+    /// timer: either free (on the free list) or a cancelled timer whose
+    /// queue entry has not been popped yet.
+    node: u32,
+    /// Detach handle from [`EventQueue::push`]: the wheel entry holding
+    /// this timer's key, so a cancel can unsplice it in O(1) instead of
+    /// leaving a tombstone (`u32::MAX` when the key went straight into the
+    /// run and only tombstoning is possible).
+    wheel: u32,
 }
+
+/// [`TimerSlot::node`] of a slot with no live timer.
+const VACANT_NODE: u32 = u32::MAX;
+
+impl TimerSlot {
+    const VACANT: TimerSlot = TimerSlot {
+        token: 0,
+        node: VACANT_NODE,
+        wheel: u32::MAX,
+    };
+}
+
+const _: () = assert!(std::mem::size_of::<TimerSlot>() == 16);
 
 /// High bit of [`EventKey::slot`]: the entry is a TxDone for directed link
 /// `slot & !TXDONE_TAG` rather than an index into the payload slab.
@@ -294,10 +301,11 @@ pub struct SimInner {
     seq: u64,
     /// Pending events, ordered by `(time, seq)`; payloads live in `slab`.
     events: EventQueue,
-    /// Event payloads, indexed by `EventKey::slot`.
-    pub(crate) slab: Vec<EventKind>,
+    /// Timer payloads, indexed by `EventKey::slot`.
+    pub(crate) slab: Vec<TimerSlot>,
     /// Per-slot reuse counter; bumped each time a slot is re-allocated
-    /// from the free list, so stale `TimerId`s never cancel a newer timer.
+    /// from the free list. A [`TimerId`] carries the generation it was
+    /// armed in, so a stale one never cancels a newer timer.
     slot_gen: Vec<u32>,
     /// Slots whose heap entry has been popped and are free for reuse.
     free_slots: Vec<u32>,
@@ -376,7 +384,7 @@ impl SimInner {
             }
             None => {
                 let slot = self.slab.len() as u32;
-                self.slab.push(EventKind::Vacant);
+                self.slab.push(TimerSlot::VACANT);
                 self.slot_gen.push(0);
                 slot
             }
@@ -452,8 +460,11 @@ impl SimInner {
 
     pub(crate) fn schedule_timer(&mut self, at: Time, node: NodeId, token: u64) -> TimerId {
         let at = at.max(self.now);
+        let node = u32::try_from(node.0)
+            .ok()
+            .filter(|&n| n != VACANT_NODE)
+            .expect("node index fits a timer slot");
         let slot = self.alloc_slot();
-        let gen = self.slot_gen[slot as usize];
         let seq = self.seq;
         self.seq += 1;
         let wheel = self.events.push(EventKey {
@@ -461,33 +472,32 @@ impl SimInner {
             seq,
             slot,
         });
-        self.slab[slot as usize] = EventKind::Timer {
-            node,
-            token,
-            gen,
-            wheel,
-        };
-        TimerId((u64::from(slot) << 32) | u64::from(gen))
+        self.slab[slot as usize] = TimerSlot { token, node, wheel };
+        TimerId((u64::from(slot) << 32) | u64::from(self.slot_gen[slot as usize]))
     }
 
     /// Cancel a timer in O(1): if the slot still holds the arming that `id`
-    /// refers to (generation match), detach its key from the timing wheel
-    /// and reclaim the slot immediately. When the key has already joined
-    /// the run being served the wheel refuses the detach; the payload
-    /// is blanked instead and the slot is reclaimed when the stale key
-    /// pops — the old tombstone contract, now needed only for the handful
-    /// of near-deadline cancels instead of every cancel.
+    /// refers to (its generation is the slot's current one and the slot is
+    /// not vacant: the arming has neither fired nor been cancelled),
+    /// detach its key from the timing wheel and reclaim the slot
+    /// immediately. When the key has already joined the run being served
+    /// the wheel refuses the detach; the payload is blanked instead and
+    /// the slot is reclaimed when the stale key pops — the old tombstone
+    /// contract, now needed only for the handful of near-deadline cancels
+    /// instead of every cancel.
     pub(crate) fn cancel_timer(&mut self, id: TimerId) {
         let slot = (id.0 >> 32) as usize;
-        let gen = id.0 as u32;
-        if let Some(EventKind::Timer { gen: g, wheel, .. }) = self.slab.get(slot) {
-            if *g == gen {
-                let wheel = *wheel;
-                self.slab[slot] = EventKind::Vacant;
-                if self.events.cancel(wheel, slot as u32) {
-                    self.free_slots.push(slot as u32);
-                }
-            }
+        if self.slot_gen.get(slot) != Some(&(id.0 as u32)) {
+            return;
+        }
+        let timer = &mut self.slab[slot];
+        if timer.node == VACANT_NODE {
+            return;
+        }
+        let wheel = timer.wheel;
+        *timer = TimerSlot::VACANT;
+        if self.events.cancel(wheel, slot as u32) {
+            self.free_slots.push(slot as u32);
         }
     }
 
@@ -1387,24 +1397,23 @@ impl Simulator {
             let dir = DirLinkId((key.slot & !DELIVER_TAG) as usize);
             return Some(self.deliver_batch(dir, key, until));
         }
-        let kind = std::mem::replace(&mut self.inner.slab[key.slot as usize], EventKind::Vacant);
+        let timer = std::mem::replace(&mut self.inner.slab[key.slot as usize], TimerSlot::VACANT);
         self.inner.free_slots.push(key.slot);
-        match kind {
-            EventKind::Vacant => Some(false),
-            EventKind::Timer { node, token, .. } => {
-                if !self.node_up[node.0] {
-                    // Timers of a crashed node are swallowed; on restart
-                    // the node re-arms what it needs in `on_fault`.
-                    return Some(false);
-                }
-                self.inner.processed += 1;
-                self.inner
-                    .telemetry
-                    .count(mtp_telemetry::Metric::TimersFired, 1);
-                self.with_node(node, |n, ctx| n.on_timer(ctx, token));
-                Some(true)
-            }
+        if timer.node == VACANT_NODE {
+            return Some(false);
         }
+        let node = NodeId(timer.node as usize);
+        if !self.node_up[node.0] {
+            // Timers of a crashed node are swallowed; on restart the node
+            // re-arms what it needs in `on_fault`.
+            return Some(false);
+        }
+        self.inner.processed += 1;
+        self.inner
+            .telemetry
+            .count(mtp_telemetry::Metric::TimersFired, 1);
+        self.with_node(node, |n, ctx| n.on_timer(ctx, timer.token));
+        Some(true)
     }
 
     /// Serve a delivery head key: drain `dir`'s propagation ring for as
@@ -1829,6 +1838,38 @@ mod tests {
         sim.cancel(first);
         sim.run();
         assert_eq!(sim.node_as::<Counter>(n).fired, vec![1, 2]);
+    }
+
+    #[test]
+    fn a_cancelled_timer_stays_cancelled_and_its_slot_is_reused_cleanly() {
+        #[derive(Default)]
+        struct Counter {
+            fired: Vec<u64>,
+        }
+        impl Node for Counter {
+            fn on_packet(&mut self, _: &mut Ctx<'_>, _: PortId, _: Packet) {}
+            fn on_timer(&mut self, _: &mut Ctx<'_>, token: u64) {
+                self.fired.push(token);
+            }
+        }
+
+        let mut sim = Simulator::new(1);
+        let n = sim.add_node(Box::new(Counter::default()));
+        let first = sim.schedule(Time::ZERO + Duration::from_micros(50), n, 1);
+        sim.cancel(first);
+        // A second cancel of the same handle finds the slot vacant (or
+        // reused under a new generation) and does nothing.
+        sim.cancel(first);
+        let second = sim.schedule(Time::ZERO + Duration::from_micros(60), n, 2);
+        assert_eq!(
+            (second.0 >> 32),
+            (first.0 >> 32),
+            "the freed slot is reused"
+        );
+        assert_ne!(second, first, "under a new generation");
+        sim.cancel(first);
+        sim.run();
+        assert_eq!(sim.node_as::<Counter>(n).fired, vec![2]);
     }
 
     #[test]
