@@ -6,8 +6,10 @@
 //! 200 bytes), so the driver coalesces: a datagram carries a sequence of
 //! length-prefixed frames, each tagged with a one-byte *kind* so session
 //! control and MTP data can share a wire without probabilistic format
-//! sniffing. This mirrors what s2n-quic's platform layer does with GSO
-//! segments, but in userspace and explicit on the wire:
+//! sniffing. Frames are the unit inside a datagram; below it, the socket
+//! layer ([`crate::socket`]) hands a run of equal datagrams to the kernel
+//! as one packet (UDP segmentation offload), which does not change what a
+//! datagram holds:
 //!
 //! ```text
 //! datagram := frame*

@@ -19,15 +19,18 @@
 //!   and FNV digests, so both worlds can agree on message *content*
 //!   without shipping golden byte blobs around.
 //! * [`frame`] — datagram coalescing: many sealed MTP frames per UDP
-//!   datagram (GSO/GRO-style, as s2n-quic's platform layer does with
-//!   segments), with a hard budget guard at seal time.
-//! * [`sys`] — the only unsafe module: `sendmmsg`/`recvmmsg`/`poll` and
-//!   the socket-buffer options (`SO_RCVBUF`/`SO_SNDBUF`/`SO_MEMINFO`) as
+//!   datagram, with a hard budget guard at seal time.
+//! * [`sys`] — the only unsafe module: `sendmmsg`/`recvmmsg`/`poll`, the
+//!   socket-buffer options (`SO_RCVBUF`/`SO_SNDBUF`/`SO_MEMINFO`) and UDP
+//!   segmentation offload (`UDP_SEGMENT` runs out, `UDP_GRO` runs in) as
 //!   FFI on Linux; every other platform takes the portable
 //!   `send_to`/`recv_from` path.
-//! * [`socket`] — nonblocking batch sockets (a drain lends its
-//!   datagrams out of reused slots) and multi-socket readiness built on
-//!   [`sys`]: a turn's one question and the blocking wait.
+//! * [`socket`] — nonblocking batch sockets and multi-socket readiness
+//!   built on [`sys`]: a send joins each run of equal datagrams to one
+//!   destination into one kernel packet where the kernel agrees, a drain
+//!   lends its datagrams one by one — a coalesced run cut back at its
+//!   boundaries — out of reused slots, and a turn asks one readiness
+//!   question; the blocking wait is the other.
 //! * [`session`] — the session lifecycle: [`SenderSession`]/[`Listener`]
 //!   (and their [`IoConfig`]) with a versioned HELLO/HELLO-ACK handshake
 //!   (which carries the per-pathlet port map; a second connector is

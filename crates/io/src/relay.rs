@@ -44,8 +44,8 @@ use crate::frame::{append_ctrl_frame, FrameIter, FrameKind, DEFAULT_DATAGRAM_BUD
 use crate::socket::{wait_readable, BatchSocket};
 
 /// Largest datagram the relay will receive: the protocol's coalescing
-/// budget plus slack. Receiving at 64 KiB would pin `BATCH` slots of
-/// that size per thread for traffic that never exceeds ~9 KB.
+/// budget plus slack. A run the kernel hands back coalesced is still lent
+/// one datagram at a time, each within it.
 const RELAY_DATAGRAM_MAX: usize = DEFAULT_DATAGRAM_BUDGET + 64;
 
 /// Seeded fault rates, in parts-per-million per datagram.

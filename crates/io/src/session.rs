@@ -345,17 +345,21 @@ impl core::fmt::Display for SessionState {
 /// it leaves; nothing is inherited from the host's `rmem_default`. 4 MiB
 /// is the largest ask a host tuned to the common `net.core.rmem_max` of
 /// 4 MiB grants in full (the kernel clamps a larger one silently, and
-/// doubles what it grants). The host this was sized on granted 8 MiB:
-/// 504 datagrams of 9000 B at the 16 640 B the kernel charges each, by
-/// `SO_MEMINFO`, where the inherited 208 KiB held twelve — less than half
-/// of one 256 KiB message.
+/// doubles what it grants). The host this was sized on granted 8 MiB.
+/// The kernel charges a queued packet its buffer's true size: 16 640 B
+/// for a lone 9000 B datagram, by `SO_MEMINFO`, so 504 of them, where the
+/// inherited 208 KiB held twelve — less than half of one 256 KiB message.
+/// Datagrams that left in a segmentation run are charged less: about
+/// 9 800 B each once the kernel has cut the run for a receiver, 9 100 B
+/// each in a run `UDP_GRO` keeps whole (7 × 9000 B runs, measured here).
 const SOCKET_BUFFER_ASK: usize = 4 << 20;
 
 /// The marking threshold K as a share of the granted receive queue: a
 /// datagram that arrives behind `granted / CE_THRESHOLD_DIV` bytes of
 /// datagrams, or more, is stamped congestion-experienced. 1/64 of the
 /// 8 MiB granted here is 128 KiB. The listener's own queue is not what
-/// binds it — a datagram is charged 1.85× its length, so K is 3 % of
+/// binds it — a datagram is charged at most 1.85× its length (a lone
+/// one; one of a segmentation run 1.01–1.09×), so K is at most 3 % of
 /// what the queue holds and the deepest queue a converging sender leaves
 /// (2.2 K, the turn after the first mark) 6 %. Two things downstream of
 /// that queue are: its ACKs land in the sender's receive queue, which
@@ -407,8 +411,9 @@ fn bind_pathlet_sockets(n: usize) -> io::Result<Vec<BatchSocket>> {
 }
 
 /// Bring `registry`'s kernel-drop count up to what `socks` report now:
-/// datagrams dropped for want of receive-queue room since they were
-/// bound. Nothing where the platform cannot say.
+/// drop events for want of receive-queue room since they were bound, one
+/// per kernel packet (a datagram, or a run `UDP_GRO` kept whole).
+/// Nothing where the platform cannot say.
 fn count_kernel_drops(registry: &mut Registry, socks: &[BatchSocket]) {
     let total: u64 = socks
         .iter()
@@ -427,12 +432,14 @@ fn count_sent(registry: &mut Registry, report: SendReport) {
     registry.count(Metric::WireDatagramsTx, report.datagrams as u64);
     registry.count(Metric::WireSendBatches, report.syscalls as u64);
     registry.count(Metric::WireSendWouldBlock, report.would_block as u64);
+    registry.count(Metric::WireGsoSegmentsTx, report.offloaded as u64);
 }
 
 fn count_received(registry: &mut Registry, report: SendReport) {
     registry.count(Metric::WireDatagramsRx, report.datagrams as u64);
     registry.count(Metric::WireRecvBatches, report.syscalls as u64);
     registry.count(Metric::WireRecvEmpty, report.would_block as u64);
+    registry.count(Metric::WireGroSegmentsRx, report.offloaded as u64);
 }
 
 impl SessionConfig {
@@ -525,7 +532,10 @@ impl TxQueue {
         append_frame(fresh, budget, hdr, payload).map(drop)
     }
 
-    /// Send everything queued, in batches built on the stack.
+    /// Send everything queued, in batches built on the stack. The open
+    /// datagram closes only when full or on a change of peer, so a bulk
+    /// flush is runs of budget-sized datagrams and one short tail: what
+    /// [`BatchSocket::send_batch`] hands the kernel as one packet a run.
     fn flush(&mut self, sock: &BatchSocket, registry: &mut Registry) -> io::Result<()> {
         let used = std::mem::take(&mut self.used);
         let nowhere = SocketAddrV4::new(Ipv4Addr::UNSPECIFIED, 0);

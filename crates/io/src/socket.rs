@@ -4,7 +4,11 @@
 //! batches without ever blocking: `sendmmsg`/`recvmmsg` with
 //! `MSG_DONTWAIT` where the platform provides them (see [`crate::sys`]),
 //! plain `send_to`/`recv_from` loops on a nonblocking socket everywhere
-//! else; the platform alone picks the path. A turn asks
+//! else; the platform alone picks the path. Where the kernel offers it, a
+//! run of equal datagrams to one destination leaves as one kernel packet
+//! (UDP segmentation offload) and a run that arrives so may be handed
+//! back whole (`UDP_GRO`); either way each datagram keeps its size on the
+//! wire, and a drain lends them one by one. A turn asks
 //! [`readable_now`] once which sockets have anything queued and drains
 //! those alone; the driver blocks only in [`wait_readable`], with a
 //! timeout derived from the endpoint cores' `poll_at()` deadlines.
@@ -12,40 +16,54 @@
 use std::cell::RefCell;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddrV4, UdpSocket};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use crate::sys::{self, MemInfo, RecvSlot};
+use crate::frame::DEFAULT_DATAGRAM_BUDGET;
+use crate::sys::{self, MemInfo, RecvSlot, Sent};
 
 thread_local! {
     /// Reusable receive scratch, per thread: the `recvmmsg` slot array
-    /// and the fallback datagram buffer. Sized to the largest `max_size`
-    /// a thread has asked for and to the deepest receive it has seen, and
-    /// reused forever after — allocating `BATCH × max_size` fresh per
+    /// and the fallback datagram buffer. Sized to the largest slot a
+    /// thread has needed and to the deepest receive it has seen, and
+    /// reused forever after — allocating it fresh per
     /// [`BatchSocket::recv_each`] call would dominate the process's
-    /// transient heap (32 × 64 KiB = 2 MiB per poll round), and a
-    /// worst-case 32 slots would be 290 KB resident on a thread that only
-    /// ever answers one HELLO. A drain takes the scratch out for its
-    /// duration, so a callback that itself receives gets a fresh one.
+    /// transient heap, and a worst-case array would be 290 KB resident
+    /// on a thread that only ever answers one HELLO. A drain takes the
+    /// scratch out for its duration, so a callback that itself receives
+    /// gets a fresh one.
     static RECV_SLOTS: RefCell<Vec<RecvSlot>> = const { RefCell::new(Vec::new()) };
     static RECV_BUF: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
+/// Most bytes a thread's `recvmmsg` slots hold together: [`sys::BATCH`]
+/// datagrams of the default budget and their slack, 290 KB. Slots of
+/// [`sys::GRO_SLOT`] bytes, which a socket with `UDP_GRO` on needs, are
+/// four of them; slots for plain datagrams, all 32.
+const RECV_SCRATCH_BYTES: usize = sys::BATCH * (DEFAULT_DATAGRAM_BUDGET + 64);
+
+/// How many slots of `size` bytes the scratch may hold: at least one, at
+/// most [`sys::BATCH`], and within [`RECV_SCRATCH_BYTES`].
+fn most_slots(size: usize) -> usize {
+    (RECV_SCRATCH_BYTES / size.max(1)).clamp(1, sys::BATCH)
+}
+
 /// Bring the `recvmmsg` scratch to at least one slot, every slot able to
-/// hold `max_size`.
-fn size_slots(slots: &mut Vec<RecvSlot>, max_size: usize) {
-    if slots.is_empty() || slots[0].buf.len() < max_size {
-        *slots = (0..slots.len().max(1))
-            .map(|_| RecvSlot::with_capacity(max_size))
+/// hold `size`, and no more slots than [`most_slots`] allows.
+fn size_slots(slots: &mut Vec<RecvSlot>, size: usize) {
+    if slots.is_empty() || slots[0].buf.len() < size {
+        *slots = (0..slots.len().clamp(1, most_slots(size)))
+            .map(|_| RecvSlot::with_capacity(size))
             .collect();
     }
 }
 
-/// Double the `recvmmsg` scratch, up to [`sys::BATCH`] slots: a receive
-/// came back with every slot full, so the queue may hold more and the
-/// next drain may be as deep.
+/// Double the `recvmmsg` scratch, up to [`most_slots`]: a receive came
+/// back with every slot full, so the queue may hold more and the next
+/// drain may be as deep.
 fn grow_slots(slots: &mut Vec<RecvSlot>) {
     let size = slots[0].buf.len();
-    let more = slots.len().min(sys::BATCH - slots.len());
+    let more = slots.len().min(most_slots(size) - slots.len());
     slots.extend((0..more).map(|_| RecvSlot::with_capacity(size)));
 }
 
@@ -61,6 +79,9 @@ fn size_buf(buf: &mut Vec<u8>, max_size: usize) {
 pub struct SendReport {
     /// Datagrams handed to (or taken from) the kernel.
     pub datagrams: usize,
+    /// Of those, the ones that shared a kernel packet with others: sent
+    /// in a segmentation run of two or more, or received coalesced.
+    pub offloaded: usize,
     /// Syscalls that moved at least one.
     pub syscalls: usize,
     /// Syscalls that moved nothing: sends the kernel refused for want of
@@ -74,6 +95,14 @@ pub struct SendReport {
 pub struct BatchSocket {
     sock: UdpSocket,
     use_mmsg: bool,
+    /// Runs of datagrams leave as one kernel packet each. Cleared for
+    /// good by the first send the kernel refuses to segment.
+    gso: AtomicBool,
+    /// `UDP_GRO` may yet be switched on: cleared when the kernel
+    /// refuses it.
+    gro_able: AtomicBool,
+    /// It does so: every receive slot holds [`sys::GRO_SLOT`] bytes.
+    gro: AtomicBool,
 }
 
 impl BatchSocket {
@@ -81,19 +110,73 @@ impl BatchSocket {
     /// it back with [`BatchSocket::local_addr`]). Its queues are the
     /// host's default size until [`set_recv_buffer`](Self::set_recv_buffer)
     /// or [`set_send_buffer`](Self::set_send_buffer) says otherwise.
+    ///
+    /// Segmentation offload is on where the kernel has it: the process's
+    /// first bind asks, and every later socket takes the answer. `UDP_GRO`
+    /// is switched on by the first drain that lends a run (two datagrams
+    /// in a row from one source, of one length): the host's first socket
+    /// to switch it on pays ~18 µs, which a connection that never carries
+    /// a run should not. Where the kernel refuses either, every run is one
+    /// datagram.
     pub fn bind(addr: SocketAddrV4) -> io::Result<BatchSocket> {
         let sock = UdpSocket::bind(addr)?;
         let use_mmsg = cfg!(target_os = "linux");
         if !use_mmsg {
             sock.set_nonblocking(true)?;
         }
-        Ok(BatchSocket { sock, use_mmsg })
+        #[cfg(target_os = "linux")]
+        let gso = {
+            use std::os::fd::AsRawFd;
+            static KERNEL_SEGMENTS: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+            *KERNEL_SEGMENTS.get_or_init(|| sys::probe_gso(sock.as_raw_fd()))
+        };
+        #[cfg(not(target_os = "linux"))]
+        let gso = false;
+        Ok(BatchSocket {
+            sock,
+            use_mmsg,
+            gso: AtomicBool::new(gso),
+            gro_able: AtomicBool::new(use_mmsg),
+            gro: AtomicBool::new(false),
+        })
     }
 
     #[cfg(target_os = "linux")]
     fn fd(&self) -> std::os::fd::RawFd {
         use std::os::fd::AsRawFd;
         self.sock.as_raw_fd()
+    }
+
+    /// Whether runs of datagrams still leave as one kernel packet each.
+    pub fn gso_enabled(&self) -> bool {
+        self.gso.load(Ordering::Relaxed)
+    }
+
+    /// Whether the kernel may hand back a run that arrived as one packet.
+    pub fn gro_enabled(&self) -> bool {
+        self.gro.load(Ordering::Relaxed)
+    }
+
+    /// Switch `UDP_GRO` on, where the kernel can; whether it is on.
+    pub fn enable_gro(&self) -> bool {
+        if self.gro_able.load(Ordering::Relaxed) && !self.gro_enabled() {
+            #[cfg(target_os = "linux")]
+            let on = sys::enable_gro(self.fd()).is_ok();
+            #[cfg(not(target_os = "linux"))]
+            let on = false;
+            self.gro.store(on, Ordering::Relaxed);
+            self.gro_able.store(on, Ordering::Relaxed);
+        }
+        self.gro_enabled()
+    }
+
+    /// How large a receive slot must be for datagrams of up to `max_size`.
+    fn slot_size(&self, max_size: usize) -> usize {
+        if self.gro_enabled() {
+            max_size.max(sys::GRO_SLOT)
+        } else {
+            max_size
+        }
     }
 
     /// Ask the kernel for a receive queue of `bytes`. It grants what the
@@ -158,10 +241,13 @@ impl BatchSocket {
         self.use_mmsg
     }
 
-    /// Transmit every datagram, batching where possible. `WouldBlock`
-    /// mid-batch retries after a brief yield (and is counted): loopback
-    /// socket buffers drain in microseconds and the driver has nothing
-    /// better to do than deliver what the cores already emitted.
+    /// Transmit every datagram, batching where possible, each run of
+    /// equal ones to one destination as one kernel packet while the
+    /// kernel agrees. `WouldBlock` mid-batch retries after a brief yield
+    /// (and is counted): loopback socket buffers drain in microseconds
+    /// and the driver has nothing better to do than deliver what the
+    /// cores already emitted. A send the kernel refuses to segment
+    /// switches segmentation off for this socket and is made again.
     pub fn send_batch(&self, dgrams: &[(SocketAddrV4, &[u8])]) -> io::Result<SendReport> {
         let mut report = SendReport::default();
         let mut rest = dgrams;
@@ -169,17 +255,24 @@ impl BatchSocket {
             let sent = if self.use_mmsg {
                 self.send_once_mmsg(rest)
             } else {
-                self.sock.send_to(rest[0].1, rest[0].0).map(|_| 1)
+                self.sock.send_to(rest[0].1, rest[0].0).map(|_| Sent {
+                    datagrams: 1,
+                    offloaded: 0,
+                })
             };
             match sent {
-                Ok(n) => {
-                    report.datagrams += n;
+                Ok(sent) => {
+                    report.datagrams += sent.datagrams;
+                    report.offloaded += sent.offloaded;
                     report.syscalls += 1;
-                    rest = &rest[n..];
+                    rest = &rest[sent.datagrams..];
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     report.would_block += 1;
                     std::thread::yield_now();
+                }
+                Err(e) if self.gso_enabled() && sys::refuses_offload(&e) => {
+                    self.gso.store(false, Ordering::Relaxed);
                 }
                 Err(e) => return Err(e),
             }
@@ -188,18 +281,25 @@ impl BatchSocket {
     }
 
     #[cfg(target_os = "linux")]
-    fn send_once_mmsg(&self, dgrams: &[(SocketAddrV4, &[u8])]) -> io::Result<usize> {
-        sys::send_batch(self.fd(), dgrams)
+    fn send_once_mmsg(&self, dgrams: &[(SocketAddrV4, &[u8])]) -> io::Result<Sent> {
+        let max_run = if self.gso_enabled() {
+            sys::GSO_MAX_SEGMENTS
+        } else {
+            1
+        };
+        sys::send_batch(self.fd(), dgrams, max_run)
     }
 
     #[cfg(not(target_os = "linux"))]
-    fn send_once_mmsg(&self, _dgrams: &[(SocketAddrV4, &[u8])]) -> io::Result<usize> {
+    fn send_once_mmsg(&self, _dgrams: &[(SocketAddrV4, &[u8])]) -> io::Result<Sent> {
         unreachable!("use_mmsg is never set off Linux")
     }
 
     /// Drain everything currently readable, lending each datagram to
     /// `each` in arrival order out of buffers that are reused from call
-    /// to call (datagrams longer than `max_size` are truncated to it).
+    /// to call (datagrams longer than `max_size` are truncated to it). A
+    /// run the kernel handed back coalesced is lent one datagram at a
+    /// time, as it was sent.
     /// The queue is read until it is empty, so the bytes lent before a
     /// datagram in one call are the depth of queue it arrived behind.
     /// An error from `each` ends the drain and is returned; what was
@@ -213,16 +313,25 @@ impl BatchSocket {
         let mut report = SendReport::default();
         if self.use_mmsg {
             let mut slots = RECV_SLOTS.take();
-            size_slots(&mut slots, max_size);
+            size_slots(&mut slots, self.slot_size(max_size));
+            // The last datagram lent, and whether it repeated the one
+            // before: a run the kernel could have kept whole.
+            let (mut last, mut run) = (None, false);
             let drained = loop {
                 match self.recv_once_mmsg(&mut slots) {
                     Ok(n) => {
-                        report.datagrams += n;
                         report.syscalls += 1;
-                        if let Some(e) = slots[..n]
-                            .iter()
-                            .find_map(|slot| each(slot.bytes(), slot.addr).err())
-                        {
+                        let lent = slots[..n].iter().try_for_each(|slot| {
+                            slot.datagrams().try_for_each(|dgram| {
+                                report.datagrams += 1;
+                                report.offloaded += usize::from(slot.segment != 0);
+                                let this = Some((slot.addr, dgram.len()));
+                                run |= last == this;
+                                last = this;
+                                each(&dgram[..dgram.len().min(max_size)], slot.addr)
+                            })
+                        });
+                        if let Err(e) = lent {
                             break Err(e);
                         }
                         if n < slots.len() {
@@ -238,6 +347,9 @@ impl BatchSocket {
                 }
             };
             RECV_SLOTS.set(slots);
+            if run {
+                self.enable_gro();
+            }
             return drained;
         }
         let mut buf = RECV_BUF.take();
@@ -278,12 +390,19 @@ impl BatchSocket {
 
     #[cfg(target_os = "linux")]
     fn recv_once_mmsg(&self, slots: &mut [RecvSlot]) -> io::Result<usize> {
-        sys::recv_batch(self.fd(), slots)
+        sys::recv_batch(self.fd(), slots, self.gro_enabled())
     }
 
     #[cfg(not(target_os = "linux"))]
     fn recv_once_mmsg(&self, _slots: &mut [RecvSlot]) -> io::Result<usize> {
         unreachable!("use_mmsg is never set off Linux")
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl std::os::fd::AsRawFd for BatchSocket {
+    fn as_raw_fd(&self) -> std::os::fd::RawFd {
+        self.fd()
     }
 }
 
@@ -358,7 +477,9 @@ pub fn readable_now<'a>(
 ) -> io::Result<Ready> {
     let mut socks = socks.into_iter().peekable();
     match socks.peek() {
-        Some(sock) if sock.use_mmsg => RECV_SLOTS.with_borrow_mut(|s| size_slots(s, max_size)),
+        Some(sock) if sock.use_mmsg => {
+            RECV_SLOTS.with_borrow_mut(|s| size_slots(s, sock.slot_size(max_size)))
+        }
         Some(_) => RECV_BUF.with_borrow_mut(|b| size_buf(b, max_size)),
         None => {}
     }
@@ -498,7 +619,8 @@ mod tests {
 
     /// The `recvmmsg` scratch is as deep as the deepest receive its
     /// thread has seen — doubled each time every slot comes back full —
-    /// not a worst case held by every thread that ever polls.
+    /// not a worst case held by every thread that ever polls; and it is
+    /// bounded in bytes, so slots a `UDP_GRO` socket needs are fewer.
     #[cfg(target_os = "linux")]
     #[test]
     fn receive_scratch_follows_the_deepest_receive() {
@@ -506,31 +628,40 @@ mod tests {
             eprintln!("NOTICE: UDP loopback unavailable; skipping receive_scratch_follows");
             return;
         }
-        // A thread of its own: this one's scratch has already been used.
-        let drains = std::thread::spawn(|| {
-            let any = SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0);
-            let (a, b) = (
-                BatchSocket::bind(any).unwrap(),
-                BatchSocket::bind(any).unwrap(),
-            );
-            let to_b = b.local_addr().unwrap();
-            [1, 1, 5, 40, 2 * sys::BATCH].map(|count| {
-                for _ in 0..count {
-                    a.send_batch(&[(to_b, &[0u8; 32][..])]).unwrap();
+        // A thread of its own per kind of receiver: this one's scratch
+        // has already been used.
+        let drains = |gro: bool| {
+            std::thread::spawn(move || {
+                let any = SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0);
+                let (a, b) = (
+                    BatchSocket::bind(any).unwrap(),
+                    BatchSocket::bind(any).unwrap(),
+                );
+                // Equal datagrams from one source are a run, which would
+                // switch `UDP_GRO` on by itself.
+                if !gro {
+                    b.gro_able.store(false, Ordering::Relaxed);
                 }
-                let report = b
-                    .recv_each(2048, |_bytes, _src| Ok::<(), io::Error>(()))
-                    .unwrap();
-                assert_eq!(report.datagrams, count);
-                let slots = RECV_SLOTS.with_borrow(Vec::len);
-                (slots, report.syscalls, report.would_block)
+                assert_eq!(b.enable_gro(), gro);
+                let to_b = b.local_addr().unwrap();
+                [1, 1, 5, 40, 2 * sys::BATCH].map(|count| {
+                    for _ in 0..count {
+                        a.send_batch(&[(to_b, &[0u8; 32][..])]).unwrap();
+                    }
+                    let report = b
+                        .recv_each(2048, |_bytes, _src| Ok::<(), io::Error>(()))
+                        .unwrap();
+                    assert_eq!(report.datagrams, count);
+                    let slots = RECV_SLOTS.with_borrow(Vec::len);
+                    (slots, report.syscalls, report.would_block)
+                })
             })
-        })
-        .join()
-        .unwrap();
+            .join()
+            .unwrap()
+        };
         // (slots afterwards, receives that carried data, that found nothing)
         assert_eq!(
-            drains,
+            drains(false),
             [
                 (2, 1, 1),  // the one slot came back full: look again, double
                 (2, 1, 0),  // one of two: the queue is empty, no second look
@@ -538,6 +669,17 @@ mod tests {
                 (32, 4, 0), // 4 + 8 + 16 + 12
                 (32, 2, 1), // 32 + 32, and a full batch always looks again
             ]
+        );
+        let gro = BatchSocket::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, 0)).unwrap();
+        if !gro.enable_gro() {
+            eprintln!("NOTICE: no UDP_GRO on this kernel; skipping its receive scratch");
+            return;
+        }
+        // 290 KB holds four slots of 64 KiB.
+        assert_eq!(most_slots(sys::GRO_SLOT), 4);
+        assert_eq!(
+            drains(true),
+            [(2, 1, 1), (2, 1, 0), (4, 2, 0), (4, 10, 1), (4, 16, 1)]
         );
     }
 

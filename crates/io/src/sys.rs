@@ -1,5 +1,5 @@
-//! Raw syscall bindings: `sendmmsg`, `recvmmsg`, `poll`, and the socket
-//! buffer options.
+//! Raw syscall bindings: `sendmmsg`, `recvmmsg`, `poll`, the socket
+//! buffer options, and UDP segmentation offload.
 //!
 //! The workspace vendors no `libc` crate, so the handful of kernel
 //! interfaces the wire driver needs beyond `std::net::UdpSocket` are
@@ -23,12 +23,25 @@ use std::net::SocketAddrV4;
 /// fixed arrays; the kernel caps `vlen` at `UIO_MAXIOV` (1024) anyway.
 pub const BATCH: usize = 32;
 
+/// Most datagrams one segmentation run carries (the kernel's
+/// `UDP_MAX_SEGMENTS`).
+pub const GSO_MAX_SEGMENTS: usize = 64;
+
+/// Most bytes one segmentation run carries: the largest UDP payload an
+/// IPv4 packet holds.
+pub const GSO_MAX_BYTES: usize = 65_507;
+
+/// Capacity a receive slot needs on a socket with `UDP_GRO` on: the
+/// largest coalesced packet the kernel may hand back. A smaller slot
+/// loses the segments past its end (`MSG_TRUNC`).
+pub const GRO_SLOT: usize = 65_535;
+
 /// Most descriptors one `poll_readable` asks about: its descriptor
 /// array lives on the stack and its answer is a bit per descriptor.
 pub const POLL_MAX: usize = 64;
 
-/// One receive slot: a caller-owned buffer plus the length and source
-/// address the kernel filled in.
+/// One receive slot: a caller-owned buffer plus the length, source
+/// address and segment size the kernel filled in.
 #[derive(Debug)]
 pub struct RecvSlot {
     /// Datagram bytes land here; capacity bounds the receivable size.
@@ -37,6 +50,18 @@ pub struct RecvSlot {
     pub len: usize,
     /// Source address of the datagram.
     pub addr: SocketAddrV4,
+    /// Size of each datagram when the kernel coalesced a run of them into
+    /// `buf` (`UDP_GRO`; the last may be shorter), 0 when it holds one.
+    pub segment: usize,
+}
+
+/// What one [`send_batch`] call handed to the kernel.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Sent {
+    /// Datagrams accepted.
+    pub datagrams: usize,
+    /// Of those, the ones that left in a segmentation run of two or more.
+    pub offloaded: usize,
 }
 
 /// What `getsockopt(SO_MEMINFO)` says about a socket's buffers.
@@ -47,8 +72,9 @@ pub struct MemInfo {
     pub rcvbuf: u32,
     /// Send-queue limit the kernel granted, same unit.
     pub sndbuf: u32,
-    /// Datagrams the socket has dropped since it was created, for want
-    /// of receive-queue room.
+    /// Drop events at the socket since it was created, for want of
+    /// receive-queue room: each is one kernel packet, which is one
+    /// datagram, or a whole coalesced run on a socket with `UDP_GRO` on.
     pub drops: u32,
 }
 
@@ -59,6 +85,7 @@ impl RecvSlot {
             buf: vec![0; capacity],
             len: 0,
             addr: SocketAddrV4::new(std::net::Ipv4Addr::UNSPECIFIED, 0),
+            segment: 0,
         }
     }
 
@@ -66,11 +93,52 @@ impl RecvSlot {
     pub fn bytes(&self) -> &[u8] {
         &self.buf[..self.len]
     }
+
+    /// The datagrams the slot holds, in order: the one it received, or
+    /// the coalesced run cut at [`segment`](Self::segment) bytes.
+    pub fn datagrams(&self) -> impl Iterator<Item = &[u8]> {
+        let bytes = self.bytes();
+        let segment = if self.segment == 0 {
+            bytes.len()
+        } else {
+            self.segment
+        };
+        // `chunks` yields nothing for an empty datagram, which is still one.
+        bytes
+            .chunks(segment.max(1))
+            .chain(bytes.is_empty().then_some(bytes))
+    }
+}
+
+/// How many of the leading `dgrams` one segmentation run can carry: one
+/// destination and one length, of which only the last may be shorter
+/// (never empty), at most `max_run` of them, [`GSO_MAX_SEGMENTS`] and
+/// [`GSO_MAX_BYTES`]. 1 whenever they cannot share a kernel packet; 0
+/// only for no datagrams.
+pub fn run_len(dgrams: &[(SocketAddrV4, &[u8])], max_run: usize) -> usize {
+    let Some(&(to, first)) = dgrams.first() else {
+        return 0;
+    };
+    let most = max_run.min(GSO_MAX_SEGMENTS).min(dgrams.len());
+    let (mut run, mut bytes) = (1, first.len());
+    while run < most {
+        let (addr, next) = dgrams[run];
+        let fits =
+            !next.is_empty() && next.len() <= first.len() && bytes + next.len() <= GSO_MAX_BYTES;
+        if addr != to || !fits {
+            break;
+        }
+        (run, bytes) = (run + 1, bytes + next.len());
+        if next.len() < first.len() {
+            break;
+        }
+    }
+    run
 }
 
 #[cfg(target_os = "linux")]
 mod linux {
-    use super::{MemInfo, RecvSlot, BATCH, POLL_MAX};
+    use super::{run_len, MemInfo, RecvSlot, Sent, BATCH, POLL_MAX};
     use std::io;
     use std::net::SocketAddrV4;
     use std::os::fd::RawFd;
@@ -89,6 +157,61 @@ mod linux {
     const SK_MEMINFO_SNDBUF: usize = 3;
     const SK_MEMINFO_DROPS: usize = 8;
     const SK_MEMINFO_VARS: usize = 9;
+    const SOL_UDP: i32 = 17;
+    const UDP_SEGMENT: i32 = 103;
+    const UDP_GRO: i32 = 104;
+    const EIO: i32 = 5;
+    const EINVAL: i32 = 22;
+    /// `CMSG_LEN(sizeof(int))`: what the kernel writes for `UDP_GRO`.
+    const CMSG_GRO_LEN: usize = 16 + 4;
+
+    /// One control message with room for an `int`: `CMSG_SPACE(4)` on
+    /// this target. It carries a send's `UDP_SEGMENT` (a `u16`) or a
+    /// receive's `UDP_GRO` (an `int`).
+    #[repr(C)]
+    #[derive(Clone, Copy)]
+    struct UdpCmsg {
+        cmsg_len: usize,
+        cmsg_level: i32,
+        cmsg_type: i32,
+        data: [u8; 8],
+    }
+
+    const _: () = assert!(std::mem::size_of::<UdpCmsg>() == 24);
+
+    impl UdpCmsg {
+        fn zeroed() -> UdpCmsg {
+            UdpCmsg {
+                cmsg_len: 0,
+                cmsg_level: 0,
+                cmsg_type: 0,
+                data: [0; 8],
+            }
+        }
+
+        /// `UDP_SEGMENT`: cut the packet into datagrams of `size` bytes.
+        /// The kernel wants exactly `CMSG_LEN(sizeof(u16))`.
+        fn segment(size: usize) -> UdpCmsg {
+            let mut data = [0; 8];
+            data[..2].copy_from_slice(&(size as u16).to_ne_bytes());
+            UdpCmsg {
+                cmsg_len: 16 + 2,
+                cmsg_level: SOL_UDP,
+                cmsg_type: UDP_SEGMENT,
+                data,
+            }
+        }
+
+        /// The segment size a receive's `UDP_GRO` message names; 0 for
+        /// any other message.
+        fn gro_segment(&self) -> usize {
+            if self.cmsg_level != SOL_UDP || self.cmsg_type != UDP_GRO {
+                return 0;
+            }
+            let size = i32::from_ne_bytes([self.data[0], self.data[1], self.data[2], self.data[3]]);
+            usize::try_from(size).unwrap_or(0)
+        }
+    }
 
     #[repr(C)]
     #[derive(Clone, Copy)]
@@ -171,16 +294,9 @@ mod linux {
         fn getsockopt(sockfd: i32, level: i32, name: i32, val: *mut u8, len: *mut u32) -> i32;
     }
 
-    /// Transmit up to [`BATCH`] datagrams in one syscall. Returns how
-    /// many the kernel accepted (possibly fewer than offered).
-    pub fn send_batch(fd: RawFd, dgrams: &[(SocketAddrV4, &[u8])]) -> io::Result<usize> {
-        let n = dgrams.len().min(BATCH);
-        let mut addrs = [SockaddrIn::zeroed(); BATCH];
-        let mut iovs: [IoVec; BATCH] = std::array::from_fn(|_| IoVec {
-            iov_base: std::ptr::null_mut(),
-            iov_len: 0,
-        });
-        let mut hdrs: [MMsgHdr; BATCH] = std::array::from_fn(|_| MMsgHdr {
+    /// A header array with every pointer null, for one call to fill.
+    fn empty_headers() -> [MMsgHdr; BATCH] {
+        std::array::from_fn(|_| MMsgHdr {
             msg_hdr: MsgHdr {
                 msg_name: std::ptr::null_mut(),
                 msg_namelen: 0,
@@ -191,64 +307,108 @@ mod linux {
                 msg_flags: 0,
             },
             msg_len: 0,
-        });
-        for (i, (addr, bytes)) in dgrams.iter().take(n).enumerate() {
-            addrs[i] = SockaddrIn::from_addr(addr);
-            iovs[i] = IoVec {
+        })
+    }
+
+    fn empty_iovecs() -> [IoVec; BATCH] {
+        std::array::from_fn(|_| IoVec {
+            iov_base: std::ptr::null_mut(),
+            iov_len: 0,
+        })
+    }
+
+    /// Transmit up to [`BATCH`] datagrams in one syscall, each run of them
+    /// that [`run_len`] allows (at most `max_run`) as one kernel packet:
+    /// one message header with an iovec per datagram and a `UDP_SEGMENT`
+    /// control message naming the run's datagram size. The kernel cuts
+    /// the packet back into those datagrams, so the wire sees what
+    /// `max_run` 1 sends. Returns how many it accepted (possibly fewer
+    /// than offered: whole runs only).
+    pub fn send_batch(
+        fd: RawFd,
+        dgrams: &[(SocketAddrV4, &[u8])],
+        max_run: usize,
+    ) -> io::Result<Sent> {
+        let n = dgrams.len().min(BATCH);
+        let mut addrs = [SockaddrIn::zeroed(); BATCH];
+        let mut iovs = empty_iovecs();
+        let mut cmsgs = [UdpCmsg::zeroed(); BATCH];
+        let mut hdrs = empty_headers();
+        let (mut msgs, mut at) = (0, 0);
+        while at < n {
+            let run = run_len(&dgrams[at..n], max_run);
+            addrs[msgs] = SockaddrIn::from_addr(&dgrams[at].0);
+            for (iov, (_, bytes)) in iovs[at..at + run].iter_mut().zip(&dgrams[at..]) {
                 // sendmmsg never writes through the iovec; the cast is
                 // only to satisfy the (historically non-const) ABI type.
-                iov_base: bytes.as_ptr() as *mut u8,
-                iov_len: bytes.len(),
-            };
-            hdrs[i].msg_hdr.msg_name = &mut addrs[i];
-            hdrs[i].msg_hdr.msg_namelen = std::mem::size_of::<SockaddrIn>() as u32;
-            hdrs[i].msg_hdr.msg_iov = &mut iovs[i];
-            hdrs[i].msg_hdr.msg_iovlen = 1;
+                *iov = IoVec {
+                    iov_base: bytes.as_ptr() as *mut u8,
+                    iov_len: bytes.len(),
+                };
+            }
+            cmsgs[msgs] = UdpCmsg::segment(dgrams[at].1.len());
+            hdrs[msgs].msg_hdr.msg_iovlen = run;
+            (msgs, at) = (msgs + 1, at + run);
         }
-        // SAFETY: every pointer in `hdrs` targets a live stack array or
-        // a caller slice that outlives the call; vlen == n bounds the
-        // kernel's reads to initialized entries.
-        let rc = unsafe { sendmmsg(fd, hdrs.as_mut_ptr(), n as u32, MSG_DONTWAIT) };
+        // Pointers are taken once everything they point at is written.
+        let (iov_base, mut at) = (iovs.as_mut_ptr(), 0);
+        for (i, hdr) in hdrs[..msgs].iter_mut().enumerate() {
+            let msg = &mut hdr.msg_hdr;
+            msg.msg_name = &mut addrs[i];
+            msg.msg_namelen = std::mem::size_of::<SockaddrIn>() as u32;
+            msg.msg_iov = iov_base.wrapping_add(at);
+            if msg.msg_iovlen > 1 {
+                msg.msg_control = (&mut cmsgs[i] as *mut UdpCmsg).cast();
+                msg.msg_controllen = std::mem::size_of::<UdpCmsg>();
+            }
+            at += msg.msg_iovlen;
+        }
+        // SAFETY: every pointer in `hdrs[..msgs]` targets a live stack
+        // array or a caller slice that outlives the call; header `i`'s
+        // `msg_iovlen` iovecs lie inside `iovs[..n]`, and vlen == msgs
+        // bounds the kernel's reads to initialized headers.
+        let rc = unsafe { sendmmsg(fd, hdrs.as_mut_ptr(), msgs as u32, MSG_DONTWAIT) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
-        Ok(rc as usize)
+        let runs = hdrs[..rc as usize].iter().map(|hdr| hdr.msg_hdr.msg_iovlen);
+        Ok(Sent {
+            datagrams: runs.clone().sum(),
+            offloaded: runs.filter(|&run| run > 1).sum(),
+        })
     }
 
-    /// Receive up to `slots.len().min(BATCH)` datagrams in one syscall.
-    /// Returns how many slots were filled, never 0: when nothing is
-    /// queued the kernel reports `EAGAIN`, surfaced as `WouldBlock`.
-    pub fn recv_batch(fd: RawFd, slots: &mut [RecvSlot]) -> io::Result<usize> {
+    /// Receive up to `slots.len().min(BATCH)` kernel packets in one
+    /// syscall. Returns how many slots were filled, never 0: when nothing
+    /// is queued the kernel reports `EAGAIN`, surfaced as `WouldBlock`.
+    /// With `gro`, each slot's `UDP_GRO` control message, if any, is read
+    /// into its [`RecvSlot::segment`]; without, `segment` is 0.
+    pub fn recv_batch(fd: RawFd, slots: &mut [RecvSlot], gro: bool) -> io::Result<usize> {
         let n = slots.len().min(BATCH);
         let mut addrs = [SockaddrIn::zeroed(); BATCH];
-        let mut iovs: [IoVec; BATCH] = std::array::from_fn(|_| IoVec {
-            iov_base: std::ptr::null_mut(),
-            iov_len: 0,
-        });
-        let mut hdrs: [MMsgHdr; BATCH] = std::array::from_fn(|_| MMsgHdr {
-            msg_hdr: MsgHdr {
-                msg_name: std::ptr::null_mut(),
-                msg_namelen: 0,
-                msg_iov: std::ptr::null_mut(),
-                msg_iovlen: 0,
-                msg_control: std::ptr::null_mut(),
-                msg_controllen: 0,
-                msg_flags: 0,
-            },
-            msg_len: 0,
-        });
-        for i in 0..n {
-            iovs[i] = IoVec {
-                iov_base: slots[i].buf.as_mut_ptr(),
-                iov_len: slots[i].buf.len(),
+        let mut iovs = empty_iovecs();
+        let mut cmsgs = [UdpCmsg::zeroed(); BATCH];
+        for (iov, slot) in iovs.iter_mut().zip(&mut slots[..n]) {
+            *iov = IoVec {
+                iov_base: slot.buf.as_mut_ptr(),
+                iov_len: slot.buf.len(),
             };
-            hdrs[i].msg_hdr.msg_name = &mut addrs[i];
-            hdrs[i].msg_hdr.msg_namelen = std::mem::size_of::<SockaddrIn>() as u32;
-            hdrs[i].msg_hdr.msg_iov = &mut iovs[i];
-            hdrs[i].msg_hdr.msg_iovlen = 1;
         }
-        // SAFETY: as in `send_batch`; buffers are distinct `Vec`s so the
-        // kernel's writes cannot alias.
+        let mut hdrs = empty_headers();
+        for (i, hdr) in hdrs[..n].iter_mut().enumerate() {
+            let msg = &mut hdr.msg_hdr;
+            msg.msg_name = &mut addrs[i];
+            msg.msg_namelen = std::mem::size_of::<SockaddrIn>() as u32;
+            msg.msg_iov = &mut iovs[i];
+            msg.msg_iovlen = 1;
+            if gro {
+                msg.msg_control = (&mut cmsgs[i] as *mut UdpCmsg).cast();
+                msg.msg_controllen = std::mem::size_of::<UdpCmsg>();
+            }
+        }
+        // SAFETY: as in `send_batch`; buffers are distinct `Vec`s and
+        // control messages distinct array entries, so the kernel's writes
+        // cannot alias, and each `msg_controllen` is its entry's size.
         let rc = unsafe {
             recvmmsg(
                 fd,
@@ -262,9 +422,14 @@ mod linux {
             return Err(io::Error::last_os_error());
         }
         let got = rc as usize;
-        for i in 0..got {
-            slots[i].len = hdrs[i].msg_len as usize;
-            slots[i].addr = addrs[i].to_addr();
+        for (i, slot) in slots[..got].iter_mut().enumerate() {
+            slot.len = hdrs[i].msg_len as usize;
+            slot.addr = addrs[i].to_addr();
+            slot.segment = if hdrs[i].msg_hdr.msg_controllen >= CMSG_GRO_LEN {
+                cmsgs[i].gro_segment()
+            } else {
+                0
+            };
         }
         Ok(got)
     }
@@ -313,13 +478,14 @@ mod linux {
             .fold(0, |ready, (i, _)| ready | 1 << i))
     }
 
-    fn set_buffer(fd: RawFd, name: i32, bytes: usize) -> io::Result<()> {
-        let val = i32::try_from(bytes).unwrap_or(i32::MAX);
-        // SAFETY: `val` is a live `int`, which is what both options take.
+    /// Set the `int` socket option `level`/`name` on `fd` to `val`.
+    pub fn set_option(fd: RawFd, level: i32, name: i32, val: i32) -> io::Result<()> {
+        // SAFETY: `val` is a live `int`, which is what every option set
+        // through here takes.
         let rc = unsafe {
             setsockopt(
                 fd,
-                SOL_SOCKET,
+                level,
                 name,
                 (&val as *const i32).cast(),
                 std::mem::size_of::<i32>() as u32,
@@ -329,6 +495,39 @@ mod linux {
             return Err(io::Error::last_os_error());
         }
         Ok(())
+    }
+
+    fn set_buffer(fd: RawFd, name: i32, bytes: usize) -> io::Result<()> {
+        set_option(
+            fd,
+            SOL_SOCKET,
+            name,
+            i32::try_from(bytes).unwrap_or(i32::MAX),
+        )
+    }
+
+    /// Whether the kernel segments runs sent from `fd` (`UDP_SEGMENT`,
+    /// Linux 4.18). Asked by setting the socket's default segment size to
+    /// 0, which is what it already is: every run names its own. A kernel
+    /// without it refuses the option, and would send a run's control
+    /// message unread, as one datagram of them all.
+    pub fn probe_gso(fd: RawFd) -> bool {
+        set_option(fd, SOL_UDP, UDP_SEGMENT, 0).is_ok()
+    }
+
+    /// Let the kernel coalesce runs that arrive at `fd` (`UDP_GRO`,
+    /// Linux 5.0; refused before). The first socket
+    /// of a host to do so flips a kernel-wide switch, which costs about
+    /// 18 µs here; later ones cost what any option does.
+    pub fn enable_gro(fd: RawFd) -> io::Result<()> {
+        set_option(fd, SOL_UDP, UDP_GRO, 1)
+    }
+
+    /// Whether a send failed because the kernel would not segment a run
+    /// on this socket or route (`EINVAL`, `EIO`), so that sending the
+    /// same datagrams one per packet may succeed.
+    pub fn refuses_offload(e: &io::Error) -> bool {
+        matches!(e.raw_os_error(), Some(EINVAL | EIO))
     }
 
     /// Ask for a receive queue of `bytes` (`SO_RCVBUF`). The kernel caps
@@ -371,11 +570,14 @@ mod linux {
 }
 
 #[cfg(target_os = "linux")]
-pub use linux::{meminfo, poll_readable, recv_batch, send_batch, set_recv_buffer, set_send_buffer};
+pub use linux::{
+    enable_gro, meminfo, poll_readable, probe_gso, recv_batch, refuses_offload, send_batch,
+    set_option, set_recv_buffer, set_send_buffer,
+};
 
 #[cfg(not(target_os = "linux"))]
 mod portable {
-    use super::RecvSlot;
+    use super::{RecvSlot, Sent};
     use std::io;
     use std::net::SocketAddrV4;
 
@@ -387,15 +589,24 @@ mod portable {
     }
 
     /// Always `Unsupported`; callers fall back to `send_to` loops.
-    pub fn send_batch(_fd: RawFd, _dgrams: &[(SocketAddrV4, &[u8])]) -> io::Result<usize> {
+    pub fn send_batch(
+        _fd: RawFd,
+        _dgrams: &[(SocketAddrV4, &[u8])],
+        _max_run: usize,
+    ) -> io::Result<Sent> {
         Err(unsupported())
     }
 
+    /// Never: there is no segmentation to refuse.
+    pub fn refuses_offload(_e: &io::Error) -> bool {
+        false
+    }
+
     /// Always `Unsupported`; callers fall back to `recv_from` loops.
-    pub fn recv_batch(_fd: RawFd, _slots: &mut [RecvSlot]) -> io::Result<usize> {
+    pub fn recv_batch(_fd: RawFd, _slots: &mut [RecvSlot], _gro: bool) -> io::Result<usize> {
         Err(unsupported())
     }
 }
 
 #[cfg(not(target_os = "linux"))]
-pub use portable::{recv_batch, send_batch};
+pub use portable::{recv_batch, refuses_offload, send_batch};

@@ -649,6 +649,13 @@ const MAX_CHUNKS: u64 = 100_000;
 /// Largest proxy window cap, in KiB: 4 GiB, the reach of TCP's 32-bit
 /// receive window.
 const MAX_WINDOW_KB: u64 = 4 << 20;
+/// Most messages one cell may schedule. The corpus's largest upper bound
+/// is ≈ 0.26 M (the leaf-spine permutations); a 1.3 ms `tenants` cell
+/// that asked for ≈ 2 × 10⁷ aborted the runner growing one sender's
+/// queue by 1.88 GB. `periodic` (`count`), `single` (`MAX_CHUNKS`) and
+/// `fanin` (255 senders × 1 000 rounds) are held below it by their
+/// ranges; the other kinds by [`scheduled_rule`].
+const MAX_SCHEDULED: f64 = 1e6;
 
 /// A link before its keys are read.
 const BLANK_LINK: LinkParams = LinkParams {
@@ -1093,6 +1100,29 @@ fn size_keys<K: Keys>(k: &mut K, [lo, hi]: [&str; 2], min: &mut u64, max: &mut u
     k.rule(lo, *min <= *max, format_args!("must be <= {hi} ({max})"), || *min = *max)
 }
 
+/// An upper bound on the messages an open-loop process schedules:
+/// `load` of a `rate_gbps` link for `until_us` (125 B per Gbps·µs), none
+/// of them smaller than `min_bytes`.
+fn open_loop_messages(load: f64, rate_gbps: u64, until_us: u64, min_bytes: u64) -> f64 {
+    load * (rate_gbps * 125) as f64 * until_us as f64 / min_bytes as f64
+}
+
+/// The cell schedules at most [`MAX_SCHEDULED`] messages: `estimate`,
+/// `what` it counts, refused at `key`. The repair divides `scale` (a
+/// factor of the estimate) by the whole number that brings it under.
+fn scheduled_rule<K: Keys>(
+    k: &mut K,
+    key: &str,
+    estimate: f64,
+    what: &str,
+    scale: &mut f64,
+) -> Walk {
+    let msg = format_args!("schedules about {estimate:.3e} messages ({what}), more than the {MAX_SCHEDULED:.0e} a cell may");
+    k.rule(key, estimate <= MAX_SCHEDULED, msg, || {
+        *scale /= (estimate / MAX_SCHEDULED).floor() + 1.0
+    })
+}
+
 #[rustfmt::skip]
 fn workload_keys<K: Keys>(k: &mut K, w: &mut Workload, t: &Topology, horizon_us: u64) -> Walk {
     const BYTES: RangeInclusive<u64> = 1..=MAX_MSG_BYTES;
@@ -1121,7 +1151,13 @@ fn workload_keys<K: Keys>(k: &mut K, w: &mut Workload, t: &Topology, horizon_us:
         Workload::Poisson { load, min_bytes, max_bytes, until_us } => {
             k.f64("load", load, Reals::Fraction)?;
             size_keys(k, ["min_bytes", "max_bytes"], min_bytes, max_bytes)?;
-            k.u64("until_us", until_us, 1..=horizon_us)
+            k.u64("until_us", until_us, 1..=horizon_us)?;
+            let host_gbps = match t {
+                Topology::TwoPath { host, .. } => host.map_or(100, |h| h.rate_gbps),
+                _ => 0,
+            };
+            let n = open_loop_messages(*load, host_gbps, *until_us, *min_bytes);
+            scheduled_rule(k, "load", n, "load × host rate × until_us / min_bytes", load)
         }
         Workload::Tenants {
             elephants, elephant_bytes, mice, mice_load, mice_min_bytes, mice_max_bytes,
@@ -1131,11 +1167,21 @@ fn workload_keys<K: Keys>(k: &mut K, w: &mut Workload, t: &Topology, horizon_us:
             k.u64("mice", mice, 0..=16)?;
             k.rule("elephants", *elephants + *mice > 0, "need at least one tenant", || *mice = 1)?;
             k.f64("mice_load", mice_load, Reals::Fraction)?;
-            size_keys(k, ["mice_min_bytes", "mice_max_bytes"], mice_min_bytes, mice_max_bytes)
+            size_keys(k, ["mice_min_bytes", "mice_max_bytes"], mice_min_bytes, mice_max_bytes)?;
+            // Each mouse offers its load to its own edge link; the at
+            // most 16 elephant messages are not worth counting.
+            let edge_gbps = if let Topology::Dumbbell { edge, .. } = t { edge.rate_gbps } else { 0 };
+            let n = *mice as f64 * open_loop_messages(*mice_load, edge_gbps, horizon_us, *mice_min_bytes);
+            let what = "mice × mice_load × edge rate × horizon_us / mice_min_bytes";
+            scheduled_rule(k, "mice_load", n, what, mice_load)
         }
         Workload::Streams { senders, messages, bytes } => {
             k.u64s("senders", senders, &SENDERS)?;
             k.u64("messages", messages, 1..=100_000)?;
+            let all: u64 = senders.iter().sum();
+            let n = all * *messages;
+            let msg = format_args!("schedules {n} messages (senders × messages), more than the {MAX_SCHEDULED:.0e} a cell may");
+            k.rule("messages", n as f64 <= MAX_SCHEDULED, msg, || *messages = (MAX_SCHEDULED as u64 / all.max(1)).max(1))?;
             k.u64("bytes", bytes, BYTES)
         }
         Workload::Fanin { rounds, bytes, stagger_us, round_gap_us } => {
@@ -1148,7 +1194,13 @@ fn workload_keys<K: Keys>(k: &mut K, w: &mut Workload, t: &Topology, horizon_us:
             k.f64("load", load, Reals::Fraction)?;
             size_keys(k, ["min_bytes", "max_bytes"], min_bytes, max_bytes)?;
             k.f64("alpha", alpha, Reals::Above(1.0))?;
-            k.u64("until_us", until_us, 1..=horizon_us)
+            k.u64("until_us", until_us, 1..=horizon_us)?;
+            let (hosts, host_gbps) = match t {
+                Topology::LeafSpine { leaves, hosts_per_leaf, host_link, .. } => (leaves * hosts_per_leaf, host_link.rate_gbps),
+                _ => (0, 0),
+            };
+            let n = hosts as f64 * open_loop_messages(*load, host_gbps, *until_us, *min_bytes);
+            scheduled_rule(k, "load", n, "hosts × load × host rate × until_us / min_bytes", load)
         }
     }
 }

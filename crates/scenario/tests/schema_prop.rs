@@ -497,7 +497,7 @@ const RULES: &[&str] = &[
     "topology.*.ecn_k", "topology.alternate_period_us", "topology.pathlets",
     "topology.shared.trimming", "topology.strategy", "topology.isolation",
     "workload.kind", "workload.start_step_us", "workload.elephants", "workload.min_bytes",
-    "workload.mice_min_bytes",
+    "workload.mice_min_bytes", "workload.load", "workload.mice_load", "workload.messages",
     "fault[*].to_us", "fault[*].flips", "fault[*].link", "fault[*].node",
     "assert.window_us", "assert.corruption_accounting", "assert.cells.*.goodput_mean_min_gbps",
     "assert.cells.*.tenant_ratio_max", "assert.cells.*", "assert.digests.*",
@@ -1234,4 +1234,96 @@ fn window_cap_must_be_positive() {
     let e = schema_err(&proxy_like().replace("window_cap_kb = 64", "window_cap_kb = 0"));
     assert_eq!(e.field, "topology.window_cap_kb");
     assert!(e.msg.contains("out of range"), "msg: {}", e.msg);
+}
+
+/// The 27-line file that once aborted `scn` (exit 134): one mouse tenant
+/// of 1 B messages at 0.36 of a 366 Gbps edge for 1.3 ms asks for about
+/// 2 × 10⁷ messages, and the runner died growing one sender's queue by
+/// 1.88 GB. It is decoded here, never run.
+const MOUSE_FLOOD: &str = r#"# A cell far past what the runner can schedule.
+[scenario]
+name = "mouse_flood"
+description = "One mouse tenant: 1 B messages at 0.36 of a 366 Gbps edge"
+seeds = [1]
+horizon_us = 1300
+protocols = ["mtp"]
+
+[topology]
+kind = "dumbbell"
+
+[topology.edge]
+rate_gbps = 366
+delay_us = 1
+
+[topology.shared]
+rate_gbps = 100
+delay_us = 1
+
+[workload]
+kind = "tenants"
+elephants = 0
+elephant_bytes = 1
+mice = 1
+mice_load = 0.36
+mice_min_bytes = 1
+mice_max_bytes = 1
+"#;
+
+#[test]
+fn a_cell_that_schedules_too_many_messages_is_refused() {
+    assert_eq!(MOUSE_FLOOD.lines().count(), 27);
+    let e = schema_err(MOUSE_FLOOD);
+    assert_eq!(e.field, "workload.mice_load");
+    // 0.36 × 366 Gbps × 1 300 µs at 125 B per Gbps·µs, 1 B each.
+    assert!(e.msg.contains("2.141e7 messages"), "msg: {}", e.msg);
+    // A thousand times the smallest mouse is a thousand times fewer.
+    let fewer = MOUSE_FLOOD.replace(
+        "mice_min_bytes = 1\nmice_max_bytes = 1",
+        "mice_min_bytes = 1000\nmice_max_bytes = 1000",
+    );
+    from_str(&fewer).expect("2.1e4 messages decode");
+
+    // Every other kind that can exceed the bound is refused at its key.
+    let poisson = [HEAD, TWO_PATH, HOST, POISSON]
+        .concat()
+        .replace("min_bytes = 1000", "min_bytes = 1")
+        .replace("load = 0.5", "load = 1.0");
+    let e = schema_err(&poisson);
+    assert_eq!(e.field, "workload.load");
+    assert!(e.msg.contains("1.250e6 messages"), "msg: {}", e.msg);
+    let permutation = permutation_like().replace("min_bytes = 1000", "min_bytes = 1");
+    let e = schema_err(&permutation);
+    assert_eq!(e.field, "workload.load");
+    assert!(e.msg.contains("1.250e6 messages"), "msg: {}", e.msg);
+    // 9 senders × 100 000 is under it, 32 × 100 000 is not.
+    from_str(&streams_like().replace("messages = 4", "messages = 100000")).expect("9e5 messages");
+    let streams = streams_like()
+        .replace("senders = [1, 8]", "senders = [16, 16]")
+        .replace("messages = 4", "messages = 100000");
+    let e = schema_err(&streams);
+    assert_eq!(e.field, "workload.messages");
+    assert!(
+        e.msg.contains("schedules 3200000 messages"),
+        "msg: {}",
+        e.msg
+    );
+}
+
+/// The bound refuses no file of the corpus or of the benchmark's frozen
+/// copy of it.
+#[test]
+fn every_corpus_file_decodes_under_the_bound() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut decoded = 0;
+    for dir in ["scenarios", "benchmark/corpus"] {
+        for entry in std::fs::read_dir(root.join(dir)).expect(dir) {
+            let path = entry.expect("entry").path();
+            if path.extension().is_some_and(|e| e == "toml") {
+                let text = std::fs::read_to_string(&path).expect("read");
+                from_str(&text).unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
+                decoded += 1;
+            }
+        }
+    }
+    assert!(decoded >= 35, "{decoded} files");
 }

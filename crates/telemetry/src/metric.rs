@@ -95,10 +95,12 @@ define_ids!(
     (WireParseErrors, "wire_parse_errors", "Frames rejected by the sealed-header parse on receive."),
     (WirePayloadCsumFail, "wire_payload_csum_fail", "Frames whose header verified but whose payload checksum did not."),
     (WireSendWouldBlock, "wire_send_would_block", "Sends the kernel refused for want of send-queue room, each retried after a yield."),
-    (WireKernelDrops, "wire_kernel_drops", "Datagrams the kernel dropped at this end's data sockets for want of receive-queue room (SO_MEMINFO, read when a session ends)."),
+    (WireKernelDrops, "wire_kernel_drops", "Drop events the kernel counted at this end's data sockets for want of receive-queue room (SO_MEMINFO, read when a session ends): each is one kernel packet, so a single datagram, or a whole coalesced run where UDP_GRO is on."),
     (WireCeMarked, "wire_ce_marked", "Data frames a listener stamped congestion-experienced: they arrived behind more queued bytes than its marking threshold."),
     (WireRecvEmpty, "wire_recv_empty", "Receive syscalls that returned nothing: the queue was empty."),
     (WireReadyPolls, "wire_ready_polls", "Readiness questions asked of the kernel (poll): one per turn, one per blocking wait."),
+    (WireGsoSegmentsTx, "wire_gso_segments_tx", "Datagrams sent in segmentation-offload runs of two or more (UDP_SEGMENT): 0 where the kernel does not segment."),
+    (WireGroSegmentsRx, "wire_gro_segments_rx", "Datagrams received coalesced into one kernel packet (UDP_GRO): 0 where the kernel does not coalesce."),
     // ---- wire sessions ---------------------------------------------------
     //
     // The session lifecycle layer in `mtp-io`: handshake, liveness,
